@@ -256,9 +256,10 @@ func segBounds(count, n int) []int {
 }
 
 // ringAllReduce: ring reduce-scatter then ring allgather over the rank's
-// recv buffer, with credit-managed scratch for the incoming reduce-scatter
-// segments. Allgather segments skip the scratch: they are placed straight
-// at their final offset in the right neighbor's recv buffer (see getPlaced).
+// recv buffer, through credit-managed pipes. Neither phase copies through
+// the pipes' scratch: reduce-scatter segments are reduced straight from the
+// sender's buffer (see byRef), and allgather segments are placed straight at
+// their final offset in the right neighbor's recv buffer (see getPlaced).
 func (rc *runCtx) ringAllReduce(dt Datatype, op RedOp, count int) {
 	a := rc.st.args[rc.rank]
 	n := rc.co.n
@@ -277,10 +278,10 @@ func (rc *runCtx) ringAllReduce(dt Datatype, op RedOp, count int) {
 		recvSeg := (rc.rank - step - 2 + 2*n) % n
 		so, sl := int64(bounds[sendSeg])*esz, int64(bounds[sendSeg+1]-bounds[sendSeg])*esz
 		ro, rl := int64(bounds[recvSeg])*esz, int64(bounds[recvSeg+1]-bounds[recvSeg])*esz
-		sent := rc.putAsync(right, nil, rc.slice(a.recv, so, sl), sl, maxSeg)
+		sent := rc.putAsync(right, byRef, rc.slice(a.recv, so, sl), sl, maxSeg)
 		slot, buf := rc.get(left, maxSeg)
 		if rl > 0 {
-			rc.reduceInto(op, dt, rc.slice(a.recv, ro, rl), rc.slice(buf, 0, rl), int(rl/esz))
+			rc.reduceInto(op, dt, rc.slice(a.recv, ro, rl), buf, int(rl/esz))
 		}
 		rc.release(left, slot, maxSeg)
 		sent.Wait(rc.p)
@@ -339,7 +340,7 @@ func (rc *runCtx) treeReduceInPlace(dt Datatype, op RedOp, count int, root int) 
 	for mask := 1; mask < n; mask <<= 1 {
 		if rel&mask != 0 {
 			parent := ((rel - mask) + root) % n
-			rc.put(parent, rc.st.args[rc.rank].recv, int64(count)*esz, bytes)
+			rc.putTo(parent, byRef, rc.st.args[rc.rank].recv, int64(count)*esz, bytes)
 			return
 		}
 		childRel := rel + mask
@@ -347,7 +348,7 @@ func (rc *runCtx) treeReduceInPlace(dt Datatype, op RedOp, count int, root int) 
 			child := (childRel + root) % n
 			slot, buf := rc.get(child, bytes)
 			if count > 0 {
-				rc.reduceInto(op, dt, rc.slice(rc.st.args[rc.rank].recv, 0, int64(count)*esz), rc.slice(buf, 0, int64(count)*esz), count)
+				rc.reduceInto(op, dt, rc.st.args[rc.rank].recv, buf, count)
 			}
 			rc.release(child, slot, bytes)
 		}
@@ -409,7 +410,7 @@ func (rc *runCtx) treeReduce(dt Datatype, op RedOp, count int, root int) {
 	for mask := 1; mask < n; mask <<= 1 {
 		if rel&mask != 0 {
 			parent := ((rel - mask) + root) % n
-			rc.put(parent, acc, bytes, slotBytes)
+			rc.put(parent, acc, bytes, slotBytes) // staged: acc is freed on return
 			return
 		}
 		childRel := rel + mask
@@ -471,6 +472,8 @@ func (rc *runCtx) ringReduceScatter(dt Datatype, op RedOp, recvCount int) {
 		for step := 0; step < n-1; step++ {
 			sendSeg := (rc.rank - step - 1 + 2*n) % n
 			recvSeg := (rc.rank - step - 2 + 2*n) % n
+			// Staged: work returns to the pool while the last receiver may
+			// still be reading it.
 			sent := rc.putAsync(right, nil, work.Slice(int64(sendSeg)*blk, blk), blk, slotBytes)
 			slot, buf := rc.get(left, slotBytes)
 			rc.reduceInto(op, dt, work.Slice(int64(recvSeg)*blk, blk), buf.Slice(0, blk), recvCount)

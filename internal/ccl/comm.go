@@ -457,7 +457,11 @@ func (co *core) finish(st *opState) {
 type pipe struct {
 	data   *sim.Chan[int]
 	credit *sim.Chan[int]
-	slots  []*device.Buffer
+	slots  [pipeSlots]*device.Buffer
+	// refs[i] is the sender's own segment, published instead of filling
+	// slots[i] by a reduce-on-receive put (see byRef); nil while slots[i]
+	// holds the payload.
+	refs [pipeSlots]*device.Buffer
 }
 
 const pipeSlots = 2
@@ -472,7 +476,6 @@ func (st *opState) pipe(co *core, from, to int, slotBytes int64) *pipe {
 		pp = &pipe{
 			data:   sim.NewChan[int](k, pipeSlots+1),
 			credit: sim.NewChan[int](k, pipeSlots+1),
-			slots:  make([]*device.Buffer, pipeSlots),
 		}
 		for i := range pp.slots {
 			pp.slots[i] = co.devs[to].MustMallocScratch(slotBytes)
@@ -527,10 +530,13 @@ func (co *core) fabOpts() fabric.Opts {
 // the sequence: the copy is skipped, the shared verdict is recorded, and
 // the schedule keeps draining — same-side hops still complete and the pipe
 // signaling below still fires, so every rank finishes in bounded virtual
-// time instead of stranding peers mid-collective.
-func (rc *runCtx) xfer(dst, src *device.Buffer, n int64) {
+// time instead of stranding peers mid-collective. noCopy prices the hop
+// without moving bytes; xfer reports whether the hop was delivered.
+func (rc *runCtx) xfer(dst, src *device.Buffer, n int64, noCopy bool) bool {
 	rc.co.countXfer(n)
-	d, err := rc.co.fab.TryTransfer(rc.p, dst, src, n, rc.opts())
+	o := rc.opts()
+	o.NoCopy = noCopy
+	d, err := rc.co.fab.TryTransfer(rc.p, dst, src, n, o)
 	if err != nil {
 		if !errors.Is(err, fabric.ErrPartitioned) {
 			panic(err)
@@ -539,17 +545,19 @@ func (rc *runCtx) xfer(dst, src *device.Buffer, n int64) {
 		if rc.st.abortErr == nil {
 			rc.st.abortErr = rc.co.severedVerdict(rc.p.Now())
 		}
-		return
+		return false
 	}
 	pen := rc.co.cfg.InterNodePenalty
 	if pen > 1 && src.Device() != nil && dst.Device() != nil && src.Device().Node != dst.Device().Node {
 		rc.p.Sleep(time.Duration(float64(d) * (pen - 1)))
 	}
+	return true
 }
 
 // putAsync runs putTo on a helper process so the caller can receive
 // concurrently — rings are full duplex, exactly like the hardware channels
-// they run on. Wait on the returned counter before reusing src.
+// they run on. Wait on the returned counter before reusing src (after a
+// byRef put, byRef says when src may be written again).
 func (rc *runCtx) putAsync(to int, dst, src *device.Buffer, n int64, slotBytes int64) *sim.Counter {
 	if rc.sender != nil {
 		return rc.sender.post(to, dst, src, n, slotBytes)
@@ -572,34 +580,73 @@ func (rc *runCtx) put(to int, src *device.Buffer, n int64, slotBytes int64) {
 	rc.putTo(to, nil, src, n, slotBytes)
 }
 
+// byRef is the putTo destination that selects reduce-on-receive: the put
+// takes the credit, pays the identical α–β, chunk and contention time, and
+// sends the data signal, but publishes src itself in the pipe instead of
+// copying it into the slot. The receiver's get returns src, reduceInto reads
+// it in place (charging ReduceTime as ever), and release drops the
+// reference — NCCL's P2P read of a peer buffer over NVLink. Virtual time is
+// unchanged; one host memory pass per reduced byte disappears.
+//
+// The caller must guarantee src is not written until the receiver has
+// released it. That holds at each reduce step where the sender's next write
+// to the segment is causally after the receiver's reduce:
+//   - a ring allreduce's reduce-scatter (flat, and the hierarchical leader
+//     ring): the segment a rank sends at step s is next written by the
+//     allgather, with the segment's final value, which exists only after
+//     the partial has travelled on around the ring through the right
+//     neighbor's reduce;
+//   - a binomial reduction over the recv buffer (treeReduceInPlace, and
+//     intraTreeReduce in hierarchical allreduce and reduce-scatter phase A):
+//     a child's chunk is next written by the broadcast phase, or freed after
+//     waitDirect, and both follow its parent's reduce.
+//
+// Staged sites say at the call why they stay staged. The fabric must also
+// be Faithful: injected corruption lands in a real copy and CRC32C compares
+// two, so with a corrupter attached or integrity on, a byRef put stages as
+// a nil-dst put does. A severed hop publishes nothing, so the receiver
+// reads the slot, as after a severed staged put.
+var byRef = new(device.Buffer)
+
 // putTo is put with the payload placed at dst, a region of the receiver's
-// own buffer, instead of the scratch slot when dst is non-nil. The credit
-// and the data signal still travel exactly as for a staged put, so flow
-// control — and with it every virtual timestamp — is unchanged; only the
-// receiver's slot-to-buffer copy disappears. The receiver consumes it with
-// getPlaced; callers must ensure the write cannot race the receiver's own
-// accesses to dst (see getPlaced for the ring argument).
+// own buffer, instead of the scratch slot when dst is non-nil (byRef aside).
+// The credit and the data signal still travel exactly as for a staged put,
+// so flow control — and with it every virtual timestamp — is unchanged; only
+// the receiver's slot-to-buffer copy disappears. The receiver consumes it
+// with getPlaced; callers must ensure the write cannot race the receiver's
+// own accesses to dst (see getPlaced for the ring argument).
 func (rc *runCtx) putTo(to int, dst, src *device.Buffer, n int64, slotBytes int64) {
 	pp := rc.st.pipe(rc.co, rc.rank, to, slotBytes)
 	rc.p.Sleep(rc.co.cfg.StepCost)
 	slot := pp.credit.Recv(rc.p)
-	if dst == nil {
-		dst = rc.slice(pp.slots[slot], 0, n)
+	switch {
+	case dst == byRef && rc.co.fab.Faithful():
+		if rc.xfer(pp.slots[slot], src, n, true) {
+			pp.refs[slot] = src
+		}
+	case dst == nil || dst == byRef:
+		rc.xfer(rc.slice(pp.slots[slot], 0, n), src, n, false)
+	default:
+		rc.xfer(dst, src, n, false)
 	}
-	rc.xfer(dst, src, n)
 	pp.data.Send(rc.p, slot)
 }
 
-// get blocks until a scratch slot from rank "from" is ready and returns it;
-// the caller must release it with release.
+// get blocks until a put from rank "from" is ready and returns its slot
+// index and payload: the scratch slot, or the sender's own segment after a
+// byRef put. The caller must release it with release.
 func (rc *runCtx) get(from int, slotBytes int64) (int, *device.Buffer) {
 	pp := rc.st.pipe(rc.co, from, rc.rank, slotBytes)
 	slot := pp.data.Recv(rc.p)
+	if ref := pp.refs[slot]; ref != nil {
+		return slot, ref
+	}
 	return slot, pp.slots[slot]
 }
 
 func (rc *runCtx) release(from, slot int, slotBytes int64) {
 	pp := rc.st.pipe(rc.co, from, rc.rank, slotBytes)
+	pp.refs[slot] = nil
 	pp.credit.TrySend(slot)
 }
 
@@ -608,7 +655,7 @@ func (rc *runCtx) release(from, slot int, slotBytes int64) {
 func (rc *runCtx) putDirect(to int, dst, src *device.Buffer, n int64) {
 	pp := rc.st.pipe(rc.co, rc.rank, to, 1)
 	rc.p.Sleep(rc.co.cfg.StepCost)
-	rc.xfer(dst, src, n)
+	rc.xfer(dst, src, n, false)
 	pp.data.Send(rc.p, 0)
 }
 
@@ -619,6 +666,7 @@ func (rc *runCtx) waitDirect(from int) {
 }
 
 // reduceInto combines src into dst over count elements, charging device time.
+// Both buffers may be longer: only their first count elements are touched.
 func (rc *runCtx) reduceInto(op RedOp, dt Datatype, dst, src *device.Buffer, count int) {
 	reduceBytes(op, dt, dst.Bytes(), src.Bytes(), count)
 	rc.p.Sleep(rc.dev().ReduceTime(int64(count) * int64(dt.Size())))

@@ -186,6 +186,9 @@ func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64,
 					}
 					src := sub.bufAt(m.SrcBuf, m.From, m.SrcOff, m.SrcLen())
 					if m.Staged {
+						// Staged, not byRef: a plan carries no proof that src
+						// outlives the receiver's read, so DAG.Validate
+						// requires staged transport for reducing moves.
 						sub.put(m.To, src, src.Len(), slot)
 					} else {
 						dst := sub.bufAt(m.DstBuf, m.To, m.DstOff, m.Bytes)

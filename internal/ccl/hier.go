@@ -237,7 +237,9 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 }
 
 // hierInterAllReduce runs one chunk's ring allreduce (reduce-scatter +
-// allgather) over the leader group, in place over the leader's recv buffer.
+// allgather) over the leader group, in place over the leader's recv buffer,
+// reducing from the sender's segment (byRef) and placing allgather segments
+// directly (getPlaced) on the same causal grounds as the flat ring.
 func (rc *runCtx) hierInterAllReduce(hp *hierPlan, dt Datatype, op RedOp, count, ce, ck int) {
 	m := len(hp.leaders)
 	idx := hp.nodeIdx[rc.rank]
@@ -261,11 +263,11 @@ func (rc *runCtx) hierInterAllReduce(hp *hierPlan, dt Datatype, op RedOp, count,
 		ro, rl := seg((idx - step - 2 + 2*m) % m)
 		var sent *sim.Counter
 		if sl > 0 {
-			sent = rc.putAsync(right, nil, rc.slice(recv, so, sl), sl, slotBytes)
+			sent = rc.putAsync(right, byRef, rc.slice(recv, so, sl), sl, slotBytes)
 		}
 		if rl > 0 {
 			slot, buf := rc.get(left, slotBytes)
-			rc.reduceInto(op, dt, rc.slice(recv, ro, rl), rc.slice(buf, 0, rl), int(rl/esz))
+			rc.reduceInto(op, dt, rc.slice(recv, ro, rl), buf, int(rl/esz))
 			rc.release(left, slot, slotBytes)
 		}
 		if sent != nil {
@@ -292,7 +294,9 @@ func (rc *runCtx) hierInterAllReduce(hp *hierPlan, dt Datatype, op RedOp, count,
 
 // intraTreeReduce runs a binomial reduction of buf[off:off+count·esz] over
 // the same-node rank group toward group[0]. Every rank passes its own
-// accumulation buffer; payload moves through the credit-managed pipes.
+// accumulation buffer; parents reduce straight from each child's (byRef),
+// which the child leaves alone until the broadcast phase writes it or it is
+// freed after waitDirect.
 func (rc *runCtx) intraTreeReduce(group []int, idx int, dt Datatype, op RedOp,
 	buf *device.Buffer, off int64, count int, slotBytes int64) {
 	n := len(group)
@@ -304,13 +308,13 @@ func (rc *runCtx) intraTreeReduce(group []int, idx int, dt Datatype, op RedOp,
 	mine := rc.slice(buf, off, bytes)
 	for mask := 1; mask < n; mask <<= 1 {
 		if idx&mask != 0 {
-			rc.put(group[idx-mask], mine, bytes, slotBytes)
+			rc.putTo(group[idx-mask], byRef, mine, bytes, slotBytes)
 			return
 		}
 		if idx+mask < n {
 			child := group[idx+mask]
 			slot, s := rc.get(child, slotBytes)
-			rc.reduceInto(op, dt, mine, rc.slice(s, 0, bytes), count)
+			rc.reduceInto(op, dt, mine, s, count)
 			rc.release(child, slot, slotBytes)
 		}
 	}
@@ -541,6 +545,8 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 			rc.p.Kernel().Spawn(co.putName(rank, right), func(p *sim.Proc) {
 				sub := co.getCtx(st, rank, p)
 				for _, r := range hp.locals[sendNode] {
+					// Staged: work returns to the pool while the last
+					// receiver may still be reading it.
 					sub.put(right, work.Slice(int64(r)*blk, blk), blk, blk)
 				}
 				co.putCtx(sub)

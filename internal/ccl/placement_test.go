@@ -10,15 +10,19 @@ import (
 	"mpixccl/internal/ccl/rccl"
 	"mpixccl/internal/device"
 	"mpixccl/internal/fabric"
+	"mpixccl/internal/fault"
+	"mpixccl/internal/metrics"
 	"mpixccl/internal/sim"
 )
 
 // The ring allgather phases place each incoming segment straight into the
-// receiver's buffer instead of a scratch slot. These tests pin the two
-// things that must not change: every output element, on ring sizes and
-// shapes where neighbors drift apart (uneven segments, mixed intra- and
-// inter-node hops, several ops queued per stream, persistent waves), and
-// the modeled time of each schedule.
+// receiver's buffer instead of a scratch slot, and the reduce steps of the
+// ring, leader-ring and binomial-tree schedules reduce straight from the
+// sender's segment. These tests pin the things that must not change: every
+// output element, on ring sizes and shapes where neighbors drift apart
+// (uneven segments, mixed intra- and inter-node hops, several ops queued
+// per stream, persistent waves), the modeled time of each schedule, and
+// that corruption injection still sees every reduced transfer.
 
 type ringShape struct {
 	system string
@@ -48,20 +52,26 @@ func ringSum(n, i, j int) int32 {
 	return s
 }
 
-// TestRingPlacementExact queues several ring allreduces (in place and out
-// of place), ring allgathers and hierarchical allreduces per stream before
-// synchronizing once, then checks every element.
+// TestRingPlacementExact queues several flat-ring, tree and hierarchical
+// allreduces (in place and out of place), hierarchical reduce-scatters and
+// ring allgathers per stream before synchronizing once, then checks every
+// element.
 func TestRingPlacementExact(t *testing.T) {
 	for _, sh := range ringShapes {
 		t.Run(sh.String(), func(t *testing.T) {
 			n := sh.n
 			counts := []int{n, 2*n + 1, 4099}
 			h := newHarness(t, sh.system, n, sh.mk)
+			const (
+				reduce = iota
+				gather
+				scatter
+			)
 			type check struct {
-				buf    *device.Buffer
-				gather bool
-				count  int
-				j      int
+				buf   *device.Buffer
+				kind  int
+				count int
+				j     int
 			}
 			checks := make([][]check, n)
 			h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
@@ -73,7 +83,7 @@ func TestRingPlacementExact(t *testing.T) {
 					return b
 				}
 				j := 0
-				for _, algo := range []ccl.Algorithm{ccl.AlgoFlatRing, ccl.AlgoHierarchical} {
+				for _, algo := range []ccl.Algorithm{ccl.AlgoFlatRing, ccl.AlgoTree, ccl.AlgoHierarchical} {
 					c.SetAlgorithm(algo, 1024) // small hierarchical chunks: short segments
 					for _, count := range counts {
 						send := fill(count, j)
@@ -93,6 +103,17 @@ func TestRingPlacementExact(t *testing.T) {
 						j++
 					}
 				}
+				c.SetAlgorithm(ccl.AlgoHierarchical, 1024)
+				for _, count := range []int{1, 3, 1000} {
+					send := fill(n*count, j)
+					recv := c.Device().MustMalloc(int64(count) * 4)
+					if err := c.ReduceScatter(send, recv, count, ccl.Int32, ccl.Sum, s); err != nil {
+						t.Errorf("reducescatter: %v", err)
+						return
+					}
+					checks[r] = append(checks[r], check{buf: recv, kind: scatter, count: count, j: j})
+					j++
+				}
 				c.SetAlgorithm(ccl.AlgoAuto, 0)
 				for _, count := range []int{1, 3, 1000} {
 					send := fill(count, j)
@@ -101,14 +122,15 @@ func TestRingPlacementExact(t *testing.T) {
 						t.Errorf("allgather: %v", err)
 						return
 					}
-					checks[r] = append(checks[r], check{buf: all, gather: true, count: count, j: j})
+					checks[r] = append(checks[r], check{buf: all, kind: gather, count: count, j: j})
 					j++
 				}
 				s.Synchronize(p)
 			})
 			for r, cs := range checks {
 				for _, ck := range cs {
-					if ck.gather {
+					switch ck.kind {
+					case gather:
 						for src := 0; src < n; src++ {
 							for i := 0; i < ck.count; i++ {
 								if got, want := ck.buf.Int32(src*ck.count+i), ringVal(src, i, ck.j); got != want {
@@ -116,11 +138,17 @@ func TestRingPlacementExact(t *testing.T) {
 								}
 							}
 						}
-						continue
-					}
-					for i := 0; i < ck.count; i++ {
-						if got, want := ck.buf.Int32(i), ringSum(n, i, ck.j); got != want {
-							t.Fatalf("allreduce op %d (count %d) rank %d elem %d = %d, want %d", ck.j, ck.count, r, i, got, want)
+					case scatter:
+						for i := 0; i < ck.count; i++ {
+							if got, want := ck.buf.Int32(i), ringSum(n, r*ck.count+i, ck.j); got != want {
+								t.Fatalf("reducescatter op %d (count %d) rank %d elem %d = %d, want %d", ck.j, ck.count, r, i, got, want)
+							}
+						}
+					default:
+						for i := 0; i < ck.count; i++ {
+							if got, want := ck.buf.Int32(i), ringSum(n, i, ck.j); got != want {
+								t.Fatalf("allreduce op %d (count %d) rank %d elem %d = %d, want %d", ck.j, ck.count, r, i, got, want)
+							}
 						}
 					}
 				}
@@ -229,5 +257,78 @@ func TestRingScheduleVirtualTime(t *testing.T) {
 				t.Errorf("modeled time %v (%d ns), want %v", got, int64(got), tc.want)
 			}
 		})
+	}
+}
+
+// TestReduceOnReceiveStagedUnderCorruption runs ring and hierarchical
+// allreduces with a corrupt rule attached, which must put every reduce step
+// back on the staged path: injected corruption lands in a real copy. The
+// rule flips one byte of the first transfer, always a reduce step. Without
+// integrity that byte is reduced into a partial sum and reaches every
+// rank's result — a flip in a later, placed or broadcast, transfer would
+// spare the segment's owner, so a reduce step that skipped the copy (and
+// with it the corrupter) fails the count. With integrity on, the checksum
+// catches the flip, the retransmit heals it, and the sum is exact.
+func TestReduceOnReceiveStagedUnderCorruption(t *testing.T) {
+	cases := []struct {
+		name  string
+		shape ringShape
+		algo  ccl.Algorithm
+	}{
+		{"ring", ringShape{"thetagpu", 5, nccl.New}, ccl.AlgoFlatRing},
+		{"ring-mri", ringShape{"mri", 5, rccl.New}, ccl.AlgoFlatRing},
+		{"hier", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoHierarchical},
+	}
+	for _, tc := range cases {
+		for _, integrity := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/integrity=%v", tc.name, integrity), func(t *testing.T) {
+				n, count := tc.shape.n, 4099
+				h := newHarness(t, tc.shape.system, n, tc.shape.mk)
+				reg := metrics.NewRegistry()
+				h.fab.SetMetrics(reg)
+				h.fab.SetFaults(fault.NewPlan(1).AddCorruptRule(fault.CorruptRule{Name: "flip", Count: 1}))
+				if integrity {
+					h.fab.SetIntegrity(fabric.Integrity{Enabled: true, MaxRetries: 2})
+				}
+				bufs := make([]*device.Buffer, n)
+				h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
+					c.SetAlgorithm(tc.algo, 1024)
+					b := c.Device().MustMalloc(int64(count) * 4)
+					for i := 0; i < count; i++ {
+						b.SetInt32(i, ringVal(r, i, 0))
+					}
+					if err := c.AllReduce(b, b, count, ccl.Int32, ccl.Sum, s); err != nil {
+						t.Errorf("allreduce: %v", err)
+						return
+					}
+					s.Synchronize(p)
+					bufs[r] = b
+				})
+				wrong := 0
+				for _, b := range bufs {
+					for i := 0; i < count; i++ {
+						if b.Int32(i) != ringSum(n, i, 0) {
+							wrong++
+							break
+						}
+					}
+				}
+				var detected float64
+				for _, link := range []string{"intra", "inter"} {
+					v, _ := reg.CounterValue("xccl_corruptions_detected_total", metrics.Labels{"link": link})
+					detected += v
+				}
+				if integrity {
+					if wrong != 0 {
+						t.Errorf("%d ranks hold a wrong sum with integrity on", wrong)
+					}
+					if detected == 0 {
+						t.Error("integrity detected no corruption")
+					}
+				} else if wrong != n {
+					t.Errorf("%d of %d ranks carry the flipped byte; a reduce-step flip reaches every rank", wrong, n)
+				}
+			})
+		}
 	}
 }

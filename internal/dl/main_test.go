@@ -4,6 +4,8 @@ import (
 	"os"
 	"runtime/debug"
 	"testing"
+
+	"mpixccl/internal/sim/simtest"
 )
 
 // testMemoryLimit is a soft heap cap for this package's tests. The VGG-16
@@ -16,9 +18,10 @@ import (
 // stays below it never notice. GOMEMLIMIT overrides.
 const testMemoryLimit = 5 << 30
 
+// TestMain applies the memory cap, then runs the suite under the leak gate.
 func TestMain(m *testing.M) {
 	if os.Getenv("GOMEMLIMIT") == "" {
 		debug.SetMemoryLimit(testMemoryLimit)
 	}
-	os.Exit(m.Run())
+	simtest.Main(m)
 }

@@ -290,6 +290,7 @@ type compiledVerdict struct {
 func compiledWorld(t *testing.T, nranks, shards int, plan *fault.Plan) *core.Runtime {
 	t.Helper()
 	k := sim.NewKernel()
+	t.Cleanup(k.Close)
 	sys, err := topology.Preset(k, "thetagpu", 2)
 	if err != nil {
 		t.Fatal(err)

@@ -200,6 +200,13 @@ func (f *Fabric) SetIntegrity(i Integrity) { f.integrity = i }
 // Integrity returns the active integrity configuration.
 func (f *Fabric) Integrity() Integrity { return f.integrity }
 
+// Faithful reports whether every transfer delivers exactly the source bytes
+// with nothing to check: no corrupter is attached and integrity is off. Only
+// then may a caller skip the byte copy (Opts.NoCopy) and let the receiver
+// read the source in place — injected corruption must land in a real copy,
+// and a CRC32C check compares two.
+func (f *Fabric) Faithful() bool { return f.corrupter == nil && !f.integrity.Enabled }
+
 // SetMetrics wires a registry for fabric-level counters (degraded
 // transfers). A nil registry disables them.
 func (f *Fabric) SetMetrics(reg *metrics.Registry) { f.reg = reg }

@@ -148,6 +148,32 @@ func TestIntegrityGivesUpAfterMaxRetries(t *testing.T) {
 	}
 }
 
+// Faithful holds only on a bare fabric: an attached corrupter must see a
+// real copy to flip, and integrity must checksum one, so either one turns it
+// off — and detaching or disabling turns it back on.
+func TestFaithfulDelivery(t *testing.T) {
+	_, _, f := setup(1)
+	if !f.Faithful() {
+		t.Fatal("bare fabric not faithful")
+	}
+	f.SetFaults(&stubCorrupter{})
+	if f.Faithful() {
+		t.Error("faithful with a corrupter attached")
+	}
+	f.SetFaults(nil)
+	if !f.Faithful() {
+		t.Error("not faithful after detaching the corrupter")
+	}
+	f.SetIntegrity(Integrity{Enabled: true})
+	if f.Faithful() {
+		t.Error("faithful with integrity on")
+	}
+	f.SetIntegrity(Integrity{})
+	if !f.Faithful() {
+		t.Error("not faithful after integrity off")
+	}
+}
+
 // Integrity checking is modeled as NIC-offloaded: with no corruption it
 // must not change transfer timing at all (golden-exhibit safety).
 func TestIntegrityFreeWhenClean(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -46,19 +47,29 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(events)
 }
 
+// maxChromeMicros bounds the ts and dur values ParseChromeTrace accepts
+// (about 11.6 days). Below it a microsecond float written by
+// WriteChromeTrace rounds back to its exact nanosecond count.
+const maxChromeMicros = 1e12
+
 // ParseChromeTrace loads events written by WriteChromeTrace back into
-// records (used by tests and tooling round-trips).
+// records (used by tests and tooling round-trips). Timestamps round to the
+// nearest nanosecond, so written records read back exactly; events whose ts
+// or dur lie beyond ±maxChromeMicros are rejected.
 func ParseChromeTrace(data []byte) ([]Record, error) {
 	var events []chromeEvent
 	if err := json.Unmarshal(data, &events); err != nil {
 		return nil, fmt.Errorf("trace: parse chrome trace: %w", err)
 	}
 	out := make([]Record, 0, len(events))
-	for _, e := range events {
+	for i, e := range events {
+		if math.Abs(e.TS) > maxChromeMicros || math.Abs(e.Dur) > maxChromeMicros {
+			return nil, fmt.Errorf("trace: parse chrome trace: event %d: ts %g or dur %g µs out of range", i, e.TS, e.Dur)
+		}
 		rec := Record{
 			Op: e.Name, Path: e.Cat, Rank: e.TID,
-			Start:    time.Duration(e.TS * 1e3),
-			Duration: time.Duration(e.Dur * 1e3),
+			Start:    time.Duration(math.Round(e.TS * 1e3)),
+			Duration: time.Duration(math.Round(e.Dur * 1e3)),
 		}
 		if e.Args != nil {
 			rec.Backend = e.Args["backend"]
