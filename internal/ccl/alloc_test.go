@@ -15,8 +15,9 @@ import (
 // opArgs and runCtx free lists must absorb the per-wave objects, so a
 // steady stream of collectives does not grow the allocation rate. A
 // regression here does not break correctness, but it puts one allocation
-// per rank per collective (plus one per putAsync helper) back on the
-// simulator's wall-clock profile.
+// per rank per collective back on the simulator's wall-clock profile.
+// (Asynchronous sends use no runCtx from the pool: each stream's resident
+// helper keeps its own.)
 
 // testBackend is a minimal NCCL-like personality for in-package tests.
 func testBackend() Config {
@@ -59,8 +60,8 @@ func TestPoolPrimitivesAllocFree(t *testing.T) {
 
 // TestCollectivePoolsReachSteadyState runs repeated AllReduce waves and
 // checks that the shared free lists stop growing after the first wave:
-// every wave's opArgs and runCtxs (stream tasks and putAsync helpers) are
-// recycled rather than freshly allocated.
+// every wave's opArgs and stream-task runCtxs are recycled rather than
+// freshly allocated.
 func TestCollectivePoolsReachSteadyState(t *testing.T) {
 	const nranks = 4
 	const waves = 10

@@ -35,7 +35,11 @@ type core struct {
 	dtOK [int(Float64) + 1]bool
 	opOK [int(Min) + 1]bool
 
-	putNames map[[2]int]string // memoized putAsync process names
+	// Resident processes per executing process, created on first use:
+	// the asynchronous-send helpers (see helper) and hierarchical leader
+	// engines (see hierEngine), shared by one-shot and persistent work.
+	helpers map[*sim.Proc]*helper
+	engines map[*sim.Proc]*hierEngine
 
 	hierCache *hierPlan // lazily built node hierarchy (see hier.go)
 
@@ -64,10 +68,10 @@ type core struct {
 	mXferBytes   *metrics.Counter
 
 	// Free lists for the per-collective hot-path objects. Every collective
-	// allocates one opArgs per rank and one runCtx per stream task (plus one
-	// per putAsync helper); recycling them through the shared core keeps the
-	// enqueue path's steady-state allocation rate flat. Safe without locks:
-	// sim procs are serialized by the scheduler token.
+	// allocates one opArgs per rank and one runCtx per stream task;
+	// recycling them through the shared core keeps the enqueue path's
+	// steady-state allocation rate flat. Safe without locks: sim procs are
+	// serialized by the scheduler token.
 	argsFree []*opArgs
 	ctxFree  []*runCtx
 }
@@ -114,18 +118,6 @@ func (co *core) supportsOp(op RedOp) bool {
 		return co.opOK[i]
 	}
 	return false
-}
-
-// putName memoizes the helper-process name for a (from, to) put, keeping
-// fmt.Sprintf off the per-step spawn path of ring and tree algorithms.
-func (co *core) putName(from, to int) string {
-	key := [2]int{from, to}
-	if n, ok := co.putNames[key]; ok {
-		return n
-	}
-	n := fmt.Sprintf("%s/put/r%d-%d", co.cfg.Name, from, to)
-	co.putNames[key] = n
-	return n
 }
 
 // SetMetrics wires a registry into the communicator (shared by every rank
@@ -262,10 +254,11 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 	}
 	co := &core{
 		cfg: cfg, fab: fab, devs: devs, n: len(devs), faults: inj, failStop: fs,
-		ops:      make(map[int]*opState),
-		p2pPost:  make(map[[2]int]*sim.Chan[*p2pSlot]),
-		putNames: make(map[[2]int]string),
-		persist:  make(map[int]*persistShared),
+		ops:     make(map[int]*opState),
+		p2pPost: make(map[[2]int]*sim.Chan[*p2pSlot]),
+		helpers: make(map[*sim.Proc]*helper),
+		engines: make(map[*sim.Proc]*hierEngine),
+		persist: make(map[int]*persistShared),
 	}
 	for dt, ok := range cfg.Datatypes {
 		if i := int(dt); i >= 0 && i < len(co.dtOK) {
@@ -493,11 +486,11 @@ type runCtx struct {
 	rank int
 	p    *sim.Proc
 
-	// Persistent-op hooks, nil on the one-shot path (see persistent.go):
-	// pers carries the handle's caches and partition gate, sender is this
-	// process's resident async-put helper (replacing per-step Spawns).
-	pers   *persistState
-	sender *persistSender
+	// pers carries a persistent handle's caches and partition gate (see
+	// persistent.go); nil on the one-shot path.
+	pers *persistState
+	// helper caches p's resident helper once this context has posted.
+	helper *helper
 
 	// chunk overrides the fabric pipeline granularity for this context's
 	// transfers (compiled plans carry a searched chunk size; 0 = backend
@@ -554,24 +547,100 @@ func (rc *runCtx) xfer(dst, src *device.Buffer, n int64, noCopy bool) bool {
 	return true
 }
 
-// putAsync runs putTo on a helper process so the caller can receive
-// concurrently — rings are full duplex, exactly like the hardware channels
-// they run on. Wait on the returned counter before reusing src (after a
-// byRef put, byRef says when src may be written again).
-func (rc *runCtx) putAsync(to int, dst, src *device.Buffer, n int64, slotBytes int64) *sim.Counter {
-	if rc.sender != nil {
-		return rc.sender.post(to, dst, src, n, slotBytes)
+// helper is the resident process that carries one executing process's
+// asynchronous sends, so the executing process can receive concurrently —
+// rings are full duplex, exactly like the hardware channels they run on.
+// There is one per (communicator, executing process): a stream process,
+// whether it runs a one-shot or a persistent task, or a hierarchical
+// leader's engine. A stream runs one task at a time and every site waits
+// for its job before posting the next, so at most one job is outstanding.
+//
+// Virtual time is exactly that of spawning a process per job. The first
+// post spawns the helper where a per-job spawn would be, and the helper
+// takes the queued job as it starts. After each job the helper parks on
+// its empty queue before any other process runs, so every later post
+// finds it parked, and TrySend schedules its wake-up at the current
+// instant with the next sequence number: the (time, seq) slot a Spawn
+// would take. The job then runs the same transfers and sleeps and fires
+// the same latch. TestRingScheduleVirtualTime pins three back-to-back
+// calls of each schedule, since the calls after the first are where reuse
+// could drift.
+type helper struct {
+	rc   runCtx // co and p fixed; st, rank, pers and chunk copied per post
+	jobs *sim.Chan[helperJob]
+	done *sim.Counter
+	busy bool
+}
+
+// helperJob is one posted send. Jobs are plain values, so a post allocates
+// nothing. A job is one putTo, or, when blocks is non-nil, a node block-set:
+// one n-byte block per listed rank r at offset r·n of src, put staged
+// (nil dst) or directly at the same offset of dst.
+type helperJob struct {
+	to           int
+	dst, src     *device.Buffer
+	n, slotBytes int64
+	blocks       []int
+}
+
+// post hands j to the resident helper of rc's process, spawning it on
+// first use, and returns the latch that fires when the job completes. Wait
+// on it before reusing src (after a byRef put, byRef says when src may be
+// written again) and before posting again: posting to a busy helper panics,
+// like overflowing a stream's queue.
+func (rc *runCtx) post(j helperJob) *sim.Counter {
+	h := rc.helper
+	if h == nil {
+		if h = rc.co.helpers[rc.p]; h == nil {
+			h = rc.co.newHelper(rc.p)
+		}
+		rc.helper = h
 	}
-	k := rc.p.Kernel()
-	done := sim.NewCounter(k, 1)
-	co, st, rank := rc.co, rc.st, rc.rank // rc may be recycled before p runs
-	k.Spawn(co.putName(rank, to), func(p *sim.Proc) {
-		sub := co.getCtx(st, rank, p)
-		sub.putTo(to, dst, src, n, slotBytes)
-		co.putCtx(sub)
-		done.Done()
+	if h.busy {
+		panic(fmt.Sprintf("ccl: %s posted a send while its previous one is still running", rc.p.Name()))
+	}
+	h.busy = true
+	h.rc.st, h.rc.rank, h.rc.pers, h.rc.chunk = rc.st, rc.rank, rc.pers, rc.chunk
+	h.done.Reset(1)
+	h.jobs.TrySend(j) // cannot fail: an idle helper's queue is empty
+	return h.done
+}
+
+// newHelper spawns p's resident helper on p's kernel.
+func (co *core) newHelper(p *sim.Proc) *helper {
+	k := p.Kernel()
+	h := &helper{rc: runCtx{co: co}, jobs: sim.NewChan[helperJob](k, 1), done: sim.NewCounter(k, 0)}
+	co.helpers[p] = h
+	k.SpawnDaemon(fmt.Sprintf("%s/helper/%s", co.cfg.Name, p.Name()), func(hp *sim.Proc) {
+		h.rc.p = hp
+		for {
+			h.run(h.jobs.Recv(hp))
+			h.busy = false
+			h.done.Done()
+		}
 	})
-	return done
+	return h
+}
+
+func (h *helper) run(j helperJob) {
+	rc := &h.rc
+	if j.blocks == nil {
+		rc.putTo(j.to, j.dst, j.src, j.n, j.slotBytes)
+		return
+	}
+	for _, r := range j.blocks {
+		off := int64(r) * j.n
+		if j.dst == nil {
+			rc.put(j.to, rc.slice(j.src, off, j.n), j.n, j.n)
+		} else {
+			rc.putDirect(j.to, rc.slice(j.dst, off, j.n), rc.slice(j.src, off, j.n), j.n)
+		}
+	}
+}
+
+// putAsync runs putTo on the process's resident helper (see post).
+func (rc *runCtx) putAsync(to int, dst, src *device.Buffer, n int64, slotBytes int64) *sim.Counter {
+	return rc.post(helperJob{to: to, dst: dst, src: src, n: n, slotBytes: slotBytes})
 }
 
 // put ships n bytes from src into a scratch slot at rank "to" and signals

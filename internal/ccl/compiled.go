@@ -177,6 +177,8 @@ func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64,
 		counter := sim.NewCounter(k, len(ph.Dests))
 		for _, d := range ph.Dests {
 			d := d
+			// Spawned, not a resident helper: a phase's lanes run
+			// concurrently, which would need one helper per (process, lane).
 			k.Spawn(name(rc.rank, d.To, d.Lane), func(p *sim.Proc) {
 				sub := &runCtx{co: co, st: st, rank: rc.rank, p: p, chunk: rc.chunk}
 				for i := range ph.Outs {

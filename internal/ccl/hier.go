@@ -1,6 +1,7 @@
 package ccl
 
 import (
+	"fmt"
 	"sort"
 
 	"mpixccl/internal/device"
@@ -13,8 +14,8 @@ import (
 // links, and the result fans back out inside each node. Payloads are split
 // into fixed-size chunks that flow through the three phases as a software
 // pipeline, so the inter-node exchange of chunk k overlaps the intra-node
-// work of chunk k+1 (the leader drives the inter-node phase on a helper
-// process fed through a chunk queue). All data movement reuses the
+// work of chunk k+1 (the leader feeds chunks to its resident inter-node
+// engine, hierEngine). All data movement reuses the
 // credit-managed scratch pipes of the flat algorithms; intra-node,
 // leader-leader, and fan-out hops use disjoint directed pipe keys, so the
 // phases never contend for each other's flow-control credits.
@@ -147,7 +148,7 @@ func chunkRange(count, ce, ck int) (lo, n int) {
 
 // hierAllReduce is the three-phase pipelined allreduce: per chunk, a
 // binomial intra-node reduction into the node leader (phase A), a ring
-// allreduce over the leader group (phase B, on a helper process so it
+// allreduce over the leader group (phase B, on the leader's hierEngine so it
 // overlaps phase A of the next chunk), and a binomial intra-node broadcast
 // (phase C) as soon as the ring delivers the chunk.
 func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int64) {
@@ -186,54 +187,94 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 		return
 	}
 
-	// Leader: the inter-node engine runs the leader ring per chunk on its
-	// own process, fed through a queue, so chunk k's inter-node exchange
-	// overlaps chunk k+1's intra-node reduction. A persistent handle brings
-	// its own resident engine (persistent.go); the one-shot path spawns one
-	// per call.
-	var ready *sim.Chan[int]
-	var done []*sim.Event
+	// Leader: the resident inter-node engine runs the leader ring per chunk
+	// as chunks are fed, so chunk k's inter-node exchange overlaps chunk
+	// k+1's intra-node reduction.
+	var eng *hierEngine
 	if m > 1 {
-		if rc.pers != nil && rc.pers.eng != nil {
-			ready, done = rc.pers.eng.ready, rc.pers.eng.done
-			for _, ev := range done {
-				ev.Reset()
-			}
-		} else {
-			k := rc.p.Kernel()
-			ready = sim.NewChan[int](k, nchunks+1)
-			done = make([]*sim.Event, nchunks)
-			for i := range done {
-				done[i] = sim.NewEvent(k)
-			}
-			co, st, rank := rc.co, rc.st, rc.rank
-			k.Spawn(co.cfg.Name+"/hier/engine", func(p *sim.Proc) {
-				sub := co.getCtx(st, rank, p)
-				for i := 0; i < nchunks; i++ {
-					ck := ready.Recv(p)
-					sub.hierInterAllReduce(hp, dt, op, count, ce, ck)
-					done[ck].Fire()
-				}
-				co.putCtx(sub)
-			})
-		}
+		eng = rc.engine(hp, dt, op, count, ce, nchunks)
 	}
 	for ck := 0; ck < nchunks; ck++ {
 		lo, cn := chunkRange(count, ce, ck)
 		rc.stageChunk(a, int64(lo)*esz, int64(cn)*esz, ck)
 		rc.intraTreeReduce(locals, li, dt, op, a.recv, int64(lo)*esz, cn, slotBytes)
-		if m > 1 {
-			ready.Send(rc.p, ck)
+		if eng != nil {
+			eng.feed()
 		}
 	}
 	rc.waitAllParts()
 	for ck := 0; ck < nchunks; ck++ {
-		if m > 1 {
-			done[ck].Wait(rc.p)
+		if eng != nil {
+			eng.done[ck].Wait(rc.p)
 		}
 		lo, cn := chunkRange(count, ce, ck)
 		rc.intraTreeBcast(locals, li, 0, int64(lo)*esz, int64(cn)*esz)
 	}
+}
+
+// hierEngine is a hierarchical leader's resident inter-node engine: it runs
+// the leader ring of each chunk the leader feeds it, in feed order, on its
+// own process. There is one per (communicator, leader stream process); the
+// stream runs one task at a time, so calls use it one after another, and
+// its own asynchronous sends go through its own helper.
+//
+// As with helper, virtual time is that of spawning an engine per call: the
+// first call spawns it where that spawn would be, and later calls find it
+// parked on ready, so feeding chunk 0 wakes it at the (time, seq) slot at
+// which a freshly spawned engine would receive the chunk.
+type hierEngine struct {
+	rc    runCtx              // co and p fixed; st, rank, pers and chunk copied per call
+	ready *sim.Chan[struct{}] // unbuffered: wakes the engine parked for a chunk
+	fed   int                 // chunks fed this call
+	next  int                 // chunks taken this call
+	done  []*sim.Event        // done[ck]: chunk ck's leader ring completed
+	// The call's parameters, set before chunk 0 is fed.
+	hp        *hierPlan
+	dt        Datatype
+	op        RedOp
+	count, ce int
+}
+
+// engine readies the resident engine of rc's process for one call of
+// nchunks chunks, spawning it on first use.
+func (rc *runCtx) engine(hp *hierPlan, dt Datatype, op RedOp, count, ce, nchunks int) *hierEngine {
+	co, k := rc.co, rc.p.Kernel()
+	e := co.engines[rc.p]
+	if e == nil {
+		e = &hierEngine{rc: runCtx{co: co}, ready: sim.NewChan[struct{}](k, 0)}
+		co.engines[rc.p] = e
+		k.SpawnDaemon(fmt.Sprintf("%s/hier/engine/%s", co.cfg.Name, rc.p.Name()), e.loop)
+	}
+	e.rc.st, e.rc.rank, e.rc.pers, e.rc.chunk = rc.st, rc.rank, rc.pers, rc.chunk
+	e.hp, e.dt, e.op, e.count, e.ce = hp, dt, op, count, ce
+	e.fed, e.next = 0, 0
+	for len(e.done) < nchunks {
+		e.done = append(e.done, sim.NewEvent(k))
+	}
+	for _, ev := range e.done[:nchunks] {
+		ev.Reset()
+	}
+	return e
+}
+
+func (e *hierEngine) loop(p *sim.Proc) {
+	e.rc.p = p
+	for {
+		for e.next == e.fed {
+			e.ready.Recv(p)
+		}
+		ck := e.next
+		e.next++
+		e.rc.hierInterAllReduce(e.hp, e.dt, e.op, e.count, e.ce, ck)
+		e.done[ck].Fire()
+	}
+}
+
+// feed hands the engine the next chunk: it wakes the engine if it is parked,
+// and a busy engine takes the chunk when it next looks.
+func (e *hierEngine) feed() {
+	e.fed++
+	e.ready.TrySend(struct{}{})
 }
 
 // hierInterAllReduce runs one chunk's ring allreduce (reduce-scatter +
@@ -440,32 +481,15 @@ func (rc *runCtx) hierAllGather(dt Datatype, count int, chunkBytes int64) {
 	}
 	// Phase B: m-1 ring steps; step s forwards the block-set of node
 	// (idx-s) to the right while receiving node (idx-s-1) from the left.
-	// Sends run on a helper process so the ring stays full duplex — the
-	// resident forwarder of a persistent handle, or a per-step spawn on the
-	// one-shot path.
+	// Sends run on the helper so the ring stays full duplex.
 	if m > 1 {
 		right := hp.leaders[(ni+1)%m]
 		left := hp.leaders[(ni-1+m)%m]
-		co, st, rank := rc.co, rc.st, rc.rank
 		for step := 0; step < m-1; step++ {
 			srcNode := (ni - step + m) % m
 			inNode := (ni - step - 1 + 2*m) % m
-			var sent *sim.Counter
-			if rc.pers != nil && rc.pers.fwd != nil {
-				sent = rc.pers.fwd.post(srcNode)
-			} else {
-				oneShot := sim.NewCounter(rc.p.Kernel(), 1)
-				rc.p.Kernel().Spawn(co.putName(rank, right), func(p *sim.Proc) {
-					sub := co.getCtx(st, rank, p)
-					for _, r := range hp.locals[srcNode] {
-						sub.putDirect(right, st.args[right].recv.Slice(int64(r)*blk, blk),
-							st.args[rank].recv.Slice(int64(r)*blk, blk), blk)
-					}
-					co.putCtx(sub)
-					oneShot.Done()
-				})
-				sent = oneShot
-			}
+			sent := rc.post(helperJob{to: right, dst: rc.st.args[right].recv, src: a.recv, n: blk,
+				blocks: hp.locals[srcNode]})
 			for range hp.locals[inNode] {
 				rc.waitDirect(left)
 			}
@@ -537,21 +561,12 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 	if m > 1 {
 		right := hp.leaders[(ni+1)%m]
 		left := hp.leaders[(ni-1+m)%m]
-		co, st, rank := rc.co, rc.st, rc.rank
 		for step := 0; step < m-1; step++ {
 			sendNode := (ni - step - 1 + 2*m) % m
 			recvNode := (ni - step - 2 + 2*m) % m
-			sent := sim.NewCounter(rc.p.Kernel(), 1)
-			rc.p.Kernel().Spawn(co.putName(rank, right), func(p *sim.Proc) {
-				sub := co.getCtx(st, rank, p)
-				for _, r := range hp.locals[sendNode] {
-					// Staged: work returns to the pool while the last
-					// receiver may still be reading it.
-					sub.put(right, work.Slice(int64(r)*blk, blk), blk, blk)
-				}
-				co.putCtx(sub)
-				sent.Done()
-			})
+			// Staged (nil dst): work returns to the pool while the last
+			// receiver may still be reading it.
+			sent := rc.post(helperJob{to: right, src: work, n: blk, blocks: hp.locals[sendNode]})
 			for _, r := range hp.locals[recvNode] {
 				slot, buf := rc.get(left, blk)
 				rc.reduceInto(op, dt, work.Slice(int64(r)*blk, blk), buf.Slice(0, blk), recvCount)

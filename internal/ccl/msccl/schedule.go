@@ -63,10 +63,15 @@ func ParseAlgo(text string) (*ccl.Algo, error) {
 					a.Ranks = int(n)
 				case "chunks":
 					a.NChunks = int(n)
-				case "min":
-					a.MinBytes = n
-				case "max":
-					a.MaxBytes = n
+				case "min", "max":
+					if n < 0 {
+						return nil, fmt.Errorf("msccl: line %d: negative size bound %q", ln+1, kv)
+					}
+					if key == "min" {
+						a.MinBytes = n
+					} else {
+						a.MaxBytes = n
+					}
 				default:
 					return nil, fmt.Errorf("msccl: line %d: unknown attribute %q", ln+1, key)
 				}

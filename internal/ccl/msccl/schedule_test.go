@@ -47,6 +47,8 @@ func TestParseAlgoErrors(t *testing.T) {
 		"bad kind":         "algo a allreduce ranks=2 chunks=1\nstep\nxfer 0 1 0 0 smear\n",
 		"bad attr":         "algo a allreduce ranks=two chunks=1\n",
 		"unknown attr":     "algo a allreduce ranks=2 chunks=1 colour=3\n",
+		"negative min":     "algo a allreduce ranks=2 chunks=1 min=-1\n",
+		"negative max":     "algo a allreduce ranks=2 chunks=1 max=-4096\n",
 		"bad directive":    "algo a allreduce ranks=2 chunks=1\nfrobnicate\n",
 		"short xfer":       "algo a allreduce ranks=2 chunks=1\nstep\nxfer 0 1 0\n",
 		"dup header":       "algo a allreduce ranks=2 chunks=1\nalgo b allreduce ranks=2 chunks=1\n",

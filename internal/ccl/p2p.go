@@ -183,6 +183,8 @@ func (c *Comm) GroupEnd() error {
 			}
 		}
 		// Run sends concurrently; link contention serializes them physically.
+		// Spawned, not a resident helper: under the watchdog a send to a
+		// dead peer can block forever, which would wedge a resident helper.
 		counter := sim.NewCounter(k, len(g.sends))
 		for _, op := range g.sends {
 			op := op

@@ -3,21 +3,19 @@ package ccl
 // Persistent collectives: the MPI-4 MPI_Allreduce_init analogue at the CCL
 // layer. AllReduceInit performs everything a one-shot AllReduce pays per
 // call — argument validation, plan (schedule family) selection, op-state
-// and scratch-pipe setup, helper-process creation — exactly once, and
-// returns a handle whose Start/Wait execute the pre-built schedule with
-// zero steady-state heap allocations:
+// and scratch-pipe setup — exactly once, and returns a handle whose
+// Start/Wait execute the pre-built schedule, the same schedule code as the
+// one-shot path, with zero steady-state heap allocations:
 //
 //   - the stream work item and its completion event are reused
 //     (device.PersistentTask + sim.Event.Reset);
 //   - sub-buffer views and segment-bound tables are memoized per handle, so
 //     the offsets a wave touches are materialized once during the first
 //     (warm-up) wave;
-//   - asynchronous ring puts run on a resident sender daemon recycling one
-//     completion latch (persistSender), replacing the per-step process
-//     spawn of the one-shot path;
-//   - the hierarchical leader's inter-node engine is a resident daemon fed
-//     through a reusable chunk queue, with per-chunk done events Reset each
-//     wave.
+//   - asynchronous sends and the hierarchical leader's inter-node engine
+//     run on the stream's resident processes (helper, hierEngine), which
+//     one-shot and persistent work share and which post jobs as plain
+//     values: a handle owns no process, and Init spawns none.
 //
 // Partitioned readiness (MPI_Pready analogue): a handle built with
 // AllReduceInitPartitioned gates the schedule on per-partition readiness
@@ -41,21 +39,17 @@ type sliceKey struct {
 	off, n int64
 }
 
-// persistState carries one rank-handle's schedule caches and hooks, shared
-// by every process executing part of that handle (stream task, resident
-// sender, inter-node engine). The simulation is cooperatively scheduled, so
-// the maps need no locking.
+// persistState carries one rank-handle's schedule caches and partition
+// gate, shared by every process executing part of that handle (stream
+// task, helper, inter-node engine). The simulation is cooperatively
+// scheduled, so the maps need no locking.
 type persistState struct {
 	slices map[sliceKey]*device.Buffer
 	bounds map[[2]int][]int
-	gate   *partGate      // nil unless the handle is partitioned
-	eng    *persistEngine // nil unless this rank is a hierarchical leader
+	gate   *partGate // nil unless the handle is partitioned
 	// reps memoizes hierBroadcast's root-substituted representative group
 	// (allocated on the first wave when the root is not its node's leader).
 	reps []int
-	// fwd is the hierarchical allgather leader's resident block-set
-	// forwarder (nil elsewhere).
-	fwd *persistForwarder
 }
 
 // slice returns a view of b[off, off+n), memoized on the persistent
@@ -169,83 +163,6 @@ func (rc *runCtx) stageChunk(a *opArgs, off, bytes int64, ck int) {
 	rc.localCopy(rc.slice(a.recv, off, bytes), rc.slice(a.send, off, bytes), bytes)
 }
 
-// putJob is one asynchronous put order for a resident sender.
-type putJob struct {
-	to           int
-	dst, src     *device.Buffer // dst nil = stage into the receiver's slot
-	n, slotBytes int64
-}
-
-// persistSender is a resident helper process performing the asynchronous
-// puts of one executing process of a persistent schedule: putAsync posts a
-// job and returns the recycled completion latch instead of spawning a fresh
-// helper (and latch) per ring step. At most one job is outstanding at a
-// time — every ring schedule waits a step's send before issuing the next.
-type persistSender struct {
-	jobs *sim.Chan[putJob]
-	done *sim.Counter
-}
-
-func newPersistSender(co *core, st *opState, rank int, ps *persistState, name string) *persistSender {
-	k := co.fab.Kernel()
-	sn := &persistSender{jobs: sim.NewChan[putJob](k, 1), done: sim.NewCounter(k, 0)}
-	rc := &runCtx{co: co, st: st, rank: rank, pers: ps}
-	k.SpawnDaemon(name, func(p *sim.Proc) {
-		rc.p = p
-		for {
-			j := sn.jobs.Recv(p)
-			rc.putTo(j.to, j.dst, j.src, j.n, j.slotBytes)
-			sn.done.Done()
-		}
-	})
-	return sn
-}
-
-func (sn *persistSender) post(to int, dst, src *device.Buffer, n, slotBytes int64) *sim.Counter {
-	sn.done.Reset(1)
-	sn.jobs.TrySend(putJob{to: to, dst: dst, src: src, n: n, slotBytes: slotBytes})
-	return sn.done
-}
-
-// persistEngine is a hierarchical leader's resident inter-node engine: the
-// chunk queue and per-chunk completion events hierAllReduce reuses every
-// wave instead of rebuilding per call.
-type persistEngine struct {
-	ready *sim.Chan[int]
-	done  []*sim.Event
-}
-
-// persistForwarder is a resident helper running one preset send routine
-// per posted job — the hierarchical allgather leader's per-step block-set
-// forwarding — replacing the per-step process (and latch) spawn of the
-// one-shot path. At most one job is outstanding at a time.
-type persistForwarder struct {
-	jobs *sim.Chan[int]
-	done *sim.Counter
-}
-
-func newPersistForwarder(co *core, st *opState, rank int, ps *persistState,
-	name string, run func(rc *runCtx, job int)) *persistForwarder {
-	k := co.fab.Kernel()
-	fw := &persistForwarder{jobs: sim.NewChan[int](k, 1), done: sim.NewCounter(k, 0)}
-	rc := &runCtx{co: co, st: st, rank: rank, pers: ps}
-	k.SpawnDaemon(name, func(p *sim.Proc) {
-		rc.p = p
-		for {
-			j := fw.jobs.Recv(p)
-			run(rc, j)
-			fw.done.Done()
-		}
-	})
-	return fw
-}
-
-func (fw *persistForwarder) post(job int) *sim.Counter {
-	fw.done.Reset(1)
-	fw.jobs.TrySend(job)
-	return fw.done
-}
-
 // persistShared is the cross-rank Init rendezvous record: the i-th
 // persistent Init of every rank joins the same shared op state. Ranks must
 // create persistent ops in the same order, like collectives themselves,
@@ -291,20 +208,45 @@ func (c *Comm) persistJoin(kind string, count int, dt Datatype, op RedOp, parts,
 	return ps, id, nil
 }
 
-// persistStartWait runs a wave's start rendezvous under the collective
-// watchdog; false means the wave was judged dead and the verdict raised.
-func (c *Comm) persistStartWait(rc *runCtx, st *opState, op string) bool {
+// newPersistentColl builds rank c's handle on the Init-joined state st and
+// its reusable stream work item. Each wave charges the injected delay and
+// the launch, runs the start rendezvous under the collective watchdog (a
+// wave judged dead raises the verdict and skips the schedule), runs the
+// schedule, and raises any mid-schedule abort verdict: a wave transfer
+// that crossed a network cut voids every rank's result for the wave, and
+// the handle with it — the persistent op state is permanent, so the owner
+// rebuilds after the membership layer shrinks or regrows.
+func (c *Comm) newPersistentColl(s *device.Stream, st *opState, id int, op string, algo Algorithm,
+	parts int, bytes int64, run func(rc *runCtx)) *PersistentColl {
 	co := c.core
-	if co.watchdog > 0 {
-		if st.aborted || !st.start.WaitTimeout(rc.p, co.watchdog) {
-			st.aborted = true
-			c.raiseAsync(co.deadVerdict(op, rc.p.Now()))
-			return false
-		}
-	} else {
-		st.start.Wait(rc.p)
+	ps := &persistState{
+		slices: make(map[sliceKey]*device.Buffer),
+		bounds: make(map[[2]int][]int),
 	}
-	return true
+	if parts > 1 {
+		ps.gate = newPartGate(co.fab.Kernel(), parts)
+	}
+	rc := &runCtx{co: co, st: st, rank: c.rank, pers: ps}
+	pc := &PersistentColl{c: c, st: st, pers: ps, algo: algo, op: op, parts: parts}
+	pc.task = s.NewPersistentTask(fmt.Sprintf("%s/%s-persist%d/r%d", co.cfg.Name, op, id, c.rank), func(p *sim.Proc) {
+		rc.p = p
+		c.delay(p, op)
+		rc.launch(bytes)
+		if co.watchdog > 0 {
+			if st.aborted || !st.start.WaitTimeout(p, co.watchdog) {
+				st.aborted = true
+				c.raiseAsync(co.deadVerdict(op, p.Now()))
+				return
+			}
+		} else {
+			st.start.Wait(p)
+		}
+		run(rc)
+		if st.abortErr != nil {
+			c.raiseAsync(st.abortErr)
+		}
+	})
+	return pc
 }
 
 // PersistentColl is one rank's handle on a persistent collective. The
@@ -330,8 +272,8 @@ type PersistentColl struct {
 
 // AllReduceInit builds a persistent allreduce handle over the given
 // buffers: plan selection (tree / flat ring / hierarchical, honoring
-// SetAlgorithm and the backend's size split), validation, and helper
-// process setup happen here, exactly once. Custom MSCCL schedules are not
+// SetAlgorithm and the backend's size split), validation, and scratch
+// setup happen here, exactly once. Custom MSCCL schedules are not
 // eligible for persistence. Every rank must call Init with consistent
 // arguments and in the same handle order.
 func (c *Comm) AllReduceInit(send, recv *device.Buffer, count int, dt Datatype, op RedOp, s *device.Stream) (*PersistentColl, error) {
@@ -384,85 +326,21 @@ func (c *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 		chunk = int64((count+parts-1)/parts) * esz
 	}
 
-	k := co.fab.Kernel()
-	pstate := &persistState{
-		slices: make(map[sliceKey]*device.Buffer),
-		bounds: make(map[[2]int][]int),
-	}
-	if parts > 1 {
-		pstate.gate = newPartGate(k, parts)
-	}
-	rcMain := &runCtx{co: co, st: st, rank: c.rank, pers: pstate}
-	if algo == AlgoFlatRing && co.n > 1 {
-		rcMain.sender = newPersistSender(co, st, c.rank, pstate,
-			fmt.Sprintf("%s/persist%d/sender/r%d", co.cfg.Name, id, c.rank))
-	}
-	if algo == AlgoHierarchical {
-		hp := co.hier()
-		if hp.localIdx[c.rank] == 0 && len(hp.leaders) > 1 {
-			ce := int(chunk / esz)
-			if ce < 1 {
-				ce = 1
-			}
-			nchunks := (count + ce - 1) / ce
-			eng := &persistEngine{
-				ready: sim.NewChan[int](k, nchunks+1),
-				done:  make([]*sim.Event, nchunks),
-			}
-			for i := range eng.done {
-				eng.done[i] = sim.NewEvent(k)
-			}
-			pstate.eng = eng
-			rcEng := &runCtx{co: co, st: st, rank: c.rank, pers: pstate}
-			rcEng.sender = newPersistSender(co, st, c.rank, pstate,
-				fmt.Sprintf("%s/persist%d/hier/sender/r%d", co.cfg.Name, id, c.rank))
-			hpl, dtl, opl := hp, dt, op
-			k.SpawnDaemon(fmt.Sprintf("%s/persist%d/hier/engine/r%d", co.cfg.Name, id, c.rank), func(p *sim.Proc) {
-				rcEng.p = p
-				for {
-					ck := eng.ready.Recv(p)
-					rcEng.hierInterAllReduce(hpl, dtl, opl, count, ce, ck)
-					eng.done[ck].Fire()
-				}
-			})
-		}
-	}
-
-	pc := &PersistentColl{c: c, st: st, pers: pstate, algo: algo, op: "allreduce", parts: parts}
-	name := fmt.Sprintf("%s/allreduce-persist%d/r%d", co.cfg.Name, id, c.rank)
-	chunkArg := chunk
-	pc.task = s.NewPersistentTask(name, func(p *sim.Proc) {
-		rcMain.p = p
-		c.delay(p, "allreduce")
-		rcMain.launch(bytes)
-		if !c.persistStartWait(rcMain, st, "allreduce") {
-			return
-		}
-		a := st.args[c.rank]
-		if co.n == 1 {
-			rcMain.waitAllParts()
-			rcMain.localCopy(a.recv, a.send, bytes)
-			return
-		}
-		switch algo {
-		case AlgoHierarchical:
-			rcMain.hierAllReduce(dt, op, count, chunkArg)
-		case AlgoTree:
-			rcMain.waitAllParts()
-			rcMain.treeAllReduce(dt, op, count)
+	return c.newPersistentColl(s, st, id, "allreduce", algo, parts, bytes, func(rc *runCtx) {
+		switch {
+		case co.n == 1:
+			rc.waitAllParts()
+			rc.localCopy(recv, send, bytes)
+		case algo == AlgoHierarchical:
+			rc.hierAllReduce(dt, op, count, chunk)
+		case algo == AlgoTree:
+			rc.waitAllParts()
+			rc.treeAllReduce(dt, op, count)
 		default:
-			rcMain.waitAllParts()
-			rcMain.ringAllReduce(dt, op, count)
+			rc.waitAllParts()
+			rc.ringAllReduce(dt, op, count)
 		}
-		if st.abortErr != nil {
-			// A wave transfer crossed a network cut: the shared verdict
-			// voids every rank's result for this wave (and the handle —
-			// the persistent op state is permanent, so the owner rebuilds
-			// after the membership layer shrinks or regrows).
-			c.raiseAsync(st.abortErr)
-		}
-	})
-	return pc, nil
+	}), nil
 }
 
 // BcastInit builds a persistent broadcast handle (the MPI_Bcast_init
@@ -489,38 +367,19 @@ func (c *Comm) BcastInit(send, recv *device.Buffer, count int, dt Datatype, root
 	if algo != AlgoHierarchical {
 		algo = AlgoTree // broadcast's flat schedule is always the binomial tree
 	}
-	pstate := &persistState{
-		slices: make(map[sliceKey]*device.Buffer),
-		bounds: make(map[[2]int][]int),
-	}
-	rcMain := &runCtx{co: co, st: st, rank: c.rank, pers: pstate}
-	pc := &PersistentColl{c: c, st: st, pers: pstate, algo: algo, op: "broadcast", parts: 1}
-	pc.task = s.NewPersistentTask(fmt.Sprintf("%s/broadcast-persist%d/r%d", co.cfg.Name, id, c.rank),
-		func(p *sim.Proc) {
-			rcMain.p = p
-			c.delay(p, "broadcast")
-			rcMain.launch(bytes)
-			if !c.persistStartWait(rcMain, st, "broadcast") {
-				return
-			}
-			if algo == AlgoHierarchical && co.n > 1 {
-				rcMain.hierBroadcast(dt, count, root, chunk)
-			} else {
-				rcMain.treeBroadcast(dt, count, root)
-			}
-			if st.abortErr != nil {
-				c.raiseAsync(st.abortErr)
-			}
-		})
-	return pc, nil
+	return c.newPersistentColl(s, st, id, "broadcast", algo, 1, bytes, func(rc *runCtx) {
+		if algo == AlgoHierarchical && co.n > 1 {
+			rc.hierBroadcast(dt, count, root, chunk)
+		} else {
+			rc.treeBroadcast(dt, count, root)
+		}
+	}), nil
 }
 
 // AllgatherInit builds a persistent allgather handle (MPI_Allgather_init):
 // the block ring, or the hierarchical leader-ring schedule when forced on a
-// multi-node shape. The ring's asynchronous block forwarding runs on a
-// resident sender daemon, and a hierarchical leader's per-step block-set
-// sends run on a resident forwarder, so steady-state waves spawn no
-// processes and allocate nothing.
+// multi-node shape. Steady-state waves spawn no processes and allocate
+// nothing.
 func (c *Comm) AllgatherInit(send, recv *device.Buffer, count int, dt Datatype, s *device.Stream) (*PersistentColl, error) {
 	co := c.core
 	if err := c.validateArgs("allgather", send, nil, count, dt, nil, 0); err != nil {
@@ -543,52 +402,13 @@ func (c *Comm) AllgatherInit(send, recv *device.Buffer, count int, dt Datatype, 
 	if algo != AlgoHierarchical {
 		algo = AlgoFlatRing // allgather's flat schedule is the block ring
 	}
-	pstate := &persistState{
-		slices: make(map[sliceKey]*device.Buffer),
-		bounds: make(map[[2]int][]int),
-	}
-	rcMain := &runCtx{co: co, st: st, rank: c.rank, pers: pstate}
-	if algo == AlgoFlatRing && co.n > 1 {
-		rcMain.sender = newPersistSender(co, st, c.rank, pstate,
-			fmt.Sprintf("%s/persist%d/sender/r%d", co.cfg.Name, id, c.rank))
-	}
-	if algo == AlgoHierarchical {
-		hp := co.hier()
-		if hp.localIdx[c.rank] == 0 && len(hp.leaders) > 1 {
-			// Resident phase-B forwarder: per step, ship one node's
-			// block-set to the right-hand leader (hierAllGather posts the
-			// source node index as the job).
-			blk := bytes
-			pstate.fwd = newPersistForwarder(co, st, c.rank, pstate,
-				fmt.Sprintf("%s/persist%d/hier/fwd/r%d", co.cfg.Name, id, c.rank),
-				func(rc *runCtx, srcNode int) {
-					right := hp.leaders[(hp.nodeIdx[rc.rank]+1)%len(hp.leaders)]
-					for _, r := range hp.locals[srcNode] {
-						rc.putDirect(right, rc.slice(rc.st.args[right].recv, int64(r)*blk, blk),
-							rc.slice(rc.st.args[rc.rank].recv, int64(r)*blk, blk), blk)
-					}
-				})
+	return c.newPersistentColl(s, st, id, "allgather", algo, 1, bytes, func(rc *runCtx) {
+		if algo == AlgoHierarchical && co.n > 1 {
+			rc.hierAllGather(dt, count, chunk)
+		} else {
+			rc.ringAllGather(dt, count)
 		}
-	}
-	pc := &PersistentColl{c: c, st: st, pers: pstate, algo: algo, op: "allgather", parts: 1}
-	pc.task = s.NewPersistentTask(fmt.Sprintf("%s/allgather-persist%d/r%d", co.cfg.Name, id, c.rank),
-		func(p *sim.Proc) {
-			rcMain.p = p
-			c.delay(p, "allgather")
-			rcMain.launch(bytes)
-			if !c.persistStartWait(rcMain, st, "allgather") {
-				return
-			}
-			if algo == AlgoHierarchical && co.n > 1 {
-				rcMain.hierAllGather(dt, count, chunk)
-			} else {
-				rcMain.ringAllGather(dt, count)
-			}
-			if st.abortErr != nil {
-				c.raiseAsync(st.abortErr)
-			}
-		})
-	return pc, nil
+	}), nil
 }
 
 // Start launches one execution of the pre-built schedule on the stream
@@ -666,9 +486,8 @@ func (pc *PersistentColl) Parts() int { return pc.parts }
 func (pc *PersistentColl) PlannedAlgorithm() Algorithm { return pc.algo }
 
 // Free releases the handle's scratch pipes once every rank handle has
-// called it, after the final Wait. The resident helper processes are
-// daemons: they stay parked on their empty queues and do not keep the
-// simulation alive. A freed handle must not be Started again.
+// called it, after the final Wait. A freed handle must not be Started
+// again.
 func (pc *PersistentColl) Free() {
 	if pc.freed {
 		return

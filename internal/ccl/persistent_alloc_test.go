@@ -16,13 +16,13 @@ import (
 	"mpixccl/internal/topology"
 )
 
-// The persistent-collective contract this PR exists for: after the
+// The persistent-collective contract: after the
 // warm-up waves have materialized the schedule's sub-buffer views,
 // segment tables, scratch pipes, fabric routes, and waiter-slice
 // capacities, a steady-state Start → [Pready…] → Wait wave performs ZERO
 // heap allocations on any rank — the stream work item, completion
-// events, sender latches, partition gate, and inter-node engine are all
-// recycled. The test measures the global malloc count across whole waves
+// events, helper latches and jobs, partition gate, and inter-node engine
+// are all recycled. The test measures the global malloc count across whole waves
 // (every rank parked at a barrier between reads), with GC disabled so
 // background collection cannot perturb the counter.
 
@@ -135,8 +135,8 @@ func TestPersistentSteadyStateAllocFreeBcastHier(t *testing.T) {
 	})
 }
 
-// ...and the persistent allgather handles: the ring's resident sender
-// daemon and the hierarchical leader's resident block-set forwarder.
+// ...and the persistent allgather handles: the ring's block puts and the
+// hierarchical leader's block-set posts to its stream's helper.
 func TestPersistentSteadyStateAllocFreeAllgatherRing(t *testing.T) {
 	measureWaveAllocs(t, 1, 4, AlgoFlatRing, func(c *Comm, s *device.Stream) (*PersistentColl, error) {
 		send := c.Device().MustMalloc(16 << 10)

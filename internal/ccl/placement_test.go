@@ -215,46 +215,118 @@ func TestPersistentRingPlacementExact(t *testing.T) {
 	}
 }
 
-// TestRingScheduleVirtualTime pins the modeled completion time of the ring
-// schedules whose allgather phases place data directly: placement changes
-// what the simulator copies, never what the model charges.
+// TestRingScheduleVirtualTime pins the modeled completion time of three
+// back-to-back calls of each ring and hierarchical schedule, one-shot and
+// persistent: neither placement nor the helper processes that carry the
+// asynchronous sends may change what the model charges, on the first call
+// or on the calls that reuse what the first one set up. bytes is the
+// per-rank payload (the recv block of a reduce-scatter).
 func TestRingScheduleVirtualTime(t *testing.T) {
+	const ns = time.Nanosecond
 	cases := []struct {
-		name   string
-		shape  ringShape
-		algo   ccl.Algorithm
-		gather bool
-		bytes  int64
-		want   time.Duration
+		name    string
+		shape   ringShape
+		algo    ccl.Algorithm
+		coll    string // allreduce | allgather | reducescatter
+		persist bool   // a persistent handle's waves instead of one-shot calls
+		parts   int    // partitions of a persistent allreduce
+		bytes   int64
+		want    [3]time.Duration
 	}{
-		{"ring-allreduce", ringShape{"thetagpu", 8, nccl.New}, ccl.AlgoFlatRing, false, 2 << 20, 94626 * time.Nanosecond},
-		{"ring-allreduce-2nodes", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoFlatRing, false, 1 << 20, 207832 * time.Nanosecond},
-		{"ring-allreduce-mri", ringShape{"mri", 5, rccl.New}, ccl.AlgoFlatRing, false, 1<<20 + 12, 342449 * time.Nanosecond},
-		{"hier-allreduce", ringShape{"thetagpu", 16, nccl.New}, ccl.AlgoHierarchical, false, 4 << 20, 357180 * time.Nanosecond},
-		{"ring-allgather", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, true, 256 << 10, 219507 * time.Nanosecond},
+		{"ring-allreduce", ringShape{"thetagpu", 8, nccl.New}, ccl.AlgoFlatRing, "allreduce", false, 1, 2 << 20,
+			[3]time.Duration{94626 * ns, 189252 * ns, 283878 * ns}},
+		{"ring-allreduce-2nodes", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoFlatRing, "allreduce", false, 1, 1 << 20,
+			[3]time.Duration{207832 * ns, 415664 * ns, 623496 * ns}},
+		{"ring-allreduce-mri", ringShape{"mri", 5, rccl.New}, ccl.AlgoFlatRing, "allreduce", false, 1, 1<<20 + 12,
+			[3]time.Duration{342449 * ns, 684898 * ns, 1027347 * ns}},
+		{"hier-allreduce", ringShape{"thetagpu", 16, nccl.New}, ccl.AlgoHierarchical, "allreduce", false, 1, 4 << 20,
+			[3]time.Duration{357180 * ns, 714360 * ns, 1071540 * ns}},
+		{"ring-allgather", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "allgather", false, 1, 256 << 10,
+			[3]time.Duration{219507 * ns, 439014 * ns, 658521 * ns}},
+		{"hier-allgather", ringShape{"thetagpu", 16, nccl.New}, ccl.AlgoHierarchical, "allgather", false, 1, 256 << 10,
+			[3]time.Duration{297723 * ns, 595446 * ns, 893169 * ns}},
+		{"ring-reducescatter", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "reducescatter", false, 1, 128 << 10,
+			[3]time.Duration{141345 * ns, 282690 * ns, 424035 * ns}},
+		{"hier-reducescatter", ringShape{"thetagpu", 16, nccl.New}, ccl.AlgoHierarchical, "reducescatter", false, 1, 128 << 10,
+			[3]time.Duration{188043 * ns, 376086 * ns, 564129 * ns}},
+		{"persistent-ring-allreduce", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoFlatRing, "allreduce", true, 1, 1 << 20,
+			[3]time.Duration{207832 * ns, 415664 * ns, 623496 * ns}},
+		{"persistent-hier-allreduce", ringShape{"thetagpu", 16, nccl.New}, ccl.AlgoHierarchical, "allreduce", true, 1, 4 << 20,
+			[3]time.Duration{357180 * ns, 714360 * ns, 1071540 * ns}},
+		{"persistent-hier-allreduce-parts", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoHierarchical, "allreduce", true, 4, 1 << 20,
+			[3]time.Duration{139419 * ns, 278838 * ns, 418257 * ns}},
+		{"persistent-ring-allgather", ringShape{"mri", 5, rccl.New}, ccl.AlgoFlatRing, "allgather", true, 1, 256 << 10,
+			[3]time.Duration{218114 * ns, 436228 * ns, 654342 * ns}},
+		{"persistent-hier-allgather", ringShape{"thetagpu", 16, nccl.New}, ccl.AlgoHierarchical, "allgather", true, 1, 256 << 10,
+			[3]time.Duration{297723 * ns, 595446 * ns, 893169 * ns}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.shape.n
 			count := int(tc.bytes / 4)
 			h := newHarness(t, tc.shape.system, n, tc.shape.mk)
+			var got [3]time.Duration // latest rank's completion per call
 			h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
 				c.SetAlgorithm(tc.algo, 0)
-				send := c.Device().MustMalloc(int64(count) * 4)
-				var err error
-				if tc.gather {
-					err = c.AllGather(send, c.Device().MustMalloc(int64(n*count)*4), count, ccl.Float32, s)
-				} else {
-					err = c.AllReduce(send, c.Device().MustMalloc(int64(count)*4), count, ccl.Float32, ccl.Sum, s)
+				in, out := int64(count)*4, int64(count)*4
+				switch tc.coll {
+				case "allgather":
+					out *= int64(n)
+				case "reducescatter":
+					in *= int64(n)
 				}
-				if err != nil {
-					t.Error(err)
+				send, recv := c.Device().MustMalloc(in), c.Device().MustMalloc(out)
+				done := func(i int) {
+					if now := p.Now(); now > got[i] {
+						got[i] = now
+					}
+				}
+				if tc.persist {
+					var pc *ccl.PersistentColl
+					var err error
+					if tc.coll == "allgather" {
+						pc, err = c.AllgatherInit(send, recv, count, ccl.Float32, s)
+					} else {
+						pc, err = c.AllReduceInitPartitioned(send, recv, count, ccl.Float32, ccl.Sum, tc.parts, s)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := range got {
+						if err := pc.Do(p); err != nil {
+							t.Error(err)
+							return
+						}
+						done(i)
+					}
 					return
 				}
-				s.Synchronize(p)
+				var calls [3]*sim.Event
+				for i := range calls {
+					var err error
+					switch tc.coll {
+					case "allgather":
+						err = c.AllGather(send, recv, count, ccl.Float32, s)
+					case "reducescatter":
+						err = c.ReduceScatter(send, recv, count, ccl.Float32, ccl.Sum, s)
+					default:
+						err = c.AllReduce(send, recv, count, ccl.Float32, ccl.Sum, s)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					calls[i] = s.Record()
+				}
+				for i, ev := range calls {
+					ev.Wait(p)
+					done(i)
+				}
 			})
-			if got := h.k.Now(); got != tc.want {
-				t.Errorf("modeled time %v (%d ns), want %v", got, int64(got), tc.want)
+			if got != tc.want {
+				t.Errorf("modeled completion times %v (%d, %d, %d ns), want %v",
+					got, int64(got[0]), int64(got[1]), int64(got[2]), tc.want)
 			}
 		})
 	}

@@ -1,0 +1,92 @@
+package ccl_test
+
+import (
+	"testing"
+
+	"mpixccl/internal/ccl"
+	"mpixccl/internal/ccl/nccl"
+	"mpixccl/internal/device"
+	"mpixccl/internal/sim"
+)
+
+// TestSteadyStateSpawnsNoProcs pins the resident-helper design: a stream's
+// asynchronous sends and a leader's inter-node engine run on processes
+// created once per communicator and stream, so after a warm-up wave no
+// collective spawns a process — neither one-shot calls of every schedule
+// with an asynchronous send, nor building persistent handles on the warmed
+// streams, nor their waves. Spawns are counted as the pid distance between
+// sentinel processes spawned at wave boundaries. Spawning a put process per
+// ring step instead would read 2(n−1) per rank for each ring allreduce.
+func TestSteadyStateSpawnsNoProcs(t *testing.T) {
+	const (
+		n     = 16 // two 8-GPU nodes: the hierarchical schedules engage
+		count = 64 << 10
+		waves = 4 // the first is warm-up
+	)
+	h := newHarness(t, "thetagpu", n, nccl.New)
+	defer h.k.Close()
+	bar := sim.NewBarrier(h.k, n)
+	var pids []int
+	mark := func(r int, p *sim.Proc) {
+		bar.Wait(p)
+		if r == 0 {
+			pids = append(pids, h.k.Spawn("sentinel", func(*sim.Proc) {}).ID())
+		}
+		bar.Wait(p)
+	}
+	h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
+		dev := c.Device()
+		buf := dev.MustMalloc(count * 4)
+		all := dev.MustMalloc(n * count * 4)
+		for _, algo := range []ccl.Algorithm{ccl.AlgoFlatRing, ccl.AlgoHierarchical} {
+			c.SetAlgorithm(algo, 64<<10) // four hierarchical chunks
+			for w := 0; w < waves; w++ {
+				for _, err := range []error{
+					c.AllReduce(buf, buf, count, ccl.Float32, ccl.Sum, s),
+					c.AllGather(buf.Slice(0, count/n*4), all, count/n, ccl.Float32, s),
+					c.ReduceScatter(all, buf, count, ccl.Float32, ccl.Sum, s),
+				} {
+					if err != nil {
+						t.Error(err)
+					}
+				}
+				s.Synchronize(p)
+				mark(r, p)
+			}
+		}
+		// Persistent handles on the warmed streams: Init and waves alike.
+		var handles []*ccl.PersistentColl
+		for _, algo := range []ccl.Algorithm{ccl.AlgoFlatRing, ccl.AlgoHierarchical} {
+			c.SetAlgorithm(algo, 64<<10)
+			ar, err := c.AllReduceInitPartitioned(buf, buf, count, ccl.Float32, ccl.Sum, 4, s)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ag, err := c.AllgatherInit(buf.Slice(0, count/n*4), all, count/n, ccl.Float32, s)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			handles = append(handles, ar, ag)
+		}
+		mark(r, p)
+		for w := 0; w < 2; w++ {
+			for _, pc := range handles {
+				if err := pc.Do(p); err != nil {
+					t.Error(err)
+				}
+			}
+			mark(r, p)
+		}
+	})
+	// pids[0] closes the flat warm-up wave; pids[waves] the hierarchical one.
+	for i := 1; i < len(pids); i++ {
+		if i == waves {
+			continue
+		}
+		if spawned := pids[i] - pids[i-1] - 1; spawned != 0 {
+			t.Errorf("interval %d after warm-up spawned %d processes; want 0", i, spawned)
+		}
+	}
+}

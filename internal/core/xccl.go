@@ -186,8 +186,7 @@ type Options struct {
 	// Metrics, when non-nil, aggregates runtime counters and latency
 	// histograms: per-op path selection, fallback activations, tuning-table
 	// hits/misses, plus the MPI- and CCL-layer instrumentation of the
-	// communicators this runtime creates. Do not also Mirror the same
-	// registry into Trace, or operations count twice.
+	// communicators this runtime creates.
 	Metrics *metrics.Registry
 	// Resilience tunes the retry/circuit-breaker/degradation policy; nil
 	// uses DefaultResilience().

@@ -7,9 +7,9 @@ import (
 )
 
 // TestTrainReleasesWorld: a finished Train leaves no simulated process
-// behind. The persistent engine is the heaviest case — resident senders
-// and engines park between waves and would otherwise pin every rank's
-// fusion arena and pipe slots for the life of the program.
+// behind. The ccl layer's resident helpers and leader engines park
+// between calls and would otherwise pin every rank's fusion arena and
+// pipe slots for the life of the program.
 func TestTrainReleasesWorld(t *testing.T) {
 	model := &Model{Name: "release-mlp"}
 	for i := 0; i < 8; i++ {

@@ -84,7 +84,7 @@ func (c *Counter) Done() {
 func (c *Counter) Wait(p *Proc) { c.event.Wait(p) }
 
 // Reset re-arms a drained latch for n more completions, reusing its event.
-// Persistent schedules recycle one counter per resident helper instead of
+// Resident helper processes recycle one counter each instead of
 // allocating a fresh latch per step. Resetting with completions still
 // outstanding is a model bug and panics.
 func (c *Counter) Reset(n int) {

@@ -6,9 +6,8 @@ import "mpixccl/internal/metrics"
 // one instrumentation pass (the trace.Record emitted per collective) yields
 // both the Chrome-trace export and the Prometheus-style counters.
 
-// Canonical metric families fed from trace records. core emits the same
-// families directly when a registry is wired without a recorder, so both
-// instrumentation routes produce identical series.
+// Canonical metric families fed from trace records (core.Options.Metrics
+// wires a registry through RecordMetrics).
 const (
 	// MetricOps counts operations per (op, path, backend, size_bucket).
 	MetricOps = "xccl_ops_total"
@@ -44,25 +43,4 @@ func RecordMetrics(reg *metrics.Registry, rec Record) {
 		metrics.LatencyBuckets(), metrics.Labels{
 			"op": rec.Op, "path": rec.Path,
 		}).ObserveDuration(rec.Duration)
-}
-
-// Mirror attaches a registry to the recorder: every subsequent Add also
-// feeds the record's aggregates into reg (live wiring). Safe on nil.
-// Mirror a recorder OR wire core.Options.Metrics — not both, or operations
-// count twice.
-func (r *Recorder) Mirror(reg *metrics.Registry) {
-	if r != nil {
-		r.mirror = reg
-	}
-}
-
-// Replay feeds every accumulated record into reg, for post-hoc aggregation
-// of a recorder that ran without a mirror. Safe on nil.
-func (r *Recorder) Replay(reg *metrics.Registry) {
-	if r == nil {
-		return
-	}
-	for _, rec := range r.records {
-		RecordMetrics(reg, rec)
-	}
 }

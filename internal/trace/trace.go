@@ -10,8 +10,6 @@ import (
 	"io"
 	"sort"
 	"time"
-
-	"mpixccl/internal/metrics"
 )
 
 // Record is one completed operation, or — when Event is set — one
@@ -41,20 +39,17 @@ type Record struct {
 // *Recorder ignores all records, so callers can thread it unconditionally.
 type Recorder struct {
 	records []Record
-	mirror  *metrics.Registry // non-nil after Mirror: Add also aggregates
 }
 
 // New returns an empty recorder.
 func New() *Recorder { return &Recorder{} }
 
-// Add appends a record (and feeds the mirrored registry, if one is
-// attached). Safe on nil.
+// Add appends a record. Safe on nil.
 func (r *Recorder) Add(rec Record) {
 	if r == nil {
 		return
 	}
 	r.records = append(r.records, rec)
-	RecordMetrics(r.mirror, rec)
 }
 
 // Len reports the record count. Safe on nil.

@@ -1,12 +1,9 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
-
-	"mpixccl/internal/metrics"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
@@ -94,45 +91,5 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 func TestParseChromeTraceRejectsGarbage(t *testing.T) {
 	if _, err := ParseChromeTrace([]byte("{broken")); err == nil {
 		t.Fatal("garbage accepted")
-	}
-}
-
-func TestRecorderMirrorFeedsRegistryLive(t *testing.T) {
-	reg := metrics.NewRegistry()
-	r := New()
-	r.Mirror(reg)
-	r.Add(Record{Op: "allreduce", Path: "ccl", Backend: "nccl", Bytes: 2048,
-		Duration: 10 * time.Microsecond})
-	r.Add(Record{Op: "allreduce", Path: "ccl", Backend: "nccl", Bytes: 2048,
-		Duration: 20 * time.Microsecond})
-	v, ok := reg.CounterValue(MetricOps, metrics.Labels{
-		"op": "allreduce", "path": "ccl", "backend": "nccl", "size_bucket": "1-16KiB"})
-	if !ok || v != 2 {
-		t.Fatalf("mirrored op counter = %v, %v; want 2, true", v, ok)
-	}
-	if b, _ := reg.CounterValue(MetricOpBytes, metrics.Labels{"op": "allreduce", "path": "ccl"}); b != 4096 {
-		t.Fatalf("mirrored byte counter = %v, want 4096", b)
-	}
-}
-
-func TestRecorderReplayMatchesMirror(t *testing.T) {
-	mirrored := metrics.NewRegistry()
-	replayed := metrics.NewRegistry()
-	r := New()
-	r.Mirror(mirrored)
-	for i := 0; i < 5; i++ {
-		r.Add(Record{Op: "bcast", Path: "mpi", Backend: "rccl", Bytes: 64,
-			Duration: time.Duration(i+1) * time.Microsecond})
-	}
-	r.Replay(replayed)
-	var a, b bytes.Buffer
-	if err := mirrored.WritePrometheus(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := replayed.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("replay diverges from live mirror:\n--- mirror ---\n%s--- replay ---\n%s", a.String(), b.String())
 	}
 }
