@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -75,9 +76,9 @@ func main() {
 	}
 	var plan *fault.Plan
 	if *crash != "" {
-		var rank, call int
-		if _, err := fmt.Sscanf(*crash, "%d@%d", &rank, &call); err != nil {
-			fatal(fmt.Errorf("bad -crash %q (want rank@call, e.g. 2@10)", *crash))
+		rank, call, err := parseCrash(*crash)
+		if err != nil {
+			fatal(err)
 		}
 		plan = fault.NewPlan(1).AddRule(fault.Rule{
 			Name: "fail-stop", Crash: true, Ranks: []int{rank}, After: call,
@@ -171,8 +172,21 @@ func writeMetrics(reg *metrics.Registry, path string) error {
 	return f.Close()
 }
 
+// parseCrash parses -crash rank@call: two non-negative integers and nothing
+// else.
+func parseCrash(spec string) (rank, call int, err error) {
+	rankStr, callStr, ok := strings.Cut(spec, "@")
+	rank, okRank := nonNegative(rankStr)
+	call, okCall := nonNegative(callStr)
+	if !ok || !okRank || !okCall {
+		return 0, 0, fmt.Errorf("bad -crash %q (want rank@call, e.g. 2@10)", spec)
+	}
+	return rank, call, nil
+}
+
 // parsePartition parses -partition rank@from[,until] into a rank-scoped
-// PartitionRule (Probability 0 = deterministic fire).
+// PartitionRule (Probability 0 = deterministic fire). The rank and times
+// must be non-negative and nothing may trail them.
 func parsePartition(spec string) (fault.PartitionRule, error) {
 	bad := func() (fault.PartitionRule, error) {
 		return fault.PartitionRule{}, fmt.Errorf("bad -partition %q (want rank@from[,until], e.g. 2@200us or 2@200us,400us)", spec)
@@ -181,18 +195,18 @@ func parsePartition(spec string) (fault.PartitionRule, error) {
 	if !ok {
 		return bad()
 	}
-	var rank int
-	if _, err := fmt.Sscanf(rankStr, "%d", &rank); err != nil {
+	rank, ok := nonNegative(rankStr)
+	if !ok {
 		return bad()
 	}
 	fromStr, untilStr, healed := strings.Cut(window, ",")
 	from, err := time.ParseDuration(fromStr)
-	if err != nil {
+	if err != nil || from < 0 {
 		return bad()
 	}
 	rule := fault.PartitionRule{Name: "rank-cut", Ranks: []int{rank}, From: from}
 	if healed {
-		if rule.Until, err = time.ParseDuration(untilStr); err != nil {
+		if rule.Until, err = time.ParseDuration(untilStr); err != nil || rule.Until < 0 {
 			return bad()
 		}
 	}
@@ -200,6 +214,12 @@ func parsePartition(spec string) (fault.PartitionRule, error) {
 		return fault.PartitionRule{}, fmt.Errorf("-partition %q: %v", spec, err)
 	}
 	return rule, nil
+}
+
+// nonNegative parses a decimal integer of at least zero.
+func nonNegative(s string) (int, bool) {
+	v, err := strconv.Atoi(s)
+	return v, err == nil && v >= 0
 }
 
 func us(r omb.Result) float64 { return float64(r.Latency.Nanoseconds()) / 1e3 }

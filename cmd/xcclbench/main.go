@@ -47,6 +47,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -88,16 +89,16 @@ func main() {
 	experiments.SetShards(*shards)
 
 	if *crash != "" {
-		var rank, step int
-		if _, err := fmt.Sscanf(*crash, "%d@%d", &rank, &step); err != nil {
+		rank, step, ok := parseAt(*crash)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "xcclbench: bad -crash %q (want rank@step, e.g. 3@2)\n", *crash)
 			os.Exit(2)
 		}
 		experiments.SetElasticCrash(rank, step)
 	}
 	if *partition != "" {
-		var cut, heal int
-		if n, err := fmt.Sscanf(*partition, "%d@%d", &cut, &heal); err != nil && n < 1 {
+		cut, heal, ok := parseAt(*partition)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "xcclbench: bad -partition %q (want cut@heal steps, e.g. 2@4)\n", *partition)
 			os.Exit(2)
 		}
@@ -206,6 +207,15 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// parseAt parses the a@b fault specs (-crash rank@step, -partition
+// cut@heal): two non-negative decimal integers and nothing else.
+func parseAt(spec string) (a, b int, ok bool) {
+	as, bs, ok := strings.Cut(spec, "@")
+	a, errA := strconv.Atoi(as)
+	b, errB := strconv.Atoi(bs)
+	return a, b, ok && errA == nil && errB == nil && a >= 0 && b >= 0
 }
 
 // runScaleSweep handles -scale ranks=N[,shards=M]: the 4096-rank-class

@@ -40,11 +40,6 @@ func (o RedOp) elemOp() elem.Op {
 	panic(fmt.Sprintf("ccl: elem op for %v", o))
 }
 
-// reduceBytes is the elementwise kernel used by runCtx.reduceInto.
-func reduceBytes(op RedOp, dt Datatype, dst, src []byte, count int) {
-	elem.Reduce(op.elemOp(), dt.kind(), dst, src, count)
-}
-
 // enqueueColl registers the rank's args under the next sequence number and
 // enqueues the rank's part of the algorithm on the stream.
 func (c *Comm) enqueueColl(s *device.Stream, name string, a *opArgs, bytes int64,
@@ -233,10 +228,23 @@ func (c *Comm) ReduceScatter(send, recv *device.Buffer, recvCount int, dt Dataty
 }
 
 func (rc *runCtx) localCopy(dst, src *device.Buffer, n int64) {
-	if dst != src {
-		copy(dst.Bytes()[:n], src.Bytes()[:n])
-		rc.p.Sleep(rc.dev().CopyTime(n))
+	rc.stage(dst, src, 0, n, true)
+}
+
+// stage charges the modeled copy of src[off, off+n) into dst at the same
+// offset, and moves the bytes only when move is set. The hierarchical
+// reductions read a rank's own input from the send buffer in place (see
+// intraTreeReduce) and keep charging the copy where they used to make it,
+// so virtual time is that of the staged schedule. In place (dst == src)
+// there is nothing to copy or charge.
+func (rc *runCtx) stage(dst, src *device.Buffer, off, n int64, move bool) {
+	if dst == src {
+		return
 	}
+	if move {
+		copy(dst.Bytes()[off:off+n], src.Bytes()[off:off+n])
+	}
+	rc.p.Sleep(rc.dev().CopyTime(n))
 }
 
 // segBounds splits count elements into n segments (element start offsets).

@@ -7,6 +7,7 @@ import (
 
 	"mpixccl/internal/ccl/comp"
 	"mpixccl/internal/device"
+	"mpixccl/internal/elem"
 	"mpixccl/internal/fabric"
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/sim"
@@ -668,7 +669,12 @@ func (rc *runCtx) put(to int, src *device.Buffer, n int64, slotBytes int64) {
 //   - a binomial reduction over the recv buffer (treeReduceInPlace, and
 //     intraTreeReduce in hierarchical allreduce and reduce-scatter phase A):
 //     a child's chunk is next written by the broadcast phase, or freed after
-//     waitDirect, and both follow its parent's reduce.
+//     waitDirect, and both follow its parent's reduce;
+//   - a leaf of intraTreeReduce, which sends its input straight from the
+//     caller's send buffer: the schedule never writes send, and the leaf's
+//     call, after which the caller may, ends only once its parent's reduce
+//     is done (the leaf then waits for the broadcast or the leader's
+//     delivery).
 //
 // Staged sites say at the call why they stay staged. The fabric must also
 // be Faithful: injected corruption lands in a real copy and CRC32C compares
@@ -737,7 +743,15 @@ func (rc *runCtx) waitDirect(from int) {
 // reduceInto combines src into dst over count elements, charging device time.
 // Both buffers may be longer: only their first count elements are touched.
 func (rc *runCtx) reduceInto(op RedOp, dt Datatype, dst, src *device.Buffer, count int) {
-	reduceBytes(op, dt, dst.Bytes(), src.Bytes(), count)
+	elem.Reduce(op.elemOp(), dt.kind(), dst.Bytes(), src.Bytes(), count)
+	rc.p.Sleep(rc.dev().ReduceTime(int64(count) * int64(dt.Size())))
+}
+
+// reduceTo is reduceInto out of place, dst = a ⊕ src, at the same device
+// time: a rank's first reduce of a chunk whose own input it reads from the
+// send buffer (see intraTreeReduce).
+func (rc *runCtx) reduceTo(op RedOp, dt Datatype, dst *device.Buffer, a []byte, src *device.Buffer, count int) {
+	elem.ReduceTo(op.elemOp(), dt.kind(), dst.Bytes(), a, src.Bytes(), count)
 	rc.p.Sleep(rc.dev().ReduceTime(int64(count) * int64(dt.Size())))
 }
 

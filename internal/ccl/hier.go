@@ -155,15 +155,17 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 	hp := rc.co.hier()
 	a := rc.st.args[rc.rank]
 	esz := int64(dt.Size())
-	// A partition-gated persistent schedule stages each chunk as its
-	// partition becomes ready (stageChunk below); everything else stages the
-	// whole payload up front.
-	if rc.gate() == nil {
-		rc.localCopy(a.recv, a.send, int64(count)*esz)
-	}
-
 	locals := hp.locals[hp.nodeIdx[rc.rank]]
 	li := hp.localIdx[rc.rank]
+	// Ranks read their own input from send in place (see intraTreeReduce),
+	// so staging it into recv only charges the copy, except at a one-rank
+	// node's leader, which reduces nothing and must copy. A partition-gated
+	// persistent schedule stages each chunk as its partition becomes ready
+	// (stageChunk below); everything else stages the whole payload up front.
+	lone := len(locals) == 1
+	if rc.gate() == nil {
+		rc.stage(a.recv, a.send, 0, int64(count)*esz, lone)
+	}
 	m := len(hp.leaders)
 	ce := int(chunkBytes / esz)
 	if ce < 1 {
@@ -176,8 +178,8 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 		// Non-leader: feed chunks up the intra tree, then receive results.
 		for ck := 0; ck < nchunks; ck++ {
 			lo, cn := chunkRange(count, ce, ck)
-			rc.stageChunk(a, int64(lo)*esz, int64(cn)*esz, ck)
-			rc.intraTreeReduce(locals, li, dt, op, a.recv, int64(lo)*esz, cn, slotBytes)
+			rc.stageChunk(a, int64(lo)*esz, int64(cn)*esz, ck, lone)
+			rc.intraTreeReduce(locals, li, dt, op, a.recv, a.send, int64(lo)*esz, cn, slotBytes)
 		}
 		rc.waitAllParts()
 		for ck := 0; ck < nchunks; ck++ {
@@ -196,8 +198,8 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 	}
 	for ck := 0; ck < nchunks; ck++ {
 		lo, cn := chunkRange(count, ce, ck)
-		rc.stageChunk(a, int64(lo)*esz, int64(cn)*esz, ck)
-		rc.intraTreeReduce(locals, li, dt, op, a.recv, int64(lo)*esz, cn, slotBytes)
+		rc.stageChunk(a, int64(lo)*esz, int64(cn)*esz, ck, lone)
+		rc.intraTreeReduce(locals, li, dt, op, a.recv, a.send, int64(lo)*esz, cn, slotBytes)
 		if eng != nil {
 			eng.feed()
 		}
@@ -333,29 +335,45 @@ func (rc *runCtx) hierInterAllReduce(hp *hierPlan, dt Datatype, op RedOp, count,
 	}
 }
 
-// intraTreeReduce runs a binomial reduction of buf[off:off+count·esz] over
-// the same-node rank group toward group[0]. Every rank passes its own
-// accumulation buffer; parents reduce straight from each child's (byRef),
-// which the child leaves alone until the broadcast phase writes it or it is
-// freed after waitDirect.
+// intraTreeReduce runs a binomial reduction of count elements at byte offset
+// off over the same-node rank group toward group[0], accumulating in each
+// rank's buf. A rank's own input is read from src at the same offset: src
+// is buf in place; otherwise the rank's first reduce is out of place,
+// buf = src ⊕ child, and a rank that sends before it reduces (a leaf) puts
+// straight from src. Parents reduce straight from each child's segment
+// (byRef), which the child leaves alone until the broadcast phase writes it,
+// or it is freed after waitDirect, or (src) the child's call ends.
 func (rc *runCtx) intraTreeReduce(group []int, idx int, dt Datatype, op RedOp,
-	buf *device.Buffer, off int64, count int, slotBytes int64) {
+	buf, src *device.Buffer, off int64, count int, slotBytes int64) {
 	n := len(group)
 	if n <= 1 || count == 0 {
 		return
 	}
 	esz := int64(dt.Size())
 	bytes := int64(count) * esz
-	mine := rc.slice(buf, off, bytes)
+	// mine views this rank's partial: its input in src until the first
+	// reduce writes buf. Views are built only where used.
+	var mine *device.Buffer
+	if src == buf {
+		mine = rc.slice(buf, off, bytes)
+	}
 	for mask := 1; mask < n; mask <<= 1 {
 		if idx&mask != 0 {
+			if mine == nil {
+				mine = rc.slice(src, off, bytes)
+			}
 			rc.putTo(group[idx-mask], byRef, mine, bytes, slotBytes)
 			return
 		}
 		if idx+mask < n {
 			child := group[idx+mask]
 			slot, s := rc.get(child, slotBytes)
-			rc.reduceInto(op, dt, mine, s, count)
+			if mine == nil {
+				mine = rc.slice(buf, off, bytes)
+				rc.reduceTo(op, dt, mine, src.Bytes()[off:], s, count)
+			} else {
+				rc.reduceInto(op, dt, mine, s, count)
+			}
 			rc.release(child, slot, slotBytes)
 		}
 	}
@@ -529,14 +547,17 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 	esz := int64(dt.Size())
 	blk := int64(recvCount) * esz
 	total := blk * int64(n)
-	work := rc.dev().MustMallocScratch(total) // fully written by the copy below
-	defer work.Free()
-	rc.localCopy(work, a.send, total)
-
 	ni := hp.nodeIdx[rc.rank]
 	locals := hp.locals[ni]
 	li := hp.localIdx[rc.rank]
 	m := len(hp.leaders)
+	// work is written before it is read: by a rank's first reduce of each
+	// chunk in phase A (the rank's own input is read from send in place, so
+	// staging it only charges the copy), or, at a one-rank node's leader,
+	// which reduces nothing, by the copy here. Leaves never touch it.
+	work := rc.dev().MustMallocScratch(total)
+	defer work.Free()
+	rc.stage(work, a.send, 0, total, len(locals) == 1)
 
 	// Phase A: chunked binomial reduction of the whole payload to the leader.
 	ce := int(chunkBytes / esz)
@@ -548,7 +569,7 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 	slotBytes := int64(ce) * esz
 	for ck := 0; ck < nchunks; ck++ {
 		lo, cn := chunkRange(totalCount, ce, ck)
-		rc.intraTreeReduce(locals, li, dt, op, work, int64(lo)*esz, cn, slotBytes)
+		rc.intraTreeReduce(locals, li, dt, op, work, a.send, int64(lo)*esz, cn, slotBytes)
 	}
 
 	if li != 0 {

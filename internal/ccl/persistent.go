@@ -152,15 +152,16 @@ func (rc *runCtx) waitAllParts() {
 }
 
 // stageChunk waits for chunk ck's partition and stages it from the send
-// buffer into the accumulation buffer. Only the partition-gated hierarchical
-// schedule stages per chunk; everywhere else the gate is nil and the payload
-// was staged whole before the first chunk.
-func (rc *runCtx) stageChunk(a *opArgs, off, bytes int64, ck int) {
+// buffer into the accumulation buffer (see stage: the bytes move only when
+// move is set). Only the partition-gated hierarchical schedule stages per
+// chunk; everywhere else the gate is nil and the payload was staged whole
+// before the first chunk.
+func (rc *runCtx) stageChunk(a *opArgs, off, bytes int64, ck int, move bool) {
 	if rc.gate() == nil {
 		return
 	}
 	rc.waitPart(ck)
-	rc.localCopy(rc.slice(a.recv, off, bytes), rc.slice(a.send, off, bytes), bytes)
+	rc.stage(a.recv, a.send, off, bytes, move)
 }
 
 // persistShared is the cross-rank Init rendezvous record: the i-th

@@ -55,7 +55,8 @@ func ringSum(n, i, j int) int32 {
 // TestRingPlacementExact queues several flat-ring, tree and hierarchical
 // allreduces (in place and out of place), hierarchical reduce-scatters and
 // ring allgathers per stream before synchronizing once, then checks every
-// element.
+// element, and that every out-of-place send buffer still holds its input:
+// peers read a rank's input from its send buffer in place.
 func TestRingPlacementExact(t *testing.T) {
 	for _, sh := range ringShapes {
 		t.Run(sh.String(), func(t *testing.T) {
@@ -69,6 +70,7 @@ func TestRingPlacementExact(t *testing.T) {
 			)
 			type check struct {
 				buf   *device.Buffer
+				send  *device.Buffer // out of place: must still hold ringVal(r, ·, j)
 				kind  int
 				count int
 				j     int
@@ -92,7 +94,7 @@ func TestRingPlacementExact(t *testing.T) {
 							t.Errorf("allreduce: %v", err)
 							return
 						}
-						checks[r] = append(checks[r], check{buf: recv, count: count, j: j})
+						checks[r] = append(checks[r], check{buf: recv, send: send, count: count, j: j})
 						j++
 						inPlace := fill(count, j)
 						if err := c.AllReduce(inPlace, inPlace, count, ccl.Int32, ccl.Sum, s); err != nil {
@@ -111,7 +113,7 @@ func TestRingPlacementExact(t *testing.T) {
 						t.Errorf("reducescatter: %v", err)
 						return
 					}
-					checks[r] = append(checks[r], check{buf: recv, kind: scatter, count: count, j: j})
+					checks[r] = append(checks[r], check{buf: recv, send: send, kind: scatter, count: count, j: j})
 					j++
 				}
 				c.SetAlgorithm(ccl.AlgoAuto, 0)
@@ -122,13 +124,20 @@ func TestRingPlacementExact(t *testing.T) {
 						t.Errorf("allgather: %v", err)
 						return
 					}
-					checks[r] = append(checks[r], check{buf: all, kind: gather, count: count, j: j})
+					checks[r] = append(checks[r], check{buf: all, send: send, kind: gather, count: count, j: j})
 					j++
 				}
 				s.Synchronize(p)
 			})
 			for r, cs := range checks {
 				for _, ck := range cs {
+					if ck.send != nil {
+						for i := 0; i < int(ck.send.Len()/4); i++ {
+							if got, want := ck.send.Int32(i), ringVal(r, i, ck.j); got != want {
+								t.Fatalf("op %d rank %d send elem %d = %d after the call, want its input %d", ck.j, r, i, got, want)
+							}
+						}
+					}
 					switch ck.kind {
 					case gather:
 						for src := 0; src < n; src++ {
@@ -159,12 +168,16 @@ func TestRingPlacementExact(t *testing.T) {
 
 // TestPersistentRingPlacementExact runs persistent ring allreduce and
 // allgather handles for several waves, changing the payload between waves,
-// so a wave's placed segments land in buffers the previous wave read.
+// so a wave's placed segments land in buffers the previous wave read. An
+// out-of-place partitioned hierarchical allreduce handle rides along: on the
+// multi-node shapes it stages each chunk as its partition becomes ready,
+// and its ranks read their input from the send buffer in place.
 func TestPersistentRingPlacementExact(t *testing.T) {
 	for _, sh := range ringShapes {
 		t.Run(sh.String(), func(t *testing.T) {
 			n := sh.n
 			const waves = 3
+			const parts = 3
 			count := 3*n + 2
 			h := newHarness(t, sh.system, n, sh.mk)
 			h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
@@ -182,10 +195,19 @@ func TestPersistentRingPlacementExact(t *testing.T) {
 					t.Errorf("allgather init: %v", err)
 					return
 				}
+				c.SetAlgorithm(ccl.AlgoHierarchical, 0)
+				hin := c.Device().MustMalloc(int64(count) * 4)
+				hout := c.Device().MustMalloc(int64(count) * 4)
+				hr, err := c.AllReduceInitPartitioned(hin, hout, count, ccl.Int32, ccl.Sum, parts, s)
+				if err != nil {
+					t.Errorf("partitioned allreduce init: %v", err)
+					return
+				}
 				for w := 0; w < waves; w++ {
 					for i := 0; i < count; i++ {
 						buf.SetInt32(i, ringVal(r, i, w))
 						send.SetInt32(i, ringVal(r, i, w+waves))
+						hin.SetInt32(i, ringVal(r, i, w+2*waves))
 					}
 					if err := ar.Do(p); err != nil {
 						t.Errorf("allreduce wave %d: %v", w, err)
@@ -195,9 +217,28 @@ func TestPersistentRingPlacementExact(t *testing.T) {
 						t.Errorf("allgather wave %d: %v", w, err)
 						return
 					}
+					if err := hr.Start(); err != nil {
+						t.Errorf("partitioned allreduce wave %d: %v", w, err)
+						return
+					}
+					for k := parts - 1; k >= 0; k-- {
+						hr.Pready(k)
+					}
+					if err := hr.Wait(p); err != nil {
+						t.Errorf("partitioned allreduce wave %d: %v", w, err)
+						return
+					}
 					for i := 0; i < count; i++ {
 						if got, want := buf.Int32(i), ringSum(n, i, w); got != want {
 							t.Errorf("wave %d rank %d allreduce elem %d = %d, want %d", w, r, i, got, want)
+							return
+						}
+						if got, want := hout.Int32(i), ringSum(n, i, w+2*waves); got != want {
+							t.Errorf("wave %d rank %d partitioned allreduce elem %d = %d, want %d", w, r, i, got, want)
+							return
+						}
+						if got, want := hin.Int32(i), ringVal(r, i, w+2*waves); got != want {
+							t.Errorf("wave %d rank %d partitioned allreduce send elem %d = %d after the wave, want its input %d", w, r, i, got, want)
 							return
 						}
 						for src := 0; src < n; src++ {
@@ -210,6 +251,7 @@ func TestPersistentRingPlacementExact(t *testing.T) {
 				}
 				ar.Free()
 				ag.Free()
+				hr.Free()
 			})
 		})
 	}
@@ -341,45 +383,85 @@ func TestRingScheduleVirtualTime(t *testing.T) {
 // spare the segment's owner, so a reduce step that skipped the copy (and
 // with it the corrupter) fails the count. With integrity on, the checksum
 // catches the flip, the retransmit heals it, and the sum is exact.
+//
+// The out-of-place hierarchical rows check the leaf puts that send a rank's
+// input straight from its send buffer. Their rule corrupts only node 0's
+// intra-node links, where the mri shape's only reduce step is leaf rank 1's
+// put to the leader; a put that skipped the corrupter would pass the flip
+// on to the broadcast or delivery into rank 1 alone. The reduce-scatter
+// row runs the whole payload as one chunk and flips every byte of the
+// corrupted transfer, so the flip reaches every rank's block.
 func TestReduceOnReceiveStagedUnderCorruption(t *testing.T) {
+	first := fault.CorruptRule{Name: "flip", Count: 1}
+	leaf := fault.CorruptRule{Name: "flip", Link: "intra", Nodes: []int{0}, Count: 1}
+	leafAll := leaf
+	leafAll.FlipBytes = 1 << 20
 	cases := []struct {
 		name  string
 		shape ringShape
 		algo  ccl.Algorithm
+		coll  string // allreduce (in place) | allreduce-oop | reducescatter (out of place)
+		rule  fault.CorruptRule
 	}{
-		{"ring", ringShape{"thetagpu", 5, nccl.New}, ccl.AlgoFlatRing},
-		{"ring-mri", ringShape{"mri", 5, rccl.New}, ccl.AlgoFlatRing},
-		{"hier", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoHierarchical},
+		{"ring", ringShape{"thetagpu", 5, nccl.New}, ccl.AlgoFlatRing, "allreduce", first},
+		{"ring-mri", ringShape{"mri", 5, rccl.New}, ccl.AlgoFlatRing, "allreduce", first},
+		{"hier", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoHierarchical, "allreduce", first},
+		{"hier-oop", ringShape{"mri", 5, rccl.New}, ccl.AlgoHierarchical, "allreduce-oop", leaf},
+		{"hier-reducescatter", ringShape{"mri", 5, rccl.New}, ccl.AlgoHierarchical, "reducescatter", leafAll},
 	}
 	for _, tc := range cases {
 		for _, integrity := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/integrity=%v", tc.name, integrity), func(t *testing.T) {
-				n, count := tc.shape.n, 4099
+				n, count, chunk := tc.shape.n, 4099, int64(1024)
+				if tc.coll == "reducescatter" {
+					count = 8
+					chunk = int64(n*count) * 4
+				}
 				h := newHarness(t, tc.shape.system, n, tc.shape.mk)
 				reg := metrics.NewRegistry()
 				h.fab.SetMetrics(reg)
-				h.fab.SetFaults(fault.NewPlan(1).AddCorruptRule(fault.CorruptRule{Name: "flip", Count: 1}))
+				h.fab.SetFaults(fault.NewPlan(1).AddCorruptRule(tc.rule))
 				if integrity {
 					h.fab.SetIntegrity(fabric.Integrity{Enabled: true, MaxRetries: 2})
 				}
 				bufs := make([]*device.Buffer, n)
 				h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
-					c.SetAlgorithm(tc.algo, 1024)
-					b := c.Device().MustMalloc(int64(count) * 4)
-					for i := 0; i < count; i++ {
+					c.SetAlgorithm(tc.algo, chunk)
+					in := count
+					if tc.coll == "reducescatter" {
+						in *= n
+					}
+					b := c.Device().MustMalloc(int64(in) * 4)
+					for i := 0; i < in; i++ {
 						b.SetInt32(i, ringVal(r, i, 0))
 					}
-					if err := c.AllReduce(b, b, count, ccl.Int32, ccl.Sum, s); err != nil {
-						t.Errorf("allreduce: %v", err)
+					out := b
+					var err error
+					switch tc.coll {
+					case "allreduce":
+						err = c.AllReduce(b, b, count, ccl.Int32, ccl.Sum, s)
+					case "allreduce-oop":
+						out = c.Device().MustMalloc(int64(count) * 4)
+						err = c.AllReduce(b, out, count, ccl.Int32, ccl.Sum, s)
+					case "reducescatter":
+						out = c.Device().MustMalloc(int64(count) * 4)
+						err = c.ReduceScatter(b, out, count, ccl.Int32, ccl.Sum, s)
+					}
+					if err != nil {
+						t.Errorf("%s: %v", tc.coll, err)
 						return
 					}
 					s.Synchronize(p)
-					bufs[r] = b
+					bufs[r] = out
 				})
 				wrong := 0
-				for _, b := range bufs {
+				for r, b := range bufs {
+					base := 0
+					if tc.coll == "reducescatter" {
+						base = r * count
+					}
 					for i := 0; i < count; i++ {
-						if b.Int32(i) != ringSum(n, i, 0) {
+						if b.Int32(i) != ringSum(n, base+i, 0) {
 							wrong++
 							break
 						}

@@ -192,6 +192,32 @@ func Reduce(op Op, k Kind, dst, src []byte, count int) {
 	}
 }
 
+// ReduceTo writes dst[i] = op(a[i], b[i]) over count elements: Reduce out
+// of place, bit-identical to copying a into dst and then calling
+// Reduce(op, k, dst, b, count), with one memory pass fewer. dst may be a
+// itself but must not otherwise overlap a or b. F32 and F64 sums run a fused
+// typed kernel over aligned little-endian buffers; every other case copies
+// and then reduces.
+func ReduceTo(op Op, k Kind, dst, a, b []byte, count int) {
+	if op == OpSum {
+		switch k {
+		case F32:
+			if d, x, y := view[float32](dst, count), view[float32](a, count), view[float32](b, count); d != nil && x != nil && y != nil {
+				sumOf(d, x, y)
+				return
+			}
+		case F64:
+			if d, x, y := view[float64](dst, count), view[float64](a, count), view[float64](b, count); d != nil && x != nil && y != nil {
+				sumOf(d, x, y)
+				return
+			}
+		}
+	}
+	n := count * k.Size()
+	copy(dst[:n], a[:n])
+	Reduce(op, k, dst, b, count)
+}
+
 // Float16ToFloat converts an IEEE 754 binary16 value to float64.
 func Float16ToFloat(h uint16) float64 {
 	sign := uint64(h>>15) & 1

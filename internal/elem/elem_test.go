@@ -219,7 +219,7 @@ func TestSpecializedReduceMatchesGeneric(t *testing.T) {
 }
 
 var (
-	kindName = map[Kind]string{F32: "f32", F64: "f64"}
+	kindName = map[Kind]string{U8: "u8", I32: "i32", I64: "i64", F16: "f16", F32: "f32", F64: "f64", C128: "c128"}
 	opName   = map[Op]string{OpSum: "sum", OpProd: "prod", OpMax: "max", OpMin: "min"}
 )
 
@@ -269,8 +269,44 @@ func TestReduceKernelsMatchPortable(t *testing.T) {
 	}
 }
 
+// ReduceTo must equal copy-then-Reduce byte for byte: on every kind and
+// operator, every tail length of the unrolled kernel, the delicate float
+// values, and unaligned operands, which take the portable path.
+func TestReduceToMatchesCopyThenReduce(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1.5, math.NaN(), math.Inf(1), math.Inf(-1),
+		1e-40, 5e-324, 6e-8, 3.4e38, -7, 250, 65504}
+	for _, k := range []Kind{U8, I32, I64, F16, F32, F64, C128} {
+		for _, op := range []Op{OpSum, OpProd, OpMax, OpMin} {
+			if k == C128 && (op == OpMax || op == OpMin) {
+				continue // undefined; Reduce panics
+			}
+			for count := 0; count <= 17; count++ {
+				sz := count * k.Size()
+				// shift bit 0/1/2 misaligns dst/a/b by one byte.
+				for shift := 0; shift < 8; shift++ {
+					dst, a, b := aligned(sz, shift&1), aligned(sz, shift>>1&1), aligned(sz, shift>>2&1)
+					for i := 0; i < count; i++ {
+						Set(k, a, i, vals[(i*5)%len(vals)], vals[(i+2)%len(vals)])
+						Set(k, b, i, vals[(i*3+1)%len(vals)], vals[(i+7)%len(vals)])
+						Set(k, dst, i, 99, 99) // stale contents must not leak through
+					}
+					want := append([]byte(nil), a...)
+					Reduce(op, k, want, b, count)
+					ReduceTo(op, k, dst, a, b, count)
+					if string(dst) != string(want) {
+						t.Fatalf("%s %s count %d shift %d: ReduceTo % x, copy-then-Reduce % x",
+							kindName[k], opName[op], count, shift, dst, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkReduce measures the typed kernels on one ring step's segment
-// (256 KiB, cache resident) and on a 4 MiB payload (memory bound).
+// (256 KiB, cache resident) and on a 4 MiB payload (memory bound): Reduce
+// in place, and the fused out-of-place ReduceTo sum a hierarchical rank's
+// first reduce of a chunk runs.
 func BenchmarkReduce(b *testing.B) {
 	for _, k := range []Kind{F32, F64} {
 		for _, op := range []Op{OpSum, OpMax} {
@@ -288,6 +324,20 @@ func BenchmarkReduce(b *testing.B) {
 					}
 				})
 			}
+		}
+		for _, bytes := range []int{256 << 10, 4 << 20} {
+			b.Run(fmt.Sprintf("reduceto/%s/sum/%dKiB", kindName[k], bytes>>10), func(b *testing.B) {
+				count := bytes / k.Size()
+				dst, x, y := make([]byte, bytes), make([]byte, bytes), make([]byte, bytes)
+				for i := 0; i < count; i++ {
+					Set(k, x, i, float64(i%1000), 0)
+					Set(k, y, i, float64(i%777), 0)
+				}
+				b.SetBytes(int64(bytes))
+				for i := 0; i < b.N; i++ {
+					ReduceTo(OpSum, k, dst, x, y, count)
+				}
+			})
 		}
 	}
 }

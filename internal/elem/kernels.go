@@ -53,3 +53,25 @@ func sumTo[T float](d, s []T) {
 		d[i] += s[i]
 	}
 }
+
+// sumOf is sumTo out of place, d = a + b, with the same unrolling; a stays
+// the left operand, as the destination is in sumTo.
+func sumOf[T float](d, a, b []T) {
+	n := len(b)
+	d, a = d[:n], a[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		dd, aa, bb := d[i:i+8:i+8], a[i:i+8:i+8], b[i:i+8:i+8]
+		dd[0] = aa[0] + bb[0]
+		dd[1] = aa[1] + bb[1]
+		dd[2] = aa[2] + bb[2]
+		dd[3] = aa[3] + bb[3]
+		dd[4] = aa[4] + bb[4]
+		dd[5] = aa[5] + bb[5]
+		dd[6] = aa[6] + bb[6]
+		dd[7] = aa[7] + bb[7]
+	}
+	for ; i < n; i++ {
+		d[i] = a[i] + b[i]
+	}
+}

@@ -47,19 +47,21 @@ go test -race -run 'TestTrainElastic|TestTrainPersistent' mpixccl/internal/dl
 # one-shot and persistent work; the property tests cover every phase
 # interleaving, so they are the ccl surface worth a race pass. TestCompiled
 # adds the compiled executor: every plan strategy's primitive DAG runs its
-# steps through the same pooled pipes. TestRing and TestReduceOnReceive
-# cover the pipe steps that read or write a peer's buffer in place
-# (allgather placement, reduce-on-receive) and their staged fallback;
+# steps through the same pooled pipes. TestRing, TestPersistentRing and
+# TestReduceOnReceive cover the pipe steps that read or write a peer's
+# buffer in place (allgather placement, reduce-on-receive, leaves sending
+# from their send buffer) and their staged fallback;
 # TestRingScheduleVirtualTime among them pins back-to-back calls on reused
 # helpers, and TestHelper the one-job-at-a-time contract. The zero-alloc
 # and no-spawn pins (TestPersistentSteadyState*, TestSteadyStateSpawns*)
 # run only un-raced, in the suite above.
-go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled|TestRing|TestReduceOnReceive|TestHelper' mpixccl/internal/ccl
+go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled|TestRing|TestPersistentRing|TestReduceOnReceive|TestHelper' mpixccl/internal/ccl
 # Fuzz smoke: a few seconds of coverage-guided input per parser on top of
 # the seed corpora the suite above already ran.
 go test -run '^$' -fuzz '^FuzzParseTable$' -fuzztime 5s mpixccl/internal/core
 go test -run '^$' -fuzz '^FuzzParseChromeTrace$' -fuzztime 5s mpixccl/internal/trace
 go test -run '^$' -fuzz '^FuzzParseAlgo$' -fuzztime 5s mpixccl/internal/ccl/msccl
+go test -run '^$' -fuzz '^FuzzParsePartition$' -fuzztime 5s mpixccl/cmd/ombrun
 # Bench smoke: one fixed iteration proves the benchmark harness still
 # runs end to end (full baselines come from scripts/bench.sh).
 go test -run '^$' -bench '^BenchmarkFig1aAllreduceCrossover$' -benchtime 1x .
