@@ -210,12 +210,20 @@ func main() {
 }
 
 // parseAt parses the a@b fault specs (-crash rank@step, -partition
-// cut@heal): two non-negative decimal integers and nothing else.
+// cut@heal): two non-negative decimal integers in canonical form and
+// nothing else, so every accepted spec prints back as itself.
 func parseAt(spec string) (a, b int, ok bool) {
 	as, bs, ok := strings.Cut(spec, "@")
-	a, errA := strconv.Atoi(as)
-	b, errB := strconv.Atoi(bs)
-	return a, b, ok && errA == nil && errB == nil && a >= 0 && b >= 0
+	a, okA := parseCount(as)
+	b, okB := parseCount(bs)
+	return a, b, ok && okA && okB
+}
+
+// parseCount parses a non-negative decimal integer in the form %d prints
+// it: no sign and no leading zero.
+func parseCount(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	return n, err == nil && n >= 0 && strconv.Itoa(n) == s
 }
 
 // runScaleSweep handles -scale ranks=N[,shards=M]: the 4096-rank-class

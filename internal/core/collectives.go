@@ -2,13 +2,11 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/device"
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/mpi"
-	"mpixccl/internal/sim"
 	"mpixccl/internal/trace"
 )
 
@@ -351,39 +349,35 @@ func (x *Comm) Scatter(sendBuf *device.Buffer, count int, dt mpi.Datatype, recvB
 
 // Request is a handle on a nonblocking xCCL collective.
 type Request struct {
-	done func(x *Comm)
+	r *mpi.Request
 }
 
 // Wait blocks until the operation completes.
-func (x *Comm) Wait(r *Request) { r.done(x) }
+func (x *Comm) Wait(r *Request) { x.mpi.Wait(r.r) }
 
-func (x *Comm) async(name string, fn func(x *Comm)) *Request {
-	// Reserve the collective's sequence slot now (at issue time, per MPI
-	// nonblocking-collective matching rules), then run the blocking
-	// operation on a progress process bound to that slot.
-	epoch := x.mpi.ReserveEpoch()
-	child := x.mpi.Proc().Kernel().Spawn(
-		fmt.Sprintf("xccl/%s/r%d", name, x.Rank()),
-		func(p *sim.Proc) { fn(&Comm{rt: x.rt, mpi: x.mpi.BindAsync(p, epoch)}) })
-	return &Request{done: func(x *Comm) { x.mpi.Proc().Join(child) }}
+// async reserves the collective's sequence slot now (at issue time, per
+// MPI nonblocking-collective matching rules) and runs the blocking
+// operation on one of the rank's MPI progress processes, bound to that slot.
+func (x *Comm) async(fn func(x *Comm)) *Request {
+	return &Request{x.mpi.Icoll(func(ac *mpi.Comm) { fn(&Comm{rt: x.rt, mpi: ac}) })}
 }
 
 // Iallreduce starts a nonblocking Allreduce.
 func (x *Comm) Iallreduce(sendBuf, recvBuf *device.Buffer, count int, dt mpi.Datatype, op mpi.Op) *Request {
-	return x.async("iallreduce", func(x *Comm) { x.Allreduce(sendBuf, recvBuf, count, dt, op) })
+	return x.async(func(x *Comm) { x.Allreduce(sendBuf, recvBuf, count, dt, op) })
 }
 
 // Ibcast starts a nonblocking Bcast.
 func (x *Comm) Ibcast(buf *device.Buffer, count int, dt mpi.Datatype, root int) *Request {
-	return x.async("ibcast", func(x *Comm) { x.Bcast(buf, count, dt, root) })
+	return x.async(func(x *Comm) { x.Bcast(buf, count, dt, root) })
 }
 
 // Ialltoall starts a nonblocking Alltoall.
 func (x *Comm) Ialltoall(sendBuf *device.Buffer, count int, dt mpi.Datatype, recvBuf *device.Buffer) *Request {
-	return x.async("ialltoall", func(x *Comm) { x.Alltoall(sendBuf, count, dt, recvBuf) })
+	return x.async(func(x *Comm) { x.Alltoall(sendBuf, count, dt, recvBuf) })
 }
 
 // Iallgather starts a nonblocking Allgather.
 func (x *Comm) Iallgather(sendBuf *device.Buffer, count int, dt mpi.Datatype, recvBuf *device.Buffer) *Request {
-	return x.async("iallgather", func(x *Comm) { x.Allgather(sendBuf, count, dt, recvBuf) })
+	return x.async(func(x *Comm) { x.Allgather(sendBuf, count, dt, recvBuf) })
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mpixccl/internal/device"
-	"mpixccl/internal/sim"
 )
 
 // Internal tag space for collective traffic, disjoint from user tags by
@@ -39,19 +38,6 @@ func (c *Comm) nextEpoch() int {
 // tagOf builds the wire tag for phase op of collective call #epoch.
 func tagOf(epoch, op int) int {
 	return collTagBase + (epoch%(1<<14))*16 + op
-}
-
-// ReserveEpoch allocates the next collective sequence number without
-// running a collective. Pair it with BindAsync to issue the collective
-// later from a progress process (the mechanism behind the nonblocking
-// collectives offered by the xCCL layer).
-func (c *Comm) ReserveEpoch() int { return c.nextEpoch() }
-
-// BindAsync returns a one-shot view of the communicator bound to process p
-// whose next collective call uses the reserved epoch. Only that single
-// collective may be issued through the returned view.
-func (c *Comm) BindAsync(p *sim.Proc, epoch int) *Comm {
-	return &Comm{ctx: c.ctx, rank: c.rank, proc: p, dev: c.dev, collSeq: epoch}
 }
 
 // tmp allocates collective scratch space on the rank's device.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mpixccl/internal/device"
-	"mpixccl/internal/sim"
 )
 
 // The vector ("v") collectives and scan family, completing the standard
@@ -121,40 +120,43 @@ func (c *Comm) Exscan(sendBuf, recvBuf *device.Buffer, count int, dt Datatype, o
 // at call time and runs the blocking algorithm on a progress process, per
 // the MPI-3 nonblocking-collective matching rules.
 
-func (c *Comm) icoll(name string, fn func(ac *Comm)) *Request {
-	epoch := c.ReserveEpoch()
-	p := c.proc.Kernel().Spawn(fmt.Sprintf("%s-r%d", name, c.rank), func(p *sim.Proc) {
-		fn(c.BindAsync(p, epoch))
-	})
-	return &Request{done: p.Done()}
+// Icoll starts fn as a nonblocking collective: it reserves the
+// communicator's next collective sequence slot now, at issue time, and
+// runs fn on one of the rank's progress processes (see post), passing a
+// view of the communicator bound to that process and slot. fn must issue
+// exactly one collective through the view. Complete it with Wait.
+func (c *Comm) Icoll(fn func(ac *Comm)) *Request {
+	r := &Request{c: c, coll: fn, epoch: c.nextEpoch()}
+	c.post(r)
+	return r
 }
 
 // Ibcast is the nonblocking MPI_Ibcast.
 func (c *Comm) Ibcast(buf *device.Buffer, count int, dt Datatype, root int) *Request {
-	return c.icoll("ibcast", func(ac *Comm) { ac.Bcast(buf, count, dt, root) })
+	return c.Icoll(func(ac *Comm) { ac.Bcast(buf, count, dt, root) })
 }
 
 // Iallreduce is the nonblocking MPI_Iallreduce.
 func (c *Comm) Iallreduce(sendBuf, recvBuf *device.Buffer, count int, dt Datatype, op Op) *Request {
-	return c.icoll("iallreduce", func(ac *Comm) { ac.Allreduce(sendBuf, recvBuf, count, dt, op) })
+	return c.Icoll(func(ac *Comm) { ac.Allreduce(sendBuf, recvBuf, count, dt, op) })
 }
 
 // Ireduce is the nonblocking MPI_Ireduce.
 func (c *Comm) Ireduce(sendBuf, recvBuf *device.Buffer, count int, dt Datatype, op Op, root int) *Request {
-	return c.icoll("ireduce", func(ac *Comm) { ac.Reduce(sendBuf, recvBuf, count, dt, op, root) })
+	return c.Icoll(func(ac *Comm) { ac.Reduce(sendBuf, recvBuf, count, dt, op, root) })
 }
 
 // Iallgather is the nonblocking MPI_Iallgather.
 func (c *Comm) Iallgather(sendBuf *device.Buffer, count int, dt Datatype, recvBuf *device.Buffer) *Request {
-	return c.icoll("iallgather", func(ac *Comm) { ac.Allgather(sendBuf, count, dt, recvBuf) })
+	return c.Icoll(func(ac *Comm) { ac.Allgather(sendBuf, count, dt, recvBuf) })
 }
 
 // Ialltoall is the nonblocking MPI_Ialltoall.
 func (c *Comm) Ialltoall(sendBuf *device.Buffer, count int, dt Datatype, recvBuf *device.Buffer) *Request {
-	return c.icoll("ialltoall", func(ac *Comm) { ac.Alltoall(sendBuf, count, dt, recvBuf) })
+	return c.Icoll(func(ac *Comm) { ac.Alltoall(sendBuf, count, dt, recvBuf) })
 }
 
 // Ibarrier is the nonblocking MPI_Ibarrier.
 func (c *Comm) Ibarrier() *Request {
-	return c.icoll("ibarrier", func(ac *Comm) { ac.Barrier() })
+	return c.Icoll(func(ac *Comm) { ac.Barrier() })
 }

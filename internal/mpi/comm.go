@@ -20,6 +20,8 @@ type Job struct {
 	world   *commCtx
 	nextCtx int
 	metrics *metrics.Registry // nil = no instrumentation
+	// progress holds each world rank's resident progress processes.
+	progress []progressPool
 }
 
 // NewJob creates a job with one rank per given device, in rank order.
@@ -27,7 +29,7 @@ func NewJob(fab *fabric.Fabric, profile Profile, devices []*device.Device) *Job 
 	if len(devices) == 0 {
 		panic("mpi: job needs at least one device")
 	}
-	j := &Job{fab: fab, profile: profile, devices: devices}
+	j := &Job{fab: fab, profile: profile, devices: devices, progress: make([]progressPool, len(devices))}
 	j.world = j.newCommCtx(identityGroup(len(devices)))
 	return j
 }
@@ -116,6 +118,8 @@ type Comm struct {
 	// hierPlan caches this rank's node hierarchy (coll_hier.go); a
 	// communicator's group is immutable, so it never invalidates.
 	hierPlan *nodePlan
+	// sendrecv is Sendrecv's send request, allocated on first use.
+	sendrecv *Request
 }
 
 // Rank returns the calling rank within this communicator.

@@ -213,20 +213,27 @@ func (c *Comm) recvOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, s
 	return r.status
 }
 
-// Request is a handle on a nonblocking operation.
+// Request is a handle on a nonblocking operation. It carries the operation
+// itself: a progress process of the posting rank runs it (see post).
 type Request struct {
-	done   *sim.Event
-	status *Status
+	done   sim.Event
+	status Status // a receive's status; zero for sends and collectives
+
+	c         *Comm
+	coll      func(ac *Comm) // a nonblocking collective; nil for point-to-point
+	epoch     int            // coll's reserved collective sequence slot
+	send      bool
+	buf       *device.Buffer
+	count     int
+	dt        Datatype
+	peer, tag int
 }
 
 // Wait blocks the communicator's rank process until the operation completes
 // and returns the receive status (zero Status for sends).
 func (c *Comm) Wait(r *Request) Status {
 	r.done.Wait(c.proc)
-	if r.status != nil {
-		return *r.status
-	}
-	return Status{}
+	return r.status
 }
 
 // Waitall completes every request.
@@ -238,31 +245,33 @@ func (c *Comm) Waitall(reqs []*Request) {
 
 // Isend starts a nonblocking send; complete it with Wait.
 func (c *Comm) Isend(buf *device.Buffer, count int, dt Datatype, dest, tag int) *Request {
-	req := &Request{}
-	p := c.proc.Kernel().Spawn(fmt.Sprintf("isend-r%d", c.rank), func(p *sim.Proc) {
-		c.sendOn(p, buf, count, dt, dest, tag)
-	})
-	req.done = p.Done()
-	return req
+	r := &Request{c: c, send: true, buf: buf, count: count, dt: dt, peer: dest, tag: tag}
+	c.post(r)
+	return r
 }
 
 // Irecv starts a nonblocking receive; complete it with Wait.
 func (c *Comm) Irecv(buf *device.Buffer, count int, dt Datatype, src, tag int) *Request {
-	req := &Request{status: &Status{}}
-	p := c.proc.Kernel().Spawn(fmt.Sprintf("irecv-r%d", c.rank), func(p *sim.Proc) {
-		*req.status = c.recvOn(p, buf, count, dt, src, tag)
-	})
-	req.done = p.Done()
-	return req
+	r := &Request{c: c, buf: buf, count: count, dt: dt, peer: src, tag: tag}
+	c.post(r)
+	return r
 }
 
 // Sendrecv performs a simultaneous send and receive, the workhorse of the
-// ring and pairwise collective algorithms.
+// ring and pairwise collective algorithms. Its send is a nonblocking send
+// on one request per communicator handle, re-armed by every call: the call
+// waits for it before returning, and a handle is used by one process.
 func (c *Comm) Sendrecv(
 	sendBuf *device.Buffer, sendCount int, sendDt Datatype, dest, sendTag int,
 	recvBuf *device.Buffer, recvCount int, recvDt Datatype, src, recvTag int,
 ) Status {
-	sreq := c.Isend(sendBuf, sendCount, sendDt, dest, sendTag)
+	sreq := c.sendrecv
+	if sreq == nil {
+		sreq = &Request{c: c, send: true}
+		c.sendrecv = sreq
+	}
+	sreq.buf, sreq.count, sreq.dt, sreq.peer, sreq.tag = sendBuf, sendCount, sendDt, dest, sendTag
+	sreq.restart()
 	st := c.Recv(recvBuf, recvCount, recvDt, src, recvTag)
 	c.Wait(sreq)
 	return st

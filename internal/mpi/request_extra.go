@@ -14,10 +14,7 @@ func (c *Comm) Test(r *Request) (bool, Status) {
 	if !r.done.Fired() {
 		return false, Status{}
 	}
-	if r.status != nil {
-		return true, *r.status
-	}
-	return true, Status{}
+	return true, r.status
 }
 
 // Testall reports whether every request has completed (MPI_Testall).
@@ -38,7 +35,7 @@ func (c *Comm) Waitany(reqs []*Request) (int, Status) {
 	}
 	events := make([]*sim.Event, len(reqs))
 	for i, r := range reqs {
-		events[i] = r.done
+		events[i] = &r.done
 	}
 	idx := sim.WaitAny(c.proc, events...)
 	_, st := c.Test(reqs[idx])
@@ -47,47 +44,38 @@ func (c *Comm) Waitany(reqs []*Request) (int, Status) {
 
 // PersistentRequest is an initialized-but-inactive point-to-point operation
 // (MPI_Send_init / MPI_Recv_init): Start launches it, Wait completes it,
-// and it can be started again.
+// and it can be started again. Every start reuses the one request.
 type PersistentRequest struct {
-	comm   *Comm
-	isSend bool
-	buf    *device.Buffer
-	count  int
-	dt     Datatype
-	peer   int
-	tag    int
-	active *Request
+	req    Request
+	active bool
 }
 
 // SendInit creates a persistent send (MPI_Send_init).
 func (c *Comm) SendInit(buf *device.Buffer, count int, dt Datatype, dest, tag int) *PersistentRequest {
-	return &PersistentRequest{comm: c, isSend: true, buf: buf, count: count, dt: dt, peer: dest, tag: tag}
+	return &PersistentRequest{req: Request{c: c, send: true, buf: buf, count: count, dt: dt, peer: dest, tag: tag}}
 }
 
 // RecvInit creates a persistent receive (MPI_Recv_init).
 func (c *Comm) RecvInit(buf *device.Buffer, count int, dt Datatype, src, tag int) *PersistentRequest {
-	return &PersistentRequest{comm: c, buf: buf, count: count, dt: dt, peer: src, tag: tag}
+	return &PersistentRequest{req: Request{c: c, buf: buf, count: count, dt: dt, peer: src, tag: tag}}
 }
 
 // Start launches the operation (MPI_Start). Starting an already-active
 // request panics, per the standard.
 func (pr *PersistentRequest) Start() {
-	if pr.active != nil {
+	if pr.active {
 		panic("mpi: Start on active persistent request")
 	}
-	if pr.isSend {
-		pr.active = pr.comm.Isend(pr.buf, pr.count, pr.dt, pr.peer, pr.tag)
-	} else {
-		pr.active = pr.comm.Irecv(pr.buf, pr.count, pr.dt, pr.peer, pr.tag)
-	}
+	pr.active = true
+	pr.req.restart()
 }
 
 // Wait completes the active operation and re-arms the request.
 func (pr *PersistentRequest) Wait() Status {
-	if pr.active == nil {
+	if !pr.active {
 		panic("mpi: Wait on inactive persistent request")
 	}
-	st := pr.comm.Wait(pr.active)
-	pr.active = nil
+	st := pr.req.c.Wait(&pr.req)
+	pr.active = false
 	return st
 }

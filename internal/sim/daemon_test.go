@@ -43,3 +43,37 @@ func TestDeadlockReportExcludesDaemons(t *testing.T) {
 		t.Fatalf("blocked = %v", de.Blocked)
 	}
 }
+
+// TestSetDaemonMovesLiveAccounting pins the worker-pool primitive: a worker
+// parked between jobs as a daemon ends the run normally, and the same
+// worker blocked forever inside a job it was handed as live is reported.
+func TestSetDaemonMovesLiveAccounting(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	jobs := NewChan[*Event](k, 0)
+	never := NewEvent(k)
+	var worker *Proc
+	worker = k.Spawn("worker", func(p *Proc) {
+		for {
+			p.SetDaemon(true)
+			ev := jobs.Recv(p)
+			ev.Wait(p)
+		}
+	})
+	k.Spawn("idle", func(p *Proc) { p.Sleep(time.Microsecond) })
+	if err := k.Run(); err != nil {
+		t.Fatalf("idle daemon worker reported: %v", err)
+	}
+	k.Spawn("poster", func(p *Proc) {
+		worker.SetDaemon(false)
+		jobs.TrySend(never)
+	})
+	err := k.Run()
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("err = %v, want deadlock", err)
+	}
+	if len(de.Blocked) != 1 || de.Blocked[0] != "worker(event)" {
+		t.Fatalf("blocked = %v, want [worker(event)]", de.Blocked)
+	}
+}

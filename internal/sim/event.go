@@ -3,7 +3,8 @@ package sim
 // Event is a one-shot broadcast signal in virtual time. Processes block on
 // Wait until some other activity calls Fire; waiting on an already-fired
 // event returns immediately. Events are the building block for process
-// completion (Proc.Done) and request/handle patterns in higher layers.
+// completion (Proc.Done) and request/handle patterns in higher layers. The
+// zero Event is unfired and ready to use, so a handle can embed one.
 type Event struct {
 	k       *Kernel
 	fired   bool

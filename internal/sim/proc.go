@@ -29,6 +29,26 @@ func (p *Proc) Name() string { return p.name }
 // Done returns an event fired when the process function returns.
 func (p *Proc) Done() *Event { return p.done }
 
+// SetDaemon moves p between daemon and live accounting (see
+// Kernel.SpawnDaemon). Resident worker pools use it so that a worker parked
+// between jobs, like any daemon, neither keeps the run going nor reads as
+// deadlocked, while a worker holding a job counts as live: if the job
+// blocks forever, Run reports the deadlock and names the worker. Unlike
+// the other Proc methods it may be called by any process of p's kernel —
+// typically the one handing p its next job. It is a no-op on a process that
+// has exited.
+func (p *Proc) SetDaemon(on bool) {
+	if p.daemon == on || p.dead {
+		return
+	}
+	p.daemon = on
+	if on {
+		p.k.alive--
+	} else {
+		p.k.alive++
+	}
+}
+
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 

@@ -31,7 +31,17 @@ scripts/doclinks.sh
 # internal/ccl/comp is the collective compiler: the plan search is pure,
 # but its lowered programs drive the executor's pipelined primitives, so
 # the IR/cost/search suite joins the race rotation wholesale (it is small).
-go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fault mpixccl/internal/fabric mpixccl/internal/core mpixccl/internal/ccl/comp
+# internal/mpi hands every nonblocking operation to per-rank pools of
+# resident progress processes, shared by all of a job's communicators.
+go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fault mpixccl/internal/fabric mpixccl/internal/core mpixccl/internal/ccl/comp mpixccl/internal/mpi
+# The progress-pool pins — orphaned-Isend deadlock, idle pool, no-spawn
+# waves and exact reuse times — at one and at several OS threads: the
+# kernel hands off between goroutines either way, and its verdicts and
+# modeled times must not depend on how many run at once.
+for procs in 1 4; do
+	GOMAXPROCS=$procs go test -count=1 -run 'TestDeadlockDetectedOnOrphanedIsend|TestIdleProgressProcsEndRunAndClose|TestMPISteadyStateSpawnsNoProcs|TestProgressReuseVirtualTime' mpixccl/internal/mpi
+	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting' mpixccl/internal/core mpixccl/internal/sim
+done
 # The experiments race leg covers the parallel runner, the chaos soak
 # (short rotation: collective, elastic, and partition schedules; shard
 # invariance pins the partition verdicts at 1 vs 4 shards), and the
@@ -62,6 +72,7 @@ go test -run '^$' -fuzz '^FuzzParseTable$' -fuzztime 5s mpixccl/internal/core
 go test -run '^$' -fuzz '^FuzzParseChromeTrace$' -fuzztime 5s mpixccl/internal/trace
 go test -run '^$' -fuzz '^FuzzParseAlgo$' -fuzztime 5s mpixccl/internal/ccl/msccl
 go test -run '^$' -fuzz '^FuzzParsePartition$' -fuzztime 5s mpixccl/cmd/ombrun
+go test -run '^$' -fuzz '^FuzzParseAt$' -fuzztime 5s mpixccl/cmd/xcclbench
 # Bench smoke: one fixed iteration proves the benchmark harness still
 # runs end to end (full baselines come from scripts/bench.sh).
 go test -run '^$' -bench '^BenchmarkFig1aAllreduceCrossover$' -benchtime 1x .
