@@ -59,8 +59,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (or 'all')")
 	scaleFlag := flag.String("scale", "quick",
 		"quick or full (paper-size node counts and sweeps); or ranks=N[,shards=M] to run the scaling sweep instead of exhibits")
-	shards := flag.Int("shards", 1,
-		"event-engine scheduler shards for exhibit worlds (output is byte-identical at any count)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	parallel := flag.Int("parallel", 0, "max experiments in flight (0 = one per CPU, 1 = serial)")
 	metricsFile := flag.String("metrics", "",
@@ -86,7 +84,6 @@ func main() {
 	experiments.SetHierarchical(*hier)
 	experiments.SetPersistent(*persistent)
 	experiments.SetCompile(*compile)
-	experiments.SetShards(*shards)
 
 	if *crash != "" {
 		rank, step, ok := parseAt(*crash)
@@ -113,17 +110,16 @@ func main() {
 		return
 	}
 	if *chaos != "" {
-		var seed uint64
-		runs := 0
-		if n, err := fmt.Sscanf(*chaos, "seed=%d,runs=%d", &seed, &runs); err != nil && n < 1 {
-			fmt.Fprintf(os.Stderr, "xcclbench: bad -chaos %q (want seed=N[,runs=M])\n", *chaos)
+		seed, runs, ok := parseSpec(*chaos, "seed", "runs")
+		if !ok {
+			fmt.Fprintf(os.Stderr, "xcclbench: bad -chaos %q (want seed=N[,runs=M], M >= 1)\n", *chaos)
 			os.Exit(2)
 		}
 		var reg *metrics.Registry
 		if *metricsFile != "" {
 			reg = metrics.NewRegistry()
 		}
-		out, err := experiments.RunChaos(seed, runs, reg)
+		out, err := experiments.RunChaos(uint64(seed), runs, reg)
 		fmt.Print(out)
 		if reg != nil {
 			if werr := writeMetrics(reg, *metricsFile); werr != nil {
@@ -138,7 +134,12 @@ func main() {
 		return
 	}
 	if strings.HasPrefix(*scaleFlag, "ranks=") {
-		if err := runScaleSweep(*scaleFlag); err != nil {
+		ranks, shards, ok := parseScale(*scaleFlag)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "xcclbench: bad -scale %q (want ranks=N[,shards=M], N and M >= 1)\n", *scaleFlag)
+			os.Exit(2)
+		}
+		if err := runScaleSweep(ranks, shards); err != nil {
 			fmt.Fprintf(os.Stderr, "xcclbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -226,16 +227,41 @@ func parseCount(s string) (int, bool) {
 	return n, err == nil && n >= 0 && strconv.Itoa(n) == s
 }
 
+// parseSpec parses the key=N[,key=M] run specs (-scale ranks=N[,shards=M],
+// -chaos seed=N[,runs=M]): the first key and its count, then optionally a
+// comma, the second key and a positive count, each count as parseCount
+// reads it, and nothing else. b is 0 when the second field is absent.
+func parseSpec(spec, key1, key2 string) (a, b int, ok bool) {
+	first, second, both := strings.Cut(spec, ",")
+	a, ok = parseField(first, key1)
+	if both {
+		var okB bool
+		b, okB = parseField(second, key2)
+		ok = ok && okB && b >= 1
+	}
+	return a, b, ok
+}
+
+// parseField parses one key=N field of a run spec.
+func parseField(field, key string) (int, bool) {
+	v, found := strings.CutPrefix(field, key+"=")
+	n, ok := parseCount(v)
+	return n, found && ok
+}
+
+// parseScale parses -scale ranks=N[,shards=M]: at least one rank, and a
+// shard sweep up to M (default 1).
+func parseScale(spec string) (ranks, shards int, ok bool) {
+	ranks, shards, ok = parseSpec(spec, "ranks", "shards")
+	return ranks, max(shards, 1), ok && ranks >= 1
+}
+
 // runScaleSweep handles -scale ranks=N[,shards=M]: the 4096-rank-class
 // hierarchical AllReduce scaling model, run once per shard count (powers of
 // two up to M, plus M itself) and printed as one wall/virt table. Virtual
 // times must be identical down the column; wall time is where shards pay
 // off on multi-core hosts.
-func runScaleSweep(spec string) error {
-	ranks, maxShards := 0, 1
-	if n, err := fmt.Sscanf(spec, "ranks=%d,shards=%d", &ranks, &maxShards); err != nil && n < 1 {
-		return fmt.Errorf("bad -scale %q (want ranks=N[,shards=M])", spec)
-	}
+func runScaleSweep(ranks, maxShards int) error {
 	var counts []int
 	for s := 1; s <= maxShards; s *= 2 {
 		counts = append(counts, s)

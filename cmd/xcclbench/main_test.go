@@ -65,3 +65,74 @@ func FuzzParseAt(f *testing.F) {
 		}
 	})
 }
+
+// TestParseSpec covers both key=N[,key=M] specs: -scale through
+// parseScale and -chaos through parseSpec with its keys.
+func TestParseSpec(t *testing.T) {
+	chaos := func(spec string) (int, int, bool) { return parseSpec(spec, "seed", "runs") }
+	cases := []struct {
+		parse func(string) (int, int, bool)
+		spec  string
+		a, b  int
+		ok    bool
+	}{
+		{parseScale, "ranks=64", 64, 1, true},
+		{parseScale, "ranks=4096,shards=2", 4096, 2, true},
+		{parseScale, "ranks=256,shards=1", 256, 1, true},
+		{parseScale, "ranks=0", 0, 0, false},
+		{parseScale, "ranks=0,shards=2", 0, 0, false},
+		{parseScale, "ranks=64,shards=0", 0, 0, false},
+		{parseScale, "ranks=64junk", 0, 0, false},
+		{parseScale, "ranks=64,shards=2junk", 0, 0, false},
+		{parseScale, "ranks=64,", 0, 0, false},
+		{parseScale, "ranks=64,shards=2,shards=4", 0, 0, false},
+		{parseScale, "shards=2,ranks=64", 0, 0, false},
+		{parseScale, "ranks=064", 0, 0, false},
+		{parseScale, "ranks=+64", 0, 0, false},
+		{parseScale, "ranks=-64", 0, 0, false},
+		{parseScale, "ranks= 64", 0, 0, false},
+		{parseScale, "ranks=", 0, 0, false},
+		{parseScale, "", 0, 0, false},
+		{chaos, "seed=7", 7, 0, true},
+		{chaos, "seed=0,runs=6", 0, 6, true},
+		{chaos, "seed=7xyz,runs=1", 0, 0, false},
+		{chaos, "seed=7,runs=1xyz", 0, 0, false},
+		{chaos, "seed=7,runs=0", 0, 0, false},
+		{chaos, "seed=7,runs=-1", 0, 0, false},
+		{chaos, "seed=7,shards=1", 0, 0, false},
+		{chaos, "ranks=7", 0, 0, false},
+		{chaos, "seed=99999999999999999999", 0, 0, false},
+	}
+	for _, tc := range cases {
+		a, b, ok := tc.parse(tc.spec)
+		if ok != tc.ok {
+			t.Errorf("%q: ok = %v, want %v", tc.spec, ok, tc.ok)
+			continue
+		}
+		if ok && (a != tc.a || b != tc.b) {
+			t.Errorf("%q = %d, %d, want %d, %d", tc.spec, a, b, tc.a, tc.b)
+		}
+	}
+}
+
+// FuzzParseScale: every spec parseScale accepts is a positive rank and
+// shard count that print back as the same spec (the shards field may be
+// omitted only when it is 1).
+func FuzzParseScale(f *testing.F) {
+	for _, s := range []string{"ranks=64", "ranks=4096,shards=2", "ranks=64,shards=0", "ranks=64junk", "ranks=0", "ranks=064,shards=2", "ranks=1,shards=1,shards=1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		ranks, shards, ok := parseScale(spec)
+		if !ok {
+			return
+		}
+		if ranks < 1 || shards < 1 {
+			t.Fatalf("parseScale(%q) accepted ranks=%d shards=%d", spec, ranks, shards)
+		}
+		again := fmt.Sprintf("ranks=%d,shards=%d", ranks, shards)
+		if again != spec && spec+",shards=1" != again {
+			t.Fatalf("parseScale(%q) = %d, %d, which prints as %q", spec, ranks, shards, again)
+		}
+	})
+}

@@ -118,7 +118,6 @@ func TrainElastic(cfg Config) (ElasticReport, error) {
 	if err != nil {
 		return ElasticReport{}, err
 	}
-	adoptShards(k, sys, cfg.Shards)
 	fab := fabric.New(k, sys)
 	if cfg.Faults != nil {
 		fab.SetFaults(cfg.Faults)

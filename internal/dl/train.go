@@ -57,11 +57,6 @@ type Config struct {
 	System string
 	// Nodes is the node count.
 	Nodes int
-	// Shards runs the event engine windowed across that many scheduler
-	// shards (0/1 = plain serial kernel). Training worlds share gradient
-	// state through Go memory, so they adopt the engine with the whole
-	// world on shard 0 — reports are byte-identical at any shard count.
-	Shards int
 	// Ranks is the worker count (0 = one per device).
 	Ranks int
 	// Model is the network (nil = ResNet50).
@@ -143,9 +138,6 @@ func (c *Config) fillDefaults() {
 	if c.Nodes == 0 {
 		c.Nodes = 1
 	}
-	if c.Shards == 0 {
-		c.Shards = defaultShards
-	}
 	if c.Model == nil {
 		c.Model = ResNet50()
 	}
@@ -200,29 +192,6 @@ type gradEngine interface {
 	dev() *device.Device
 }
 
-// defaultShards is the package-wide shard count applied when Config.Shards
-// is zero; the xcclbench -shards flag sets it via SetDefaultShards.
-var defaultShards = 1
-
-// SetDefaultShards sets the engine shard count used by configs that leave
-// Shards unset. Call before Train/TrainElastic.
-func SetDefaultShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultShards = n
-}
-
-// adoptShards moves an exhibit world onto a windowed sharded engine when
-// shards > 1: k becomes shard 0 and k.Run() delegates to the engine, so
-// downstream code is unchanged. Lookahead is the inter-node α, as for any
-// node-aligned partition of the topology.
-func adoptShards(k *sim.Kernel, sys *topology.System, shards int) {
-	if shards > 1 {
-		sim.Adopt(k, shards, sys.Inter.Alpha)
-	}
-}
-
 // Train runs the synchronous data-parallel training loop and reports
 // throughput in virtual time.
 func Train(cfg Config) (Report, error) {
@@ -233,7 +202,6 @@ func Train(cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	adoptShards(k, sys, cfg.Shards)
 	fab := fabric.New(k, sys)
 	nranks := cfg.Ranks
 	if nranks == 0 {

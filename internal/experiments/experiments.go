@@ -95,16 +95,6 @@ var persistEnabled bool
 // it before Run/RunAll (the xcclbench -persistent flag).
 func SetPersistent(on bool) { persistEnabled = on }
 
-// SetShards sets the event-engine shard count for every exhibit world
-// built by this package (the xcclbench -shards flag). Exhibit worlds adopt
-// the windowed engine with the whole world on shard 0, so regenerated
-// output is byte-identical at any shard count — the setting exists to
-// prove exactly that (scripts/check.sh compares goldens at 1 and 4).
-func SetShards(n int) {
-	omb.SetDefaultShards(n)
-	dl.SetDefaultShards(n)
-}
-
 // sweep returns the OMB size list for the scale.
 func sweep(scale Scale) (min, max int64) {
 	if scale == Full {

@@ -10,7 +10,6 @@ import (
 
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/core"
-	"mpixccl/internal/dl"
 	"mpixccl/internal/fabric"
 	"mpixccl/internal/fault"
 	"mpixccl/internal/mpi"
@@ -215,60 +214,17 @@ func TestScalePartitionDeterminism(t *testing.T) {
 	}
 }
 
-// TestPartitionVerdictsAcrossShards pins the membership layer's partition
-// verdicts — epoch, fence and shrink counters, adopted ranks, and the loss
-// trace — to be identical whether the exhibit world runs on 1 or 4 engine
-// shards.
-func TestPartitionVerdictsAcrossShards(t *testing.T) {
-	model := &dl.Model{Name: "shard-mlp"}
-	for i := 0; i < 8; i++ {
-		model.Tensors = append(model.Tensors, dl.Tensor{Name: "fc", Elems: 128 << 10})
-	}
-	run := func(shards int) dl.ElasticReport {
-		cfg := dl.Config{
-			System: "thetagpu", Nodes: 2, Ranks: 12, Model: model,
-			Steps: 6, CheckpointEvery: 2, Shards: shards,
-		}
-		cfg.Faults = fault.NewPlan(11).AddPartitionRule(fault.PartitionRule{
-			Name: "cut-node1", Nodes: []int{1},
-			From: 80 * time.Millisecond, Until: 150 * time.Millisecond,
-		})
-		rep, err := dl.TrainElastic(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	serial, sharded := run(1), run(4)
-	type verdict struct {
-		Partitions, FencedRanks, Epoch int
-		Shrinks, Grows                 int
-		StartRanks, FinalRanks         int
-		Adopted                        []int
-		Loss                           []float64
-	}
-	v := func(r dl.ElasticReport) verdict {
-		return verdict{r.Partitions, r.FencedRanks, r.Epoch, r.Shrinks, r.Grows,
-			r.StartRanks, r.FinalRanks, r.AdoptedRanks, r.Loss}
-	}
-	if got, want := v(sharded), v(serial); !reflect.DeepEqual(got, want) {
-		t.Errorf("shards=4 verdicts: %+v\nserial: %+v", got, want)
-	}
-	if serial.Partitions != 1 || serial.FencedRanks != 4 || serial.Epoch < 2 {
-		t.Errorf("expected one handled cut with a rejoin, got %+v", serial)
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Compiled-collective shard determinism.
+// Compiled-collective determinism.
 //
 // The tests above pin the SYNTHETIC leader-ring model; the ones below pin
 // the REAL dispatch: a compiler-planned Alltoall (core.Options.Compile)
 // driven through the full core runtime — fault pre-checks, watchdog
-// verdicts, quorum membership — at 1 vs 4 engine shards. Every field in a
-// verdict is virtual-time-deterministic (payload CRCs, failure strings,
-// membership stats, per-rank finish clocks), so reflect.DeepEqual must hold
-// exactly, extending the stripWall pattern to the compiled executor.
+// verdicts, quorum membership — run twice on the same schedule. Every
+// field in a verdict is virtual-time-deterministic (payload CRCs, failure
+// strings, membership stats, per-rank finish clocks), so reflect.DeepEqual
+// must hold exactly, extending the stripWall pattern to the compiled
+// executor.
 
 // rankFate is one rank's distilled outcome.
 type rankFate struct {
@@ -279,24 +235,21 @@ type rankFate struct {
 	End     time.Duration // the rank's virtual finish time
 }
 
-// compiledVerdict is everything a run must reproduce across shard counts.
+// compiledVerdict is everything a run must reproduce on a repeat.
 type compiledVerdict struct {
 	Ranks []rankFate
 	Stats core.Stats
 }
 
 // compiledWorld builds a two-node thetagpu world with the collective
-// compiler on, the fault plan armed, and the engine split across shards.
-func compiledWorld(t *testing.T, nranks, shards int, plan *fault.Plan) *core.Runtime {
+// compiler on and the fault plan armed.
+func compiledWorld(t *testing.T, nranks int, plan *fault.Plan) *core.Runtime {
 	t.Helper()
 	k := sim.NewKernel()
 	t.Cleanup(k.Close)
 	sys, err := topology.Preset(k, "thetagpu", 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if shards > 1 {
-		sim.Adopt(k, shards, sys.Inter.Alpha)
 	}
 	fab := fabric.New(k, sys)
 	fab.SetFaults(plan)
@@ -313,14 +266,14 @@ func compiledWorld(t *testing.T, nranks, shards int, plan *fault.Plan) *core.Run
 // runCompiledAlltoallCrash drives compiled Alltoall waves into a fail-stop
 // crash of rank 5, lets the watchdog convert the stuck wave into ErrRankDead
 // verdicts, shrinks, and runs one more compiled wave on the 15-rank group.
-func runCompiledAlltoallCrash(t *testing.T, shards int) compiledVerdict {
+func runCompiledAlltoallCrash(t *testing.T) compiledVerdict {
 	t.Helper()
 	const nranks, count = 16, 1024
 	blk := int64(count) * 4
 	plan := fault.NewPlan(42).AddRule(fault.Rule{
 		Name: "rank5-dies", Crash: true, Ranks: []int{5}, From: 60 * time.Microsecond,
 	})
-	rt := compiledWorld(t, nranks, shards, plan)
+	rt := compiledWorld(t, nranks, plan)
 	v := compiledVerdict{Ranks: make([]rankFate, nranks)}
 	if err := rt.Run(func(x *core.Comm) {
 		p := x.MPI().Proc()
@@ -381,7 +334,7 @@ func runCompiledAlltoallCrash(t *testing.T, shards int) compiledVerdict {
 // runCompiledAlltoallPartition drives a compiled Alltoall through the full
 // heal-and-rejoin arc: a pre-cut wave, a fast-failing wave inside a healing
 // node cut, quorum shrink + fence + rejoin, and a post-heal full-width wave.
-func runCompiledAlltoallPartition(t *testing.T, shards int) compiledVerdict {
+func runCompiledAlltoallPartition(t *testing.T) compiledVerdict {
 	t.Helper()
 	const nranks, count = 12, 256
 	blk := int64(count) * 4
@@ -389,7 +342,7 @@ func runCompiledAlltoallPartition(t *testing.T, shards int) compiledVerdict {
 	plan := fault.NewPlan(7).AddPartitionRule(fault.PartitionRule{
 		Name: "node1-cut-heals", Nodes: []int{1}, From: cut, Until: heal,
 	})
-	rt := compiledWorld(t, nranks, shards, plan)
+	rt := compiledWorld(t, nranks, plan)
 	v := compiledVerdict{Ranks: make([]rankFate, nranks)}
 	if err := rt.Run(func(x *core.Comm) {
 		p := x.MPI().Proc()
@@ -478,30 +431,30 @@ func runCompiledAlltoallPartition(t *testing.T, shards int) compiledVerdict {
 	return v
 }
 
-// TestCompiledAlltoallShardDeterminism is the cross-shard contract for the
-// collective compiler: the same crash and partition schedules must yield
-// byte-identical verdicts whether the engine runs serial or on 4 shards.
+// TestCompiledAlltoallShardDeterminism is the determinism contract for the
+// collective compiler under faults: the same crash and partition schedules
+// must yield byte-identical verdicts on every run.
 func TestCompiledAlltoallShardDeterminism(t *testing.T) {
 	t.Run("crash", func(t *testing.T) {
-		serial := runCompiledAlltoallCrash(t, 1)
-		sharded := runCompiledAlltoallCrash(t, 4)
-		if !reflect.DeepEqual(sharded, serial) {
-			t.Errorf("shards=4 verdicts diverged:\n%+v\nserial:\n%+v", sharded, serial)
+		first := runCompiledAlltoallCrash(t)
+		again := runCompiledAlltoallCrash(t)
+		if !reflect.DeepEqual(again, first) {
+			t.Errorf("repeat verdicts diverged:\n%+v\nfirst:\n%+v", again, first)
 		}
-		if st := serial.Stats; st.RankFailures != 1 || st.Shrinks != 1 {
+		if st := first.Stats; st.RankFailures != 1 || st.Shrinks != 1 {
 			t.Errorf("want one crash and one shrink, got %+v", st)
 		}
-		if st := serial.Stats; st.CCLOps == 0 || st.MPIOps != 0 {
+		if st := first.Stats; st.CCLOps == 0 || st.MPIOps != 0 {
 			t.Errorf("pure-CCL compiled run took the wrong path: %+v", st)
 		}
 	})
 	t.Run("partition-heal", func(t *testing.T) {
-		serial := runCompiledAlltoallPartition(t, 1)
-		sharded := runCompiledAlltoallPartition(t, 4)
-		if !reflect.DeepEqual(sharded, serial) {
-			t.Errorf("shards=4 verdicts diverged:\n%+v\nserial:\n%+v", sharded, serial)
+		first := runCompiledAlltoallPartition(t)
+		again := runCompiledAlltoallPartition(t)
+		if !reflect.DeepEqual(again, first) {
+			t.Errorf("repeat verdicts diverged:\n%+v\nfirst:\n%+v", again, first)
 		}
-		if st := serial.Stats; st.Partitions != 1 || st.FencedRanks != 4 ||
+		if st := first.Stats; st.Partitions != 1 || st.FencedRanks != 4 ||
 			st.Shrinks != 1 || st.Grows != 1 || st.Epoch != 2 {
 			t.Errorf("want one healed cut (shrink+grow, 4 fenced), got %+v", st)
 		}

@@ -64,13 +64,6 @@ type Config struct {
 	System string
 	// Nodes is the node count.
 	Nodes int
-	// Shards runs the event engine windowed across that many scheduler
-	// shards (0/1 = plain serial kernel). Exhibit worlds share rank state
-	// through Go memory, so they adopt the engine with the whole world on
-	// shard 0 and inert peers — results are byte-identical at any shard
-	// count; true parallel speedup comes from partitionable models
-	// (experiments.RunScale).
-	Shards int
 	// Ranks is the total rank count (0 = one per device).
 	Ranks int
 	// Stack is the software under test.
@@ -119,9 +112,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Nodes == 0 {
 		c.Nodes = 1
-	}
-	if c.Shards == 0 {
-		c.Shards = defaultShards
 	}
 	if c.MinBytes == 0 {
 		c.MinBytes = 4
@@ -172,31 +162,11 @@ type world struct {
 	fab *fabric.Fabric
 }
 
-// defaultShards is the package-wide shard count applied when Config.Shards
-// is zero; the xcclbench/ombrun -shards flag sets it via SetDefaultShards.
-var defaultShards = 1
-
-// SetDefaultShards sets the engine shard count used by configs that leave
-// Shards unset. Call before RunCollective/RunPt2Pt.
-func SetDefaultShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultShards = n
-}
-
 func buildWorld(cfg *Config) (*world, error) {
 	k := sim.NewKernel()
 	sys, err := topology.Preset(k, cfg.System, cfg.Nodes)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Shards > 1 {
-		// Adopt the world into a windowed engine: k becomes shard 0 and
-		// k.Run() delegates to the engine, so everything downstream is
-		// unchanged. Lookahead is the inter-node α, as for any node-aligned
-		// partition of this topology.
-		sim.Adopt(k, cfg.Shards, sys.Inter.Alpha)
 	}
 	fab := fabric.New(k, sys)
 	if cfg.Faults != nil {

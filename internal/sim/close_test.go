@@ -96,28 +96,12 @@ func TestShardedCloseUnwindsEveryShard(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Closing through any shard's kernel closes the engine.
-	s.Kernel(1).Close()
+	s.Close()
 	for i := 0; i < s.Shards(); i++ {
 		if k := s.Kernel(i); len(k.procs) != 0 {
 			t.Fatalf("shard %d keeps %d procs", i, len(k.procs))
 		}
 	}
-	if n := settleGoroutines(base); n > base {
-		t.Fatalf("%d goroutines left after Close, want %d", n, base)
-	}
-}
-
-func TestCloseAdoptedKernel(t *testing.T) {
-	base := runtime.NumGoroutine()
-	k := NewKernel()
-	ev := NewEvent(k)
-	k.SpawnDaemon("svc", func(p *Proc) { ev.Wait(p) })
-	Adopt(k, 2, time.Microsecond)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	k.Close()
 	if n := settleGoroutines(base); n > base {
 		t.Fatalf("%d goroutines left after Close, want %d", n, base)
 	}

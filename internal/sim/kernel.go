@@ -139,11 +139,9 @@ type Kernel struct {
 	bounded bool
 	horizon Time
 
-	// Shard identity: a kernel created by (or adopted into) a Sharded engine
-	// knows its shard index and owner so Run can delegate to the engine's
-	// window loop.
+	// shard is the kernel's index within the Sharded engine that created
+	// it (0 for a standalone kernel); Sharded.Send reads it.
 	shard int
-	owner *Sharded
 }
 
 // NewKernel returns a kernel with an empty event queue and the clock at zero.
@@ -289,14 +287,10 @@ type unwind struct{}
 // dropped. Without Close those
 // goroutines stay parked for the life of the program and pin everything
 // their world references. Processes unwind one at a time in pid order, so
-// teardown is as deterministic as the run. A kernel adopted into a Sharded
-// engine closes the whole engine. The kernel must not be used afterwards;
-// closing twice is a no-op.
+// teardown is as deterministic as the run. The kernel must not be used
+// afterwards; closing twice is a no-op. Close a Sharded engine's kernels
+// through Sharded.Close.
 func (k *Kernel) Close() {
-	if k.owner != nil {
-		k.owner.Close()
-		return
-	}
 	k.unwindAll()
 	k.queue = nil
 }
@@ -347,18 +341,7 @@ func (k *Kernel) reap(p *Proc) {
 
 // Run executes events until the queue drains or Stop is called. It returns a
 // *DeadlockError if processes remain blocked with no pending events.
-//
-// A kernel adopted into a Sharded engine delegates to the engine's window
-// loop, so existing call sites (omb, dl, mpi job runners) work unchanged
-// whether the world is serial or sharded.
 func (k *Kernel) Run() error {
-	if k.owner != nil {
-		return k.owner.Run()
-	}
-	return k.runSerial()
-}
-
-func (k *Kernel) runSerial() error {
 	if k.running {
 		return fmt.Errorf("sim: kernel already running")
 	}
@@ -397,10 +380,6 @@ func (k *Kernel) nextAt() (Time, bool) {
 	}
 	return k.queue[0].at, true
 }
-
-// Shard reports the kernel's shard index within its owning Sharded engine
-// (0 for a standalone kernel).
-func (k *Kernel) Shard() int { return k.shard }
 
 // RunFor executes events until virtual time advances past the given horizon,
 // then stops. Events at exactly now+d still run.

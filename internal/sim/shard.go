@@ -40,7 +40,7 @@ import (
 // Each shard is a full deterministic Kernel; all mutable model state must be
 // shard-local (touched only by processes of one shard) or handed off through
 // injections. Under that discipline the virtual-time trace is bit-identical
-// for any shard count, which the golden-trace and scale tests assert.
+// for any shard count, which the ring and scale tests assert.
 type Sharded struct {
 	shards    []*Kernel
 	lookahead Time
@@ -78,40 +78,8 @@ func NewSharded(n int, lookahead Time) *Sharded {
 	}
 	for i := 0; i < n; i++ {
 		k := NewKernel()
-		k.shard, k.owner = i, s
+		k.shard = i
 		s.shards = append(s.shards, k)
-	}
-	return s
-}
-
-// Adopt wraps an existing kernel as shard 0 of a new n-shard engine,
-// creating n-1 fresh peers. Worlds whose processes share Go state freely
-// (every exhibit world: cross-rank sim channels, shared schedules) cannot be
-// partitioned after the fact; adopting keeps them on one shard — the peers
-// stay inert and the engine degenerates to windowed serial execution with
-// identical virtual-time results — while kernel.Run call sites transparently
-// go through the window loop. Must be called before the kernel runs.
-func Adopt(k *Kernel, n int, lookahead Time) *Sharded {
-	if k.owner != nil {
-		panic("sim: kernel already belongs to a sharded engine")
-	}
-	if k.running {
-		panic("sim: cannot adopt a running kernel")
-	}
-	if n < 1 {
-		panic("sim: Adopt needs at least one shard")
-	}
-	s := &Sharded{
-		lookahead: lookahead,
-		outbox:    make([][]injection, n),
-		injSeq:    make([]uint64, n),
-	}
-	k.shard, k.owner = 0, s
-	s.shards = append(s.shards, k)
-	for i := 1; i < n; i++ {
-		p := NewKernel()
-		p.shard, p.owner = i, s
-		s.shards = append(s.shards, p)
 	}
 	return s
 }
@@ -267,8 +235,8 @@ func (s *Sharded) Run() error {
 			// Cannot happen: minNext found t < horizon on some shard.
 			panic("sim: window with no active shard")
 		case 1:
-			// Single busy shard (the adopted-world degeneration): run it on
-			// the coordinator goroutine, no hand-off.
+			// Single busy shard (no other has an event below the horizon):
+			// run it on the coordinator goroutine, no hand-off.
 			active[0].runWindow(horizon)
 		default:
 			var wg sync.WaitGroup

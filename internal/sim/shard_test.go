@@ -113,49 +113,6 @@ func TestShardedInjectLookaheadViolationPanics(t *testing.T) {
 	}
 }
 
-func TestAdoptedKernelRunsSerially(t *testing.T) {
-	// The same single-kernel program must produce identical virtual results
-	// standalone and adopted as shard 0 of a 4-shard engine (peers inert).
-	build := func(k *Kernel) *Time {
-		done := new(Time)
-		ch := NewChan[int](k, 1)
-		k.Spawn("producer", func(p *Proc) {
-			for i := 0; i < 100; i++ {
-				p.Sleep(700 * time.Nanosecond)
-				ch.Send(p, i)
-			}
-		})
-		k.Spawn("consumer", func(p *Proc) {
-			for i := 0; i < 100; i++ {
-				ch.Recv(p)
-				p.Sleep(300 * time.Nanosecond)
-			}
-			*done = p.Now()
-		})
-		return done
-	}
-
-	serial := NewKernel()
-	sDone := build(serial)
-	if err := serial.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	adopted := NewKernel()
-	eng := Adopt(adopted, 4, 2500*time.Nanosecond)
-	aDone := build(adopted)
-	if adopted.Shard() != 0 || eng.Shards() != 4 {
-		t.Fatalf("adopt wiring: shard=%d shards=%d", adopted.Shard(), eng.Shards())
-	}
-	// kernel.Run must transparently delegate to the engine's window loop.
-	if err := adopted.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if *aDone != *sDone || adopted.Now() != serial.Now() {
-		t.Fatalf("adopted virt %v/%v, serial %v/%v", *aDone, adopted.Now(), *sDone, serial.Now())
-	}
-}
-
 func TestShardedCrossShardDeadlock(t *testing.T) {
 	s := NewSharded(2, time.Microsecond)
 	ev := NewEvent(s.Kernel(1))
@@ -176,37 +133,31 @@ func TestShardedCrossShardDeadlock(t *testing.T) {
 }
 
 func TestShardedRunFor(t *testing.T) {
-	// RunFor on an adopted kernel must stop the window loop exactly where
-	// the serial kernel would stop.
-	run := func(adopt bool) (ticks int) {
-		k := NewKernel()
-		if adopt {
-			Adopt(k, 2, time.Microsecond)
-		}
+	// A stop scheduled on one shard must halt the window loop exactly where
+	// RunFor stops the serial kernel.
+	ticker := func(k *Kernel, ticks *int) {
 		k.SpawnDaemon("ticker", func(p *Proc) {
 			for {
 				p.Sleep(time.Millisecond)
-				ticks++
+				*ticks++
 			}
 		})
-		if err := k.RunFor(10 * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		return ticks
 	}
-	serial, sharded := run(false), run(true)
+	var serial, sharded int
+	k := NewKernel()
+	defer k.Close()
+	ticker(k, &serial)
+	if err := k.RunFor(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSharded(2, time.Microsecond)
+	defer s.Close()
+	ticker(s.Kernel(0), &sharded)
+	s.Inject(0, 0, 10*time.Millisecond, s.Kernel(0).Stop)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
 	if serial != sharded || serial == 0 {
 		t.Fatalf("ticks: serial %d, sharded %d", serial, sharded)
 	}
-}
-
-func TestAdoptRejectsDoubleAdoption(t *testing.T) {
-	k := NewKernel()
-	Adopt(k, 2, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("second Adopt did not panic")
-		}
-	}()
-	Adopt(k, 2, 0)
 }
