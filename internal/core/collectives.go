@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"time"
 
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/device"
@@ -20,48 +20,10 @@ import (
 // aggregation.
 func (x *Comm) run(op OpKind, bytes int64, d decision,
 	cclPath func(cc *ccl.Comm, s *device.Stream) error, mpiPath func()) {
-	// A fenced rank (minority side of a partition) no-ops before anything
-	// else: it lost the quorum vote and must Rejoin, not dispatch.
-	if _, bad := x.rt.fenced[x.mpi.WorldRank()]; bad {
-		if x.failure == nil {
-			x.failure = ErrFenced
-		}
-		return
-	}
-	// A failed handle no-ops: a dead rank must stop participating (its
-	// peers' watchdogs already wrote it off), and a revoked communicator
-	// accepts no new collectives until the survivors Shrink it.
-	if x.dead || x.rt.revoked[x.mpi.ContextID()] {
-		if x.failure == nil {
-			x.failure = ErrCommRevoked
-		}
-		return
-	}
-	// A stale-epoch handle no-ops: a Grow superseded this member set, and
-	// interleaving old-epoch collectives with the grown world would remix
-	// the two sides of a healed partition.
-	if x.rt.staleCtx[x.mpi.ContextID()] {
-		if x.failure == nil {
-			x.failure = ErrStaleEpoch
-		}
-		return
-	}
-	// Proactive fast-fail: a peer the heartbeat detector has confirmed
-	// dead would stall this collective until the watchdog fires; surface
-	// the same ErrRankDead verdict now instead of paying the timeout.
-	if err := x.suspectErr(op); err != nil {
-		x.noteRankFailure(op, err)
-		return
-	}
-	// Partition fast-fail: a member on the far side of an active cut makes
-	// the collective unrunnable; surface ErrUnreachable in bounded time so
-	// the caller escalates to the quorum Shrink instead of timing out.
-	if err := x.unreachableErr(op); err != nil {
-		x.notePartition(op, err)
+	if x.admit(op) != nil {
 		return
 	}
 	start := x.mpi.Proc().Now()
-	path := PathMPI
 	if d.useCCL && !x.rt.allowCCL(x, op) {
 		// Open breaker: demote to MPI without paying the CCL failure.
 		d.useCCL = false
@@ -69,44 +31,46 @@ func (x *Comm) run(op OpKind, bytes int64, d decision,
 		x.rt.stats.Fallbacks.Error++
 		x.rt.countFallback(op, "breaker_open")
 	}
+	var err error
 	if d.useCCL {
-		if err := x.runResilient(op, cclPath); err != nil {
-			if errors.Is(err, ccl.ErrRankDead) {
-				// Fail-stop verdict: retrying cannot succeed and the MPI
-				// fallback would block forever on the dead peer, so
-				// neither the retry loop nor the breaker reacts — the
-				// failure is surfaced for ULFM-style revoke/shrink.
-				x.noteRankFailure(op, err)
-				return
-			}
-			if errors.Is(err, ccl.ErrUnreachable) {
-				// A transfer crossed the cut mid-schedule (the partition
-				// opened after dispatch). Same policy as fail-stop: no
-				// retry, no MPI fallback — surface it for the quorum vote.
-				x.notePartition(op, err)
-				return
-			}
-			x.rt.breakerFailure(x, op)
-			x.rt.stats.Fallbacks.Error++
-			x.rt.stats.MPIOps++
-			x.rt.countFallback(op, "ccl_error")
-			mpiPath()
-		} else {
-			x.rt.breakerSuccess(x, op)
-			path = PathCCL
-			x.rt.stats.CCLOps++
-		}
-	} else {
-		x.rt.stats.MPIOps++
-		mpiPath()
+		err = x.runResilient(op, cclPath)
 	}
-	rec := trace.Record{
-		Op: string(op), Path: path.String(), Backend: string(x.rt.kind),
+	x.complete(op, bytes, start, d.useCCL, err, mpiPath)
+}
+
+// complete ends an admitted operation that started at start, given
+// whether it ran on the CCL path and that attempt's error. A fail-stop or
+// partition verdict (noteVerdict) is returned with no fallback and no
+// record — the rank abandoned the operation. Otherwise the breaker learns
+// the CCL outcome, the blocking MPI algorithm runs when the CCL path was
+// not taken or failed, and one trace record covers the operation.
+func (x *Comm) complete(op OpKind, bytes int64, start time.Duration, usedCCL bool, err error, mpiPath func()) error {
+	rt := x.rt
+	path := PathMPI
+	switch {
+	case !usedCCL:
+		rt.stats.MPIOps++
+		mpiPath()
+	case err != nil:
+		if x.noteVerdict(op, err) {
+			return err
+		}
+		rt.breakerFailure(x, op)
+		rt.stats.Fallbacks.Error++
+		rt.stats.MPIOps++
+		rt.countFallback(op, "ccl_error")
+		mpiPath()
+	default:
+		rt.breakerSuccess(x, op)
+		path = PathCCL
+		rt.stats.CCLOps++
+	}
+	rt.emit(trace.Record{
+		Op: string(op), Path: path.String(), Backend: string(rt.kind),
 		Rank: x.Rank(), Bytes: bytes,
 		Start: start, Duration: x.mpi.Proc().Now() - start,
-	}
-	x.rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(x.rt.opts.Metrics, rec)
+	})
+	return nil
 }
 
 // Allreduce combines sendBuf into recvBuf across all ranks with op.

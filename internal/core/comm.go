@@ -21,11 +21,15 @@ import (
 type Comm struct {
 	rt  *Runtime
 	mpi *mpi.Comm
-	// failure is the first fail-stop verdict this rank observed on the
-	// communicator (ErrRankDead from the watchdog or a crash probe,
-	// ErrCommRevoked after a revocation). Collectives on a failed handle
-	// are no-ops; the application inspects Failure and runs the ULFM-style
-	// recovery (Revoke, Shrink) or exits (Dead).
+	// failure is the first verdict this rank observed on the communicator
+	// (first verdict wins): an ErrRankDead-wrapping CCL error (its own
+	// crash, a peer's from the watchdog, or a heartbeat-confirmed peer), an
+	// ErrUnreachable-wrapping one (a peer across a partition cut),
+	// ErrCommRevoked (revoked context or dead handle), ErrStaleEpoch (a
+	// Grow superseded the context) or ErrFenced (this rank lost a quorum
+	// vote). Collectives on a failed handle are no-ops; the application
+	// inspects Failure and recovers (Revoke and Shrink, Grow, Rejoin) or
+	// exits (Dead).
 	failure error
 	// dead marks the handle of a rank that fail-stopped itself: its own
 	// CCL call failed fast with its own rank named. A dead rank must not
@@ -79,7 +83,7 @@ func backendConfig(kind BackendKind) (ccl.Config, error) {
 // wave rendezvouses again, so a transient comm-init fault heals.
 func (x *Comm) cclComm() (*ccl.Comm, error) {
 	rt := x.rt
-	key := fmt.Sprintf("%d/%s", x.mpi.ContextID(), rt.kind)
+	key := rt.cacheKey(x.mpi.ContextID())
 	if comms, ok := rt.cache[key]; ok {
 		return comms[x.Rank()], nil
 	}
@@ -275,23 +279,7 @@ func (x *Comm) runCCL(fn func(cc *ccl.Comm, s *device.Stream) error) error {
 	if err != nil {
 		return err
 	}
-	if wd := x.rt.watchdogTimeout(); wd != cc.Watchdog() {
-		cc.SetWatchdog(wd)
-	}
-	// React to an active link-degradation window: drive fewer fabric
-	// channels so concurrent flows keep a fair share of the shrunken
-	// pool. Cleared again once the window passes.
-	if !x.rt.policy.Disabled {
-		if lf, ok := x.mpi.Job().Fabric().DegradedNow(x.mpi.Proc().Now()); ok {
-			budget := lf.ChannelCap
-			if budget <= 0 {
-				budget = (cc.Config().Channels + 1) / 2
-			}
-			cc.SetChannelCap(budget)
-		} else if cc.ChannelCap() != 0 {
-			cc.SetChannelCap(0)
-		}
-	}
+	x.syncEnv(cc)
 	s := x.rt.stream(x.mpi.WorldRank(), x.Device())
 	if err := fn(cc, s); err != nil {
 		cc.GroupAbort()
@@ -305,3 +293,29 @@ func (x *Comm) runCCL(fn func(cc *ccl.Comm, s *device.Stream) error) error {
 	}
 	return nil
 }
+
+// syncEnv brings cc up to date with the environment before each operation
+// (one-shot call or persistent wave): the watchdog deadline may have been
+// re-armed, and a fabric link-degradation window may have opened or closed
+// since its last one. While a window is active cc drives fewer fabric
+// channels, so concurrent flows keep a fair share of the shrunken pool.
+func (x *Comm) syncEnv(cc *ccl.Comm) {
+	if wd := x.rt.watchdogTimeout(); wd != cc.Watchdog() {
+		cc.SetWatchdog(wd)
+	}
+	if x.rt.policy.Disabled {
+		return
+	}
+	if lf, ok := x.mpi.Job().Fabric().DegradedNow(x.mpi.Proc().Now()); ok {
+		budget := lf.ChannelCap
+		if budget <= 0 {
+			budget = (cc.Config().Channels + 1) / 2
+		}
+		cc.SetChannelCap(budget)
+	} else if cc.ChannelCap() != 0 {
+		cc.SetChannelCap(0)
+	}
+}
+
+// cacheKey names a context's entry in Runtime.cache.
+func (rt *Runtime) cacheKey(ctx int) string { return fmt.Sprintf("%d/%s", ctx, rt.kind) }

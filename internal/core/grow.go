@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/sim"
-	"mpixccl/internal/trace"
 )
 
 // Spare-rank regrowth: the inverse of the ULFM-style Shrink. A job is
@@ -33,18 +31,6 @@ type spareSlot struct {
 	join      *sim.Event
 	members   []int // agreed member world ranks, set on adoption
 	released  bool  // the job drained without adopting this spare
-}
-
-// growState coordinates one Grow across the survivors of a shrunk
-// communicator, mirroring shrinkState: the first arrival fixes the adopted
-// set, votes flow to the coordinator, and the last arrival invites the
-// spares and broadcasts the decision.
-type growState struct {
-	members []int // agreed member world ranks, ascending
-	adopted []int // spare world ranks being adopted, ascending
-	arrived int
-	ready   *sim.Event
-	err     error
 }
 
 // WaitAsSpare parks this rank in the runtime's spare pool until a Grow
@@ -100,76 +86,49 @@ func (x *Comm) Grow(need int) (*Comm, []int, error) {
 	if world == nil {
 		return nil, nil, fmt.Errorf("xccl: Grow requires ranks launched through Runtime.Run")
 	}
-	ctx := x.mpi.ContextID()
-	gs, ok := rt.grows[ctx]
-	if !ok {
-		// First arrival fixes the adopted set and the member list; later
-		// pool changes would be a different epoch.
-		gs = &growState{ready: sim.NewEvent(p.Kernel())}
+	fab := x.mpi.Job().Fabric()
+	a, retired := x.agree(func() *agreement {
+		// Every member votes to local rank 0, and the broadcast skips it.
+		a := &agreement{op: "grow", status: ctxSuperseded, skipCoord: true}
+		for r := 0; r < x.Size(); r++ {
+			a.voters = append(a.voters, r)
+			a.members = append(a.members, x.mpi.WorldRankOf(r))
+		}
 		avail := rt.availableSpares()
 		if len(avail) == 0 {
-			gs.err = ErrNoSpares
-		} else {
-			if need > len(avail) {
-				need = len(avail)
-			}
-			gs.adopted = avail[:need]
-			members := make([]int, 0, x.Size()+need)
-			for r := 0; r < x.Size(); r++ {
-				members = append(members, x.mpi.WorldRankOf(r))
-			}
-			members = append(members, gs.adopted...)
-			sort.Ints(members)
-			gs.members = members
+			a.err = ErrNoSpares
+			return a
 		}
-		rt.grows[ctx] = gs
-	}
-	const coord = 0
-	fab := x.mpi.Job().Fabric()
-	if x.Rank() != coord {
-		// Vote: one control message to the coordinator.
-		_, _ = fab.TryControlMsg(p, x.Device(), x.mpi.RankDevice(coord))
-	}
-	gs.arrived++
-	if gs.arrived < x.Size() {
-		gs.ready.Wait(p)
-	} else {
-		// Last arrival closes the agreement: invite each adopted spare,
-		// broadcast the decision to the other survivors, and publish.
-		if gs.err == nil {
-			for _, spare := range gs.adopted {
-				slot := rt.sparePool[spare]
-				if dev := rt.worldMPI[spare]; dev != nil {
-					_, _ = fab.TryControlMsg(p, x.mpi.RankDevice(coord), dev.Device())
-				}
-				slot.members = gs.members
-				delete(rt.sparePool, spare)
-				// A rejoining fenced rank unfences itself before parking;
-				// clearing here too keeps the invariant (no fenced member
-				// in a live communicator) independent of the join path.
-				rt.unfence(spare)
-				slot.join.Fire()
+		a.adopted = avail[:min(need, len(avail))]
+		a.members = append(a.members, a.adopted...)
+		sort.Ints(a.members)
+		return a
+	}, func(a *agreement) {
+		// Close step: invite each adopted spare before the broadcast.
+		for _, spare := range a.adopted {
+			slot := rt.sparePool[spare]
+			if dev := rt.worldMPI[spare]; dev != nil {
+				_, _ = fab.TryControlMsg(p, x.mpi.RankDevice(0), dev.Device())
 			}
-			for r := 0; r < x.Size(); r++ {
-				if r == coord {
-					continue
-				}
-				_, _ = fab.TryControlMsg(p, x.mpi.RankDevice(coord), x.mpi.RankDevice(r))
-			}
-			// The grown member set supersedes this context: collectives
-			// still dispatched on the old handle would run at the shrunk
-			// width against peers that moved on, so they are rejected with
-			// ErrStaleEpoch (stale-epoch fencing of failure model v3).
-			rt.staleCtx[ctx] = true
-			rt.noteGrow(len(gs.members), p.Now())
+			slot.members = a.members
+			delete(rt.sparePool, spare)
+			// A rejoining fenced rank unfences itself before parking;
+			// clearing here too keeps the invariant (no fenced member in a
+			// live communicator) independent of the join path.
+			rt.unfence(spare)
+			slot.join.Fire()
 		}
-		delete(rt.grows, ctx)
-		gs.ready.Fire()
+	})
+	if a.err != nil {
+		return nil, nil, a.err
 	}
-	if gs.err != nil {
-		return nil, nil, gs.err
+	if retired {
+		rt.stats.Grows++
+		rt.opts.Metrics.Counter("xccl_grow_total",
+			"Completed spare-rank communicator grows.",
+			metrics.Labels{"backend": string(rt.kind)}).Inc()
 	}
-	return rt.Wrap(world.Subset(gs.members)), gs.adopted, nil
+	return rt.Wrap(world.Subset(a.members)), a.adopted, nil
 }
 
 // availableSpares lists the parked, unadopted spare world ranks ascending.
@@ -191,20 +150,4 @@ func (rt *Runtime) releaseSpares() {
 		delete(rt.sparePool, wr)
 		slot.join.Fire()
 	}
-}
-
-// noteGrow publishes one completed grow (recorded once, by the rank that
-// closed the agreement; rank -1: the event belongs to the runtime).
-func (rt *Runtime) noteGrow(to int, now time.Duration) {
-	rt.stats.Grows++
-	rt.bumpEpoch()
-	rt.opts.Metrics.Counter("xccl_grow_total",
-		"Completed spare-rank communicator grows.",
-		metrics.Labels{"backend": string(rt.kind)}).Inc()
-	rec := trace.Record{
-		Op: "grow", Backend: string(rt.kind), Rank: -1,
-		Event: "comm_grow", Start: now, Bytes: int64(to),
-	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
 }

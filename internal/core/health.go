@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mpixccl/internal/ccl"
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/mpi"
 	"mpixccl/internal/sim"
@@ -22,7 +21,7 @@ import (
 // while a fail-stopped rank's silence crosses the threshold within a
 // couple of intervals. A crossing is confirmed against the fail-stop
 // oracle before it becomes a verdict: confirmed suspicions feed the same
-// ErrRankDead path as the collective watchdog (see Comm.suspectErr), and
+// ErrRankDead path as the collective watchdog (see Comm.admit), and
 // unconfirmed ones retract by widening the peer's model — the detector
 // never kills a rank that is merely slow.
 type healthMonitor struct {
@@ -197,35 +196,8 @@ func (hm *healthMonitor) noteSuspicion(peer, witness int, now time.Duration, out
 	case "partitioned":
 		event = "rank_partitioned"
 	}
-	rec := trace.Record{
+	rt.emit(trace.Record{
 		Op: "heartbeat", Backend: string(rt.kind), Rank: witness,
 		Event: event, Start: now, Bytes: int64(peer),
-	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
-}
-
-// suspectErr fast-fails a dispatch when the heartbeat detector has
-// confirmed a member of this communicator dead: the caller gets the same
-// ErrRankDead verdict the watchdog would produce, minus the watchdog's
-// full timeout wait. Nil when the detector is off or every member is
-// healthy.
-func (x *Comm) suspectErr(op OpKind) error {
-	hm := x.rt.health
-	if hm == nil || len(hm.suspected) == 0 {
-		return nil
-	}
-	self := x.mpi.WorldRank()
-	for r := 0; r < x.Size(); r++ {
-		wr := x.mpi.WorldRankOf(r)
-		if wr == self {
-			continue
-		}
-		if t, ok := hm.suspected[wr]; ok {
-			return &ccl.Error{Backend: string(x.rt.kind), Result: ccl.ErrRankDead,
-				Op: string(op), Rank: wr,
-				Msg: fmt.Sprintf("heartbeat detector suspected rank %d dead at %v", wr, t)}
-		}
-	}
-	return nil
+	})
 }

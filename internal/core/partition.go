@@ -2,10 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
-	"mpixccl/internal/ccl"
 	"mpixccl/internal/fabric"
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/mpi"
@@ -112,12 +110,10 @@ func (rt *Runtime) fence(x *Comm, now time.Duration) {
 	rt.opts.Metrics.Counter("xccl_fenced_ranks_total",
 		"Ranks that fenced themselves on the minority side of a network partition.",
 		metrics.Labels{"backend": string(rt.kind)}).Inc()
-	rec := trace.Record{
+	rt.emit(trace.Record{
 		Op: "partition", Backend: string(rt.kind), Rank: x.Rank(),
 		Event: "rank_fenced", Start: now, Bytes: int64(wr),
-	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
+	})
 }
 
 // unfence clears a rank's fence (it is rejoining through the spare pool).
@@ -136,52 +132,6 @@ func (rt *Runtime) severedPair(c *mpi.Comm, a, b int, now time.Duration) bool {
 		return true
 	}
 	return pt.RanksSevered(c.WorldRankOf(a), c.WorldRankOf(b), now)
-}
-
-// unreachableErr fast-fails a dispatch when a member of this communicator
-// is on the far side of an active cut: the collective could only end in a
-// watchdog timeout (or a mid-schedule abort), so surface the ErrUnreachable
-// verdict now — the partition analogue of the heartbeat fast-fail.
-func (x *Comm) unreachableErr(op OpKind) error {
-	pt := x.rt.partitioner()
-	if pt == nil {
-		return nil
-	}
-	now := x.mpi.Proc().Now()
-	if !pt.PartitionedNow(now) {
-		return nil
-	}
-	self := x.Rank()
-	for r := 0; r < x.Size(); r++ {
-		if r == self {
-			continue
-		}
-		if x.rt.severedPair(x.mpi, self, r, now) {
-			wr := x.mpi.WorldRankOf(r)
-			return &ccl.Error{Backend: string(x.rt.kind), Result: ccl.ErrUnreachable,
-				Op: string(op), Rank: wr,
-				Msg: fmt.Sprintf("rank %d unreachable across a network partition", wr)}
-		}
-	}
-	return nil
-}
-
-// notePartition records an unreachable-peer verdict on this rank's handle
-// (first verdict wins, like noteRankFailure). The severed peer is alive, so
-// no failure counter moves here — partition episodes are counted once, by
-// the quorum Shrink that excludes the unreachable ranks.
-func (x *Comm) notePartition(op OpKind, err error) {
-	if x.failure != nil {
-		return
-	}
-	x.failure = err
-	rt := x.rt
-	rec := trace.Record{
-		Op: string(op), Backend: string(rt.kind), Rank: x.Rank(),
-		Event: "rank_unreachable", Start: x.mpi.Proc().Now(),
-	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
 }
 
 // Rejoin re-enters the job after this rank fenced itself: it waits out the

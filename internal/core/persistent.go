@@ -2,16 +2,17 @@ package core
 
 // Persistent collectives at the dispatch layer: the MPI-4
 // MPI_Allreduce_init analogue over the xCCL abstraction. AllReduceInit
-// pays the whole per-call dispatch pipeline exactly once — dead/revoked
+// pays the whole per-call dispatch pipeline exactly once — the admission
 // check, the §3.1–§3.4 decision (device identify, datatype/op mapping,
 // hybrid tuning-table lookup), the circuit-breaker consult, CCL
 // communicator rendezvous, algorithm forcing, and the CCL layer's own
 // plan/scratch/helper setup — and returns a handle whose steady-state
 // Start/Wait run the pre-built schedule with zero heap allocations.
 //
-// Per-wave semantics mirror run() in collectives.go: a fail-stop verdict
-// (ccl.ErrRankDead) is surfaced through Failure() for ULFM-style
-// revoke/shrink and permanently breaks the handle; any other CCL failure
+// Per-wave semantics are run()'s in collectives.go — Start admits the wave
+// and Wait ends it through the same completion tail: a fail-stop or
+// partition verdict is surfaced through Failure() for recovery and
+// permanently breaks the handle; any other CCL failure
 // feeds the circuit breaker and falls the wave back to the blocking MPI
 // path. The breaker is consulted at Init, not per Start — a per-wave
 // consult would desynchronize the breaker's wave bookkeeping with the
@@ -22,10 +23,8 @@ import (
 	"time"
 
 	"mpixccl/internal/ccl"
-	"mpixccl/internal/mpi"
-
 	"mpixccl/internal/device"
-	"mpixccl/internal/trace"
+	"mpixccl/internal/mpi"
 )
 
 // ErrOpFreed reports a Start or Wait on a handle already released by Free.
@@ -75,7 +74,9 @@ type PersistentOp struct {
 // (like collectives themselves). Handles whose decision chose the MPI
 // path (pure-MPI mode, unsupported datatype/op, host buffers, tuning
 // table, open breaker) are still valid: their waves run the blocking MPI
-// algorithm in Wait.
+// algorithm in Wait. Init on a handle the admission check rejects returns
+// that verdict (also recorded in Failure) and no handle, exactly as a
+// one-shot collective would fail.
 func (x *Comm) AllReduceInit(send, recv *device.Buffer, count int, dt mpi.Datatype, op mpi.Op) (*PersistentOp, error) {
 	return x.AllReduceInitPartitioned(send, recv, count, dt, op, 1)
 }
@@ -87,7 +88,7 @@ func (x *Comm) AllReduceInit(send, recv *device.Buffer, count int, dt mpi.Dataty
 // behaves like AllReduceInit. MPI-path handles ignore partitioning (the
 // blocking MPI algorithm needs the whole payload).
 func (x *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt mpi.Datatype, op mpi.Op, parts int) (*PersistentOp, error) {
-	if err := x.persistAlive(); err != nil {
+	if err := x.admit(OpAllreduce); err != nil {
 		return nil, err
 	}
 	bytes := int64(count) * int64(dt.Size())
@@ -106,7 +107,7 @@ func (x *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 // in place, rooted at root. Same Init-once contract as AllReduceInit;
 // broadcast handles are not partitionable.
 func (x *Comm) BcastInit(buf *device.Buffer, count int, dt mpi.Datatype, root int) (*PersistentOp, error) {
-	if err := x.persistAlive(); err != nil {
+	if err := x.admit(OpBcast); err != nil {
 		return nil, err
 	}
 	bytes := int64(count) * int64(dt.Size())
@@ -124,7 +125,7 @@ func (x *Comm) BcastInit(buf *device.Buffer, count int, dt mpi.Datatype, root in
 // AllgatherInit builds a persistent allgather handle (MPI_Allgather_init):
 // each wave concatenates every rank's send buffer into recv (size count×n).
 func (x *Comm) AllgatherInit(send *device.Buffer, count int, dt mpi.Datatype, recv *device.Buffer) (*PersistentOp, error) {
-	if err := x.persistAlive(); err != nil {
+	if err := x.admit(OpAllgather); err != nil {
 		return nil, err
 	}
 	bytes := int64(count) * int64(dt.Size())
@@ -139,21 +140,9 @@ func (x *Comm) AllgatherInit(send *device.Buffer, count int, dt mpi.Datatype, re
 	})
 }
 
-// persistAlive rejects Init on a dead or revoked communicator, before the
-// dispatch decision runs (and records its tuning-lookup metrics).
-func (x *Comm) persistAlive() error {
-	if x.dead || x.rt.revoked[x.mpi.ContextID()] {
-		if x.failure == nil {
-			x.failure = ErrCommRevoked
-		}
-		return x.failure
-	}
-	return nil
-}
-
 // persistInit finishes handle construction for any persistent collective:
-// liveness check, breaker consult, CCL communicator rendezvous, algorithm
-// forcing, and the CCL layer's schedule build.
+// breaker consult, CCL communicator rendezvous, algorithm forcing, and the
+// CCL layer's schedule build.
 func (x *Comm) persistInit(po *PersistentOp, d decision,
 	ccInit func(cc *ccl.Comm, s *device.Stream) (*ccl.PersistentColl, error)) (*PersistentOp, error) {
 	if d.useCCL && !x.rt.allowCCL(x, po.kind) {
@@ -196,41 +185,14 @@ func (x *Comm) persistInit(po *PersistentOp, d decision,
 // one-shot call: a fail-stopped rank's Start fails fast and records the
 // verdict on the handle's communicator. Any other injected failure
 // demotes just this wave to the MPI path (executed in Wait) with breaker
-// feedback. Start on a revoked communicator no-ops with ErrCommRevoked;
-// Start on a freed handle no-ops with ErrOpFreed.
+// feedback. Start on a handle the admission check rejects no-ops with
+// that verdict; Start on a freed handle no-ops with ErrOpFreed.
 func (po *PersistentOp) Start() error {
 	x := po.x
 	if po.freed {
 		return ErrOpFreed
 	}
-	if _, bad := x.rt.fenced[x.mpi.WorldRank()]; bad {
-		if x.failure == nil {
-			x.failure = ErrFenced
-		}
-		return x.failure
-	}
-	if x.dead || x.rt.revoked[x.mpi.ContextID()] {
-		if x.failure == nil {
-			x.failure = ErrCommRevoked
-		}
-		return x.failure
-	}
-	if x.rt.staleCtx[x.mpi.ContextID()] {
-		if x.failure == nil {
-			x.failure = ErrStaleEpoch
-		}
-		return x.failure
-	}
-	// Heartbeat fast-fail, mirroring run(): a confirmed-dead peer cannot
-	// join this wave, so surface the verdict before launching.
-	if err := x.suspectErr(po.kind); err != nil {
-		x.noteRankFailure(po.kind, err)
-		return err
-	}
-	// Partition fast-fail, mirroring run(): a severed peer cannot join
-	// this wave either.
-	if err := x.unreachableErr(po.kind); err != nil {
-		x.notePartition(po.kind, err)
+	if err := x.admit(po.kind); err != nil {
 		return err
 	}
 	po.start = x.mpi.Proc().Now()
@@ -239,31 +201,9 @@ func (po *PersistentOp) Start() error {
 	if po.pc == nil {
 		return nil
 	}
-	// Per-wave environment sync, as runCCL does per one-shot call: the
-	// watchdog deadline may have been re-armed and a fabric degradation
-	// window may have opened or closed since the last wave.
-	if wd := x.rt.watchdogTimeout(); wd != po.cc.Watchdog() {
-		po.cc.SetWatchdog(wd)
-	}
-	if !x.rt.policy.Disabled {
-		if lf, ok := x.mpi.Job().Fabric().DegradedNow(x.mpi.Proc().Now()); ok {
-			budget := lf.ChannelCap
-			if budget <= 0 {
-				budget = (po.cc.Config().Channels + 1) / 2
-			}
-			po.cc.SetChannelCap(budget)
-		} else if po.cc.ChannelCap() != 0 {
-			po.cc.SetChannelCap(0)
-		}
-	}
+	x.syncEnv(po.cc)
 	if err := po.pc.Start(); err != nil {
-		if errors.Is(err, ccl.ErrRankDead) {
-			x.noteRankFailure(po.kind, err)
-			po.inflight = false
-			return err
-		}
-		if errors.Is(err, ccl.ErrUnreachable) {
-			x.notePartition(po.kind, err)
+		if x.noteVerdict(po.kind, err) {
 			po.inflight = false
 			return err
 		}
@@ -294,11 +234,11 @@ func (po *PersistentOp) PreadyAll() {
 }
 
 // Wait blocks until the launched wave completes, with run()'s full error
-// handling: a fail-stop verdict surfaces through Failure() and returns
-// without a trace record (the rank abandoned the operation); any other
-// CCL failure feeds the breaker and re-executes the wave on the blocking
-// MPI path; success credits the breaker. Every completed wave emits the
-// same trace record and metric aggregates as a one-shot call.
+// handling: a fail-stop or partition verdict surfaces through Failure()
+// and returns without a trace record (the rank abandoned the operation);
+// any other CCL failure feeds the breaker and re-executes the wave on the
+// blocking MPI path; success credits the breaker. Every completed wave
+// emits the same trace record and metric aggregates as a one-shot call.
 func (po *PersistentOp) Wait() error {
 	x := po.x
 	if po.freed {
@@ -308,45 +248,12 @@ func (po *PersistentOp) Wait() error {
 		return x.failure
 	}
 	po.inflight = false
-	path := PathMPI
-	if po.pc != nil && !po.demoted {
-		err := po.pc.Wait(x.mpi.Proc())
-		if err != nil {
-			if errors.Is(err, ccl.ErrRankDead) {
-				// Fail-stop: retrying cannot succeed and the MPI fallback
-				// would block forever on the dead peer. The handle is
-				// permanently broken; rebuild it after Shrink.
-				x.noteRankFailure(po.kind, err)
-				return err
-			}
-			if errors.Is(err, ccl.ErrUnreachable) {
-				// Severed by a partition: same reasoning — the MPI fallback
-				// crosses the same cut. Rebuild after the quorum shrink.
-				x.notePartition(po.kind, err)
-				return err
-			}
-			x.rt.breakerFailure(x, po.kind)
-			x.rt.stats.Fallbacks.Error++
-			x.rt.stats.MPIOps++
-			x.rt.countFallback(po.kind, "ccl_error")
-			po.fb()
-		} else {
-			x.rt.breakerSuccess(x, po.kind)
-			path = PathCCL
-			x.rt.stats.CCLOps++
-		}
-	} else {
-		x.rt.stats.MPIOps++
-		po.fb()
+	usedCCL := po.pc != nil && !po.demoted
+	var err error
+	if usedCCL {
+		err = po.pc.Wait(x.mpi.Proc())
 	}
-	rec := trace.Record{
-		Op: string(po.kind), Path: path.String(), Backend: string(x.rt.kind),
-		Rank: x.Rank(), Bytes: po.bytes,
-		Start: po.start, Duration: x.mpi.Proc().Now() - po.start,
-	}
-	x.rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(x.rt.opts.Metrics, rec)
-	return nil
+	return x.complete(po.kind, po.bytes, po.start, usedCCL, err, po.fb)
 }
 
 // Do runs one complete wave: Start, every partition ready, Wait. With

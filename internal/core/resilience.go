@@ -237,12 +237,10 @@ func (rt *Runtime) noteBreaker(op OpKind, to breakerState, now time.Duration) {
 	rt.opts.Metrics.Counter("xccl_breaker_transitions_total",
 		"Circuit-breaker state transitions by backend, operation, and target state.",
 		metrics.Labels{"backend": string(rt.kind), "op": string(op), "to": to.String()}).Inc()
-	rec := trace.Record{
+	rt.emit(trace.Record{
 		Op: string(op), Backend: string(rt.kind), Rank: -1,
 		Event: "breaker_" + to.String(), Start: now,
-	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
+	})
 }
 
 // countRetry publishes one transient-failure reissue.
@@ -256,12 +254,10 @@ func (rt *Runtime) countRetry(x *Comm, op OpKind, err error) {
 	rt.opts.Metrics.Counter("xccl_retries_total",
 		"CCL-path reissues of transient failures by operation, backend, and result code.",
 		metrics.Labels{"op": string(op), "backend": string(rt.kind), "result": result}).Inc()
-	rec := trace.Record{
+	rt.emit(trace.Record{
 		Op: string(op), Backend: string(rt.kind), Rank: x.Rank(),
 		Event: "retry", Start: x.mpi.Proc().Now(),
-	}
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
+	})
 }
 
 // runResilient executes the CCL path under the retry policy: a transient

@@ -218,11 +218,9 @@ type Runtime struct {
 	waves    map[waveKey]*waveVerdict // in-flight wave-consistent verdicts
 	waveIdx  map[rankKey]int          // per-rank collective call indices
 
-	revoked  map[int]bool          // revoked communicator context ids (ULFM)
-	shrinks  map[int]*shrinkState  // in-flight Shrink rendezvous by context id
-	grows    map[int]*growState    // in-flight Grow rendezvous by context id
-	fenced   map[int]time.Duration // fenced world ranks -> fence time (partition minority)
-	staleCtx map[int]bool          // context ids superseded by a Grow (stale epoch)
+	status     map[int]ctxStatus     // context id -> membership status (absent: open)
+	agreements map[int]*agreement    // in-flight Shrink or Grow agreement by context id
+	fenced     map[int]time.Duration // fenced world ranks -> fence time (partition minority)
 
 	health    *healthMonitor     // heartbeat failure detector (nil when off)
 	worldMPI  map[int]*mpi.Comm  // world rank -> its world communicator handle
@@ -255,21 +253,19 @@ type commInit struct {
 // Table the built-in table for (system, backend) is used.
 func NewRuntime(job *mpi.Job, opts Options) (*Runtime, error) {
 	rt := &Runtime{
-		job:       job,
-		opts:      opts,
-		streams:   make(map[int]*device.Stream),
-		cache:     make(map[string][]*ccl.Comm),
-		pending:   make(map[string]*commInit),
-		breakers:  make(map[breakerKey]*breaker),
-		waves:     make(map[waveKey]*waveVerdict),
-		waveIdx:   make(map[rankKey]int),
-		revoked:   make(map[int]bool),
-		shrinks:   make(map[int]*shrinkState),
-		grows:     make(map[int]*growState),
-		fenced:    make(map[int]time.Duration),
-		staleCtx:  make(map[int]bool),
-		worldMPI:  make(map[int]*mpi.Comm),
-		sparePool: make(map[int]*spareSlot),
+		job:        job,
+		opts:       opts,
+		streams:    make(map[int]*device.Stream),
+		cache:      make(map[string][]*ccl.Comm),
+		pending:    make(map[string]*commInit),
+		breakers:   make(map[breakerKey]*breaker),
+		waves:      make(map[waveKey]*waveVerdict),
+		waveIdx:    make(map[rankKey]int),
+		status:     make(map[int]ctxStatus),
+		agreements: make(map[int]*agreement),
+		fenced:     make(map[int]time.Duration),
+		worldMPI:   make(map[int]*mpi.Comm),
+		sparePool:  make(map[int]*spareSlot),
 	}
 	rt.policy = opts.Resilience
 	if rt.policy == nil {
@@ -314,6 +310,12 @@ func (rt *Runtime) Resilience() *Resilience { return rt.policy }
 
 // Metrics returns the runtime's registry (nil when none was wired).
 func (rt *Runtime) Metrics() *metrics.Registry { return rt.opts.Metrics }
+
+// emit publishes one record to the trace recorder and the metrics registry.
+func (rt *Runtime) emit(rec trace.Record) {
+	rt.opts.Trace.Add(rec)
+	trace.RecordMetrics(rt.opts.Metrics, rec)
+}
 
 // countFallback bumps the per-cause MPI-fallback counter.
 func (rt *Runtime) countFallback(op OpKind, cause string) {
