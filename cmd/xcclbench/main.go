@@ -75,33 +75,27 @@ func main() {
 		"run the xCCL series with the collective compiler: cost-model-compiled plans for alltoall(v)/gather/scatter instead of the group send-recv loop")
 	chaos := flag.String("chaos", "",
 		"run the chaos soak instead of exhibits, as seed=N[,runs=M] (e.g. seed=7,runs=4)")
-	chaosDeadline := flag.Duration("chaos-deadline", 0,
-		"wall-clock budget per chaos schedule before the soak fails loudly (0 = default 2m)")
 	partition := flag.String("partition", "",
 		"override the partition exhibit's cut window as cut@heal training steps (heal 0 = permanent, e.g. 2@4)")
 	flag.Parse()
 
-	experiments.SetHierarchical(*hier)
-	experiments.SetPersistent(*persistent)
-	experiments.SetCompile(*compile)
-
+	o := experiments.Options{Hier: *hier, Persistent: *persistent, Compile: *compile}
 	if *crash != "" {
-		rank, step, ok := parseAt(*crash)
+		var ok bool
+		o.Crash.Rank, o.Crash.Step, ok = parseAt(*crash)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "xcclbench: bad -crash %q (want rank@step, e.g. 3@2)\n", *crash)
 			os.Exit(2)
 		}
-		experiments.SetElasticCrash(rank, step)
 	}
 	if *partition != "" {
-		cut, heal, ok := parseAt(*partition)
+		var ok bool
+		o.Partition.Step, o.Partition.Heal, ok = parseAt(*partition)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "xcclbench: bad -partition %q (want cut@heal steps, e.g. 2@4)\n", *partition)
 			os.Exit(2)
 		}
-		experiments.SetPartition(cut, heal)
 	}
-	experiments.SetChaosDeadline(*chaosDeadline)
 
 	if *list {
 		for _, id := range experiments.IDs() {
@@ -145,11 +139,10 @@ func main() {
 		}
 		return
 	}
-	scale := experiments.Quick
 	switch *scaleFlag {
 	case "quick":
 	case "full":
-		scale = experiments.Full
+		o.Scale = experiments.Full
 	default:
 		fmt.Fprintf(os.Stderr, "xcclbench: unknown scale %q (want quick, full, or ranks=N[,shards=M])\n", *scaleFlag)
 		os.Exit(2)
@@ -166,16 +159,15 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	var reg *metrics.Registry
 	if *metricsFile != "" {
-		reg = metrics.NewRegistry()
+		o.Metrics = metrics.NewRegistry()
 	}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()
 	}
 	start := time.Now()
-	results := experiments.RunAll(ids, scale, reg, *parallel)
+	results := experiments.RunAll(ids, o, *parallel)
 	failed := false
 	for _, r := range results {
 		if r.Err != nil {
@@ -189,8 +181,8 @@ func main() {
 	if len(ids) > 1 {
 		fmt.Printf("(%d experiments in %v total wall time)\n", len(ids), time.Since(start).Round(time.Millisecond))
 	}
-	if reg != nil {
-		if err := writeMetrics(reg, *metricsFile); err != nil {
+	if o.Metrics != nil {
+		if err := writeMetrics(o.Metrics, *metricsFile); err != nil {
 			fmt.Fprintf(os.Stderr, "xcclbench: %v\n", err)
 			failed = true
 		}

@@ -50,15 +50,7 @@ func (r *chaosRNG) dur(lo, hi time.Duration) time.Duration {
 // A schedule that exceeds it has hung — deadlock, livelock, or a runaway
 // retry loop — and the soak fails loudly with the offending seed instead
 // of wedging CI.
-var chaosDeadline = 2 * time.Minute
-
-// SetChaosDeadline overrides the per-schedule wall-clock deadline (the
-// xcclbench -chaos-deadline flag). Non-positive values keep the default.
-func SetChaosDeadline(d time.Duration) {
-	if d > 0 {
-		chaosDeadline = d
-	}
-}
+const chaosDeadline = 2 * time.Minute
 
 // RunChaos executes runs randomized schedules derived from seed and
 // returns a per-schedule report. The same seed always produces the same

@@ -12,6 +12,7 @@ import (
 // recovery within the detection-latency bound. Short mode trims the
 // schedule count, not the invariants.
 func TestChaosSoak(t *testing.T) {
+	t.Parallel()
 	runs := 20
 	if testing.Short() {
 		runs = 6
@@ -33,6 +34,7 @@ func TestChaosSoak(t *testing.T) {
 // A tiny soak for the -race leg of check.sh: three schedules exercise one
 // collective soak, one elastic recovery, and one network partition.
 func TestChaosShort(t *testing.T) {
+	t.Parallel()
 	out, err := RunChaos(7, 3, nil)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
@@ -41,6 +43,7 @@ func TestChaosShort(t *testing.T) {
 
 // Same seed, same report: the soak must be reproducible end to end.
 func TestChaosDeterministic(t *testing.T) {
+	t.Parallel()
 	a, errA := RunChaos(42, 4, nil)
 	b, errB := RunChaos(42, 4, nil)
 	if errA != nil || errB != nil {
@@ -54,6 +57,7 @@ func TestChaosDeterministic(t *testing.T) {
 // The chaos soak must never appear in the exhibit registry — it would
 // perturb golden outputs.
 func TestChaosNotAnExhibit(t *testing.T) {
+	t.Parallel()
 	for _, id := range IDs() {
 		if strings.Contains(id, "chaos") {
 			t.Errorf("chaos registered as exhibit %q", id)

@@ -5,7 +5,6 @@ import (
 
 	"mpixccl/internal/dl"
 	"mpixccl/internal/fault"
-	"mpixccl/internal/metrics"
 )
 
 // elasticSeed fixes the scenario's fault plan; crash rules are
@@ -13,38 +12,28 @@ import (
 // constructor uniform with the resilience exhibit.
 const elasticSeed = 0xdead
 
-// elasticCrash is the exhibit's injected failure; zero values mean "use
-// the scale's defaults". The golden run never overrides it.
-var elasticCrash struct{ rank, step int }
-
-// SetElasticCrash overrides which world rank fail-stops and during which
-// training step (1-based) for the elastic exhibit — the CLI's
-// `-crash rank@step` hook. A step of 0 keeps the scale's default.
-func SetElasticCrash(rank, step int) {
-	elasticCrash.rank, elasticCrash.step = rank, step
-}
-
 // Elastic demonstrates fail-stop recovery end to end: ResNet-50 data
 // parallel on one ThetaGPU node, one rank fail-stops mid-step, the
 // survivors' watchdogs detect it, the communicator is revoked and shrunk
 // ULFM-style, training rolls back to the last checkpoint and completes on
-// 7 GPUs. The exhibit reports the per-executed-step latency (the replayed
-// step appears twice — once interrupted by detection, once clean on the
-// shrunken world) and the loss trajectory across the rollback.
-func Elastic(scale Scale, reg *metrics.Registry) (*Figure, error) {
+// 7 GPUs; Options.Crash moves the failure. The exhibit reports the
+// per-executed-step latency (the replayed step appears twice — once
+// interrupted by detection, once clean on the shrunken world) and the loss
+// trajectory across the rollback.
+func Elastic(o Options) (*Figure, error) {
 	steps, crashStep, crashRank := 6, 4, 5
-	if scale == Full {
+	if o.Scale == Full {
 		steps, crashStep = 12, 6
 	}
-	if elasticCrash.step != 0 {
-		crashRank, crashStep = elasticCrash.rank, elasticCrash.step
+	if o.Crash.Step != 0 {
+		crashRank, crashStep = o.Crash.Rank, o.Crash.Step
 	}
 	if crashRank < 0 || crashRank >= 8 || crashStep < 1 || crashStep > steps {
 		return nil, fmt.Errorf("elastic: crash %d@%d out of range (8 ranks, %d steps)", crashRank, crashStep, steps)
 	}
 	cfg := dl.Config{
 		System: "thetagpu", Nodes: 1, Ranks: 8,
-		Steps: steps, CheckpointEvery: 2, Metrics: reg,
+		Steps: steps, CheckpointEvery: 2, Metrics: o.Metrics,
 	}
 	// The victim dies halfway through crashStep's gradient exchange (call
 	// budget counted in fused-bucket allreduces). At the default 4, step 3

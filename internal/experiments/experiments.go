@@ -53,47 +53,51 @@ type Figure struct {
 	Notes  []string
 }
 
-// hierEnabled switches the hybrid/xCCL series onto hierarchical tuning
-// tables (off by default so regenerated exhibits match the paper's flat
-// schedules byte for byte).
-var hierEnabled bool
+// Options configures one exhibit run. The zero value is the paper's
+// configuration at quick scale, which the goldens pin byte for byte; each
+// field departs from it for one CLI flag. Runs with different Options share
+// no state, so they may run concurrently in one process.
+type Options struct {
+	Scale Scale
+	// Metrics aggregates dispatch-path counters, fallback causes, protocol
+	// choices and latency histograms from the whole stack under test (nil
+	// disables instrumentation).
+	Metrics *metrics.Registry
+	// Hier runs the hybrid-xCCL series of multi-node shapes on
+	// core.HierarchicalTableFor instead of the builtin default table.
+	Hier bool
+	// Compile runs the xCCL series of every figure with the collective
+	// compiler: the synthesized collectives (alltoall(v), gather, scatter)
+	// run cost-model-compiled plans instead of the group send-recv loop.
+	Compile bool
+	// Persistent runs the hybrid-xCCL series of the training figures
+	// (Fig 7–10) on persistent partitioned allreduce handles, per-op
+	// negotiation amortized into Init.
+	Persistent bool
+	// Crash overrides the elastic exhibit's fail-stop injection.
+	Crash Crash
+	// Partition overrides the partition exhibit's network cut.
+	Partition Cut
+}
 
-// SetHierarchical toggles topology-aware hierarchical collectives for the
-// hybrid-xCCL series of every figure: multi-node shapes run with
-// core.HierarchicalTableFor instead of the builtin default table. Call it
-// before Run/RunAll (the xcclbench -hier flag).
-func SetHierarchical(on bool) { hierEnabled = on }
+// Crash names the world rank that fail-stops and the training step
+// (1-based) during which it dies. A zero Step keeps the scale's default.
+type Crash struct{ Rank, Step int }
+
+// Cut names the training step (1-based) during which a network cut opens
+// and the step before which it heals; a zero Heal makes the cut permanent
+// (the majority finishes at the shrunken width). A zero Step keeps the
+// exhibit's defaults.
+type Cut struct{ Step, Heal int }
 
 // hierTable returns the hierarchical tuning table for a shape, or nil when
-// the feature is off or the shape has no inter-node tier to exploit.
-func hierTable(system string, backend core.BackendKind, nodes int) *core.TuningTable {
-	if !hierEnabled || nodes <= 1 {
+// Hier is off or the shape has no inter-node tier to exploit.
+func (o Options) hierTable(system string, backend core.BackendKind, nodes int) *core.TuningTable {
+	if !o.Hier || nodes <= 1 {
 		return nil
 	}
 	return core.HierarchicalTableFor(system, backend, true, 0)
 }
-
-// compileEnabled switches the xCCL series of every figure onto the
-// collective compiler (off by default so regenerated exhibits match the
-// paper's group send-recv synthesized collectives byte for byte).
-var compileEnabled bool
-
-// SetCompile toggles the collective compiler for the hybrid/pure-xCCL
-// series of every figure: the synthesized collectives (alltoall(v),
-// gather, scatter) run cost-model-compiled plans instead of the group
-// send-recv loop. Call it before Run/RunAll (the xcclbench -compile flag).
-func SetCompile(on bool) { compileEnabled = on }
-
-// persistEnabled switches the Horovod exhibits' xCCL engine onto
-// persistent partitioned allreduce handles (off by default so regenerated
-// exhibits match the paper's per-call dispatch byte for byte).
-var persistEnabled bool
-
-// SetPersistent toggles persistent collectives for the hybrid-xCCL series
-// of the training figures (Fig 7–10): gradient buckets ride pre-built
-// partitioned handles with per-op negotiation amortized into Init. Call
-// it before Run/RunAll (the xcclbench -persistent flag).
-func SetPersistent(on bool) { persistEnabled = on }
 
 // sweep returns the OMB size list for the scale.
 func sweep(scale Scale) (min, max int64) {
@@ -146,10 +150,10 @@ func Table1() string {
 
 // Fig1a reproduces the motivation: MPI vs pure NCCL Allreduce on 4 nodes /
 // 32 GPUs of ThetaGPU, with the ≈16 KB crossover.
-func Fig1a(scale Scale, reg *metrics.Registry) (*Figure, error) {
-	min, max := collSweep(scale)
+func Fig1a(o Options) (*Figure, error) {
+	min, max := collSweep(o.Scale)
 	base := omb.Config{System: "thetagpu", Nodes: 4, MinBytes: min, MaxBytes: max,
-		Iterations: iters(scale), Metrics: reg}
+		Iterations: iters(o.Scale), Metrics: o.Metrics}
 	f := &Figure{ID: "fig1a", Title: "MPI vs NCCL Allreduce latency (32 GPUs, 4 nodes)",
 		XLabel: "bytes", Metric: "latency"}
 	mpiCfg := base
@@ -172,10 +176,10 @@ func Fig1a(scale Scale, reg *metrics.Registry) (*Figure, error) {
 
 // Fig1b reproduces MPI vs pure RCCL Allgather on 4 nodes / 8 GPUs of MRI,
 // with the ≈64 KB crossover.
-func Fig1b(scale Scale, reg *metrics.Registry) (*Figure, error) {
-	min, max := collSweep(scale)
+func Fig1b(o Options) (*Figure, error) {
+	min, max := collSweep(o.Scale)
 	base := omb.Config{System: "mri", Nodes: 4, MinBytes: min, MaxBytes: max,
-		Iterations: iters(scale), Metrics: reg}
+		Iterations: iters(o.Scale), Metrics: o.Metrics}
 	f := &Figure{ID: "fig1b", Title: "MPI vs RCCL Allgather latency (8 GPUs, 4 nodes)",
 		XLabel: "bytes", Metric: "latency"}
 	mpiCfg := base
@@ -232,12 +236,12 @@ func backendSpecs(scale Scale) []backendSpec {
 
 // pt2pt runs Fig 3 (intra-node) or Fig 4 (inter-node): per backend the
 // latency, bandwidth, and bidirectional bandwidth sweeps.
-func pt2pt(id, title string, nodes func(backendSpec) int, scale Scale, reg *metrics.Registry) (*Figure, error) {
-	min, max := sweep(scale)
+func pt2pt(id, title string, nodes func(backendSpec) int, o Options) (*Figure, error) {
+	min, max := sweep(o.Scale)
 	f := &Figure{ID: id, Title: title, XLabel: "bytes", Metric: "latency|MB/s"}
-	for _, spec := range backendSpecs(scale) {
+	for _, spec := range backendSpecs(o.Scale) {
 		cfg := omb.Config{System: spec.system, Nodes: nodes(spec), Backend: spec.backend,
-			MinBytes: min, MaxBytes: max, Iterations: iters(scale), Metrics: reg}
+			MinBytes: min, MaxBytes: max, Iterations: iters(o.Scale), Metrics: o.Metrics}
 		lat, err := omb.RunPt2Pt(cfg, omb.LatencyBench)
 		if err != nil {
 			return nil, err
@@ -271,31 +275,34 @@ func pt2pt(id, title string, nodes func(backendSpec) int, scale Scale, reg *metr
 }
 
 // Fig3 is the intra-node point-to-point evaluation.
-func Fig3(scale Scale, reg *metrics.Registry) (*Figure, error) {
+func Fig3(o Options) (*Figure, error) {
 	return pt2pt("fig3", "Intra-node point-to-point (latency/bw/bibw per backend)",
-		func(backendSpec) int { return 1 }, scale, reg)
+		func(backendSpec) int { return 1 }, o)
 }
 
 // Fig4 is the inter-node point-to-point evaluation.
-func Fig4(scale Scale, reg *metrics.Registry) (*Figure, error) {
+func Fig4(o Options) (*Figure, error) {
 	return pt2pt("fig4", "Inter-node point-to-point (latency/bw/bibw per backend)",
-		func(backendSpec) int { return 2 }, scale, reg)
+		func(backendSpec) int { return 2 }, o)
 }
 
 // collectives runs the Fig 5 (single-node) or Fig 6 (multi-node) grid: four
 // operations × four backends × {hybrid, pure-xCCL, pure CCL, and (NCCL
 // only) Open MPI + UCX + UCC}.
-func collectives(id, title string, multi bool, scale Scale, reg *metrics.Registry) (*Figure, error) {
-	min, max := collSweep(scale)
+func collectives(id, title string, multi bool, o Options) (*Figure, error) {
+	min, max := collSweep(o.Scale)
 	f := &Figure{ID: id, Title: title, XLabel: "bytes", Metric: "latency"}
 	ops := []omb.Collective{omb.Allreduce, omb.Reduce, omb.Bcast, omb.Alltoall}
-	for _, spec := range backendSpecs(scale) {
+	for _, spec := range backendSpecs(o.Scale) {
 		nodes := spec.singleNodes
 		if multi {
 			nodes = spec.multiNodes
 		}
+		// Compile reaches only the xCCL stacks (hybrid, pure-xccl); the
+		// others ignore it.
 		base := omb.Config{System: spec.system, Nodes: nodes, Backend: spec.backend,
-			MinBytes: min, MaxBytes: max, Iterations: iters(scale), Metrics: reg}
+			MinBytes: min, MaxBytes: max, Iterations: iters(o.Scale), Metrics: o.Metrics,
+			Compile: o.Compile}
 		for _, op := range ops {
 			type variant struct {
 				label string
@@ -318,7 +325,7 @@ func collectives(id, title string, multi bool, scale Scale, reg *metrics.Registr
 				cfg.Stack = v.stack
 				cfg.Backend = v.bk
 				if v.label == "hybrid" {
-					cfg.Table = hierTable(spec.system, v.bk, nodes)
+					cfg.Table = o.hierTable(spec.system, v.bk, nodes)
 				}
 				s, err := ombSeries(fmt.Sprintf("%s/%s/%s", spec.name, op, v.label), cfg, op)
 				if err != nil {
@@ -332,30 +339,30 @@ func collectives(id, title string, multi bool, scale Scale, reg *metrics.Registr
 }
 
 // Fig5 is the single-node collective grid.
-func Fig5(scale Scale, reg *metrics.Registry) (*Figure, error) {
-	return collectives("fig5", "Collective latency, single node (4 ops × 4 backends)", false, scale, reg)
+func Fig5(o Options) (*Figure, error) {
+	return collectives("fig5", "Collective latency, single node (4 ops × 4 backends)", false, o)
 }
 
 // Fig6 is the multi-node collective grid.
-func Fig6(scale Scale, reg *metrics.Registry) (*Figure, error) {
-	return collectives("fig6", "Collective latency, multi node (4 ops × 4 backends)", true, scale, reg)
+func Fig6(o Options) (*Figure, error) {
+	return collectives("fig6", "Collective latency, multi node (4 ops × 4 backends)", true, o)
 }
 
 // dlFigure runs one application-level figure: per engine and batch size,
 // aggregate img/s.
-func dlFigure(id, title, system string, nodes int, backend core.BackendKind, engines []dl.Engine, reg *metrics.Registry) (*Figure, error) {
+func dlFigure(id, title, system string, nodes int, backend core.BackendKind, engines []dl.Engine, o Options) (*Figure, error) {
 	f := &Figure{ID: id, Title: title, XLabel: "batch", Metric: "img/s"}
 	for _, eng := range engines {
 		s := Series{Name: string(eng)}
 		var table *core.TuningTable
 		if eng == dl.EngineXCCL {
-			table = hierTable(system, backend, nodes)
+			table = o.hierTable(system, backend, nodes)
 		}
 		for _, bs := range []int{32, 64, 128} {
 			rep, err := dl.Train(dl.Config{System: system, Nodes: nodes, BatchSize: bs,
-				Steps: 1, Engine: eng, Backend: backend, Table: table, Metrics: reg,
-				Persistent: persistEnabled && eng == dl.EngineXCCL,
-				Compile:    compileEnabled && eng == dl.EngineXCCL})
+				Steps: 1, Engine: eng, Backend: backend, Table: table, Metrics: o.Metrics,
+				Persistent: o.Persistent && eng == dl.EngineXCCL,
+				Compile:    o.Compile && eng == dl.EngineXCCL})
 			if err != nil {
 				return nil, err
 			}
@@ -367,18 +374,18 @@ func dlFigure(id, title, system string, nodes int, backend core.BackendKind, eng
 }
 
 // Fig7 is TensorFlow+Horovod on the NVIDIA system (1 node and multi-node).
-func Fig7(scale Scale, reg *metrics.Registry) (*Figure, error) {
+func Fig7(o Options) (*Figure, error) {
 	engines := []dl.Engine{dl.EngineXCCL, dl.EnginePureCCL, dl.EngineOpenMPI, dl.EngineUCC}
-	a, err := dlFigure("fig7a", "Horovod on NVIDIA, 1 node (8 GPUs)", "thetagpu", 1, core.NCCL, engines, reg)
+	a, err := dlFigure("fig7a", "Horovod on NVIDIA, 1 node (8 GPUs)", "thetagpu", 1, core.NCCL, engines, o)
 	if err != nil {
 		return nil, err
 	}
 	nodes := 2
-	if scale == Full {
+	if o.Scale == Full {
 		nodes = 16
 	}
 	b, err := dlFigure("fig7b", fmt.Sprintf("Horovod on NVIDIA, %d nodes (%d GPUs)", nodes, nodes*8),
-		"thetagpu", nodes, core.NCCL, []dl.Engine{dl.EngineXCCL, dl.EngineOpenMPI, dl.EngineUCC}, reg)
+		"thetagpu", nodes, core.NCCL, []dl.Engine{dl.EngineXCCL, dl.EngineOpenMPI, dl.EngineUCC}, o)
 	if err != nil {
 		return nil, err
 	}
@@ -391,13 +398,13 @@ func Fig7(scale Scale, reg *metrics.Registry) (*Figure, error) {
 }
 
 // Fig8 is Horovod on the AMD system.
-func Fig8(scale Scale, reg *metrics.Registry) (*Figure, error) {
+func Fig8(o Options) (*Figure, error) {
 	engines := []dl.Engine{dl.EngineXCCL, dl.EnginePureCCL}
-	a, err := dlFigure("fig8a", "Horovod on AMD, 4 nodes (8 GPUs)", "mri", 4, core.RCCL, engines, reg)
+	a, err := dlFigure("fig8a", "Horovod on AMD, 4 nodes (8 GPUs)", "mri", 4, core.RCCL, engines, o)
 	if err != nil {
 		return nil, err
 	}
-	b, err := dlFigure("fig8b", "Horovod on AMD, 8 nodes (16 GPUs)", "mri", 8, core.RCCL, engines, reg)
+	b, err := dlFigure("fig8b", "Horovod on AMD, 8 nodes (16 GPUs)", "mri", 8, core.RCCL, engines, o)
 	if err != nil {
 		return nil, err
 	}
@@ -410,18 +417,18 @@ func Fig8(scale Scale, reg *metrics.Registry) (*Figure, error) {
 }
 
 // Fig9 is Horovod on the Habana system.
-func Fig9(scale Scale, reg *metrics.Registry) (*Figure, error) {
+func Fig9(o Options) (*Figure, error) {
 	engines := []dl.Engine{dl.EngineXCCL, dl.EnginePureCCL}
-	a, err := dlFigure("fig9a", "Horovod on Habana, 1 node (8 HPUs)", "voyager", 1, core.HCCL, engines, reg)
+	a, err := dlFigure("fig9a", "Horovod on Habana, 1 node (8 HPUs)", "voyager", 1, core.HCCL, engines, o)
 	if err != nil {
 		return nil, err
 	}
 	nodes := 2
-	if scale == Full {
+	if o.Scale == Full {
 		nodes = 4
 	}
 	b, err := dlFigure("fig9b", fmt.Sprintf("Horovod on Habana, %d nodes (%d HPUs)", nodes, nodes*8),
-		"voyager", nodes, core.HCCL, engines, reg)
+		"voyager", nodes, core.HCCL, engines, o)
 	if err != nil {
 		return nil, err
 	}
@@ -434,13 +441,13 @@ func Fig9(scale Scale, reg *metrics.Registry) (*Figure, error) {
 }
 
 // Fig10 is Horovod with the MSCCL backend on the NVIDIA system.
-func Fig10(scale Scale, reg *metrics.Registry) (*Figure, error) {
+func Fig10(o Options) (*Figure, error) {
 	engines := []dl.Engine{dl.EngineXCCL, dl.EnginePureCCL}
-	a, err := dlFigure("fig10a", "Horovod with MSCCL, 1 node (8 GPUs)", "thetagpu", 1, core.MSCCL, engines, reg)
+	a, err := dlFigure("fig10a", "Horovod with MSCCL, 1 node (8 GPUs)", "thetagpu", 1, core.MSCCL, engines, o)
 	if err != nil {
 		return nil, err
 	}
-	b, err := dlFigure("fig10b", "Horovod with MSCCL, 2 nodes (16 GPUs)", "thetagpu", 2, core.MSCCL, engines, reg)
+	b, err := dlFigure("fig10b", "Horovod with MSCCL, 2 nodes (16 GPUs)", "thetagpu", 2, core.MSCCL, engines, o)
 	if err != nil {
 		return nil, err
 	}
@@ -504,71 +511,53 @@ func truncate(s string, n int) string {
 	return s[:n-1] + "…"
 }
 
+// exhibits is every experiment in paper order.
+var exhibits = []struct {
+	id  string
+	run func(Options) (string, error)
+}{
+	{"table1", func(Options) (string, error) { return Table1(), nil }},
+	{"fig1a", figure(Fig1a)},
+	{"fig1b", figure(Fig1b)},
+	{"fig3", figure(Fig3)},
+	{"fig4", figure(Fig4)},
+	{"fig5", figure(Fig5)},
+	{"fig6", figure(Fig6)},
+	{"fig7", figure(Fig7)},
+	{"fig8", figure(Fig8)},
+	{"fig9", figure(Fig9)},
+	{"fig10", figure(Fig10)},
+	{"resilience", figure(Resilience)},
+	{"elastic", figure(Elastic)},
+	{"partition", figure(Partition)},
+}
+
+// figure adapts a Figure-returning exhibit to the formatted-output form.
+func figure(fn func(Options) (*Figure, error)) func(Options) (string, error) {
+	return func(o Options) (string, error) {
+		f, err := fn(o)
+		if err != nil {
+			return "", err
+		}
+		return Format(f), nil
+	}
+}
+
 // IDs lists every experiment id in paper order.
 func IDs() []string {
-	return []string{"table1", "fig1a", "fig1b", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "resilience", "elastic", "partition"}
+	ids := make([]string, len(exhibits))
+	for i, e := range exhibits {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // Run executes one experiment by id and returns its formatted output.
-func Run(id string, scale Scale) (string, error) {
-	return RunWith(id, scale, nil)
-}
-
-// RunWith is Run with a metrics registry wired through the whole stack
-// under test: every rerun figure also aggregates dispatch-path counters,
-// fallback causes, protocol choices, and latency histograms into reg
-// (nil disables instrumentation).
-func RunWith(id string, scale Scale, reg *metrics.Registry) (string, error) {
-	switch id {
-	case "table1":
-		return Table1(), nil
-	case "fig1a":
-		f, err := Fig1a(scale, reg)
-		return format(f, err)
-	case "fig1b":
-		f, err := Fig1b(scale, reg)
-		return format(f, err)
-	case "fig3":
-		f, err := Fig3(scale, reg)
-		return format(f, err)
-	case "fig4":
-		f, err := Fig4(scale, reg)
-		return format(f, err)
-	case "fig5":
-		f, err := Fig5(scale, reg)
-		return format(f, err)
-	case "fig6":
-		f, err := Fig6(scale, reg)
-		return format(f, err)
-	case "fig7":
-		f, err := Fig7(scale, reg)
-		return format(f, err)
-	case "fig8":
-		f, err := Fig8(scale, reg)
-		return format(f, err)
-	case "fig9":
-		f, err := Fig9(scale, reg)
-		return format(f, err)
-	case "fig10":
-		f, err := Fig10(scale, reg)
-		return format(f, err)
-	case "resilience":
-		f, err := Resilience(scale, reg)
-		return format(f, err)
-	case "elastic":
-		f, err := Elastic(scale, reg)
-		return format(f, err)
-	case "partition":
-		f, err := Partition(scale, reg)
-		return format(f, err)
-	default:
-		return "", fmt.Errorf("experiments: unknown id %q (want one of %s)", id, strings.Join(IDs(), ", "))
+func Run(id string, o Options) (string, error) {
+	for _, e := range exhibits {
+		if e.id == id {
+			return e.run(o)
+		}
 	}
-}
-
-func format(f *Figure, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	return Format(f), nil
+	return "", fmt.Errorf("experiments: unknown id %q (want one of %s)", id, strings.Join(IDs(), ", "))
 }

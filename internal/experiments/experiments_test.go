@@ -7,15 +7,17 @@ import (
 )
 
 func TestIDsAreRunnable(t *testing.T) {
+	t.Parallel()
 	if len(IDs()) != 14 {
 		t.Fatalf("IDs = %v", IDs())
 	}
-	if _, err := Run("nope", Quick); err == nil {
+	if _, err := Run("nope", Options{}); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }
 
 func TestTable1Output(t *testing.T) {
+	t.Parallel()
 	out := Table1()
 	for _, want := range []string{"ThetaGPU", "MRI", "Voyager", "A100", "MI100", "Gaudi"} {
 		if !strings.Contains(out, want) {
@@ -25,7 +27,8 @@ func TestTable1Output(t *testing.T) {
 }
 
 func TestFig1aCrossoverReported(t *testing.T) {
-	f, err := Fig1a(Quick, nil)
+	t.Parallel()
+	f, err := Fig1a(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +41,8 @@ func TestFig1aCrossoverReported(t *testing.T) {
 }
 
 func TestFig3NotesCarryCalibration(t *testing.T) {
-	f, err := Fig3(Quick, nil)
+	t.Parallel()
+	f, err := Fig3(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +56,7 @@ func TestFig3NotesCarryCalibration(t *testing.T) {
 }
 
 func TestFormatRendersAllSeries(t *testing.T) {
+	t.Parallel()
 	f := &Figure{
 		ID: "t", Title: "test", XLabel: "bytes", Metric: "latency",
 		Series: []Series{
@@ -69,10 +74,11 @@ func TestFormatRendersAllSeries(t *testing.T) {
 }
 
 func TestFig7SeriesShape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("application figure is slow")
 	}
-	f, err := Fig7(Quick, nil)
+	f, err := Fig7(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

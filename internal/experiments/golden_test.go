@@ -21,19 +21,14 @@ var updateGolden = flag.Bool("update-golden", false,
 
 const goldenPath = "testdata/golden_quick.json"
 
-// goldenVerifyIDs is the subset checked on every `go test` run. The
-// application exhibits (fig7–fig10) take minutes each and are verified only
-// when XCCL_GOLDEN_FULL is set (scripts/bench.sh does this); fig6 is the
-// heaviest exhibit still checked by default and is skipped under -short.
+// goldenVerifyIDs is the set checked on a `go test` run: every exhibit,
+// or under -short only those that finish in seconds (fig6, partition and
+// the application exhibits fig7–fig10 are skipped).
 func goldenVerifyIDs() []string {
-	ids := []string{"table1", "fig1a", "fig1b", "fig3", "fig4", "fig5", "resilience", "elastic"}
-	if !testing.Short() {
-		ids = append(ids, "fig6", "partition")
+	if testing.Short() {
+		return []string{"table1", "fig1a", "fig1b", "fig3", "fig4", "fig5", "resilience", "elastic"}
 	}
-	if os.Getenv("XCCL_GOLDEN_FULL") != "" {
-		ids = append(ids, "fig7", "fig8", "fig9", "fig10")
-	}
-	return ids
+	return IDs()
 }
 
 func readGolden(t *testing.T) map[string]string {
@@ -56,7 +51,7 @@ func TestGoldenVirtualTime(t *testing.T) {
 	if *updateGolden {
 		golden := map[string]string{}
 		for _, id := range IDs() {
-			out, err := Run(id, Quick)
+			out, err := Run(id, Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -77,13 +72,13 @@ func TestGoldenVirtualTime(t *testing.T) {
 	}
 	golden := readGolden(t)
 	for _, id := range goldenVerifyIDs() {
-		id := id
 		t.Run(id, func(t *testing.T) {
+			t.Parallel()
 			want, ok := golden[id]
 			if !ok {
 				t.Fatalf("golden file has no entry for %s", id)
 			}
-			got, err := Run(id, Quick)
+			got, err := Run(id, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

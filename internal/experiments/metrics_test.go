@@ -12,8 +12,9 @@ import (
 // layer: rerunning Fig 5 with a registry must yield Prometheus text that
 // parses back with per-op dispatch-path counters and latency histograms.
 func TestFig5MetricsParseBack(t *testing.T) {
+	t.Parallel()
 	reg := metrics.NewRegistry()
-	if _, err := Fig5(Quick, reg); err != nil {
+	if _, err := Fig5(Options{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -6,25 +6,12 @@ import (
 
 	"mpixccl/internal/dl"
 	"mpixccl/internal/fault"
-	"mpixccl/internal/metrics"
 )
 
 // partitionSeed fixes the exhibit's fault plan; the cut itself is
 // deterministic (Probability 0), the seed keeps the constructor uniform
 // with the other fault exhibits.
 const partitionSeed = 0xcafe
-
-// partitionOverride is the CLI's `-partition cutStep:healStep` hook; zero
-// values mean "use the exhibit's defaults".
-var partitionOverride struct{ cutStep, healStep int }
-
-// SetPartition overrides during which training step (1-based) the exhibit's
-// network cut opens and before which step it heals. A healStep of 0 makes
-// the cut permanent (the majority finishes at the shrunken width); a
-// cutStep of 0 keeps the defaults.
-func SetPartition(cutStep, healStep int) {
-	partitionOverride.cutStep, partitionOverride.healStep = cutStep, healStep
-}
 
 // Partition demonstrates failure model v3 end to end: ResNet-50 data
 // parallel on 2 ThetaGPU nodes (12 ranks: 8 on node 0, 4 on node 1), a
@@ -37,14 +24,14 @@ func SetPartition(cutStep, healStep int) {
 //
 // The cut window is calibrated from a fault-free shadow run of the same
 // shape, so it lands mid-step regardless of scale. Both runs are
-// deterministic: same scale + same overrides = same figure.
-func Partition(scale Scale, reg *metrics.Registry) (*Figure, error) {
+// deterministic: same scale + same Options.Partition = same figure.
+func Partition(o Options) (*Figure, error) {
 	steps, cutStep, healStep := 6, 3, 5
-	if scale == Full {
+	if o.Scale == Full {
 		steps, cutStep, healStep = 12, 6, 9
 	}
-	if partitionOverride.cutStep != 0 {
-		cutStep, healStep = partitionOverride.cutStep, partitionOverride.healStep
+	if o.Partition.Step != 0 {
+		cutStep, healStep = o.Partition.Step, o.Partition.Heal
 	}
 	if cutStep < 1 || cutStep > steps || (healStep != 0 && healStep <= cutStep) {
 		return nil, fmt.Errorf("partition: cut %d heal %d out of range (%d steps, heal must follow cut)", cutStep, healStep, steps)
@@ -77,7 +64,7 @@ func Partition(scale Scale, reg *metrics.Registry) (*Figure, error) {
 	}
 
 	cfg := base
-	cfg.Metrics = reg
+	cfg.Metrics = o.Metrics
 	cfg.Faults = fault.NewPlan(partitionSeed).AddPartitionRule(fault.PartitionRule{
 		Name: "cut-node1", Nodes: []int{1}, From: cut, Until: heal,
 	})

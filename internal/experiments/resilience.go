@@ -7,7 +7,6 @@ import (
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/core"
 	"mpixccl/internal/fault"
-	"mpixccl/internal/metrics"
 	"mpixccl/internal/omb"
 )
 
@@ -46,10 +45,10 @@ func resiliencePlan() *fault.Plan {
 // against its clean run (retries absorb the transients, the breaker and
 // fallback absorb anything persistent); the pure-xCCL stack shows the
 // same plan without a hybrid table deciding the path.
-func Resilience(scale Scale, reg *metrics.Registry) (*Figure, error) {
-	min, max := collSweep(scale)
+func Resilience(o Options) (*Figure, error) {
+	min, max := collSweep(o.Scale)
 	base := omb.Config{System: "thetagpu", Nodes: 1, MinBytes: min, MaxBytes: max,
-		Iterations: iters(scale), Metrics: reg}
+		Iterations: iters(o.Scale), Metrics: o.Metrics}
 	// An unscoped probabilistic rule can fire on the same rank's call
 	// repeatedly; a rank that exhausts its retries on a collective falls
 	// back to MPI alone and deadlocks against peers still in the CCL op

@@ -8,7 +8,8 @@ import (
 )
 
 func TestResilienceFigureShape(t *testing.T) {
-	f, err := Resilience(Quick, nil)
+	t.Parallel()
+	f, err := Resilience(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +53,12 @@ func TestResilienceFigureShape(t *testing.T) {
 // The scenario must be bit-for-bit reproducible: same seed, same virtual
 // timings, same note text.
 func TestResilienceIsDeterministic(t *testing.T) {
-	a, err := Resilience(Quick, nil)
+	t.Parallel()
+	a, err := Resilience(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Resilience(Quick, nil)
+	b, err := Resilience(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,10 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"time"
-
-	"mpixccl/internal/metrics"
 )
 
 // RunResult is one experiment's outcome from RunAll. Output and Err mirror
-// the return values of RunWith; Wall is the host wall-clock time the
+// the return values of Run; Wall is the host wall-clock time the
 // experiment took (virtual time lives inside Output).
 type RunResult struct {
 	ID     string
@@ -26,13 +24,13 @@ type RunResult struct {
 // run; only host wall-clock ordering changes. workers <= 0 means one worker
 // per available CPU; workers == 1 degenerates to a serial run.
 //
-// The shared metrics registry (may be nil) is safe for concurrent use, but
+// The shared o.Metrics registry (may be nil) is safe for concurrent use, but
 // note that with workers > 1 the aggregation order of histogram samples is
 // not deterministic — counters and sums still converge to the same totals.
 //
 // Each experiment runs under a pprof label pair {experiment: id}, so CPU
 // profiles taken while RunAll executes attribute samples per experiment.
-func RunAll(ids []string, scale Scale, reg *metrics.Registry, workers int) []RunResult {
+func RunAll(ids []string, o Options, workers int) []RunResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -49,7 +47,7 @@ func RunAll(ids []string, scale Scale, reg *metrics.Registry, workers int) []Run
 				id := ids[i]
 				start := time.Now()
 				pprof.Do(context.Background(), pprof.Labels("experiment", id), func(context.Context) {
-					out, err := RunWith(id, scale, reg)
+					out, err := Run(id, o)
 					results[i] = RunResult{ID: id, Output: out, Err: err}
 				})
 				results[i].Wall = time.Since(start)

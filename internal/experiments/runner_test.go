@@ -1,14 +1,18 @@
 package experiments
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // TestRunAllMatchesSerial pins the parallel runner's determinism contract:
 // because every experiment owns its own simulation kernel, a concurrent run
 // must produce byte-identical output to a serial run, in the requested order.
 func TestRunAllMatchesSerial(t *testing.T) {
+	t.Parallel()
 	ids := []string{"table1", "fig1a", "fig1b"}
-	serial := RunAll(ids, Quick, nil, 1)
-	par := RunAll(ids, Quick, nil, 0)
+	serial := RunAll(ids, Options{}, 1)
+	par := RunAll(ids, Options{}, 0)
 	if len(serial) != len(ids) || len(par) != len(ids) {
 		t.Fatalf("got %d serial / %d parallel results, want %d", len(serial), len(par), len(ids))
 	}
@@ -29,11 +33,47 @@ func TestRunAllMatchesSerial(t *testing.T) {
 }
 
 func TestRunAllPropagatesErrors(t *testing.T) {
-	results := RunAll([]string{"table1", "no-such-figure"}, Quick, nil, 2)
+	t.Parallel()
+	results := RunAll([]string{"table1", "no-such-figure"}, Options{}, 2)
 	if results[0].Err != nil {
 		t.Errorf("table1 failed: %v", results[0].Err)
 	}
 	if results[1].Err == nil {
 		t.Error("unknown experiment id did not report an error")
+	}
+}
+
+// TestRunAllConcurrentOptions runs two configurations in one process at
+// once: each RunAll must return exactly its serial output, so no option
+// leaks from one run into the other.
+func TestRunAllConcurrentOptions(t *testing.T) {
+	t.Parallel()
+	ids := []string{"fig5"}
+	opts := []Options{{}, {Compile: true}}
+	serial := make([][]RunResult, len(opts))
+	for i, o := range opts {
+		serial[i] = RunAll(ids, o, 1)
+	}
+	concurrent := make([][]RunResult, len(opts))
+	var wg sync.WaitGroup
+	for i, o := range opts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i] = RunAll(ids, o, 1)
+		}()
+	}
+	wg.Wait()
+	for i, o := range opts {
+		s, c := serial[i][0], concurrent[i][0]
+		if s.Err != nil || c.Err != nil {
+			t.Fatalf("%+v: serial error %v, concurrent error %v", o, s.Err, c.Err)
+		}
+		if c.Output != s.Output {
+			t.Errorf("%+v: concurrent output differs from serial output", o)
+		}
+	}
+	if serial[0][0].Output == serial[1][0].Output {
+		t.Error("Compile did not change the fig5 grid")
 	}
 }

@@ -453,12 +453,12 @@ func TestGatherScatterAllStacksSmoke(t *testing.T) {
 }
 
 // Compiled dispatch through OMB: the phased alltoall must beat the group
-// send-recv loop at large sizes on a multi-node shape (the Fig 6 claim
-// BENCH_pr10.json records; this is the small always-on guard).
+// send-recv loop by at least 20% of virtual time at large sizes on a
+// multi-node shape (the Fig 6 claim BENCH_pr10.json records).
 func TestCompiledAlltoallBeatsLoopMultiNode(t *testing.T) {
 	// 4 full ThetaGPU nodes: 8 flows per node share each NIC, so the flat
 	// loop convoys (HOL) and the phased pairing schedule wins. 256 KB keeps
-	// the event count test-sized; the 4 MB Fig 6 sweep lives in the bench.
+	// the event count test-sized.
 	base := Config{System: "thetagpu", Nodes: 4,
 		MinBytes: 256 << 10, MaxBytes: 256 << 10, Iterations: 2, Stack: StackPureXCCL}
 	loop, err := RunCollective(base, Alltoall)
@@ -471,9 +471,10 @@ func TestCompiledAlltoallBeatsLoopMultiNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compiled[0].Latency >= loop[0].Latency {
-		t.Errorf("compiled alltoall %v not faster than loop %v at 256KB over 4 nodes",
-			compiled[0].Latency, loop[0].Latency)
+	// Virtual time is host-independent, so the bound needs no slack.
+	if win := 1 - float64(compiled[0].Latency)/float64(loop[0].Latency); win < 0.20 {
+		t.Errorf("compiled alltoall %v wins %.1f%% over loop %v at 256KB over 4 nodes, want >= 20%%",
+			compiled[0].Latency, win*100, loop[0].Latency)
 	}
 }
 

@@ -45,9 +45,11 @@ for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting' mpixccl/internal/core mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity' mpixccl/internal/core
 done
-# The experiments race leg covers the parallel runner, the chaos soak
-# (short rotation: collective, elastic, and partition schedules), and the
-# scale model's cross-shard fault/partition determinism tests.
+# The experiments race leg covers the parallel runner, two RunAll calls
+# with different Options in flight at once (TestRunAllConcurrentOptions),
+# the chaos soak (short rotation: collective, elastic, and partition
+# schedules), and the scale model's cross-shard fault/partition
+# determinism tests.
 go test -race -run 'TestRunAll|TestChaosShort|TestScale' mpixccl/internal/experiments
 # dl's recovery path (watchdog + shrink + rollback) and the persistent hot
 # loop are the dl surfaces with cross-layer shared state; the remaining
@@ -76,9 +78,6 @@ go test -run '^$' -fuzz '^FuzzParseAlgo$' -fuzztime 5s mpixccl/internal/ccl/mscc
 go test -run '^$' -fuzz '^FuzzParsePartition$' -fuzztime 5s mpixccl/cmd/ombrun
 go test -run '^$' -fuzz '^FuzzParseAt$' -fuzztime 5s mpixccl/cmd/xcclbench
 go test -run '^$' -fuzz '^FuzzParseScale$' -fuzztime 5s mpixccl/cmd/xcclbench
-# Bench smoke: one fixed iteration proves the benchmark harness still
-# runs end to end (full baselines come from scripts/bench.sh).
-go test -run '^$' -bench '^BenchmarkFig1aAllreduceCrossover$' -benchtime 1x .
 # Chaos smoke: a short seeded soak through the CLI entry point proves the
 # randomized fault schedules — including two partition schedules in the
 # six-run rotation — still terminate with every invariant held, inside
@@ -88,15 +87,21 @@ go run ./cmd/xcclbench -chaos seed=7,runs=6 >/dev/null
 # -scale ranks= entry point alive; TestScaleDeterministicAcrossShards pins
 # its virtual times across shard counts.
 go run ./cmd/xcclbench -scale ranks=256,shards=2 >/dev/null
-# Compiler smoke: -compile must leave the exhibit pipeline deterministic —
-# the compiled fig5 grid (the only exhibit with an alltoall column) must be
-# byte-identical across two CLI runs (wall-time footer lines excluded).
-# With -compile OFF the goldens are already pinned byte-for-byte by
-# TestGoldenVirtualTime, so together the two proofs bracket the flag.
+# Compiler smoke: -compile must reach the exhibit pipeline and leave it
+# deterministic. The compiled fig5 grid (fig5 and fig6 carry the alltoall
+# columns) must be byte-identical across two CLI runs (wall-time footer
+# lines excluded) and must differ from the run without the flag. With
+# -compile OFF the goldens are already pinned byte-for-byte by
+# TestGoldenVirtualTime, so together the proofs bracket the flag.
 comp_first=$(go run ./cmd/xcclbench -exp fig5 -compile | grep -v 'wall time')
 comp_again=$(go run ./cmd/xcclbench -exp fig5 -compile | grep -v 'wall time')
 if [ "$comp_first" != "$comp_again" ]; then
 	echo "check.sh: xcclbench -exp fig5 -compile differs between two runs" >&2
+	exit 1
+fi
+comp_off=$(go run ./cmd/xcclbench -exp fig5 | grep -v 'wall time')
+if [ "$comp_first" = "$comp_off" ]; then
+	echo "check.sh: xcclbench -exp fig5 -compile equals the run without -compile" >&2
 	exit 1
 fi
 # Partition smoke: the quorum/fence/rejoin exhibit regenerates through the
