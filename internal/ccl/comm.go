@@ -37,9 +37,10 @@ type core struct {
 	opOK [int(Min) + 1]bool
 
 	// Resident processes per executing process, created on first use:
-	// the asynchronous-send helpers (see helper) and hierarchical leader
-	// engines (see hierEngine), shared by one-shot and persistent work.
-	helpers map[*sim.Proc]*helper
+	// the asynchronous-send helpers by lane (see helper) and hierarchical
+	// leader engines (see hierEngine), shared by one-shot, persistent and
+	// compiled work.
+	helpers map[*sim.Proc][]*helper
 	engines map[*sim.Proc]*hierEngine
 
 	hierCache *hierPlan // lazily built node hierarchy (see hier.go)
@@ -257,7 +258,7 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 		cfg: cfg, fab: fab, devs: devs, n: len(devs), faults: inj, failStop: fs,
 		ops:     make(map[int]*opState),
 		p2pPost: make(map[[2]int]*sim.Chan[*p2pSlot]),
-		helpers: make(map[*sim.Proc]*helper),
+		helpers: make(map[*sim.Proc][]*helper),
 		engines: make(map[*sim.Proc]*hierEngine),
 		persist: make(map[int]*persistShared),
 	}
@@ -490,7 +491,7 @@ type runCtx struct {
 	// pers carries a persistent handle's caches and partition gate (see
 	// persistent.go); nil on the one-shot path.
 	pers *persistState
-	// helper caches p's resident helper once this context has posted.
+	// helper caches lane 0 of p's helpers once this context has posted.
 	helper *helper
 
 	// chunk overrides the fabric pipeline granularity for this context's
@@ -525,12 +526,19 @@ func (co *core) fabOpts() fabric.Opts {
 // the schedule keeps draining — same-side hops still complete and the pipe
 // signaling below still fires, so every rank finishes in bounded virtual
 // time instead of stranding peers mid-collective. noCopy prices the hop
-// without moving bytes; xfer reports whether the hop was delivered.
+// without moving bytes (fabric.Price); xfer reports whether the hop was
+// delivered.
 func (rc *runCtx) xfer(dst, src *device.Buffer, n int64, noCopy bool) bool {
 	rc.co.countXfer(n)
-	o := rc.opts()
-	o.NoCopy = noCopy
-	d, err := rc.co.fab.TryTransfer(rc.p, dst, src, n, o)
+	var (
+		d   time.Duration
+		err error
+	)
+	if noCopy {
+		d, err = rc.co.fab.Price(rc.p, dst.Device(), src.Device(), n, rc.opts())
+	} else {
+		d, err = rc.co.fab.TryTransfer(rc.p, dst, src, n, rc.opts())
+	}
 	if err != nil {
 		if !errors.Is(err, fabric.ErrPartitioned) {
 			panic(err)
@@ -551,73 +559,99 @@ func (rc *runCtx) xfer(dst, src *device.Buffer, n int64, noCopy bool) bool {
 // helper is the resident process that carries one executing process's
 // asynchronous sends, so the executing process can receive concurrently —
 // rings are full duplex, exactly like the hardware channels they run on.
-// There is one per (communicator, executing process): a stream process,
-// whether it runs a one-shot or a persistent task, or a hierarchical
-// leader's engine. A stream runs one task at a time and every site waits
-// for its job before posting the next, so at most one job is outstanding.
+// Each executing process has a row of them on its communicator, indexed by
+// lane: a stream process, whether it runs a one-shot or a persistent task,
+// or a hierarchical leader's engine, posts to lane 0, and a compiled plan
+// phase posts its i-th (destination, lane) pair to lane i (see runPlan).
+// A stream runs one task at a time and every site waits for its jobs
+// before posting again, so each lane has at most one job outstanding.
 //
 // Virtual time is exactly that of spawning a process per job. The first
-// post spawns the helper where a per-job spawn would be, and the helper
-// takes the queued job as it starts. After each job the helper parks on
-// its empty queue before any other process runs, so every later post
-// finds it parked, and TrySend schedules its wake-up at the current
+// post to a lane spawns its helper where a per-job spawn would be, and the
+// helper takes the queued job as it starts. After each job the helper
+// parks on its empty queue before any other process runs, so every later
+// post finds it parked, and TrySend schedules its wake-up at the current
 // instant with the next sequence number: the (time, seq) slot a Spawn
 // would take. The job then runs the same transfers and sleeps and fires
-// the same latch. TestRingScheduleVirtualTime pins three back-to-back
-// calls of each schedule, since the calls after the first are where reuse
-// could drift.
+// the same latch. TestRingScheduleVirtualTime and
+// TestCompiledPlanVirtualTime pin three back-to-back calls, since the
+// calls after the first are where reuse could drift.
 type helper struct {
 	rc   runCtx // co and p fixed; st, rank, pers and chunk copied per post
 	jobs *sim.Chan[helperJob]
-	done *sim.Counter
+	done *sim.Counter // the latch post returns
 	busy bool
 }
 
 // helperJob is one posted send. Jobs are plain values, so a post allocates
-// nothing. A job is one putTo, or, when blocks is non-nil, a node block-set:
-// one n-byte block per listed rank r at offset r·n of src, put staged
-// (nil dst) or directly at the same offset of dst.
+// nothing. A job is one putTo; or, when blocks is non-nil, a node
+// block-set: one n-byte block per listed rank r at offset r·n of src, put
+// staged (nil dst) or directly at the same offset of dst; or, when ph is
+// non-nil, one lane of a compiled plan phase: ph's moves to rank to on
+// plan lane lane. The helper fires done when the job completes.
 type helperJob struct {
 	to           int
 	dst, src     *device.Buffer
 	n, slotBytes int64
 	blocks       []int
+	ph           *comp.RankPhase
+	lane         int
+	done         *sim.Counter
 }
 
-// post hands j to the resident helper of rc's process, spawning it on
-// first use, and returns the latch that fires when the job completes. Wait
-// on it before reusing src (after a byRef put, byRef says when src may be
-// written again) and before posting again: posting to a busy helper panics,
-// like overflowing a stream's queue.
+// post hands j to lane 0 of rc's process, spawning its helper on first
+// use, and returns the latch that fires when the job completes. Wait on it
+// before reusing src (after a byRef put, byRef says when src may be
+// written again) and before posting again: posting to a busy helper
+// panics, like overflowing a stream's queue.
 func (rc *runCtx) post(j helperJob) *sim.Counter {
 	h := rc.helper
 	if h == nil {
-		if h = rc.co.helpers[rc.p]; h == nil {
-			h = rc.co.newHelper(rc.p)
-		}
+		h = rc.co.helperAt(rc.p, 0)
 		rc.helper = h
 	}
+	j.done = h.done
+	rc.start(h, j)
+	h.done.Reset(1) // h runs only once this process parks
+	return h.done
+}
+
+// start hands j to the idle helper h.
+func (rc *runCtx) start(h *helper, j helperJob) {
 	if h.busy {
 		panic(fmt.Sprintf("ccl: %s posted a send while its previous one is still running", rc.p.Name()))
 	}
 	h.busy = true
 	h.rc.st, h.rc.rank, h.rc.pers, h.rc.chunk = rc.st, rc.rank, rc.pers, rc.chunk
-	h.done.Reset(1)
 	h.jobs.TrySend(j) // cannot fail: an idle helper's queue is empty
-	return h.done
 }
 
-// newHelper spawns p's resident helper on p's kernel.
-func (co *core) newHelper(p *sim.Proc) *helper {
+// helperAt returns lane i of p's helpers, spawning the missing lanes up
+// to i on p's kernel. Callers post to lanes in index order, so each lane
+// is spawned at its first post.
+func (co *core) helperAt(p *sim.Proc, i int) *helper {
+	hs := co.helpers[p]
+	if i < len(hs) {
+		return hs[i]
+	}
+	for len(hs) <= i {
+		hs = append(hs, co.newHelper(p, len(hs)))
+	}
+	co.helpers[p] = hs
+	return hs[i]
+}
+
+// newHelper spawns lane i of p's helpers on p's kernel.
+func (co *core) newHelper(p *sim.Proc, i int) *helper {
 	k := p.Kernel()
 	h := &helper{rc: runCtx{co: co}, jobs: sim.NewChan[helperJob](k, 1), done: sim.NewCounter(k, 0)}
-	co.helpers[p] = h
-	k.SpawnDaemon(fmt.Sprintf("%s/helper/%s", co.cfg.Name, p.Name()), func(hp *sim.Proc) {
+	k.SpawnDaemon(fmt.Sprintf("%s/helper%d/%s", co.cfg.Name, i, p.Name()), func(hp *sim.Proc) {
 		h.rc.p = hp
 		for {
-			h.run(h.jobs.Recv(hp))
+			j := h.jobs.Recv(hp)
+			h.run(j)
 			h.busy = false
-			h.done.Done()
+			j.done.Done()
 		}
 	})
 	return h
@@ -625,16 +659,19 @@ func (co *core) newHelper(p *sim.Proc) *helper {
 
 func (h *helper) run(j helperJob) {
 	rc := &h.rc
-	if j.blocks == nil {
+	switch {
+	case j.ph != nil:
+		rc.runLane(j.ph, j.to, j.lane, j.slotBytes)
+	case j.blocks == nil:
 		rc.putTo(j.to, j.dst, j.src, j.n, j.slotBytes)
-		return
-	}
-	for _, r := range j.blocks {
-		off := int64(r) * j.n
-		if j.dst == nil {
-			rc.put(j.to, rc.slice(j.src, off, j.n), j.n, j.n)
-		} else {
-			rc.putDirect(j.to, rc.slice(j.dst, off, j.n), rc.slice(j.src, off, j.n), j.n)
+	default:
+		for _, r := range j.blocks {
+			off := int64(r) * j.n
+			if j.dst == nil {
+				rc.put(j.to, rc.slice(j.src, off, j.n), j.n, j.n)
+			} else {
+				rc.putDirect(j.to, rc.slice(j.dst, off, j.n), rc.slice(j.src, off, j.n), j.n)
+			}
 		}
 	}
 }

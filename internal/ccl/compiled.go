@@ -3,14 +3,15 @@ package ccl
 // Unified executor for compiled collective plans (internal/ccl/comp).
 // One code path runs both the compiler's output and converted MSCCL
 // schedules: a comp.Plan is a list of phases of concrete moves, each rank
-// executes its slice of every phase (sender processes per destination,
-// inline receives, local copies), and the credit-managed pipes of the
-// built-in algorithms provide the flow control. Two transports exist and a
-// plan must use one consistently per rank pair (a pair pipe's slot size is
-// fixed at first use): direct moves write straight into the receiver's
-// buffer (compiled Alltoall/Scatter/Gather plans are all-direct), staged
-// moves ship through scratch slots and may reduce on arrival (converted
-// MSCCL schedules are all-staged).
+// executes its slice of every phase (sends per destination and lane on
+// resident lane helpers, inline receives, local copies), and the
+// credit-managed pipes of the built-in algorithms provide the flow
+// control. Two transports exist and a plan must use one consistently per
+// rank pair (a pair pipe's slot size is fixed at first use): direct moves
+// write straight into the receiver's buffer (compiled
+// Alltoall/Scatter/Gather plans are all-direct), staged moves ship through
+// scratch slots and may reduce on arrival (converted MSCCL schedules are
+// all-staged).
 //
 // Deadlock safety: every rank always drains its full program — an aborted
 // transfer (network partition) fails fast, skips the copy, and still
@@ -20,8 +21,6 @@ package ccl
 // makes the timeout verdict uniform across survivors.
 
 import (
-	"fmt"
-
 	"mpixccl/internal/ccl/comp"
 	"mpixccl/internal/device"
 	"mpixccl/internal/sim"
@@ -147,12 +146,12 @@ func (rc *runCtx) bufAt(role comp.BufRole, rank int, off, n int64) *device.Buffe
 	}
 }
 
-// runPlan executes this rank's slice of a compiled plan. name builds the
-// sender-process label (converted MSCCL schedules keep the historical
-// "custom/..." names; compiled plans use "comp/..."). slot is the staged
-// pipe slot size (planSlot).
-func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64,
-	name func(from, to, lane int) string) {
+// runPlan executes this rank's slice of a compiled plan. slot is the
+// staged pipe slot size (planSlot). A phase's (destination, lane) pairs
+// send concurrently, the i-th on lane i of the process's resident helpers
+// (see helper), while the process itself performs the local copies and
+// receives.
+func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64) {
 	co, st := rc.co, rc.st
 	if plan.Scratch != nil && st.scratch == nil {
 		// First rank to arrive stages scratch for everyone (cooperative
@@ -165,7 +164,6 @@ func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64,
 		}
 	}
 	rp := plan.Rank(rc.rank)
-	k := rc.p.Kernel()
 	esz := int64(dt.Size())
 	for pi := range rp.Phases {
 		if plan.Fenced && pi > 0 {
@@ -174,31 +172,15 @@ func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64,
 			}
 		}
 		ph := &rp.Phases[pi]
-		counter := sim.NewCounter(k, len(ph.Dests))
-		for _, d := range ph.Dests {
-			d := d
-			// Spawned, not a resident helper: a phase's lanes run
-			// concurrently, which would need one helper per (process, lane).
-			k.Spawn(name(rc.rank, d.To, d.Lane), func(p *sim.Proc) {
-				sub := &runCtx{co: co, st: st, rank: rc.rank, p: p, chunk: rc.chunk}
-				for i := range ph.Outs {
-					m := &ph.Outs[i]
-					if m.To != d.To || m.Lane != d.Lane || m.From == m.To {
-						continue
-					}
-					src := sub.bufAt(m.SrcBuf, m.From, m.SrcOff, m.SrcLen())
-					if m.Staged {
-						// Staged, not byRef: a plan carries no proof that src
-						// outlives the receiver's read, so DAG.Validate
-						// requires staged transport for reducing moves.
-						sub.put(m.To, src, src.Len(), slot)
-					} else {
-						dst := sub.bufAt(m.DstBuf, m.To, m.DstOff, m.Bytes)
-						sub.putDirect(m.To, dst, src, m.Bytes)
-					}
-				}
-				counter.Done()
-			})
+		var sent *sim.Counter
+		if len(ph.Dests) > 0 {
+			// Lane 0's latch is idle while a plan runs; it counts the
+			// whole phase.
+			sent = co.helperAt(rc.p, 0).done
+			sent.Reset(len(ph.Dests))
+			for i, d := range ph.Dests {
+				rc.start(co.helperAt(rc.p, i), helperJob{ph: ph, to: d.To, lane: d.Lane, slotBytes: slot, done: sent})
+			}
 		}
 		for i := range ph.Outs {
 			m := &ph.Outs[i]
@@ -225,14 +207,30 @@ func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64,
 				rc.waitDirect(m.From)
 			}
 		}
-		counter.Wait(rc.p)
+		if sent != nil {
+			sent.Wait(rc.p)
+		}
 	}
 }
 
-// compName labels a compiled plan's sender processes.
-func compName(op string) func(from, to, lane int) string {
-	return func(from, to, lane int) string {
-		return fmt.Sprintf("comp/%s/r%d-%d.%d", op, from, to, lane)
+// runLane performs one lane of a plan phase on a helper: ph's moves to
+// rank to on plan lane lane, in order.
+func (rc *runCtx) runLane(ph *comp.RankPhase, to, lane int, slot int64) {
+	for i := range ph.Outs {
+		m := &ph.Outs[i]
+		if m.To != to || m.Lane != lane || m.From == m.To {
+			continue
+		}
+		src := rc.bufAt(m.SrcBuf, m.From, m.SrcOff, m.SrcLen())
+		if m.Staged {
+			// Staged, not byRef: a plan carries no proof that src
+			// outlives the receiver's read, so DAG.Validate
+			// requires staged transport for reducing moves.
+			rc.put(m.To, src, src.Len(), slot)
+		} else {
+			dst := rc.bufAt(m.DstBuf, m.To, m.DstOff, m.Bytes)
+			rc.putDirect(m.To, dst, src, m.Bytes)
+		}
 	}
 }
 
@@ -263,7 +261,7 @@ func (c *Comm) Alltoall(send, recv *device.Buffer, count int, dt Datatype, plan 
 	slot := planSlot(pl)
 	c.enqueueColl(s, "alltoall", a, blk, func(rc *runCtx, a *opArgs) {
 		rc.chunk = pl.ChunkBytes
-		rc.runPlan(pl, dt, Sum, slot, compName("alltoall"))
+		rc.runPlan(pl, dt, Sum, slot)
 	})
 	return nil
 }
@@ -312,7 +310,7 @@ func (c *Comm) Alltoallv(send *device.Buffer, scounts, sdispls []int,
 	c.enqueueColl(s, "alltoallv", a, 0, func(rc *runCtx, a *opArgs) {
 		pl := rc.vPlan(strat, esz)
 		rc.chunk = pl.ChunkBytes
-		rc.runPlan(pl, dt, Sum, 1, compName("alltoallv"))
+		rc.runPlan(pl, dt, Sum, 1)
 	})
 	return nil
 }
@@ -371,7 +369,7 @@ func (c *Comm) Scatter(send, recv *device.Buffer, count int, dt Datatype, root i
 	slot := planSlot(pl)
 	c.enqueueColl(s, "scatter", a, blk, func(rc *runCtx, a *opArgs) {
 		rc.chunk = pl.ChunkBytes
-		rc.runPlan(pl, dt, Sum, slot, compName("scatter"))
+		rc.runPlan(pl, dt, Sum, slot)
 	})
 	return nil
 }
@@ -396,7 +394,7 @@ func (c *Comm) Gather(send, recv *device.Buffer, count int, dt Datatype, root in
 	slot := planSlot(pl)
 	c.enqueueColl(s, "gather", a, blk, func(rc *runCtx, a *opArgs) {
 		rc.chunk = pl.ChunkBytes
-		rc.runPlan(pl, dt, Sum, slot, compName("gather"))
+		rc.runPlan(pl, dt, Sum, slot)
 	})
 	return nil
 }

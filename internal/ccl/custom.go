@@ -171,12 +171,10 @@ func (co *core) customPlan(a *Algo, count int, esz int64) *customPlan {
 // runCustom executes the schedule for this rank, operating on the recv
 // buffer (which already holds the rank's contribution). The schedule is
 // converted to a compiled plan and runs through the unified executor
-// (compiled.go) with the interpreter's historical process names.
+// (compiled.go).
 func (rc *runCtx) runCustom(a *Algo, dt Datatype, op RedOp, count int) {
 	cp := rc.co.customPlan(a, count, int64(dt.Size()))
-	rc.runPlan(cp.plan, dt, op, cp.slot, func(from, to, _ int) string {
-		return fmt.Sprintf("custom/%s/r%d-%d", a.Name, from, to)
-	})
+	rc.runPlan(cp.plan, dt, op, cp.slot)
 }
 
 // AllPairsAllReduce generates the MSCCL "allpairs" allreduce schedule for n

@@ -486,3 +486,76 @@ func TestReduceOnReceiveStagedUnderCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestCompiledPlanVirtualTime pins the modeled completion time of three
+// back-to-back calls of compiled plans, as TestRingScheduleVirtualTime does
+// for rings: the lane helpers that carry a phase's sends must charge
+// exactly what one spawned sender per (phase, destination, lane) charged,
+// on the first call, which spawns the lanes, and on the calls that reuse
+// them. The all-direct alltoall strategies cover one and several phases;
+// the converted MSCCL allpairs allreduce covers staged, reducing moves.
+// bytes is the alltoall block, or the allreduce payload.
+func TestCompiledPlanVirtualTime(t *testing.T) {
+	const ns = time.Nanosecond
+	cases := []struct {
+		name  string
+		shape ringShape
+		key   string // alltoall strategy; "msccl" runs the allpairs allreduce
+		bytes int64
+		want  [3]time.Duration
+	}{
+		{"alltoall-direct-2x8", ringShape{"thetagpu", 16, nccl.New}, "direct", 64 << 10,
+			[3]time.Duration{178500 * ns, 357000 * ns, 535500 * ns}},
+		{"alltoall-phased-8+4", ringShape{"thetagpu", 12, nccl.New}, "phased", 64 << 10,
+			[3]time.Duration{102911 * ns, 205822 * ns, 308733 * ns}},
+		{"alltoall-phased-4x2", ringShape{"mri", 8, rccl.New}, "phased", 64 << 10,
+			[3]time.Duration{169345 * ns, 338690 * ns, 508035 * ns}},
+		{"msccl-allpairs-allreduce", ringShape{"thetagpu", 8, nccl.New}, "msccl", 1 << 20,
+			[3]time.Duration{34663 * ns, 69326 * ns, 103989 * ns}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.shape.n
+			count := int(tc.bytes / 4)
+			h := newHarness(t, tc.shape.system, n, tc.shape.mk)
+			defer h.k.Close()
+			if tc.key == "msccl" {
+				if err := h.comms[0].RegisterAlgo(ccl.AllPairsAllReduce(n, 0, 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got [3]time.Duration // latest rank's completion per call
+			h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
+				size := tc.bytes
+				if tc.key != "msccl" {
+					size *= int64(n)
+				}
+				send, recv := c.Device().MustMalloc(size), c.Device().MustMalloc(size)
+				var calls [3]*sim.Event
+				for i := range calls {
+					var err error
+					if tc.key == "msccl" {
+						err = c.AllReduce(send, recv, count, ccl.Float32, ccl.Sum, s)
+					} else {
+						err = c.Alltoall(send, recv, count, ccl.Float32, tc.key, s)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					calls[i] = s.Record()
+				}
+				for i, ev := range calls {
+					ev.Wait(p)
+					if now := p.Now(); now > got[i] {
+						got[i] = now
+					}
+				}
+			})
+			if got != tc.want {
+				t.Errorf("modeled completion times %v (%d, %d, %d ns), want %v",
+					got, int64(got[0]), int64(got[1]), int64(got[2]), tc.want)
+			}
+		})
+	}
+}

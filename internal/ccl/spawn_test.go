@@ -10,13 +10,16 @@ import (
 )
 
 // TestSteadyStateSpawnsNoProcs pins the resident-helper design: a stream's
-// asynchronous sends and a leader's inter-node engine run on processes
-// created once per communicator and stream, so after a warm-up wave no
-// collective spawns a process — neither one-shot calls of every schedule
-// with an asynchronous send, nor building persistent handles on the warmed
-// streams, nor their waves. Spawns are counted as the pid distance between
-// sentinel processes spawned at wave boundaries. Spawning a put process per
-// ring step instead would read 2(n−1) per rank for each ring allreduce.
+// asynchronous sends, a leader's inter-node engine and a compiled plan's
+// lanes run on processes created once per communicator and stream, so
+// after a warm-up wave no collective spawns a process — neither one-shot
+// calls of every schedule with an asynchronous send, nor building
+// persistent handles on the warmed streams, nor their waves, nor compiled
+// Alltoall, Scatter and Gather, nor a converted MSCCL schedule. Spawns are
+// counted as the pid distance between sentinel processes spawned at wave
+// boundaries. Spawning a put process per ring step instead would read
+// 2(n−1) per rank for each ring allreduce, and one per (phase,
+// destination, lane) n−1 per rank for each direct alltoall.
 func TestSteadyStateSpawnsNoProcs(t *testing.T) {
 	const (
 		n     = 16 // two 8-GPU nodes: the hierarchical schedules engage
@@ -25,6 +28,10 @@ func TestSteadyStateSpawnsNoProcs(t *testing.T) {
 	)
 	h := newHarness(t, "thetagpu", n, nccl.New)
 	defer h.k.Close()
+	// Auto-selected allreduces below run the converted MSCCL schedule.
+	if err := h.comms[0].RegisterAlgo(ccl.AllPairsAllReduce(n, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
 	bar := sim.NewBarrier(h.k, n)
 	var pids []int
 	mark := func(r int, p *sim.Proc) {
@@ -79,10 +86,32 @@ func TestSteadyStateSpawnsNoProcs(t *testing.T) {
 			}
 			mark(r, p)
 		}
+		// Compiled plans and the MSCCL schedule, on lane helpers.
+		c.SetAlgorithm(ccl.AlgoAuto, 0)
+		const blk = 4 << 10 // elements per block
+		send, recv := dev.MustMalloc(n*blk*4), dev.MustMalloc(n*blk*4)
+		for w := 0; w < waves; w++ {
+			for _, err := range []error{
+				c.Alltoall(send, recv, blk, ccl.Float32, "", s),
+				c.Scatter(send, recv.Slice(0, blk*4), blk, ccl.Float32, 0, "", s),
+				c.Gather(send.Slice(0, blk*4), recv, blk, ccl.Float32, n-1, "", s),
+				c.AllReduce(buf, buf, count, ccl.Float32, ccl.Sum, s),
+			} {
+				if err != nil {
+					t.Error(err)
+				}
+			}
+			s.Synchronize(p)
+			mark(r, p)
+		}
 	})
-	// pids[0] closes the flat warm-up wave; pids[waves] the hierarchical one.
+	// pids[0] closes the flat warm-up wave, pids[waves] the hierarchical
+	// one and pids[2*waves+3] the compiled one.
+	if want := 3*waves + 3; len(pids) != want {
+		t.Fatalf("%d wave marks, want %d", len(pids), want)
+	}
 	for i := 1; i < len(pids); i++ {
-		if i == waves {
+		if i == waves || i == 2*waves+3 {
 			continue
 		}
 		if spawned := pids[i] - pids[i-1] - 1; spawned != 0 {

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"mpixccl/internal/device"
 	"mpixccl/internal/fabric"
 	"mpixccl/internal/fault"
 	"mpixccl/internal/sim"
@@ -44,9 +43,9 @@ type ScaleConfig struct {
 	Shards int
 	// Bytes is the modeled per-rank message size; default 4 MiB.
 	Bytes int64
-	// StageBytes is the staging-buffer granularity for intra-node hops;
-	// default 32 KiB. Only timing-relevant for the pool-contended first
-	// stage — the remainder is priced as a pipelined tail.
+	// StageBytes is the first stage of an intra-node hop; default 32 KiB.
+	// That stage is priced through the contention pools (no bytes move);
+	// the remainder is priced as a pipelined tail.
 	StageBytes int64
 	// Seed salts the per-rank digests. Default 1.
 	Seed uint64
@@ -218,10 +217,6 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 		plan := plans[sh]
 		local := part.LocalNode(g)
 		devs := sf.System(sh).Nodes[local].Devices
-		stage := make([]*device.Buffer, dpn)
-		for d := 0; d < dpn; d++ {
-			stage[d] = devs[d].MustMalloc(cfg.StageBytes)
-		}
 		sent := make([]*sim.Event, dpn)
 		ready := make([]*sim.Event, dpn)
 		for d := 0; d < dpn; d++ {
@@ -233,7 +228,9 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 			if first > cfg.StageBytes {
 				first = cfg.StageBytes
 			}
-			fab.Transfer(p, stage[to], stage[from], first, fabric.Opts{Channels: intraCh, NoCopy: true})
+			if _, err := fab.Price(p, devs[to], devs[from], first, fabric.Opts{Channels: intraCh}); err != nil {
+				panic(err) // intra-node devices always have a route
+			}
 			if rem := cfg.Bytes - first; rem > 0 {
 				p.Sleep(time.Duration(float64(rem) / tailBW * float64(time.Second)))
 			}

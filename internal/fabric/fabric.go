@@ -9,8 +9,10 @@
 // bidirectional-bandwidth shortfall of Fig 3d); inter-node flows contend on
 // per-node egress and ingress NIC pools.
 //
-// Data really moves: unless NoCopy is set, the destination buffer holds the
-// source bytes when Transfer returns.
+// Data really moves: the destination buffer holds the source bytes when
+// Transfer returns. Price charges the same wire time between two devices
+// without moving bytes, for callers that read the source in place or only
+// model time.
 package fabric
 
 import (
@@ -41,8 +43,6 @@ type Opts struct {
 	Channels int
 	// ChunkBytes overrides the pipeline chunk size.
 	ChunkBytes int64
-	// NoCopy skips byte movement for timing-only probes.
-	NoCopy bool
 }
 
 // LinkFault is one active degradation of a route, applied for the whole
@@ -202,7 +202,7 @@ func (f *Fabric) Integrity() Integrity { return f.integrity }
 
 // Faithful reports whether every transfer delivers exactly the source bytes
 // with nothing to check: no corrupter is attached and integrity is off. Only
-// then may a caller skip the byte copy (Opts.NoCopy) and let the receiver
+// then may a caller skip the byte copy (Price) and let the receiver
 // read the source in place — injected corruption must land in a real copy,
 // and a CRC32C check compares two.
 func (f *Fabric) Faithful() bool { return f.corrupter == nil && !f.integrity.Enabled }
@@ -377,91 +377,29 @@ func (f *Fabric) TryTransfer(p *sim.Proc, dst, src *device.Buffer, n int64, o Op
 		return 0, fmt.Errorf("fabric: transfer of %d bytes between %d-byte src and %d-byte dst", n, src.Len(), dst.Len())
 	}
 	start := p.Now()
-	r, err := f.route(src.Device(), dst.Device())
+	w, err := f.open(dst.Device(), src.Device(), start, o)
 	if err != nil {
 		return 0, err
 	}
-	if r.local {
-		p.Sleep(r.device.CopyTime(n))
-		if !o.NoCopy {
-			dst.CopyFrom(src)
-		}
-		return p.Now() - start, nil
-	}
-	if f.partitioner != nil && f.partitioner.Severed(r.srcNode, r.dstNode, start) {
-		return 0, ErrPartitioned
-	}
-	alpha := r.link.Alpha
-	bw := r.link.ChannelBW
-	maxCh := r.link.DirChannels
-	if lf, ok := f.degradedFor(r, start); ok {
-		if lf.AlphaScale > 0 {
-			alpha = time.Duration(float64(alpha) * lf.AlphaScale)
-		}
-		if lf.BWScale > 0 {
-			bw *= lf.BWScale
-		}
-		if lf.ChannelCap > 0 && lf.ChannelCap < maxCh {
-			maxCh = lf.ChannelCap
-		}
-	}
-	want := o.Channels
-	if want < 1 {
-		want = 1
-	}
-	if want > maxCh {
-		want = maxCh
-	}
-	chunk := o.ChunkBytes
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	// xfer pays one full wire attempt: the α, the chunked pipeline, and the
-	// byte copy. Retransmissions (integrity retries) replay it under the
-	// degradation snapshot taken at the transfer's start.
+	// One full wire attempt: the time, then the byte copy. Retransmissions
+	// (integrity retries) replay it under the degradation snapshot taken
+	// at the transfer's start.
 	xfer := func() {
-		p.Sleep(alpha)
-		for off := int64(0); off < n || (n == 0 && off == 0); off += chunk {
-			sz := chunk
-			if off+sz > n {
-				sz = n - off
-			}
-			if sz <= 0 {
-				break
-			}
-			// Acquire adaptively through every pool in order; if a later pool
-			// grants less, return the surplus to the earlier ones. This lets
-			// opposing flows converge to a fair split of a shared duplex pool
-			// instead of alternating full-width.
-			granted := r.pools[0].AcquireUpTo(p, want)
-			for _, pool := range r.pools[1:] {
-				g := pool.AcquireUpTo(p, granted)
-				if g < granted {
-					for _, prev := range r.pools {
-						if prev == pool {
-							break
-						}
-						prev.Release(granted - g)
-					}
-					granted = g
-				}
-			}
-			p.Sleep(time.Duration(float64(sz) / (float64(granted) * bw) * float64(time.Second)))
-			for _, pool := range r.pools {
-				pool.Release(granted)
-			}
-		}
-		if !o.NoCopy && n > 0 {
+		w.send(p, n)
+		switch {
+		case w.r.local:
+			dst.CopyFrom(src)
+		case n > 0:
 			copy(dst.Bytes()[:n], src.Bytes()[:n])
 		}
 	}
 	xfer()
-	if o.NoCopy || n == 0 || (f.corrupter == nil && !f.integrity.Enabled) {
+	if w.r.local || n == 0 || f.Faithful() {
 		return p.Now() - start, nil
 	}
 	for attempt := 0; ; attempt++ {
 		if f.corrupter != nil {
-			if offs := f.corrupter.CorruptTransfer(r.class, r.srcNode, r.dstNode, n, p.Now()); len(offs) > 0 {
+			if offs := f.corrupter.CorruptTransfer(w.r.class, w.r.srcNode, w.r.dstNode, n, p.Now()); len(offs) > 0 {
 				b := dst.Bytes()
 				for _, off := range offs {
 					if off >= 0 && off < n {
@@ -470,7 +408,7 @@ func (f *Fabric) TryTransfer(p *sim.Proc, dst, src *device.Buffer, n int64, o Op
 				}
 				f.reg.Counter("xccl_corruptions_injected_total",
 					"Transfers whose payload was corrupted on the wire, by link class.",
-					metrics.Labels{"link": r.class}).Inc()
+					metrics.Labels{"link": w.r.class}).Inc()
 			}
 		}
 		if !f.integrity.Enabled {
@@ -482,22 +420,125 @@ func (f *Fabric) TryTransfer(p *sim.Proc, dst, src *device.Buffer, n int64, o Op
 		}
 		f.reg.Counter("xccl_corruptions_detected_total",
 			"Transfers whose CRC32C check caught a payload mismatch, by link class.",
-			metrics.Labels{"link": r.class}).Inc()
+			metrics.Labels{"link": w.r.class}).Inc()
 		if attempt >= f.integrity.MaxRetries {
 			// Out of retransmit budget: deliver the corrupt payload rather
 			// than strand the collective's peer ranks, and let the policy
 			// layer observe the unrecovered counter.
 			f.reg.Counter("xccl_corruptions_unrecovered_total",
 				"Transfers delivered corrupt after exhausting the retransmit budget, by link class.",
-				metrics.Labels{"link": r.class}).Inc()
+				metrics.Labels{"link": w.r.class}).Inc()
 			break
 		}
 		f.reg.Counter("xccl_transfer_retransmits_total",
 			"Retransmissions triggered by CRC32C mismatches, by link class.",
-			metrics.Labels{"link": r.class}).Inc()
+			metrics.Labels{"link": w.r.class}).Inc()
 		xfer()
 	}
 	return p.Now() - start, nil
+}
+
+// Price blocks p for the wire time of n bytes from device src to device
+// dst, exactly as TryTransfer prices it, and returns the elapsed virtual
+// duration; no bytes move and nothing is corrupted or checked. It fails
+// like TryTransfer when the endpoints have no route or a partition severs
+// them. Callers that let the receiver read the source in place, or that
+// only model time, use it instead of staging a copy.
+func (f *Fabric) Price(p *sim.Proc, dst, src *device.Device, n int64, o Opts) (time.Duration, error) {
+	start := p.Now()
+	w, err := f.open(dst, src, start, o)
+	if err != nil {
+		return 0, err
+	}
+	w.send(p, n)
+	return p.Now() - start, nil
+}
+
+// wire is one transfer's priced path: its route and the degradation
+// snapshot taken when it opened.
+type wire struct {
+	r     route
+	alpha time.Duration
+	bw    float64 // per-channel bandwidth
+	want  int     // channels requested per chunk
+	chunk int64
+}
+
+// open resolves the route between two devices and snapshots any active
+// degradation at now. It fails on a missing route or a severed partition.
+func (f *Fabric) open(dst, src *device.Device, now time.Duration, o Opts) (wire, error) {
+	r, err := f.route(src, dst)
+	if err != nil {
+		return wire{}, err
+	}
+	if r.local {
+		return wire{r: r}, nil
+	}
+	if f.partitioner != nil && f.partitioner.Severed(r.srcNode, r.dstNode, now) {
+		return wire{}, ErrPartitioned
+	}
+	w := wire{r: r, alpha: r.link.Alpha, bw: r.link.ChannelBW, want: o.Channels, chunk: o.ChunkBytes}
+	maxCh := r.link.DirChannels
+	if lf, ok := f.degradedFor(r, now); ok {
+		if lf.AlphaScale > 0 {
+			w.alpha = time.Duration(float64(w.alpha) * lf.AlphaScale)
+		}
+		if lf.BWScale > 0 {
+			w.bw *= lf.BWScale
+		}
+		if lf.ChannelCap > 0 && lf.ChannelCap < maxCh {
+			maxCh = lf.ChannelCap
+		}
+	}
+	if w.want < 1 {
+		w.want = 1
+	}
+	if w.want > maxCh {
+		w.want = maxCh
+	}
+	if w.chunk <= 0 {
+		w.chunk = DefaultChunk
+	}
+	return w, nil
+}
+
+// send blocks p for one attempt's wire time of n bytes: a local copy's
+// device time, or the α and the chunked pipeline through the route's
+// contention pools.
+func (w *wire) send(p *sim.Proc, n int64) {
+	r := &w.r
+	if r.local {
+		p.Sleep(r.device.CopyTime(n))
+		return
+	}
+	p.Sleep(w.alpha)
+	for off := int64(0); off < n; off += w.chunk {
+		sz := w.chunk
+		if off+sz > n {
+			sz = n - off
+		}
+		// Acquire adaptively through every pool in order; if a later pool
+		// grants less, return the surplus to the earlier ones. This lets
+		// opposing flows converge to a fair split of a shared duplex pool
+		// instead of alternating full-width.
+		granted := r.pools[0].AcquireUpTo(p, w.want)
+		for _, pool := range r.pools[1:] {
+			g := pool.AcquireUpTo(p, granted)
+			if g < granted {
+				for _, prev := range r.pools {
+					if prev == pool {
+						break
+					}
+					prev.Release(granted - g)
+				}
+				granted = g
+			}
+		}
+		p.Sleep(time.Duration(float64(sz) / (float64(granted) * w.bw) * float64(time.Second)))
+		for _, pool := range r.pools {
+			pool.Release(granted)
+		}
+	}
 }
 
 // ControlMsg charges the α of one small control message (e.g. an MPI

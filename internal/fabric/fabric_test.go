@@ -31,19 +31,34 @@ func TestTransferMovesBytesIntraNode(t *testing.T) {
 	}
 }
 
+// TestTransferNoCopy pins the pricing core: Price charges exactly the
+// virtual time Transfer does for the same hop, and moves no bytes.
 func TestTransferNoCopy(t *testing.T) {
 	k, sys, f := setup(1)
-	src := sys.Device(0).MustMalloc(64)
-	dst := sys.Device(1).MustMalloc(64)
+	const n = 1<<20 + 64
+	src := sys.Device(0).MustMalloc(n)
+	dst := sys.Device(1).MustMalloc(n)
 	src.FillBytes(1)
+	var priced, moved time.Duration
 	k.Spawn("main", func(p *sim.Proc) {
-		f.Transfer(p, dst, src, 64, Opts{NoCopy: true})
+		var err error
+		if priced, err = f.Price(p, dst.Device(), src.Device(), n, Opts{Channels: 4, ChunkBytes: 256 << 10}); err != nil {
+			t.Error(err)
+			return
+		}
+		if dst.Bytes()[0] != 0 {
+			t.Error("Price moved bytes")
+		}
+		moved = f.Transfer(p, dst, src, n, Opts{Channels: 4, ChunkBytes: 256 << 10})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if dst.Bytes()[0] != 0 {
-		t.Fatal("NoCopy transfer moved bytes")
+	if priced <= 0 || priced != moved {
+		t.Fatalf("Price took %v, Transfer %v; want equal and positive", priced, moved)
+	}
+	if !dst.Equal(src) {
+		t.Fatal("Transfer did not deliver after Price")
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 )
 
 // settleGoroutines waits briefly for exiting goroutines to finish and
-// returns the live count. A process retired by Close hands control back
-// before its goroutine returns, so the count may lag by a few scheduler
-// ticks.
+// returns the live count. Close retires a process's goroutine before it
+// returns, but goroutines that merely signal their end before exiting —
+// a sharded window's shard runners, a test's own helpers — may lag by a
+// few scheduler ticks.
 func settleGoroutines(want int) int {
 	n := runtime.NumGoroutine()
 	for i := 0; i < 100 && n > want; i++ {
@@ -40,8 +41,11 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 	if _, ok := k.Run().(*DeadlockError); !ok {
 		t.Fatal("stuck process not reported")
 	}
-	// Spawned after Run and never activated.
+	// Spawned after Run and never activated: it holds no goroutine.
 	k.Spawn("late", func(p *Proc) { t.Error("late process ran") })
+	if n := settleGoroutines(base + 2); n != base+2 {
+		t.Fatalf("%d goroutines before Close, want %d: one per started, parked process", n, base+2)
+	}
 	k.Close()
 	if want := []string{"server", "stuck"}; !reflect.DeepEqual(unwound, want) {
 		t.Fatalf("unwound = %v, want %v in pid order", unwound, want)

@@ -1,14 +1,15 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel owns a virtual clock and an event queue. Simulated activities
-// are "processes": ordinary Go functions running on their own goroutines,
-// but scheduled cooperatively so that exactly one process (or the kernel
-// loop itself) executes at any moment. A process advances virtual time by
-// sleeping, or blocks on synchronization primitives (Event, Chan, Resource,
-// Barrier) until another process wakes it. Because hand-off between the
-// kernel and processes is strictly sequential and the event queue breaks
-// ties by insertion order, a simulation is fully deterministic: the same
-// program produces the same virtual-time trace on every run.
+// are "processes": ordinary Go functions, each running as a coroutine
+// (iter.Pull), scheduled cooperatively so that exactly one process (or the
+// kernel loop itself) executes at any moment. A process advances virtual
+// time by sleeping, or blocks on synchronization primitives (Event, Chan,
+// Resource, Barrier) until another process wakes it. Because hand-off
+// between the kernel and processes is strictly sequential and the event
+// queue breaks ties by insertion order, a simulation is fully
+// deterministic: the same program produces the same virtual-time trace on
+// every run.
 //
 // This kernel is the substrate for the simulated cluster: every MPI rank,
 // device stream, and fabric transfer in this repository is a sim process.
@@ -24,15 +25,18 @@
 //     allocations. Process activations carry the *Proc directly instead of
 //     a heap-allocated closure.
 //
-//   - The dispatch loop migrates to whichever goroutine holds the
-//     "scheduler token". When a process parks it does not bounce control
-//     through a central kernel goroutine; it pops and executes events
-//     itself until one activates another process (one channel hand-off)
-//     or itself (zero hand-offs — the dominant Sleep/park/unpark cycle).
+//   - Hand-off is a coroutine switch. Run drives one loop: pick the next
+//     activated process and switch into it. A process that parks picks
+//     events itself until one activates a process: itself, and it simply
+//     keeps running (no switch at all — the dominant Sleep/park/unpark
+//     cycle), or another, which it leaves for the loop before yielding.
+//     The runtime switches coroutines directly, without the run-queue
+//     round trip of a channel send and a goroutine park.
 package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"time"
 )
 
@@ -125,13 +129,12 @@ type Kernel struct {
 	now     Time
 	queue   eventQueue
 	seq     uint64
-	idle    chan struct{} // returns the scheduler token to Run
+	next    *Proc // the process a yielding or exiting process hands control to
 	procs   map[int]*Proc
 	nextPID int
 	alive   int
 	running bool
 	stopped bool
-	closing bool // set by Close: parked processes unwind instead of resuming
 
 	// Window-bounded dispatch (see shard.go): when bounded is set, dispatch
 	// stops before popping any event at or after horizon, leaving the queue
@@ -146,10 +149,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel with an empty event queue and the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		idle:  make(chan struct{}),
-		procs: make(map[int]*Proc),
-	}
+	return &Kernel{procs: make(map[int]*Proc)}
 }
 
 // Now reports the current virtual time.
@@ -184,36 +184,13 @@ func (k *Kernel) After(d time.Duration, fn func()) {
 
 // Spawn creates a new process running fn and schedules its first activation
 // at the current virtual time. It may be called before Run or from inside a
-// running process.
+// running process. The process's coroutine is created at that first
+// activation, so a process that never runs costs no goroutine.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		id:     k.nextPID,
-		name:   name,
-		resume: make(chan struct{}),
-		done:   NewEvent(k),
-	}
+	p := &Proc{k: k, id: k.nextPID, name: name, fn: fn, done: NewEvent(k)}
 	k.nextPID++
 	k.procs[p.id] = p
 	k.alive++
-	go func() {
-		defer k.reap(p)
-		<-p.resume
-		if k.closing {
-			panic(unwind{})
-		}
-		fn(p)
-		p.dead = true
-		if !p.daemon {
-			k.alive--
-		}
-		delete(k.procs, p.id)
-		p.done.Fire()
-		// The goroutine exits holding the scheduler token: keep dispatching
-		// until the token moves on. Self-activation cannot occur (p is dead,
-		// so stale activations of p are skipped).
-		k.dispatch(p)
-	}()
 	k.scheduleProc(k.now, p)
 	return p
 }
@@ -229,21 +206,13 @@ func (k *Kernel) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// dispatch runs the event loop on the calling goroutine. Exactly one
-// goroutine dispatches at a time — the "scheduler token" — so all kernel
-// state stays single-threaded even though many goroutines exist. The loop
-// exits when:
-//
-//   - an event activates self: dispatch returns false and the caller simply
-//     keeps running (no channel operation at all);
-//   - an event activates another process: the token is handed to it over
-//     its resume channel and dispatch returns true;
-//   - the queue drains or Stop was called: the token is returned to Run via
-//     the idle channel (unless the Run goroutine itself, self == nil, is
-//     dispatching) and dispatch returns true.
-//
-// A true return tells a parking process to wait for its own resume signal.
-func (k *Kernel) dispatch(self *Proc) bool {
+// pick executes events until one activates a live process and returns
+// that process. It returns nil once the queue drains, Stop is called, or
+// (in a bounded window) the next event lies at or past the horizon. The
+// side holding control runs it: the loop, or a parking or exiting process,
+// so all kernel state stays single-threaded even though every process has
+// its own goroutine.
+func (k *Kernel) pick() *Proc {
 	for !k.stopped && len(k.queue) > 0 {
 		if k.bounded && k.queue[0].at >= k.horizon {
 			break // window exhausted: leave future events for the next window
@@ -251,24 +220,46 @@ func (k *Kernel) dispatch(self *Proc) bool {
 		ev := k.queue.pop()
 		k.now = ev.at
 		if p := ev.proc; p != nil {
-			if p.dead {
-				continue // stale activation of an exited process
+			if !p.dead { // else a stale activation of an exited process
+				return p
 			}
-			if p == self {
-				return false
-			}
-			p.resume <- struct{}{}
-			return true
+			continue
 		}
 		if ev.fn != nil {
 			ev.fn()
 		}
 	}
-	if self != nil {
-		k.idle <- struct{}{}
-		return true
+	return nil
+}
+
+// loop is the dispatch loop of Run and runWindow: it switches into each
+// activated process in turn. A process comes back here only when it parks
+// on another process's activation or exits, leaving the process to switch
+// to next (nil when there is none) in k.next.
+func (k *Kernel) loop() {
+	for p := k.pick(); p != nil; p = k.next {
+		k.resume(p)
 	}
-	return false
+}
+
+// run is the body of p's coroutine. An exiting process picks the next
+// activation itself, as a parking one does, and leaves it for the loop.
+func (p *Proc) run() {
+	k := p.k
+	defer k.reap(p)
+	p.fn(p)
+	k.retire(p)
+	p.done.Fire()
+	k.next = k.pick() // never p: stale activations of a dead process are skipped
+}
+
+// retire removes an exited or unwound process from the kernel's books.
+func (k *Kernel) retire(p *Proc) {
+	p.dead = true
+	if !p.daemon {
+		k.alive--
+	}
+	delete(k.procs, p.id)
 }
 
 // Stop aborts the simulation: Run returns after the current event completes.
@@ -280,16 +271,17 @@ func (k *Kernel) Stop() { k.stopped = true }
 type unwind struct{}
 
 // Close tears the world down once Run has returned. Every process still
-// parked — daemons between jobs, procs blocked forever, procs never started
-// — is unwound: its goroutine panics out of park, running the process's
-// deferred calls, and exits. A deferred call that blocks parks again and is
-// unwound in turn; events it schedules never run. Pending events are
-// dropped. Without Close those
-// goroutines stay parked for the life of the program and pin everything
-// their world references. Processes unwind one at a time in pid order, so
-// teardown is as deterministic as the run. The kernel must not be used
-// afterwards; closing twice is a no-op. Close a Sharded engine's kernels
-// through Sharded.Close.
+// parked — daemons between jobs, procs blocked forever — is unwound: its
+// coroutine is stopped, so it panics out of park, runs the process's
+// deferred calls, and exits. A deferred call that blocks panics out of
+// park in turn; events it schedules never run. A process never started
+// is retired without running, and so is one that a deferred call spawns.
+// Pending events are dropped. Without Close those coroutines stay parked
+// for the life of the program and pin everything their world references.
+// Processes unwind one at a time in pid order, so teardown is as
+// deterministic as the run. The kernel must not be used afterwards;
+// closing twice is a no-op. Close a Sharded engine's kernels through
+// Sharded.Close.
 func (k *Kernel) Close() {
 	k.unwindAll()
 	k.queue = nil
@@ -301,9 +293,9 @@ func (k *Kernel) unwindAll() {
 	if k.running {
 		panic("sim: Close on a running kernel")
 	}
-	// stopped keeps dispatch from running events for a process that parks
-	// while unwinding: it returns the token straight back to Close.
-	k.closing, k.stopped = true, true
+	// stopped keeps a process that parks while unwinding from running
+	// events: its pick finds nothing and its yield reports the stop.
+	k.stopped = true
 	for len(k.procs) > 0 {
 		var p *Proc
 		for _, q := range k.procs {
@@ -311,46 +303,43 @@ func (k *Kernel) unwindAll() {
 				p = q
 			}
 		}
-		p.resume <- struct{}{}
-		<-k.idle // p is retired, or parked again and woken next round
+		if p.stop == nil {
+			k.retire(p) // never started
+			continue
+		}
+		p.stop()
 	}
 }
 
-// reap runs deferred at the top of every process goroutine. It lets a
-// normal return or a genuine panic through untouched, and completes an
-// unwinding started by Close: the process is retired and control returns
-// to Close.
+// reap runs deferred at the top of every process coroutine. A normal return
+// passes through. An unwinding started by Close, a runtime.Goexit (e.g.
+// t.FailNow inside a process, which iter.Pull re-raises on the loop's
+// goroutine) and a genuine panic retire the process; the panic then
+// continues as a *PanicError, which the loop's goroutine re-raises, so it
+// surfaces from Run.
 func (k *Kernel) reap(p *Proc) {
 	if p.dead {
 		return // fn returned normally
 	}
 	r := recover()
-	if _, ok := r.(unwind); !ok {
-		if r != nil {
-			panic(r)
-		}
-		return // runtime.Goexit (e.g. t.FailNow inside a process)
+	k.retire(p)
+	switch r.(type) {
+	case nil, unwind:
+	default:
+		panic(&PanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
 	}
-	p.dead = true
-	if !p.daemon {
-		k.alive--
-	}
-	delete(k.procs, p.id)
-	k.idle <- struct{}{}
 }
 
 // Run executes events until the queue drains or Stop is called. It returns a
-// *DeadlockError if processes remain blocked with no pending events.
+// *DeadlockError if processes remain blocked with no pending events. A
+// panic inside a process surfaces from Run as a *PanicError.
 func (k *Kernel) Run() error {
 	if k.running {
 		return fmt.Errorf("sim: kernel already running")
 	}
 	k.running = true
 	defer func() { k.running = false }()
-	if k.dispatch(nil) {
-		// The token went to a process; it comes back when the queue drains.
-		<-k.idle
-	}
+	k.loop()
 	if k.stopped {
 		return nil
 	}
@@ -366,11 +355,8 @@ func (k *Kernel) Run() error {
 func (k *Kernel) runWindow(horizon Time) {
 	k.running = true
 	k.bounded, k.horizon = true, horizon
-	if k.dispatch(nil) {
-		<-k.idle
-	}
-	k.bounded = false
-	k.running = false
+	defer func() { k.bounded, k.running = false, false }()
+	k.loop()
 }
 
 // nextAt reports the fire time of the earliest pending event, if any.

@@ -1,7 +1,7 @@
 // Cold diagnostic paths for the kernel. Everything here runs only when a
-// simulation fails (deadlock reporting) — keeping it out of kernel.go keeps
-// the hot-path file free of sort/strings and makes the scheduler loop easier
-// to audit against the alloc-regression tests.
+// simulation fails (deadlock and panic reporting) — keeping it out of
+// kernel.go keeps the hot-path file free of sort/strings and makes the
+// scheduler loop easier to audit against the alloc-regression tests.
 package sim
 
 import (
@@ -33,4 +33,23 @@ func (k *Kernel) blockedNames() []string {
 	}
 	sort.Strings(blocked)
 	return blocked
+}
+
+// PanicError is the value Run re-panics with when a process panics. The
+// coroutine's stack is gone by the time the panic reaches Run's goroutine,
+// so Stack keeps it.
+type PanicError struct {
+	Proc  string // name of the panicking process
+	Value any    // the original panic value
+	Stack []byte // the process's stack at the panic
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sim: process %s panicked: %v\n\n%s", e.Proc, e.Value, e.Stack)
+}
+
+// Unwrap returns the original panic value when it is an error.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
 }

@@ -2,7 +2,7 @@ package sim
 
 import "time"
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by the
+// Proc is a simulated process: a coroutine scheduled cooperatively by the
 // kernel. All Proc methods must be called from the process's own function
 // (the fn passed to Kernel.Spawn); they are not safe to call from outside
 // the simulation.
@@ -10,11 +10,17 @@ type Proc struct {
 	k       *Kernel
 	id      int
 	name    string
-	resume  chan struct{}
+	fn      func(*Proc)
 	done    *Event
 	dead    bool
 	daemon  bool
 	blocked string
+
+	// The coroutine (see coro.go), created at the first activation: pull
+	// switches into it, yield back out to the loop, and stop unwinds it.
+	pull  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 }
 
 // Kernel returns the kernel this process runs on.
@@ -53,20 +59,17 @@ func (p *Proc) SetDaemon(on bool) {
 func (p *Proc) Now() Time { return p.k.now }
 
 // park blocks the process until another event resumes it. reason is shown in
-// deadlock reports. The parking goroutine keeps the scheduler token and
-// dispatches further events itself; it only blocks on its resume channel
-// when the token moves to another process (see Kernel.dispatch). A resume
-// sent by Close unwinds the process instead of returning.
-//
-// park stays within the inlining budget: it sits on every hand-off, so a
-// larger body (for instance clearing blocked after resume, which only the
-// deadlock report reads, and only for procs parked at that moment) costs
-// measurable wall time.
+// deadlock reports. The parking process picks further events itself; on
+// its own activation it simply returns, and only when another process (or
+// none) comes up does it leave that to the loop and yield (see
+// Kernel.loop). A yield ended by Close unwinds the process instead of
+// returning.
 func (p *Proc) park(reason string) {
 	p.blocked = reason
-	if p.k.dispatch(p) {
-		<-p.resume
-		if p.k.closing {
+	k := p.k
+	if q := k.pick(); q != p {
+		k.next = q
+		if !p.yield(struct{}{}) {
 			panic(unwind{})
 		}
 	}
@@ -81,7 +84,7 @@ func (p *Proc) unpark() {
 // Sleep blocks the process for d of virtual time. Non-positive durations
 // yield the processor (the process resumes at the same virtual instant,
 // after already-queued events). When no other process is runnable earlier,
-// the sleeping process re-activates itself without any goroutine hand-off.
+// the sleeping process re-activates itself without any coroutine switch.
 func (p *Proc) Sleep(d time.Duration) {
 	k := p.k
 	if d < 0 {

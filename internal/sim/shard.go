@@ -1,14 +1,18 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
 
 // Sharded is a partitioned discrete-event engine: N plain Kernels, each with
-// its private clock, event heap, and scheduler token, executing concurrently
-// on their own OS threads inside conservative synchronization windows.
+// its private clock, event heap, and dispatch loop, executing concurrently
+// on their own OS threads inside conservative synchronization windows. A
+// window's loop for shard i runs on a goroutine of its own and switches
+// only among shard i's process coroutines.
 //
 // # Conservative lookahead
 //
@@ -26,7 +30,7 @@ import (
 //
 // Code running on shard i sends to shard j with Inject/Send: a timestamped
 // event injection buffered in shard i's outbox (single-writer: only the
-// goroutine holding shard i's scheduler token appends). At the window
+// process or callback running on shard i appends). At the window
 // barrier the coordinator merges all outboxes, sorts by (timestamp, sender
 // shard, sender issue order), and schedules each injection on its
 // destination kernel. The sort makes delivery order independent of
@@ -46,10 +50,15 @@ type Sharded struct {
 	lookahead Time
 
 	// outbox[i] holds injections issued by shard i during the current
-	// window. Written only by shard i's token holder, drained only by the
+	// window. Written only by what runs on shard i, drained only by the
 	// coordinator between windows (the WaitGroup barrier orders the two).
 	outbox [][]injection
 	injSeq []uint64
+
+	// Per-window scratch, reused across windows: the merged injections
+	// (flush) and the shards with work below the horizon (Run).
+	batch  []injection
+	active []*Kernel
 
 	running bool
 }
@@ -107,8 +116,8 @@ func (s *Sharded) Now() Time {
 }
 
 // Inject schedules fn at virtual time at on shard to, issued by shard from.
-// It must be called while holding shard from's scheduler token (i.e. from a
-// process or event callback running on that shard). In conservative mode at
+// It must be called from a process or event callback running on shard
+// from. In conservative mode at
 // must be at least sender-now + lookahead; violating that is a model bug
 // (the event could land in the destination's past) and panics.
 //
@@ -155,28 +164,52 @@ func (s *Sharded) minNext() (Time, bool) {
 
 // flush delivers all buffered injections in deterministic order:
 // (timestamp, sender shard, sender issue order). Called only between
-// windows, when no shard is dispatching.
+// windows, when no shard is dispatching. The merge slice is reused, and
+// both it and the outboxes drop their callbacks once scheduled, so a
+// delivered injection's closure is not kept alive by spare capacity.
 func (s *Sharded) flush() {
-	var batch []injection
-	for i := range s.outbox {
-		batch = append(batch, s.outbox[i]...)
-		s.outbox[i] = s.outbox[i][:0]
+	batch := s.batch[:0]
+	for i, out := range s.outbox {
+		batch = append(batch, out...)
+		clear(out)
+		s.outbox[i] = out[:0]
 	}
-	if len(batch) == 0 {
-		return
-	}
-	sort.Slice(batch, func(a, b int) bool {
-		x, y := &batch[a], &batch[b]
-		if x.at != y.at {
-			return x.at < y.at
+	slices.SortFunc(batch, func(x, y injection) int {
+		if c := cmp.Compare(x.at, y.at); c != 0 {
+			return c
 		}
-		if x.from != y.from {
-			return x.from < y.from
+		if c := cmp.Compare(x.from, y.from); c != 0 {
+			return c
 		}
-		return x.seq < y.seq
+		return cmp.Compare(x.seq, y.seq)
 	})
 	for _, inj := range batch {
 		s.shards[inj.to].schedule(inj.at, inj.fn)
+	}
+	clear(batch)
+	s.batch = batch[:0]
+}
+
+// runConcurrently runs one window on every active shard, each on its own
+// goroutine. A shard's panic (see Kernel.Run) is re-raised on the calling
+// goroutine once every shard has finished the window, so it surfaces from
+// Sharded.Run instead of killing the program.
+func runConcurrently(active []*Kernel, horizon Time) {
+	var wg sync.WaitGroup
+	failed := make([]any, len(active))
+	for i, k := range active {
+		wg.Add(1)
+		go func(i int, k *Kernel) {
+			defer wg.Done()
+			defer func() { failed[i] = recover() }()
+			k.runWindow(horizon)
+		}(i, k)
+	}
+	wg.Wait()
+	for _, r := range failed {
+		if r != nil {
+			panic(r)
+		}
 	}
 }
 
@@ -224,12 +257,13 @@ func (s *Sharded) Run() error {
 		}
 		// Collect shards with work below the horizon; idle shards (empty
 		// queue, possibly procs parked awaiting injections) cost nothing.
-		var active []*Kernel
+		active := s.active[:0]
 		for _, k := range s.shards {
 			if at, has := k.nextAt(); has && at < horizon {
 				active = append(active, k)
 			}
 		}
+		s.active = active
 		switch len(active) {
 		case 0:
 			// Cannot happen: minNext found t < horizon on some shard.
@@ -239,15 +273,7 @@ func (s *Sharded) Run() error {
 			// run it on the coordinator goroutine, no hand-off.
 			active[0].runWindow(horizon)
 		default:
-			var wg sync.WaitGroup
-			for _, k := range active {
-				wg.Add(1)
-				go func(k *Kernel) {
-					defer wg.Done()
-					k.runWindow(horizon)
-				}(k)
-			}
-			wg.Wait()
+			runConcurrently(active, horizon)
 		}
 		s.flush()
 	}

@@ -8,12 +8,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
-// spawnFrame marks a simulation process goroutine: every one is started by
-// sim.Kernel.Spawn, which appears in its stack.
-const spawnFrame = "sim.(*Kernel).Spawn"
+// spawnFrame marks a simulation process goroutine: every process body runs
+// in sim.Proc.run on its coroutine's goroutine, so it appears in the stack
+// of each started process. A process never started has no goroutine.
+const spawnFrame = "sim.(*Proc).run"
 
 // maxListed bounds how many leaked stacks Main prints in full.
 const maxListed = 10
@@ -48,22 +48,15 @@ func Main(m *testing.M) {
 	os.Exit(code)
 }
 
-// leakedProcs returns the stacks of live simulation process goroutines. A
-// process retired by Close hands control back before its goroutine
-// returns, so a few may still be exiting: wait up to a second for them.
+// leakedProcs returns the stacks of live simulation process goroutines.
+// Close retires a process's goroutine before it returns, so none is still
+// exiting.
 func leakedProcs() []string {
 	var leaked []string
-	for i := 0; i < 100; i++ {
-		leaked = leaked[:0]
-		for _, g := range strings.Split(allStacks(), "\n\n") {
-			if strings.Contains(g, spawnFrame) {
-				leaked = append(leaked, g)
-			}
+	for _, g := range strings.Split(allStacks(), "\n\n") {
+		if strings.Contains(g, spawnFrame) {
+			leaked = append(leaked, g)
 		}
-		if len(leaked) == 0 {
-			return nil
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	return leaked
 }

@@ -35,13 +35,18 @@ scripts/doclinks.sh
 # resident progress processes, shared by all of a job's communicators.
 go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fault mpixccl/internal/fabric mpixccl/internal/core mpixccl/internal/ccl/comp mpixccl/internal/mpi
 # The progress-pool pins — orphaned-Isend deadlock, idle pool, no-spawn
-# waves and exact reuse times — and the core membership suite (crash,
-# revoke, shrink, grow, partition, heartbeat and admission parity) at one
-# and at several OS threads: the kernel hands off between goroutines
-# either way, and its verdicts and modeled times must not depend on how
-# many run at once.
+# waves and exact reuse times — the kernel's hand-off semantics (a
+# process's panic and t.FailNow reach Run, Close leaves no goroutine, the
+# hand-off paths allocate nothing), the ccl no-spawn pin with compiled
+# plans on lane helpers and its exact-time pins, and the core membership
+# suite (crash, revoke, shrink, grow, partition, heartbeat and admission
+# parity) at one and at several OS threads: processes are coroutines on
+# goroutines of their own either way, and verdicts and modeled times must
+# not depend on how many threads run them.
 for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 -run 'TestDeadlockDetectedOnOrphanedIsend|TestIdleProgressProcsEndRunAndClose|TestMPISteadyStateSpawnsNoProcs|TestProgressReuseVirtualTime' mpixccl/internal/mpi
+	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$' mpixccl/internal/sim
+	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime' mpixccl/internal/ccl
 	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting' mpixccl/internal/core mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity' mpixccl/internal/core
 done
