@@ -41,9 +41,9 @@ func (o RedOp) elemOp() elem.Op {
 }
 
 // enqueueColl registers the rank's args under the next sequence number and
-// enqueues the rank's part of the algorithm on the stream.
+// enqueues the rank's part of the algorithm on the stream as one wave.
 func (c *Comm) enqueueColl(s *device.Stream, name string, a *opArgs, bytes int64,
-	run func(rc *runCtx, a *opArgs)) *sim.Event {
+	run func(rc *runCtx)) *sim.Event {
 	seq := c.seq
 	c.seq++
 	st := c.core.join(seq, c.rank, a)
@@ -51,32 +51,40 @@ func (c *Comm) enqueueColl(s *device.Stream, name string, a *opArgs, bytes int64
 	co := c.core
 	return s.Enqueue(fmt.Sprintf("%s/%s/r%d", co.cfg.Name, name, rank), func(p *sim.Proc) {
 		rc := co.getCtx(st, rank, p)
-		defer co.putCtx(rc)
-		c.delay(p, name) // injected straggler latency, if any
-		rc.launch(bytes)
-		if co.watchdog > 0 {
-			// A peer already judged this collective dead, or the start
-			// rendezvous times out on a fail-stopped peer: abandon the op
-			// with an async verdict. finish still runs so the op state
-			// drains for the ranks that did show up.
-			if st.aborted || !st.start.WaitTimeout(p, co.watchdog) {
-				st.aborted = true
-				c.asyncErr = co.deadVerdict(name, p.Now())
-				co.finish(st)
-				return
-			}
-		} else {
-			st.start.Wait(p)
-		}
-		run(rc, st.args[rank])
-		if st.abortErr != nil {
-			// A transfer crossed an active network cut mid-schedule. The
-			// verdict is shared: every participant's result is void, even
-			// ranks whose own hops stayed on one side of the cut.
-			c.raiseAsync(st.abortErr)
-		}
+		c.wave(rc, name, bytes, run)
+		// finish runs on every path, so the op state drains for the ranks
+		// that did show up even when the wave was abandoned.
 		co.finish(st)
+		co.putCtx(rc)
 	})
+}
+
+// wave runs rank c's part of one execution of a collective on rc.st, for
+// one-shot calls (enqueueColl) and persistent waves (newPersistentColl)
+// alike: the injected straggler latency, the launch, the start rendezvous
+// under the collective watchdog, the schedule, and the verdict. A rank
+// whose rendezvous times out on a fail-stopped peer, or that arrives after
+// a peer already judged the sequence dead, abandons the schedule with an
+// ErrRankDead verdict. A transfer that crossed a network cut mid-schedule
+// voids every participant's result, even ranks whose own hops stayed on one
+// side of the cut. Verdicts are asynchronous; a rank keeps the first.
+func (c *Comm) wave(rc *runCtx, name string, bytes int64, run func(rc *runCtx)) {
+	co, st, p := c.core, rc.st, rc.p
+	c.delay(p, name)
+	rc.launch(bytes)
+	// Only an armed watchdog fails fast on st.aborted: a severed hop sets it
+	// too, and a persistent handle's op state outlives the wave, so with the
+	// watchdog disarmed its later waves still run.
+	wd := co.watchdog
+	if (wd > 0 && st.aborted) || !st.start.WaitTimeout(p, wd) {
+		st.aborted = true
+		c.raiseAsync(co.deadVerdict(name, p.Now()))
+		return
+	}
+	run(rc)
+	if st.abortErr != nil {
+		c.raiseAsync(st.abortErr)
+	}
 }
 
 // resolveAlgo maps the forced schedule family (SetAlgorithm) onto what
@@ -122,7 +130,7 @@ func (c *Comm) AllReduce(send, recv *device.Buffer, count int, dt Datatype, op R
 			custom = nil // too few elements to partition
 		}
 	}
-	c.enqueueColl(s, "allreduce", a, bytes, func(rc *runCtx, a *opArgs) {
+	c.enqueueColl(s, "allreduce", a, bytes, func(rc *runCtx) {
 		if rc.co.n == 1 {
 			rc.localCopy(a.recv, a.send, bytes)
 			return
@@ -160,7 +168,7 @@ func (c *Comm) Broadcast(send, recv *device.Buffer, count int, dt Datatype, root
 	bytes := int64(count) * int64(dt.Size())
 	a := c.core.newArgs(send, recv, count, root)
 	algo, chunk := c.resolveAlgo(count)
-	c.enqueueColl(s, "broadcast", a, bytes, func(rc *runCtx, a *opArgs) {
+	c.enqueueColl(s, "broadcast", a, bytes, func(rc *runCtx) {
 		if algo == AlgoHierarchical && rc.co.n > 1 {
 			rc.hierBroadcast(dt, count, root, chunk)
 			return
@@ -177,7 +185,7 @@ func (c *Comm) Reduce(send, recv *device.Buffer, count int, dt Datatype, op RedO
 	}
 	bytes := int64(count) * int64(dt.Size())
 	a := c.core.newArgs(send, recv, count, root)
-	c.enqueueColl(s, "reduce", a, bytes, func(rc *runCtx, a *opArgs) {
+	c.enqueueColl(s, "reduce", a, bytes, func(rc *runCtx) {
 		rc.treeReduce(dt, op, count, root)
 	})
 	return nil
@@ -195,7 +203,7 @@ func (c *Comm) AllGather(send, recv *device.Buffer, count int, dt Datatype, s *d
 	}
 	a := c.core.newArgs(send, recv, count, 0)
 	algo, chunk := c.resolveAlgo(count)
-	c.enqueueColl(s, "allgather", a, bytes, func(rc *runCtx, a *opArgs) {
+	c.enqueueColl(s, "allgather", a, bytes, func(rc *runCtx) {
 		if algo == AlgoHierarchical && rc.co.n > 1 {
 			rc.hierAllGather(dt, count, chunk)
 			return
@@ -217,7 +225,7 @@ func (c *Comm) ReduceScatter(send, recv *device.Buffer, recvCount int, dt Dataty
 	}
 	a := c.core.newArgs(send, recv, recvCount, 0)
 	algo, chunk := c.resolveAlgo(recvCount)
-	c.enqueueColl(s, "reducescatter", a, bytes, func(rc *runCtx, a *opArgs) {
+	c.enqueueColl(s, "reducescatter", a, bytes, func(rc *runCtx) {
 		if algo == AlgoHierarchical && rc.co.n > 1 {
 			rc.hierReduceScatter(dt, op, recvCount, chunk)
 			return
@@ -234,7 +242,7 @@ func (rc *runCtx) localCopy(dst, src *device.Buffer, n int64) {
 // stage charges the modeled copy of src[off, off+n) into dst at the same
 // offset, and moves the bytes only when move is set. The hierarchical
 // reductions read a rank's own input from the send buffer in place (see
-// intraTreeReduce) and keep charging the copy where they used to make it,
+// treeReduceOver) and keep charging the copy where they used to make it,
 // so virtual time is that of the staged schedule. In place (dst == src)
 // there is nothing to copy or charge.
 func (rc *runCtx) stage(dst, src *device.Buffer, off, n int64, move bool) {
@@ -263,48 +271,71 @@ func segBounds(count, n int) []int {
 	return b
 }
 
-// ringAllReduce: ring reduce-scatter then ring allgather over the rank's
-// recv buffer, through credit-managed pipes. Neither phase copies through
-// the pipes' scratch: reduce-scatter segments are reduced straight from the
-// sender's buffer (see byRef), and allgather segments are placed straight at
-// their final offset in the right neighbor's recv buffer (see getPlaced).
+// ringAllReduce stages the input into recv and runs the ring over all
+// ranks. Flat rings run only with count ≥ n (fewer elements run the tree),
+// so no segment is empty.
 func (rc *runCtx) ringAllReduce(dt Datatype, op RedOp, count int) {
 	a := rc.st.args[rc.rank]
-	n := rc.co.n
+	rc.localCopy(a.recv, a.send, int64(count)*int64(dt.Size()))
+	rc.ringAllReduceOver(rc.co.ranks, rc.rank, dt, op, 0, count)
+}
+
+// ringAllReduceOver runs a ring allreduce (reduce-scatter, then allgather)
+// over the rank group, in place over count elements at byte offset base of
+// each member's recv buffer; idx is this rank's position in group. The
+// flat ring runs it over all ranks, the hierarchical leader engine over
+// the node leaders, one pipeline chunk at a time. Neither phase copies
+// through the pipes' scratch: reduce-scatter segments are reduced straight
+// from the sender's buffer (see byRef), and allgather segments are placed
+// straight at their final offset in the right neighbor's recv buffer (see
+// getPlaced). A chunk shorter than the group leaves some segments empty;
+// their steps move nothing.
+func (rc *runCtx) ringAllReduceOver(group []int, idx int, dt Datatype, op RedOp, base int64, count int) {
+	m := len(group)
+	right := group[(idx+1)%m]
+	left := group[(idx-1+m)%m]
 	esz := int64(dt.Size())
-	rc.localCopy(a.recv, a.send, int64(count)*esz)
-	bounds := rc.segs(count, n)
-	maxSeg := int64(bounds[1]-bounds[0]) * esz
-	if maxSeg == 0 {
-		maxSeg = esz
+	recv := rc.st.args[rc.rank].recv
+	bounds := rc.segs(count, m)
+	slotBytes := int64(bounds[1]-bounds[0]) * esz
+	if slotBytes == 0 {
+		slotBytes = esz
 	}
-	right := (rc.rank + 1) % n
-	left := (rc.rank - 1 + n) % n
-	// Reduce-scatter: after n-1 steps rank r owns segment r fully reduced.
-	for step := 0; step < n-1; step++ {
-		sendSeg := (rc.rank - step - 1 + 2*n) % n
-		recvSeg := (rc.rank - step - 2 + 2*n) % n
-		so, sl := int64(bounds[sendSeg])*esz, int64(bounds[sendSeg+1]-bounds[sendSeg])*esz
-		ro, rl := int64(bounds[recvSeg])*esz, int64(bounds[recvSeg+1]-bounds[recvSeg])*esz
-		sent := rc.putAsync(right, byRef, rc.slice(a.recv, so, sl), sl, maxSeg)
-		slot, buf := rc.get(left, maxSeg)
-		if rl > 0 {
-			rc.reduceInto(op, dt, rc.slice(a.recv, ro, rl), buf, int(rl/esz))
+	seg := func(s int) (int64, int64) {
+		return base + int64(bounds[s])*esz, int64(bounds[s+1]-bounds[s]) * esz
+	}
+	// Reduce-scatter: after m-1 steps member idx owns segment idx reduced.
+	for step := 0; step < m-1; step++ {
+		so, sl := seg((idx - step - 1 + 2*m) % m)
+		ro, rl := seg((idx - step - 2 + 2*m) % m)
+		var sent *sim.Counter
+		if sl > 0 {
+			sent = rc.putAsync(right, byRef, rc.slice(recv, so, sl), sl, slotBytes)
 		}
-		rc.release(left, slot, maxSeg)
-		sent.Wait(rc.p)
+		if rl > 0 {
+			slot, buf := rc.get(left, slotBytes)
+			rc.reduceInto(op, dt, rc.slice(recv, ro, rl), buf, int(rl/esz))
+			rc.release(left, slot, slotBytes)
+		}
+		if sent != nil {
+			sent.Wait(rc.p)
+		}
 	}
-	// Allgather: forward segments through the same credit-managed pipes,
-	// placed directly. Every segment holds at least one element: counts
-	// below n run the tree.
-	for step := 0; step < n-1; step++ {
-		sendSeg := (rc.rank - step + n) % n
-		recvSeg := (rc.rank - step - 1 + 2*n) % n
-		so, sl := int64(bounds[sendSeg])*esz, int64(bounds[sendSeg+1]-bounds[sendSeg])*esz
-		rl := int64(bounds[recvSeg+1]-bounds[recvSeg]) * esz
-		sent := rc.putAsync(right, rc.slice(rc.st.args[right].recv, so, sl), rc.slice(a.recv, so, sl), sl, maxSeg)
-		rc.getPlaced(left, rl, maxSeg)
-		sent.Wait(rc.p)
+	// Allgather: forward the reduced segments around the same ring, placed
+	// directly in the right member's recv buffer.
+	for step := 0; step < m-1; step++ {
+		so, sl := seg((idx - step + m) % m)
+		_, rl := seg((idx - step - 1 + 2*m) % m)
+		var sent *sim.Counter
+		if sl > 0 {
+			sent = rc.putAsync(right, rc.slice(rc.st.args[right].recv, so, sl), rc.slice(recv, so, sl), sl, slotBytes)
+		}
+		if rl > 0 {
+			rc.getPlaced(left, rl, slotBytes)
+		}
+		if sent != nil {
+			sent.Wait(rc.p)
+		}
 	}
 }
 
@@ -325,67 +356,101 @@ func (rc *runCtx) getPlaced(from int, n, slotBytes int64) {
 	rc.release(from, slot, slotBytes)
 }
 
-// treeAllReduce: binomial reduce to rank 0 followed by binomial broadcast —
-// the latency-oriented path for small payloads.
+// treeAllReduce: binomial reduce to rank 0 followed by binomial broadcast
+// over all ranks — the latency-oriented path for small payloads. An empty
+// call still sends every tree step, zero bytes over one-element slots.
 func (rc *runCtx) treeAllReduce(dt Datatype, op RedOp, count int) {
 	a := rc.st.args[rc.rank]
 	esz := int64(dt.Size())
-	rc.localCopy(a.recv, a.send, int64(count)*esz)
-	rc.treeReduceInPlace(dt, op, count, 0)
-	rc.treeBroadcastBuf(dt, count, 0)
-}
-
-// treeReduceInPlace runs a binomial reduction over each rank's recv buffer
-// toward root.
-func (rc *runCtx) treeReduceInPlace(dt Datatype, op RedOp, count int, root int) {
-	n := rc.co.n
-	esz := int64(dt.Size())
 	bytes := int64(count) * esz
-	if bytes == 0 {
-		bytes = esz
-	}
-	rel := (rc.rank - root + n) % n
-	for mask := 1; mask < n; mask <<= 1 {
-		if rel&mask != 0 {
-			parent := ((rel - mask) + root) % n
-			rc.putTo(parent, byRef, rc.st.args[rc.rank].recv, int64(count)*esz, bytes)
-			return
-		}
-		childRel := rel + mask
-		if childRel < n {
-			child := (childRel + root) % n
-			slot, buf := rc.get(child, bytes)
-			if count > 0 {
-				rc.reduceInto(op, dt, rc.st.args[rc.rank].recv, buf, count)
-			}
-			rc.release(child, slot, bytes)
-		}
-	}
+	rc.localCopy(a.recv, a.send, bytes)
+	rc.treeReduceOver(rc.co.ranks, rc.rank, dt, op, a.recv, a.recv, 0, count, max(bytes, esz))
+	rc.treeBcastOver(rc.co.ranks, rc.rank, 0, 0, bytes)
 }
 
-// treeBroadcast copies root's send buffer down a binomial tree into each
-// rank's recv buffer.
+// treeBroadcast copies root's send buffer down a binomial tree over all
+// ranks into each rank's recv buffer.
 func (rc *runCtx) treeBroadcast(dt Datatype, count int, root int) {
 	a := rc.st.args[rc.rank]
-	esz := int64(dt.Size())
+	bytes := int64(count) * int64(dt.Size())
 	if rc.rank == root {
-		rc.localCopy(a.recv, a.send, int64(count)*esz)
+		rc.localCopy(a.recv, a.send, bytes)
 	}
-	rc.treeBroadcastBuf(dt, count, root)
+	rc.treeBcastOver(rc.co.ranks, rc.rank, root, 0, bytes)
 }
 
-// treeBroadcastBuf runs the binomial broadcast over each rank's recv buffer,
-// assuming root's already holds the payload.
-func (rc *runCtx) treeBroadcastBuf(dt Datatype, count int, root int) {
-	n := rc.co.n
+// treeReduceOver runs a binomial reduction of count elements at byte offset
+// off over the rank group toward group[0], accumulating in each rank's buf;
+// idx is this rank's position in group. A rank's own input is read from
+// src at the same offset: src is buf in place; otherwise the rank's first
+// reduce is out of place, buf = src ⊕ child, and a rank that sends before
+// it reduces (a leaf) puts straight from src. Parents reduce straight from
+// each child's segment (byRef), which the child leaves alone until the
+// broadcast phase writes it, or it is freed after waitDirect, or (src) the
+// child's call ends. An empty reduction (count 0) sends and receives its
+// steps but reduces nothing.
+func (rc *runCtx) treeReduceOver(group []int, idx int, dt Datatype, op RedOp,
+	buf, src *device.Buffer, off int64, count int, slotBytes int64) {
+	n := len(group)
+	if n <= 1 {
+		return
+	}
 	esz := int64(dt.Size())
 	bytes := int64(count) * esz
-	rel := (rc.rank - root + n) % n
+	// mine views this rank's partial: its input in src until the first
+	// reduce writes buf. Views are built only where used.
+	var mine *device.Buffer
+	if src == buf {
+		mine = rc.view(buf, off, bytes)
+	}
+	for mask := 1; mask < n; mask <<= 1 {
+		if idx&mask != 0 {
+			if mine == nil {
+				mine = rc.view(src, off, bytes)
+			}
+			rc.putTo(group[idx-mask], byRef, mine, bytes, slotBytes)
+			return
+		}
+		if idx+mask < n {
+			child := group[idx+mask]
+			slot, s := rc.get(child, slotBytes)
+			switch {
+			case count == 0:
+				// Nothing to reduce. A zero-length reduce is not free: its
+				// zero-time sleep would still yield the process.
+			case mine == nil:
+				mine = rc.view(buf, off, bytes)
+				rc.reduceTo(op, dt, mine, src.Bytes()[off:], s, count)
+			default:
+				rc.reduceInto(op, dt, mine, s, count)
+			}
+			rc.release(child, slot, slotBytes)
+		}
+	}
+}
+
+// view is slice, except that at offset 0 it returns b itself: every use in
+// treeReduceOver touches only a view's first n bytes, so the whole buffer
+// serves there without a per-call view.
+func (rc *runCtx) view(b *device.Buffer, off, n int64) *device.Buffer {
+	if off == 0 {
+		return b
+	}
+	return rc.slice(b, off, n)
+}
+
+// treeBcastOver broadcasts each rank's recv[off:off+bytes] region down a
+// binomial tree over the rank group rooted at group[rootIdx], via direct
+// writes into the user buffers (the region is written exactly once); idx
+// is this rank's position in group. An empty region still sends every
+// step, zero bytes each.
+func (rc *runCtx) treeBcastOver(group []int, idx, rootIdx int, off, bytes int64) {
+	n := len(group)
+	rel := (idx - rootIdx + n) % n
 	mask := 1
 	for mask < n {
 		if rel&mask != 0 {
-			parent := ((rel - mask) + root + n) % n
-			rc.waitDirect(parent)
+			rc.waitDirect(group[(rel-mask+rootIdx)%n])
 			break
 		}
 		mask <<= 1
@@ -393,8 +458,9 @@ func (rc *runCtx) treeBroadcastBuf(dt Datatype, count int, root int) {
 	mask >>= 1
 	for mask > 0 {
 		if rel+mask < n {
-			child := (rel + mask + root) % n
-			rc.putDirect(child, rc.slice(rc.st.args[child].recv, 0, bytes), rc.slice(rc.st.args[rc.rank].recv, 0, bytes), bytes)
+			child := group[(rel+mask+rootIdx)%n]
+			rc.putDirect(child, rc.slice(rc.st.args[child].recv, off, bytes),
+				rc.slice(rc.st.args[rc.rank].recv, off, bytes), bytes)
 		}
 		mask >>= 1
 	}

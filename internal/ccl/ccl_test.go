@@ -12,6 +12,7 @@ import (
 	"mpixccl/internal/ccl/rccl"
 	"mpixccl/internal/device"
 	"mpixccl/internal/fabric"
+	"mpixccl/internal/fault"
 	"mpixccl/internal/sim"
 	"mpixccl/internal/topology"
 )
@@ -473,4 +474,49 @@ func TestCommSplitOptOut(t *testing.T) {
 			t.Errorf("sub size = %d", sub.Size())
 		}
 	})
+}
+
+// TestAsyncVerdictKeepsFirst queues two allreduces on every stream before
+// one TakeAsyncErr. The first crosses a network cut, so every rank's part
+// ends with the shared ErrUnreachable verdict. Rank 8 fail-stops before
+// the second, whose start rendezvous then times out on the survivors with
+// ErrRankDead. A rank's asynchronous verdict keeps the first one raised, so
+// the survivors must report the cut, not the crash that followed it.
+func TestAsyncVerdictKeepsFirst(t *testing.T) {
+	const n = 9 // rank 8 alone on node 1
+	k := sim.NewKernel()
+	sys, err := topology.Preset(k, "thetagpu", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := fabric.New(k, sys)
+	fab.SetFaults(fault.NewPlan(1).
+		AddPartitionRule(fault.PartitionRule{Name: "cut", Nodes: []int{1}}).
+		AddRule(fault.Rule{Name: "crash", Crash: true, Ranks: []int{n - 1}, Op: "allreduce", After: 1}))
+	comms, err := nccl.New(fab, sys.Devices()[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &harness{k: k, sys: sys, fab: fab, comms: comms}
+	for _, c := range comms {
+		h.streams = append(h.streams, c.Device().NewStream())
+	}
+	verdicts := make([]error, n)
+	h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
+		c.SetWatchdog(time.Millisecond)
+		buf := c.Device().MustMalloc(4 << 10)
+		for i := 0; i < 2; i++ {
+			err := c.AllReduce(buf, buf, 1<<10, ccl.Float32, ccl.Sum, s)
+			if dead := r == n-1 && i == 1; dead != errors.Is(err, ccl.ErrRankDead) {
+				t.Errorf("rank %d allreduce %d: %v", r, i, err)
+			}
+		}
+		s.Synchronize(p)
+		verdicts[r] = c.TakeAsyncErr()
+	})
+	for r, err := range verdicts {
+		if !errors.Is(err, ccl.ErrUnreachable) {
+			t.Errorf("rank %d verdict = %v, want the first one, ErrUnreachable", r, err)
+		}
+	}
 }

@@ -23,6 +23,7 @@ type core struct {
 	failStop fabric.FailStop // nil = no fail-stop crashes
 	watchdog time.Duration   // 0 = collective watchdog disarmed
 	rankIDs  []int           // global identities for fault scoping; nil = local ranks
+	ranks    []int           // every rank in order: the group the flat schedules run over
 
 	ops     map[int]*opState
 	p2pPost map[[2]int]*sim.Chan[*p2pSlot] // receiver-posted buffers per (src,dst)
@@ -217,10 +218,10 @@ type p2pSlot struct {
 
 // NewComms builds a communicator over the given devices and returns the
 // per-rank handles. It validates that the backend can drive every device
-// and consults the fault hook (explicit cfg.Faults, then the legacy
-// InjectFailure flag, then any agent attached to the fabric) for an
-// injected comm-init failure: if any rank's init is failed, the whole
-// creation fails, as ncclCommInitAll would.
+// and consults the fault hook (explicit cfg.Faults, then any agent
+// attached to the fabric) for an injected comm-init failure: if any
+// rank's init is failed, the whole creation fails, as ncclCommInitAll
+// would.
 func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, error) {
 	if len(devs) == 0 {
 		return nil, &Error{Backend: cfg.Name, Result: ErrInvalidArgument, Msg: "no devices"}
@@ -232,9 +233,6 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 		}
 	}
 	inj := cfg.Faults
-	if inj == nil && cfg.InjectFailure != Success {
-		inj = StaticFailure(cfg.Name, cfg.InjectFailure)
-	}
 	if inj == nil && fab != nil {
 		if a, ok := fab.Faults().(Injector); ok {
 			inj = a
@@ -272,8 +270,10 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 			co.opOK[i] = ok
 		}
 	}
+	co.ranks = make([]int, len(devs))
 	comms := make([]*Comm, len(devs))
 	for r := range devs {
+		co.ranks[r] = r
 		comms[r] = &Comm{core: co, rank: r}
 	}
 	return comms, nil
@@ -697,17 +697,17 @@ func (rc *runCtx) put(to int, src *device.Buffer, n int64, slotBytes int64) {
 //
 // The caller must guarantee src is not written until the receiver has
 // released it. That holds at each reduce step where the sender's next write
-// to the segment is causally after the receiver's reduce:
-//   - a ring allreduce's reduce-scatter (flat, and the hierarchical leader
-//     ring): the segment a rank sends at step s is next written by the
-//     allgather, with the segment's final value, which exists only after
-//     the partial has travelled on around the ring through the right
-//     neighbor's reduce;
-//   - a binomial reduction over the recv buffer (treeReduceInPlace, and
-//     intraTreeReduce in hierarchical allreduce and reduce-scatter phase A):
-//     a child's chunk is next written by the broadcast phase, or freed after
-//     waitDirect, and both follow its parent's reduce;
-//   - a leaf of intraTreeReduce, which sends its input straight from the
+// to the segment is causally after the receiver's reduce. Each proof holds
+// for its group schedule over any rank group, flat or hierarchical:
+//   - the group ring's reduce-scatter (ringAllReduceOver): the segment a
+//     rank sends at step s is next written by the allgather, with the
+//     segment's final value, which exists only after the partial has
+//     travelled on around the ring through the right neighbor's reduce;
+//   - the group binomial reduction over the accumulation buffer
+//     (treeReduceOver): a child's chunk is next written by the broadcast
+//     phase, or freed after waitDirect, and both follow its parent's
+//     reduce;
+//   - a leaf of treeReduceOver that sends its input straight from the
 //     caller's send buffer: the schedule never writes send, and the leaf's
 //     call, after which the caller may, ends only once its parent's reduce
 //     is done (the leaf then waits for the broadcast or the leader's
@@ -786,7 +786,7 @@ func (rc *runCtx) reduceInto(op RedOp, dt Datatype, dst, src *device.Buffer, cou
 
 // reduceTo is reduceInto out of place, dst = a ⊕ src, at the same device
 // time: a rank's first reduce of a chunk whose own input it reads from the
-// send buffer (see intraTreeReduce).
+// send buffer (see treeReduceOver).
 func (rc *runCtx) reduceTo(op RedOp, dt Datatype, dst *device.Buffer, a []byte, src *device.Buffer, count int) {
 	elem.ReduceTo(op.elemOp(), dt.kind(), dst.Bytes(), a, src.Bytes(), count)
 	rc.p.Sleep(rc.dev().ReduceTime(int64(count) * int64(dt.Size())))

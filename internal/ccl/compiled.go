@@ -119,18 +119,14 @@ func planSlot(p *comp.Plan) int64 {
 // phases uniformly.
 func (rc *runCtx) fence(op string) bool {
 	st, co := rc.st, rc.co
-	if co.watchdog > 0 {
-		if !st.start.WaitTimeout(rc.p, co.watchdog) {
-			st.aborted = true
-			if st.abortErr == nil {
-				st.abortErr = co.deadVerdict(op, rc.p.Now())
-			}
-			return false
-		}
+	if st.start.WaitTimeout(rc.p, co.watchdog) {
 		return true
 	}
-	st.start.Wait(rc.p)
-	return true
+	st.aborted = true
+	if st.abortErr == nil {
+		st.abortErr = co.deadVerdict(op, rc.p.Now())
+	}
+	return false
 }
 
 // bufAt resolves a move endpoint to a view of the owning rank's buffer.
@@ -259,7 +255,7 @@ func (c *Comm) Alltoall(send, recv *device.Buffer, count int, dt Datatype, plan 
 	}
 	a := c.core.newArgs(send, recv, count, 0)
 	slot := planSlot(pl)
-	c.enqueueColl(s, "alltoall", a, blk, func(rc *runCtx, a *opArgs) {
+	c.enqueueColl(s, "alltoall", a, blk, func(rc *runCtx) {
 		rc.chunk = pl.ChunkBytes
 		rc.runPlan(pl, dt, Sum, slot)
 	})
@@ -307,7 +303,7 @@ func (c *Comm) Alltoallv(send *device.Buffer, scounts, sdispls []int,
 	a := c.core.newArgs(send, recv, 0, 0)
 	a.scounts, a.sdispls, a.rcounts, a.rdispls = scounts, sdispls, rcounts, rdispls
 	esz := int64(dt.Size())
-	c.enqueueColl(s, "alltoallv", a, 0, func(rc *runCtx, a *opArgs) {
+	c.enqueueColl(s, "alltoallv", a, 0, func(rc *runCtx) {
 		pl := rc.vPlan(strat, esz)
 		rc.chunk = pl.ChunkBytes
 		rc.runPlan(pl, dt, Sum, 1)
@@ -367,7 +363,7 @@ func (c *Comm) Scatter(send, recv *device.Buffer, count int, dt Datatype, root i
 	}
 	a := c.core.newArgs(send, recv, count, root)
 	slot := planSlot(pl)
-	c.enqueueColl(s, "scatter", a, blk, func(rc *runCtx, a *opArgs) {
+	c.enqueueColl(s, "scatter", a, blk, func(rc *runCtx) {
 		rc.chunk = pl.ChunkBytes
 		rc.runPlan(pl, dt, Sum, slot)
 	})
@@ -392,7 +388,7 @@ func (c *Comm) Gather(send, recv *device.Buffer, count int, dt Datatype, root in
 	}
 	a := c.core.newArgs(send, recv, count, root)
 	slot := planSlot(pl)
-	c.enqueueColl(s, "gather", a, blk, func(rc *runCtx, a *opArgs) {
+	c.enqueueColl(s, "gather", a, blk, func(rc *runCtx) {
 		rc.chunk = pl.ChunkBytes
 		rc.runPlan(pl, dt, Sum, slot)
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mpixccl/internal/device"
 	"mpixccl/internal/sim"
 )
 
@@ -15,10 +14,13 @@ import (
 // into fixed-size chunks that flow through the three phases as a software
 // pipeline, so the inter-node exchange of chunk k overlaps the intra-node
 // work of chunk k+1 (the leader feeds chunks to its resident inter-node
-// engine, hierEngine). All data movement reuses the
-// credit-managed scratch pipes of the flat algorithms; intra-node,
-// leader-leader, and fan-out hops use disjoint directed pipe keys, so the
-// phases never contend for each other's flow-control credits.
+// engine, hierEngine). The tree and ring phases are the group schedules
+// the flat collectives run over all ranks (treeReduceOver, treeBcastOver,
+// ringAllReduceOver), here over a node's ranks, the node leaders, or the
+// per-node broadcast representatives. All data movement reuses the
+// credit-managed scratch pipes; intra-node, leader-leader, and fan-out hops
+// use disjoint directed pipe keys, so the phases never contend for each
+// other's flow-control credits.
 
 // Algorithm selects a collective schedule family. The zero value (AlgoAuto)
 // keeps the backend's built-in size-based ring/tree split; the dispatch
@@ -157,7 +159,7 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 	esz := int64(dt.Size())
 	locals := hp.locals[hp.nodeIdx[rc.rank]]
 	li := hp.localIdx[rc.rank]
-	// Ranks read their own input from send in place (see intraTreeReduce),
+	// Ranks read their own input from send in place (see treeReduceOver),
 	// so staging it into recv only charges the copy, except at a one-rank
 	// node's leader, which reduces nothing and must copy. A partition-gated
 	// persistent schedule stages each chunk as its partition becomes ready
@@ -179,12 +181,12 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 		for ck := 0; ck < nchunks; ck++ {
 			lo, cn := chunkRange(count, ce, ck)
 			rc.stageChunk(a, int64(lo)*esz, int64(cn)*esz, ck, lone)
-			rc.intraTreeReduce(locals, li, dt, op, a.recv, a.send, int64(lo)*esz, cn, slotBytes)
+			rc.treeReduceOver(locals, li, dt, op, a.recv, a.send, int64(lo)*esz, cn, slotBytes)
 		}
 		rc.waitAllParts()
 		for ck := 0; ck < nchunks; ck++ {
 			lo, cn := chunkRange(count, ce, ck)
-			rc.intraTreeBcast(locals, li, 0, int64(lo)*esz, int64(cn)*esz)
+			rc.treeBcastOver(locals, li, 0, int64(lo)*esz, int64(cn)*esz)
 		}
 		return
 	}
@@ -199,7 +201,7 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 	for ck := 0; ck < nchunks; ck++ {
 		lo, cn := chunkRange(count, ce, ck)
 		rc.stageChunk(a, int64(lo)*esz, int64(cn)*esz, ck, lone)
-		rc.intraTreeReduce(locals, li, dt, op, a.recv, a.send, int64(lo)*esz, cn, slotBytes)
+		rc.treeReduceOver(locals, li, dt, op, a.recv, a.send, int64(lo)*esz, cn, slotBytes)
 		if eng != nil {
 			eng.feed()
 		}
@@ -210,7 +212,7 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 			eng.done[ck].Wait(rc.p)
 		}
 		lo, cn := chunkRange(count, ce, ck)
-		rc.intraTreeBcast(locals, li, 0, int64(lo)*esz, int64(cn)*esz)
+		rc.treeBcastOver(locals, li, 0, int64(lo)*esz, int64(cn)*esz)
 	}
 }
 
@@ -267,7 +269,8 @@ func (e *hierEngine) loop(p *sim.Proc) {
 		}
 		ck := e.next
 		e.next++
-		e.rc.hierInterAllReduce(e.hp, e.dt, e.op, e.count, e.ce, ck)
+		lo, cn := chunkRange(e.count, e.ce, ck)
+		e.rc.ringAllReduceOver(e.hp.leaders, e.hp.nodeIdx[e.rc.rank], e.dt, e.op, int64(lo)*int64(e.dt.Size()), cn)
 		e.done[ck].Fire()
 	}
 }
@@ -277,134 +280,6 @@ func (e *hierEngine) loop(p *sim.Proc) {
 func (e *hierEngine) feed() {
 	e.fed++
 	e.ready.TrySend(struct{}{})
-}
-
-// hierInterAllReduce runs one chunk's ring allreduce (reduce-scatter +
-// allgather) over the leader group, in place over the leader's recv buffer,
-// reducing from the sender's segment (byRef) and placing allgather segments
-// directly (getPlaced) on the same causal grounds as the flat ring.
-func (rc *runCtx) hierInterAllReduce(hp *hierPlan, dt Datatype, op RedOp, count, ce, ck int) {
-	m := len(hp.leaders)
-	idx := hp.nodeIdx[rc.rank]
-	right := hp.leaders[(idx+1)%m]
-	left := hp.leaders[(idx-1+m)%m]
-	lo, cn := chunkRange(count, ce, ck)
-	esz := int64(dt.Size())
-	base := int64(lo) * esz
-	recv := rc.st.args[rc.rank].recv
-	bounds := rc.segs(cn, m)
-	slotBytes := int64(bounds[1]-bounds[0]) * esz
-	if slotBytes == 0 {
-		slotBytes = esz
-	}
-	seg := func(s int) (int64, int64) {
-		return base + int64(bounds[s])*esz, int64(bounds[s+1]-bounds[s]) * esz
-	}
-	// Reduce-scatter: after m-1 steps leader idx owns segment idx reduced.
-	for step := 0; step < m-1; step++ {
-		so, sl := seg((idx - step - 1 + 2*m) % m)
-		ro, rl := seg((idx - step - 2 + 2*m) % m)
-		var sent *sim.Counter
-		if sl > 0 {
-			sent = rc.putAsync(right, byRef, rc.slice(recv, so, sl), sl, slotBytes)
-		}
-		if rl > 0 {
-			slot, buf := rc.get(left, slotBytes)
-			rc.reduceInto(op, dt, rc.slice(recv, ro, rl), buf, int(rl/esz))
-			rc.release(left, slot, slotBytes)
-		}
-		if sent != nil {
-			sent.Wait(rc.p)
-		}
-	}
-	// Allgather: forward the reduced segments around the same ring, placed
-	// directly in the right leader's recv buffer (see getPlaced).
-	for step := 0; step < m-1; step++ {
-		so, sl := seg((idx - step + m) % m)
-		_, rl := seg((idx - step - 1 + 2*m) % m)
-		var sent *sim.Counter
-		if sl > 0 {
-			sent = rc.putAsync(right, rc.slice(rc.st.args[right].recv, so, sl), rc.slice(recv, so, sl), sl, slotBytes)
-		}
-		if rl > 0 {
-			rc.getPlaced(left, rl, slotBytes)
-		}
-		if sent != nil {
-			sent.Wait(rc.p)
-		}
-	}
-}
-
-// intraTreeReduce runs a binomial reduction of count elements at byte offset
-// off over the same-node rank group toward group[0], accumulating in each
-// rank's buf. A rank's own input is read from src at the same offset: src
-// is buf in place; otherwise the rank's first reduce is out of place,
-// buf = src ⊕ child, and a rank that sends before it reduces (a leaf) puts
-// straight from src. Parents reduce straight from each child's segment
-// (byRef), which the child leaves alone until the broadcast phase writes it,
-// or it is freed after waitDirect, or (src) the child's call ends.
-func (rc *runCtx) intraTreeReduce(group []int, idx int, dt Datatype, op RedOp,
-	buf, src *device.Buffer, off int64, count int, slotBytes int64) {
-	n := len(group)
-	if n <= 1 || count == 0 {
-		return
-	}
-	esz := int64(dt.Size())
-	bytes := int64(count) * esz
-	// mine views this rank's partial: its input in src until the first
-	// reduce writes buf. Views are built only where used.
-	var mine *device.Buffer
-	if src == buf {
-		mine = rc.slice(buf, off, bytes)
-	}
-	for mask := 1; mask < n; mask <<= 1 {
-		if idx&mask != 0 {
-			if mine == nil {
-				mine = rc.slice(src, off, bytes)
-			}
-			rc.putTo(group[idx-mask], byRef, mine, bytes, slotBytes)
-			return
-		}
-		if idx+mask < n {
-			child := group[idx+mask]
-			slot, s := rc.get(child, slotBytes)
-			if mine == nil {
-				mine = rc.slice(buf, off, bytes)
-				rc.reduceTo(op, dt, mine, src.Bytes()[off:], s, count)
-			} else {
-				rc.reduceInto(op, dt, mine, s, count)
-			}
-			rc.release(child, slot, slotBytes)
-		}
-	}
-}
-
-// intraTreeBcast broadcasts each rank's recv[off:off+bytes] region down a
-// binomial tree rooted at group[rootIdx], via direct writes into the user
-// buffers (the region is written exactly once per chunk).
-func (rc *runCtx) intraTreeBcast(group []int, idx, rootIdx int, off, bytes int64) {
-	n := len(group)
-	if n <= 1 || bytes == 0 {
-		return
-	}
-	rel := (idx - rootIdx + n) % n
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			rc.waitDirect(group[(rel-mask+rootIdx)%n])
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < n {
-			child := group[(rel+mask+rootIdx)%n]
-			rc.putDirect(child, rc.slice(rc.st.args[child].recv, off, bytes),
-				rc.slice(rc.st.args[rc.rank].recv, off, bytes), bytes)
-		}
-		mask >>= 1
-	}
 }
 
 // hierBroadcast: per chunk, a binomial broadcast over one representative
@@ -455,16 +330,10 @@ func (rc *runCtx) hierBroadcast(dt Datatype, count, root int, chunkBytes int64) 
 		lo, cn := chunkRange(count, ce, ck)
 		off, bytes := int64(lo)*esz, int64(cn)*esz
 		if isRep {
-			rc.interTreeBcast(reps, hp.nodeIdx[rc.rank], rootNode, off, bytes)
+			rc.treeBcastOver(reps, hp.nodeIdx[rc.rank], rootNode, off, bytes)
 		}
-		rc.intraTreeBcast(locals, li, repIdx, off, bytes)
+		rc.treeBcastOver(locals, li, repIdx, off, bytes)
 	}
-}
-
-// interTreeBcast is intraTreeBcast over the per-node representative group
-// (kept separate for the name in pipe-key traces; same direct-write tree).
-func (rc *runCtx) interTreeBcast(group []int, idx, rootIdx int, off, bytes int64) {
-	rc.intraTreeBcast(group, idx, rootIdx, off, bytes)
 }
 
 // hierAllGather: local blocks gather at the node leader (direct writes at
@@ -533,7 +402,7 @@ func (rc *runCtx) hierAllGatherFanIn(locals []int, li int, total int64, chunkByt
 		if bytes > chunkBytes {
 			bytes = chunkBytes
 		}
-		rc.intraTreeBcast(locals, li, 0, off, bytes)
+		rc.treeBcastOver(locals, li, 0, off, bytes)
 	}
 }
 
@@ -569,7 +438,7 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 	slotBytes := int64(ce) * esz
 	for ck := 0; ck < nchunks; ck++ {
 		lo, cn := chunkRange(totalCount, ce, ck)
-		rc.intraTreeReduce(locals, li, dt, op, work, a.send, int64(lo)*esz, cn, slotBytes)
+		rc.treeReduceOver(locals, li, dt, op, work, a.send, int64(lo)*esz, cn, slotBytes)
 	}
 
 	if li != 0 {

@@ -45,15 +45,9 @@ func (c *Comm) validateP2P(opName string, buf *device.Buffer, count int, dt Data
 // bytes, signal completion. With the watchdog armed, a receive that is
 // never posted (fail-stopped peer) resolves to an ErrRankDead verdict.
 func (co *core) runSend(p *sim.Proc, rank int, op p2pOp) error {
-	var slot *p2pSlot
-	if co.watchdog > 0 {
-		s, ok := co.p2pChan(rank, op.peer).RecvTimeout(p, co.watchdog)
-		if !ok {
-			return co.deadVerdict("send", p.Now())
-		}
-		slot = s
-	} else {
-		slot = co.p2pChan(rank, op.peer).Recv(p)
+	slot, ok := co.p2pChan(rank, op.peer).RecvTimeout(p, co.watchdog)
+	if !ok {
+		return co.deadVerdict("send", p.Now())
 	}
 	if slot.bytes < op.bytes {
 		panic(fmt.Sprintf("ccl: send of %d bytes into %d-byte posted recv", op.bytes, slot.bytes))
@@ -120,15 +114,10 @@ func (c *Comm) Recv(buf *device.Buffer, count int, dt Datatype, peer int, s *dev
 		c.delay(p, "recv")
 		p.Sleep(co.cfg.Launch)
 		slot := &p2pSlot{buf: op.buf, bytes: op.bytes, done: sim.NewEvent(p.Kernel())}
-		if co.watchdog > 0 {
-			if !co.p2pChan(op.peer, rank).SendTimeout(p, slot, co.watchdog) ||
-				!slot.done.WaitTimeout(p, co.watchdog) {
-				c.raiseAsync(co.deadVerdict("recv", p.Now()))
-			}
-			return
+		if !co.p2pChan(op.peer, rank).SendTimeout(p, slot, co.watchdog) ||
+			!slot.done.WaitTimeout(p, co.watchdog) {
+			c.raiseAsync(co.deadVerdict("recv", p.Now()))
 		}
-		co.p2pChan(op.peer, rank).Send(p, slot)
-		slot.done.Wait(p)
 	})
 	return nil
 }
@@ -174,12 +163,8 @@ func (c *Comm) GroupEnd() error {
 		slots := make([]*p2pSlot, len(g.recvs))
 		for i, op := range g.recvs {
 			slots[i] = &p2pSlot{buf: op.buf, bytes: op.bytes, done: sim.NewEvent(k)}
-			if co.watchdog > 0 {
-				if !co.p2pChan(op.peer, rank).SendTimeout(p, slots[i], co.watchdog) {
-					c.raiseAsync(co.deadVerdict("group", p.Now()))
-				}
-			} else {
-				co.p2pChan(op.peer, rank).Send(p, slots[i])
+			if !co.p2pChan(op.peer, rank).SendTimeout(p, slots[i], co.watchdog) {
+				c.raiseAsync(co.deadVerdict("group", p.Now()))
 			}
 		}
 		// Run sends concurrently; link contention serializes them physically.
@@ -195,23 +180,16 @@ func (c *Comm) GroupEnd() error {
 				counter.Done()
 			})
 		}
-		if co.watchdog > 0 {
-			// Each timed wait is bounded on its own (the gsend helpers and
-			// posted receives carry per-wait deadlines), so the fused task
-			// as a whole resolves in bounded virtual time too.
-			if !counter.WaitTimeout(p, 2*co.watchdog) {
+		// Each timed wait is bounded on its own (the gsend helpers and
+		// posted receives carry per-wait deadlines), so the fused task as a
+		// whole resolves in bounded virtual time too.
+		if !counter.WaitTimeout(p, 2*co.watchdog) {
+			c.raiseAsync(co.deadVerdict("group", p.Now()))
+		}
+		for _, slot := range slots {
+			if !slot.done.WaitTimeout(p, co.watchdog) {
 				c.raiseAsync(co.deadVerdict("group", p.Now()))
 			}
-			for _, slot := range slots {
-				if !slot.done.WaitTimeout(p, co.watchdog) {
-					c.raiseAsync(co.deadVerdict("group", p.Now()))
-				}
-			}
-			return
-		}
-		counter.Wait(p)
-		for _, slot := range slots {
-			slot.done.Wait(p)
 		}
 	})
 	return nil

@@ -210,13 +210,10 @@ func (c *Comm) persistJoin(kind string, count int, dt Datatype, op RedOp, parts,
 }
 
 // newPersistentColl builds rank c's handle on the Init-joined state st and
-// its reusable stream work item. Each wave charges the injected delay and
-// the launch, runs the start rendezvous under the collective watchdog (a
-// wave judged dead raises the verdict and skips the schedule), runs the
-// schedule, and raises any mid-schedule abort verdict: a wave transfer
-// that crossed a network cut voids every rank's result for the wave, and
-// the handle with it — the persistent op state is permanent, so the owner
-// rebuilds after the membership layer shrinks or regrows.
+// its reusable stream work item, which runs one wave per Start (see wave).
+// A wave's failure verdict breaks the handle: the persistent op state is
+// permanent, so the owner rebuilds after the membership layer shrinks or
+// regrows.
 func (c *Comm) newPersistentColl(s *device.Stream, st *opState, id int, op string, algo Algorithm,
 	parts int, bytes int64, run func(rc *runCtx)) *PersistentColl {
 	co := c.core
@@ -231,21 +228,7 @@ func (c *Comm) newPersistentColl(s *device.Stream, st *opState, id int, op strin
 	pc := &PersistentColl{c: c, st: st, pers: ps, algo: algo, op: op, parts: parts}
 	pc.task = s.NewPersistentTask(fmt.Sprintf("%s/%s-persist%d/r%d", co.cfg.Name, op, id, c.rank), func(p *sim.Proc) {
 		rc.p = p
-		c.delay(p, op)
-		rc.launch(bytes)
-		if co.watchdog > 0 {
-			if st.aborted || !st.start.WaitTimeout(p, co.watchdog) {
-				st.aborted = true
-				c.raiseAsync(co.deadVerdict(op, p.Now()))
-				return
-			}
-		} else {
-			st.start.Wait(p)
-		}
-		run(rc)
-		if st.abortErr != nil {
-			c.raiseAsync(st.abortErr)
-		}
+		c.wave(rc, op, bytes, run)
 	})
 	return pc
 }

@@ -258,18 +258,25 @@ func TestPersistentRingPlacementExact(t *testing.T) {
 }
 
 // TestRingScheduleVirtualTime pins the modeled completion time of three
-// back-to-back calls of each ring and hierarchical schedule, one-shot and
-// persistent: neither placement nor the helper processes that carry the
+// back-to-back calls of each ring, tree and hierarchical schedule, one-shot
+// and persistent: neither placement nor the helper processes that carry the
 // asynchronous sends may change what the model charges, on the first call
 // or on the calls that reuse what the first one set up. bytes is the
-// per-rank payload (the recv block of a reduce-scatter).
+// per-rank payload (the recv block of a reduce-scatter); the zero-byte rows
+// pin the empty calls, which still send one zero-byte step per tree edge.
+// Broadcast rows use root bcastRoot: not rank 0, and not a node leader on
+// these shapes, so the hierarchical row substitutes the root for its
+// node's leader.
 func TestRingScheduleVirtualTime(t *testing.T) {
-	const ns = time.Nanosecond
+	const (
+		ns        = time.Nanosecond
+		bcastRoot = 3
+	)
 	cases := []struct {
 		name    string
 		shape   ringShape
 		algo    ccl.Algorithm
-		coll    string // allreduce | allgather | reducescatter
+		coll    string // allreduce | allgather | reducescatter | broadcast
 		persist bool   // a persistent handle's waves instead of one-shot calls
 		parts   int    // partitions of a persistent allreduce
 		bytes   int64
@@ -301,6 +308,26 @@ func TestRingScheduleVirtualTime(t *testing.T) {
 			[3]time.Duration{218114 * ns, 436228 * ns, 654342 * ns}},
 		{"persistent-hier-allgather", ringShape{"thetagpu", 16, nccl.New}, ccl.AlgoHierarchical, "allgather", true, 1, 256 << 10,
 			[3]time.Duration{297723 * ns, 595446 * ns, 893169 * ns}},
+		{"tree-allreduce", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoTree, "allreduce", false, 1, 64 << 10,
+			[3]time.Duration{52363 * ns, 104726 * ns, 157089 * ns}},
+		{"tree-allreduce-mri", ringShape{"mri", 5, rccl.New}, ccl.AlgoTree, "allreduce", false, 1, 4<<10 + 12,
+			[3]time.Duration{50745 * ns, 101490 * ns, 152235 * ns}},
+		{"persistent-tree-allreduce", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoTree, "allreduce", true, 1, 64 << 10,
+			[3]time.Duration{52363 * ns, 104726 * ns, 157089 * ns}},
+		{"tree-broadcast", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "broadcast", false, 1, 1 << 20,
+			[3]time.Duration{215340 * ns, 430680 * ns, 646020 * ns}},
+		{"persistent-tree-broadcast", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "broadcast", true, 1, 1 << 20,
+			[3]time.Duration{215340 * ns, 430680 * ns, 646020 * ns}},
+		{"hier-broadcast", ringShape{"thetagpu", 16, nccl.New}, ccl.AlgoHierarchical, "broadcast", false, 1, 4 << 20,
+			[3]time.Duration{396051 * ns, 792102 * ns, 1188153 * ns}},
+		{"persistent-hier-broadcast", ringShape{"thetagpu", 16, nccl.New}, ccl.AlgoHierarchical, "broadcast", true, 1, 4 << 20,
+			[3]time.Duration{396051 * ns, 792102 * ns, 1188153 * ns}},
+		{"zero-allreduce", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "allreduce", false, 1, 0,
+			[3]time.Duration{42400 * ns, 84800 * ns, 127200 * ns}},
+		{"persistent-zero-allreduce", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "allreduce", true, 1, 0,
+			[3]time.Duration{42400 * ns, 84800 * ns, 127200 * ns}},
+		{"zero-broadcast", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "broadcast", false, 1, 0,
+			[3]time.Duration{34100 * ns, 68200 * ns, 102300 * ns}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -326,9 +353,12 @@ func TestRingScheduleVirtualTime(t *testing.T) {
 				if tc.persist {
 					var pc *ccl.PersistentColl
 					var err error
-					if tc.coll == "allgather" {
+					switch tc.coll {
+					case "allgather":
 						pc, err = c.AllgatherInit(send, recv, count, ccl.Float32, s)
-					} else {
+					case "broadcast":
+						pc, err = c.BcastInit(send, recv, count, ccl.Float32, bcastRoot, s)
+					default:
 						pc, err = c.AllReduceInitPartitioned(send, recv, count, ccl.Float32, ccl.Sum, tc.parts, s)
 					}
 					if err != nil {
@@ -352,6 +382,8 @@ func TestRingScheduleVirtualTime(t *testing.T) {
 						err = c.AllGather(send, recv, count, ccl.Float32, s)
 					case "reducescatter":
 						err = c.ReduceScatter(send, recv, count, ccl.Float32, ccl.Sum, s)
+					case "broadcast":
+						err = c.Broadcast(send, recv, count, ccl.Float32, bcastRoot, s)
 					default:
 						err = c.AllReduce(send, recv, count, ccl.Float32, ccl.Sum, s)
 					}

@@ -123,14 +123,10 @@ func (x *Comm) cclComm() (*ccl.Comm, error) {
 	}
 	// A fail-stopped peer never reaches the rendezvous, so with the
 	// watchdog armed the wait is bounded like any other collective.
-	if wd := rt.watchdogTimeout(); wd > 0 {
-		if !ci.ready.WaitTimeout(x.mpi.Proc(), wd) {
-			return nil, &ccl.Error{Backend: string(rt.kind), Result: ccl.ErrRankDead,
-				Op: "comminit", Rank: -1,
-				Msg: fmt.Sprintf("watchdog fired after %v waiting for peers at communicator creation", wd)}
-		}
-	} else {
-		ci.ready.Wait(x.mpi.Proc())
+	if wd := rt.watchdogTimeout(); !ci.ready.WaitTimeout(x.mpi.Proc(), wd) {
+		return nil, &ccl.Error{Backend: string(rt.kind), Result: ccl.ErrRankDead,
+			Op: "comminit", Rank: -1,
+			Msg: fmt.Sprintf("watchdog fired after %v waiting for peers at communicator creation", wd)}
 	}
 	if ci.err != nil {
 		return nil, ci.err

@@ -124,11 +124,6 @@ type Config struct {
 	// heartbeat intervals instead of a full collective timeout. Other
 	// train entry points ignore the field.
 	Spares int
-	// Compile turns on the collective compiler in the xCCL engine
-	// (core.Options.Compile). Gradient exchange is allreduce-only, so the
-	// flag changes nothing today; it exists so application runs stay
-	// option-compatible with the benchmark stacks. Other engines ignore it.
-	Compile bool
 }
 
 func (c *Config) fillDefaults() {
@@ -381,7 +376,7 @@ func launch(cfg *Config, k *sim.Kernel, sys *topology.System, fab *fabric.Fabric
 	case EngineXCCL:
 		job := mpi.NewJobOnSystem(fab, mpi.MVAPICHProfile(), sys, nranks)
 		rt, err := core.NewRuntime(job, core.Options{Backend: cfg.Backend, Mode: core.Hybrid,
-			Table: cfg.Table, Metrics: cfg.Metrics, Compile: cfg.Compile})
+			Table: cfg.Table, Metrics: cfg.Metrics})
 		if err != nil {
 			return err
 		}

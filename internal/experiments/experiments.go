@@ -66,9 +66,11 @@ type Options struct {
 	// Hier runs the hybrid-xCCL series of multi-node shapes on
 	// core.HierarchicalTableFor instead of the builtin default table.
 	Hier bool
-	// Compile runs the xCCL series of every figure with the collective
-	// compiler: the synthesized collectives (alltoall(v), gather, scatter)
-	// run cost-model-compiled plans instead of the group send-recv loop.
+	// Compile runs the xCCL series of the collective grids (Fig 5–6) with
+	// the collective compiler: the synthesized collectives (alltoall(v),
+	// gather, scatter) run cost-model-compiled plans instead of the group
+	// send-recv loop. The training figures exchange gradients by allreduce
+	// only, which the compiler does not touch, so they ignore it.
 	Compile bool
 	// Persistent runs the hybrid-xCCL series of the training figures
 	// (Fig 7–10) on persistent partitioned allreduce handles, per-op
@@ -361,8 +363,7 @@ func dlFigure(id, title, system string, nodes int, backend core.BackendKind, eng
 		for _, bs := range []int{32, 64, 128} {
 			rep, err := dl.Train(dl.Config{System: system, Nodes: nodes, BatchSize: bs,
 				Steps: 1, Engine: eng, Backend: backend, Table: table, Metrics: o.Metrics,
-				Persistent: o.Persistent && eng == dl.EngineXCCL,
-				Compile:    o.Compile && eng == dl.EngineXCCL})
+				Persistent: o.Persistent && eng == dl.EngineXCCL})
 			if err != nil {
 				return nil, err
 			}

@@ -38,7 +38,9 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # waves and exact reuse times — the kernel's hand-off semantics (a
 # process's panic and t.FailNow reach Run, Close leaves no goroutine, the
 # hand-off paths allocate nothing), the ccl no-spawn pin with compiled
-# plans on lane helpers and its exact-time pins, and the core membership
+# plans on lane helpers and its exact-time pins, the flat-versus-
+# hierarchical and forced-algorithm correctness properties of the group
+# tree and ring that both paths run, and the core membership
 # suite (crash, revoke, shrink, grow, partition, heartbeat and admission
 # parity) at one and at several OS threads: processes are coroutines on
 # goroutines of their own either way, and verdicts and modeled times must
@@ -46,7 +48,7 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 -run 'TestDeadlockDetectedOnOrphanedIsend|TestIdleProgressProcsEndRunAndClose|TestMPISteadyStateSpawnsNoProcs|TestProgressReuseVirtualTime' mpixccl/internal/mpi
 	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$' mpixccl/internal/sim
-	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime' mpixccl/internal/ccl
+	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat' mpixccl/internal/ccl
 	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting' mpixccl/internal/core mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity' mpixccl/internal/core
 done
