@@ -216,10 +216,10 @@ func (x *Comm) decide(op OpKind, bytes int64, dt mpi.Datatype, rop *mpi.Op, bufs
 	if rt.opts.Mode == PureMPI || rt.kind == "" || rt.kind == NoCCL {
 		return decision{}
 	}
-	cfg, err := backendConfig(rt.kind)
-	if err != nil {
+	if rt.cfgErr != nil {
 		return decision{}
 	}
+	cfg := &rt.cfg
 	if !cfg.SupportsKind(x.Device().Kind) {
 		rt.stats.Fallbacks.Device++
 		rt.countFallback(op, "device")

@@ -203,11 +203,13 @@ type Options struct {
 // and per-rank streams. One Runtime serves every rank of the job (ranks
 // share it safely because the simulation is cooperatively scheduled).
 type Runtime struct {
-	job   *mpi.Job
-	opts  Options
-	kind  BackendKind
-	table *TuningTable
-	stats Stats
+	job    *mpi.Job
+	opts   Options
+	kind   BackendKind
+	cfg    ccl.Config // kind's personality, resolved once for decide
+	cfgErr error      // why kind has no personality (NoCCL, unknown)
+	table  *TuningTable
+	stats  Stats
 
 	streams map[int]*device.Stream // world rank -> stream
 	cache   map[string][]*ccl.Comm // comm cache key -> per-local-rank CCL comms
@@ -289,6 +291,7 @@ func NewRuntime(job *mpi.Job, opts Options) (*Runtime, error) {
 			return nil, err
 		}
 		rt.kind = kind
+		rt.cfg, rt.cfgErr = backendConfig(kind)
 	}
 	rt.table = opts.Table
 	if rt.table == nil {

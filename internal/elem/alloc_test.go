@@ -1,0 +1,28 @@
+//go:build !race
+
+// The race detector instruments allocations, so the zero-alloc pin in this
+// file only holds in a normal build.
+
+package elem
+
+import "testing"
+
+// The F32 and F64 sums run on every gradient allreduce step, so their
+// dispatch must stay allocation-free on both the scalar and the vector
+// path: a slice passed through an interface or a closure that escapes would
+// put the allocator back on the reduce.
+func TestSumAllocs(t *testing.T) {
+	const count = 1000 // vector blocks plus a scalar tail
+	sumPaths(t, func(t *testing.T) {
+		for _, k := range []Kind{F32, F64} {
+			sz := count * k.Size()
+			dst, a, b := aligned(sz, 0), aligned(sz, 0), aligned(sz, 0)
+			if n := testing.AllocsPerRun(100, func() { Reduce(OpSum, k, dst, a, count) }); n != 0 {
+				t.Errorf("%s Reduce sum allocates %.2f objects per call; want 0", kindName[k], n)
+			}
+			if n := testing.AllocsPerRun(100, func() { ReduceTo(OpSum, k, dst, a, b, count) }); n != 0 {
+				t.Errorf("%s ReduceTo sum allocates %.2f objects per call; want 0", kindName[k], n)
+			}
+		}
+	})
+}

@@ -143,8 +143,9 @@ func clamp(v, lo, hi float64) float64 {
 // Reduce applies dst[i] = op(dst[i], src[i]) elementwise over count
 // elements. OpMax/OpMin on C128 panic (undefined by both the MPI standard
 // and every CCL). F32 and F64 — the payloads of every gradient allreduce —
-// run typed kernels over aligned little-endian buffers; every other case
-// takes the portable per-element path below, which gives bit-identical
+// run typed kernels over aligned little-endian buffers, their sums in
+// 256-bit AVX2 vectors where the CPU has them (see vectorSum); every other
+// case takes the portable per-element path below, which gives bit-identical
 // results (a float32 sum or product rounded once from float64 equals the
 // float32 operation).
 func Reduce(op Op, k Kind, dst, src []byte, count int) {
@@ -154,11 +155,19 @@ func Reduce(op Op, k Kind, dst, src []byte, count int) {
 	switch k {
 	case F32:
 		if d, s := view[float32](dst, count), view[float32](src, count); d != nil && s != nil {
+			if op == OpSum && vectorSum {
+				n := sumToF32(d, s)
+				d, s = d[n:], s[n:]
+			}
 			reduceFloat(op, d, s)
 			return
 		}
 	case F64:
 		if d, s := view[float64](dst, count), view[float64](src, count); d != nil && s != nil {
+			if op == OpSum && vectorSum {
+				n := sumToF64(d, s)
+				d, s = d[n:], s[n:]
+			}
 			reduceFloat(op, d, s)
 			return
 		}
@@ -196,18 +205,26 @@ func Reduce(op Op, k Kind, dst, src []byte, count int) {
 // of place, bit-identical to copying a into dst and then calling
 // Reduce(op, k, dst, b, count), with one memory pass fewer. dst may be a
 // itself but must not otherwise overlap a or b. F32 and F64 sums run a fused
-// typed kernel over aligned little-endian buffers; every other case copies
-// and then reduces.
+// typed kernel over aligned little-endian buffers, vectorized like Reduce's;
+// every other case copies and then reduces.
 func ReduceTo(op Op, k Kind, dst, a, b []byte, count int) {
 	if op == OpSum {
 		switch k {
 		case F32:
 			if d, x, y := view[float32](dst, count), view[float32](a, count), view[float32](b, count); d != nil && x != nil && y != nil {
+				if vectorSum {
+					n := sumOfF32(d, x, y)
+					d, x, y = d[n:], x[n:], y[n:]
+				}
 				sumOf(d, x, y)
 				return
 			}
 		case F64:
 			if d, x, y := view[float64](dst, count), view[float64](a, count), view[float64](b, count); d != nil && x != nil && y != nil {
+				if vectorSum {
+					n := sumOfF64(d, x, y)
+					d, x, y = d[n:], x[n:], y[n:]
+				}
 				sumOf(d, x, y)
 				return
 			}

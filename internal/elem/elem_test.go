@@ -1,6 +1,7 @@
 package elem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -232,75 +233,201 @@ func aligned(n, shift int) []byte {
 	return raw[off+shift : off+shift+n]
 }
 
-// The typed kernels must agree bit for bit with the portable path on every
-// tail length and on the values where float semantics are delicate: NaN,
-// infinities, signed zeros and subnormals.
-func TestReduceKernelsMatchPortable(t *testing.T) {
-	specials := map[Kind][]float64{
-		F32: {0, math.Copysign(0, -1), 1, -1.5, math.NaN(), math.Inf(1), math.Inf(-1), 1e-40, 3.4e38, -3.4e38, 7},
-		F64: {0, math.Copysign(0, -1), 1, -1.5, math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 1.7e308, -1.7e308, 7},
+// sumPaths runs f once per sum path this host can take: the scalar kernels
+// (vectorSum forced off) and, on AVX2 hosts, the vector bodies.
+func sumPaths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	defer func(v bool) { vectorSum = v }(vectorSum)
+	for _, vec := range []bool{false, true} {
+		if vec && !haveAVX2() {
+			t.Log("no AVX2 vector sum path on this CPU or architecture: scalar path only")
+			continue
+		}
+		vectorSum = vec
+		name := "scalar"
+		if vec {
+			name = "vector"
+		}
+		t.Run(name, f)
 	}
-	for k, vals := range specials {
-		for _, op := range []Op{OpSum, OpProd, OpMax, OpMin} {
-			for _, count := range []int{1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 1000} {
-				sz := count * k.Size()
-				fast, slow := aligned(sz, 0), aligned(sz, 1)
-				sf, ss := aligned(sz, 0), aligned(sz, 1)
-				for i := 0; i < count; i++ {
-					d, s := vals[(i*7)%len(vals)], vals[(i*3+1)%len(vals)]
-					Set(k, fast, i, d, 0)
-					Set(k, slow, i, d, 0)
-					Set(k, sf, i, s, 0)
-					Set(k, ss, i, s, 0)
-				}
-				Reduce(op, k, fast, sf, count)
-				Reduce(op, k, slow, ss, count)
-				for i := 0; i < count; i++ {
-					got, _ := Get(k, fast, i)
-					want, _ := Get(k, slow, i)
-					same := got == want && math.Signbit(got) == math.Signbit(want)
-					if !same && !(math.IsNaN(got) && math.IsNaN(want)) {
-						t.Fatalf("%s %s count %d elem %d: typed %v, portable %v",
-							kindName[k], opName[op], count, i, got, want)
+}
+
+// kernelCounts cover the unrolled scalar loop's tails and, for the vector
+// bodies, one short of, exactly at and one past each 16- and 32-element
+// block boundary, plus long runs with ragged tails.
+var kernelCounts = []int{1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 1000, 4099}
+
+// rawSpecials are the float values where IEEE semantics are delicate, as
+// bit patterns: signed zeros, quiet NaNs with distinct payloads and signs,
+// infinities, subnormals and the largest finite values. Signaling NaNs are
+// left out: the portable float32 path widens to float64, which quiets one
+// even where the typed max and min only copy it.
+var rawSpecials = map[Kind][]uint64{
+	F32: {0, 0x80000000, 0x3f800000, 0xbfc00000, 0x7fc00000, 0x7fc12345, 0xffc00001,
+		0x7f800000, 0xff800000, 0x000116c2, 0x7f7fffff, 0xff7fffff, 0x40e00000},
+	F64: {0, 0x8000000000000000, 0x3ff0000000000000, 0xbff8000000000000, 0x7ff8000000000000,
+		0x7ff80000000abcde, 0xfff8000000000001, 0x7ff0000000000000, 0xfff0000000000000,
+		1, 0x7fefffffffffffff, 0xffefffffffffffff, 0x401c000000000000},
+}
+
+// pair returns element i's operands: every (d, s) pair of vals once count
+// reaches len(vals)², NaN against NaN of another payload included.
+func pair(vals []uint64, i int) (d, s uint64) {
+	return vals[i%len(vals)], vals[(i/len(vals))%len(vals)]
+}
+
+func putBits(k Kind, b []byte, i int, v uint64) {
+	if k == F32 {
+		binary.LittleEndian.PutUint32(b[i*4:], uint32(v))
+		return
+	}
+	binary.LittleEndian.PutUint64(b[i*8:], v)
+}
+
+func bitsAt(k Kind, b []byte, i int) uint64 {
+	if k == F32 {
+		return uint64(binary.LittleEndian.Uint32(b[i*4:]))
+	}
+	return binary.LittleEndian.Uint64(b[i*8:])
+}
+
+func isNaNBits(k Kind, v uint64) bool {
+	if k == F32 {
+		return v&0x7fffffff > 0x7f800000
+	}
+	return v&(1<<63-1) > 0x7ff0000000000000
+}
+
+// eitherNaN reports whether d and s are both NaN and r carries the payload
+// of one of them, quieted. IEEE 754 leaves open which one an operation on
+// two NaNs returns, and the compiler may commute a Go float add or
+// multiply (it does in the scalar kernels under -race), so the scalar and
+// portable paths are held only to this; TestVectorSumOperandOrder pins the
+// vector bodies exactly.
+func eitherNaN(k Kind, r, d, s uint64) bool {
+	quiet := uint64(1) << 51
+	if k == F32 {
+		quiet = 1 << 22
+	}
+	return isNaNBits(k, d) && isNaNBits(k, s) && (r == d|quiet || r == s|quiet)
+}
+
+// The typed kernels, the sums on both the scalar and the vector path, must
+// agree bit for bit with the portable path on every tail length and on the
+// delicate float values: NaN payloads and signs, infinities, signed zeros
+// and subnormals.
+func TestReduceKernelsMatchPortable(t *testing.T) {
+	sumPaths(t, func(t *testing.T) {
+		for k, vals := range rawSpecials {
+			for _, op := range []Op{OpSum, OpProd, OpMax, OpMin} {
+				for _, count := range kernelCounts {
+					sz := count * k.Size()
+					fast, slow := aligned(sz, 0), aligned(sz, 1)
+					sf, ss := aligned(sz, 0), aligned(sz, 1)
+					for i := 0; i < count; i++ {
+						d, s := pair(vals, i)
+						putBits(k, fast, i, d)
+						putBits(k, slow, i, d)
+						putBits(k, sf, i, s)
+						putBits(k, ss, i, s)
+					}
+					Reduce(op, k, fast, sf, count)
+					Reduce(op, k, slow, ss, count)
+					for i := 0; i < count; i++ {
+						got, want := bitsAt(k, fast, i), bitsAt(k, slow, i)
+						d, s := pair(vals, i)
+						if got != want && !(eitherNaN(k, got, d, s) && eitherNaN(k, want, d, s)) {
+							t.Fatalf("%s %s count %d elem %d: typed %#x, portable %#x",
+								kindName[k], opName[op], count, i, got, want)
+						}
 					}
 				}
+			}
+		}
+	})
+}
+
+// The vector bodies take the left operand as the first source of
+// VADDPS/VADDPD, so NaN + NaN keeps the left operand's payload, as the
+// ADDSS/ADDSD of the scalar kernels in a normal build do.
+func TestVectorSumOperandOrder(t *testing.T) {
+	if !haveAVX2() {
+		t.Skip("no AVX2 vector sum path on this CPU or architecture")
+	}
+	const n = 32 // one full block of either width
+	l32, r32 := math.Float32frombits(0x7fc12345), math.Float32frombits(0xffc00001)
+	d32, s32, o32 := make([]float32, n), make([]float32, n), make([]float32, n)
+	l64, r64 := math.Float64frombits(0x7ff80000000abcde), math.Float64frombits(0xfff8000000000001)
+	d64, s64, o64 := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range d32 {
+		d32[i], s32[i], d64[i], s64[i] = l32, r32, l64, r64
+	}
+	if sumOfF32(o32, d32, s32) != n || sumToF32(d32, s32) != n ||
+		sumOfF64(o64, d64, s64) != n || sumToF64(d64, s64) != n {
+		t.Fatal("a vector body did not cover a whole block")
+	}
+	for i := 0; i < n; i++ {
+		for _, got := range []uint32{math.Float32bits(d32[i]), math.Float32bits(o32[i])} {
+			if got != 0x7fc12345 {
+				t.Fatalf("f32 elem %d: NaN + NaN = %#x, want the left payload 0x7fc12345", i, got)
+			}
+		}
+		for _, got := range []uint64{math.Float64bits(d64[i]), math.Float64bits(o64[i])} {
+			if got != 0x7ff80000000abcde {
+				t.Fatalf("f64 elem %d: NaN + NaN = %#x, want the left payload 0x7ff80000000abcde", i, got)
 			}
 		}
 	}
 }
 
 // ReduceTo must equal copy-then-Reduce byte for byte: on every kind and
-// operator, every tail length of the unrolled kernel, the delicate float
-// values, and unaligned operands, which take the portable path.
+// operator, every tail length of the scalar and vector sum kernels, the
+// delicate float values, unaligned operands, which take the portable path,
+// and dst == a, which the fused kernels allow.
 func TestReduceToMatchesCopyThenReduce(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 1, -1.5, math.NaN(), math.Inf(1), math.Inf(-1),
-		1e-40, 5e-324, 6e-8, 3.4e38, -7, 250, 65504}
-	for _, k := range []Kind{U8, I32, I64, F16, F32, F64, C128} {
-		for _, op := range []Op{OpSum, OpProd, OpMax, OpMin} {
-			if k == C128 && (op == OpMax || op == OpMin) {
-				continue // undefined; Reduce panics
-			}
-			for count := 0; count <= 17; count++ {
-				sz := count * k.Size()
-				// shift bit 0/1/2 misaligns dst/a/b by one byte.
-				for shift := 0; shift < 8; shift++ {
-					dst, a, b := aligned(sz, shift&1), aligned(sz, shift>>1&1), aligned(sz, shift>>2&1)
-					for i := 0; i < count; i++ {
-						Set(k, a, i, vals[(i*5)%len(vals)], vals[(i+2)%len(vals)])
-						Set(k, b, i, vals[(i*3+1)%len(vals)], vals[(i+7)%len(vals)])
-						Set(k, dst, i, 99, 99) // stale contents must not leak through
-					}
-					want := append([]byte(nil), a...)
-					Reduce(op, k, want, b, count)
-					ReduceTo(op, k, dst, a, b, count)
-					if string(dst) != string(want) {
-						t.Fatalf("%s %s count %d shift %d: ReduceTo % x, copy-then-Reduce % x",
-							kindName[k], opName[op], count, shift, dst, want)
+		1e-40, 5e-324, 6e-8, 3.4e38, -7, 250, 65504,
+		math.Float64frombits(0x7ffa000000000000), math.Float64frombits(0xfffc000000000000)}
+	counts := []int{0}
+	for c := 1; c <= 17; c++ {
+		counts = append(counts, c)
+	}
+	counts = append(counts, 31, 32, 33, 63, 64, 65, 1000, 4099)
+	sumPaths(t, func(t *testing.T) {
+		for _, k := range []Kind{U8, I32, I64, F16, F32, F64, C128} {
+			for _, op := range []Op{OpSum, OpProd, OpMax, OpMin} {
+				if k == C128 && (op == OpMax || op == OpMin) {
+					continue // undefined; Reduce panics
+				}
+				for _, count := range counts {
+					sz := count * k.Size()
+					// shift bit 0/1/2 misaligns dst/a/b by one byte.
+					for shift := 0; shift < 8; shift++ {
+						dst, a, b := aligned(sz, shift&1), aligned(sz, shift>>1&1), aligned(sz, shift>>2&1)
+						for i := 0; i < count; i++ {
+							Set(k, a, i, vals[(i*5)%len(vals)], vals[(i+2)%len(vals)])
+							Set(k, b, i, vals[(i*3+1)%len(vals)], vals[(i+7)%len(vals)])
+							Set(k, dst, i, 99, 99) // stale contents must not leak through
+						}
+						want := append([]byte(nil), a...)
+						Reduce(op, k, want, b, count)
+						ReduceTo(op, k, dst, a, b, count)
+						if string(dst) != string(want) {
+							t.Fatalf("%s %s count %d shift %d: ReduceTo % x, copy-then-Reduce % x",
+								kindName[k], opName[op], count, shift, dst, want)
+						}
+						if shift&1 == shift>>1&1 {
+							ReduceTo(op, k, a, a, b, count) // dst == a
+							if string(a) != string(want) {
+								t.Fatalf("%s %s count %d shift %d: ReduceTo into a % x, copy-then-Reduce % x",
+									kindName[k], opName[op], count, shift, a, want)
+							}
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // BenchmarkReduce measures the typed kernels on one ring step's segment

@@ -30,10 +30,16 @@ func reduceFloat[T float](op Op, d, s []T) {
 	}
 }
 
-// sumTo is the kernel of every gradient allreduce, so it alone is unrolled:
-// eight independent updates per iteration over fixed-capacity windows of
-// both operands, which lets the compiler drop the per-element bounds
-// checks. A scalar loop finishes the len % 8 tail.
+// vectorSum routes the F32 and F64 sums through the AVX2 bodies of
+// sum_amd64.s, which cover every full 32-float32 (16-float64) block and
+// leave the rest to sumTo and sumOf. It is set once from the CPU; tests
+// clear it to pin the scalar path, which is also the only path off amd64.
+var vectorSum = haveAVX2()
+
+// sumTo is the kernel of every gradient allreduce and the scalar fallback
+// of the vector bodies: eight independent updates per iteration over
+// fixed-capacity windows of both operands, which lets the compiler drop
+// the per-element bounds checks. A scalar loop finishes the len % 8 tail.
 func sumTo[T float](d, s []T) {
 	n := len(s)
 	d = d[:n]

@@ -9,8 +9,16 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+# On amd64, vet's asmdecl pass also checks the frame offsets and sizes of
+# elem's AVX2 sum bodies (internal/elem/sum_amd64.s) against their Go
+# declarations.
 go vet ./...
 go build ./...
+# Every other architecture builds elem's scalar stubs instead
+# (sum_other.go, !amd64): vet and build one such target so they keep
+# compiling.
+GOARCH=arm64 go vet ./internal/elem
+GOARCH=arm64 go build ./...
 go test ./...
 # Docs are a public surface too: every relative link and repo path they
 # mention must resolve.
