@@ -351,25 +351,6 @@ func (r *Registry) CounterValue(name string, labels Labels) (float64, bool) {
 	return s.value, true
 }
 
-// HistogramCount reports a histogram series' observation count and whether
-// it exists. Safe on nil.
-func (r *Registry) HistogramCount(name string, labels Labels) (uint64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.families[name]
-	if !ok || f.kind != kindHistogram {
-		return 0, false
-	}
-	s, ok := f.series[labels.canonical()]
-	if !ok {
-		return 0, false
-	}
-	return s.count, true
-}
-
 // LatencyBuckets returns the default latency histogram bounds in seconds:
 // a 1 µs – 1 s log sweep sized for the simulated operations (sub-10 µs
 // kernel launches up to multi-ms large-message collectives).

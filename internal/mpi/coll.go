@@ -145,20 +145,8 @@ func (c *Comm) bcastScatterRing(buf *device.Buffer, count int, dt Datatype, root
 			low = mid
 		}
 	}
-	// Phase 2: ring allgather of the n segments (relative indexing).
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	for step := 0; step < n-1; step++ {
-		sendSeg := (rel - step + n) % n
-		recvSeg := (rel - step - 1 + n) % n
-		so, sl := segRange(segs, sendSeg, sendSeg+1, esz)
-		ro, rl := segRange(segs, recvSeg, recvSeg+1, esz)
-		if sl == 0 && rl == 0 {
-			continue
-		}
-		c.Sendrecv(buf.Slice(so, sl), int(sl/esz), dt, right, tag,
-			buf.Slice(ro, rl), int(rl/esz), dt, left, tag)
-	}
+	// Phase 2: ring allgather of the n segments, indexed relative to root.
+	c.ringAllgatherSegs(buf, segs, dt, tag, root)
 }
 
 // segment splits count elements into n contiguous ranges, returning the

@@ -30,7 +30,7 @@ func (c *Comm) Allgather(sendBuf *device.Buffer, count int, dt Datatype, recvBuf
 	for i := range segs {
 		segs[i] = i * count
 	}
-	c.ringAllgatherSegs(recvBuf, segs, dt, tagOf(epoch, tagAllgather))
+	c.ringAllgatherSegs(recvBuf, segs, dt, tagOf(epoch, tagAllgather), 0)
 }
 
 // allgatherBruck runs Bruck's allgather: data is kept rotated so that each
@@ -63,34 +63,6 @@ func (c *Comm) allgatherBruck(recvBuf *device.Buffer, count int, dt Datatype, ep
 		copy(recvBuf.Bytes()[int64(r)*bytes:(int64(r)+1)*bytes], work.Bytes()[int64(i)*bytes:(int64(i)+1)*bytes])
 	}
 	c.proc.Sleep(c.dev.CopyTime(bytes * int64(n)))
-}
-
-// Allgatherv concatenates counts[r] elements from rank r into every rank's
-// recvBuf at element offset displs[r] (a ring of n-1 steps).
-func (c *Comm) Allgatherv(sendBuf *device.Buffer, count int, dt Datatype, recvBuf *device.Buffer, counts, displs []int) {
-	c.enterColl()
-	tag := tagOf(c.nextEpoch(), tagAllgather)
-	n := c.Size()
-	esz := int64(dt.Size())
-	if count != counts[c.rank] {
-		panic(fmt.Sprintf("mpi: allgatherv rank %d sends %d, counts says %d", c.rank, count, counts[c.rank]))
-	}
-	copy(recvBuf.Bytes()[int64(displs[c.rank])*esz:int64(displs[c.rank]+count)*esz], sendBuf.Bytes()[:int64(count)*esz])
-	if n == 1 {
-		return
-	}
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	for step := 0; step < n-1; step++ {
-		sendBlk := (c.rank - step + n) % n
-		recvBlk := (c.rank - step - 1 + 2*n) % n
-		so := int64(displs[sendBlk]) * esz
-		sl := int64(counts[sendBlk]) * esz
-		ro := int64(displs[recvBlk]) * esz
-		rl := int64(counts[recvBlk]) * esz
-		c.Sendrecv(recvBuf.Slice(so, sl), counts[sendBlk], dt, right, tag,
-			recvBuf.Slice(ro, rl), counts[recvBlk], dt, left, tag)
-	}
 }
 
 // Alltoall sends block r of sendBuf to rank r and receives block s from

@@ -126,19 +126,27 @@ func (c *Comm) ringReduceScatter(work *device.Buffer, segs []int, dt Datatype, o
 	}
 }
 
-// ringAllgatherSegs runs the ring allgather phase: each rank starts owning
-// segment rank (as ringReduceScatter leaves it); after n-1 steps every rank
-// holds all segments.
-func (c *Comm) ringAllgatherSegs(work *device.Buffer, segs []int, dt Datatype, tag int) {
+// ringAllgatherSegs runs the ring allgather phase. Rank r starts owning
+// segment (r−rot) mod n: segment r, as ringReduceScatter leaves it, when
+// rot is 0, and its position relative to the root when Bcast passes the
+// root. After n-1 steps every rank holds all segments. A step whose send
+// and receive segments are both empty is skipped; only Bcast can have
+// empty segments, since Allgather's hold count > 0 elements each and
+// allreduceRing runs only when count >= n.
+func (c *Comm) ringAllgatherSegs(work *device.Buffer, segs []int, dt Datatype, tag, rot int) {
 	n := c.Size()
 	esz := int64(dt.Size())
 	right := (c.rank + 1) % n
 	left := (c.rank - 1 + n) % n
+	own := (c.rank - rot + n) % n
 	for step := 0; step < n-1; step++ {
-		sendSeg := (c.rank - step + n) % n
-		recvSeg := (c.rank - step - 1 + 2*n) % n
+		sendSeg := (own - step + n) % n
+		recvSeg := (own - step - 1 + n) % n
 		so, sl := segRange(segs, sendSeg, sendSeg+1, esz)
 		ro, rl := segRange(segs, recvSeg, recvSeg+1, esz)
+		if sl == 0 && rl == 0 {
+			continue
+		}
 		c.Sendrecv(work.Slice(so, sl), int(sl/esz), dt, right, tag,
 			work.Slice(ro, rl), int(rl/esz), dt, left, tag)
 	}
@@ -148,12 +156,6 @@ func (c *Comm) ringAllgatherSegs(work *device.Buffer, segs []int, dt Datatype, t
 // result in every rank's recvBuf. Small payloads use recursive doubling;
 // large payloads use the ring (reduce-scatter + allgather) algorithm.
 func (c *Comm) Allreduce(sendBuf, recvBuf *device.Buffer, count int, dt Datatype, op Op) {
-	if c.ctx.job.profile.UseHierarchical &&
-		int64(count)*int64(dt.Size()) <= c.ctx.job.profile.AllreduceLong &&
-		c.spansMultipleNodes() {
-		c.AllreduceHierarchical(sendBuf, recvBuf, count, dt, op)
-		return
-	}
 	c.enterColl()
 	bytes := int64(count) * int64(dt.Size())
 	if recvBuf != sendBuf {
@@ -221,7 +223,7 @@ func (c *Comm) allreduceRecDoubling(buf *device.Buffer, count int, dt Datatype, 
 func (c *Comm) allreduceRing(buf *device.Buffer, count int, dt Datatype, op Op, epoch int) {
 	segs := segment(count, c.Size())
 	c.ringReduceScatter(buf, segs, dt, op, tagOf(epoch, tagReduceScatter))
-	c.ringAllgatherSegs(buf, segs, dt, tagOf(epoch, tagAllgather))
+	c.ringAllgatherSegs(buf, segs, dt, tagOf(epoch, tagAllgather), 0)
 }
 
 // ReduceScatterBlock reduces count×n elements with op and scatters the

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mpixccl/internal/elem"
 	"mpixccl/internal/sim"
 )
 
@@ -65,6 +66,54 @@ func TestBcastAllSizes(t *testing.T) {
 	}
 }
 
+// TestBcastScatterRingVirtualTime pins the modeled completion times of
+// rank 0 and rank n−1 after each of two back-to-back large broadcasts
+// (scatter + ring allgather, above BcastLong) on two-node communicators,
+// from root 0 and from a root that leads no node. Uneven segment sizes
+// (count not a multiple of n) are in the 12-rank rows.
+func TestBcastScatterRingVirtualTime(t *testing.T) {
+	const ns = time.Nanosecond
+	const count = 100003 // float64s: ~781 KiB
+	cases := []struct {
+		n, root int
+		want    [4]time.Duration
+	}{
+		{16, 0, [4]time.Duration{240891 * ns, 481782 * ns, 240891 * ns, 481782 * ns}},
+		{16, 5, [4]time.Duration{260219 * ns, 510828 * ns, 260219 * ns, 510828 * ns}},
+		{12, 0, [4]time.Duration{207816 * ns, 415632 * ns, 207816 * ns, 415632 * ns}},
+		{12, 9, [4]time.Duration{232752 * ns, 453690 * ns, 232752 * ns, 453690 * ns}},
+	}
+	for _, tc := range cases {
+		j := newTestJob(t, tc.n)
+		var got [4]time.Duration
+		err := j.Run(func(c *Comm) {
+			buf := c.Device().MustMalloc(count * 8)
+			if c.Rank() == tc.root {
+				fillRank(buf, 7, count)
+			}
+			for i := 0; i < 2; i++ {
+				c.Bcast(buf, count, Float64, tc.root)
+				switch c.Rank() {
+				case 0:
+					got[i] = c.Proc().Now()
+				case tc.n - 1:
+					got[2+i] = c.Proc().Now()
+				}
+			}
+			if buf.Float64(count-1) != float64(7*1000+count-1) {
+				t.Errorf("n=%d root=%d rank=%d: last elem %v", tc.n, tc.root, c.Rank(), buf.Float64(count-1))
+			}
+		})
+		j.Fabric().Kernel().Close()
+		if err != nil {
+			t.Fatalf("n=%d root=%d: %v", tc.n, tc.root, err)
+		}
+		if got != tc.want {
+			t.Errorf("n=%d root=%d: rank 0, rank %d completions = %v, want %v", tc.n, tc.root, tc.n-1, got, tc.want)
+		}
+	}
+}
+
 func TestReduceAllSizes(t *testing.T) {
 	for _, n := range rankSizes {
 		for _, count := range countSizes {
@@ -94,28 +143,66 @@ func TestReduceAllSizes(t *testing.T) {
 	}
 }
 
+// TestAllreduceAllSizes checks every element of float64 and int32 sums,
+// which are exact for these integer payloads, on every rankSizes ThetaGPU
+// communicator plus two that fill their last node partly: 12 ThetaGPU
+// ranks (8+4) and 5 MRI ranks (2+2+1). Counts sit on both sides of
+// AllreduceLong (recursive doubling up to it, the ring above it) and, with
+// AllreduceLong lowered to zero so the element count alone decides, on
+// both sides of the count < n switch back to recursive doubling. Float64
+// also runs one large ring of uneven segments.
 func TestAllreduceAllSizes(t *testing.T) {
+	type shape struct {
+		system string
+		n      int
+	}
+	type run struct {
+		prof  Profile
+		count int
+	}
+	var shapes []shape
 	for _, n := range rankSizes {
-		for _, count := range countSizes {
-			j := newTestJob(t, n)
-			err := j.Run(func(c *Comm) {
-				send := c.Device().MustMalloc(int64(count) * 8)
-				recv := c.Device().MustMalloc(int64(count) * 8)
-				for i := 0; i < count; i++ {
-					send.SetFloat64(i, float64(c.Rank()+1)*float64(i+1))
-				}
-				c.Allreduce(send, recv, count, Float64, OpSum)
-				sumRanks := float64(n*(n+1)) / 2
-				for i := 0; i < count; i += 1 + count/7 {
-					want := sumRanks * float64(i+1)
-					if recv.Float64(i) != want {
-						t.Fatalf("n=%d count=%d rank=%d elem %d = %v, want %v",
-							n, count, c.Rank(), i, recv.Float64(i), want)
+		shapes = append(shapes, shape{"thetagpu", n})
+	}
+	shapes = append(shapes, shape{"thetagpu", 12}, shape{"mri", 5})
+	prof := MVAPICHProfile()
+	ringAll := prof
+	ringAll.AllreduceLong = 0
+	for _, sh := range shapes {
+		n := sh.n
+		for _, dt := range []Datatype{Float64, Int32} {
+			long := int(prof.AllreduceLong) / dt.Size()
+			runs := []run{
+				{prof, 1}, {prof, 3}, {prof, 64}, {prof, long}, {prof, long + 1},
+				{ringAll, n - 1}, {ringAll, n}, {ringAll, n + 1},
+			}
+			if dt == Float64 {
+				runs = append(runs, run{prof, 100000})
+			}
+			for _, tc := range runs {
+				count := tc.count
+				j := newSystemJob(t, sh.system, n, tc.prof)
+				err := j.Run(func(c *Comm) {
+					kind := dt.Kind()
+					bytes := int64(count) * int64(kind.Size())
+					send := c.Device().MustMalloc(bytes)
+					recv := c.Device().MustMalloc(bytes)
+					for i := 0; i < count; i++ {
+						elem.Set(kind, send.Bytes(), i, float64((c.Rank()+1)*(i+1)), 0)
 					}
+					c.Allreduce(send, recv, count, dt, OpSum)
+					sumRanks := n * (n + 1) / 2
+					for i := 0; i < count; i++ {
+						if got, _ := elem.Get(kind, recv.Bytes(), i); got != float64(sumRanks*(i+1)) {
+							t.Fatalf("%s n=%d %v count=%d long=%d rank=%d elem %d = %v, want %d",
+								sh.system, n, dt, count, tc.prof.AllreduceLong, c.Rank(), i, got, sumRanks*(i+1))
+						}
+					}
+				})
+				j.Fabric().Kernel().Close()
+				if err != nil {
+					t.Fatalf("%s n=%d %v count=%d long=%d: %v", sh.system, n, dt, count, tc.prof.AllreduceLong, err)
 				}
-			})
-			if err != nil {
-				t.Fatalf("n=%d count=%d: %v", n, count, err)
 			}
 		}
 	}
@@ -181,38 +268,6 @@ func TestAllgatherAllSizes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d count=%d: %v", n, count, err)
 			}
-		}
-	}
-}
-
-func TestAllgathervUnevenCounts(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 8} {
-		j := newTestJob(t, n)
-		counts := make([]int, n)
-		displs := make([]int, n)
-		total := 0
-		for r := 0; r < n; r++ {
-			counts[r] = r + 1
-			displs[r] = total
-			total += counts[r]
-		}
-		err := j.Run(func(c *Comm) {
-			mine := counts[c.Rank()]
-			send := c.Device().MustMalloc(int64(mine) * 8)
-			recv := c.Device().MustMalloc(int64(total) * 8)
-			fillRank(send, c.Rank(), mine)
-			c.Allgatherv(send, mine, Float64, recv, counts, displs)
-			for r := 0; r < n; r++ {
-				for i := 0; i < counts[r]; i++ {
-					got := recv.Float64(displs[r] + i)
-					if got != float64(r*1000+i) {
-						t.Fatalf("n=%d rank=%d block %d elem %d = %v", n, c.Rank(), r, i, got)
-					}
-				}
-			}
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
@@ -400,34 +455,6 @@ func TestCommSplitUndefinedColor(t *testing.T) {
 	}
 }
 
-func TestCommDupIsolatesTraffic(t *testing.T) {
-	j := newTestJob(t, 2)
-	err := j.Run(func(c *Comm) {
-		dup := c.Dup()
-		buf := c.Device().MustMalloc(8)
-		if c.Rank() == 0 {
-			buf.SetFloat64(0, 1)
-			c.Send(buf, 1, Float64, 1, 0)
-			buf.SetFloat64(0, 2)
-			dup.Send(buf, 1, Float64, 1, 0)
-		} else {
-			// Receive on the dup first: must get the dup's message even
-			// though the parent's arrived first.
-			dup.Recv(buf, 1, Float64, 0, 0)
-			if buf.Float64(0) != 2 {
-				t.Errorf("dup recv = %v, want 2", buf.Float64(0))
-			}
-			c.Recv(buf, 1, Float64, 0, 0)
-			if buf.Float64(0) != 1 {
-				t.Errorf("parent recv = %v, want 1", buf.Float64(0))
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Collective timing sanity: for a fixed op, latency grows with message size
 // and the large-message algorithm is bandwidth-bound, not latency-bound.
 func TestAllreduceLatencyMonotoneInSize(t *testing.T) {
@@ -505,5 +532,34 @@ func TestCommSubsetExcludesNonMembers(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The collective matrix across every CCL-mappable datatype: allreduce
+// sums must be exact for integer-valued payloads in every type.
+func TestAllreduceDatatypeMatrix(t *testing.T) {
+	for _, dt := range []Datatype{Byte, Int32, Int64, Float16, Float32, Float64} {
+		const n = 4
+		j := newTestJob(t, n)
+		err := j.Run(func(c *Comm) {
+			count := 32
+			esz := int64(dt.Size())
+			send := c.Device().MustMalloc(int64(count) * esz)
+			recv := c.Device().MustMalloc(int64(count) * esz)
+			for i := 0; i < count; i++ {
+				setElement(dt, send.Bytes(), i, float64(c.Rank()%2+1), 0)
+			}
+			c.Allreduce(send, recv, count, dt, OpSum)
+			want := 6.0 // 1+2+1+2
+			for i := 0; i < count; i += 7 {
+				re, _ := element(dt, recv.Bytes(), i)
+				if re != want {
+					t.Errorf("%v elem %d = %v, want %v", dt, i, re, want)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", dt, err)
+		}
 	}
 }

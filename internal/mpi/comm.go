@@ -92,7 +92,6 @@ type commCtx struct {
 	group []int // world ranks, indexed by local rank
 	match []*matchCtx
 	split *splitPending
-	dup   *splitPending
 	sub   map[string]*subsetPending // in-flight Subset rendezvous by member list
 }
 
@@ -115,9 +114,6 @@ type Comm struct {
 	proc    *sim.Proc
 	dev     *device.Device
 	collSeq int
-	// hierPlan caches this rank's node hierarchy (coll_hier.go); a
-	// communicator's group is immutable, so it never invalidates.
-	hierPlan *nodePlan
 	// sendrecv is Sendrecv's send request, allocated on first use.
 	sendrecv *Request
 }
@@ -284,27 +280,4 @@ func (c *Comm) Subset(members []int) *Comm {
 		}
 	}
 	panic("mpi: Subset caller not in members")
-}
-
-// Dup returns a communicator with the same group but a fresh matching
-// context, so traffic on the duplicate cannot match traffic on the parent.
-func (c *Comm) Dup() *Comm {
-	ctx := c.ctx
-	if ctx.dup == nil {
-		ctx.dup = &splitPending{
-			entries: make(map[int][2]int),
-			ready:   sim.NewEvent(c.proc.Kernel()),
-		}
-	}
-	dp := ctx.dup
-	dp.entries[c.rank] = [2]int{0, 0}
-	dp.arrived++
-	if dp.arrived < len(ctx.group) {
-		dp.ready.Wait(c.proc)
-	} else {
-		dp.result = map[int]*commCtx{0: ctx.job.newCommCtx(append([]int(nil), ctx.group...))}
-		ctx.dup = nil
-		dp.ready.Fire()
-	}
-	return &Comm{ctx: dp.result[0], rank: c.rank, proc: c.proc, dev: c.dev}
 }

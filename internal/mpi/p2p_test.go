@@ -13,10 +13,22 @@ import (
 // newTestJob builds a ThetaGPU-like job with nranks ranks.
 func newTestJob(t *testing.T, nranks int) *Job {
 	t.Helper()
+	return newSystemJob(t, "thetagpu", nranks, MVAPICHProfile())
+}
+
+// newSystemJob builds an nranks job with the given profile on the fewest
+// nodes of the named topology preset that hold it, ranks filling nodes in
+// order.
+func newSystemJob(t *testing.T, system string, nranks int, prof Profile) *Job {
+	t.Helper()
+	cfg, err := topology.PresetConfig(system, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.NumNodes = (nranks + cfg.DevicesPerNode - 1) / cfg.DevicesPerNode
 	k := sim.NewKernel()
-	nodes := (nranks + 7) / 8
-	sys := topology.ThetaGPU(k, nodes)
-	return NewJobOnSystem(fabric.New(k, sys), MVAPICHProfile(), sys, nranks)
+	sys := topology.Build(k, cfg)
+	return NewJobOnSystem(fabric.New(k, sys), prof, sys, nranks)
 }
 
 // fillRank writes a rank-specific pattern of float64s.

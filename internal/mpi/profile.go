@@ -25,10 +25,6 @@ type Profile struct {
 	// Switchover points between short- and long-message collective
 	// algorithms, in payload bytes per rank.
 	BcastLong, ReduceLong, AllreduceLong, AllgatherLong, AlltoallLong int64
-	// UseHierarchical enables two-level (node-leader) algorithms for
-	// small multi-node allreduces, the MVAPICH-style optimization. Off by
-	// default so the calibrated flat baselines are unchanged.
-	UseHierarchical bool
 	// GPUBWEffIntra and GPUBWEffInter scale achievable wire bandwidth for
 	// device-resident payloads on intra-node and inter-node links
 	// respectively (0 or 1 = full GPU-direct speed). They model runtimes

@@ -236,3 +236,140 @@ func TestProgressReuseVirtualTime(t *testing.T) {
 		}
 	}
 }
+
+func TestNonblockingCollectivesOverlap(t *testing.T) {
+	const n = 4
+	j := newTestJob(t, n)
+	err := j.Run(func(c *Comm) {
+		a := c.Device().MustMalloc(1 << 20)
+		b := c.Device().MustMalloc(1 << 20)
+		a.FillFloat32(1)
+		r1 := c.Iallreduce(a, b, 1<<18, Float32, OpSum)
+		bc := c.Device().MustMalloc(4096)
+		if c.Rank() == 2 {
+			bc.FillFloat32(7)
+		}
+		r2 := c.Ibcast(bc, 1024, Float32, 2)
+		r3 := c.Ibarrier()
+		c.Wait(r1)
+		c.Wait(r2)
+		c.Wait(r3)
+		if b.Float32(5) != float32(n) {
+			t.Errorf("iallreduce = %v", b.Float32(5))
+		}
+		if bc.Float32(5) != 7 {
+			t.Errorf("ibcast = %v", bc.Float32(5))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Two nonblocking collectives of the same type issued back to back must
+// match by issue order on every rank even if execution interleaves.
+func TestNonblockingSameTypeOrdering(t *testing.T) {
+	const n = 4
+	j := newTestJob(t, n)
+	err := j.Run(func(c *Comm) {
+		x := c.Device().MustMalloc(8)
+		y := c.Device().MustMalloc(8)
+		outX := c.Device().MustMalloc(8)
+		outY := c.Device().MustMalloc(8)
+		x.SetFloat64(0, 1)
+		y.SetFloat64(0, 100)
+		// Issue in the same order everywhere; stagger ranks so execution
+		// interleaves differently per rank.
+		c.Proc().Sleep(time.Duration(c.Rank()) * 7 * time.Microsecond)
+		r1 := c.Iallreduce(x, outX, 1, Float64, OpSum)
+		r2 := c.Iallreduce(y, outY, 1, Float64, OpSum)
+		c.Wait(r2)
+		c.Wait(r1)
+		if outX.Float64(0) != float64(n) || outY.Float64(0) != float64(100*n) {
+			t.Errorf("rank %d got %v/%v, want %d/%d", c.Rank(), outX.Float64(0), outY.Float64(0), n, 100*n)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestIreduceAndIgatherStyleOps(t *testing.T) {
+	const n = 4
+	j := newTestJob(t, n)
+	err := j.Run(func(c *Comm) {
+		send := c.Device().MustMalloc(64)
+		recv := c.Device().MustMalloc(64)
+		all := c.Device().MustMalloc(64 * n)
+		send.FillFloat32(float32(c.Rank() + 1))
+		r1 := c.Ireduce(send, recv, 16, Float32, OpSum, 0)
+		r2 := c.Iallgather(send, 16, Float32, all)
+		a2a := c.Device().MustMalloc(64 * n)
+		r3 := c.Ialltoall(all, 16, Float32, a2a)
+		c.Wait(r1)
+		c.Wait(r2)
+		c.Wait(r3)
+		if c.Rank() == 0 && recv.Float32(3) != 10 {
+			t.Errorf("ireduce = %v", recv.Float32(3))
+		}
+		if all.Float32(16*2+3) != 3 {
+			t.Errorf("iallgather = %v", all.Float32(16*2+3))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPersistentRequests(t *testing.T) {
+	j := newTestJob(t, 2)
+	err := j.Run(func(c *Comm) {
+		buf := c.Device().MustMalloc(64)
+		if c.Rank() == 0 {
+			pr := c.SendInit(buf, 8, Float64, 1, 3)
+			for round := 0; round < 3; round++ {
+				buf.FillFloat64(float64(round))
+				pr.Start()
+				pr.Wait()
+			}
+		} else {
+			pr := c.RecvInit(buf, 8, Float64, 0, 3)
+			for round := 0; round < 3; round++ {
+				pr.Start()
+				st := pr.Wait()
+				if st.Source != 0 || buf.Float64(2) != float64(round) {
+					t.Errorf("round %d: status %+v payload %v", round, st, buf.Float64(2))
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPersistentDoubleStartPanics(t *testing.T) {
+	j := newTestJob(t, 2)
+	err := j.Run(func(c *Comm) {
+		if c.Rank() == 1 {
+			buf := c.Device().MustMalloc(64)
+			c.Recv(buf, 8, Float64, 0, 0)
+			return
+		}
+		buf := c.Device().MustMalloc(64)
+		pr := c.SendInit(buf, 8, Float64, 1, 0)
+		pr.Start()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("double Start did not panic")
+				}
+			}()
+			pr.Start()
+		}()
+		pr.Wait()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -129,29 +129,3 @@ func (b *Barrier) Wait(p *Proc) {
 	b.waiting = append(b.waiting, p)
 	p.park("barrier")
 }
-
-// WaitAny blocks p until at least one of the events has fired and returns
-// the index of the first one observed. Events that fire later leave their
-// watcher daemons to drain harmlessly.
-func WaitAny(p *Proc, events ...*Event) int {
-	for i, e := range events {
-		if e.Fired() {
-			return i
-		}
-	}
-	k := p.Kernel()
-	any := NewEvent(k)
-	first := -1
-	for i, e := range events {
-		i, e := i, e
-		k.SpawnDaemon("waitany", func(wp *Proc) {
-			e.Wait(wp)
-			if first < 0 {
-				first = i
-			}
-			any.Fire()
-		})
-	}
-	any.Wait(p)
-	return first
-}

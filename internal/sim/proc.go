@@ -94,9 +94,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park("sleep")
 }
 
-// Yield lets other events scheduled for the current instant run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Join blocks until q's function has returned. Joining an already-finished
 // process returns immediately.
 func (p *Proc) Join(q *Proc) { q.done.Wait(p) }

@@ -42,9 +42,6 @@ func NewResource(k *Kernel, capacity int) *Resource {
 	return &Resource{k: k, capacity: capacity}
 }
 
-// Capacity reports the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // InUse reports the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 

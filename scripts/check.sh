@@ -42,10 +42,11 @@ scripts/doclinks.sh
 # internal/mpi hands every nonblocking operation to per-rank pools of
 # resident progress processes, shared by all of a job's communicators.
 go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fault mpixccl/internal/fabric mpixccl/internal/core mpixccl/internal/ccl/comp mpixccl/internal/mpi
-# The progress-pool pins — orphaned-Isend deadlock, idle pool, no-spawn
-# waves and exact reuse times — the kernel's hand-off semantics (a
-# process's panic and t.FailNow reach Run, Close leaves no goroutine, the
-# hand-off paths allocate nothing), the ccl no-spawn pin with compiled
+# The whole internal/mpi suite, which runs in a second or two — among it
+# the progress-pool pins (orphaned-Isend deadlock, idle pool, no-spawn
+# waves, exact reuse times) and the exact scatter-ring Bcast times — the
+# kernel's hand-off semantics (a process's panic and t.FailNow reach Run,
+# Close leaves no goroutine, the hand-off paths allocate nothing), the ccl no-spawn pin with compiled
 # plans on lane helpers and its exact-time pins, the flat-versus-
 # hierarchical and forced-algorithm correctness properties of the group
 # tree and ring that both paths run, and the core membership
@@ -54,7 +55,7 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # goroutines of their own either way, and verdicts and modeled times must
 # not depend on how many threads run them.
 for procs in 1 4; do
-	GOMAXPROCS=$procs go test -count=1 -run 'TestDeadlockDetectedOnOrphanedIsend|TestIdleProgressProcsEndRunAndClose|TestMPISteadyStateSpawnsNoProcs|TestProgressReuseVirtualTime' mpixccl/internal/mpi
+	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/mpi
 	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$' mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat' mpixccl/internal/ccl
 	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting' mpixccl/internal/core mpixccl/internal/sim
