@@ -33,7 +33,7 @@ type envelope struct {
 	dt        Datatype
 	count     int
 	eager     bool
-	staged    *device.Buffer // eager: payload copy at the receiver
+	payload   []byte         // eager: the bounce buffer, a copy at the receiver
 	srcBuf    *device.Buffer // rendezvous: sender's live buffer
 	dstBuf    *device.Buffer // rendezvous: set when the receive is posted
 	recvReady *sim.Event     // rendezvous: receiver has posted
@@ -46,17 +46,63 @@ type postedRecv struct {
 	dt       Datatype
 	count    int
 	dst      *device.Buffer
-	dev      *device.Device
-	done     *sim.Event
+	done     sim.Event
 	status   Status
 }
 
 // matchCtx is one rank's matching engine on one communicator: the posted
 // receive queue and the unexpected message queue, searched in order as the
 // MPI standard requires.
+//
+// It also keeps free lists of the rank's eager envelopes and posted
+// receives, so a small message allocates nothing once they are warm. Each
+// object has one owner at a time: the sender stops touching it when it
+// hands it over (queues an eager envelope, fires a receive's event), and
+// the receiver returns it here once it has read it.
 type matchCtx struct {
 	posted     []*postedRecv
 	unexpected []*envelope
+	freeEager  []*envelope
+	freeRecv   []*postedRecv
+}
+
+// getEager returns an eager envelope whose payload holds bytes bytes,
+// reusing a free one and its payload when the capacity fits.
+func (m *matchCtx) getEager(bytes int64) *envelope {
+	var e *envelope
+	if n := len(m.freeEager); n > 0 {
+		e = m.freeEager[n-1]
+		m.freeEager[n-1] = nil
+		m.freeEager = m.freeEager[:n-1]
+	} else {
+		e = &envelope{eager: true}
+	}
+	if int64(cap(e.payload)) < bytes {
+		e.payload = make([]byte, bytes)
+	}
+	e.payload = e.payload[:bytes]
+	return e
+}
+
+func (m *matchCtx) putEager(e *envelope) { m.freeEager = append(m.freeEager, e) }
+
+// getRecv returns a posted receive with its event reset.
+func (m *matchCtx) getRecv() *postedRecv {
+	n := len(m.freeRecv)
+	if n == 0 {
+		return &postedRecv{}
+	}
+	r := m.freeRecv[n-1]
+	m.freeRecv[n-1] = nil
+	m.freeRecv = m.freeRecv[:n-1]
+	r.done.Reset()
+	return r
+}
+
+// putRecv frees a completed receive, dropping its buffer reference.
+func (m *matchCtx) putRecv(r *postedRecv) {
+	r.dst = nil
+	m.freeRecv = append(m.freeRecv, r)
 }
 
 func match(src, tag, wantSrc, wantTag int) bool {
@@ -137,9 +183,9 @@ func (c *Comm) sendOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, d
 		}
 		// No receive posted: stage a copy at the receiver (the eager
 		// protocol's bounce buffer) and complete immediately.
-		staged := device.NewHostBuffer(bytes)
-		copy(staged.Bytes(), buf.Bytes()[:bytes])
-		env := &envelope{src: c.rank, tag: tag, dt: dt, count: count, eager: true, staged: staged}
+		env := m.getEager(bytes)
+		copy(env.payload, buf.Bytes()[:bytes])
+		env.src, env.tag, env.dt, env.count = c.rank, tag, dt, count
 		m.unexpected = append(m.unexpected, env)
 		// Charge the uncontended wire time (α + payload) for injecting
 		// into the receiver's bounce buffer; eager messages are small
@@ -195,22 +241,26 @@ func (c *Comm) recvOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, s
 		if got > bytes {
 			panic("mpi: message truncation (received longer than posted)")
 		}
+		st := Status{Source: env.src, Tag: env.tag, Count: env.count}
 		if env.eager {
 			// Drain the bounce buffer into the user buffer: a local copy.
-			copy(buf.Bytes()[:got], env.staged.Bytes())
+			copy(buf.Bytes()[:got], env.payload)
+			m.putEager(env)
 			p.Sleep(c.dev.CopyTime(got))
-			return Status{Source: env.src, Tag: env.tag, Count: env.count}
+			return st
 		}
 		env.dstBuf = buf
 		env.recvReady.Fire()
 		env.done.Wait(p)
-		return Status{Source: env.src, Tag: env.tag, Count: env.count}
+		return st
 	}
-	r := &postedRecv{src: src, tag: tag, dt: dt, count: count, dst: buf, dev: c.dev,
-		done: sim.NewEvent(p.Kernel())}
+	r := m.getRecv()
+	r.src, r.tag, r.dt, r.count, r.dst = src, tag, dt, count, buf
 	m.posted = append(m.posted, r)
 	r.done.Wait(p)
-	return r.status
+	st := r.status
+	m.putRecv(r)
+	return st
 }
 
 // Request is a handle on a nonblocking operation. It carries the operation

@@ -1,0 +1,89 @@
+//go:build !race
+
+// The race detector instruments allocations, so the zero-alloc pins in
+// this file only hold in a normal build.
+
+package mpi
+
+import (
+	"testing"
+	"time"
+
+	"mpixccl/internal/device"
+)
+
+// A small message allocates nothing once a rank's free lists are warm:
+// eager envelopes and their bounce bytes, posted receives and their
+// events, and Sendrecv's request and progress process are all reused.
+// Each case runs one exchange per iteration on both ranks of a two-rank
+// job; rank 0 measures its iterations, which take rank 1's along.
+func TestEagerMessageAllocs(t *testing.T) {
+	const count = 64 // 512 B of float64s: eager
+	const gap = 20 * time.Microsecond
+	const warm = 8
+	cases := []struct {
+		name string
+		// step runs one exchange with the peer and reports whether the
+		// messages this rank sent took the case's path.
+		step func(c *Comm, peer int, send, recv *device.Buffer) bool
+	}{
+		{"unexpected", func(c *Comm, peer int, send, recv *device.Buffer) bool {
+			// Both ranks send, then receive once the peer's message waits.
+			c.Send(send, count, Float64, peer, 0)
+			queued := len(c.ctx.match[peer].unexpected) == 1
+			c.proc.Sleep(gap)
+			c.Recv(recv, count, Float64, peer, 0)
+			return queued
+		}},
+		{"posted", func(c *Comm, peer int, send, recv *device.Buffer) bool {
+			// Each rank sends a gap after the peer has posted its receive.
+			if c.Rank() == 0 {
+				c.Recv(recv, count, Float64, peer, 0)
+			}
+			c.proc.Sleep(gap)
+			posted := len(c.ctx.match[peer].posted) == 1
+			c.Send(send, count, Float64, peer, 0)
+			if c.Rank() == 1 {
+				c.Recv(recv, count, Float64, peer, 0)
+			}
+			return posted
+		}},
+		{"sendrecv", func(c *Comm, peer int, send, recv *device.Buffer) bool {
+			c.Sendrecv(send, count, Float64, peer, 0, recv, count, Float64, peer, 0)
+			return true
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			j := newTestJob(t, 2)
+			defer j.Fabric().Kernel().Close()
+			var allocs float64
+			onPath := true
+			err := j.Run(func(c *Comm) {
+				peer := 1 - c.Rank()
+				send := c.Device().MustMalloc(count * 8)
+				recv := c.Device().MustMalloc(count * 8)
+				step := func() { onPath = tc.step(c, peer, send, recv) && onPath }
+				for i := 0; i < warm; i++ {
+					step()
+				}
+				if c.Rank() == 0 {
+					allocs = testing.AllocsPerRun(100, step)
+					return
+				}
+				for i := 0; i < 101; i++ { // AllocsPerRun(100, f) invokes f 101 times
+					step()
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !onPath {
+				t.Fatalf("a message missed the %s path", tc.name)
+			}
+			if allocs != 0 {
+				t.Errorf("%s eager message allocates %.2f objects per exchange; want 0", tc.name, allocs)
+			}
+		})
+	}
+}

@@ -317,3 +317,63 @@ func TestDeadlockDetectedOnMissingSend(t *testing.T) {
 		t.Fatalf("err = %v, want DeadlockError", err)
 	}
 }
+
+// Eager envelopes are recycled through the receiver's free list, payload
+// bytes included. Rank 0 sends rounds of unexpected messages whose sizes
+// grow, then shrink, under three interleaved tags, and ends each round
+// with a marker. Rank 1 drains a round only after its marker, in another
+// tag order, while rank 0 already queues the next round: freed envelopes
+// carry new messages while older ones still wait. Every byte must arrive,
+// and nothing past a message's end may be written.
+func TestEagerEnvelopeReuse(t *testing.T) {
+	j := newTestJob(t, 2)
+	limit := int(j.profile.EagerThreshold)
+	sizes := []int{1, 9, 100, 1000, 4000, limit, limit / 2, 700, 64, 5, 0, 2}
+	const tags, marker, rounds = 3, 99, 4
+	pattern := func(round, msg, b int) byte { return byte(round*131 + msg*31 + b*7 + 1) }
+	err := j.Run(func(c *Comm) {
+		buf := c.Device().MustMalloc(int64(limit))
+		data := buf.Bytes()
+		if c.Rank() == 0 {
+			for round := 0; round < rounds; round++ {
+				for i, n := range sizes {
+					for b := 0; b < n; b++ {
+						data[b] = pattern(round, i, b)
+					}
+					c.Send(buf, n, Byte, 1, i%tags)
+				}
+				c.Send(buf, 0, Byte, 1, marker)
+			}
+			return
+		}
+		for round := 0; round < rounds; round++ {
+			c.Recv(buf, 0, Byte, 0, marker)
+			for _, tag := range []int{2, 0, 1} {
+				for i, n := range sizes {
+					if i%tags != tag {
+						continue
+					}
+					for b := range data {
+						data[b] = 0xee
+					}
+					st := c.Recv(buf, limit, Byte, 0, tag)
+					if st.Source != 0 || st.Tag != tag || st.Count != n {
+						t.Fatalf("round %d message %d: status %+v, want tag %d count %d", round, i, st, tag, n)
+					}
+					for b, got := range data {
+						want := byte(0xee)
+						if b < n {
+							want = pattern(round, i, b)
+						}
+						if got != want {
+							t.Fatalf("round %d message %d (%d B): byte %d = %#x, want %#x", round, i, n, b, got, want)
+						}
+					}
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -12,28 +12,43 @@ import (
 // correctness, but it puts the allocator back on the simulator's wall-clock
 // profile, which is exactly what the PR-3 overhaul removed.
 
-// warmQueue grows the event-queue backing array to at least n slots so that
-// pushes during a measurement never trigger growslice.
+// warmQueue grows the backing arrays of both event queues — the
+// same-instant FIFO and the future-event heap — to at least n slots, so
+// that schedules during a measurement never grow them. It drains the
+// events through pick, as a run would.
 func warmQueue(k *Kernel, n int) {
 	fn := func() {}
 	for i := 0; i < n; i++ {
-		k.schedule(0, fn)
+		k.schedule(k.now, fn)
+		k.schedule(k.now+1, fn)
 	}
-	for len(k.queue) > 0 {
-		k.queue.pop()
+	for k.pick() != nil {
 	}
 }
 
 func TestScheduleAllocs(t *testing.T) {
-	k := NewKernel()
-	warmQueue(k, 256)
-	fn := func() {}
-	allocs := testing.AllocsPerRun(100, func() {
-		k.schedule(0, fn)
-		k.queue.pop()
-	})
-	if allocs != 0 {
-		t.Errorf("Kernel.schedule allocates %.2f objects per call; want 0", allocs)
+	for _, tc := range []struct {
+		name  string
+		delay Time
+	}{{"now", 0}, {"future", time.Microsecond}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			warmQueue(k, 256)
+			fn := func() {}
+			ran := 0
+			allocs := testing.AllocsPerRun(100, func() {
+				k.schedule(k.now+tc.delay, fn)
+				if k.pick() == nil {
+					ran++
+				}
+			})
+			if ran != 101 {
+				t.Fatalf("pick drained %d of 101 events", ran)
+			}
+			if allocs != 0 {
+				t.Errorf("Kernel.schedule allocates %.2f objects per call; want 0", allocs)
+			}
+		})
 	}
 }
 

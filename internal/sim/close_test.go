@@ -50,9 +50,9 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 	if want := []string{"server", "stuck"}; !reflect.DeepEqual(unwound, want) {
 		t.Fatalf("unwound = %v, want %v in pid order", unwound, want)
 	}
-	if len(k.procs) != 0 || k.alive != 0 || len(k.queue) != 0 {
-		t.Fatalf("kernel not empty after Close: %d procs, %d alive, %d events",
-			len(k.procs), k.alive, len(k.queue))
+	if len(k.procs) != 0 || k.alive != 0 || len(k.queue) != 0 || k.fifo.n != 0 {
+		t.Fatalf("kernel not empty after Close: %d procs, %d alive, %d future and %d same-instant events",
+			len(k.procs), k.alive, len(k.queue), k.fifo.n)
 	}
 	if n := settleGoroutines(base); n > base {
 		t.Fatalf("%d goroutines left after Close, want %d", n, base)

@@ -16,7 +16,7 @@
 //
 // # Scheduling internals
 //
-// Two hot-path design choices keep the kernel off the wall-clock profile
+// Three hot-path design choices keep the kernel off the wall-clock profile
 // (docs/ARCHITECTURE.md, "Simulator performance"):
 //
 //   - Events are values in a 4-ary index heap, not pointers in a
@@ -24,6 +24,12 @@
 //     reused by later pushes, so steady-state scheduling performs zero heap
 //     allocations. Process activations carry the *Proc directly instead of
 //     a heap-allocated closure.
+//
+//   - Only future events enter the heap. An event due at the current
+//     instant (a wake-up, a Sleep(0), a Spawn) is appended to a FIFO ring
+//     beside it, in O(1) and without sifting. pick takes the heap's top
+//     only when it is due now and was scheduled before the FIFO's head, so
+//     events still run in exact (time, seq) order.
 //
 //   - Hand-off is a coroutine switch. Run drives one loop: pick the next
 //     activated process and switch into it. A process that parks picks
@@ -123,11 +129,50 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
+// nowQueue is a FIFO ring of the events due at the kernel's current
+// instant. Events are pushed with increasing seq, so the ring is already in
+// (at, seq) order and needs no sifting. The ring is the free list: its
+// capacity is the peak number of pending same-instant events, however many
+// pass through one instant.
+type nowQueue struct {
+	buf  []event // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *nowQueue) push(ev event) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = ev
+	q.n++
+}
+
+func (q *nowQueue) pop() event {
+	ev := q.buf[q.head]
+	q.buf[q.head] = event{} // release proc/fn references
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return ev
+}
+
+// grow doubles a full ring, unrolling it to start at index zero.
+func (q *nowQueue) grow() {
+	buf := make([]event, max(16, 2*len(q.buf)))
+	n := copy(buf, q.buf[q.head:])
+	copy(buf[n:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
+}
+
 // Kernel is a discrete-event simulator instance. The zero value is not
 // usable; create one with NewKernel.
 type Kernel struct {
-	now     Time
+	now Time
+	// Pending events: those due at now in the FIFO, later ones in the heap.
+	// The heap may also hold events due at now, scheduled before the clock
+	// reached their instant; pick merges the two by seq.
 	queue   eventQueue
+	fifo    nowQueue
 	seq     uint64
 	next    *Proc // the process a yielding or exiting process hands control to
 	procs   map[int]*Proc
@@ -158,20 +203,23 @@ func (k *Kernel) Now() Time { return k.now }
 // schedule enqueues fn to run at virtual time at. It may be called from the
 // kernel loop or from the currently executing process; both are serialized.
 func (k *Kernel) schedule(at Time, fn func()) {
-	if at < k.now {
-		at = k.now
-	}
-	k.queue.push(event{at: at, seq: k.seq, fn: fn})
-	k.seq++
+	k.push(at, nil, fn)
 }
 
 // scheduleProc enqueues an activation of p at virtual time at. This is the
 // allocation-free fast path behind Sleep, unpark, and Spawn.
 func (k *Kernel) scheduleProc(at Time, p *Proc) {
-	if at < k.now {
-		at = k.now
+	k.push(at, p, nil)
+}
+
+// push files an event due at the current instant (or earlier, which is
+// clamped to it) in the FIFO and a later one in the heap.
+func (k *Kernel) push(at Time, p *Proc, fn func()) {
+	if at <= k.now {
+		k.fifo.push(event{at: k.now, seq: k.seq, proc: p, fn: fn})
+	} else {
+		k.queue.push(event{at: at, seq: k.seq, proc: p, fn: fn})
 	}
-	k.queue.push(event{at: at, seq: k.seq, proc: p})
 	k.seq++
 }
 
@@ -212,12 +260,31 @@ func (k *Kernel) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 // side holding control runs it: the loop, or a parking or exiting process,
 // so all kernel state stays single-threaded even though every process has
 // its own goroutine.
+//
+// Events run in (at, seq) order. FIFO events are all due now and the heap
+// holds nothing earlier, so the next event is the FIFO's head unless the
+// heap's top is due now too and was scheduled first. A bounded window
+// never ends at a FIFO event: the clock stays below the horizon inside
+// the window, and a window only starts on a kernel whose next event lies
+// below it.
 func (k *Kernel) pick() *Proc {
-	for !k.stopped && len(k.queue) > 0 {
-		if k.bounded && k.queue[0].at >= k.horizon {
-			break // window exhausted: leave future events for the next window
+	for !k.stopped {
+		var ev event
+		switch {
+		case k.fifo.n > 0:
+			if len(k.queue) > 0 && k.queue[0].at == k.now && k.queue[0].seq < k.fifo.buf[k.fifo.head].seq {
+				ev = k.queue.pop()
+			} else {
+				ev = k.fifo.pop()
+			}
+		case len(k.queue) > 0:
+			if k.bounded && k.queue[0].at >= k.horizon {
+				return nil // window exhausted: leave future events for the next window
+			}
+			ev = k.queue.pop()
+		default:
+			return nil
 		}
-		ev := k.queue.pop()
 		k.now = ev.at
 		if p := ev.proc; p != nil {
 			if !p.dead { // else a stale activation of an exited process
@@ -284,7 +351,12 @@ type unwind struct{}
 // Sharded.Close.
 func (k *Kernel) Close() {
 	k.unwindAll()
-	k.queue = nil
+	k.dropEvents()
+}
+
+// dropEvents discards every pending event.
+func (k *Kernel) dropEvents() {
+	k.queue, k.fifo = nil, nowQueue{}
 }
 
 // unwindAll unwinds every remaining process, including any that deferred
@@ -361,15 +433,27 @@ func (k *Kernel) runWindow(horizon Time) {
 
 // nextAt reports the fire time of the earliest pending event, if any.
 func (k *Kernel) nextAt() (Time, bool) {
-	if len(k.queue) == 0 {
-		return 0, false
+	switch {
+	case k.fifo.n > 0:
+		return k.now, true
+	case len(k.queue) > 0:
+		return k.queue[0].at, true
 	}
-	return k.queue[0].at, true
+	return 0, false
 }
 
-// RunFor executes events until virtual time advances past the given horizon,
-// then stops. Events at exactly now+d still run.
+// RunFor executes the events due within the next d of virtual time, then
+// returns with the clock at now+d, unless Stop ended it earlier. Events at
+// exactly now+d still run; later ones stay pending for the next Run or
+// RunFor.
 func (k *Kernel) RunFor(d time.Duration) error {
-	k.schedule(k.now+d, func() { k.Stop() })
-	return k.Run()
+	if k.running {
+		return fmt.Errorf("sim: kernel already running")
+	}
+	end := k.now + max(d, 0)
+	k.runWindow(end + 1)
+	if !k.stopped {
+		k.now = max(k.now, end)
+	}
+	return nil
 }

@@ -230,7 +230,7 @@ func (s *Sharded) Close() {
 		k.unwindAll()
 	}
 	for i, k := range s.shards {
-		k.queue = nil
+		k.dropEvents()
 		s.outbox[i] = nil
 	}
 }

@@ -134,7 +134,7 @@ func TestShardedCrossShardDeadlock(t *testing.T) {
 
 func TestShardedRunFor(t *testing.T) {
 	// A stop scheduled on one shard must halt the window loop exactly where
-	// RunFor stops the serial kernel.
+	// RunFor stops the serial kernel: after the events at the horizon.
 	ticker := func(k *Kernel, ticks *int) {
 		k.SpawnDaemon("ticker", func(p *Proc) {
 			for {
@@ -153,7 +153,7 @@ func TestShardedRunFor(t *testing.T) {
 	s := NewSharded(2, time.Microsecond)
 	defer s.Close()
 	ticker(s.Kernel(0), &sharded)
-	s.Inject(0, 0, 10*time.Millisecond, s.Kernel(0).Stop)
+	s.Inject(0, 0, 10*time.Millisecond+1, s.Kernel(0).Stop)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,11 @@ scripts/doclinks.sh
 go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fault mpixccl/internal/fabric mpixccl/internal/core mpixccl/internal/ccl/comp mpixccl/internal/mpi
 # The whole internal/mpi suite, which runs in a second or two — among it
 # the progress-pool pins (orphaned-Isend deadlock, idle pool, no-spawn
-# waves, exact reuse times) and the exact scatter-ring Bcast times — the
-# kernel's hand-off semantics (a process's panic and t.FailNow reach Run,
-# Close leaves no goroutine, the hand-off paths allocate nothing), the ccl no-spawn pin with compiled
+# waves, exact reuse times), the exact scatter-ring Bcast times and the
+# recycled eager envelopes — the kernel's hand-off semantics (a process's
+# panic and t.FailNow reach Run, Close leaves no goroutine, the hand-off
+# paths allocate nothing, same-instant and future events run in (time,
+# seq) order on plain and sharded kernels), the ccl no-spawn pin with compiled
 # plans on lane helpers and its exact-time pins, the flat-versus-
 # hierarchical and forced-algorithm correctness properties of the group
 # tree and ring that both paths run, and the core membership
@@ -56,7 +58,7 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # not depend on how many threads run them.
 for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/mpi
-	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$' mpixccl/internal/sim
+	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$|TestEventOrder' mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat' mpixccl/internal/ccl
 	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting' mpixccl/internal/core mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity' mpixccl/internal/core
