@@ -151,11 +151,11 @@ func (x *Comm) spansNodes() bool {
 	return false
 }
 
-// offload runs fn per pipeline fragment on the CCL transport when the
-// payload clears the threshold, the communicator is single-node (the
-// measured build had no cross-node CCL TL), and the transport exists; ok
-// reports whether it ran. fn receives element offsets and counts.
-func (x *Comm) offload(count int, dt mpi.Datatype, fn func(cc *ccl.Comm, s *device.Stream, cdt ccl.Datatype, offElems, nElems int) error) bool {
+// offload runs fn per fragBytes pipeline fragment on the CCL transport
+// when the payload clears the threshold, the communicator is single-node
+// (the measured build had no cross-node CCL TL), and the transport exists;
+// ok reports whether it ran. fn receives element offsets and counts.
+func (x *Comm) offload(count int, dt mpi.Datatype, fragBytes int64, fn func(cc *ccl.Comm, s *device.Stream, cdt ccl.Datatype, offElems, nElems int) error) bool {
 	x.mpi.Proc().Sleep(x.u.dispatch)
 	bytes := int64(count) * int64(dt.Size())
 	if bytes <= x.u.offloadThreshold || x.spansNodes() {
@@ -170,7 +170,7 @@ func (x *Comm) offload(count int, dt mpi.Datatype, fn func(cc *ccl.Comm, s *devi
 		return false
 	}
 	s := x.stream()
-	fragElems := int(x.u.fragBytes) / dt.Size()
+	fragElems := int(fragBytes) / dt.Size()
 	if fragElems < 1 {
 		fragElems = 1
 	}
@@ -235,7 +235,7 @@ func mapOp(op mpi.Op) ccl.RedOp {
 // Allreduce is MPI_Allreduce through the UCC layer.
 func (x *Comm) Allreduce(sendBuf, recvBuf *device.Buffer, count int, dt mpi.Datatype, op mpi.Op) {
 	esz := int64(dt.Size())
-	if x.offload(count, dt, func(cc *ccl.Comm, s *device.Stream, cdt ccl.Datatype, off, n int) error {
+	if x.offload(count, dt, x.u.fragBytes, func(cc *ccl.Comm, s *device.Stream, cdt ccl.Datatype, off, n int) error {
 		return cc.AllReduce(sendBuf.Slice(int64(off)*esz, int64(n)*esz),
 			recvBuf.Slice(int64(off)*esz, int64(n)*esz), n, cdt, mapOp(op), s)
 	}) {
@@ -251,7 +251,7 @@ func (x *Comm) Reduce(sendBuf, recvBuf *device.Buffer, count int, dt mpi.Datatyp
 	if target == nil {
 		target = sendBuf
 	}
-	if x.offload(count, dt, func(cc *ccl.Comm, s *device.Stream, cdt ccl.Datatype, off, n int) error {
+	if x.offload(count, dt, x.u.fragBytes, func(cc *ccl.Comm, s *device.Stream, cdt ccl.Datatype, off, n int) error {
 		return cc.Reduce(sendBuf.Slice(int64(off)*esz, int64(n)*esz),
 			target.Slice(int64(off)*esz, int64(n)*esz), n, cdt, mapOp(op), root, s)
 	}) {
@@ -263,7 +263,7 @@ func (x *Comm) Reduce(sendBuf, recvBuf *device.Buffer, count int, dt mpi.Datatyp
 // Bcast is MPI_Bcast through the UCC layer.
 func (x *Comm) Bcast(buf *device.Buffer, count int, dt mpi.Datatype, root int) {
 	esz := int64(dt.Size())
-	if x.offload(count, dt, func(cc *ccl.Comm, s *device.Stream, cdt ccl.Datatype, off, n int) error {
+	if x.offload(count, dt, x.u.fragBytes, func(cc *ccl.Comm, s *device.Stream, cdt ccl.Datatype, off, n int) error {
 		frag := buf.Slice(int64(off)*esz, int64(n)*esz)
 		return cc.Broadcast(frag, frag, n, cdt, root, s)
 	}) {
@@ -272,16 +272,12 @@ func (x *Comm) Bcast(buf *device.Buffer, count int, dt mpi.Datatype, root int) {
 	x.runUCX(func() { x.mpi.Bcast(buf, count, dt, root) })
 }
 
-// Allgather is MPI_Allgather through the UCC layer (offloaded whole: the
-// block layout does not fragment cleanly).
+// Allgather is MPI_Allgather through the UCC layer (offloaded whole, as
+// one fragment: the block layout does not fragment cleanly).
 func (x *Comm) Allgather(sendBuf *device.Buffer, count int, dt mpi.Datatype, recvBuf *device.Buffer) {
-	saveFrag := x.u.fragBytes
-	x.u.fragBytes = int64(count)*int64(dt.Size()) + 1 // single fragment
-	ok := x.offload(count, dt, func(cc *ccl.Comm, s *device.Stream, cdt ccl.Datatype, off, n int) error {
+	if x.offload(count, dt, int64(count)*int64(dt.Size()), func(cc *ccl.Comm, s *device.Stream, cdt ccl.Datatype, off, n int) error {
 		return cc.AllGather(sendBuf, recvBuf, n, cdt, s)
-	})
-	x.u.fragBytes = saveFrag
-	if ok {
+	}) {
 		return
 	}
 	x.runUCX(func() { x.mpi.Allgather(sendBuf, count, dt, recvBuf) })
@@ -293,6 +289,18 @@ func (x *Comm) Allgather(sendBuf *device.Buffer, count int, dt mpi.Datatype, rec
 func (x *Comm) Alltoall(sendBuf *device.Buffer, count int, dt mpi.Datatype, recvBuf *device.Buffer) {
 	x.mpi.Proc().Sleep(x.u.dispatch)
 	x.runUCX(func() { x.mpi.Alltoall(sendBuf, count, dt, recvBuf) })
+}
+
+// Gather is MPI_Gather on the underlying Open MPI communicator: UCC has
+// no gather team collective here.
+func (x *Comm) Gather(sendBuf *device.Buffer, count int, dt mpi.Datatype, recvBuf *device.Buffer, root int) {
+	x.mpi.Gather(sendBuf, count, dt, recvBuf, root)
+}
+
+// Scatter is MPI_Scatter on the underlying Open MPI communicator, like
+// Gather.
+func (x *Comm) Scatter(sendBuf *device.Buffer, count int, dt mpi.Datatype, recvBuf *device.Buffer, root int) {
+	x.mpi.Scatter(sendBuf, count, dt, recvBuf, root)
 }
 
 // Barrier is MPI_Barrier (never offloaded).

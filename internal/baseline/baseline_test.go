@@ -69,6 +69,40 @@ func TestUCCCollectivesSmoke(t *testing.T) {
 	}
 }
 
+// TestUCCAllgatherKeepsFragmentSize pins that an offloaded Allgather, which
+// runs as one whole-payload fragment, leaves the UCC's pipeline fragment
+// size alone: a later 1 MiB allreduce on the same UCC takes exactly the
+// virtual time it takes on a fresh one.
+func TestUCCAllgatherKeepsFragmentSize(t *testing.T) {
+	const count = 1 << 18 // 1 MiB of float32: offloaded, in 128 KiB fragments
+	measure := func(allgatherFirst bool) time.Duration {
+		u := newUCC(t, "thetagpu", 1, 4)
+		defer u.Job().Fabric().Kernel().Close()
+		var took time.Duration
+		err := u.Run(func(x *Comm) {
+			send := x.Device().MustMalloc(count * 4)
+			recv := x.Device().MustMalloc(4 * count * 4)
+			if allgatherFirst {
+				x.Allgather(send, count, mpi.Float32, recv)
+			}
+			x.Barrier()
+			p := x.MPI().Proc()
+			start := p.Now()
+			x.Allreduce(send, recv.Slice(0, count*4), count, mpi.Float32, mpi.OpSum)
+			if x.Rank() == 0 {
+				took = p.Now() - start
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return took
+	}
+	if alone, after := measure(false), measure(true); alone != after {
+		t.Fatalf("1 MiB allreduce: %v alone, %v after an Allgather on the same UCC; want equal", alone, after)
+	}
+}
+
 // The paper's multi-node observation: UCC underperforms plain Open MPI +
 // UCX by ~10% across nodes (its CCL TL only runs inside a node).
 func TestUCCMultiNodeSlowerThanUCX(t *testing.T) {

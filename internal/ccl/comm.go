@@ -37,11 +37,12 @@ type core struct {
 	dtOK [int(Float64) + 1]bool
 	opOK [int(Min) + 1]bool
 
-	// Resident processes per executing process, created on first use:
-	// the asynchronous-send helpers by lane (see helper) and hierarchical
-	// leader engines (see hierEngine), shared by one-shot, persistent and
-	// compiled work.
-	helpers map[*sim.Proc][]*helper
+	// workers[r] is rank r's pool of resident worker processes: they carry
+	// its asynchronous sends, compiled-plan lanes, hierarchical leader
+	// engines and group sends (see helperJob), for one-shot, persistent and
+	// compiled work alike. engines holds each leader stream process's
+	// engine state (see hierEngine).
+	workers []*sim.Pool[helperJob]
 	engines map[*sim.Proc]*hierEngine
 
 	hierCache *hierPlan // lazily built node hierarchy (see hier.go)
@@ -91,19 +92,20 @@ func (co *core) newArgs(send, recv *device.Buffer, count, root int) *opArgs {
 }
 
 // getCtx returns a recycled (or fresh) runCtx for one process's part of a
-// collective. Return it with putCtx when the process is done with it.
+// collective. Return it with putCtx when the process is done with it. A
+// recycled context keeps its latch.
 func (co *core) getCtx(st *opState, rank int, p *sim.Proc) *runCtx {
 	if n := len(co.ctxFree); n > 0 {
 		rc := co.ctxFree[n-1]
 		co.ctxFree = co.ctxFree[:n-1]
-		*rc = runCtx{co: co, st: st, rank: rank, p: p}
+		*rc = runCtx{co: co, st: st, rank: rank, p: p, latch: rc.latch}
 		return rc
 	}
 	return &runCtx{co: co, st: st, rank: rank, p: p}
 }
 
 func (co *core) putCtx(rc *runCtx) {
-	*rc = runCtx{}
+	*rc = runCtx{latch: rc.latch}
 	co.ctxFree = append(co.ctxFree, rc)
 }
 
@@ -256,7 +258,6 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 		cfg: cfg, fab: fab, devs: devs, n: len(devs), faults: inj, failStop: fs,
 		ops:     make(map[int]*opState),
 		p2pPost: make(map[[2]int]*sim.Chan[*p2pSlot]),
-		helpers: make(map[*sim.Proc][]*helper),
 		engines: make(map[*sim.Proc]*hierEngine),
 		persist: make(map[int]*persistShared),
 	}
@@ -271,9 +272,11 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 		}
 	}
 	co.ranks = make([]int, len(devs))
+	co.workers = make([]*sim.Pool[helperJob], len(devs))
 	comms := make([]*Comm, len(devs))
 	for r := range devs {
 		co.ranks[r] = r
+		co.workers[r] = sim.NewPool(fmt.Sprintf("%s/r%d/worker", cfg.Name, r), co.runJob)
 		comms[r] = &Comm{core: co, rank: r}
 	}
 	return comms, nil
@@ -491,8 +494,9 @@ type runCtx struct {
 	// pers carries a persistent handle's caches and partition gate (see
 	// persistent.go); nil on the one-shot path.
 	pers *persistState
-	// helper caches lane 0 of p's helpers once this context has posted.
-	helper *helper
+	// latch counts this context's posted jobs down (see post); created at
+	// the first post.
+	latch *sim.Counter
 
 	// chunk overrides the fabric pipeline granularity for this context's
 	// transfers (compiled plans carry a searched chunk size; 0 = backend
@@ -556,39 +560,18 @@ func (rc *runCtx) xfer(dst, src *device.Buffer, n int64, noCopy bool) bool {
 	return true
 }
 
-// helper is the resident process that carries one executing process's
-// asynchronous sends, so the executing process can receive concurrently —
-// rings are full duplex, exactly like the hardware channels they run on.
-// Each executing process has a row of them on its communicator, indexed by
-// lane: a stream process, whether it runs a one-shot or a persistent task,
-// or a hierarchical leader's engine, posts to lane 0, and a compiled plan
-// phase posts its i-th (destination, lane) pair to lane i (see runPlan).
-// A stream runs one task at a time and every site waits for its jobs
-// before posting again, so each lane has at most one job outstanding.
-//
-// Virtual time is exactly that of spawning a process per job. The first
-// post to a lane spawns its helper where a per-job spawn would be, and the
-// helper takes the queued job as it starts. After each job the helper
-// parks on its empty queue before any other process runs, so every later
-// post finds it parked, and TrySend schedules its wake-up at the current
-// instant with the next sequence number: the (time, seq) slot a Spawn
-// would take. The job then runs the same transfers and sleeps and fires
-// the same latch. TestRingScheduleVirtualTime and
-// TestCompiledPlanVirtualTime pin three back-to-back calls, since the
-// calls after the first are where reuse could drift.
-type helper struct {
-	rc   runCtx // co and p fixed; st, rank, pers and chunk copied per post
-	jobs *sim.Chan[helperJob]
-	done *sim.Counter // the latch post returns
-	busy bool
-}
-
-// helperJob is one posted send. Jobs are plain values, so a post allocates
-// nothing. A job is one putTo; or, when blocks is non-nil, a node
-// block-set: one n-byte block per listed rank r at offset r·n of src, put
-// staged (nil dst) or directly at the same offset of dst; or, when ph is
-// non-nil, one lane of a compiled plan phase: ph's moves to rank to on
-// plan lane lane. The helper fires done when the job completes.
+// helperJob is one job for a rank's resident workers (core.workers). Most
+// are the asynchronous sends that let an executing process receive
+// concurrently — rings are full duplex, exactly like the hardware channels
+// they run on. Jobs are plain values, so a post allocates nothing. A job is
+// one putTo; or, when blocks is non-nil, a node block-set: one n-byte block
+// per listed rank r at offset r·n of src, put staged (nil dst) or directly
+// at the same offset of dst; or, when ph is non-nil, one lane of a compiled
+// plan phase: ph's moves to rank to on plan lane lane; or, when eng is
+// non-nil, one call of a hierarchical leader's engine; or, when group is
+// non-nil, one GroupEnd send of n bytes from src to rank to. The worker
+// runs it under the poster's st, rank, pers and chunk and counts done down
+// when it completes.
 type helperJob struct {
 	to           int
 	dst, src     *device.Buffer
@@ -596,70 +579,55 @@ type helperJob struct {
 	blocks       []int
 	ph           *comp.RankPhase
 	lane         int
-	done         *sim.Counter
+	eng          *hierEngine
+	group        *Comm
+
+	st    *opState
+	rank  int
+	pers  *persistState
+	chunk int64
+	done  *sim.Counter
 }
 
-// post hands j to lane 0 of rc's process, spawning its helper on first
-// use, and returns the latch that fires when the job completes. Wait on it
-// before reusing src (after a byRef put, byRef says when src may be
-// written again) and before posting again: posting to a busy helper
-// panics, like overflowing a stream's queue.
+// post hands j to one of the rank's resident workers and returns rc's
+// latch, which fires when the job completes. Wait on it before reusing src
+// (after a byRef put, byRef says when src may be written again) and before
+// posting again: posting while the previous job still runs panics, like
+// overflowing a stream's queue.
 func (rc *runCtx) post(j helperJob) *sim.Counter {
-	h := rc.helper
-	if h == nil {
-		h = rc.co.helperAt(rc.p, 0)
-		rc.helper = h
-	}
-	j.done = h.done
-	rc.start(h, j)
-	h.done.Reset(1) // h runs only once this process parks
-	return h.done
+	done := rc.arm(1)
+	rc.start(j, done)
+	return done
 }
 
-// start hands j to the idle helper h.
-func (rc *runCtx) start(h *helper, j helperJob) {
-	if h.busy {
+// arm readies rc's latch to count n jobs down.
+func (rc *runCtx) arm(n int) *sim.Counter {
+	if rc.latch == nil {
+		rc.latch = sim.NewCounter(rc.p.Kernel(), 0)
+	} else if rc.latch.Pending() > 0 {
 		panic(fmt.Sprintf("ccl: %s posted a send while its previous one is still running", rc.p.Name()))
 	}
-	h.busy = true
-	h.rc.st, h.rc.rank, h.rc.pers, h.rc.chunk = rc.st, rc.rank, rc.pers, rc.chunk
-	h.jobs.TrySend(j) // cannot fail: an idle helper's queue is empty
+	rc.latch.Reset(n)
+	return rc.latch
 }
 
-// helperAt returns lane i of p's helpers, spawning the missing lanes up
-// to i on p's kernel. Callers post to lanes in index order, so each lane
-// is spawned at its first post.
-func (co *core) helperAt(p *sim.Proc, i int) *helper {
-	hs := co.helpers[p]
-	if i < len(hs) {
-		return hs[i]
-	}
-	for len(hs) <= i {
-		hs = append(hs, co.newHelper(p, len(hs)))
-	}
-	co.helpers[p] = hs
-	return hs[i]
+// start posts j, under rc's context, to the rank's workers; done counts it
+// down when it completes.
+func (rc *runCtx) start(j helperJob, done *sim.Counter) {
+	j.st, j.rank, j.pers, j.chunk, j.done = rc.st, rc.rank, rc.pers, rc.chunk, done
+	rc.co.workers[rc.rank].Post(rc.p.Kernel(), j)
 }
 
-// newHelper spawns lane i of p's helpers on p's kernel.
-func (co *core) newHelper(p *sim.Proc, i int) *helper {
-	k := p.Kernel()
-	h := &helper{rc: runCtx{co: co}, jobs: sim.NewChan[helperJob](k, 1), done: sim.NewCounter(k, 0)}
-	k.SpawnDaemon(fmt.Sprintf("%s/helper%d/%s", co.cfg.Name, i, p.Name()), func(hp *sim.Proc) {
-		h.rc.p = hp
-		for {
-			j := h.jobs.Recv(hp)
-			h.run(j)
-			h.busy = false
-			j.done.Done()
-		}
-	})
-	return h
-}
-
-func (h *helper) run(j helperJob) {
-	rc := &h.rc
+// runJob runs one posted job on worker p.
+func (co *core) runJob(p *sim.Proc, j helperJob) {
+	rc := runCtx{co: co, st: j.st, rank: j.rank, p: p, pers: j.pers, chunk: j.chunk}
 	switch {
+	case j.eng != nil:
+		j.eng.run(p)
+	case j.group != nil:
+		if err := co.runSend(p, j.group.rank, p2pOp{peer: j.to, buf: j.src, bytes: j.n}); err != nil {
+			j.group.raiseAsync(err)
+		}
 	case j.ph != nil:
 		rc.runLane(j.ph, j.to, j.lane, j.slotBytes)
 	case j.blocks == nil:
@@ -674,9 +642,12 @@ func (h *helper) run(j helperJob) {
 			}
 		}
 	}
+	if j.done != nil {
+		j.done.Done()
+	}
 }
 
-// putAsync runs putTo on the process's resident helper (see post).
+// putAsync runs putTo on one of the rank's resident workers (see post).
 func (rc *runCtx) putAsync(to int, dst, src *device.Buffer, n int64, slotBytes int64) *sim.Counter {
 	return rc.post(helperJob{to: to, dst: dst, src: src, n: n, slotBytes: slotBytes})
 }

@@ -4,7 +4,7 @@ package ccl
 // One code path runs both the compiler's output and converted MSCCL
 // schedules: a comp.Plan is a list of phases of concrete moves, each rank
 // executes its slice of every phase (sends per destination and lane on
-// resident lane helpers, inline receives, local copies), and the
+// the rank's resident workers, inline receives, local copies), and the
 // credit-managed pipes of the built-in algorithms provide the flow
 // control. Two transports exist and a plan must use one consistently per
 // rank pair (a pair pipe's slot size is fixed at first use): direct moves
@@ -144,9 +144,9 @@ func (rc *runCtx) bufAt(role comp.BufRole, rank int, off, n int64) *device.Buffe
 
 // runPlan executes this rank's slice of a compiled plan. slot is the
 // staged pipe slot size (planSlot). A phase's (destination, lane) pairs
-// send concurrently, the i-th on lane i of the process's resident helpers
-// (see helper), while the process itself performs the local copies and
-// receives.
+// send concurrently, each on one of the rank's resident workers (see
+// helperJob) and all counted down by one latch, while the process itself
+// performs the local copies and receives.
 func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64) {
 	co, st := rc.co, rc.st
 	if plan.Scratch != nil && st.scratch == nil {
@@ -170,12 +170,9 @@ func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64) {
 		ph := &rp.Phases[pi]
 		var sent *sim.Counter
 		if len(ph.Dests) > 0 {
-			// Lane 0's latch is idle while a plan runs; it counts the
-			// whole phase.
-			sent = co.helperAt(rc.p, 0).done
-			sent.Reset(len(ph.Dests))
-			for i, d := range ph.Dests {
-				rc.start(co.helperAt(rc.p, i), helperJob{ph: ph, to: d.To, lane: d.Lane, slotBytes: slot, done: sent})
+			sent = rc.arm(len(ph.Dests))
+			for _, d := range ph.Dests {
+				rc.start(helperJob{ph: ph, to: d.To, lane: d.Lane, slotBytes: slot}, sent)
 			}
 		}
 		for i := range ph.Outs {
@@ -209,7 +206,7 @@ func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64) {
 	}
 }
 
-// runLane performs one lane of a plan phase on a helper: ph's moves to
+// runLane performs one lane of a plan phase on a worker: ph's moves to
 // rank to on plan lane lane, in order.
 func (rc *runCtx) runLane(ph *comp.RankPhase, to, lane int, slot int64) {
 	for i := range ph.Outs {

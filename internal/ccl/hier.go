@@ -1,7 +1,6 @@
 package ccl
 
 import (
-	"fmt"
 	"sort"
 
 	"mpixccl/internal/sim"
@@ -13,9 +12,9 @@ import (
 // links, and the result fans back out inside each node. Payloads are split
 // into fixed-size chunks that flow through the three phases as a software
 // pipeline, so the inter-node exchange of chunk k overlaps the intra-node
-// work of chunk k+1 (the leader feeds chunks to its resident inter-node
-// engine, hierEngine). The tree and ring phases are the group schedules
-// the flat collectives run over all ranks (treeReduceOver, treeBcastOver,
+// work of chunk k+1 (the leader feeds chunks to its inter-node engine,
+// hierEngine). The tree and ring phases are the group schedules the flat
+// collectives run over all ranks (treeReduceOver, treeBcastOver,
 // ringAllReduceOver), here over a node's ranks, the node leaders, or the
 // per-node broadcast representatives. All data movement reuses the
 // credit-managed scratch pipes; intra-node, leader-leader, and fan-out hops
@@ -191,7 +190,7 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 		return
 	}
 
-	// Leader: the resident inter-node engine runs the leader ring per chunk
+	// Leader: the inter-node engine runs the leader ring per chunk
 	// as chunks are fed, so chunk k's inter-node exchange overlaps chunk
 	// k+1's intra-node reduction.
 	var eng *hierEngine
@@ -216,42 +215,38 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 	}
 }
 
-// hierEngine is a hierarchical leader's resident inter-node engine: it runs
-// the leader ring of each chunk the leader feeds it, in feed order, on its
-// own process. There is one per (communicator, leader stream process); the
-// stream runs one task at a time, so calls use it one after another, and
-// its own asynchronous sends go through its own helper.
-//
-// As with helper, virtual time is that of spawning an engine per call: the
-// first call spawns it where that spawn would be, and later calls find it
-// parked on ready, so feeding chunk 0 wakes it at the (time, seq) slot at
-// which a freshly spawned engine would receive the chunk.
+// hierEngine is a hierarchical leader's inter-node engine: it runs the
+// leader ring of each chunk the leader feeds it, in feed order, as one job
+// on the rank's resident workers (see helperJob). There is one per
+// (communicator, leader stream process), holding one call's state; the
+// stream runs one task at a time, so calls use it one after another. The
+// first feed of a call posts the engine, so it starts in the (time, seq)
+// slot at which an engine spawned per call would take chunk 0. Its own
+// asynchronous sends go to the same workers under its own latch.
 type hierEngine struct {
-	rc    runCtx              // co and p fixed; st, rank, pers and chunk copied per call
+	rc    runCtx              // co fixed; st, rank, pers and chunk set per call, p per run
 	ready *sim.Chan[struct{}] // unbuffered: wakes the engine parked for a chunk
 	fed   int                 // chunks fed this call
-	next  int                 // chunks taken this call
 	done  []*sim.Event        // done[ck]: chunk ck's leader ring completed
 	// The call's parameters, set before chunk 0 is fed.
-	hp        *hierPlan
-	dt        Datatype
-	op        RedOp
-	count, ce int
+	hp                 *hierPlan
+	dt                 Datatype
+	op                 RedOp
+	count, ce, nchunks int
 }
 
-// engine readies the resident engine of rc's process for one call of
-// nchunks chunks, spawning it on first use.
+// engine readies the engine of rc's process for one call of nchunks
+// chunks, creating it on first use.
 func (rc *runCtx) engine(hp *hierPlan, dt Datatype, op RedOp, count, ce, nchunks int) *hierEngine {
 	co, k := rc.co, rc.p.Kernel()
 	e := co.engines[rc.p]
 	if e == nil {
 		e = &hierEngine{rc: runCtx{co: co}, ready: sim.NewChan[struct{}](k, 0)}
 		co.engines[rc.p] = e
-		k.SpawnDaemon(fmt.Sprintf("%s/hier/engine/%s", co.cfg.Name, rc.p.Name()), e.loop)
 	}
 	e.rc.st, e.rc.rank, e.rc.pers, e.rc.chunk = rc.st, rc.rank, rc.pers, rc.chunk
-	e.hp, e.dt, e.op, e.count, e.ce = hp, dt, op, count, ce
-	e.fed, e.next = 0, 0
+	e.hp, e.dt, e.op, e.count, e.ce, e.nchunks = hp, dt, op, count, ce, nchunks
+	e.fed = 0
 	for len(e.done) < nchunks {
 		e.done = append(e.done, sim.NewEvent(k))
 	}
@@ -261,24 +256,29 @@ func (rc *runCtx) engine(hp *hierPlan, dt Datatype, op RedOp, count, ce, nchunks
 	return e
 }
 
-func (e *hierEngine) loop(p *sim.Proc) {
+// run is the engine's job for one call, on worker p.
+func (e *hierEngine) run(p *sim.Proc) {
 	e.rc.p = p
-	for {
-		for e.next == e.fed {
+	for ck := 0; ck < e.nchunks; ck++ {
+		for ck == e.fed {
 			e.ready.Recv(p)
 		}
-		ck := e.next
-		e.next++
 		lo, cn := chunkRange(e.count, e.ce, ck)
 		e.rc.ringAllReduceOver(e.hp.leaders, e.hp.nodeIdx[e.rc.rank], e.dt, e.op, int64(lo)*int64(e.dt.Size()), cn)
 		e.done[ck].Fire()
 	}
 }
 
-// feed hands the engine the next chunk: it wakes the engine if it is parked,
-// and a busy engine takes the chunk when it next looks.
+// feed hands the engine the next chunk: the first chunk of a call posts
+// the engine; later ones wake it if it is parked, and a busy engine takes
+// the chunk when it next looks.
 func (e *hierEngine) feed() {
 	e.fed++
+	if e.fed == 1 {
+		co := e.rc.co
+		co.workers[e.rc.rank].Post(co.fab.Kernel(), helperJob{eng: e})
+		return
+	}
 	e.ready.TrySend(struct{}{})
 }
 
@@ -368,7 +368,7 @@ func (rc *runCtx) hierAllGather(dt Datatype, count int, chunkBytes int64) {
 	}
 	// Phase B: m-1 ring steps; step s forwards the block-set of node
 	// (idx-s) to the right while receiving node (idx-s-1) from the left.
-	// Sends run on the helper so the ring stays full duplex.
+	// Sends run on a resident worker so the ring stays full duplex.
 	if m > 1 {
 		right := hp.leaders[(ni+1)%m]
 		left := hp.leaders[(ni-1+m)%m]

@@ -167,22 +167,17 @@ func (c *Comm) GroupEnd() error {
 				c.raiseAsync(co.deadVerdict("group", p.Now()))
 			}
 		}
-		// Run sends concurrently; link contention serializes them physically.
-		// Spawned, not a resident helper: under the watchdog a send to a
-		// dead peer can block forever, which would wedge a resident helper.
+		// Run sends concurrently on the rank's resident workers; link
+		// contention serializes them physically. A send to a dead peer
+		// holds its worker until the watchdog gives a verdict (or forever,
+		// disarmed), and the pool grows past it.
 		counter := sim.NewCounter(k, len(g.sends))
 		for _, op := range g.sends {
-			op := op
-			k.Spawn(fmt.Sprintf("%s/gsend/r%d-%d", co.cfg.Name, rank, op.peer), func(cp *sim.Proc) {
-				if err := co.runSend(cp, rank, op); err != nil {
-					c.raiseAsync(err)
-				}
-				counter.Done()
-			})
+			co.workers[rank].Post(k, helperJob{group: c, to: op.peer, src: op.buf, n: op.bytes, done: counter})
 		}
-		// Each timed wait is bounded on its own (the gsend helpers and
-		// posted receives carry per-wait deadlines), so the fused task as a
-		// whole resolves in bounded virtual time too.
+		// Each timed wait is bounded on its own (the sends and posted
+		// receives carry per-wait deadlines), so the fused task as a whole
+		// resolves in bounded virtual time too.
 		if !counter.WaitTimeout(p, 2*co.watchdog) {
 			c.raiseAsync(co.deadVerdict("group", p.Now()))
 		}

@@ -13,9 +13,9 @@ package ccl
 //     the offsets a wave touches are materialized once during the first
 //     (warm-up) wave;
 //   - asynchronous sends and the hierarchical leader's inter-node engine
-//     run on the stream's resident processes (helper, hierEngine), which
-//     one-shot and persistent work share and which post jobs as plain
-//     values: a handle owns no process, and Init spawns none.
+//     run on the rank's resident workers (helperJob), which one-shot and
+//     persistent work share and which take jobs as plain values: a handle
+//     owns no process, and Init spawns none.
 //
 // Partitioned readiness (MPI_Pready analogue): a handle built with
 // AllReduceInitPartitioned gates the schedule on per-partition readiness
@@ -41,7 +41,7 @@ type sliceKey struct {
 
 // persistState carries one rank-handle's schedule caches and partition
 // gate, shared by every process executing part of that handle (stream
-// task, helper, inter-node engine). The simulation is cooperatively
+// task, worker, inter-node engine). The simulation is cooperatively
 // scheduled, so the maps need no locking.
 type persistState struct {
 	slices map[sliceKey]*device.Buffer

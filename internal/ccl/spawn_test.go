@@ -9,17 +9,19 @@ import (
 	"mpixccl/internal/sim"
 )
 
-// TestSteadyStateSpawnsNoProcs pins the resident-helper design: a stream's
-// asynchronous sends, a leader's inter-node engine and a compiled plan's
-// lanes run on processes created once per communicator and stream, so
-// after a warm-up wave no collective spawns a process — neither one-shot
-// calls of every schedule with an asynchronous send, nor building
-// persistent handles on the warmed streams, nor their waves, nor compiled
-// Alltoall, Scatter and Gather, nor a converted MSCCL schedule. Spawns are
-// counted as the pid distance between sentinel processes spawned at wave
-// boundaries. Spawning a put process per ring step instead would read
-// 2(n−1) per rank for each ring allreduce, and one per (phase,
-// destination, lane) n−1 per rank for each direct alltoall.
+// TestSteadyStateSpawnsNoProcs pins the resident-worker design: a rank's
+// asynchronous sends, a leader's inter-node engine, a compiled plan's
+// lanes and a group's sends run on one pool of processes per communicator
+// and rank, so after a warm-up wave no collective spawns a process —
+// neither one-shot calls of every schedule with an asynchronous send, nor
+// building persistent handles on the warmed streams, nor their waves, nor
+// compiled Alltoall, Scatter and Gather, nor a converted MSCCL schedule,
+// nor a GroupStart/Send/Recv/GroupEnd alltoall. Spawns are counted as the
+// pid distance between sentinel processes spawned at wave boundaries.
+// Spawning a put process per ring step instead would read 2(n−1) per rank
+// for each ring allreduce, one per (phase, destination, lane) n−1 per rank
+// for each direct alltoall, and one per group send n−1 per rank for each
+// group alltoall.
 func TestSteadyStateSpawnsNoProcs(t *testing.T) {
 	const (
 		n     = 16 // two 8-GPU nodes: the hierarchical schedules engage
@@ -86,7 +88,7 @@ func TestSteadyStateSpawnsNoProcs(t *testing.T) {
 			}
 			mark(r, p)
 		}
-		// Compiled plans and the MSCCL schedule, on lane helpers.
+		// Compiled plans and the MSCCL schedule, on the rank's workers.
 		c.SetAlgorithm(ccl.AlgoAuto, 0)
 		const blk = 4 << 10 // elements per block
 		send, recv := dev.MustMalloc(n*blk*4), dev.MustMalloc(n*blk*4)
@@ -104,14 +106,38 @@ func TestSteadyStateSpawnsNoProcs(t *testing.T) {
 			s.Synchronize(p)
 			mark(r, p)
 		}
+		// The send-recv alltoall of §3.3 (Listing 1): one group of n−1
+		// sends and receives per rank, its sends on the rank's workers.
+		for w := 0; w < waves; w++ {
+			if err := c.GroupStart(); err != nil {
+				t.Error(err)
+			}
+			for peer := 0; peer < n; peer++ {
+				if peer == r {
+					continue
+				}
+				if err := c.Send(send.Slice(int64(peer)*blk*4, blk*4), blk, ccl.Float32, peer, s); err != nil {
+					t.Error(err)
+				}
+				if err := c.Recv(recv.Slice(int64(peer)*blk*4, blk*4), blk, ccl.Float32, peer, s); err != nil {
+					t.Error(err)
+				}
+			}
+			if err := c.GroupEnd(); err != nil {
+				t.Error(err)
+			}
+			s.Synchronize(p)
+			mark(r, p)
+		}
 	})
 	// pids[0] closes the flat warm-up wave, pids[waves] the hierarchical
-	// one and pids[2*waves+3] the compiled one.
-	if want := 3*waves + 3; len(pids) != want {
+	// one, pids[2*waves+3] the compiled one and pids[3*waves+3] the group
+	// one.
+	if want := 4*waves + 3; len(pids) != want {
 		t.Fatalf("%d wave marks, want %d", len(pids), want)
 	}
 	for i := 1; i < len(pids); i++ {
-		if i == waves || i == 2*waves+3 {
+		if i == waves || i == 2*waves+3 || i == 3*waves+3 {
 			continue
 		}
 		if spawned := pids[i] - pids[i-1] - 1; spawned != 0 {

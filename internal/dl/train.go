@@ -233,11 +233,11 @@ func Train(cfg Config) (Report, error) {
 	persistent := cfg.Persistent && cfg.Engine == EngineXCCL
 	body := func(ge gradEngine) {
 		if persistent {
-			xe := ge.(*xcclEngine)
+			x := ge.(*mpiEngine).c.(*core.Comm)
 			// Only rank 0 measures; adopt its non-empty result rather than
 			// assigning unconditionally, or the last rank to finish would
 			// overwrite the shared slice with its own empty one.
-			if st := trainPersistent(&cfg, xe, buckets, computeTime,
+			if st := trainPersistent(&cfg, x, buckets, computeTime,
 				allreduceHist, stepHist); len(st) > 0 {
 				stepTimes = st
 			}
@@ -297,11 +297,10 @@ func Train(cfg Config) (Report, error) {
 // at the end of the step. The buckets live at distinct offsets of one
 // fusion arena because every bucket's exchange is in flight at once.
 // Returns this rank's measured step times (empty except on rank 0).
-func trainPersistent(cfg *Config, xe *xcclEngine, buckets []Bucket,
+func trainPersistent(cfg *Config, x *core.Comm, buckets []Bucket,
 	computeTime time.Duration, allreduceHist, stepHist *metrics.Histogram,
 ) []time.Duration {
 	var stepTimes []time.Duration
-	x := xe.x
 	p := x.MPI().Proc()
 	var total int64
 	offs := make([]int64, len(buckets))
@@ -361,7 +360,7 @@ func trainPersistent(cfg *Config, xe *xcclEngine, buckets []Bucket,
 				metrics.StartTimer(allreduceHist, arStart).Stop(p.Now())
 			}
 		}
-		xe.barrier()
+		x.Barrier()
 		if measured {
 			stepTimes = append(stepTimes, p.Now()-start)
 			metrics.StartTimer(stepHist, start).Stop(p.Now())
@@ -380,16 +379,16 @@ func launch(cfg *Config, k *sim.Kernel, sys *topology.System, fab *fabric.Fabric
 		if err != nil {
 			return err
 		}
-		return rt.Run(func(x *core.Comm) { body(&xcclEngine{x: x}) })
+		return rt.Run(func(x *core.Comm) { body(&mpiEngine{c: x, p: x.MPI().Proc()}) })
 	case EngineOpenMPI:
 		job := baseline.NewOpenMPIJob(fab, sys, nranks)
 		job.SetMetrics(cfg.Metrics)
-		return job.Run(func(c *mpi.Comm) { body(&mpiEngine{c: c}) })
+		return job.Run(func(c *mpi.Comm) { body(&mpiEngine{c: c, p: c.Proc()}) })
 	case EngineUCC:
 		job := baseline.NewOpenMPIJob(fab, sys, nranks)
 		job.SetMetrics(cfg.Metrics)
 		ucc := baseline.NewUCC(job)
-		return ucc.Run(func(x *baseline.Comm) { body(&uccEngine{x: x}) })
+		return ucc.Run(func(x *baseline.Comm) { body(&mpiEngine{c: x, p: x.MPI().Proc()}) })
 	case EnginePureCCL:
 		kind, err := core.ResolveBackend(cfg.Backend, sys.Device(0).Kind)
 		if err != nil {
@@ -416,32 +415,28 @@ func launch(cfg *Config, k *sim.Kernel, sys *topology.System, fab *fabric.Fabric
 	}
 }
 
-type xcclEngine struct{ x *core.Comm }
-
-func (e *xcclEngine) allreduce(send, recv *device.Buffer, count int) {
-	e.x.Allreduce(send, recv, count, mpi.Float32, mpi.OpSum)
+// mpiStack is what Horovod calls on the stacks it reaches through MPI:
+// the hybrid runtime (*core.Comm), Open MPI (*mpi.Comm) and UCC
+// (*baseline.Comm).
+type mpiStack interface {
+	Allreduce(send, recv *device.Buffer, count int, dt mpi.Datatype, op mpi.Op)
+	Barrier()
+	Device() *device.Device
 }
-func (e *xcclEngine) barrier()            { e.x.Barrier() }
-func (e *xcclEngine) proc() *sim.Proc     { return e.x.MPI().Proc() }
-func (e *xcclEngine) dev() *device.Device { return e.x.Device() }
 
-type mpiEngine struct{ c *mpi.Comm }
+// mpiEngine is the gradient engine of every MPI-interface stack: a
+// blocking MPI_Allreduce per fused bucket.
+type mpiEngine struct {
+	c mpiStack
+	p *sim.Proc
+}
 
 func (e *mpiEngine) allreduce(send, recv *device.Buffer, count int) {
 	e.c.Allreduce(send, recv, count, mpi.Float32, mpi.OpSum)
 }
 func (e *mpiEngine) barrier()            { e.c.Barrier() }
-func (e *mpiEngine) proc() *sim.Proc     { return e.c.Proc() }
+func (e *mpiEngine) proc() *sim.Proc     { return e.p }
 func (e *mpiEngine) dev() *device.Device { return e.c.Device() }
-
-type uccEngine struct{ x *baseline.Comm }
-
-func (e *uccEngine) allreduce(send, recv *device.Buffer, count int) {
-	e.x.Allreduce(send, recv, count, mpi.Float32, mpi.OpSum)
-}
-func (e *uccEngine) barrier()            { e.x.Barrier() }
-func (e *uccEngine) proc() *sim.Proc     { return e.x.MPI().Proc() }
-func (e *uccEngine) dev() *device.Device { return e.x.Device() }
 
 type cclEngine struct {
 	cc   *ccl.Comm

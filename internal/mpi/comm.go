@@ -20,8 +20,10 @@ type Job struct {
 	world   *commCtx
 	nextCtx int
 	metrics *metrics.Registry // nil = no instrumentation
-	// progress holds each world rank's resident progress processes.
-	progress []progressPool
+	// progress holds each world rank's resident progress processes, which
+	// run its nonblocking operations (see post). A rank's processes all
+	// live on the kernel of the rank's own process.
+	progress []*sim.Pool[*Request]
 }
 
 // NewJob creates a job with one rank per given device, in rank order.
@@ -29,7 +31,10 @@ func NewJob(fab *fabric.Fabric, profile Profile, devices []*device.Device) *Job 
 	if len(devices) == 0 {
 		panic("mpi: job needs at least one device")
 	}
-	j := &Job{fab: fab, profile: profile, devices: devices, progress: make([]progressPool, len(devices))}
+	j := &Job{fab: fab, profile: profile, devices: devices, progress: make([]*sim.Pool[*Request], len(devices))}
+	for r := range j.progress {
+		j.progress[r] = sim.NewPool(fmt.Sprintf("mpi/r%d/progress", r), runRequest)
+	}
 	j.world = j.newCommCtx(identityGroup(len(devices)))
 	return j
 }

@@ -1,72 +1,19 @@
 package mpi
 
 import (
-	"fmt"
-
 	"mpixccl/internal/device"
 	"mpixccl/internal/sim"
 )
 
-// progressPool is one world rank's free list of resident progress
-// processes. Every nonblocking operation the rank starts — Isend and Irecv,
-// and through them Sendrecv, Waitall fan-outs and persistent requests, plus
-// the nonblocking collectives — runs on one of them. The pool grows on
-// demand: a post takes an idle process or, when every one is busy, spawns
-// another, so a rank may have any number of requests outstanding. The
-// processes are created lazily, named once and reused for the job's life.
-//
-// A process with a job in hand counts as live and an idle one as a daemon
-// (sim.Proc.SetDaemon): a job that blocks forever — an Isend nobody
-// receives — is still a reported deadlock naming the process and its rank,
-// while parked idle processes let Run end. Kernel.Close unwinds them.
-//
-// Virtual time is exactly that of spawning a process per operation. The
-// first post spawns where the per-operation spawn stood, and the process
-// takes the queued job as it starts. After each job the process fires the
-// request's event and parks on its empty queue before any other process
-// runs, as an exiting spawned process fired its Done event and dispatched.
-// A later post finds it parked, and TrySend schedules its wake-up at the
-// current instant with the next sequence number: the (time, seq) slot a
-// Spawn would take. TestProgressReuseVirtualTime pins three back-to-back
-// calls of each collective, since the calls after the first are where
-// reuse could drift.
-type progressPool struct {
-	idle []*progressProc
-	n    int // processes spawned; numbers the next one's name
-}
-
-// progressProc is one resident progress process and its job queue, which
-// holds at most the one job of a busy process.
-type progressProc struct {
-	p    *sim.Proc
-	jobs *sim.Chan[*Request]
-}
-
-// post runs r on one of the calling rank's progress processes. A rank's
-// processes all live on the kernel of the rank's own process.
+// post runs r on one of the calling rank's resident progress processes
+// (Job.progress). Every nonblocking operation the rank starts — Isend and
+// Irecv, and through them Sendrecv, Waitall fan-outs and persistent
+// requests, plus the nonblocking collectives — runs there, at the virtual
+// time a process spawned per operation would (see sim.Pool).
+// TestProgressReuseVirtualTime pins three back-to-back calls of each
+// collective, since the calls after the first are where reuse could drift.
 func (c *Comm) post(r *Request) {
-	wr := c.WorldRank()
-	pool := &c.ctx.job.progress[wr]
-	if n := len(pool.idle); n > 0 {
-		w := pool.idle[n-1]
-		pool.idle = pool.idle[:n-1]
-		w.p.SetDaemon(false)
-		w.jobs.TrySend(r) // cannot fail: an idle process is parked on its empty queue
-		return
-	}
-	k := c.proc.Kernel()
-	w := &progressProc{jobs: sim.NewChan[*Request](k, 1)}
-	w.jobs.TrySend(r)
-	w.p = k.Spawn(fmt.Sprintf("mpi/r%d/progress%d", wr, pool.n), func(p *sim.Proc) {
-		for {
-			r := w.jobs.Recv(p)
-			r.run(p)
-			p.SetDaemon(true)
-			pool.idle = append(pool.idle, w)
-			r.done.Fire()
-		}
-	})
-	pool.n++
+	c.ctx.job.progress[c.WorldRank()].Post(c.proc.Kernel(), r)
 }
 
 // restart runs a completed (or never started) request's operation again,
@@ -77,8 +24,9 @@ func (r *Request) restart() {
 	r.c.post(r)
 }
 
-// run executes the request's operation on progress process p.
-func (r *Request) run(p *sim.Proc) {
+// runRequest is a progress process's job: it executes the request's
+// operation on p and fires its completion.
+func runRequest(p *sim.Proc, r *Request) {
 	c := r.c
 	switch {
 	case r.coll != nil:
@@ -88,6 +36,7 @@ func (r *Request) run(p *sim.Proc) {
 	default:
 		r.status = c.recvOn(p, r.buf, r.count, r.dt, r.peer, r.tag)
 	}
+	r.done.Fire()
 }
 
 // PersistentRequest is an initialized-but-inactive point-to-point operation

@@ -50,8 +50,8 @@ func TestIdleProgressProcsEndRunAndClose(t *testing.T) {
 		t.Fatalf("Run = %v, want nil with only idle progress processes parked", err)
 	}
 	for r, pool := range j.progress {
-		if len(pool.idle) == 0 || len(pool.idle) != pool.n {
-			t.Fatalf("rank %d: %d of %d progress processes idle after the run, want all of at least one", r, len(pool.idle), pool.n)
+		if all, idle := pool.Workers(); idle == 0 || idle != all {
+			t.Fatalf("rank %d: %d of %d progress processes idle after the run, want all of at least one", r, idle, all)
 		}
 	}
 	k.Close()

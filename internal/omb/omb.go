@@ -293,47 +293,34 @@ func launchCollective(cfg *Config, w *world, nranks int, body func(d *collDriver
 						}
 						return
 					}
-					xcclOp(x, op, send, recv, count)
+					collOp(x, op, send, recv, count)
 				},
 				barrier: func() { x.MPI().Barrier() },
 				proc:    x.MPI().Proc(), dev: x.Device(), rank: x.Rank(),
 			})
 		})
-	case StackMPI:
-		job := mpi.NewJobOnSystem(w.fab, mpi.MVAPICHProfile(), w.sys, nranks)
+	case StackMPI, StackOpenMPI, StackUCC:
+		var job *mpi.Job
+		if cfg.Stack == StackMPI {
+			job = mpi.NewJobOnSystem(w.fab, mpi.MVAPICHProfile(), w.sys, nranks)
+		} else {
+			job = baseline.NewOpenMPIJob(w.fab, w.sys, nranks)
+		}
 		job.SetMetrics(cfg.Metrics)
+		if cfg.Stack == StackUCC {
+			return baseline.NewUCC(job).Run(func(x *baseline.Comm) {
+				body(&collDriver{
+					do:      func(op Collective, send, recv *device.Buffer, count int) { collOp(x, op, send, recv, count) },
+					barrier: x.Barrier,
+					proc:    x.MPI().Proc(), dev: x.Device(), rank: x.Rank(),
+				})
+			})
+		}
 		return job.Run(func(c *mpi.Comm) {
 			body(&collDriver{
-				do: func(op Collective, send, recv *device.Buffer, count int) {
-					mpiOp(c, op, send, recv, count)
-				},
-				barrier: func() { c.Barrier() },
+				do:      func(op Collective, send, recv *device.Buffer, count int) { collOp(c, op, send, recv, count) },
+				barrier: c.Barrier,
 				proc:    c.Proc(), dev: c.Device(), rank: c.Rank(),
-			})
-		})
-	case StackOpenMPI:
-		job := baseline.NewOpenMPIJob(w.fab, w.sys, nranks)
-		job.SetMetrics(cfg.Metrics)
-		return job.Run(func(c *mpi.Comm) {
-			body(&collDriver{
-				do: func(op Collective, send, recv *device.Buffer, count int) {
-					mpiOp(c, op, send, recv, count)
-				},
-				barrier: func() { c.Barrier() },
-				proc:    c.Proc(), dev: c.Device(), rank: c.Rank(),
-			})
-		})
-	case StackUCC:
-		job := baseline.NewOpenMPIJob(w.fab, w.sys, nranks)
-		job.SetMetrics(cfg.Metrics)
-		ucc := baseline.NewUCC(job)
-		return ucc.Run(func(x *baseline.Comm) {
-			body(&collDriver{
-				do: func(op Collective, send, recv *device.Buffer, count int) {
-					uccOp(x, op, send, recv, count)
-				},
-				barrier: func() { x.Barrier() },
-				proc:    x.MPI().Proc(), dev: x.Device(), rank: x.Rank(),
 			})
 		})
 	case StackPureCCL:
@@ -343,74 +330,38 @@ func launchCollective(cfg *Config, w *world, nranks int, body func(d *collDriver
 	}
 }
 
-func xcclOp(x *core.Comm, op Collective, send, recv *device.Buffer, count int) {
-	switch op {
-	case Allreduce:
-		x.Allreduce(send.Slice(0, int64(count)*4), recv.Slice(0, int64(count)*4), count, mpi.Float32, mpi.OpSum)
-	case Reduce:
-		x.Reduce(send.Slice(0, int64(count)*4), recv.Slice(0, int64(count)*4), count, mpi.Float32, mpi.OpSum, 0)
-	case Bcast:
-		x.Bcast(send.Slice(0, int64(count)*4), count, mpi.Float32, 0)
-	case Alltoall:
-		n := int64(x.Size())
-		x.Alltoall(send.Slice(0, int64(count)*4*n), count, mpi.Float32, recv.Slice(0, int64(count)*4*n))
-	case Allgather:
-		n := int64(x.Size())
-		x.Allgather(send.Slice(0, int64(count)*4), count, mpi.Float32, recv.Slice(0, int64(count)*4*n))
-	case Gather:
-		n := int64(x.Size())
-		x.Gather(send.Slice(0, int64(count)*4), count, mpi.Float32, recv.Slice(0, int64(count)*4*n), 0)
-	case Scatter:
-		n := int64(x.Size())
-		x.Scatter(send.Slice(0, int64(count)*4*n), count, mpi.Float32, recv.Slice(0, int64(count)*4), 0)
-	}
+// collComm is the collective method set the hybrid runtime (*core.Comm),
+// the MPI runtimes (*mpi.Comm) and UCC (*baseline.Comm) share.
+type collComm interface {
+	Size() int
+	Allreduce(send, recv *device.Buffer, count int, dt mpi.Datatype, op mpi.Op)
+	Reduce(send, recv *device.Buffer, count int, dt mpi.Datatype, op mpi.Op, root int)
+	Bcast(buf *device.Buffer, count int, dt mpi.Datatype, root int)
+	Alltoall(send *device.Buffer, count int, dt mpi.Datatype, recv *device.Buffer)
+	Allgather(send *device.Buffer, count int, dt mpi.Datatype, recv *device.Buffer)
+	Gather(send *device.Buffer, count int, dt mpi.Datatype, recv *device.Buffer, root int)
+	Scatter(send *device.Buffer, count int, dt mpi.Datatype, recv *device.Buffer, root int)
 }
 
-func mpiOp(c *mpi.Comm, op Collective, send, recv *device.Buffer, count int) {
+// collOp issues one blocking float32 collective of count elements per
+// block, rooted at rank 0, on any of the MPI-interface stacks.
+func collOp(c collComm, op Collective, send, recv *device.Buffer, count int) {
+	blk := int64(count) * 4
+	all := blk * int64(c.Size())
 	switch op {
 	case Allreduce:
-		c.Allreduce(send.Slice(0, int64(count)*4), recv.Slice(0, int64(count)*4), count, mpi.Float32, mpi.OpSum)
+		c.Allreduce(send.Slice(0, blk), recv.Slice(0, blk), count, mpi.Float32, mpi.OpSum)
 	case Reduce:
-		c.Reduce(send.Slice(0, int64(count)*4), recv.Slice(0, int64(count)*4), count, mpi.Float32, mpi.OpSum, 0)
+		c.Reduce(send.Slice(0, blk), recv.Slice(0, blk), count, mpi.Float32, mpi.OpSum, 0)
 	case Bcast:
-		c.Bcast(send.Slice(0, int64(count)*4), count, mpi.Float32, 0)
+		c.Bcast(send.Slice(0, blk), count, mpi.Float32, 0)
 	case Alltoall:
-		n := int64(c.Size())
-		c.Alltoall(send.Slice(0, int64(count)*4*n), count, mpi.Float32, recv.Slice(0, int64(count)*4*n))
+		c.Alltoall(send.Slice(0, all), count, mpi.Float32, recv.Slice(0, all))
 	case Allgather:
-		n := int64(c.Size())
-		c.Allgather(send.Slice(0, int64(count)*4), count, mpi.Float32, recv.Slice(0, int64(count)*4*n))
+		c.Allgather(send.Slice(0, blk), count, mpi.Float32, recv.Slice(0, all))
 	case Gather:
-		n := int64(c.Size())
-		c.Gather(send.Slice(0, int64(count)*4), count, mpi.Float32, recv.Slice(0, int64(count)*4*n), 0)
+		c.Gather(send.Slice(0, blk), count, mpi.Float32, recv.Slice(0, all), 0)
 	case Scatter:
-		n := int64(c.Size())
-		c.Scatter(send.Slice(0, int64(count)*4*n), count, mpi.Float32, recv.Slice(0, int64(count)*4), 0)
-	}
-}
-
-func uccOp(x *baseline.Comm, op Collective, send, recv *device.Buffer, count int) {
-	switch op {
-	case Allreduce:
-		x.Allreduce(send.Slice(0, int64(count)*4), recv.Slice(0, int64(count)*4), count, mpi.Float32, mpi.OpSum)
-	case Reduce:
-		x.Reduce(send.Slice(0, int64(count)*4), recv.Slice(0, int64(count)*4), count, mpi.Float32, mpi.OpSum, 0)
-	case Bcast:
-		x.Bcast(send.Slice(0, int64(count)*4), count, mpi.Float32, 0)
-	case Alltoall:
-		n := int64(x.Size())
-		x.Alltoall(send.Slice(0, int64(count)*4*n), count, mpi.Float32, recv.Slice(0, int64(count)*4*n))
-	case Allgather:
-		n := int64(x.Size())
-		x.Allgather(send.Slice(0, int64(count)*4), count, mpi.Float32, recv.Slice(0, int64(count)*4*n))
-	case Gather, Scatter:
-		// UCC has no gather/scatter team collective here; run them on the
-		// underlying Open MPI communicator, as the real stack does.
-		n := int64(x.MPI().Size())
-		if op == Gather {
-			x.MPI().Gather(send.Slice(0, int64(count)*4), count, mpi.Float32, recv.Slice(0, int64(count)*4*n), 0)
-		} else {
-			x.MPI().Scatter(send.Slice(0, int64(count)*4*n), count, mpi.Float32, recv.Slice(0, int64(count)*4), 0)
-		}
+		c.Scatter(send.Slice(0, all), count, mpi.Float32, recv.Slice(0, blk), 0)
 	}
 }

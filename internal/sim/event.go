@@ -84,10 +84,13 @@ func (c *Counter) Done() {
 // Wait blocks p until the count reaches zero.
 func (c *Counter) Wait(p *Proc) { c.event.Wait(p) }
 
+// Pending reports the completions still outstanding.
+func (c *Counter) Pending() int { return c.n }
+
 // Reset re-arms a drained latch for n more completions, reusing its event.
-// Resident helper processes recycle one counter each instead of
-// allocating a fresh latch per step. Resetting with completions still
-// outstanding is a model bug and panics.
+// Executors recycle one counter each instead of allocating a fresh latch
+// per step. Resetting with completions still outstanding is a model bug
+// and panics.
 func (c *Counter) Reset(n int) {
 	if c.n > 0 {
 		panic("sim: Counter.Reset with completions outstanding")

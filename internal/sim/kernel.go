@@ -13,6 +13,10 @@
 //
 // This kernel is the substrate for the simulated cluster: every MPI rank,
 // device stream, and fabric transfer in this repository is a sim process.
+// Work that an operation starts in the background — MPI progress, CCL
+// asynchronous sends, plan lanes, leader engines and group sends — runs on
+// resident workers from a Pool, at the virtual time of a process spawned
+// per job.
 //
 // # Scheduling internals
 //

@@ -40,7 +40,8 @@ scripts/doclinks.sh
 # but its lowered programs drive the executor's pipelined primitives, so
 # the IR/cost/search suite joins the race rotation wholesale (it is small).
 # internal/mpi hands every nonblocking operation to per-rank pools of
-# resident progress processes, shared by all of a job's communicators.
+# resident progress processes (sim.Pool), shared by all of a job's
+# communicators.
 go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fault mpixccl/internal/fabric mpixccl/internal/core mpixccl/internal/ccl/comp mpixccl/internal/mpi
 # The whole internal/mpi suite, which runs in a second or two — among it
 # the progress-pool pins (orphaned-Isend deadlock, idle pool, no-spawn
@@ -48,8 +49,11 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # recycled eager envelopes — the kernel's hand-off semantics (a process's
 # panic and t.FailNow reach Run, Close leaves no goroutine, the hand-off
 # paths allocate nothing, same-instant and future events run in (time,
-# seq) order on plain and sharded kernels), the ccl no-spawn pin with compiled
-# plans on lane helpers and its exact-time pins, the flat-versus-
+# seq) order on plain and sharded kernels), the worker pool's pins (the
+# same trace as a spawn per job, busy workers deadlock by name, idle ones
+# end Run, Close unwinds both), the ccl no-spawn pin with compiled plans
+# and group sends on the rank's resident workers and its exact-time pins,
+# the group-send verdict and deadlock pins, the flat-versus-
 # hierarchical and forced-algorithm correctness properties of the group
 # tree and ring that both paths run, and the core membership
 # suite (crash, revoke, shrink, grow, partition, heartbeat and admission
@@ -58,8 +62,8 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # not depend on how many threads run them.
 for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/mpi
-	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$|TestEventOrder' mpixccl/internal/sim
-	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat' mpixccl/internal/ccl
+	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$|TestEventOrder|TestPool' mpixccl/internal/sim
+	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat|TestGroupSend' mpixccl/internal/ccl
 	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting' mpixccl/internal/core mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity' mpixccl/internal/core
 done
@@ -75,8 +79,8 @@ go test -race -run 'TestRunAll|TestChaosShort|TestScale' mpixccl/internal/experi
 # is scoped to the elastic + persistent tests.
 go test -race -run 'TestTrainElastic|TestTrainPersistent' mpixccl/internal/dl
 # The hierarchical collectives recycle opArgs/runCtx through shared pools
-# and hand their sends to resident helper and engine procs shared by
-# one-shot and persistent work; the property tests cover every phase
+# and hand their sends and leader engines to the rank's resident workers,
+# shared by one-shot and persistent work; the property tests cover every phase
 # interleaving, so they are the ccl surface worth a race pass. TestCompiled
 # adds the compiled executor: every plan strategy's primitive DAG runs its
 # steps through the same pooled pipes. TestRing, TestPersistentRing and
@@ -84,7 +88,7 @@ go test -race -run 'TestTrainElastic|TestTrainPersistent' mpixccl/internal/dl
 # buffer in place (allgather placement, reduce-on-receive, leaves sending
 # from their send buffer) and their staged fallback;
 # TestRingScheduleVirtualTime among them pins back-to-back calls on reused
-# helpers, and TestHelper the one-job-at-a-time contract. The zero-alloc
+# workers, and TestHelper the one-job-at-a-time latch contract. The zero-alloc
 # and no-spawn pins (TestPersistentSteadyState*, TestSteadyStateSpawns*)
 # run only un-raced, in the suite above.
 go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled|TestRing|TestPersistentRing|TestReduceOnReceive|TestHelper' mpixccl/internal/ccl
