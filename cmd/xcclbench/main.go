@@ -254,6 +254,18 @@ func parseScale(spec string) (ranks, shards int, ok bool) {
 // times must be identical down the column; wall time is where shards pay
 // off on multi-core hosts.
 func runScaleSweep(ranks, maxShards int) error {
+	results, err := scaleSweep(ranks, maxShards)
+	if err != nil {
+		return err
+	}
+	fmt.Print(experiments.FormatScaleTable(results))
+	return nil
+}
+
+// scaleSweep runs the sweep's rows. RunScale clamps the shard count to the
+// node count, so the sweep stops at the first row that owns one node per
+// shard: a wider request would repeat it.
+func scaleSweep(ranks, maxShards int) ([]experiments.ScaleResult, error) {
 	var counts []int
 	for s := 1; s <= maxShards; s *= 2 {
 		counts = append(counts, s)
@@ -265,12 +277,14 @@ func runScaleSweep(ranks, maxShards int) error {
 	for _, s := range counts {
 		r, err := experiments.RunScale(experiments.ScaleConfig{Ranks: ranks, Shards: s})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		results = append(results, r)
+		if r.Shards == r.Nodes {
+			break
+		}
 	}
-	fmt.Print(experiments.FormatScaleTable(results))
-	return nil
+	return results, nil
 }
 
 func writeMetrics(reg *metrics.Registry, path string) error {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -111,6 +112,38 @@ func TestParseSpec(t *testing.T) {
 		}
 		if ok && (a != tc.a || b != tc.b) {
 			t.Errorf("%q = %d, %d, want %d, %d", tc.spec, a, b, tc.a, tc.b)
+		}
+	}
+}
+
+// TestScaleSweepRows: RunScale clamps the shard count to the node count
+// (thetagpu has 8 devices per node), so a sweep wider than the node count
+// must end at one node per shard instead of repeating that row.
+func TestScaleSweepRows(t *testing.T) {
+	cases := []struct {
+		ranks, shards int
+		want          []int
+	}{
+		{8, 4, []int{1}},
+		{16, 4, []int{1, 2}},
+		{24, 4, []int{1, 2, 3}},
+		{64, 4, []int{1, 2, 4}},
+		{64, 3, []int{1, 2, 3}},
+	}
+	for _, tc := range cases {
+		results, err := scaleSweep(tc.ranks, tc.shards)
+		if err != nil {
+			t.Fatalf("ranks=%d,shards=%d: %v", tc.ranks, tc.shards, err)
+		}
+		var got []int
+		for _, r := range results {
+			if !r.OK {
+				t.Errorf("ranks=%d,shards=%d: %d-shard row failed its digest check", tc.ranks, tc.shards, r.Shards)
+			}
+			got = append(got, r.Shards)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ranks=%d,shards=%d: rows at shards %v, want %v", tc.ranks, tc.shards, got, tc.want)
 		}
 	}
 }

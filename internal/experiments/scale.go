@@ -6,6 +6,8 @@
 // owns the node (topology.Partition, node-aligned), and the only cross-shard
 // interaction is the leader ring's inter-node hop, carried as timestamped
 // engine injections priced by the pure α–β formula (fabric.Sharded.InterTime).
+// Each injection carries its chunk (digest and validity bit) by value to the
+// ring link's one long-lived receiver (ringLink), so a hop allocates nothing.
 //
 // The collective is the PR 5 hierarchical decomposition writ large:
 //
@@ -104,6 +106,24 @@ type ScaleResult struct {
 type ringMsg struct {
 	val   uint64
 	valid bool
+}
+
+// ringLink is the receiving end of one leader-ring edge: every chunk a
+// leader sends its successor is delivered through the same link, the
+// payload (digest, validity) travelling by value in the injection. Deliver
+// runs on the receiving shard, so drops are counted in that shard's stats.
+type ringLink struct {
+	mail  *sim.Chan[ringMsg]
+	stats *shardStats
+}
+
+// Deliver puts one chunk in the successor's mailbox. A stalled
+// (ring-broken) peer may stop draining it; dropping models the NIC
+// discarding to a hung receiver and is deterministic in virtual time.
+func (l *ringLink) Deliver(val, valid uint64) {
+	if !l.mail.TrySend(ringMsg{val: val, valid: valid != 0}) {
+		l.stats.dropped++
+	}
 }
 
 // shardStats are per-shard fault counters, merged in shard order after the
@@ -345,10 +365,7 @@ func runScaleRing(p *sim.Proc, eng *sim.Sharded, sf *fabric.Sharded, cfg *ScaleC
 	st := stats[sh]
 	next := (g + 1) % nodes
 	nextShard := sf.Partition().ShardOf(next)
-	// Drops are counted on the receiving shard: the injection callback runs
-	// on the destination kernel's thread, so it must only touch that
-	// shard's state.
-	dstStats := stats[nextShard]
+	link := &ringLink{mail: mail[next], stats: stats[nextShard]}
 	chunk := cfg.Bytes / int64(nodes)
 	if chunk < 1 {
 		chunk = 1
@@ -413,8 +430,6 @@ func runScaleRing(p *sim.Proc, eng *sim.Sharded, sf *fabric.Sharded, cfg *ScaleC
 					p.Sleep(ser + alpha)
 				}
 			}
-			msg := ringMsg{val: carry, valid: valid}
-			dst := mail[next]
 			deliver := p.Now() + alpha
 			if healAt > 0 {
 				held++
@@ -422,14 +437,11 @@ func runScaleRing(p *sim.Proc, eng *sim.Sharded, sf *fabric.Sharded, cfg *ScaleC
 					deliver = d
 				}
 			}
-			eng.Inject(sh, nextShard, deliver, func() {
-				// A stalled (ring-broken) peer may stop draining its
-				// mailbox; dropping models the NIC discarding to a hung
-				// receiver and is deterministic in virtual time.
-				if !dst.TrySend(msg) {
-					dstStats.dropped++
-				}
-			})
+			var ok uint64
+			if valid {
+				ok = 1
+			}
+			eng.Inject(sh, nextShard, deliver, link, carry, ok)
 		}
 		// Receive the predecessor's chunk.
 		var m ringMsg

@@ -122,3 +122,41 @@ func TestEventFireAllocs(t *testing.T) {
 		t.Errorf("Event.Fire with one waiter allocates %.2f objects per call; want 0", allocs)
 	}
 }
+
+// TestShardedInjectAllocs pins the cross-shard message path: two shards
+// bounce a message back and forth, each hop injected by the receiver that
+// took the previous one. Once the outboxes, the merge buffer and the
+// delivery free lists are warm, a run of hops allocates nothing: the
+// payload travels by value and the delivery event is recycled.
+func TestShardedInjectAllocs(t *testing.T) {
+	const hop = time.Microsecond
+	const hops = 64
+	s := NewSharded(2, hop)
+	defer s.Close()
+	var left int
+	var last uint64
+	var bounce [2]Receiver
+	for i := range bounce {
+		i := i
+		bounce[i] = receiverFunc(func(a, _ uint64) {
+			last = a
+			if left--; left > 0 {
+				s.Inject(i, 1-i, s.Kernel(i).Now()+hop, bounce[1-i], a+1, 0)
+			}
+		})
+	}
+	run := func() {
+		left = hops
+		s.Inject(0, 1, s.Now()+hop, bounce[1], 0, 0)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if last != hops-1 {
+			t.Fatalf("ring delivered %d of %d hops", last+1, hops)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("a %d-hop cross-shard ring allocates %.2f objects; want 0", hops, allocs)
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -88,22 +89,56 @@ func TestCloseUnwindsBlockingDeferredCalls(t *testing.T) {
 	}
 }
 
+// TestShardedCloseUnwindsEveryShard also stops the engine with messages
+// in flight: shard 0 injects once (scheduled at the next barrier), then
+// injects again and stops in the same window, so the second wave is still
+// in its outbox when Stop lands. Each shard's daemon injects from a
+// deferred call while it unwinds. Close must drop every one of them
+// without running a receiver, release the outboxes and free lists, and
+// leave no goroutine.
 func TestShardedCloseUnwindsEveryShard(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := NewSharded(3, time.Microsecond)
+	var delivered atomic.Int32
+	recv := receiverFunc(func(uint64, uint64) { delivered.Add(1) })
 	for i := 0; i < s.Shards(); i++ {
 		k := s.Kernel(i)
 		ev := NewEvent(k)
-		k.SpawnDaemon("svc", func(p *Proc) { ev.Wait(p) })
+		k.SpawnDaemon("svc", func(p *Proc) {
+			defer s.Inject(i, (i+1)%s.Shards(), p.Now()+time.Microsecond, recv, 0, 0)
+			ev.Wait(p)
+		})
 		k.Spawn("work", func(p *Proc) { p.Sleep(time.Microsecond) })
 	}
+	k0 := s.Kernel(0)
+	k0.Spawn("injector", func(p *Proc) {
+		for to := 1; to < s.Shards(); to++ {
+			s.Inject(0, to, p.Now()+10*time.Microsecond, recv, 0, 0)
+		}
+		p.Sleep(2 * time.Microsecond)
+		for to := 1; to < s.Shards(); to++ {
+			s.Inject(0, to, p.Now()+10*time.Microsecond, recv, 0, 0)
+		}
+		k0.Stop()
+	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	for i := 1; i < s.Shards(); i++ {
+		if k := s.Kernel(i); len(k.queue) != 2 {
+			t.Fatalf("shard %d holds %d scheduled deliveries after Stop, want 2", i, len(k.queue))
+		}
+	}
 	s.Close()
+	if n := delivered.Load(); n != 0 {
+		t.Fatalf("%d receivers ran after Stop", n)
+	}
 	for i := 0; i < s.Shards(); i++ {
-		if k := s.Kernel(i); len(k.procs) != 0 {
-			t.Fatalf("shard %d keeps %d procs", i, len(k.procs))
+		if k := s.Kernel(i); len(k.procs) != 0 || len(k.queue) != 0 || k.fifo.n != 0 {
+			t.Fatalf("shard %d keeps %d procs and %d events", i, len(k.procs), len(k.queue)+k.fifo.n)
+		}
+		if s.outbox[i] != nil || s.free[i] != nil {
+			t.Fatalf("shard %d keeps its outbox or delivery free list", i)
 		}
 	}
 	if n := settleGoroutines(base); n > base {

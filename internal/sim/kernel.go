@@ -190,10 +190,6 @@ type Kernel struct {
 	// and all parked processes intact for the next window.
 	bounded bool
 	horizon Time
-
-	// shard is the kernel's index within the Sharded engine that created
-	// it (0 for a standalone kernel); Sharded.Send reads it.
-	shard int
 }
 
 // NewKernel returns a kernel with an empty event queue and the clock at zero.

@@ -28,16 +28,28 @@ import (
 //
 // # Cross-shard messages
 //
-// Code running on shard i sends to shard j with Inject/Send: a timestamped
-// event injection buffered in shard i's outbox (single-writer: only the
-// process or callback running on shard i appends). At the window
-// barrier the coordinator merges all outboxes, sorts by (timestamp, sender
-// shard, sender issue order), and schedules each injection on its
-// destination kernel. The sort makes delivery order independent of
-// wall-clock interleaving; models must additionally keep same-timestamp
-// injections to one destination commutative (or single-source), because two
+// Code running on shard i sends to shard j with Inject: a timestamped
+// record carrying two payload words by value and naming a long-lived
+// Receiver, buffered in shard i's outbox (single-writer: only the process
+// or callback running on shard i appends). At the window barrier the
+// coordinator merges all outboxes, sorts by (timestamp, sender shard,
+// sender issue order), and schedules each injection on its destination
+// kernel as a pooled delivery event taken from the destination's free
+// list. The delivery runs on the destination shard, gives its slot back
+// to that free list, and calls the receiver's Deliver with the payload.
+// Sending a message therefore allocates nothing once the free lists are
+// warm. The sort makes delivery order independent of wall-clock
+// interleaving; models must additionally keep same-timestamp injections
+// to one destination commutative (or single-source), because two
 // injections carrying equal timestamps from different senders may be
 // enqueued in either relative order versus a different shard count's run.
+//
+// A delivery slot has one owner at a time. The coordinator takes it from
+// the free list during flush, between windows. From then until its event
+// runs it sits in the destination's event queue, and the destination's
+// window returns it to the free list when it runs. The window barrier
+// orders the flush before and after every window, so no two threads ever
+// touch one free list at once.
 //
 // # Determinism
 //
@@ -55,6 +67,10 @@ type Sharded struct {
 	outbox [][]injection
 	injSeq []uint64
 
+	// free[j] holds shard j's idle delivery slots. flush pops them and
+	// shard j's deliveries push them back (see "Cross-shard messages").
+	free [][]*delivery
+
 	// Per-window scratch, reused across windows: the merged injections
 	// (flush) and the shards with work below the horizon (Run).
 	batch  []injection
@@ -63,13 +79,60 @@ type Sharded struct {
 	running bool
 }
 
-// injection is one buffered cross-shard event.
+// Receiver consumes cross-shard messages on their destination shard.
+// Deliver runs as an event callback on the destination kernel, at the
+// injection's timestamp, so it may touch only that shard's state. A
+// receiver is long-lived (one per link or mailbox, not one per message):
+// the payload travels by value in the two words.
+type Receiver interface {
+	Deliver(a, b uint64)
+}
+
+// injection is one buffered cross-shard message.
 type injection struct {
 	at   Time
 	from int
 	seq  uint64 // sender-local issue order, tie-break after (at, from)
 	to   int
-	fn   func()
+	r    Receiver
+	a, b uint64
+}
+
+// delivery is a pooled destination-side event for one injection. Its run
+// method value is bound once, when the slot is made, so scheduling a
+// delivery allocates nothing.
+type delivery struct {
+	free *[]*delivery // the destination shard's free list
+	r    Receiver
+	a, b uint64
+	run  func()
+}
+
+// deliver is the delivery's event callback on the destination shard: it
+// returns the slot to the free list, then hands the payload to the
+// receiver.
+func (d *delivery) deliver() {
+	r, a, b := d.r, d.a, d.b
+	d.r = nil
+	*d.free = append(*d.free, d)
+	r.Deliver(a, b)
+}
+
+// schedule files r.Deliver(a, b) at virtual time at on shard to, through a
+// delivery slot from that shard's free list. Only the coordinator calls
+// it: during flush, or before Run and after it returns.
+func (s *Sharded) schedule(to int, at Time, r Receiver, a, b uint64) {
+	free := &s.free[to]
+	var d *delivery
+	if n := len(*free); n > 0 {
+		d = (*free)[n-1]
+		*free = (*free)[:n-1]
+	} else {
+		d = &delivery{free: free}
+		d.run = d.deliver
+	}
+	d.r, d.a, d.b = r, a, b
+	s.shards[to].schedule(at, d.run)
 }
 
 // NewSharded creates a partitioned engine with n fresh kernels. lookahead is
@@ -84,11 +147,10 @@ func NewSharded(n int, lookahead Time) *Sharded {
 		lookahead: lookahead,
 		outbox:    make([][]injection, n),
 		injSeq:    make([]uint64, n),
+		free:      make([][]*delivery, n),
 	}
 	for i := 0; i < n; i++ {
-		k := NewKernel()
-		k.shard = i
-		s.shards = append(s.shards, k)
+		s.shards = append(s.shards, NewKernel())
 	}
 	return s
 }
@@ -115,20 +177,22 @@ func (s *Sharded) Now() Time {
 	return t
 }
 
-// Inject schedules fn at virtual time at on shard to, issued by shard from.
-// It must be called from a process or event callback running on shard
-// from. In conservative mode at
-// must be at least sender-now + lookahead; violating that is a model bug
-// (the event could land in the destination's past) and panics.
+// Inject sends the payload (a, b) to receiver r on shard to, delivered at
+// virtual time at, issued by shard from: r.Deliver(a, b) runs on shard to
+// at that instant. It must be called from a process or event callback
+// running on shard from. In conservative mode at must be at least
+// sender-now + lookahead (physically: a cross-shard hop costs at least
+// the minimum link latency); violating that is a model bug (the message
+// could land in the destination's past) and panics.
 //
 // Before the engine runs, Inject schedules directly — setup code may seed
 // any shard at any time.
-func (s *Sharded) Inject(from, to int, at Time, fn func()) {
+func (s *Sharded) Inject(from, to int, at Time, r Receiver, a, b uint64) {
 	if to < 0 || to >= len(s.shards) || from < 0 || from >= len(s.shards) {
 		panic("sim: Inject shard index out of range")
 	}
 	if !s.running {
-		s.shards[to].schedule(at, fn)
+		s.schedule(to, at, r, a, b)
 		return
 	}
 	now := s.shards[from].now
@@ -138,16 +202,8 @@ func (s *Sharded) Inject(from, to int, at Time, fn func()) {
 	if at < now {
 		panic(fmt.Sprintf("sim: Inject at t=%v is in the sender's past (now %v)", at, now))
 	}
-	s.outbox[from] = append(s.outbox[from], injection{at: at, from: from, seq: s.injSeq[from], to: to, fn: fn})
+	s.outbox[from] = append(s.outbox[from], injection{at: at, from: from, seq: s.injSeq[from], to: to, r: r, a: a, b: b})
 	s.injSeq[from]++
-}
-
-// Send is the process-level convenience over Inject: deliver fn on shard to
-// after delay of virtual time from p's current instant. delay must be at
-// least the lookahead (physically: a cross-shard hop costs at least the
-// minimum link latency).
-func (s *Sharded) Send(p *Proc, to int, delay Time, fn func()) {
-	s.Inject(p.k.shard, to, p.Now()+delay, fn)
 }
 
 // minNext returns the earliest pending event time across all shards.
@@ -165,8 +221,8 @@ func (s *Sharded) minNext() (Time, bool) {
 // flush delivers all buffered injections in deterministic order:
 // (timestamp, sender shard, sender issue order). Called only between
 // windows, when no shard is dispatching. The merge slice is reused, and
-// both it and the outboxes drop their callbacks once scheduled, so a
-// delivered injection's closure is not kept alive by spare capacity.
+// both it and the outboxes drop their receivers once scheduled, so spare
+// capacity keeps no receiver alive.
 func (s *Sharded) flush() {
 	batch := s.batch[:0]
 	for i, out := range s.outbox {
@@ -184,7 +240,7 @@ func (s *Sharded) flush() {
 		return cmp.Compare(x.seq, y.seq)
 	})
 	for _, inj := range batch {
-		s.shards[inj.to].schedule(inj.at, inj.fn)
+		s.schedule(inj.to, inj.at, inj.r, inj.a, inj.b)
 	}
 	clear(batch)
 	s.batch = batch[:0]
@@ -225,13 +281,15 @@ func (s *Sharded) stopped() bool {
 // Close tears down every shard once Run has returned (see Kernel.Close).
 // All shards unwind before any pending event or buffered injection is
 // dropped, so deferred calls that inject across shards are discarded too.
+// Scheduled deliveries go with their kernels' events, and the outboxes
+// and delivery free lists are released.
 func (s *Sharded) Close() {
 	for _, k := range s.shards {
 		k.unwindAll()
 	}
 	for i, k := range s.shards {
 		k.dropEvents()
-		s.outbox[i] = nil
+		s.outbox[i], s.free[i] = nil, nil
 	}
 }
 

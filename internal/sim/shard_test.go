@@ -2,9 +2,17 @@ package sim
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
+
+// receiverFunc adapts a function to Receiver. Tests build one per
+// mailbox or link up front, as a model would.
+type receiverFunc func(a, b uint64)
+
+func (f receiverFunc) Deliver(a, b uint64) { f(a, b) }
 
 // ringWorld builds the same token-ring model partitioned over a varying
 // number of shards: nodes pass an accumulating token around a ring, each hop
@@ -15,37 +23,37 @@ func ringWorld(t *testing.T, nodes, shards int, hop Time) (sum uint64, virt Time
 	t.Helper()
 	s := NewSharded(shards, hop)
 	mail := make([]*Chan[uint64], nodes)
+	recv := make([]Receiver, nodes)
 	shardOf := func(node int) int { return node * shards / nodes }
 	for n := 0; n < nodes; n++ {
-		mail[n] = NewChan[uint64](s.Kernel(shardOf(n)), 4)
+		c := NewChan[uint64](s.Kernel(shardOf(n)), 4)
+		mail[n] = c
+		recv[n] = receiverFunc(func(v, _ uint64) {
+			if !c.TrySend(v) {
+				panic("mailbox full")
+			}
+		})
 	}
 	var got uint64
 	var last Time
 	for n := 0; n < nodes; n++ {
 		n := n
 		k := s.Kernel(shardOf(n))
+		next := (n + 1) % nodes
+		send := func(p *Proc, v uint64) {
+			s.Inject(shardOf(n), shardOf(next), p.Now()+hop, recv[next], v, 0)
+		}
 		k.Spawn("node", func(p *Proc) {
 			// Skewed local work before joining the ring.
 			p.Sleep(Time(n%3) * 100 * time.Nanosecond)
 			if n == 0 {
 				// Two full laps.
 				v := uint64(1)
-				next := (n + 1) % nodes
-				s.Send(p, shardOf(next), hop, func() {
-					if !mail[next].TrySend(v) {
-						panic("mailbox full")
-					}
-				})
+				send(p, v)
 				for lap := 0; lap < 2; lap++ {
 					v = mail[n].Recv(p)
 					if lap == 0 {
-						next := (n + 1) % nodes
-						w := v + 1
-						s.Send(p, shardOf(next), hop, func() {
-							if !mail[next].TrySend(w) {
-								panic("mailbox full")
-							}
-						})
+						send(p, v+1)
 					}
 				}
 				got, last = v, p.Now()
@@ -54,13 +62,7 @@ func ringWorld(t *testing.T, nodes, shards int, hop Time) (sum uint64, virt Time
 			for lap := 0; lap < 2; lap++ {
 				v := mail[n].Recv(p)
 				p.Sleep(50 * time.Nanosecond) // per-hop processing
-				next := (n + 1) % nodes
-				w := v + 1
-				s.Send(p, shardOf(next), hop, func() {
-					if !mail[next].TrySend(w) {
-						panic("mailbox full")
-					}
-				})
+				send(p, v+1)
 			}
 		})
 	}
@@ -98,6 +100,69 @@ func TestShardedBarrierAdvanceFallback(t *testing.T) {
 	}
 }
 
+// TestShardedDeliveryOrder pins how injections reach one destination
+// through recycled delivery slots. Nodes 0-2 send to node 3, nodes spread
+// over 1, 2 or 4 shards. Node 0's first wave is issued with timestamps
+// going backwards (4L, 3L, 2L), as a healed partition's held chunks are;
+// all three senders hit 2L and 4L, so same-timestamp messages from several
+// shards meet at one destination; and the second wave is issued while the
+// first is still in flight, so its slots come back from the 2L deliveries
+// while the 3L and 4L ones still wait. Each payload must arrive exactly
+// once, at its own timestamp, in (at, sender, issue order), at every shard
+// count. A FIFO per link would deliver the backwards wave in issue order,
+// and a slot reused before its event ran would lose a payload.
+func TestShardedDeliveryOrder(t *testing.T) {
+	const L = time.Microsecond
+	type send struct{ issue, at Time }
+	script := [][]send{
+		{{0, 4 * L}, {0, 3 * L}, {0, 2 * L}, {L + 1, 5 * L}, {L + 1, 2*L + 5}},
+		{{1, 2 * L}, {1, 2 * L}, {1, 3 * L}},
+		{{2, 2 * L}, {2, 4 * L}, {L + 2, 4 * L}},
+	}
+	type arrival struct {
+		at Time
+		id uint64
+	}
+	var want []arrival
+	for n, sends := range script {
+		for i, x := range sends {
+			want = append(want, arrival{x.at, uint64(n*100 + i)})
+		}
+	}
+	// Stable: equal timestamps keep (sender, issue order).
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+
+	for _, shards := range []int{1, 2, 4} {
+		s := NewSharded(shards, L)
+		shardOf := func(node int) int { return node * shards / 4 }
+		dst := shardOf(3)
+		k := s.Kernel(dst)
+		var got []arrival
+		recv := receiverFunc(func(id, at uint64) {
+			if k.Now() != Time(at) {
+				t.Errorf("shards=%d: payload %d due at %v arrived at %v", shards, id, Time(at), k.Now())
+			}
+			got = append(got, arrival{k.Now(), id})
+		})
+		for n, sends := range script {
+			n, sends := n, sends
+			s.Kernel(shardOf(n)).Spawn("sender", func(p *Proc) {
+				for i, x := range sends {
+					p.Sleep(x.issue - p.Now())
+					s.Inject(shardOf(n), dst, x.at, recv, uint64(n*100+i), uint64(x.at))
+				}
+			})
+		}
+		if err := s.Run(); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		s.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: arrivals\n got %v\nwant %v", shards, got, want)
+		}
+	}
+}
+
 func TestShardedInjectLookaheadViolationPanics(t *testing.T) {
 	s := NewSharded(2, time.Microsecond)
 	s.Kernel(0).Spawn("bad", func(p *Proc) {
@@ -106,7 +171,7 @@ func TestShardedInjectLookaheadViolationPanics(t *testing.T) {
 				t.Error("Inject below lookahead did not panic")
 			}
 		}()
-		s.Inject(0, 1, p.Now()+time.Nanosecond, func() {})
+		s.Inject(0, 1, p.Now()+time.Nanosecond, receiverFunc(func(uint64, uint64) {}), 0, 0)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -153,7 +218,7 @@ func TestShardedRunFor(t *testing.T) {
 	s := NewSharded(2, time.Microsecond)
 	defer s.Close()
 	ticker(s.Kernel(0), &sharded)
-	s.Inject(0, 0, 10*time.Millisecond+1, s.Kernel(0).Stop)
+	s.Inject(0, 0, 10*time.Millisecond+1, receiverFunc(func(uint64, uint64) { s.Kernel(0).Stop() }), 0, 0)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,11 @@ func PartitionNodes(nodes, shards int) Partition {
 	return Partition{NumNodes: nodes, Shards: shards}
 }
 
-// ShardOf reports which shard owns a global node index.
+// ShardOf reports which shard owns a global node index: the last shard s
+// whose block starts at or before node, s·N/S <= node. When S divides N
+// this is node·S/N; otherwise that formula disagrees with NodeRange.
 func (p Partition) ShardOf(node int) int {
-	return node * p.Shards / p.NumNodes
+	return ((node+1)*p.Shards - 1) / p.NumNodes
 }
 
 // NodeRange reports the half-open global node range [lo, hi) owned by a

@@ -155,3 +155,21 @@ func TestTable1(t *testing.T) {
 		t.Errorf("A100 mem = %s", rows[0].DeviceMem)
 	}
 }
+
+// TestPartitionShardOfMatchesNodeRange: every node lies in the node range
+// of the shard ShardOf names, for even and uneven splits alike.
+func TestPartitionShardOfMatchesNodeRange(t *testing.T) {
+	for nodes := 1; nodes <= 12; nodes++ {
+		for shards := 1; shards <= nodes; shards++ {
+			p := PartitionNodes(nodes, shards)
+			for n := 0; n < nodes; n++ {
+				s := p.ShardOf(n)
+				lo, hi := p.NodeRange(s)
+				if n < lo || n >= hi || p.LocalNode(n) != n-lo {
+					t.Fatalf("%d nodes over %d shards: node %d maps to shard %d, which owns [%d, %d)",
+						nodes, shards, n, s, lo, hi)
+				}
+			}
+		}
+	}
+}

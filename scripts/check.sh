@@ -48,9 +48,10 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # waves, exact reuse times), the exact scatter-ring Bcast times and the
 # recycled eager envelopes — the kernel's hand-off semantics (a process's
 # panic and t.FailNow reach Run, Close leaves no goroutine, the hand-off
-# paths allocate nothing, same-instant and future events run in (time,
-# seq) order on plain and sharded kernels), the worker pool's pins (the
-# same trace as a spawn per job, busy workers deadlock by name, idle ones
+# paths allocate nothing and so does a cross-shard message
+# (TestShardedInjectAllocs), same-instant and future events run in (time,
+# seq) order on plain and sharded kernels, Close drops a sharded engine's
+# in-flight deliveries), the worker pool's pins (the same trace as a spawn per job, busy workers deadlock by name, idle ones
 # end Run, Close unwinds both), the ccl no-spawn pin with compiled plans
 # and group sends on the rank's resident workers and its exact-time pins,
 # the group-send verdict and deadlock pins, the flat-versus-
