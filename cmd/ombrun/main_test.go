@@ -7,7 +7,12 @@ import (
 	"time"
 
 	"mpixccl/internal/fault"
+	"mpixccl/internal/sim/simtest"
 )
+
+// TestMain runs the suite under the leak gate: every world a test builds
+// must be released when it finishes.
+func TestMain(m *testing.M) { simtest.Main(m) }
 
 func TestParseCrash(t *testing.T) {
 	cases := []struct {

@@ -4,7 +4,13 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"mpixccl/internal/sim/simtest"
 )
+
+// TestMain runs the suite under the leak gate: every world a test builds
+// must be released when it finishes.
+func TestMain(m *testing.M) { simtest.Main(m) }
 
 func TestParseAt(t *testing.T) {
 	cases := []struct {

@@ -13,6 +13,7 @@ import (
 
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/ccl/msccl"
+	"mpixccl/internal/device"
 	"mpixccl/internal/fabric"
 	"mpixccl/internal/sim"
 	"mpixccl/internal/topology"
@@ -37,28 +38,24 @@ func measure(withCustom bool, bytes int64) time.Duration {
 	count := int(bytes / 4)
 	var lat time.Duration
 	bar := sim.NewBarrier(kernel, len(comms))
-	for _, cc := range comms {
-		cc := cc
-		kernel.Spawn("rank", func(p *sim.Proc) {
-			s := cc.Device().NewStream()
-			send := cc.Device().MustMalloc(bytes)
-			recv := cc.Device().MustMalloc(bytes)
-			send.FillFloat32(float32(cc.Rank() + 1))
-			bar.Wait(p)
-			start := p.Now()
-			if err := cc.AllReduce(send, recv, count, ccl.Float32, ccl.Sum, s); err != nil {
-				log.Fatal(err)
-			}
-			s.Synchronize(p)
-			if d := p.Now() - start; d > lat {
-				lat = d
-			}
-			if recv.Float32(0) != 36 {
-				log.Fatalf("wrong sum %v", recv.Float32(0))
-			}
-		})
-	}
-	if err := kernel.Run(); err != nil {
+	err = ccl.Run(comms, func(cc *ccl.Comm, s *device.Stream, p *sim.Proc) {
+		send := cc.Device().MustMalloc(bytes)
+		recv := cc.Device().MustMalloc(bytes)
+		send.FillFloat32(float32(cc.Rank() + 1))
+		bar.Wait(p)
+		start := p.Now()
+		if err := cc.AllReduce(send, recv, count, ccl.Float32, ccl.Sum, s); err != nil {
+			log.Fatal(err)
+		}
+		s.Synchronize(p)
+		if d := p.Now() - start; d > lat {
+			lat = d
+		}
+		if recv.Float32(0) != 36 {
+			log.Fatalf("wrong sum %v", recv.Float32(0))
+		}
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 	return lat
@@ -108,21 +105,17 @@ func main() {
 		log.Fatal(err)
 	}
 	results := make([]float32, 4)
-	for r, cc := range comms {
-		r, cc := r, cc
-		kernel.Spawn("rank", func(p *sim.Proc) {
-			s := cc.Device().NewStream()
-			send := cc.Device().MustMalloc(4096)
-			recv := cc.Device().MustMalloc(4096)
-			send.FillFloat32(float32(r + 1))
-			if err := cc.AllReduce(send, recv, 1024, ccl.Float32, ccl.Sum, s); err != nil {
-				log.Fatal(err)
-			}
-			s.Synchronize(p)
-			results[r] = recv.Float32(512)
-		})
-	}
-	if err := kernel.Run(); err != nil {
+	err = ccl.Run(comms, func(cc *ccl.Comm, s *device.Stream, p *sim.Proc) {
+		send := cc.Device().MustMalloc(4096)
+		recv := cc.Device().MustMalloc(4096)
+		send.FillFloat32(float32(cc.Rank() + 1))
+		if err := cc.AllReduce(send, recv, 1024, ccl.Float32, ccl.Sum, s); err != nil {
+			log.Fatal(err)
+		}
+		s.Synchronize(p)
+		results[cc.Rank()] = recv.Float32(512)
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncustom 'star' schedule on 4 ranks: sums = %v (want all 10)\n", results)

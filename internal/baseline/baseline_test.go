@@ -77,7 +77,6 @@ func TestUCCAllgatherKeepsFragmentSize(t *testing.T) {
 	const count = 1 << 18 // 1 MiB of float32: offloaded, in 128 KiB fragments
 	measure := func(allgatherFirst bool) time.Duration {
 		u := newUCC(t, "thetagpu", 1, 4)
-		defer u.Job().Fabric().Kernel().Close()
 		var took time.Duration
 		err := u.Run(func(x *Comm) {
 			send := x.Device().MustMalloc(count * 4)

@@ -198,8 +198,9 @@ func (c *Comm) AllGather(send, recv *device.Buffer, count int, dt Datatype, s *d
 		return err
 	}
 	bytes := int64(count) * int64(dt.Size())
-	if recv.Len() < bytes*int64(c.core.n) {
-		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Msg: "allgather recv buffer too small"}
+	if recv == nil || recv.Len() < bytes*int64(c.core.n) {
+		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Op: "allgather", Rank: c.rank,
+			Msg: "recv buffer missing or too small"}
 	}
 	a := c.core.newArgs(send, recv, count, 0)
 	algo, chunk := c.resolveAlgo(count)
@@ -220,8 +221,9 @@ func (c *Comm) ReduceScatter(send, recv *device.Buffer, recvCount int, dt Dataty
 		return err
 	}
 	bytes := int64(recvCount) * int64(dt.Size())
-	if send.Len() < bytes*int64(c.core.n) {
-		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Msg: "reducescatter send buffer too small"}
+	if send == nil || send.Len() < bytes*int64(c.core.n) {
+		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Op: "reducescatter", Rank: c.rank,
+			Msg: "send buffer missing or too small"}
 	}
 	a := c.core.newArgs(send, recv, recvCount, 0)
 	algo, chunk := c.resolveAlgo(recvCount)

@@ -81,29 +81,24 @@ func TestCollectivePoolsReachSteadyState(t *testing.T) {
 	// Pool sizes observed by rank 0 at the wave boundaries (all stream
 	// tasks joined, so every recycle for the wave has happened).
 	var argsLens, ctxLens [waves]int
-	for r := range comms {
-		r := r
-		c := comms[r]
-		k.Spawn("rank", func(p *sim.Proc) {
-			s := c.Device().NewStream()
-			send := c.Device().MustMalloc(count * 4)
-			recv := c.Device().MustMalloc(count * 4)
-			for w := 0; w < waves; w++ {
-				if err := c.AllReduce(send, recv, count, Float32, Sum, s); err != nil {
-					t.Errorf("allreduce: %v", err)
-					return
-				}
-				s.Synchronize(p)
-				bar.Wait(p)
-				if r == 0 {
-					argsLens[w] = len(co.argsFree)
-					ctxLens[w] = len(co.ctxFree)
-				}
-				bar.Wait(p)
+	err = Run(comms, func(c *Comm, s *device.Stream, p *sim.Proc) {
+		send := c.Device().MustMalloc(count * 4)
+		recv := c.Device().MustMalloc(count * 4)
+		for w := 0; w < waves; w++ {
+			if err := c.AllReduce(send, recv, count, Float32, Sum, s); err != nil {
+				t.Errorf("allreduce: %v", err)
+				return
 			}
-		})
-	}
-	if err := k.Run(); err != nil {
+			s.Synchronize(p)
+			bar.Wait(p)
+			if c.Rank() == 0 {
+				argsLens[w] = len(co.argsFree)
+				ctxLens[w] = len(co.ctxFree)
+			}
+			bar.Wait(p)
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if argsLens[0] < nranks {

@@ -17,13 +17,12 @@ import (
 	"mpixccl/internal/topology"
 )
 
-// harness builds a system, fabric, comms and one stream per rank.
+// harness builds a system, fabric and comms; runRanks runs them.
 type harness struct {
-	k       *sim.Kernel
-	sys     *topology.System
-	fab     *fabric.Fabric
-	comms   []*ccl.Comm
-	streams []*device.Stream
+	k     *sim.Kernel
+	sys   *topology.System
+	fab   *fabric.Fabric
+	comms []*ccl.Comm
 }
 
 func newHarness(t *testing.T, system string, nranks int, mk func(*fabric.Fabric, []*device.Device) ([]*ccl.Comm, error)) *harness {
@@ -40,23 +39,17 @@ func newHarness(t *testing.T, system string, nranks int, mk func(*fabric.Fabric,
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{k: k, sys: sys, fab: fab, comms: comms}
-	for _, c := range comms {
-		h.streams = append(h.streams, c.Device().NewStream())
-	}
-	return h
+	return &harness{k: k, sys: sys, fab: fab, comms: comms}
 }
 
-// runRanks runs fn per rank on its own process and drives the simulation.
+// runRanks runs the world once on ccl.Run: fn per rank on its own process,
+// with the stream that process creates.
 func (h *harness) runRanks(t *testing.T, fn func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc)) {
 	t.Helper()
-	for r := range h.comms {
-		r := r
-		h.k.Spawn("main", func(p *sim.Proc) {
-			fn(r, h.comms[r], h.streams[r], p)
-		})
-	}
-	if err := h.k.Run(); err != nil {
+	err := ccl.Run(h.comms, func(c *ccl.Comm, s *device.Stream, p *sim.Proc) {
+		fn(c.Rank(), c, s, p)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }
@@ -253,7 +246,7 @@ func TestBackendDeviceKindChecks(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	h := newHarness(t, "thetagpu", 2, nccl.New)
 	c := h.comms[0]
-	s := h.streams[0]
+	s := c.Device().NewStream()
 	buf := c.Device().MustMalloc(64)
 	if err := c.AllReduce(buf, buf, -1, ccl.Float32, ccl.Sum, s); err == nil {
 		t.Error("negative count accepted")
@@ -275,6 +268,72 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if err := c.GroupStart(); err == nil {
 		t.Error("nested group start accepted")
+	}
+}
+
+// TestInvalidArgumentsRejectedAtCall: a negative p2p count, a nil p2p
+// buffer, a nil allgather recv buffer and a nil reduce-scatter send buffer
+// return ErrInvalidArgument at the call, inside a group and outside one,
+// instead of panicking there or later on the stream's process.
+func TestInvalidArgumentsRejectedAtCall(t *testing.T) {
+	k := sim.NewKernel()
+	sys := topology.ThetaGPU(k, 1)
+	comms, err := nccl.New(fabric.New(k, sys), sys.Devices()[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		call func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error
+	}{
+		{"send negative count", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.Send(buf, -1, ccl.Float32, 1-c.Rank(), s)
+		}},
+		{"recv negative count", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.Recv(buf, -1, ccl.Float32, 1-c.Rank(), s)
+		}},
+		{"send nil buffer", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.Send(nil, 4, ccl.Float32, 1-c.Rank(), s)
+		}},
+		{"recv nil buffer", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.Recv(nil, 4, ccl.Float32, 1-c.Rank(), s)
+		}},
+		{"allgather nil recv", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.AllGather(buf, nil, 4, ccl.Float32, s)
+		}},
+		{"reducescatter nil send", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.ReduceScatter(nil, buf, 4, ccl.Float32, ccl.Sum, s)
+		}},
+		{"allgather-init nil recv", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			_, err := c.AllgatherInit(buf, nil, 4, ccl.Float32, s)
+			return err
+		}},
+	}
+	err = ccl.Run(comms, func(c *ccl.Comm, s *device.Stream, p *sim.Proc) {
+		buf := c.Device().MustMalloc(64)
+		for _, tc := range cases {
+			for _, grouped := range []bool{false, true} {
+				if grouped {
+					if err := c.GroupStart(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				err := tc.call(c, buf, s)
+				var ce *ccl.Error
+				if !errors.As(err, &ce) || ce.Result != ccl.ErrInvalidArgument {
+					t.Errorf("rank %d %s (grouped %v): err = %v, want %v", c.Rank(), tc.name, grouped, err, ccl.ErrInvalidArgument)
+				}
+				if grouped {
+					if err := c.GroupEnd(); err != nil {
+						t.Errorf("rank %d %s: GroupEnd = %v", c.Rank(), tc.name, err)
+					}
+				}
+			}
+		}
+		s.Synchronize(p)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -498,9 +557,6 @@ func TestAsyncVerdictKeepsFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &harness{k: k, sys: sys, fab: fab, comms: comms}
-	for _, c := range comms {
-		h.streams = append(h.streams, c.Device().NewStream())
-	}
 	verdicts := make([]error, n)
 	h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
 		c.SetWatchdog(time.Millisecond)

@@ -282,6 +282,24 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 	return comms, nil
 }
 
+// Run is the pure-CCL world runner, the counterpart of mpi.Job.Run for
+// programs that drive a vendor library directly. It spawns one process per
+// handle, in rank order, named rank<r>; each creates a stream on its
+// device and calls fn. Run drives the kernel until every rank returns and
+// returns the kernel's error (a *sim.DeadlockError, or a process's
+// *sim.PanicError re-panicked). A world runs once: either way Run closes
+// the kernel, unwinding every process still parked.
+func Run(comms []*Comm, fn func(cc *Comm, s *device.Stream, p *sim.Proc)) error {
+	k := comms[0].Device().Kernel()
+	defer k.Close()
+	for _, cc := range comms {
+		k.Spawn(fmt.Sprintf("rank%d", cc.rank), func(p *sim.Proc) {
+			fn(cc, cc.Device().NewStream(), p)
+		})
+	}
+	return k.Run()
+}
+
 // Rank returns this handle's rank.
 func (c *Comm) Rank() int { return c.rank }
 

@@ -57,11 +57,7 @@ func newPermHarness(t *testing.T, system string, nranks int, perm []int) *harnes
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{k: k, sys: sys, fab: fab, comms: comms}
-	for _, c := range comms {
-		h.streams = append(h.streams, c.Device().NewStream())
-	}
-	return h
+	return &harness{k: k, sys: sys, fab: fab, comms: comms}
 }
 
 // compiledShapes enumerates the topologies the plan sweep runs on:

@@ -57,7 +57,6 @@ func TestGroupSendToDeadPeerEndsWithVerdict(t *testing.T) {
 		wd = time.Millisecond
 	)
 	k := sim.NewKernel()
-	defer k.Close()
 	sys, err := topology.Preset(k, "thetagpu", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -71,9 +70,6 @@ func TestGroupSendToDeadPeerEndsWithVerdict(t *testing.T) {
 	}
 	comms[0].SetWatchdog(wd)
 	h := &harness{k: k, sys: sys, fab: fab, comms: comms}
-	for _, c := range comms {
-		h.streams = append(h.streams, c.Device().NewStream())
-	}
 	firstDone := sim.NewEvent(k)
 	payload := bytes.Repeat([]byte{1, 2, 3, 4, 5}, 1000)
 	var got []byte
@@ -118,7 +114,7 @@ func TestGroupSendToDeadPeerEndsWithVerdict(t *testing.T) {
 func TestGroupSendOrphanedDeadlocks(t *testing.T) {
 	h := newHarness(t, "thetagpu", 2, nccl.New)
 	defer h.k.Close()
-	s := h.streams[0]
+	s := h.comms[0].Device().NewStream()
 	h.k.Spawn("main", func(p *sim.Proc) {
 		groupSend(t, h.comms[0], s, p, []groupOp{{1, h.comms[0].Device().MustMalloc(64)}}, nil)
 	})

@@ -26,6 +26,10 @@ func (c *Comm) validateP2P(opName string, buf *device.Buffer, count int, dt Data
 	if err := c.inject(opName); err != nil {
 		return err
 	}
+	if count < 0 {
+		return &Error{Backend: cfg.Name, Result: ErrInvalidArgument, Op: opName, Rank: c.rank,
+			Msg: "negative count"}
+	}
 	if peer < 0 || peer >= c.core.n {
 		return &Error{Backend: cfg.Name, Result: ErrInvalidArgument, Op: opName, Rank: c.rank,
 			Msg: fmt.Sprintf("peer %d out of range", peer)}
@@ -33,6 +37,10 @@ func (c *Comm) validateP2P(opName string, buf *device.Buffer, count int, dt Data
 	if !cfg.Datatypes[dt] {
 		return &Error{Backend: cfg.Name, Result: ErrUnsupportedDatatype, Op: opName, Rank: c.rank,
 			Msg: fmt.Sprintf("datatype %v not supported", dt)}
+	}
+	if buf == nil {
+		return &Error{Backend: cfg.Name, Result: ErrInvalidArgument, Op: opName, Rank: c.rank,
+			Msg: "nil buffer"}
 	}
 	if int64(count)*int64(dt.Size()) > buf.Len() {
 		return &Error{Backend: cfg.Name, Result: ErrInvalidArgument, Op: opName, Rank: c.rank,

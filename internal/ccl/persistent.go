@@ -371,9 +371,9 @@ func (c *Comm) AllgatherInit(send, recv *device.Buffer, count int, dt Datatype, 
 	}
 	esz := int64(dt.Size())
 	bytes := int64(count) * esz
-	if recv.Len() < bytes*int64(co.n) {
+	if recv == nil || recv.Len() < bytes*int64(co.n) {
 		return nil, &Error{Backend: co.cfg.Name, Result: ErrInvalidArgument, Op: "allgather-init",
-			Rank: c.rank, Msg: "allgather recv buffer too small"}
+			Rank: c.rank, Msg: "recv buffer missing or too small"}
 	}
 	ps, id, err := c.persistJoin("allgather", count, dt, Sum, 1, 0)
 	if err != nil {

@@ -43,33 +43,6 @@ func measureWaveAllocs(t *testing.T, nodes, nranks int, algo Algorithm,
 	}
 	bar := sim.NewBarrier(k, nranks)
 	var mallocs [warmWaves + measured]uint64
-	for r := range comms {
-		r := r
-		c := comms[r]
-		k.Spawn("rank", func(p *sim.Proc) {
-			s := c.Device().NewStream()
-			c.SetAlgorithm(algo, 0)
-			po, err := init(c, s)
-			if err != nil {
-				t.Errorf("init: %v", err)
-				return
-			}
-			bar.Wait(p)
-			for w := 0; w < warmWaves+measured; w++ {
-				if err := po.Do(p); err != nil {
-					t.Errorf("wave %d: %v", w, err)
-					return
-				}
-				bar.Wait(p)
-				if r == 0 {
-					var ms runtime.MemStats
-					runtime.ReadMemStats(&ms)
-					mallocs[w] = ms.Mallocs
-				}
-				bar.Wait(p)
-			}
-		})
-	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// The kernel runs one rank at a time whatever GOMAXPROCS is, but with
 	// several Ps the hand-offs between rank goroutines migrate across them
@@ -77,7 +50,29 @@ func measureWaveAllocs(t *testing.T, nodes, nranks int, algo Algorithm,
 	// for a P whose cache is empty: an allocation of the Go scheduler, not
 	// of the schedule. One P keeps the count about the schedule alone.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if err := k.Run(); err != nil {
+	err = Run(comms, func(c *Comm, s *device.Stream, p *sim.Proc) {
+		c.SetAlgorithm(algo, 0)
+		po, err := init(c, s)
+		if err != nil {
+			t.Errorf("init: %v", err)
+			return
+		}
+		bar.Wait(p)
+		for w := 0; w < warmWaves+measured; w++ {
+			if err := po.Do(p); err != nil {
+				t.Errorf("wave %d: %v", w, err)
+				return
+			}
+			bar.Wait(p)
+			if c.Rank() == 0 {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				mallocs[w] = ms.Mallocs
+			}
+			bar.Wait(p)
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for w := warmWaves; w < warmWaves+measured; w++ {

@@ -550,7 +550,6 @@ func TestCompiledPlanVirtualTime(t *testing.T) {
 			n := tc.shape.n
 			count := int(tc.bytes / 4)
 			h := newHarness(t, tc.shape.system, n, tc.shape.mk)
-			defer h.k.Close()
 			if tc.key == "msccl" {
 				if err := h.comms[0].RegisterAlgo(ccl.AllPairsAllReduce(n, 0, 0)); err != nil {
 					t.Fatal(err)

@@ -29,7 +29,6 @@ func TestSteadyStateSpawnsNoProcs(t *testing.T) {
 		waves = 4 // the first is warm-up
 	)
 	h := newHarness(t, "thetagpu", n, nccl.New)
-	defer h.k.Close()
 	// Auto-selected allreduces below run the converted MSCCL schedule.
 	if err := h.comms[0].RegisterAlgo(ccl.AllPairsAllReduce(n, 0, 0)); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ func TestIallreduceSpawnsNoProcs(t *testing.T) {
 	)
 	rt := newRuntime(t, "thetagpu", n, Options{Backend: Auto, Mode: Hybrid})
 	k := rt.Job().Fabric().Kernel()
-	defer k.Close()
 	bar := sim.NewBarrier(k, n)
 	var pids []int
 	err := rt.Run(func(x *Comm) {

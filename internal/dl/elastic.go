@@ -113,7 +113,6 @@ func TrainElastic(cfg Config) (ElasticReport, error) {
 		}
 	}
 	k := sim.NewKernel()
-	defer k.Close()
 	sys, err := topology.Preset(k, cfg.System, cfg.Nodes)
 	if err != nil {
 		return ElasticReport{}, err

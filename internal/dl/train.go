@@ -192,7 +192,6 @@ type gradEngine interface {
 func Train(cfg Config) (Report, error) {
 	cfg.fillDefaults()
 	k := sim.NewKernel()
-	defer k.Close()
 	sys, err := topology.Preset(k, cfg.System, cfg.Nodes)
 	if err != nil {
 		return Report{}, err
@@ -269,7 +268,7 @@ func Train(cfg Config) (Report, error) {
 		}
 	}
 
-	if err := launch(&cfg, k, sys, fab, nranks, body); err != nil {
+	if err := launch(&cfg, sys, fab, nranks, body); err != nil {
 		return Report{}, err
 	}
 	var total time.Duration
@@ -370,7 +369,7 @@ func trainPersistent(cfg *Config, x *core.Comm, buckets []Bucket,
 }
 
 // launch builds the engine-specific world and runs body on every rank.
-func launch(cfg *Config, k *sim.Kernel, sys *topology.System, fab *fabric.Fabric, nranks int, body func(ge gradEngine)) error {
+func launch(cfg *Config, sys *topology.System, fab *fabric.Fabric, nranks int, body func(ge gradEngine)) error {
 	switch cfg.Engine {
 	case EngineXCCL:
 		job := mpi.NewJobOnSystem(fab, mpi.MVAPICHProfile(), sys, nranks)
@@ -401,15 +400,10 @@ func launch(cfg *Config, k *sim.Kernel, sys *topology.System, fab *fabric.Fabric
 		if cfg.Metrics != nil {
 			comms[0].SetMetrics(cfg.Metrics)
 		}
-		bar := sim.NewBarrier(k, nranks)
-		for r := 0; r < nranks; r++ {
-			cc := comms[r]
-			k.Spawn(fmt.Sprintf("worker%d", r), func(p *sim.Proc) {
-				body(&cclEngine{cc: cc, s: cc.Device().NewStream(), p: p, bar: bar,
-					poll: cfg.PollOverhead})
-			})
-		}
-		return k.Run()
+		bar := sim.NewBarrier(fab.Kernel(), nranks)
+		return ccl.Run(comms, func(cc *ccl.Comm, s *device.Stream, p *sim.Proc) {
+			body(&cclEngine{cc: cc, s: s, p: p, bar: bar, poll: cfg.PollOverhead})
+		})
 	default:
 		return fmt.Errorf("dl: unknown engine %q", cfg.Engine)
 	}

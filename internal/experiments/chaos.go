@@ -154,7 +154,6 @@ func chaosCollective(rng *chaosRNG) (string, error) {
 	})
 
 	k := sim.NewKernel()
-	defer k.Close()
 	sys, err := topology.Preset(k, "thetagpu", 1)
 	if err != nil {
 		return "", err

@@ -104,7 +104,6 @@ func TestBcastScatterRingVirtualTime(t *testing.T) {
 				t.Errorf("n=%d root=%d rank=%d: last elem %v", tc.n, tc.root, c.Rank(), buf.Float64(count-1))
 			}
 		})
-		j.Fabric().Kernel().Close()
 		if err != nil {
 			t.Fatalf("n=%d root=%d: %v", tc.n, tc.root, err)
 		}
@@ -199,7 +198,6 @@ func TestAllreduceAllSizes(t *testing.T) {
 						}
 					}
 				})
-				j.Fabric().Kernel().Close()
 				if err != nil {
 					t.Fatalf("%s n=%d %v count=%d long=%d: %v", sh.system, n, dt, count, tc.prof.AllreduceLong, err)
 				}

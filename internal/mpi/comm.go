@@ -158,26 +158,20 @@ func (c *Comm) RankDevice(r int) *device.Device {
 	return c.ctx.job.devices[c.ctx.group[r]]
 }
 
-// Launch spawns every rank's process running fn and returns their
-// completion counter; drive the simulation with the kernel's Run.
-func (j *Job) Launch(fn func(c *Comm)) *sim.Counter {
+// Run spawns one process per rank, in rank order, running fn, and drives
+// the kernel until the job completes, returning any simulation error. A
+// world runs once: when the kernel's Run returns (or re-panics a process's
+// *sim.PanicError), Run closes the kernel, which unwinds every process
+// still parked and releases the world.
+func (j *Job) Run(fn func(c *Comm)) error {
 	k := j.fab.Kernel()
-	counter := sim.NewCounter(k, len(j.devices))
+	defer k.Close()
 	for r := range j.devices {
-		r := r
 		k.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
 			fn(&Comm{ctx: j.world, rank: r, proc: p, dev: j.devices[r]})
-			counter.Done()
 		})
 	}
-	return counter
-}
-
-// Run is the convenience harness: it launches fn on every rank and drives
-// the kernel until the job completes, returning any simulation error.
-func (j *Job) Run(fn func(c *Comm)) error {
-	j.Launch(fn)
-	return j.fab.Kernel().Run()
+	return k.Run()
 }
 
 // splitPending coordinates a Comm.Split collective across ranks.

@@ -56,7 +56,6 @@ func TestEagerMessageAllocs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			j := newTestJob(t, 2)
-			defer j.Fabric().Kernel().Close()
 			var allocs float64
 			onPath := true
 			err := j.Run(func(c *Comm) {

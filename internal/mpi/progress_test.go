@@ -18,7 +18,6 @@ import (
 // it did when every Isend spawned a process of its own.
 func TestDeadlockDetectedOnOrphanedIsend(t *testing.T) {
 	j := newTestJob(t, 2)
-	defer j.Fabric().Kernel().Close()
 	err := j.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			buf := c.Device().MustMalloc(64 << 10)
@@ -36,11 +35,11 @@ func TestDeadlockDetectedOnOrphanedIsend(t *testing.T) {
 
 // TestIdleProgressProcsEndRunAndClose is the idle counterpart: a job that
 // completes leaves its progress processes parked between jobs, which must
-// not read as a deadlock, and Kernel.Close must unwind them.
+// not read as a deadlock, and the Kernel.Close that ends Run must unwind
+// them.
 func TestIdleProgressProcsEndRunAndClose(t *testing.T) {
 	before := runtime.NumGoroutine()
 	j := newTestJob(t, 4)
-	k := j.Fabric().Kernel()
 	err := j.Run(func(c *Comm) {
 		buf := c.Device().MustMalloc(64 << 10)
 		c.Barrier()
@@ -54,10 +53,9 @@ func TestIdleProgressProcsEndRunAndClose(t *testing.T) {
 			t.Fatalf("rank %d: %d of %d progress processes idle after the run, want all of at least one", r, idle, all)
 		}
 	}
-	k.Close()
 	for i := 0; runtime.NumGoroutine() > before; i++ {
 		if i == 100 {
-			t.Fatalf("%d goroutines after Close, %d before the world was built", runtime.NumGoroutine(), before)
+			t.Fatalf("%d goroutines after Run, %d before the world was built", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -155,7 +153,6 @@ func TestMPISteadyStateSpawnsNoProcs(t *testing.T) {
 	const waves = 3 // the first is warm-up
 	j := newTestJob(t, progressRanks)
 	k := j.Fabric().Kernel()
-	defer k.Close()
 	bar := sim.NewBarrier(k, progressRanks)
 	var pids []int
 	var labels []string
@@ -208,7 +205,6 @@ func TestProgressReuseVirtualTime(t *testing.T) {
 		"waitall":          {1217933 * ns, 1244701 * ns, 1279245 * ns, 1217933 * ns, 1250445 * ns, 1289693 * ns},
 	}
 	j := newTestJob(t, progressRanks)
-	defer j.Fabric().Kernel().Close()
 	got := map[string]*[6]time.Duration{}
 	for _, op := range progressOps {
 		got[op.name] = new([6]time.Duration)

@@ -202,7 +202,6 @@ func RunCollective(cfg Config, op Collective) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer w.k.Close()
 	nranks := cfg.ranks(w.sys)
 	sizes := Sizes(cfg.MinBytes, cfg.MaxBytes)
 	results := make([]Result, len(sizes))

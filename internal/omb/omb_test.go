@@ -1,10 +1,12 @@
 package omb
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"mpixccl/internal/core"
+	"mpixccl/internal/metrics"
 )
 
 func find(results []Result, bytes int64) Result {
@@ -321,6 +323,39 @@ func TestMultiBWAggregates(t *testing.T) {
 	}
 	if m >= s*8 {
 		t.Fatalf("8-pair aggregate %.0f MB/s shows no NIC contention vs single %.0f MB/s", m, s)
+	}
+}
+
+// Both pure-CCL point-to-point runners report the communicator's launches
+// into Config.Metrics.
+func TestPt2PtRunnersReportCCLLaunches(t *testing.T) {
+	runners := []struct {
+		name string
+		run  func(Config) error
+	}{
+		{"RunPt2Pt", func(cfg Config) error {
+			_, err := RunPt2Pt(cfg, BandwidthBench)
+			return err
+		}},
+		{"RunMultiBW", func(cfg Config) error {
+			_, err := RunMultiBW(cfg, 2)
+			return err
+		}},
+	}
+	for _, r := range runners {
+		name, run := r.name, r.run
+		reg := metrics.NewRegistry()
+		if err := run(Config{System: "thetagpu", Nodes: 1, MinBytes: 4 << 10, MaxBytes: 4 << 10,
+			Iterations: 1, Metrics: reg}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var out strings.Builder
+		if err := reg.WritePrometheus(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "ccl_launches_total{") {
+			t.Errorf("%s: no ccl_launches_total series in its metrics:\n%s", name, out.String())
+		}
 	}
 }
 

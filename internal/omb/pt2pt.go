@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mpixccl/internal/ccl"
-	"mpixccl/internal/core"
 	"mpixccl/internal/device"
 	"mpixccl/internal/sim"
 )
@@ -42,30 +41,21 @@ func RunPt2Pt(cfg Config, bench Pt2PtKind) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer w.k.Close()
 	a := w.sys.Device(0)
 	b := w.sys.Device(1)
 	if cfg.Nodes > 1 {
 		b = w.sys.Nodes[1].Devices[0]
 	}
-	kind, err := core.ResolveBackend(cfg.Backend, a.Kind)
+	comms, err := pureCCLComms(&cfg, w, []*device.Device{a, b})
 	if err != nil {
 		return nil, err
-	}
-	comms, err := core.NewBackendComms(kind, w.fab, []*device.Device{a, b})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Metrics != nil {
-		comms[0].SetMetrics(cfg.Metrics)
 	}
 	sizes := Sizes(cfg.MinBytes, cfg.MaxBytes)
 	results := make([]Result, len(sizes))
 	bar := sim.NewBarrier(w.k, 2)
 
-	run := func(rank int, p *sim.Proc) {
-		cc := comms[rank]
-		s := cc.Device().NewStream()
+	err = ccl.Run(comms, func(cc *ccl.Comm, s *device.Stream, p *sim.Proc) {
+		rank := cc.Rank()
 		buf := cc.Device().MustMalloc(sizes[len(sizes)-1])
 		buf2 := cc.Device().MustMalloc(sizes[len(sizes)-1])
 		ack := cc.Device().MustMalloc(4)
@@ -145,12 +135,8 @@ func RunPt2Pt(cfg Config, bench Pt2PtKind) ([]Result, error) {
 			}
 			bar.Wait(p)
 		}
-	}
-	for r := 0; r < 2; r++ {
-		r := r
-		w.k.Spawn(fmt.Sprintf("pt2pt-%d", r), func(p *sim.Proc) { run(r, p) })
-	}
-	if err := w.k.Run(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return results, nil

@@ -7,38 +7,40 @@ import (
 	"mpixccl/internal/sim"
 )
 
-// runPureCCLCollective drives the vendor library directly — the dashed
-// "Pure NCCL/MSCCL" lines extracted from OMB's CCL benchmarks.
-func runPureCCLCollective(cfg *Config, w *world, nranks int, body func(d *collDriver)) error {
-	kind, err := core.ResolveBackend(cfg.Backend, w.sys.Device(0).Kind)
+// pureCCLComms builds the vendor-library communicator over devs that the
+// pure-CCL runners drive, reporting into cfg.Metrics.
+func pureCCLComms(cfg *Config, w *world, devs []*device.Device) ([]*ccl.Comm, error) {
+	kind, err := core.ResolveBackend(cfg.Backend, devs[0].Kind)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	comms, err := core.NewBackendComms(kind, w.fab, w.sys.Devices()[:nranks])
+	comms, err := core.NewBackendComms(kind, w.fab, devs)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if cfg.Metrics != nil {
 		comms[0].SetMetrics(cfg.Metrics)
 	}
-	bar := sim.NewBarrier(w.k, nranks)
-	counter := sim.NewCounter(w.k, nranks)
-	for r := 0; r < nranks; r++ {
-		r := r
-		cc := comms[r]
-		w.k.Spawn("omb-rank", func(p *sim.Proc) {
-			s := cc.Device().NewStream()
-			body(&collDriver{
-				do: func(op Collective, send, recv *device.Buffer, count int) {
-					pureCCLOp(cc, s, p, op, send, recv, count)
-				},
-				barrier: func() { bar.Wait(p) },
-				proc:    p, dev: cc.Device(), rank: r,
-			})
-			counter.Done()
-		})
+	return comms, nil
+}
+
+// runPureCCLCollective drives the vendor library directly — the dashed
+// "Pure NCCL/MSCCL" lines extracted from OMB's CCL benchmarks.
+func runPureCCLCollective(cfg *Config, w *world, nranks int, body func(d *collDriver)) error {
+	comms, err := pureCCLComms(cfg, w, w.sys.Devices()[:nranks])
+	if err != nil {
+		return err
 	}
-	return w.k.Run()
+	bar := sim.NewBarrier(w.k, nranks)
+	return ccl.Run(comms, func(cc *ccl.Comm, s *device.Stream, p *sim.Proc) {
+		body(&collDriver{
+			do: func(op Collective, send, recv *device.Buffer, count int) {
+				pureCCLOp(cc, s, p, op, send, recv, count)
+			},
+			barrier: func() { bar.Wait(p) },
+			proc:    p, dev: cc.Device(), rank: cc.Rank(),
+		})
+	})
 }
 
 // pureCCLOp issues one blocking collective on the raw CCL. Operations the

@@ -347,8 +347,10 @@ type unwind struct{}
 // for the life of the program and pin everything their world references.
 // Processes unwind one at a time in pid order, so teardown is as
 // deterministic as the run. The kernel must not be used afterwards;
-// closing twice is a no-op. Close a Sharded engine's kernels through
-// Sharded.Close.
+// closing twice is a no-op. The world runners, mpi.Job.Run and ccl.Run,
+// call Close when their Run returns, so a world built on them runs once
+// and releases itself; only code that drives a bare kernel with Run calls
+// Close itself. Close a Sharded engine's kernels through Sharded.Close.
 func (k *Kernel) Close() {
 	k.unwindAll()
 	k.dropEvents()

@@ -43,9 +43,11 @@ scripts/doclinks.sh
 # resident progress processes (sim.Pool), shared by all of a job's
 # communicators.
 go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fault mpixccl/internal/fabric mpixccl/internal/core mpixccl/internal/ccl/comp mpixccl/internal/mpi
-# The whole internal/mpi suite, which runs in a second or two — among it
-# the progress-pool pins (orphaned-Isend deadlock, idle pool, no-spawn
-# waves, exact reuse times), the exact scatter-ring Bcast times and the
+# The whole internal/mpi suite, which runs in a second or two and under
+# the leak gate (simtest.Main: every world its tests build must be released
+# by Job.Run, which closes the kernel) — among it the progress-pool pins
+# (orphaned-Isend deadlock, idle pool, no-spawn waves, exact reuse times),
+# the exact scatter-ring Bcast times and the
 # recycled eager envelopes — the kernel's hand-off semantics (a process's
 # panic and t.FailNow reach Run, Close leaves no goroutine, the hand-off
 # paths allocate nothing and so does a cross-shard message
@@ -56,7 +58,9 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # and group sends on the rank's resident workers and its exact-time pins,
 # the group-send verdict and deadlock pins, the flat-versus-
 # hierarchical and forced-algorithm correctness properties of the group
-# tree and ring that both paths run, and the core membership
+# tree and ring that both paths run, the world-release pins (a world run
+# through Runtime.Run or ccl.Run, or ending in a deadlock or a panic, leaves
+# no goroutine once Run returns), and the core membership
 # suite (crash, revoke, shrink, grow, partition, heartbeat and admission
 # parity) at one and at several OS threads: processes are coroutines on
 # goroutines of their own either way, and verdicts and modeled times must
@@ -65,7 +69,7 @@ for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/mpi
 	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$|TestEventOrder|TestPool' mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat|TestGroupSend' mpixccl/internal/ccl
-	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting' mpixccl/internal/core mpixccl/internal/sim
+	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting|TestWorldReleasedAfterRun' mpixccl/internal/core mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity' mpixccl/internal/core
 done
 # The experiments race leg covers the parallel runner, two RunAll calls
