@@ -481,60 +481,6 @@ func TestCollectiveIsAsynchronous(t *testing.T) {
 	})
 }
 
-func TestCommSplit(t *testing.T) {
-	h := newHarness(t, "thetagpu", 8, nccl.New)
-	h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
-		sub, err := c.CommSplit(p, r%2, r)
-		if err != nil {
-			t.Errorf("split: %v", err)
-			return
-		}
-		if sub.Size() != 4 {
-			t.Errorf("sub size = %d", sub.Size())
-		}
-		subStream := sub.Device().NewStream()
-		send := sub.Device().MustMalloc(1024)
-		recv := sub.Device().MustMalloc(1024)
-		send.FillFloat32(float32(r))
-		if err := sub.AllReduce(send, recv, 256, ccl.Float32, ccl.Sum, subStream); err != nil {
-			t.Errorf("sub allreduce: %v", err)
-			return
-		}
-		subStream.Synchronize(p)
-		want := float32(0 + 2 + 4 + 6)
-		if r%2 == 1 {
-			want = 1 + 3 + 5 + 7
-		}
-		if recv.Float32(3) != want {
-			t.Errorf("rank %d sub sum = %v, want %v", r, recv.Float32(3), want)
-		}
-	})
-}
-
-func TestCommSplitOptOut(t *testing.T) {
-	h := newHarness(t, "thetagpu", 4, nccl.New)
-	h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
-		color := 0
-		if r == 3 {
-			color = -1
-		}
-		sub, err := c.CommSplit(p, color, r)
-		if err != nil {
-			t.Errorf("split: %v", err)
-			return
-		}
-		if r == 3 {
-			if sub != nil {
-				t.Error("opt-out rank got a communicator")
-			}
-			return
-		}
-		if sub.Size() != 3 {
-			t.Errorf("sub size = %d", sub.Size())
-		}
-	})
-}
-
 // TestAsyncVerdictKeepsFirst queues two allreduces on every stream before
 // one TakeAsyncErr. The first crosses a network cut, so every rank's part
 // ends with the shared ErrUnreachable verdict. Rank 8 fail-stops before

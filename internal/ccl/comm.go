@@ -28,7 +28,6 @@ type core struct {
 	ops     map[int]*opState
 	p2pPost map[[2]int]*sim.Chan[*p2pSlot] // receiver-posted buffers per (src,dst)
 	algos   []*Algo                        // registered custom schedules
-	split   *splitState                    // in-flight CommSplit rendezvous
 	reg     *metrics.Registry              // nil = no instrumentation
 	chanCap int                            // 0 = no cap; see SetChannelCap
 

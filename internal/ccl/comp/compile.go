@@ -16,21 +16,17 @@ import (
 //	phased[:chunk=N]                         node-permutation phases
 //	staged:intra=flat|tree,stripe=W,depth=D[,chunk=N]
 //	                                         leader-staged hierarchy
-//	native:hier|flat                         delegate to a built-in family
 type Strategy struct {
-	Name   string // direct | phased | staged | native
+	Name   string // direct | phased | staged
 	Intra  string // flat | tree (staged only)
 	Stripe int    // concurrent inter-node lanes per leader flow (staged)
 	Depth  int    // chunked pipeline rounds (staged)
 	Chunk  int64  // fabric pipeline granularity override (0 = default)
-	Native string // hier | flat (native only)
 }
 
 // Key serializes the strategy in canonical form.
 func (s Strategy) Key() string {
 	switch s.Name {
-	case "native":
-		return "native:" + s.Native
 	case "staged":
 		key := fmt.Sprintf("staged:intra=%s,stripe=%d,depth=%d", s.Intra, s.Stripe, s.Depth)
 		if s.Chunk > 0 {
@@ -80,11 +76,6 @@ func ParseKey(key string) (Strategy, error) {
 		if s.Intra == "tree" && s.Depth > 1 {
 			return Strategy{}, fmt.Errorf("comp: plan key %q: intra=tree does not chunk (depth must be 1)", key)
 		}
-	case "native":
-		s.Native = attrs
-		if s.Native != "hier" && s.Native != "flat" {
-			return Strategy{}, fmt.Errorf("comp: plan key %q: native family must be hier or flat", key)
-		}
 	default:
 		return Strategy{}, fmt.Errorf("comp: plan key %q: unknown strategy %q", key, name)
 	}
@@ -133,33 +124,20 @@ var compiledOps = map[string]bool{
 	"alltoall": true, "alltoallv": true, "scatter": true, "gather": true,
 }
 
-// nativeOps lists the built-in collectives whose decomposition the search
-// ranks via native plans (execution delegates to the existing algorithms).
-var nativeOps = map[string]bool{
-	"allreduce": true, "bcast": true, "allgather": true, "reducescatter": true,
-}
-
 // ValidKey reports whether key names a strategy the given op can run
-// (table-v3 validation: reject bands that could never dispatch).
+// (table-v3 validation: reject bands that could never dispatch). Only the
+// compiled ops take plan keys; a built-in collective's schedule family is
+// the band's algorithm selector, not a plan.
 func ValidKey(op, key string) error {
+	if !compiledOps[op] {
+		return fmt.Errorf("comp: op %s takes no plan key, got %q", op, key)
+	}
 	s, err := ParseKey(key)
 	if err != nil {
 		return err
 	}
-	switch {
-	case compiledOps[op]:
-		if s.Name == "native" {
-			return fmt.Errorf("comp: op %s cannot run native plan %q", op, key)
-		}
-		if s.Name == "staged" && (op == "alltoall" || op == "alltoallv") {
-			return fmt.Errorf("comp: op %s has no staged lowering (plan %q)", op, key)
-		}
-	case nativeOps[op]:
-		if s.Name != "native" {
-			return fmt.Errorf("comp: op %s takes native plans only, got %q", op, key)
-		}
-	default:
-		return fmt.Errorf("comp: unknown op %q for plan %q", op, key)
+	if s.Name == "staged" && (op == "alltoall" || op == "alltoallv") {
+		return fmt.Errorf("comp: op %s has no staged lowering (plan %q)", op, key)
 	}
 	return nil
 }
@@ -194,20 +172,13 @@ func Candidates(op string, t *Topo) []Strategy {
 			)
 		}
 		return out
-	case "allreduce", "bcast", "allgather", "reducescatter":
-		out := []Strategy{{Name: "native", Native: "flat"}}
-		if multi {
-			out = append(out, Strategy{Name: "native", Native: "hier"})
-		}
-		return out
 	}
 	return nil
 }
 
 // Shape is the call signature the compiler lowers: the per-block payload
-// and the root (rooted collectives only). For alltoall/scatter/gather,
-// BlockBytes is the per-pair block; for the native ops it is the total
-// payload (costing only).
+// (one rank pair's block for alltoall, one rank's for scatter/gather) and
+// the root (rooted collectives only).
 type Shape struct {
 	BlockBytes int64
 	Root       int
@@ -230,8 +201,6 @@ func Lower(op string, t *Topo, sh Shape, s Strategy) (*Plan, error) {
 		depth = 1
 	)
 	switch {
-	case s.Name == "native":
-		d, err = lowerNative(op, t, sh, s)
 	case op == "alltoall" || op == "alltoallv":
 		switch s.Name {
 		case "direct":
@@ -268,9 +237,6 @@ func Lower(op string, t *Topo, sh Shape, s Strategy) (*Plan, error) {
 	plan.PipeDepth = depth
 	if depth > 1 {
 		plan.StageOf = stage
-	}
-	if s.Name == "native" {
-		plan.Native = s.Native
 	}
 	return plan, nil
 }
@@ -722,111 +688,6 @@ func emitTreeFan(d *DAG, emit func(Prim, int) int, t *Topo,
 	}
 }
 
-// lowerNative builds the coarse costing DAG for a built-in family; the
-// executor delegates to the existing hier/flat implementations, so these
-// phases exist only for the search to rank hier vs flat per size band.
-func lowerNative(op string, t *Topo, sh Shape, s Strategy) (*DAG, error) {
-	n := t.Ranks()
-	total := sh.BlockBytes
-	d := &DAG{Op: op, Ranks: n}
-	prev := -1
-	emit := func(pr Prim) {
-		if prev >= 0 {
-			pr.Deps = []int{prev}
-		}
-		d.Prims = append(d.Prims, pr)
-		prev = len(d.Prims) - 1
-	}
-	ringPhases := func(group []int, bytes int64, rounds int, reduce bool) {
-		for p := 0; p < rounds; p++ {
-			pr := Prim{Kind: Shuffle, Group: group}
-			for i, r := range group {
-				q := group[(i+1)%len(group)]
-				pr.Moves = append(pr.Moves, Move{From: r, To: q,
-					SrcBuf: RecvBuf, DstBuf: RecvBuf, Bytes: bytes,
-					Reduce: reduce, Staged: true})
-			}
-			emit(pr)
-		}
-	}
-	treePhases := func(group []int, root int, bytes int64, toRoot bool) {
-		// Binomial over the group: log2 levels of halving/doubling fans.
-		for dist := 1; dist < len(group); dist *= 2 {
-			pr := Prim{Kind: Multicast, Group: group, Root: root}
-			if toRoot {
-				pr.Kind = Reduce
-			}
-			for i := 0; i+dist < len(group); i += 2 * dist {
-				a, b := group[i], group[i+dist]
-				if toRoot {
-					pr.Moves = append(pr.Moves, Move{From: b, To: a,
-						SrcBuf: RecvBuf, DstBuf: RecvBuf, Bytes: bytes,
-						Reduce: true, Staged: true})
-				} else {
-					pr.Moves = append(pr.Moves, Move{From: a, To: b,
-						SrcBuf: RecvBuf, DstBuf: RecvBuf, Bytes: bytes, Staged: true})
-				}
-			}
-			emit(pr)
-		}
-	}
-	all := allRanks(n)
-	switch s.Native {
-	case "flat":
-		switch op {
-		case "allreduce":
-			if n > 1 {
-				ringPhases(all, total/int64(n), n-1, true)
-				ringPhases(all, total/int64(n), n-1, false)
-			}
-		case "bcast":
-			treePhases(all, 0, total, false)
-		case "allgather":
-			ringPhases(all, total, n-1, false)
-		case "reducescatter":
-			ringPhases(all, total, n-1, true)
-		default:
-			return nil, fmt.Errorf("comp: no native lowering for %q", op)
-		}
-	case "hier":
-		nodes := t.nodes()
-		var leaders []int
-		for _, nd := range nodes {
-			g := groupRanks(t, nd)
-			leaders = append(leaders, g[0])
-			switch op {
-			case "allreduce", "reducescatter":
-				treePhases(g, g[0], total, true)
-			case "allgather":
-				treePhases(g, g[0], total, true) // fan-in of local blocks
-			}
-		}
-		m := len(leaders)
-		if m > 1 {
-			switch op {
-			case "allreduce":
-				ringPhases(leaders, total/int64(m), m-1, true)
-				ringPhases(leaders, total/int64(m), m-1, false)
-			case "bcast", "allgather", "reducescatter":
-				ringPhases(leaders, total/int64(m), m-1, op == "reducescatter")
-			}
-		}
-		for _, nd := range nodes {
-			g := groupRanks(t, nd)
-			switch op {
-			case "allreduce", "bcast", "allgather":
-				treePhases(g, g[0], total, false)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("comp: unknown native family %q", s.Native)
-	}
-	if len(d.Prims) == 0 {
-		emit(Prim{Kind: Fence, Group: all})
-	}
-	return d, nil
-}
-
 func allRanks(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -835,8 +696,9 @@ func allRanks(n int) []int {
 	return out
 }
 
-// Keys returns the canonical candidate keys for op on the topology —
-// the sweep surface omb.Tune measures.
+// Keys returns the canonical candidate keys for op on the topology: the
+// strategies Search ranks, and so the keys Comm.PlanKeys lists. omb.Tune
+// sweeps a fixed subset of them (its planSweep).
 func Keys(op string, t *Topo) []string {
 	cands := Candidates(op, t)
 	out := make([]string, 0, len(cands))

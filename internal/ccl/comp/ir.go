@@ -1,8 +1,8 @@
 // Package comp is the compositional collective compiler: a primitive IR
 // (multicast / reduce / shuffle / fence steps over rank groups with
-// chunking and striping attributes), a lowering from every collective —
-// including the send-recv-synthesized ones (Alltoall(v), Scatter, Gather)
-// — into a primitive DAG, and an α–β cost model that searches
+// chunking and striping attributes), a lowering from the
+// send-recv-synthesized collectives (Alltoall(v), Scatter, Gather) into a
+// primitive DAG, and an α–β cost model that searches
 // decompositions against the machine hierarchy and emits an executable
 // schedule (a Plan of fence-separated move phases).
 //
@@ -187,10 +187,6 @@ type Plan struct {
 	StageOf []int
 	// PipeDepth is the chunked round count (1 = unpipelined).
 	PipeDepth int
-	// Native delegates execution to a built-in algorithm family
-	// ("hier", "flat") instead of the phase list; the phases then exist
-	// only for the cost model.
-	Native string
 	// Scratch is the staging bytes each rank must provide (nil = none).
 	Scratch []int64
 	// Cost is the α–β model's estimate for the whole plan.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpixccl/internal/ccl"
+	"mpixccl/internal/device"
 	"mpixccl/internal/fabric"
 	"mpixccl/internal/sim"
 	"mpixccl/internal/topology"
@@ -106,23 +107,20 @@ func TestRingScheduleMatchesBuiltin(t *testing.T) {
 			}
 		}
 		out := make([]float32, n)
-		for r, cc := range comms {
-			r, cc := r, cc
-			k.Spawn("rank", func(p *sim.Proc) {
-				s := cc.Device().NewStream()
-				send := cc.Device().MustMalloc(count * 4)
-				recv := cc.Device().MustMalloc(count * 4)
-				for i := 0; i < count; i++ {
-					send.SetFloat32(i, float32(r+1)*float32(i%13))
-				}
-				if err := cc.AllReduce(send, recv, count, ccl.Float32, ccl.Sum, s); err != nil {
-					t.Errorf("allreduce: %v", err)
-				}
-				s.Synchronize(p)
-				out[r] = recv.Float32(777)
-			})
-		}
-		if err := k.Run(); err != nil {
+		err = ccl.Run(comms, func(cc *ccl.Comm, s *device.Stream, p *sim.Proc) {
+			r := cc.Rank()
+			send := cc.Device().MustMalloc(count * 4)
+			recv := cc.Device().MustMalloc(count * 4)
+			for i := 0; i < count; i++ {
+				send.SetFloat32(i, float32(r+1)*float32(i%13))
+			}
+			if err := cc.AllReduce(send, recv, count, ccl.Float32, ccl.Sum, s); err != nil {
+				t.Errorf("allreduce: %v", err)
+			}
+			s.Synchronize(p)
+			out[r] = recv.Float32(777)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -154,21 +152,18 @@ func TestParsedScheduleExecutes(t *testing.T) {
 	}
 	const count = 512 // 2 KB: inside the window
 	results := make([]float32, 2)
-	for r, cc := range comms {
-		r, cc := r, cc
-		k.Spawn("rank", func(p *sim.Proc) {
-			s := cc.Device().NewStream()
-			send := cc.Device().MustMalloc(count * 4)
-			recv := cc.Device().MustMalloc(count * 4)
-			send.FillFloat32(float32(r + 1))
-			if err := cc.AllReduce(send, recv, count, ccl.Float32, ccl.Sum, s); err != nil {
-				t.Errorf("allreduce: %v", err)
-			}
-			s.Synchronize(p)
-			results[r] = recv.Float32(100)
-		})
-	}
-	if err := k.Run(); err != nil {
+	err = ccl.Run(comms, func(cc *ccl.Comm, s *device.Stream, p *sim.Proc) {
+		r := cc.Rank()
+		send := cc.Device().MustMalloc(count * 4)
+		recv := cc.Device().MustMalloc(count * 4)
+		send.FillFloat32(float32(r + 1))
+		if err := cc.AllReduce(send, recv, count, ccl.Float32, ccl.Sum, s); err != nil {
+			t.Errorf("allreduce: %v", err)
+		}
+		s.Synchronize(p)
+		results[r] = recv.Float32(100)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for r, v := range results {

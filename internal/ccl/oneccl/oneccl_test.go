@@ -36,24 +36,20 @@ func TestAllReduceOnAurora(t *testing.T) {
 	}
 	const count = 4096
 	bar := sim.NewBarrier(k, len(comms))
-	for _, cc := range comms {
-		cc := cc
-		k.Spawn("rank", func(p *sim.Proc) {
-			s := cc.Device().NewStream()
-			send := cc.Device().MustMalloc(count * 4)
-			recv := cc.Device().MustMalloc(count * 4)
-			send.FillFloat32(float32(cc.Rank() + 1))
-			bar.Wait(p)
-			if err := cc.AllReduce(send, recv, count, ccl.Float32, ccl.Sum, s); err != nil {
-				t.Errorf("allreduce: %v", err)
-			}
-			s.Synchronize(p)
-			if recv.Float32(77) != 21 { // 1+2+…+6
-				t.Errorf("sum = %v, want 21", recv.Float32(77))
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
+	err = ccl.Run(comms, func(cc *ccl.Comm, s *device.Stream, p *sim.Proc) {
+		send := cc.Device().MustMalloc(count * 4)
+		recv := cc.Device().MustMalloc(count * 4)
+		send.FillFloat32(float32(cc.Rank() + 1))
+		bar.Wait(p)
+		if err := cc.AllReduce(send, recv, count, ccl.Float32, ccl.Sum, s); err != nil {
+			t.Errorf("allreduce: %v", err)
+		}
+		s.Synchronize(p)
+		if recv.Float32(77) != 21 { // 1+2+…+6
+			t.Errorf("sum = %v, want 21", recv.Float32(77))
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }

@@ -160,7 +160,9 @@ func (x *Comm) Barrier() {
 
 // The send-recv-based collectives of §3.3: CCLs ship only five built-ins,
 // so the layer synthesizes the rest from xcclSend/xcclRecv inside group
-// calls, exactly as Listing 1 does for AlltoAllv.
+// calls, exactly as Listing 1 does for AlltoAllv. The default plan ("")
+// keeps these group loops: the compiled "direct" plan does not reproduce
+// their virtual time (about one step cost slower per call at most sizes).
 
 // Alltoall exchanges count-element blocks between all rank pairs.
 func (x *Comm) Alltoall(sendBuf *device.Buffer, count int, dt mpi.Datatype, recvBuf *device.Buffer) {

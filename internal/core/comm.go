@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/ccl/hccl"
@@ -123,7 +122,7 @@ func (x *Comm) cclComm() (*ccl.Comm, error) {
 	}
 	// A fail-stopped peer never reaches the rendezvous, so with the
 	// watchdog armed the wait is bounded like any other collective.
-	if wd := rt.watchdogTimeout(); !ci.ready.WaitTimeout(x.mpi.Proc(), wd) {
+	if wd := rt.policy.WatchdogTimeout; !ci.ready.WaitTimeout(x.mpi.Proc(), wd) {
 		return nil, &ccl.Error{Backend: string(rt.kind), Result: ccl.ErrRankDead,
 			Op: "comminit", Rank: -1,
 			Msg: fmt.Sprintf("watchdog fired after %v waiting for peers at communicator creation", wd)}
@@ -165,33 +164,6 @@ type decision struct {
 // primitive DAGs (the ops that today bypass the CCL built-ins entirely).
 var compilableOps = map[OpKind]bool{
 	OpAlltoall: true, OpAlltoallv: true, OpGather: true, OpScatter: true,
-}
-
-// applyPlan folds a tuned band's v3 plan key into the decision. Compilable
-// ops carry the key straight to the CCL compiled executor; for the built-in
-// collectives a "native:" key is the search's ranking of the existing
-// schedule families, so it maps onto the algorithm selector (ParseTable
-// already validated the key against the op).
-func (d *decision) applyPlan(op OpKind, plan string) {
-	if plan == "" {
-		return
-	}
-	if compilableOps[op] {
-		d.plan = plan
-		return
-	}
-	switch {
-	case strings.HasPrefix(plan, "native:hier"):
-		d.algo = ccl.AlgoHierarchical
-	case strings.HasPrefix(plan, "native:flat"):
-		// Flat bcast runs the backend's tree schedule (there is no flat
-		// ring bcast); everything else flat is the ring family.
-		if op == OpBcast {
-			d.algo = ccl.AlgoTree
-		} else {
-			d.algo = ccl.AlgoFlatRing
-		}
-	}
 }
 
 // mapAlgo translates a tuning-table algorithm name into the CCL selector.
@@ -254,11 +226,12 @@ func (x *Comm) decide(op OpKind, bytes int64, dt mpi.Datatype, rop *mpi.Op, bufs
 		if th.Path == PathMPI {
 			return decision{}
 		}
-		d.algo, d.chunk = mapAlgo(th.Algo), th.ChunkBytes
+		// Only the compiled ops read d.plan; ParseTable rejects a plan key
+		// on a built-in op, whose family the band forces through Algo.
+		d.algo, d.chunk, d.plan = mapAlgo(th.Algo), th.ChunkBytes, th.Plan
 		if th.Algo != AlgoAuto {
 			rt.countAlgoChoice(op, th.Algo)
 		}
-		d.applyPlan(op, th.Plan)
 	}
 	if d.plan == "" && rt.opts.Compile && compilableOps[op] {
 		d.plan = "auto"
@@ -296,11 +269,8 @@ func (x *Comm) runCCL(fn func(cc *ccl.Comm, s *device.Stream) error) error {
 // since its last one. While a window is active cc drives fewer fabric
 // channels, so concurrent flows keep a fair share of the shrunken pool.
 func (x *Comm) syncEnv(cc *ccl.Comm) {
-	if wd := x.rt.watchdogTimeout(); wd != cc.Watchdog() {
+	if wd := x.rt.policy.WatchdogTimeout; wd != cc.Watchdog() {
 		cc.SetWatchdog(wd)
-	}
-	if x.rt.policy.Disabled {
-		return
 	}
 	if lf, ok := x.mpi.Job().Fabric().DegradedNow(x.mpi.Proc().Now()); ok {
 		budget := lf.ChannelCap

@@ -109,14 +109,14 @@ func TestCompileDispatchAlltoallvCorrect(t *testing.T) {
 }
 
 // A v3 table band naming an explicit plan key forces that strategy even
-// with Compile off, and a native: plan on a built-in op upgrades its
-// algorithm family.
+// with Compile off, and a built-in op's band forces its algorithm family
+// through Algo.
 func TestTablePlanForcesStrategy(t *testing.T) {
 	const n = 8
 	const count = 4096
 	tab := DefaultTableFor("ThetaGPU", NCCL, false)
 	tab.Set(OpAlltoall, []Threshold{{MaxBytes: 0, Path: PathCCL, Plan: "direct:chunk=4096"}})
-	tab.Set(OpAllreduce, []Threshold{{MaxBytes: 0, Path: PathCCL, Plan: "native:hier"}})
+	tab.Set(OpAllreduce, []Threshold{{MaxBytes: 0, Path: PathCCL, Algo: AlgoHierarchical}})
 	rt := newRuntime(t, "thetagpu", n, Options{Backend: Auto, Mode: Hybrid, Table: tab})
 	err := rt.Run(func(x *Comm) {
 		dev := x.Device()
@@ -135,7 +135,7 @@ func TestTablePlanForcesStrategy(t *testing.T) {
 		sum.FillFloat32(1)
 		x.Allreduce(sum, sum, 256, mpi.Float32, mpi.OpSum)
 		if got := sum.Float32(7); got != float32(n) {
-			t.Errorf("allreduce under native:hier plan = %v, want %d", got, n)
+			t.Errorf("allreduce under hierarchical band = %v, want %d", got, n)
 		}
 	})
 	if err != nil {

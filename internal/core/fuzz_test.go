@@ -13,13 +13,13 @@ func FuzzParseTable(f *testing.F) {
 	var seeds []*TuningTable
 	for _, b := range []BackendKind{NCCL, RCCL, HCCL, MSCCL, OneCCL, NoCCL} {
 		seeds = append(seeds,
-			DefaultTable("thetagpu", b),
+			DefaultTableFor("thetagpu", b, false),
 			DefaultTableFor("mri", b, true),
 			HierarchicalTableFor("thetagpu", b, true, 1<<20))
 	}
-	planned := DefaultTable("thetagpu", NCCL)
+	planned := DefaultTableFor("thetagpu", NCCL, false)
 	planned.Set(OpAlltoall, []Threshold{{MaxBytes: 0, Path: PathCCL, Plan: "direct:chunk=4096"}})
-	planned.Set(OpAllreduce, []Threshold{{MaxBytes: 0, Path: PathCCL, Algo: AlgoTree, Plan: "native:hier"}})
+	planned.Set(OpAllreduce, []Threshold{{MaxBytes: 0, Path: PathCCL, Algo: AlgoTree}})
 	seeds = append(seeds, planned)
 	for _, tab := range seeds {
 		data, err := tab.JSON()

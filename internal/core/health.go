@@ -25,10 +25,9 @@ import (
 // unconfirmed ones retract by widening the peer's model — the detector
 // never kills a rank that is merely slow.
 type healthMonitor struct {
-	rt        *Runtime
-	interval  time.Duration
-	threshold float64 // suspicion threshold in deviations beyond the mean
-	stopped   bool
+	rt       *Runtime
+	interval time.Duration
+	stopped  bool
 
 	last      map[int]time.Duration // world rank -> virtual time of last beat
 	mean      map[int]time.Duration // world rank -> EWMA beat inter-arrival
@@ -37,11 +36,16 @@ type healthMonitor struct {
 	cutNoted  map[[2]int]bool       // (witness, peer) -> partitioned outcome noted for the current cut
 }
 
-func newHealthMonitor(rt *Runtime, interval time.Duration, threshold float64) *healthMonitor {
+// heartbeatPhi is the suspicion threshold, in units of inter-arrival
+// deviations beyond the mean, at which a silent peer is checked against
+// the fail-stop oracle. Higher values tolerate more jitter (brownouts,
+// stragglers) before suspecting.
+const heartbeatPhi = 8
+
+func newHealthMonitor(rt *Runtime, interval time.Duration) *healthMonitor {
 	return &healthMonitor{
 		rt:        rt,
 		interval:  interval,
-		threshold: threshold,
 		last:      make(map[int]time.Duration),
 		mean:      make(map[int]time.Duration),
 		dev:       make(map[int]time.Duration),
@@ -124,7 +128,7 @@ func (hm *healthMonitor) observe(rank int, now time.Duration) {
 }
 
 // check accrues suspicion against peers whose beats have stopped. A peer
-// whose silence exceeds threshold deviations beyond its mean inter-arrival
+// whose silence exceeds heartbeatPhi deviations beyond its mean inter-arrival
 // is checked against the fail-stop oracle: dead peers become confirmed
 // suspicions, live ones (jitter, brownout, straggler) get a fresh lease
 // and a widened model so the same jitter does not re-trip immediately.
@@ -165,7 +169,7 @@ func (hm *healthMonitor) check(c *mpi.Comm, self int, p *sim.Proc) {
 			d = m / 8
 		}
 		phi := float64(now-lastT-m) / float64(d)
-		if phi < hm.threshold {
+		if phi < heartbeatPhi {
 			continue
 		}
 		if fs != nil && fs.RankDead(wr, now) {

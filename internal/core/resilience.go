@@ -50,20 +50,12 @@ type Resilience struct {
 	// detector. Pick an interval several times smaller than
 	// WatchdogTimeout — detection latency is a small multiple of it.
 	HeartbeatInterval time.Duration
-	// HeartbeatPhi is the suspicion threshold, in units of inter-arrival
-	// deviations beyond the mean, at which a silent peer is checked
-	// against the fail-stop oracle. Higher values tolerate more jitter
-	// (brownouts, stragglers) before suspecting. 0 means 8.
-	HeartbeatPhi float64
 	// Integrity turns on end-to-end CRC32C verification of fabric data
 	// transfers with detect-and-retransmit: a corrupted payload (see
 	// fault.CorruptRule) is caught by the checksum and retransmitted, up
 	// to MaxRetries times per transfer. Off by default; the transfer hot
 	// path is byte-identical in virtual time when off.
 	Integrity bool
-	// Disabled turns the whole policy off (PR-1 behavior: every CCL
-	// error falls back immediately, no breaker).
-	Disabled bool
 }
 
 // DefaultResilience is the policy used when Options.Resilience is nil.
@@ -147,8 +139,7 @@ func (rt *Runtime) breakerFor(op OpKind) *breaker {
 // with wave-consistent verdicts (see above). Call it only for ranks whose
 // decision chose the CCL path.
 func (rt *Runtime) allowCCL(x *Comm, op OpKind) bool {
-	pol := rt.policy
-	if pol.Disabled || pol.BreakerThreshold <= 0 {
+	if rt.policy.BreakerThreshold <= 0 {
 		return true
 	}
 	ctx := x.mpi.ContextID()
@@ -187,8 +178,7 @@ func (rt *Runtime) breakerAllow(x *Comm, op OpKind) bool {
 // breakerSuccess records a completed CCL operation: consecutive-failure
 // count resets and a half-open probe closes the breaker.
 func (rt *Runtime) breakerSuccess(x *Comm, op OpKind) {
-	pol := rt.policy
-	if pol.Disabled || pol.BreakerThreshold <= 0 {
+	if rt.policy.BreakerThreshold <= 0 {
 		return
 	}
 	b := rt.breakerFor(op)
@@ -204,7 +194,7 @@ func (rt *Runtime) breakerSuccess(x *Comm, op OpKind) {
 // closed breaker.
 func (rt *Runtime) breakerFailure(x *Comm, op OpKind) {
 	pol := rt.policy
-	if pol.Disabled || pol.BreakerThreshold <= 0 {
+	if pol.BreakerThreshold <= 0 {
 		return
 	}
 	b := rt.breakerFor(op)
@@ -268,7 +258,7 @@ func (rt *Runtime) countRetry(x *Comm, op OpKind, err error) {
 func (x *Comm) runResilient(op OpKind, cclPath func(cc *ccl.Comm, s *device.Stream) error) error {
 	pol := x.rt.policy
 	err := x.runCCL(cclPath)
-	if pol.Disabled || pol.MaxRetries <= 0 {
+	if pol.MaxRetries <= 0 {
 		return err
 	}
 	backoff := pol.RetryBackoff

@@ -85,9 +85,10 @@ type Threshold struct {
 	// ChunkBytes is the hierarchical pipeline chunk (0 = backend default).
 	ChunkBytes int64 `json:"chunk_bytes,omitempty"`
 	// Plan is the compiled-plan strategy key for this band (v3; "" = no
-	// compiled plan). For the synthesized collectives (alltoall(v),
-	// scatter, gather) it names a comp strategy ("phased:chunk=1048576");
-	// for the built-in collectives a "native:" family the search ranked.
+	// compiled plan). Only the synthesized collectives (alltoall(v),
+	// scatter, gather) take one: it names a comp strategy
+	// ("phased:chunk=1048576"). A built-in collective's band forces its
+	// schedule family through Algo; ParseTable rejects a plan key there.
 	Plan string `json:"plan,omitempty"`
 }
 
@@ -196,18 +197,13 @@ func crossover(cross int64) []Threshold {
 	return []Threshold{{MaxBytes: cross, Path: PathMPI}, {MaxBytes: 0, Path: PathCCL}}
 }
 
-// DefaultTable returns the built-in offline-tuned table for a (system,
+// DefaultTableFor returns the built-in offline-tuned table for a (system,
 // backend) pair. Crossover points mirror the paper's measurements: MPI wins
 // below ~16 KB against NCCL Allreduce (Fig 1a), below ~64 KB against RCCL
 // Allgather (Fig 1b), and much later against HCCL whose launch overhead is
-// 270 µs. Unknown pairs get a conservative generic table.
-func DefaultTable(system string, backend BackendKind) *TuningTable {
-	return DefaultTableFor(system, backend, false)
-}
-
-// DefaultTableFor returns the built-in table, with the multi-node variants
-// the offline tuner produces for cross-node jobs: RCCL's higher per-op
-// costs across nodes push its crossovers right (it still wins large
+// 270 µs. Unknown pairs get a conservative generic table. Cross-node jobs
+// get the multi-node variants the offline tuner produces: RCCL's higher
+// per-op costs across nodes push its crossovers right (it still wins large
 // messages on its four HDR rails, per Fig 1b).
 func DefaultTableFor(system string, backend BackendKind, multiNode bool) *TuningTable {
 	t := &TuningTable{System: system, Backend: string(backend)}

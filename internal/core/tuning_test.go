@@ -53,7 +53,7 @@ func TestTuningSetSortsThresholds(t *testing.T) {
 }
 
 func TestTuningJSONRoundTrip(t *testing.T) {
-	tab := DefaultTable("ThetaGPU", NCCL)
+	tab := DefaultTableFor("ThetaGPU", NCCL, false)
 	data, err := tab.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -84,18 +84,18 @@ func TestDefaultTableCrossovers(t *testing.T) {
 	// The built-in tables must encode the paper's measured crossovers:
 	// Fig 1a: MPI wins <=16 KB vs NCCL allreduce; Fig 1b: <=64 KB vs RCCL
 	// allgather; HCCL's 270 µs launch pushes everything to 1 MB.
-	nccl := DefaultTable("ThetaGPU", NCCL)
+	nccl := DefaultTableFor("ThetaGPU", NCCL, false)
 	if nccl.Lookup(OpAllreduce, 16<<10) != PathMPI || nccl.Lookup(OpAllreduce, 32<<10) != PathCCL {
 		t.Error("NCCL allreduce crossover wrong")
 	}
 	if nccl.Lookup(OpAlltoall, 4<<10) != PathMPI || nccl.Lookup(OpAlltoall, 8<<10) != PathCCL {
 		t.Error("NCCL alltoall crossover wrong")
 	}
-	rccl := DefaultTable("MRI", RCCL)
+	rccl := DefaultTableFor("MRI", RCCL, false)
 	if rccl.Lookup(OpAllgather, 64<<10) != PathMPI || rccl.Lookup(OpAllgather, 128<<10) != PathCCL {
 		t.Error("RCCL allgather crossover wrong")
 	}
-	hccl := DefaultTable("Voyager", HCCL)
+	hccl := DefaultTableFor("Voyager", HCCL, false)
 	if hccl.Lookup(OpAllreduce, 512<<10) != PathMPI || hccl.Lookup(OpAllreduce, 2<<20) != PathCCL {
 		t.Error("HCCL crossover wrong")
 	}
@@ -166,8 +166,7 @@ func TestParseTableMigration(t *testing.T) {
 			name: "v3-compiled-plan",
 			json: `{"version":3,"system":"ThetaGPU","backend":"nccl","rules":{
 				"alltoall":[{"max_bytes":0,"path":1,"plan":"phased:chunk=1048576"}],
-				"scatter":[{"max_bytes":0,"path":1,"plan":"staged:intra=tree,stripe=2,depth=1"}],
-				"allreduce":[{"max_bytes":0,"path":1,"plan":"native:hier"}]}}`,
+				"scatter":[{"max_bytes":0,"path":1,"plan":"staged:intra=tree,stripe=2,depth=1"}]}}`,
 			check: func(t *testing.T, tab *TuningTable) {
 				th, _ := tab.Choice(OpAlltoall, 1<<20)
 				if th.Plan != "phased:chunk=1048576" {
@@ -185,6 +184,12 @@ func TestParseTableMigration(t *testing.T) {
 			json: `{"version":3,"system":"ThetaGPU","backend":"nccl","rules":{
 				"alltoall":[{"max_bytes":0,"path":1,"plan":"warp-drive"}]}}`,
 			wantErr: "warp-drive",
+		},
+		{
+			name: "v3-native-plan-rejected",
+			json: `{"version":3,"system":"ThetaGPU","backend":"nccl","rules":{
+				"allreduce":[{"max_bytes":0,"path":1,"plan":"native:hier"}]}}`,
+			wantErr: "native:hier",
 		},
 		{
 			name: "v3-plan-wrong-op",

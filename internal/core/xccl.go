@@ -229,15 +229,6 @@ type Runtime struct {
 	sparePool map[int]*spareSlot // parked spare ranks by world rank
 }
 
-// watchdogTimeout resolves the armed collective-watchdog deadline
-// (0 = disarmed, also when the whole resilience policy is off).
-func (rt *Runtime) watchdogTimeout() time.Duration {
-	if rt.policy.Disabled {
-		return 0
-	}
-	return rt.policy.WatchdogTimeout
-}
-
 // commInit is one in-flight CCL communicator creation: ranks rendezvous
 // here (like the MPI-bootstrapped ncclCommInitRank exchange), the last
 // distinct rank performs the creation, and everyone observes the same
@@ -273,17 +264,11 @@ func NewRuntime(job *mpi.Job, opts Options) (*Runtime, error) {
 	if rt.policy == nil {
 		rt.policy = DefaultResilience()
 	}
-	if !rt.policy.Disabled {
-		if rt.policy.Integrity {
-			job.Fabric().SetIntegrity(fabric.Integrity{Enabled: true, MaxRetries: rt.policy.MaxRetries})
-		}
-		if rt.policy.HeartbeatInterval > 0 {
-			phi := rt.policy.HeartbeatPhi
-			if phi <= 0 {
-				phi = 8
-			}
-			rt.health = newHealthMonitor(rt, rt.policy.HeartbeatInterval, phi)
-		}
+	if rt.policy.Integrity {
+		job.Fabric().SetIntegrity(fabric.Integrity{Enabled: true, MaxRetries: rt.policy.MaxRetries})
+	}
+	if rt.policy.HeartbeatInterval > 0 {
+		rt.health = newHealthMonitor(rt, rt.policy.HeartbeatInterval)
 	}
 	if opts.Mode != PureMPI {
 		kind, err := backendFor(opts.Backend, job.Fabric().System().Device(0).Kind)

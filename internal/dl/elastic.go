@@ -221,11 +221,11 @@ func TrainElastic(cfg Config) (ElasticReport, error) {
 			handles = handles[:0]
 			var off int64
 			for _, b := range buckets {
-				p.Sleep(cfg.CoordOverhead)
+				p.Sleep(coordOverhead)
 				buf := arena.Slice(off, b.Bytes)
 				off += b.Bytes
 				h, err := x.AllReduceInitPartitioned(buf, buf, int(b.Bytes/4),
-					mpi.Float32, mpi.OpSum, cfg.Partitions)
+					mpi.Float32, mpi.OpSum, persistentPartitions)
 				if err != nil {
 					panic(fmt.Sprintf("dl: persistent init: %v", err))
 				}
@@ -272,7 +272,7 @@ func TrainElastic(cfg Config) (ElasticReport, error) {
 				}
 			} else {
 				for _, b := range buckets {
-					p.Sleep(cfg.CoordOverhead)
+					p.Sleep(coordOverhead)
 					bucket := grad.Slice(0, b.Bytes)
 					x.Allreduce(bucket, bucket, int(b.Bytes/4), mpi.Float32, mpi.OpSum)
 					if x.Failure() != nil {

@@ -51,6 +51,29 @@ func computeRate(kind device.Kind) float64 {
 	}
 }
 
+// coordOverhead is Horovod's per-op negotiation/bookkeeping cost, paid by
+// every engine.
+const coordOverhead = 240 * time.Microsecond
+
+// persistentPartitions is the per-bucket partition count of the persistent
+// path: backprop marks each gradient partition ready as it is produced,
+// letting the intra-node phase and the inter-node leader ring consume
+// partitions while later ones are still being computed.
+const persistentPartitions = 4
+
+// pollOverhead is the per-fused-op completion cost of Horovod's own CCL
+// integration (background-thread polling plus framework callback); the
+// MPI-integrated engines don't pay it because completion rides the
+// blocking MPI call.
+func pollOverhead(system string) time.Duration {
+	if system == "mri" {
+		// ROCm-era Horovod completion polling (hipEvent queries on a busy
+		// background thread) was far costlier than CUDA's.
+		return 1100 * time.Microsecond
+	}
+	return 240 * time.Microsecond
+}
+
 // Config parameterizes a training run.
 type Config struct {
 	// System is the topology preset.
@@ -71,14 +94,6 @@ type Config struct {
 	Backend core.BackendKind
 	// FusionBytes is Horovod's tensor-fusion threshold.
 	FusionBytes int64
-	// PollOverhead is the per-fused-op completion cost of Horovod's own
-	// CCL integration (background-thread polling plus framework callback);
-	// the MPI-integrated engines don't pay it because completion rides the
-	// blocking MPI call.
-	PollOverhead time.Duration
-	// CoordOverhead is Horovod's per-op negotiation/bookkeeping cost,
-	// paid by every engine.
-	CoordOverhead time.Duration
 	// Table overrides the xCCL runtime's tuning table (EngineXCCL only) —
 	// e.g. a hierarchical-collectives table from the offline tuner. nil
 	// keeps the builtin table for the (system, backend) pair.
@@ -103,17 +118,12 @@ type Config struct {
 	// Persistent moves the gradient exchange onto persistent allreduce
 	// handles (EngineXCCL only): one handle per fusion bucket, built
 	// before the first step, so Horovod's per-op negotiation
-	// (CoordOverhead) and the dispatch/plan/scratch work are paid once
+	// (coordOverhead) and the dispatch/plan/scratch work are paid once
 	// per run instead of once per step, and the steady-state loop
 	// allocates nothing. Partitioned readiness overlaps backprop's
-	// fusion-buffer fill with the collective (see Partitions). Other
-	// engines ignore the flag.
+	// fusion-buffer fill with the collective (see persistentPartitions).
+	// Other engines ignore the flag.
 	Persistent bool
-	// Partitions is the per-bucket partition count for the persistent
-	// path (0 = 4): backprop marks each gradient partition ready as it is
-	// produced, letting the intra-node phase and the inter-node leader
-	// ring consume partitions while later ones are still being computed.
-	Partitions int
 	// Spares is TrainElastic's pre-provisioned spare-rank count: the job
 	// launches Ranks+Spares processes, the extras park in the runtime's
 	// spare pool, and after a crash the survivors Shrink and then Grow
@@ -150,20 +160,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.FusionBytes == 0 {
 		c.FusionBytes = 2 << 20
-	}
-	if c.PollOverhead == 0 {
-		c.PollOverhead = 240 * time.Microsecond
-		if c.System == "mri" {
-			// ROCm-era Horovod completion polling (hipEvent queries on a
-			// busy background thread) was far costlier than CUDA's.
-			c.PollOverhead = 1100 * time.Microsecond
-		}
-	}
-	if c.CoordOverhead == 0 {
-		c.CoordOverhead = 240 * time.Microsecond
-	}
-	if c.Partitions == 0 {
-		c.Partitions = 4
 	}
 }
 
@@ -252,7 +248,7 @@ func Train(cfg Config) (Report, error) {
 			// Gradient exchange, bucket by bucket in production order.
 			measured := step > 0 && ge.dev().ID == 0 // rank 0, after warmup
 			for _, b := range buckets {
-				p.Sleep(cfg.CoordOverhead)
+				p.Sleep(coordOverhead)
 				bucket := grad.Slice(0, b.Bytes)
 				arStart := p.Now()
 				ge.allreduce(bucket, bucket, int(b.Bytes/4))
@@ -313,10 +309,10 @@ func trainPersistent(cfg *Config, x *core.Comm, buckets []Bucket,
 	for i, b := range buckets {
 		// The negotiation Horovod pays per op per step becomes a one-time
 		// Init cost.
-		p.Sleep(cfg.CoordOverhead)
+		p.Sleep(coordOverhead)
 		buf := arena.Slice(offs[i], b.Bytes)
 		h, err := x.AllReduceInitPartitioned(buf, buf, int(b.Bytes/4),
-			mpi.Float32, mpi.OpSum, cfg.Partitions)
+			mpi.Float32, mpi.OpSum, persistentPartitions)
 		if err != nil {
 			panic(fmt.Sprintf("dl: persistent init: %v", err))
 		}
@@ -402,7 +398,7 @@ func launch(cfg *Config, sys *topology.System, fab *fabric.Fabric, nranks int, b
 		}
 		bar := sim.NewBarrier(fab.Kernel(), nranks)
 		return ccl.Run(comms, func(cc *ccl.Comm, s *device.Stream, p *sim.Proc) {
-			body(&cclEngine{cc: cc, s: s, p: p, bar: bar, poll: cfg.PollOverhead})
+			body(&cclEngine{cc: cc, s: s, p: p, bar: bar, poll: pollOverhead(cfg.System)})
 		})
 	default:
 		return fmt.Errorf("dl: unknown engine %q", cfg.Engine)

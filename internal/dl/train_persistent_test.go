@@ -4,7 +4,7 @@ import "testing"
 
 // TestTrainPersistentBeatsOneShot pins the tentpole win in the training hot
 // loop: the same workload on persistent partitioned handles must report a
-// shorter average step (CoordOverhead amortized to Init, partition fills
+// shorter average step (coordOverhead amortized to Init, partition fills
 // overlapped with the collective) and therefore higher img/s.
 func TestTrainPersistentBeatsOneShot(t *testing.T) {
 	cfg := Config{System: "thetagpu", Nodes: 1, BatchSize: 32, Steps: 2, Engine: EngineXCCL}

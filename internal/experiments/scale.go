@@ -33,6 +33,15 @@ import (
 	"mpixccl/internal/topology"
 )
 
+// intraFirstStage is the byte length of an intra-node hop's first stage.
+// That stage is priced through the contention pools (no bytes move); the
+// remainder is priced as a pipelined tail.
+const intraFirstStage = 32 << 10
+
+// ringRecvTimeout is the ring-receive watchdog armed when a run carries
+// faults.
+const ringRecvTimeout = 2 * time.Millisecond
+
 // ScaleConfig parameterizes one scale-model run.
 type ScaleConfig struct {
 	// System is the topology preset ("thetagpu", "mri", "voyager",
@@ -45,10 +54,6 @@ type ScaleConfig struct {
 	Shards int
 	// Bytes is the modeled per-rank message size; default 4 MiB.
 	Bytes int64
-	// StageBytes is the first stage of an intra-node hop; default 32 KiB.
-	// That stage is priced through the contention pools (no bytes move);
-	// the remainder is priced as a pipelined tail.
-	StageBytes int64
 	// Seed salts the per-rank digests. Default 1.
 	Seed uint64
 	// Faults, when set, is called once per shard and must return
@@ -60,9 +65,6 @@ type ScaleConfig struct {
 	// (Nodes, global indices) with Probability 0 — the ring consults only
 	// the pure Severed/PartitionedUntil window queries.
 	Faults func(shard int) *fault.Plan
-	// DetectTimeout arms the ring-receive watchdog when Faults is set;
-	// default 2ms.
-	DetectTimeout time.Duration
 }
 
 // ScaleResult is the outcome of one scale-model run.
@@ -167,14 +169,8 @@ func (c *ScaleConfig) fillDefaults() {
 	if c.Bytes == 0 {
 		c.Bytes = 4 << 20
 	}
-	if c.StageBytes == 0 {
-		c.StageBytes = 32 << 10
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.DetectTimeout == 0 {
-		c.DetectTimeout = 2 * time.Millisecond
 	}
 }
 
@@ -245,8 +241,8 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 		}
 		intraHop := func(p *sim.Proc, from, to int) {
 			first := cfg.Bytes
-			if first > cfg.StageBytes {
-				first = cfg.StageBytes
+			if first > intraFirstStage {
+				first = intraFirstStage
 			}
 			if _, err := fab.Price(p, devs[to], devs[from], first, fabric.Opts{Channels: intraCh}); err != nil {
 				panic(err) // intra-node devices always have a route
@@ -447,7 +443,7 @@ func runScaleRing(p *sim.Proc, eng *sim.Sharded, sf *fabric.Sharded, cfg *ScaleC
 		var m ringMsg
 		if plan != nil {
 			var got bool
-			m, got = mail[g].RecvTimeout(p, cfg.DetectTimeout)
+			m, got = mail[g].RecvTimeout(p, ringRecvTimeout)
 			if !got {
 				st.timeouts++
 				alive = false

@@ -72,8 +72,9 @@ type Config struct {
 	Backend core.BackendKind
 	// MinBytes and MaxBytes bound the size sweep (powers of two).
 	MinBytes, MaxBytes int64
-	// Iterations and Warmup control the timing loop.
-	Iterations, Warmup int
+	// Iterations is the timed call count per size; one untimed warm-up
+	// call precedes them.
+	Iterations int
 	// Table overrides the hybrid tuning table.
 	Table *core.TuningTable
 	// ChunkSweep lists the hierarchical pipeline chunk sizes Tune tries on
@@ -121,9 +122,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 3
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 1
 	}
 	if c.Backend == "" {
 		c.Backend = core.Auto
@@ -220,9 +218,7 @@ func RunCollective(cfg Config, op Collective) ([]Result, error) {
 			if count == 0 {
 				count = 1
 			}
-			for i := 0; i < cfg.Warmup; i++ {
-				d.do(op, send, recv, count)
-			}
+			d.do(op, send, recv, count) // warm-up
 			d.barrier()
 			var total time.Duration
 			for i := 0; i < cfg.Iterations; i++ {

@@ -1,12 +1,17 @@
 package omb
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"mpixccl/internal/ccl/comp"
 	"mpixccl/internal/core"
+	"mpixccl/internal/fabric"
 	"mpixccl/internal/metrics"
+	"mpixccl/internal/sim"
+	"mpixccl/internal/topology"
 )
 
 func find(results []Result, bytes int64) Result {
@@ -538,5 +543,37 @@ func TestTuneSweepsCompiledPlans(t *testing.T) {
 	th2, _ := loaded.Choice(core.OpAlltoall, 256<<10)
 	if th2.Plan != th.Plan {
 		t.Fatalf("plan lost in round trip: %+v != %+v", th2, th)
+	}
+}
+
+// Every key Tune sweeps must be a strategy the compiler offers for the op
+// on that shape: ParseTable accepts it, and the communicator's candidate
+// list (comp.Keys, the search space) contains it.
+func TestPlanSweepKeysAreCompilerCandidates(t *testing.T) {
+	for _, nodes := range []int{1, 2} {
+		k := sim.NewKernel()
+		sys, err := topology.Preset(k, "thetagpu", nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comms, err := core.NewBackendComms(core.NCCL, fabric.New(k, sys), sys.Devices())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []Collective{Alltoall, Gather, Scatter} {
+			keys := planSweep(op, nodes > 1)
+			if len(keys) == 0 {
+				t.Fatalf("%s on %d nodes: empty plan sweep", op, nodes)
+			}
+			cands := comms[0].PlanKeys(string(op))
+			for _, key := range keys {
+				if err := comp.ValidKey(string(op), key); err != nil {
+					t.Errorf("%s on %d nodes: swept key %q: %v", op, nodes, key, err)
+				}
+				if !slices.Contains(cands, key) {
+					t.Errorf("%s on %d nodes: swept key %q is not a compiler candidate %v", op, nodes, key, cands)
+				}
+			}
+		}
 	}
 }

@@ -20,6 +20,10 @@ go build ./...
 GOARCH=arm64 go vet ./internal/elem
 GOARCH=arm64 go build ./...
 go test ./...
+# bench/ is a module of its own that compiles against the public core, dl,
+# ccl and experiments APIs: vet and test it so an API change that breaks
+# the benchmark fails here rather than at benchmark time.
+(cd bench && go vet ./... && go test ./...)
 # Docs are a public surface too: every relative link and repo path they
 # mention must resolve.
 scripts/doclinks.sh
