@@ -119,45 +119,58 @@ func (c *Comm) AllReduce(send, recv *device.Buffer, count int, dt Datatype, op R
 	if err := c.validate("allreduce", send, recv, count, dt, &op, 0); err != nil {
 		return err
 	}
-	bytes := int64(count) * int64(dt.Size())
 	a := c.core.newArgs(send, recv, count, 0)
+	_, run := c.allreduceSchedule(count, dt, op, 1, true)
+	c.enqueueColl(s, "allreduce", a, int64(count)*int64(dt.Size()), run)
+	return nil
+}
+
+// allreduceSchedule chooses allreduce's schedule family for count
+// elements, once per call or per persistent handle, and returns it with
+// the rank body that runs it: the forced family (SetAlgorithm), else a
+// registered custom MSCCL schedule when custom allows one, else the
+// backend's tree/ring size split. A hierarchical schedule over parts > 1
+// partitions aligns its pipeline chunk with the partitions, so the leader
+// ring consumes them as the application marks them ready.
+func (c *Comm) allreduceSchedule(count int, dt Datatype, op RedOp, parts int, custom bool) (Algorithm, func(rc *runCtx)) {
+	co := c.core
+	esz := int64(dt.Size())
+	bytes := int64(count) * esz
 	algo, chunk := c.resolveAlgo(count)
-	tree := bytes <= c.core.cfg.TreeThreshold || count < c.core.n
-	var custom *Algo
-	if algo == AlgoAuto {
-		custom = c.core.findAlgo("allreduce", bytes)
-		if custom != nil && count < custom.NChunks {
-			custom = nil // too few elements to partition
+	var msccl *Algo
+	if algo == AlgoAuto && custom {
+		if msccl = co.findAlgo("allreduce", bytes); msccl != nil && count < msccl.NChunks {
+			msccl = nil // too few elements to partition
 		}
 	}
-	c.enqueueColl(s, "allreduce", a, bytes, func(rc *runCtx) {
-		if rc.co.n == 1 {
+	switch {
+	case msccl != nil:
+	case algo == AlgoAuto && (bytes <= co.cfg.TreeThreshold || count < co.n):
+		algo = AlgoTree
+	case algo == AlgoAuto:
+		algo = AlgoFlatRing
+	case algo == AlgoHierarchical && parts > 1:
+		chunk = int64((count+parts-1)/parts) * esz
+	}
+	return algo, func(rc *runCtx) {
+		a := rc.st.args[rc.rank]
+		switch {
+		case rc.co.n == 1:
+			rc.waitAllParts()
 			rc.localCopy(a.recv, a.send, bytes)
-			return
-		}
-		switch algo {
-		case AlgoHierarchical:
+		case algo == AlgoHierarchical:
 			rc.hierAllReduce(dt, op, count, chunk)
-			return
-		case AlgoTree:
-			rc.treeAllReduce(dt, op, count)
-			return
-		case AlgoFlatRing:
-			rc.ringAllReduce(dt, op, count)
-			return
-		}
-		if custom != nil {
+		case msccl != nil:
 			rc.localCopy(a.recv, a.send, bytes)
-			rc.runCustom(custom, dt, op, count)
-			return
-		}
-		if tree {
+			rc.runCustom(msccl, dt, op, count)
+		case algo == AlgoTree:
+			rc.waitAllParts()
 			rc.treeAllReduce(dt, op, count)
-			return
+		default:
+			rc.waitAllParts()
+			rc.ringAllReduce(dt, op, count)
 		}
-		rc.ringAllReduce(dt, op, count)
-	})
-	return nil
+	}
 }
 
 // Broadcast copies root's send buffer into every rank's recv buffer.
@@ -165,17 +178,21 @@ func (c *Comm) Broadcast(send, recv *device.Buffer, count int, dt Datatype, root
 	if err := c.validate("broadcast", send, recv, count, dt, nil, root); err != nil {
 		return err
 	}
-	bytes := int64(count) * int64(dt.Size())
 	a := c.core.newArgs(send, recv, count, root)
-	algo, chunk := c.resolveAlgo(count)
-	c.enqueueColl(s, "broadcast", a, bytes, func(rc *runCtx) {
-		if algo == AlgoHierarchical && rc.co.n > 1 {
-			rc.hierBroadcast(dt, count, root, chunk)
-			return
-		}
-		rc.treeBroadcast(dt, count, root)
-	})
+	_, run := c.broadcastSchedule(count, dt, root)
+	c.enqueueColl(s, "broadcast", a, int64(count)*int64(dt.Size()), run)
 	return nil
+}
+
+// broadcastSchedule chooses broadcast's schedule family and returns it
+// with the rank body: the chunked hierarchical fan-out when forced (and
+// the shape has a node hierarchy), else the binomial tree, broadcast's
+// flat schedule.
+func (c *Comm) broadcastSchedule(count int, dt Datatype, root int) (Algorithm, func(rc *runCtx)) {
+	if algo, chunk := c.resolveAlgo(count); algo == AlgoHierarchical {
+		return algo, func(rc *runCtx) { rc.hierBroadcast(dt, count, root, chunk) }
+	}
+	return AlgoTree, func(rc *runCtx) { rc.treeBroadcast(dt, count, root) }
 }
 
 // Reduce combines send across ranks with op into root's recv buffer.
@@ -203,15 +220,20 @@ func (c *Comm) AllGather(send, recv *device.Buffer, count int, dt Datatype, s *d
 			Msg: "recv buffer missing or too small"}
 	}
 	a := c.core.newArgs(send, recv, count, 0)
-	algo, chunk := c.resolveAlgo(count)
-	c.enqueueColl(s, "allgather", a, bytes, func(rc *runCtx) {
-		if algo == AlgoHierarchical && rc.co.n > 1 {
-			rc.hierAllGather(dt, count, chunk)
-			return
-		}
-		rc.ringAllGather(dt, count)
-	})
+	_, run := c.allgatherSchedule(count, dt)
+	c.enqueueColl(s, "allgather", a, bytes, run)
 	return nil
+}
+
+// allgatherSchedule chooses allgather's schedule family and returns it
+// with the rank body: the hierarchical leader ring when forced (and the
+// shape has a node hierarchy), else the block ring, allgather's flat
+// schedule.
+func (c *Comm) allgatherSchedule(count int, dt Datatype) (Algorithm, func(rc *runCtx)) {
+	if algo, chunk := c.resolveAlgo(count); algo == AlgoHierarchical {
+		return algo, func(rc *runCtx) { rc.hierAllGather(dt, count, chunk) }
+	}
+	return AlgoFlatRing, func(rc *runCtx) { rc.ringAllGather(dt, count) }
 }
 
 // ReduceScatter reduces count×n elements with op and leaves rank r's

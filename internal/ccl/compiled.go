@@ -227,64 +227,82 @@ func (rc *runCtx) runLane(ph *comp.RankPhase, to, lane int, slot int64) {
 	}
 }
 
+// invalidArg is the backend's argument error for op on this rank.
+func (c *Comm) invalidArg(op, msg string) error {
+	return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Op: op, Rank: c.rank, Msg: msg}
+}
+
 // invalidPlan wraps a compile error as the backend's argument error.
 func (c *Comm) invalidPlan(op string, err error) error {
-	return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Op: op,
-		Rank: c.rank, Msg: err.Error()}
+	return c.invalidArg(op, err.Error())
 }
 
-// Alltoall exchanges count-element blocks between every rank pair through
-// a compiled plan. plan names a strategy key ("direct", "phased", ...);
-// empty or "auto" runs the cost-model search. Both buffers hold n blocks.
+// The send-recv-based collectives of §3.3 (CCLs ship only five built-ins)
+// take a plan key: "" runs the group send-recv synthesis (exchange), "auto"
+// the cost-model search, any other key that compiled strategy ("direct",
+// "phased:chunk=1048576", ...). "direct" does not reproduce the group
+// call's virtual time, so "" stays a schedule of its own. Arguments are
+// checked before any fault probe.
+
+// Alltoall exchanges count-element blocks between every rank pair under
+// plan ("" = group send-recv, "auto" = search, else a compiled key). Both
+// buffers hold n blocks.
 func (c *Comm) Alltoall(send, recv *device.Buffer, count int, dt Datatype, plan string, s *device.Stream) error {
-	if err := c.validate("alltoall", nil, nil, count, dt, nil, 0); err != nil {
+	if err := c.validateArgs("alltoall", nil, nil, count, dt, nil, 0); err != nil {
 		return err
 	}
-	n := int64(c.core.n)
 	blk := int64(count) * int64(dt.Size())
-	if send == nil || recv == nil || send.Len() < blk*n || recv.Len() < blk*n {
-		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Op: "alltoall",
-			Rank: c.rank, Msg: "alltoall buffers must hold one block per rank"}
+	if n := int64(c.core.n); send == nil || recv == nil || send.Len() < blk*n || recv.Len() < blk*n {
+		return c.invalidArg("alltoall", "alltoall buffers must hold one block per rank")
 	}
-	pl, err := c.core.compiledPlan("alltoall", blk, 0, plan)
-	if err != nil {
-		return c.invalidPlan("alltoall", err)
+	if plan == "" {
+		return c.exchange(send, recv, dt, s, func(peer int) (int, int, int, int) {
+			return peer * count, count, peer * count, count
+		})
 	}
-	a := c.core.newArgs(send, recv, count, 0)
-	slot := planSlot(pl)
-	c.enqueueColl(s, "alltoall", a, blk, func(rc *runCtx) {
-		rc.chunk = pl.ChunkBytes
-		rc.runPlan(pl, dt, Sum, slot)
-	})
-	return nil
+	return c.enqueuePlan("alltoall", send, recv, count, dt, 0, plan, s)
 }
 
-// Alltoallv exchanges per-peer-sized blocks through a compiled pairing
-// schedule. Counts and displacements are in elements; each rank knows only
-// its own, so the move program is built at run time once all ranks'
-// arguments rendezvous (see vPlan).
+// Alltoallv exchanges per-peer-sized blocks under plan ("" = Listing 1's
+// group send-recv, which posts no message for an empty block; "auto" =
+// search; else a compiled pairing key). Counts and displacements are in
+// elements, and every block must lie inside its buffer. Each rank knows
+// only its own, so a compiled move program is built at run time once all
+// ranks' arguments rendezvous (see vPlan).
 func (c *Comm) Alltoallv(send *device.Buffer, scounts, sdispls []int,
 	recv *device.Buffer, rcounts, rdispls []int, dt Datatype, plan string, s *device.Stream) error {
-	if err := c.validate("alltoallv", nil, nil, 0, dt, nil, 0); err != nil {
+	if err := c.validateArgs("alltoallv", nil, nil, 0, dt, nil, 0); err != nil {
 		return err
 	}
 	n := c.core.n
 	if len(scounts) != n || len(sdispls) != n || len(rcounts) != n || len(rdispls) != n {
-		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Op: "alltoallv",
-			Rank: c.rank, Msg: "alltoallv wants one count and displacement per rank"}
+		return c.invalidArg("alltoallv", "alltoallv wants one count and displacement per rank")
+	}
+	esz := int64(dt.Size())
+	if scounts[c.rank] != rcounts[c.rank] {
+		return c.invalidArg("alltoallv", "alltoallv own block's send and recv counts differ")
+	}
+	var maxBytes int64
+	for q := 0; q < n; q++ {
+		if !fits(send, sdispls[q], scounts[q], esz) || !fits(recv, rdispls[q], rcounts[q], esz) {
+			return c.invalidArg("alltoallv", "alltoallv block is negative or outside its buffer")
+		}
+		maxBytes = max(maxBytes, int64(scounts[q])*esz)
+	}
+	if plan == "" {
+		return c.exchange(send, recv, dt, s, func(peer int) (int, int, int, int) {
+			sn, rn := scounts[peer], rcounts[peer]
+			return sdispls[peer], only(sn > 0, sn), rdispls[peer], only(rn > 0, rn)
+		})
+	}
+	if err := c.inject("alltoallv"); err != nil {
+		return err
 	}
 	key := plan
-	if key == "" || key == "auto" {
+	if key == "auto" {
 		// Search on the largest per-peer block — the size that drives the
 		// convoy behavior the pairing schedule exists to avoid.
-		var maxBytes int64
-		esz := int64(dt.Size())
-		for _, cnt := range scounts {
-			if b := int64(cnt) * esz; b > maxBytes {
-				maxBytes = b
-			}
-		}
-		p, err := c.core.compiledPlan("alltoall", maxBytes, 0, "")
+		p, err := c.core.compiledPlan("alltoall", maxBytes, 0, key)
 		if err != nil {
 			return c.invalidPlan("alltoallv", err)
 		}
@@ -299,13 +317,21 @@ func (c *Comm) Alltoallv(send *device.Buffer, scounts, sdispls []int,
 	}
 	a := c.core.newArgs(send, recv, 0, 0)
 	a.scounts, a.sdispls, a.rcounts, a.rdispls = scounts, sdispls, rcounts, rdispls
-	esz := int64(dt.Size())
 	c.enqueueColl(s, "alltoallv", a, 0, func(rc *runCtx) {
 		pl := rc.vPlan(strat, esz)
 		rc.chunk = pl.ChunkBytes
 		rc.runPlan(pl, dt, Sum, 1)
 	})
 	return nil
+}
+
+// fits reports whether count elements of esz bytes at element offset off
+// lie inside b. An empty block fits anywhere but a negative offset.
+func fits(b *device.Buffer, off, count int, esz int64) bool {
+	if off < 0 || count < 0 {
+		return false
+	}
+	return count == 0 || b != nil && int64(off+count)*esz <= b.Len()
 }
 
 // vPlan builds (once per op, by the first rank to execute) the alltoallv
@@ -342,50 +368,63 @@ func (rc *runCtx) vPlan(strat comp.Strategy, esz int64) *comp.Plan {
 	return plan
 }
 
-// Scatter distributes root's n blocks through a compiled plan (direct fan
-// or leader-staged hierarchy). Non-root send buffers may be nil.
+// Scatter distributes root's n blocks under plan ("" = group send-recv,
+// "auto" = search over the direct fan and leader-staged hierarchy, else a
+// compiled key). Non-root send buffers may be nil.
 func (c *Comm) Scatter(send, recv *device.Buffer, count int, dt Datatype, root int, plan string, s *device.Stream) error {
-	if err := c.validate("scatter", nil, recv, count, dt, nil, root); err != nil {
+	if err := c.validateArgs("scatter", nil, recv, count, dt, nil, root); err != nil {
 		return err
 	}
-	n := int64(c.core.n)
-	blk := int64(count) * int64(dt.Size())
-	if c.rank == root && (send == nil || send.Len() < blk*n) {
-		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Op: "scatter",
-			Rank: c.rank, Msg: "scatter root send buffer must hold one block per rank"}
+	if recv == nil || c.rank == root && (send == nil || send.Len() < int64(count)*int64(dt.Size())*int64(c.core.n)) {
+		return c.invalidArg("scatter", "scatter wants a recv buffer and, at root, a send block per rank")
 	}
-	pl, err := c.core.compiledPlan("scatter", blk, root, plan)
-	if err != nil {
-		return c.invalidPlan("scatter", err)
+	if plan == "" {
+		return c.exchange(send, recv, dt, s, func(peer int) (int, int, int, int) {
+			if c.rank == root {
+				return peer * count, count, 0, -1
+			}
+			return 0, -1, 0, only(peer == root, count)
+		})
 	}
-	a := c.core.newArgs(send, recv, count, root)
-	slot := planSlot(pl)
-	c.enqueueColl(s, "scatter", a, blk, func(rc *runCtx) {
-		rc.chunk = pl.ChunkBytes
-		rc.runPlan(pl, dt, Sum, slot)
-	})
-	return nil
+	return c.enqueuePlan("scatter", send, recv, count, dt, root, plan, s)
 }
 
-// Gather collects every rank's block at root through a compiled plan.
-// Non-root recv buffers may be nil.
+// Gather collects every rank's block at root under plan ("" = group
+// send-recv, "auto" = search, else a compiled key). Non-root recv buffers
+// may be nil.
 func (c *Comm) Gather(send, recv *device.Buffer, count int, dt Datatype, root int, plan string, s *device.Stream) error {
-	if err := c.validate("gather", send, nil, count, dt, nil, root); err != nil {
+	if err := c.validateArgs("gather", send, nil, count, dt, nil, root); err != nil {
 		return err
 	}
-	n := int64(c.core.n)
-	blk := int64(count) * int64(dt.Size())
-	if c.rank == root && (recv == nil || recv.Len() < blk*n) {
-		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Op: "gather",
-			Rank: c.rank, Msg: "gather root recv buffer must hold one block per rank"}
+	if send == nil || c.rank == root && (recv == nil || recv.Len() < int64(count)*int64(dt.Size())*int64(c.core.n)) {
+		return c.invalidArg("gather", "gather wants a send buffer and, at root, a recv block per rank")
 	}
-	pl, err := c.core.compiledPlan("gather", blk, root, plan)
+	if plan == "" {
+		return c.exchange(send, recv, dt, s, func(peer int) (int, int, int, int) {
+			if c.rank == root {
+				return 0, only(peer == root, count), peer * count, count
+			}
+			return 0, only(peer == root, count), 0, -1
+		})
+	}
+	return c.enqueuePlan("gather", send, recv, count, dt, root, plan, s)
+}
+
+// enqueuePlan is the compiled tail of Alltoall, Scatter and Gather: probe
+// the fault hooks, fetch (or compile) the plan for the call shape, and
+// enqueue the rank's slice of it as one wave.
+func (c *Comm) enqueuePlan(op string, send, recv *device.Buffer, count int, dt Datatype, root int, plan string, s *device.Stream) error {
+	if err := c.inject(op); err != nil {
+		return err
+	}
+	blk := int64(count) * int64(dt.Size())
+	pl, err := c.core.compiledPlan(op, blk, root, plan)
 	if err != nil {
-		return c.invalidPlan("gather", err)
+		return c.invalidPlan(op, err)
 	}
 	a := c.core.newArgs(send, recv, count, root)
 	slot := planSlot(pl)
-	c.enqueueColl(s, "gather", a, blk, func(rc *runCtx) {
+	c.enqueueColl(s, op, a, blk, func(rc *runCtx) {
 		rc.chunk = pl.ChunkBytes
 		rc.runPlan(pl, dt, Sum, slot)
 	})

@@ -198,7 +198,49 @@ func (c *Comm) GroupEnd() error {
 	return nil
 }
 
-// GroupAbort discards a group left open by a failed batched call, so the
-// next GroupStart (a fallback retry, or the MPI path's caller moving on)
-// does not see a phantom nested group. Safe when no group is open.
-func (c *Comm) GroupAbort() { c.group = nil }
+// exchange is the send-recv synthesis of §3.3, Listing 1's pattern: it
+// copies the rank's own block from send into recv, then, inside one group
+// call, sends each peer the block of send that blocks names and receives
+// the block of recv it names. blocks reports, in elements, the send offset
+// and count and the recv offset and count for a peer (for the rank itself,
+// the copy's source, length and destination). A negative count means no
+// message and a zero count an empty one. Faults are probed only where
+// Send, Recv and the group's task probe them; a failed Send or Recv
+// discards the open group, so the next GroupStart begins clean.
+func (c *Comm) exchange(send, recv *device.Buffer, dt Datatype, s *device.Stream,
+	blocks func(peer int) (soff, scount, roff, rcount int)) error {
+	esz := int64(dt.Size())
+	if so, sn, ro, _ := blocks(c.rank); sn > 0 {
+		n := int64(sn) * esz
+		copy(recv.Bytes()[int64(ro)*esz:int64(ro)*esz+n], send.Bytes()[int64(so)*esz:int64(so)*esz+n])
+	}
+	if err := c.GroupStart(); err != nil {
+		return err
+	}
+	for peer := 0; peer < c.core.n; peer++ {
+		if peer == c.rank {
+			continue
+		}
+		so, sn, ro, rn := blocks(peer)
+		var err error
+		if sn >= 0 {
+			err = c.Send(send.Slice(int64(so)*esz, int64(sn)*esz), sn, dt, peer, s)
+		}
+		if err == nil && rn >= 0 {
+			err = c.Recv(recv.Slice(int64(ro)*esz, int64(rn)*esz), rn, dt, peer, s)
+		}
+		if err != nil {
+			c.group = nil
+			return err
+		}
+	}
+	return c.GroupEnd()
+}
+
+// only is count when ok, else -1: exchange's "no message".
+func only(ok bool, count int) int {
+	if ok {
+		return count
+	}
+	return -1
+}

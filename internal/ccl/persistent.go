@@ -292,39 +292,9 @@ func (c *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 	st := ps.st
 	st.args[c.rank] = &opArgs{send: send, recv: recv, count: count} // owned by the handle, never pooled
 
-	// Plan selection, once: the forced family (SetAlgorithm, fed by the
-	// tuning table) or the backend's built-in size-based split.
-	esz := int64(dt.Size())
-	bytes := int64(count) * esz
-	algo, chunk := c.resolveAlgo(count)
-	if algo == AlgoAuto {
-		if bytes <= co.cfg.TreeThreshold || count < co.n {
-			algo = AlgoTree
-		} else {
-			algo = AlgoFlatRing
-		}
-	}
-	if algo == AlgoHierarchical && parts > 1 {
-		// Align the pipeline chunk with the partitions so the leader ring
-		// consumes partitions as the application marks them ready.
-		chunk = int64((count+parts-1)/parts) * esz
-	}
-
-	return c.newPersistentColl(s, st, id, "allreduce", algo, parts, bytes, func(rc *runCtx) {
-		switch {
-		case co.n == 1:
-			rc.waitAllParts()
-			rc.localCopy(recv, send, bytes)
-		case algo == AlgoHierarchical:
-			rc.hierAllReduce(dt, op, count, chunk)
-		case algo == AlgoTree:
-			rc.waitAllParts()
-			rc.treeAllReduce(dt, op, count)
-		default:
-			rc.waitAllParts()
-			rc.ringAllReduce(dt, op, count)
-		}
-	}), nil
+	// Plan selection, once. Custom MSCCL schedules are not eligible.
+	algo, run := c.allreduceSchedule(count, dt, op, parts, false)
+	return c.newPersistentColl(s, st, id, "allreduce", algo, parts, int64(count)*int64(dt.Size()), run), nil
 }
 
 // BcastInit builds a persistent broadcast handle (the MPI_Bcast_init
@@ -335,7 +305,6 @@ func (c *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 // handle order. Broadcast handles are not partitionable (only the root
 // produces payload).
 func (c *Comm) BcastInit(send, recv *device.Buffer, count int, dt Datatype, root int, s *device.Stream) (*PersistentColl, error) {
-	co := c.core
 	if err := c.validateArgs("broadcast", send, recv, count, dt, nil, root); err != nil {
 		return nil, err
 	}
@@ -346,18 +315,8 @@ func (c *Comm) BcastInit(send, recv *device.Buffer, count int, dt Datatype, root
 	st := ps.st
 	st.args[c.rank] = &opArgs{send: send, recv: recv, count: count, root: root}
 
-	bytes := int64(count) * int64(dt.Size())
-	algo, chunk := c.resolveAlgo(count)
-	if algo != AlgoHierarchical {
-		algo = AlgoTree // broadcast's flat schedule is always the binomial tree
-	}
-	return c.newPersistentColl(s, st, id, "broadcast", algo, 1, bytes, func(rc *runCtx) {
-		if algo == AlgoHierarchical && co.n > 1 {
-			rc.hierBroadcast(dt, count, root, chunk)
-		} else {
-			rc.treeBroadcast(dt, count, root)
-		}
-	}), nil
+	algo, run := c.broadcastSchedule(count, dt, root)
+	return c.newPersistentColl(s, st, id, "broadcast", algo, 1, int64(count)*int64(dt.Size()), run), nil
 }
 
 // AllgatherInit builds a persistent allgather handle (MPI_Allgather_init):
@@ -369,8 +328,7 @@ func (c *Comm) AllgatherInit(send, recv *device.Buffer, count int, dt Datatype, 
 	if err := c.validateArgs("allgather", send, nil, count, dt, nil, 0); err != nil {
 		return nil, err
 	}
-	esz := int64(dt.Size())
-	bytes := int64(count) * esz
+	bytes := int64(count) * int64(dt.Size())
 	if recv == nil || recv.Len() < bytes*int64(co.n) {
 		return nil, &Error{Backend: co.cfg.Name, Result: ErrInvalidArgument, Op: "allgather-init",
 			Rank: c.rank, Msg: "recv buffer missing or too small"}
@@ -382,17 +340,8 @@ func (c *Comm) AllgatherInit(send, recv *device.Buffer, count int, dt Datatype, 
 	st := ps.st
 	st.args[c.rank] = &opArgs{send: send, recv: recv, count: count}
 
-	algo, chunk := c.resolveAlgo(count)
-	if algo != AlgoHierarchical {
-		algo = AlgoFlatRing // allgather's flat schedule is the block ring
-	}
-	return c.newPersistentColl(s, st, id, "allgather", algo, 1, bytes, func(rc *runCtx) {
-		if algo == AlgoHierarchical && co.n > 1 {
-			rc.hierAllGather(dt, count, chunk)
-		} else {
-			rc.ringAllGather(dt, count)
-		}
-	}), nil
+	algo, run := c.allgatherSchedule(count, dt)
+	return c.newPersistentColl(s, st, id, "allgather", algo, 1, bytes, run), nil
 }
 
 // Start launches one execution of the pre-built schedule on the stream

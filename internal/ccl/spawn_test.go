@@ -93,9 +93,9 @@ func TestSteadyStateSpawnsNoProcs(t *testing.T) {
 		send, recv := dev.MustMalloc(n*blk*4), dev.MustMalloc(n*blk*4)
 		for w := 0; w < waves; w++ {
 			for _, err := range []error{
-				c.Alltoall(send, recv, blk, ccl.Float32, "", s),
-				c.Scatter(send, recv.Slice(0, blk*4), blk, ccl.Float32, 0, "", s),
-				c.Gather(send.Slice(0, blk*4), recv, blk, ccl.Float32, n-1, "", s),
+				c.Alltoall(send, recv, blk, ccl.Float32, "auto", s),
+				c.Scatter(send, recv.Slice(0, blk*4), blk, ccl.Float32, 0, "auto", s),
+				c.Gather(send.Slice(0, blk*4), recv, blk, ccl.Float32, n-1, "auto", s),
 				c.AllReduce(buf, buf, count, ccl.Float32, ccl.Sum, s),
 			} {
 				if err != nil {

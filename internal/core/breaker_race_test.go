@@ -27,7 +27,7 @@ func TestBreakerHalfOpenProbeConcurrentRanks(t *testing.T) {
 	for i := range rts {
 		rts[i] = newRuntime(t, "thetagpu", 4, Options{
 			Backend: Auto, Mode: PureCCL, Metrics: reg,
-			Resilience: &Resilience{BreakerThreshold: 2, BreakerCooldown: time.Millisecond},
+			Resilience: &Resilience{BreakerThreshold: 2},
 		})
 		// Wave 1 fails on every rank (opening the breaker); the probe
 		// waves after the cooldown find the budget exhausted and succeed.

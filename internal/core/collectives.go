@@ -158,39 +158,18 @@ func (x *Comm) Barrier() {
 	x.mpi.Barrier()
 }
 
-// The send-recv-based collectives of §3.3: CCLs ship only five built-ins,
-// so the layer synthesizes the rest from xcclSend/xcclRecv inside group
-// calls, exactly as Listing 1 does for AlltoAllv. The default plan ("")
-// keeps these group loops: the compiled "direct" plan does not reproduce
-// their virtual time (about one step cost slower per call at most sizes).
+// The send-recv-based collectives of §3.3 (Alltoall, Alltoallv, Gather,
+// Scatter) have no CCL built-in; ccl synthesizes them. d.plan picks the
+// schedule: "" is the group send-recv call of Listing 1, "auto" the
+// compiled-plan search, and any other key a tuned compiled plan.
 
 // Alltoall exchanges count-element blocks between all rank pairs.
 func (x *Comm) Alltoall(sendBuf *device.Buffer, count int, dt mpi.Datatype, recvBuf *device.Buffer) {
 	bytes := int64(count) * int64(dt.Size())
 	d := x.decide(OpAlltoall, bytes, dt, nil, sendBuf, recvBuf)
-	n := x.Size()
-	blk := bytes
 	x.run(OpAlltoall, bytes, d,
 		func(cc *ccl.Comm, s *device.Stream) error {
-			if d.plan != "" {
-				return cc.Alltoall(sendBuf, recvBuf, count, d.dt, d.plan, s)
-			}
-			if err := cc.GroupStart(); err != nil {
-				return err
-			}
-			for r := 0; r < n; r++ {
-				if r == x.Rank() {
-					copy(recvBuf.Bytes()[int64(r)*blk:(int64(r)+1)*blk], sendBuf.Bytes()[int64(r)*blk:(int64(r)+1)*blk])
-					continue
-				}
-				if err := cc.Send(sendBuf.Slice(int64(r)*blk, blk), count, d.dt, r, s); err != nil {
-					return err
-				}
-				if err := cc.Recv(recvBuf.Slice(int64(r)*blk, blk), count, d.dt, r, s); err != nil {
-					return err
-				}
-			}
-			return cc.GroupEnd()
+			return cc.Alltoall(sendBuf, recvBuf, count, d.dt, d.plan, s)
 		},
 		func() { x.mpi.Alltoall(sendBuf, count, dt, recvBuf) })
 }
@@ -202,44 +181,17 @@ func (x *Comm) Alltoallv(sendBuf *device.Buffer, sendCounts, sdispls []int, dt m
 	var maxBytes int64
 	esz := int64(dt.Size())
 	for _, c := range sendCounts {
-		if b := int64(c) * esz; b > maxBytes {
-			maxBytes = b
-		}
+		maxBytes = max(maxBytes, int64(c)*esz)
 	}
 	d := x.decide(OpAlltoallv, maxBytes, dt, nil, sendBuf, recvBuf)
-	n := x.Size()
 	x.run(OpAlltoallv, maxBytes, d,
 		func(cc *ccl.Comm, s *device.Stream) error {
-			if d.plan != "" {
-				return cc.Alltoallv(sendBuf, sendCounts, sdispls, recvBuf, recvCounts, rdispls, d.dt, d.plan, s)
-			}
-			if err := cc.GroupStart(); err != nil {
-				return err
-			}
-			for r := 0; r < n; r++ {
-				if r == x.Rank() {
-					so, ln := int64(sdispls[r])*esz, int64(sendCounts[r])*esz
-					ro := int64(rdispls[r]) * esz
-					copy(recvBuf.Bytes()[ro:ro+ln], sendBuf.Bytes()[so:so+ln])
-					continue
-				}
-				if sendCounts[r] > 0 {
-					if err := cc.Send(sendBuf.Slice(int64(sdispls[r])*esz, int64(sendCounts[r])*esz), sendCounts[r], d.dt, r, s); err != nil {
-						return err
-					}
-				}
-				if recvCounts[r] > 0 {
-					if err := cc.Recv(recvBuf.Slice(int64(rdispls[r])*esz, int64(recvCounts[r])*esz), recvCounts[r], d.dt, r, s); err != nil {
-						return err
-					}
-				}
-			}
-			return cc.GroupEnd()
+			return cc.Alltoallv(sendBuf, sendCounts, sdispls, recvBuf, recvCounts, rdispls, d.dt, d.plan, s)
 		},
 		func() { x.mpi.Alltoallv(sendBuf, sendCounts, sdispls, dt, recvBuf, recvCounts, rdispls) })
 }
 
-// Gather collects every rank's block at root via group send/recv.
+// Gather collects every rank's block at root.
 func (x *Comm) Gather(sendBuf *device.Buffer, count int, dt mpi.Datatype, recvBuf *device.Buffer, root int) {
 	bytes := int64(count) * int64(dt.Size())
 	bufs := []*device.Buffer{sendBuf}
@@ -247,34 +199,14 @@ func (x *Comm) Gather(sendBuf *device.Buffer, count int, dt mpi.Datatype, recvBu
 		bufs = append(bufs, recvBuf)
 	}
 	d := x.decide(OpGather, bytes, dt, nil, bufs...)
-	n := x.Size()
 	x.run(OpGather, bytes, d,
 		func(cc *ccl.Comm, s *device.Stream) error {
-			if d.plan != "" {
-				return cc.Gather(sendBuf, recvBuf, count, d.dt, root, d.plan, s)
-			}
-			if err := cc.GroupStart(); err != nil {
-				return err
-			}
-			if x.Rank() == root {
-				for r := 0; r < n; r++ {
-					if r == root {
-						copy(recvBuf.Bytes()[int64(r)*bytes:(int64(r)+1)*bytes], sendBuf.Bytes()[:bytes])
-						continue
-					}
-					if err := cc.Recv(recvBuf.Slice(int64(r)*bytes, bytes), count, d.dt, r, s); err != nil {
-						return err
-					}
-				}
-			} else if err := cc.Send(sendBuf, count, d.dt, root, s); err != nil {
-				return err
-			}
-			return cc.GroupEnd()
+			return cc.Gather(sendBuf, recvBuf, count, d.dt, root, d.plan, s)
 		},
 		func() { x.mpi.Gather(sendBuf, count, dt, recvBuf, root) })
 }
 
-// Scatter distributes root's blocks via group send/recv.
+// Scatter distributes root's blocks.
 func (x *Comm) Scatter(sendBuf *device.Buffer, count int, dt mpi.Datatype, recvBuf *device.Buffer, root int) {
 	bytes := int64(count) * int64(dt.Size())
 	bufs := []*device.Buffer{recvBuf}
@@ -282,29 +214,9 @@ func (x *Comm) Scatter(sendBuf *device.Buffer, count int, dt mpi.Datatype, recvB
 		bufs = append(bufs, sendBuf)
 	}
 	d := x.decide(OpScatter, bytes, dt, nil, bufs...)
-	n := x.Size()
 	x.run(OpScatter, bytes, d,
 		func(cc *ccl.Comm, s *device.Stream) error {
-			if d.plan != "" {
-				return cc.Scatter(sendBuf, recvBuf, count, d.dt, root, d.plan, s)
-			}
-			if err := cc.GroupStart(); err != nil {
-				return err
-			}
-			if x.Rank() == root {
-				for r := 0; r < n; r++ {
-					if r == root {
-						copy(recvBuf.Bytes()[:bytes], sendBuf.Bytes()[int64(r)*bytes:(int64(r)+1)*bytes])
-						continue
-					}
-					if err := cc.Send(sendBuf.Slice(int64(r)*bytes, bytes), count, d.dt, r, s); err != nil {
-						return err
-					}
-				}
-			} else if err := cc.Recv(recvBuf, count, d.dt, root, s); err != nil {
-				return err
-			}
-			return cc.GroupEnd()
+			return cc.Scatter(sendBuf, recvBuf, count, d.dt, root, d.plan, s)
 		},
 		func() { x.mpi.Scatter(sendBuf, count, dt, recvBuf, root) })
 }

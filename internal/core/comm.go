@@ -242,7 +242,8 @@ func (x *Comm) decide(op OpKind, bytes int64, dt mpi.Datatype, rop *mpi.Op, bufs
 // runCCL executes fn against the cached CCL communicator and this rank's
 // stream, blocking until the enqueued work completes (MPI semantics). A
 // CCL error falls back to nothing here — the caller handles it (and may
-// retry: a failed group call is aborted so the retry starts clean).
+// retry: ccl discards a failed call's open group, so the retry starts
+// clean).
 func (x *Comm) runCCL(fn func(cc *ccl.Comm, s *device.Stream) error) error {
 	cc, err := x.cclComm()
 	if err != nil {
@@ -251,7 +252,6 @@ func (x *Comm) runCCL(fn func(cc *ccl.Comm, s *device.Stream) error) error {
 	x.syncEnv(cc)
 	s := x.rt.stream(x.mpi.WorldRank(), x.Device())
 	if err := fn(cc, s); err != nil {
-		cc.GroupAbort()
 		return err
 	}
 	s.Synchronize(x.mpi.Proc())

@@ -17,19 +17,15 @@ import (
 // budget reduction while the fabric reports a degraded link.
 type Resilience struct {
 	// MaxRetries bounds reissues of a transient CCL failure
-	// (xcclRemoteError) before the call falls back to MPI. 0 disables
-	// retries.
+	// (xcclRemoteError) before the call falls back to MPI, each after a
+	// virtual-time backoff (retryBackoff, doubling per attempt). 0
+	// disables retries.
 	MaxRetries int
-	// RetryBackoff is the virtual-time wait before the first reissue; it
-	// doubles per attempt.
-	RetryBackoff time.Duration
 	// BreakerThreshold opens the (backend, op) breaker after this many
-	// consecutive CCL failures, demoting the op to the MPI path. 0
+	// consecutive CCL failures, demoting the op to the MPI path for
+	// breakerCooldown before one half-open probe wave goes through. 0
 	// disables the breaker.
 	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects CCL dispatch
-	// before letting one half-open probe wave through.
-	BreakerCooldown time.Duration
 	// WatchdogTimeout arms the CCL collective watchdog: a rank whose
 	// stream task waits longer than this for its peers (collective start
 	// rendezvous, point-to-point match) abandons the operation with an
@@ -58,14 +54,18 @@ type Resilience struct {
 	Integrity bool
 }
 
+const (
+	// retryBackoff is the virtual-time wait before a transient failure's
+	// first reissue; it doubles per attempt.
+	retryBackoff = 10 * time.Microsecond
+	// breakerCooldown is how long an open breaker rejects CCL dispatch
+	// before letting one half-open probe wave through.
+	breakerCooldown = time.Millisecond
+)
+
 // DefaultResilience is the policy used when Options.Resilience is nil.
 func DefaultResilience() *Resilience {
-	return &Resilience{
-		MaxRetries:       2,
-		RetryBackoff:     10 * time.Microsecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Millisecond,
-	}
+	return &Resilience{MaxRetries: 2, BreakerThreshold: 3}
 }
 
 // breakerKey scopes one circuit breaker: failures of one operation on one
@@ -167,7 +167,7 @@ func (rt *Runtime) breakerAllow(x *Comm, op OpKind) bool {
 		return true
 	}
 	now := x.mpi.Proc().Now()
-	if now-b.openedAt >= rt.policy.BreakerCooldown {
+	if now-b.openedAt >= breakerCooldown {
 		b.state = breakerHalfOpen
 		rt.noteBreaker(op, breakerHalfOpen, now)
 		return true
@@ -261,13 +261,11 @@ func (x *Comm) runResilient(op OpKind, cclPath func(cc *ccl.Comm, s *device.Stre
 	if pol.MaxRetries <= 0 {
 		return err
 	}
-	backoff := pol.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; attempt < pol.MaxRetries && err != nil && ccl.IsTransient(err); attempt++ {
 		x.rt.countRetry(x, op, err)
-		if backoff > 0 {
-			x.mpi.Proc().Sleep(backoff)
-			backoff *= 2
-		}
+		x.mpi.Proc().Sleep(backoff)
+		backoff *= 2
 		err = x.runCCL(cclPath)
 	}
 	return err

@@ -69,8 +69,7 @@ func TestPersistentFailureTripsBreakerAndRecovers(t *testing.T) {
 	rt := newRuntime(t, "thetagpu", 2, Options{
 		Backend: Auto, Mode: PureCCL, Metrics: reg,
 		Resilience: &Resilience{
-			MaxRetries: 2, RetryBackoff: 10 * time.Microsecond,
-			BreakerThreshold: 2, BreakerCooldown: time.Millisecond,
+			MaxRetries: 2, BreakerThreshold: 2,
 		},
 	})
 	// Four persistent failures: wave 1 (2 ranks) opens the breaker, the
@@ -126,7 +125,7 @@ func TestCommInitFailurePropagatesAndRetries(t *testing.T) {
 	rt := newRuntime(t, "thetagpu", 4, Options{
 		Backend: Auto, Mode: PureCCL, Metrics: reg,
 		// High threshold: this test isolates the init path from the breaker.
-		Resilience: &Resilience{BreakerThreshold: 100, BreakerCooldown: time.Millisecond},
+		Resilience: &Resilience{BreakerThreshold: 100},
 	})
 	plan := fault.NewPlan(3).AddRule(fault.Rule{
 		Name: "bad-init", Point: fault.CommInit, Result: ccl.ErrInternal, Count: 1,
@@ -193,9 +192,9 @@ func TestLinkDegradationSlowsButCompletes(t *testing.T) {
 	}
 }
 
-// A failure inside a batched group (a send of an Alltoall) leaves the
-// rank's group open; runCCL must abort it so the transient retry's
-// GroupStart does not see a phantom "nested group". Wave 2's sends fail
+// A failure inside a batched group (a send of an Alltoall) must not leave
+// the rank's group open: ccl's group synthesis discards it, so the
+// transient retry's GroupStart does not see a phantom "nested group". Wave 2's sends fail
 // once per rank (transient), every rank retries into a clean group, and
 // the whole run stays on the CCL path.
 func TestMidGroupFailureAbortsGroupForRetry(t *testing.T) {

@@ -69,6 +69,10 @@ type ElasticReport struct {
 	Loss []float64
 }
 
+// CheckpointEvery is TrainElastic's checkpoint interval in completed
+// steps. A crash rolls the survivors back to the last checkpoint.
+const CheckpointEvery = 2
+
 // lossAfter is the deterministic stand-in loss curve: purely a function of
 // cumulative examples contributed to the model, so two runs that process
 // the same example count — regardless of crashes and rollbacks — report
@@ -98,9 +102,6 @@ func lossAfter(examples int64) float64 {
 // collective would block forever on the dead peer.
 func TrainElastic(cfg Config) (ElasticReport, error) {
 	cfg.fillDefaults()
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 2
-	}
 	pol := cfg.Resilience
 	if pol == nil {
 		pol = core.DefaultResilience()
@@ -351,7 +352,7 @@ func TrainElastic(cfg Config) (ElasticReport, error) {
 				rep.StepLatency = append(rep.StepLatency, p.Now()-start)
 				rep.Loss = append(rep.Loss, lossAfter(examples))
 			}
-			if step%cfg.CheckpointEvery == 0 && step < cfg.Steps &&
+			if step%CheckpointEvery == 0 && step < cfg.Steps &&
 				!(partAware && x.Size() < nranks) {
 				// Synchronous checkpoint: every worker serializes its
 				// replica to host storage before the next step. While the

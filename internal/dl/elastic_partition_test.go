@@ -20,7 +20,7 @@ import (
 func TestTrainElasticPartitionHealsToFullLoss(t *testing.T) {
 	base := Config{
 		System: "thetagpu", Nodes: 2, Ranks: 12, Model: tinyModel(),
-		Steps: 6, CheckpointEvery: 2,
+		Steps: 6,
 	}
 	shadow := base
 	want, err := TrainElastic(shadow)
@@ -95,7 +95,7 @@ func TestTrainElasticPartitionHealsToFullLoss(t *testing.T) {
 func TestTrainElasticPartitionPermanentCutShrinks(t *testing.T) {
 	cfg := Config{
 		System: "thetagpu", Nodes: 2, Ranks: 12, Model: tinyModel(),
-		Steps: 6, CheckpointEvery: 2,
+		Steps: 6,
 	}
 	cfg.Faults = fault.NewPlan(7).AddPartitionRule(fault.PartitionRule{
 		Name: "cut-node1", Nodes: []int{1}, From: 80 * time.Millisecond,
@@ -119,7 +119,7 @@ func TestTrainElasticPartitionDeterministic(t *testing.T) {
 	run := func() ElasticReport {
 		cfg := Config{
 			System: "thetagpu", Nodes: 2, Ranks: 12, Model: tinyModel(),
-			Steps: 6, CheckpointEvery: 2,
+			Steps: 6,
 		}
 		cfg.Faults = fault.NewPlan(7).AddPartitionRule(fault.PartitionRule{
 			Name: "cut-node1", Nodes: []int{1},

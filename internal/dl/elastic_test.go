@@ -26,7 +26,7 @@ func tinyModel() *Model {
 func elasticConfig(reg *metrics.Registry) Config {
 	return Config{
 		System: "thetagpu", Nodes: 1, Ranks: 8, Model: tinyModel(),
-		Steps: 6, CheckpointEvery: 2, Metrics: reg,
+		Steps: 6, Metrics: reg,
 	}
 }
 

@@ -111,10 +111,6 @@ type Config struct {
 	// defaults it to DefaultResilience plus a 2 ms collective watchdog —
 	// the deadline that turns a dead peer into a detectable failure.
 	Resilience *core.Resilience
-	// CheckpointEvery is TrainElastic's checkpoint interval in completed
-	// steps (0 = every 2 steps). A crash rolls the survivors back to the
-	// last checkpoint.
-	CheckpointEvery int
 	// Persistent moves the gradient exchange onto persistent allreduce
 	// handles (EngineXCCL only): one handle per fusion bucket, built
 	// before the first step, so Horovod's per-op negotiation

@@ -169,8 +169,7 @@ func chaosCollective(rng *chaosRNG) (string, error) {
 		// probabilistic rule that exhausts one rank's retries would demote
 		// that rank alone to the MPI path and deadlock against its peers.
 		Resilience: &core.Resilience{
-			MaxRetries: 8, RetryBackoff: 10 * time.Microsecond,
-			BreakerThreshold: 3, BreakerCooldown: time.Millisecond,
+			MaxRetries: 8, BreakerThreshold: 3,
 			Integrity: true,
 		},
 	})
@@ -245,7 +244,7 @@ func chaosElastic(rng *chaosRNG) (string, error) {
 	pol.Integrity = true
 	cfg := dl.Config{
 		System: "thetagpu", Nodes: 1, Ranks: nranks, Spares: 1,
-		Model: model, Steps: steps, CheckpointEvery: 2,
+		Model: model, Steps: steps,
 		Persistent: rng.intn(2) == 1,
 		Resilience: pol,
 	}
@@ -319,7 +318,7 @@ func chaosPartition(rng *chaosRNG) (string, error) {
 	}
 	cfg := dl.Config{
 		System: "thetagpu", Nodes: 2, Ranks: nranks,
-		Model: model, Steps: steps, CheckpointEvery: 2,
+		Model: model, Steps: steps,
 		Persistent: rng.intn(2) == 1,
 	}
 	shadow := cfg

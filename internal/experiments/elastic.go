@@ -33,7 +33,7 @@ func Elastic(o Options) (*Figure, error) {
 	}
 	cfg := dl.Config{
 		System: "thetagpu", Nodes: 1, Ranks: 8,
-		Steps: steps, CheckpointEvery: 2, Metrics: o.Metrics,
+		Steps: steps, Metrics: o.Metrics,
 	}
 	// The victim dies halfway through crashStep's gradient exchange (call
 	// budget counted in fused-bucket allreduces). At the default 4, step 3

@@ -38,7 +38,7 @@ func Partition(o Options) (*Figure, error) {
 	}
 	base := dl.Config{
 		System: "thetagpu", Nodes: 2, Ranks: 12,
-		Steps: steps, CheckpointEvery: 2,
+		Steps: steps,
 	}
 
 	// Shadow run: fault-free, same shape. It anchors the cut window to
@@ -52,7 +52,7 @@ func Partition(o Options) (*Figure, error) {
 	boundary := make([]time.Duration, len(shadow.StepLatency)+1)
 	for i, l := range shadow.StepLatency {
 		boundary[i+1] = boundary[i] + l
-		if (i+1)%base.CheckpointEvery == 0 && i+1 < steps {
+		if (i+1)%dl.CheckpointEvery == 0 && i+1 < steps {
 			boundary[i+1] += ckptTime
 		}
 	}

@@ -55,8 +55,7 @@ func Resilience(o Options) (*Figure, error) {
 	// (see docs/ARCHITECTURE.md). A deep retry budget makes exhaustion
 	// vanishingly unlikely, and the fixed seed makes the run reproducible.
 	base.Resilience = &core.Resilience{
-		MaxRetries: 8, RetryBackoff: 10 * time.Microsecond,
-		BreakerThreshold: 3, BreakerCooldown: time.Millisecond,
+		MaxRetries: 8, BreakerThreshold: 3,
 	}
 	f := &Figure{ID: "resilience", Title: "Allreduce under injected faults (8 GPUs, 1 node)",
 		XLabel: "bytes", Metric: "latency"}

@@ -43,12 +43,13 @@ func runPureCCLCollective(cfg *Config, w *world, nranks int, body func(d *collDr
 	})
 }
 
-// pureCCLOp issues one blocking collective on the raw CCL. Operations the
-// CCL does not provide (alltoall) use group send/recv, as OMB's NCCL
-// benchmarks do.
+// pureCCLOp issues one blocking collective on the raw CCL, rooted at rank
+// 0. Operations the CCL does not provide (alltoall, gather, scatter) run
+// ccl's group send/recv synthesis (plan ""), as OMB's NCCL benchmarks do.
 func pureCCLOp(cc *ccl.Comm, s *device.Stream, p *sim.Proc, op Collective, send, recv *device.Buffer, count int) {
 	dt := ccl.Float32
 	bytes := int64(count) * 4
+	all := bytes * int64(cc.Size())
 	var err error
 	switch op {
 	case Allreduce:
@@ -58,53 +59,13 @@ func pureCCLOp(cc *ccl.Comm, s *device.Stream, p *sim.Proc, op Collective, send,
 	case Bcast:
 		err = cc.Broadcast(send.Slice(0, bytes), send.Slice(0, bytes), count, dt, 0, s)
 	case Allgather:
-		err = cc.AllGather(send.Slice(0, bytes), recv.Slice(0, bytes*int64(cc.Size())), count, dt, s)
+		err = cc.AllGather(send.Slice(0, bytes), recv.Slice(0, all), count, dt, s)
 	case Alltoall:
-		if err = cc.GroupStart(); err != nil {
-			break
-		}
-		for peer := 0; peer < cc.Size(); peer++ {
-			if peer == cc.Rank() {
-				continue
-			}
-			if err = cc.Send(send.Slice(int64(peer)*bytes, bytes), count, dt, peer, s); err != nil {
-				break
-			}
-			if err = cc.Recv(recv.Slice(int64(peer)*bytes, bytes), count, dt, peer, s); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			err = cc.GroupEnd()
-		}
-	case Gather, Scatter:
-		// Synthesized at root via group send/recv, like alltoall.
-		if err = cc.GroupStart(); err != nil {
-			break
-		}
-		root := 0
-		if cc.Rank() == root {
-			for peer := 0; peer < cc.Size(); peer++ {
-				if peer == root {
-					continue
-				}
-				if op == Gather {
-					err = cc.Recv(recv.Slice(int64(peer)*bytes, bytes), count, dt, peer, s)
-				} else {
-					err = cc.Send(send.Slice(int64(peer)*bytes, bytes), count, dt, peer, s)
-				}
-				if err != nil {
-					break
-				}
-			}
-		} else if op == Gather {
-			err = cc.Send(send.Slice(0, bytes), count, dt, root, s)
-		} else {
-			err = cc.Recv(recv.Slice(0, bytes), count, dt, root, s)
-		}
-		if err == nil {
-			err = cc.GroupEnd()
-		}
+		err = cc.Alltoall(send.Slice(0, all), recv.Slice(0, all), count, dt, "", s)
+	case Gather:
+		err = cc.Gather(send.Slice(0, bytes), recv.Slice(0, all), count, dt, 0, "", s)
+	case Scatter:
+		err = cc.Scatter(send.Slice(0, all), recv.Slice(0, bytes), count, dt, 0, "", s)
 	}
 	if err != nil {
 		panic(err)

@@ -60,7 +60,9 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # in-flight deliveries), the worker pool's pins (the same trace as a spawn per job, busy workers deadlock by name, idle ones
 # end Run, Close unwinds both), the ccl no-spawn pin with compiled plans
 # and group sends on the rank's resident workers and its exact-time pins,
-# the group-send verdict and deadlock pins, the flat-versus-
+# the group alltoall, the group-send verdict and deadlock pins, the
+# send-recv synthesis's contract (argument checks before any fault probe,
+# op-scoped probes, group abort, empty blocks), the flat-versus-
 # hierarchical and forced-algorithm correctness properties of the group
 # tree and ring that both paths run, the world-release pins (a world run
 # through Runtime.Run or ccl.Run, or ending in a deadlock or a panic, leaves
@@ -72,7 +74,7 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/mpi
 	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$|TestEventOrder|TestPool' mpixccl/internal/sim
-	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat|TestGroupSend' mpixccl/internal/ccl
+	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat|TestGroup|TestSynthesized' mpixccl/internal/ccl
 	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting|TestWorldReleasedAfterRun' mpixccl/internal/core mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity' mpixccl/internal/core
 done
@@ -97,10 +99,12 @@ go test -race -run 'TestTrainElastic|TestTrainPersistent' mpixccl/internal/dl
 # buffer in place (allgather placement, reduce-on-receive, leaves sending
 # from their send buffer) and their staged fallback;
 # TestRingScheduleVirtualTime among them pins back-to-back calls on reused
-# workers, and TestHelper the one-job-at-a-time latch contract. The zero-alloc
+# workers, and TestHelper the one-job-at-a-time latch contract. TestGroup
+# and TestSynthesized cover the §3.3 send-recv synthesis, whose group
+# sends run on the rank's resident workers. The zero-alloc
 # and no-spawn pins (TestPersistentSteadyState*, TestSteadyStateSpawns*)
 # run only un-raced, in the suite above.
-go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled|TestRing|TestPersistentRing|TestReduceOnReceive|TestHelper' mpixccl/internal/ccl
+go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled|TestRing|TestPersistentRing|TestReduceOnReceive|TestHelper|TestGroup|TestSynthesized' mpixccl/internal/ccl
 # Fuzz smoke: a few seconds of coverage-guided input per parser on top of
 # the seed corpora the suite above already ran.
 go test -run '^$' -fuzz '^FuzzParseTable$' -fuzztime 5s mpixccl/internal/core
