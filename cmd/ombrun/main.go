@@ -34,6 +34,7 @@ import (
 	"mpixccl/internal/fault"
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/omb"
+	"mpixccl/internal/world"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func main() {
 	system := flag.String("system", "thetagpu", "thetagpu|mri|voyager")
 	nodes := flag.Int("nodes", 1, "node count")
 	ranks := flag.Int("ranks", 0, "total ranks (0 = one per device)")
-	stack := flag.String("stack", string(omb.StackHybrid),
+	stack := flag.String("stack", string(world.StackHybrid),
 		"hybrid-xccl|pure-xccl|mpi|openmpi-ucx|openmpi-ucx-ucc|pure-ccl")
 	backend := flag.String("backend", "auto", "auto|nccl|rccl|hccl|msccl")
 	min := flag.Int64("min", 4, "min message bytes")
@@ -69,7 +70,7 @@ func main() {
 	}
 	cfg := omb.Config{
 		System: *system, Nodes: *nodes, Ranks: *ranks,
-		Stack: omb.Stack(*stack), Backend: core.BackendKind(*backend),
+		Stack: world.Stack(*stack), Backend: core.BackendKind(*backend),
 		MinBytes: *min, MaxBytes: *max, Iterations: *iters, Metrics: reg,
 		Persistent: *persistent, Compile: *compile,
 	}

@@ -13,9 +13,11 @@ import (
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/ccl/nccl"
 	"mpixccl/internal/ccl/rccl"
+	"mpixccl/internal/core"
 	"mpixccl/internal/device"
 	"mpixccl/internal/fabric"
 	"mpixccl/internal/mpi"
+	"mpixccl/internal/sim"
 	"mpixccl/internal/topology"
 )
 
@@ -107,6 +109,9 @@ func (x *Comm) Size() int { return x.mpi.Size() }
 // Device returns the rank's accelerator.
 func (x *Comm) Device() *device.Device { return x.mpi.Device() }
 
+// Proc returns the rank's simulation process.
+func (x *Comm) Proc() *sim.Proc { return x.mpi.Proc() }
+
 func (x *Comm) cclComm() (*ccl.Comm, error) {
 	u := x.u
 	key := x.mpi.ContextID()
@@ -123,6 +128,11 @@ func (x *Comm) cclComm() (*ccl.Comm, error) {
 		comms, err = ccl.NewComms(x.mpi.Job().Fabric(), devs, cfg)
 		if err != nil {
 			return nil, err
+		}
+		// The offloaded transport reports into the job's registry, beside
+		// the MPI layer's counters.
+		if reg := x.mpi.Job().Metrics(); reg != nil {
+			comms[0].SetMetrics(reg)
 		}
 		u.cache[key] = comms
 	}
@@ -161,7 +171,7 @@ func (x *Comm) offload(count int, dt mpi.Datatype, fragBytes int64, fn func(cc *
 	if bytes <= x.u.offloadThreshold || x.spansNodes() {
 		return false
 	}
-	cdt, ok := mapDatatype(dt)
+	cdt, ok := core.CCLDatatype(dt)
 	if !ok {
 		return false
 	}
@@ -187,25 +197,6 @@ func (x *Comm) offload(count int, dt mpi.Datatype, fragBytes int64, fn func(cc *
 	return true
 }
 
-func mapDatatype(dt mpi.Datatype) (ccl.Datatype, bool) {
-	switch dt {
-	case mpi.Byte:
-		return ccl.Int8, true
-	case mpi.Int32:
-		return ccl.Int32, true
-	case mpi.Int64:
-		return ccl.Int64, true
-	case mpi.Float16:
-		return ccl.Float16, true
-	case mpi.Float32:
-		return ccl.Float32, true
-	case mpi.Float64:
-		return ccl.Float64, true
-	default:
-		return 0, false
-	}
-}
-
 // runUCX executes the fallthrough (UCX TL) path. Across nodes, UCC's own
 // collective schedules trail Open MPI's tuned ones by ≈25% per operation,
 // which nets out to the paper's observed ≈10% application-level deficit
@@ -219,25 +210,13 @@ func (x *Comm) runUCX(fn func()) {
 	}
 }
 
-func mapOp(op mpi.Op) ccl.RedOp {
-	switch op {
-	case mpi.OpProd:
-		return ccl.Prod
-	case mpi.OpMax:
-		return ccl.Max
-	case mpi.OpMin:
-		return ccl.Min
-	default:
-		return ccl.Sum
-	}
-}
-
 // Allreduce is MPI_Allreduce through the UCC layer.
 func (x *Comm) Allreduce(sendBuf, recvBuf *device.Buffer, count int, dt mpi.Datatype, op mpi.Op) {
 	esz := int64(dt.Size())
+	cop, _ := core.CCLOp(op)
 	if x.offload(count, dt, x.u.fragBytes, func(cc *ccl.Comm, s *device.Stream, cdt ccl.Datatype, off, n int) error {
 		return cc.AllReduce(sendBuf.Slice(int64(off)*esz, int64(n)*esz),
-			recvBuf.Slice(int64(off)*esz, int64(n)*esz), n, cdt, mapOp(op), s)
+			recvBuf.Slice(int64(off)*esz, int64(n)*esz), n, cdt, cop, s)
 	}) {
 		return
 	}
@@ -247,13 +226,14 @@ func (x *Comm) Allreduce(sendBuf, recvBuf *device.Buffer, count int, dt mpi.Data
 // Reduce is MPI_Reduce through the UCC layer.
 func (x *Comm) Reduce(sendBuf, recvBuf *device.Buffer, count int, dt mpi.Datatype, op mpi.Op, root int) {
 	esz := int64(dt.Size())
+	cop, _ := core.CCLOp(op)
 	target := recvBuf
 	if target == nil {
 		target = sendBuf
 	}
 	if x.offload(count, dt, x.u.fragBytes, func(cc *ccl.Comm, s *device.Stream, cdt ccl.Datatype, off, n int) error {
 		return cc.Reduce(sendBuf.Slice(int64(off)*esz, int64(n)*esz),
-			target.Slice(int64(off)*esz, int64(n)*esz), n, cdt, mapOp(op), root, s)
+			target.Slice(int64(off)*esz, int64(n)*esz), n, cdt, cop, root, s)
 	}) {
 		return
 	}

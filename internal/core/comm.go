@@ -48,6 +48,9 @@ func (x *Comm) Size() int { return x.mpi.Size() }
 // Device returns the rank's accelerator.
 func (x *Comm) Device() *device.Device { return x.mpi.Device() }
 
+// Proc returns the rank's simulation process.
+func (x *Comm) Proc() *sim.Proc { return x.mpi.Proc() }
+
 // Runtime returns the owning xCCL runtime.
 func (x *Comm) Runtime() *Runtime { return x.rt }
 
@@ -204,7 +207,7 @@ func (x *Comm) decide(op OpKind, bytes int64, dt mpi.Datatype, rop *mpi.Op, bufs
 			return decision{}
 		}
 	}
-	cdt, ok := mapDatatype(dt)
+	cdt, ok := CCLDatatype(dt)
 	if !ok || !cfg.Datatypes[cdt] {
 		rt.stats.Fallbacks.Datatype++
 		rt.countFallback(op, "datatype")
@@ -212,7 +215,7 @@ func (x *Comm) decide(op OpKind, bytes int64, dt mpi.Datatype, rop *mpi.Op, bufs
 	}
 	var cop ccl.RedOp
 	if rop != nil {
-		cop, ok = mapOp(*rop)
+		cop, ok = CCLOp(*rop)
 		if !ok || !cfg.Ops[cop] {
 			rt.stats.Fallbacks.Op++
 			rt.countFallback(op, "op")

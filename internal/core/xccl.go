@@ -409,9 +409,9 @@ func (rt *Runtime) Suspected() map[int]time.Duration {
 	return out
 }
 
-// mapDatatype translates an MPI datatype to the CCL's, reporting false for
+// CCLDatatype translates an MPI datatype to the CCL's, reporting false for
 // types no CCL implements (the DoubleComplex fallback of §3.2).
-func mapDatatype(dt mpi.Datatype) (ccl.Datatype, bool) {
+func CCLDatatype(dt mpi.Datatype) (ccl.Datatype, bool) {
 	switch dt {
 	case mpi.Byte:
 		return ccl.Int8, true
@@ -430,8 +430,8 @@ func mapDatatype(dt mpi.Datatype) (ccl.Datatype, bool) {
 	}
 }
 
-// mapOp translates an MPI reduction to the CCL's.
-func mapOp(op mpi.Op) (ccl.RedOp, bool) {
+// CCLOp translates an MPI reduction to the CCL's.
+func CCLOp(op mpi.Op) (ccl.RedOp, bool) {
 	switch op {
 	case mpi.OpSum:
 		return ccl.Sum, true

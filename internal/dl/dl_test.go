@@ -1,9 +1,13 @@
 package dl
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"mpixccl/internal/core"
+	"mpixccl/internal/fault"
+	"mpixccl/internal/metrics"
 )
 
 func TestResNet50Inventory(t *testing.T) {
@@ -198,5 +202,39 @@ func TestUnknownEngine(t *testing.T) {
 func TestUnknownSystem(t *testing.T) {
 	if _, err := Train(Config{System: "summit"}); err == nil {
 		t.Fatal("unknown system accepted")
+	}
+}
+
+var engines = []Engine{EngineXCCL, EnginePureCCL, EngineOpenMPI, EngineUCC}
+
+// A rank count above the device count or below zero is an error on every
+// engine, not a panic.
+func TestTrainRankCount(t *testing.T) {
+	for _, eng := range engines {
+		for _, ranks := range []int{100, 9, -3} {
+			if _, err := Train(Config{Ranks: ranks, Engine: eng, Model: tinyModel(), Steps: 1}); err == nil {
+				t.Errorf("%s: %d ranks on 8 devices accepted", eng, ranks)
+			}
+		}
+	}
+}
+
+// Config.Faults reaches the fabric on every engine: a whole-run intra-node
+// degradation shows up in the fabric's degraded-transfer counter.
+func TestTrainAttachesFaults(t *testing.T) {
+	for _, eng := range engines {
+		reg := metrics.NewRegistry()
+		plan := fault.NewPlan(1).AddLinkRule(fault.LinkRule{Name: "slow", Link: "intra", BWScale: 0.5})
+		if _, err := Train(Config{Engine: eng, Model: tinyModel(), Steps: 1,
+			Faults: plan, Metrics: reg}); err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		var out bytes.Buffer
+		if err := reg.WritePrometheus(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "xccl_degraded_transfers_total{") {
+			t.Errorf("%s: no degraded transfers reported:\n%s", eng, out.String())
+		}
 	}
 }

@@ -8,11 +8,9 @@ import (
 
 	"mpixccl/internal/core"
 	"mpixccl/internal/device"
-	"mpixccl/internal/fabric"
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/mpi"
-	"mpixccl/internal/sim"
-	"mpixccl/internal/topology"
+	"mpixccl/internal/world"
 )
 
 // ckptBandwidth is the sustained device-to-host serialization rate a
@@ -113,25 +111,12 @@ func TrainElastic(cfg Config) (ElasticReport, error) {
 			pol.HeartbeatInterval = pol.WatchdogTimeout / 8
 		}
 	}
-	k := sim.NewKernel()
-	sys, err := topology.Preset(k, cfg.System, cfg.Nodes)
-	if err != nil {
-		return ElasticReport{}, err
-	}
-	fab := fabric.New(k, sys)
-	if cfg.Faults != nil {
-		fab.SetFaults(cfg.Faults)
-	}
-	nranks := cfg.Ranks
-	if nranks == 0 {
-		nranks = sys.NumDevices() - cfg.Spares
-	}
-	if nranks <= 0 {
-		return ElasticReport{}, fmt.Errorf("dl: no active ranks left after %d spares on %d devices", cfg.Spares, sys.NumDevices())
-	}
-	nprocs := nranks + cfg.Spares
-	if nprocs > sys.NumDevices() {
-		return ElasticReport{}, fmt.Errorf("dl: %d ranks + %d spares exceed the %d devices of %s", nranks, cfg.Spares, sys.NumDevices(), cfg.System)
+	// The world holds the active ranks and the spares; without an explicit
+	// rank count every device not set aside as a spare trains.
+	spec := cfg.spec(world.StackPureXCCL)
+	spec.Resilience = pol
+	if spec.Ranks > 0 {
+		spec.Ranks += cfg.Spares
 	}
 	buckets := FuseBuckets(cfg.Model.Tensors, cfg.FusionBytes)
 	var maxBucket int64
@@ -141,28 +126,13 @@ func TrainElastic(cfg Config) (ElasticReport, error) {
 		}
 	}
 	ckptTime := CheckpointTime(cfg.Model)
-	rate := computeRate(sys.Device(0).Kind)
-	computeTime := time.Duration(float64(cfg.BatchSize) / rate * float64(time.Second))
-
-	job := mpi.NewJobOnSystem(fab, mpi.MVAPICHProfile(), sys, nprocs)
-	rt, err := core.NewRuntime(job, core.Options{
-		Backend: cfg.Backend, Mode: core.PureCCL, Metrics: cfg.Metrics, Resilience: pol,
-	})
-	if err != nil {
-		return ElasticReport{}, err
-	}
 	rollbackCtr := cfg.Metrics.Counter("xccl_rollback_steps_total",
 		"Training steps re-executed after rollback to the last checkpoint.",
 		metrics.Labels{"model": cfg.Model.Name})
 
-	rep := ElasticReport{StartRanks: nranks}
-	rep.Ranks, rep.BatchSize, rep.Buckets = nranks, cfg.BatchSize, len(buckets)
-	// Partition-aware mode: when the fault plan can cut the network, the
-	// loop adds the heal-and-rejoin arc — the fenced minority re-enters
-	// through the spare pool after the heal, and the majority polls Grow
-	// each step while below full width. Without partition rules every
-	// branch below is dead code and the loop is byte-identical to before.
-	partAware := rt.HasPartitions()
+	var rep ElasticReport
+	var rt *core.Runtime
+	nranks := 0
 	// ckpt is the checkpoint store's view of training progress, written by
 	// every worker at each (synchronous, globally consistent) checkpoint.
 	// Adopted spares restore from it before joining the grown world.
@@ -170,8 +140,21 @@ func TrainElastic(cfg Config) (ElasticReport, error) {
 		step     int
 		examples int64
 	}
-	if err := rt.Run(func(x *core.Comm) {
-		p := x.MPI().Proc()
+	if err := world.Run(spec, func(r world.Rank) {
+		x := r.(*core.Comm)
+		rt = x.Runtime()
+		nranks = x.Size() - cfg.Spares
+		if nranks <= 0 {
+			return
+		}
+		// Partition-aware mode: when the fault plan can cut the network,
+		// the loop adds the heal-and-rejoin arc — the fenced minority
+		// re-enters through the spare pool after the heal, and the majority
+		// polls Grow each step while below full width. Without partition
+		// rules every branch below is dead code.
+		partAware := rt.HasPartitions()
+		computeTime := stepCompute(&cfg, x.Device().Kind)
+		p := x.Proc()
 		step := 0
 		var examples, examplesAtCkpt int64
 		lastCkpt := 0
@@ -374,6 +357,10 @@ func TrainElastic(cfg Config) (ElasticReport, error) {
 	}); err != nil {
 		return ElasticReport{}, err
 	}
+	if nranks <= 0 {
+		return ElasticReport{}, fmt.Errorf("dl: no active ranks left after %d spares on %d devices", cfg.Spares, nranks+cfg.Spares)
+	}
+	rep.StartRanks, rep.Ranks, rep.BatchSize, rep.Buckets = nranks, nranks, cfg.BatchSize, len(buckets)
 	if len(rep.StepLatency) == 0 {
 		return ElasticReport{}, fmt.Errorf("dl: no steps completed")
 	}

@@ -4,15 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"mpixccl/internal/baseline"
-	"mpixccl/internal/ccl"
 	"mpixccl/internal/core"
 	"mpixccl/internal/device"
-	"mpixccl/internal/fabric"
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/mpi"
-	"mpixccl/internal/sim"
-	"mpixccl/internal/topology"
+	"mpixccl/internal/world"
 )
 
 // Engine selects the gradient-communication stack.
@@ -80,7 +76,9 @@ type Config struct {
 	System string
 	// Nodes is the node count.
 	Nodes int
-	// Ranks is the worker count (0 = one per device).
+	// Ranks is the worker count (0 = one per device, or for TrainElastic
+	// every device not held as a spare). A negative count, or one that
+	// with the spares exceeds the device count, is an error.
 	Ranks int
 	// Model is the network (nil = ResNet50).
 	Model *Model
@@ -100,16 +98,18 @@ type Config struct {
 	Table *core.TuningTable
 	// Metrics, when non-nil, aggregates training-loop instrumentation:
 	// fusion-buffer fill levels, per-step duration, and per-bucket
-	// allreduce latency distributions (rank 0's view), plus the runtime
-	// layers' own counters for the engines that support them.
+	// allreduce latency distributions (rank 0's view), plus the counters
+	// of every layer the engine's stack has (fabric, MPI, CCL, xCCL).
 	Metrics *metrics.Registry
 	// Faults, when non-nil, is attached to the fabric before the run
-	// (typically a *fault.Plan carrying fail-stop crash rules). Only
-	// TrainElastic consults it; Train assumes a healthy cluster.
+	// (typically a *fault.Plan), on every engine. TrainElastic recovers
+	// from the fail-stop crashes and partitions it carries; Train does not
+	// recover, so there it suits link degradation and transient faults.
 	Faults any
-	// Resilience overrides the xCCL resilience policy. TrainElastic
-	// defaults it to DefaultResilience plus a 2 ms collective watchdog —
-	// the deadline that turns a dead peer into a detectable failure.
+	// Resilience overrides the xCCL resilience policy of EngineXCCL
+	// (nil = core.DefaultResilience) and of TrainElastic, which defaults
+	// it to DefaultResilience plus a 2 ms collective watchdog — the
+	// deadline that turns a dead peer into a detectable failure.
 	Resilience *core.Resilience
 	// Persistent moves the gradient exchange onto persistent allreduce
 	// handles (EngineXCCL only): one handle per fusion bucket, built
@@ -171,27 +171,40 @@ type Report struct {
 	Buckets int
 }
 
-// gradEngine is the per-rank allreduce entry point.
-type gradEngine interface {
-	allreduce(send, recv *device.Buffer, count int)
-	barrier()
-	proc() *sim.Proc
-	dev() *device.Device
+// stack maps an engine to the world stack it runs on.
+func (e Engine) stack() (world.Stack, error) {
+	switch e {
+	case EngineXCCL:
+		return world.StackHybrid, nil
+	case EnginePureCCL:
+		return world.StackPureCCL, nil
+	case EngineOpenMPI:
+		return world.StackOpenMPI, nil
+	case EngineUCC:
+		return world.StackUCC, nil
+	}
+	return "", fmt.Errorf("dl: unknown engine %q", e)
+}
+
+// spec is the world cfg trains on.
+func (c *Config) spec(stack world.Stack) world.Spec {
+	return world.Spec{System: c.System, Nodes: c.Nodes, Ranks: c.Ranks, Stack: stack,
+		Backend: c.Backend, Table: c.Table, Resilience: c.Resilience,
+		Faults: c.Faults, Metrics: c.Metrics}
+}
+
+// stepCompute is one worker's forward + backward time per step.
+func stepCompute(cfg *Config, kind device.Kind) time.Duration {
+	return time.Duration(float64(cfg.BatchSize) / computeRate(kind) * float64(time.Second))
 }
 
 // Train runs the synchronous data-parallel training loop and reports
 // throughput in virtual time.
 func Train(cfg Config) (Report, error) {
 	cfg.fillDefaults()
-	k := sim.NewKernel()
-	sys, err := topology.Preset(k, cfg.System, cfg.Nodes)
+	stack, err := cfg.Engine.stack()
 	if err != nil {
 		return Report{}, err
-	}
-	fab := fabric.New(k, sys)
-	nranks := cfg.Ranks
-	if nranks == 0 {
-		nranks = sys.NumDevices()
 	}
 	buckets := FuseBuckets(cfg.Model.Tensors, cfg.FusionBytes)
 	var maxBucket int64
@@ -217,50 +230,58 @@ func Train(cfg Config) (Report, error) {
 		"Training-step virtual duration (rank 0, warmup excluded).",
 		[]float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5},
 		metrics.Labels{"engine": string(cfg.Engine)})
-	rate := computeRate(sys.Device(0).Kind)
-	computeTime := time.Duration(float64(cfg.BatchSize) / rate * float64(time.Second))
-
 	var stepTimes []time.Duration
 	persistent := cfg.Persistent && cfg.Engine == EngineXCCL
-	body := func(ge gradEngine) {
+	var poll time.Duration
+	if cfg.Engine == EnginePureCCL {
+		poll = pollOverhead(cfg.System)
+	}
+	nranks := 0
+	err = world.Run(cfg.spec(stack), func(r world.Rank) {
+		nranks = r.Size()
+		computeTime := stepCompute(&cfg, r.Device().Kind)
 		if persistent {
-			x := ge.(*mpiEngine).c.(*core.Comm)
 			// Only rank 0 measures; adopt its non-empty result rather than
 			// assigning unconditionally, or the last rank to finish would
 			// overwrite the shared slice with its own empty one.
-			if st := trainPersistent(&cfg, x, buckets, computeTime,
+			if st := trainPersistent(&cfg, r.(*core.Comm), buckets, computeTime,
 				allreduceHist, stepHist); len(st) > 0 {
 				stepTimes = st
 			}
 			return
 		}
 		// Horovod allreduces gradients in place (send == recv).
-		grad := ge.dev().MustMalloc(maxBucket)
-		p := ge.proc()
+		grad := r.Device().MustMalloc(maxBucket)
+		p := r.Proc()
 		for step := 0; step < cfg.Steps+1; step++ {
 			start := p.Now()
 			// Forward + backward compute.
 			p.Sleep(computeTime)
 			// Gradient exchange, bucket by bucket in production order.
-			measured := step > 0 && ge.dev().ID == 0 // rank 0, after warmup
+			measured := step > 0 && r.Device().ID == 0 // rank 0, after warmup
 			for _, b := range buckets {
 				p.Sleep(coordOverhead)
 				bucket := grad.Slice(0, b.Bytes)
 				arStart := p.Now()
-				ge.allreduce(bucket, bucket, int(b.Bytes/4))
+				r.Allreduce(bucket, bucket, int(b.Bytes/4), mpi.Float32, mpi.OpSum)
+				if poll > 0 {
+					// Horovod's own CCL integration polls the CCL event on a
+					// background thread and re-enters the framework per
+					// fused op.
+					p.Sleep(poll)
+				}
 				if measured {
 					metrics.StartTimer(allreduceHist, arStart).Stop(p.Now())
 				}
 			}
-			ge.barrier()
+			r.Barrier()
 			if measured {
 				stepTimes = append(stepTimes, p.Now()-start)
 				metrics.StartTimer(stepHist, start).Stop(p.Now())
 			}
 		}
-	}
-
-	if err := launch(&cfg, sys, fab, nranks, body); err != nil {
+	})
+	if err != nil {
 		return Report{}, err
 	}
 	var total time.Duration
@@ -359,88 +380,3 @@ func trainPersistent(cfg *Config, x *core.Comm, buckets []Bucket,
 	}
 	return stepTimes
 }
-
-// launch builds the engine-specific world and runs body on every rank.
-func launch(cfg *Config, sys *topology.System, fab *fabric.Fabric, nranks int, body func(ge gradEngine)) error {
-	switch cfg.Engine {
-	case EngineXCCL:
-		job := mpi.NewJobOnSystem(fab, mpi.MVAPICHProfile(), sys, nranks)
-		rt, err := core.NewRuntime(job, core.Options{Backend: cfg.Backend, Mode: core.Hybrid,
-			Table: cfg.Table, Metrics: cfg.Metrics})
-		if err != nil {
-			return err
-		}
-		return rt.Run(func(x *core.Comm) { body(&mpiEngine{c: x, p: x.MPI().Proc()}) })
-	case EngineOpenMPI:
-		job := baseline.NewOpenMPIJob(fab, sys, nranks)
-		job.SetMetrics(cfg.Metrics)
-		return job.Run(func(c *mpi.Comm) { body(&mpiEngine{c: c, p: c.Proc()}) })
-	case EngineUCC:
-		job := baseline.NewOpenMPIJob(fab, sys, nranks)
-		job.SetMetrics(cfg.Metrics)
-		ucc := baseline.NewUCC(job)
-		return ucc.Run(func(x *baseline.Comm) { body(&mpiEngine{c: x, p: x.MPI().Proc()}) })
-	case EnginePureCCL:
-		kind, err := core.ResolveBackend(cfg.Backend, sys.Device(0).Kind)
-		if err != nil {
-			return err
-		}
-		comms, err := core.NewBackendComms(kind, fab, sys.Devices()[:nranks])
-		if err != nil {
-			return err
-		}
-		if cfg.Metrics != nil {
-			comms[0].SetMetrics(cfg.Metrics)
-		}
-		bar := sim.NewBarrier(fab.Kernel(), nranks)
-		return ccl.Run(comms, func(cc *ccl.Comm, s *device.Stream, p *sim.Proc) {
-			body(&cclEngine{cc: cc, s: s, p: p, bar: bar, poll: pollOverhead(cfg.System)})
-		})
-	default:
-		return fmt.Errorf("dl: unknown engine %q", cfg.Engine)
-	}
-}
-
-// mpiStack is what Horovod calls on the stacks it reaches through MPI:
-// the hybrid runtime (*core.Comm), Open MPI (*mpi.Comm) and UCC
-// (*baseline.Comm).
-type mpiStack interface {
-	Allreduce(send, recv *device.Buffer, count int, dt mpi.Datatype, op mpi.Op)
-	Barrier()
-	Device() *device.Device
-}
-
-// mpiEngine is the gradient engine of every MPI-interface stack: a
-// blocking MPI_Allreduce per fused bucket.
-type mpiEngine struct {
-	c mpiStack
-	p *sim.Proc
-}
-
-func (e *mpiEngine) allreduce(send, recv *device.Buffer, count int) {
-	e.c.Allreduce(send, recv, count, mpi.Float32, mpi.OpSum)
-}
-func (e *mpiEngine) barrier()            { e.c.Barrier() }
-func (e *mpiEngine) proc() *sim.Proc     { return e.p }
-func (e *mpiEngine) dev() *device.Device { return e.c.Device() }
-
-type cclEngine struct {
-	cc   *ccl.Comm
-	s    *device.Stream
-	p    *sim.Proc
-	bar  *sim.Barrier
-	poll time.Duration
-}
-
-func (e *cclEngine) allreduce(send, recv *device.Buffer, count int) {
-	if err := e.cc.AllReduce(send, recv, count, ccl.Float32, ccl.Sum, e.s); err != nil {
-		panic(err)
-	}
-	e.s.Synchronize(e.p)
-	// Horovod's background thread polls the CCL event and re-enters the
-	// framework per fused op.
-	e.p.Sleep(e.poll)
-}
-func (e *cclEngine) barrier()            { e.bar.Wait(e.p) }
-func (e *cclEngine) proc() *sim.Proc     { return e.p }
-func (e *cclEngine) dev() *device.Device { return e.cc.Device() }

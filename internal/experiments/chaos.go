@@ -8,12 +8,10 @@ import (
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/core"
 	"mpixccl/internal/dl"
-	"mpixccl/internal/fabric"
 	"mpixccl/internal/fault"
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/mpi"
-	"mpixccl/internal/sim"
-	"mpixccl/internal/topology"
+	"mpixccl/internal/world"
 )
 
 // Chaos soak: seeded, randomized fault schedules driven end to end through
@@ -153,18 +151,10 @@ func chaosCollective(rng *chaosRNG) (string, error) {
 		BWScale: 0.4 + 0.4*rng.float(),
 	})
 
-	k := sim.NewKernel()
-	sys, err := topology.Preset(k, "thetagpu", 1)
-	if err != nil {
-		return "", err
-	}
-	fab := fabric.New(k, sys)
-	fab.SetFaults(plan)
 	reg := metrics.NewRegistry()
-	fab.SetMetrics(reg)
-	job := mpi.NewJobOnSystem(fab, mpi.MVAPICHProfile(), sys, nranks)
-	rt, err := core.NewRuntime(job, core.Options{
-		Backend: core.Auto, Mode: core.Hybrid, Metrics: reg,
+	spec := world.Spec{
+		System: "thetagpu", Nodes: 1, Ranks: nranks, Stack: world.StackHybrid,
+		Faults: plan, Metrics: reg,
 		// Deep retry budget, as the resilience exhibit: an unscoped
 		// probabilistic rule that exhausts one rank's retries would demote
 		// that rank alone to the MPI path and deadlock against its peers.
@@ -172,15 +162,13 @@ func chaosCollective(rng *chaosRNG) (string, error) {
 			MaxRetries: 8, BreakerThreshold: 3,
 			Integrity: true,
 		},
-	})
-	if err != nil {
-		return "", err
 	}
 	pattern := func(round, rank, i int) int32 {
 		return int32((rank+1)*(i%17+1) + round)
 	}
 	bad := 0
-	if err := rt.Run(func(x *core.Comm) {
+	if err := world.Run(spec, func(r world.Rank) {
+		x := r.(*core.Comm)
 		max := counts[0]
 		for _, c := range counts {
 			if c > max {

@@ -17,6 +17,7 @@ import (
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/omb"
 	"mpixccl/internal/topology"
+	"mpixccl/internal/world"
 )
 
 // Scale selects run sizes: Quick shrinks node counts and size sweeps so the
@@ -159,14 +160,14 @@ func Fig1a(o Options) (*Figure, error) {
 	f := &Figure{ID: "fig1a", Title: "MPI vs NCCL Allreduce latency (32 GPUs, 4 nodes)",
 		XLabel: "bytes", Metric: "latency"}
 	mpiCfg := base
-	mpiCfg.Stack = omb.StackMPI
+	mpiCfg.Stack = world.StackMPI
 	s, err := ombSeries("MPI", mpiCfg, omb.Allreduce)
 	if err != nil {
 		return nil, err
 	}
 	f.Series = append(f.Series, s)
 	ncclCfg := base
-	ncclCfg.Stack = omb.StackPureCCL
+	ncclCfg.Stack = world.StackPureCCL
 	s, err = ombSeries("NCCL", ncclCfg, omb.Allreduce)
 	if err != nil {
 		return nil, err
@@ -185,14 +186,14 @@ func Fig1b(o Options) (*Figure, error) {
 	f := &Figure{ID: "fig1b", Title: "MPI vs RCCL Allgather latency (8 GPUs, 4 nodes)",
 		XLabel: "bytes", Metric: "latency"}
 	mpiCfg := base
-	mpiCfg.Stack = omb.StackMPI
+	mpiCfg.Stack = world.StackMPI
 	s, err := ombSeries("MPI", mpiCfg, omb.Allgather)
 	if err != nil {
 		return nil, err
 	}
 	f.Series = append(f.Series, s)
 	rcclCfg := base
-	rcclCfg.Stack = omb.StackPureCCL
+	rcclCfg.Stack = world.StackPureCCL
 	s, err = ombSeries("RCCL", rcclCfg, omb.Allgather)
 	if err != nil {
 		return nil, err
@@ -308,19 +309,19 @@ func collectives(id, title string, multi bool, o Options) (*Figure, error) {
 		for _, op := range ops {
 			type variant struct {
 				label string
-				stack omb.Stack
+				stack world.Stack
 				bk    core.BackendKind
 			}
 			variants := []variant{
-				{"hybrid", omb.StackHybrid, spec.backend},
-				{"pure-xccl", omb.StackPureXCCL, spec.backend},
-				{"pure-ccl", omb.StackPureCCL, spec.backend},
+				{"hybrid", world.StackHybrid, spec.backend},
+				{"pure-xccl", world.StackPureXCCL, spec.backend},
+				{"pure-ccl", world.StackPureCCL, spec.backend},
 			}
 			if spec.backend == core.NCCL {
-				variants = append(variants, variant{"ompi-ucx-ucc", omb.StackUCC, spec.backend})
+				variants = append(variants, variant{"ompi-ucx-ucc", world.StackUCC, spec.backend})
 			}
 			if spec.backend == core.MSCCL && op == omb.Allreduce {
-				variants = append(variants, variant{"pure-nccl-2.12", omb.StackPureCCL, core.LegacyNCCL})
+				variants = append(variants, variant{"pure-nccl-2.12", world.StackPureCCL, core.LegacyNCCL})
 			}
 			for _, v := range variants {
 				cfg := base

@@ -2,9 +2,15 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// fig7Quick is Fig7 at quick scale, run once for the two tests that read
+// it (TestFig7SeriesShape and TestGoldenVirtualTime/fig7): it is among
+// the slowest exhibits.
+var fig7Quick = sync.OnceValues(func() (*Figure, error) { return Fig7(Options{}) })
 
 func TestIDsAreRunnable(t *testing.T) {
 	t.Parallel()
@@ -78,7 +84,7 @@ func TestFig7SeriesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("application figure is slow")
 	}
-	f, err := Fig7(Options{})
+	f, err := fig7Quick()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,6 +44,19 @@ func readGolden(t *testing.T) map[string]string {
 	return golden
 }
 
+// quickExhibit is Run(id, Options{}), with fig7 shared with
+// TestFig7SeriesShape.
+func quickExhibit(id string) (string, error) {
+	if id != "fig7" {
+		return Run(id, Options{})
+	}
+	f, err := fig7Quick()
+	if err != nil {
+		return "", err
+	}
+	return Format(f), nil
+}
+
 // TestGoldenVirtualTime proves the optimized engine reproduces the seed's
 // virtual-time results bit-for-bit: every exhibit's formatted output (which
 // embeds each series' virtual latencies) must match the pinned snapshot.
@@ -78,7 +91,7 @@ func TestGoldenVirtualTime(t *testing.T) {
 			if !ok {
 				t.Fatalf("golden file has no entry for %s", id)
 			}
-			got, err := Run(id, Options{})
+			got, err := quickExhibit(id)
 			if err != nil {
 				t.Fatal(err)
 			}

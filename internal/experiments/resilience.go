@@ -8,6 +8,7 @@ import (
 	"mpixccl/internal/core"
 	"mpixccl/internal/fault"
 	"mpixccl/internal/omb"
+	"mpixccl/internal/world"
 )
 
 // resilienceSeed fixes every fault plan of the scenario: reruns inject the
@@ -61,7 +62,7 @@ func Resilience(o Options) (*Figure, error) {
 		XLabel: "bytes", Metric: "latency"}
 
 	clean := base
-	clean.Stack = omb.StackHybrid
+	clean.Stack = world.StackHybrid
 	s, err := ombSeries("hybrid/clean", clean, omb.Allreduce)
 	if err != nil {
 		return nil, err
@@ -70,7 +71,7 @@ func Resilience(o Options) (*Figure, error) {
 
 	hybridPlan := resiliencePlan()
 	faulted := base
-	faulted.Stack = omb.StackHybrid
+	faulted.Stack = world.StackHybrid
 	faulted.Faults = hybridPlan
 	s, err = ombSeries("hybrid/faulted", faulted, omb.Allreduce)
 	if err != nil {
@@ -80,7 +81,7 @@ func Resilience(o Options) (*Figure, error) {
 
 	purePlan := resiliencePlan()
 	pure := base
-	pure.Stack = omb.StackPureXCCL
+	pure.Stack = world.StackPureXCCL
 	pure.Faults = purePlan
 	s, err = ombSeries("pure-xccl/faulted", pure, omb.Allreduce)
 	if err != nil {

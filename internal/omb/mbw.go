@@ -3,7 +3,8 @@ package omb
 import (
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/device"
-	"mpixccl/internal/sim"
+	"mpixccl/internal/topology"
+	"mpixccl/internal/world"
 )
 
 // RunMultiBW is osu_mbw_mr: aggregate multi-pair bandwidth and message
@@ -11,50 +12,33 @@ import (
 // (rank i on node 0 paired with rank i on node 1), otherwise split within
 // one node — the saturation test for NIC and switch pools.
 func RunMultiBW(cfg Config, pairs int) ([]Result, error) {
-	cfg.fillDefaults()
-	w, err := buildWorld(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	perNode := w.sys.DevicesPerNode()
-	if pairs <= 0 {
-		pairs = perNode / 2
-		if cfg.Nodes > 1 {
-			pairs = perNode
-		}
-	}
-	devs := w.sys.Devices()
-	type pair struct{ a, b int }
-	var plan []pair
-	if cfg.Nodes > 1 {
-		if pairs > perNode {
-			pairs = perNode
-		}
-		for i := 0; i < pairs; i++ {
-			plan = append(plan, pair{i, perNode + i})
-		}
-	} else {
-		if pairs > perNode/2 {
-			pairs = perNode / 2
-		}
-		for i := 0; i < pairs; i++ {
-			plan = append(plan, pair{2 * i, 2*i + 1})
-		}
-	}
-	// Build a communicator over exactly the participating devices, in plan
-	// order: even comm-ranks send, odd comm-ranks receive.
-	commDevs := devs[:0:0]
-	for _, pr := range plan {
-		commDevs = append(commDevs, devs[pr.a], devs[pr.b])
-	}
-	comms, err := pureCCLComms(&cfg, w, commDevs)
-	if err != nil {
+	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
 	sizes := Sizes(cfg.MinBytes, cfg.MaxBytes)
 	results := make([]Result, len(sizes))
-	bar := sim.NewBarrier(w.k, len(comms))
-	err = ccl.Run(comms, func(cc *ccl.Comm, s *device.Stream, p *sim.Proc) {
+	// The communicator spans exactly the participating devices, in plan
+	// order: even comm-ranks send, odd comm-ranks receive.
+	plan := func(sys *topology.System) []*device.Device {
+		perNode := sys.DevicesPerNode()
+		// Pair i is devices (2i, 2i+1) on one node, or device i of the
+		// first node with device i of the second.
+		step, stride, most := 2, 1, perNode/2
+		if cfg.Nodes > 1 {
+			step, stride, most = 1, perNode, perNode
+		}
+		if pairs <= 0 || pairs > most {
+			pairs = most
+		}
+		devs := sys.Devices()
+		var out []*device.Device
+		for i := 0; i < pairs; i++ {
+			out = append(out, devs[step*i], devs[step*i+stride])
+		}
+		return out
+	}
+	err := world.RunCCL(cfg.spec(), plan, func(rk *world.CCLRank) {
+		cc, s, p := rk.CCL(), rk.Stream(), rk.Proc()
 		r := cc.Rank()
 		buf := cc.Device().MustMalloc(sizes[len(sizes)-1])
 		ack := cc.Device().MustMalloc(4)
@@ -66,7 +50,7 @@ func RunMultiBW(cfg Config, pairs int) ([]Result, error) {
 				count = 1
 			}
 			msg := buf.Slice(0, int64(count)*4)
-			bar.Wait(p)
+			rk.Barrier()
 			start := p.Now()
 			check(cc.GroupStart())
 			for wi := 0; wi < bwWindow; wi++ {
@@ -84,9 +68,9 @@ func RunMultiBW(cfg Config, pairs int) ([]Result, error) {
 			}
 			s.Synchronize(p)
 			elapsed := p.Now() - start
-			bar.Wait(p)
+			rk.Barrier()
 			if r == 0 {
-				payload := float64(bytes) * bwWindow * float64(len(plan))
+				payload := float64(bytes) * bwWindow * float64(pairs)
 				results[si].Bytes = bytes
 				results[si].Latency = elapsed
 				results[si].BandwidthMBs = payload / elapsed.Seconds() / 1e6

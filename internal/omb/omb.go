@@ -15,33 +15,11 @@ import (
 	"fmt"
 	"time"
 
-	"mpixccl/internal/baseline"
 	"mpixccl/internal/core"
 	"mpixccl/internal/device"
-	"mpixccl/internal/fabric"
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/mpi"
-	"mpixccl/internal/sim"
-	"mpixccl/internal/topology"
-)
-
-// Stack identifies the software under test.
-type Stack string
-
-// Stacks.
-const (
-	// StackHybrid is the paper's proposed hybrid xCCL design.
-	StackHybrid Stack = "hybrid-xccl"
-	// StackPureXCCL is the proposed layer forced to the CCL path.
-	StackPureXCCL Stack = "pure-xccl"
-	// StackMPI is the plain GPU-aware MPI runtime (MVAPICH flavor).
-	StackMPI Stack = "mpi"
-	// StackOpenMPI is Open MPI + UCX.
-	StackOpenMPI Stack = "openmpi-ucx"
-	// StackUCC is Open MPI + UCX + UCC.
-	StackUCC Stack = "openmpi-ucx-ucc"
-	// StackPureCCL is the raw vendor library through OMB's CCL benchmarks.
-	StackPureCCL Stack = "pure-ccl"
+	"mpixccl/internal/world"
 )
 
 // Collective names an OMB collective benchmark.
@@ -64,13 +42,16 @@ type Config struct {
 	System string
 	// Nodes is the node count.
 	Nodes int
-	// Ranks is the total rank count (0 = one per device).
+	// Ranks is the total rank count (0 = one per device). A negative
+	// count or one above the device count is an error.
 	Ranks int
 	// Stack is the software under test.
-	Stack Stack
+	Stack world.Stack
 	// Backend picks the CCL (Auto = by vendor).
 	Backend core.BackendKind
-	// MinBytes and MaxBytes bound the size sweep (powers of two).
+	// MinBytes and MaxBytes bound the size sweep, which doubles from
+	// MinBytes (0 = the defaults, 4 B and 4 MiB). The runners reject a
+	// sweep with MinBytes <= 0 or MinBytes > MaxBytes.
 	MinBytes, MaxBytes int64
 	// Iterations is the timed call count per size; one untimed warm-up
 	// call precedes them.
@@ -107,7 +88,9 @@ type Config struct {
 	Compile bool
 }
 
-func (c *Config) fillDefaults() {
+// fillDefaults completes the config and rejects a size sweep that is
+// empty or never ends.
+func (c *Config) fillDefaults() error {
 	if c.System == "" {
 		c.System = "thetagpu"
 	}
@@ -127,8 +110,12 @@ func (c *Config) fillDefaults() {
 		c.Backend = core.Auto
 	}
 	if c.Stack == "" {
-		c.Stack = StackHybrid
+		c.Stack = world.StackHybrid
 	}
+	if c.MinBytes <= 0 || c.MinBytes > c.MaxBytes {
+		return fmt.Errorf("omb: bad size sweep: min %d, max %d bytes (want 0 < min <= max)", c.MinBytes, c.MaxBytes)
+	}
+	return nil
 }
 
 // Result is one row of an OMB table.
@@ -153,78 +140,40 @@ func Sizes(min, max int64) []int64 {
 	return out
 }
 
-// world is a constructed simulation universe for one run.
-type world struct {
-	k   *sim.Kernel
-	sys *topology.System
-	fab *fabric.Fabric
-}
-
-func buildWorld(cfg *Config) (*world, error) {
-	k := sim.NewKernel()
-	sys, err := topology.Preset(k, cfg.System, cfg.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	fab := fabric.New(k, sys)
-	if cfg.Faults != nil {
-		fab.SetFaults(cfg.Faults)
-	}
-	if cfg.Metrics != nil {
-		fab.SetMetrics(cfg.Metrics)
-	}
-	return &world{k: k, sys: sys, fab: fab}, nil
-}
-
-func (cfg *Config) ranks(sys *topology.System) int {
-	if cfg.Ranks > 0 {
-		return cfg.Ranks
-	}
-	return sys.NumDevices()
-}
-
-// collDriver abstracts one rank's collective entry point across stacks.
-type collDriver struct {
-	do      func(op Collective, send, recv *device.Buffer, count int)
-	barrier func()
-	proc    *sim.Proc
-	dev     *device.Device
-	rank    int
-}
-
 // RunCollective measures collective latency across the size sweep and
 // returns one Result per size.
 func RunCollective(cfg Config, op Collective) ([]Result, error) {
-	cfg.fillDefaults()
-	w, err := buildWorld(&cfg)
-	if err != nil {
+	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	nranks := cfg.ranks(w.sys)
 	sizes := Sizes(cfg.MinBytes, cfg.MaxBytes)
 	results := make([]Result, len(sizes))
-
-	body := func(d *collDriver) {
+	err := world.Run(cfg.spec(), func(r world.Rank) {
+		do := func(send, recv *device.Buffer, count int) { collOp(r, op, send, recv, count) }
+		if x, ok := r.(*core.Comm); ok && cfg.Persistent && op == Allreduce {
+			do = persistentAllreduce(x)
+		}
 		// Only the gather-family ops need n-scaled buffers.
 		n := int64(1)
 		if op == Alltoall || op == Allgather || op == Gather || op == Scatter {
-			n = int64(nranks)
+			n = int64(r.Size())
 		}
 		maxBuf := sizes[len(sizes)-1]
-		send := d.dev.MustMalloc(maxBuf * n)
-		recv := d.dev.MustMalloc(maxBuf * n)
+		send := r.Device().MustMalloc(maxBuf * n)
+		recv := r.Device().MustMalloc(maxBuf * n)
+		p := r.Proc()
 		for si, bytes := range sizes {
 			count := int(bytes / 4) // float32 elements, like OMB defaults
 			if count == 0 {
 				count = 1
 			}
-			d.do(op, send, recv, count) // warm-up
-			d.barrier()
+			do(send, recv, count) // warm-up
+			r.Barrier()
 			var total time.Duration
 			for i := 0; i < cfg.Iterations; i++ {
-				start := d.proc.Now()
-				d.do(op, send, recv, count)
-				total += d.proc.Now() - start
+				start := p.Now()
+				do(send, recv, count)
+				total += p.Now() - start
 			}
 			avg := total / time.Duration(cfg.Iterations)
 			if avg > results[si].Latency {
@@ -237,110 +186,50 @@ func RunCollective(cfg Config, op Collective) ([]Result, error) {
 				results[si].MinLatency = avg
 			}
 			results[si].Bytes = bytes
-			d.barrier()
+			r.Barrier()
 		}
-	}
-
-	if err := launchCollective(&cfg, w, nranks, body); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return results, nil
 }
 
-// launchCollective builds the requested stack and runs body per rank.
-func launchCollective(cfg *Config, w *world, nranks int, body func(d *collDriver)) error {
-	switch cfg.Stack {
-	case StackHybrid, StackPureXCCL:
-		mode := core.Hybrid
-		if cfg.Stack == StackPureXCCL {
-			mode = core.PureCCL
+// spec is the world the config describes.
+func (cfg *Config) spec() world.Spec {
+	return world.Spec{System: cfg.System, Nodes: cfg.Nodes, Ranks: cfg.Ranks,
+		Stack: cfg.Stack, Backend: cfg.Backend, Table: cfg.Table, Compile: cfg.Compile,
+		Resilience: cfg.Resilience, Faults: cfg.Faults, Metrics: cfg.Metrics}
+}
+
+// persistentAllreduce is the allreduce sweep on persistent handles: one
+// handle per message size, rebuilt when the size changes (every rank hits
+// the same sequence points, so the Init rendezvous lines up).
+func persistentAllreduce(x *core.Comm) func(send, recv *device.Buffer, count int) {
+	var po *core.PersistentOp
+	poCount := -1
+	return func(send, recv *device.Buffer, count int) {
+		if count != poCount {
+			if po != nil {
+				po.Free()
+			}
+			var err error
+			po, err = x.AllReduceInit(send.Slice(0, int64(count)*4),
+				recv.Slice(0, int64(count)*4), count, mpi.Float32, mpi.OpSum)
+			if err != nil {
+				panic(fmt.Sprintf("omb: persistent init: %v", err))
+			}
+			poCount = count
 		}
-		job := mpi.NewJobOnSystem(w.fab, mpi.MVAPICHProfile(), w.sys, nranks)
-		rt, err := core.NewRuntime(job, core.Options{Backend: cfg.Backend, Mode: mode,
-			Table: cfg.Table, Metrics: cfg.Metrics, Resilience: cfg.Resilience,
-			Compile: cfg.Compile})
-		if err != nil {
-			return err
+		if err := po.Do(); err != nil {
+			panic(fmt.Sprintf("omb: persistent allreduce: %v", err))
 		}
-		return rt.Run(func(x *core.Comm) {
-			// Persistent mode: the allreduce sweep reuses one handle per
-			// message size, rebuilt when the size changes (every rank hits
-			// the same sequence points, so the Init rendezvous lines up).
-			var po *core.PersistentOp
-			poCount := -1
-			body(&collDriver{
-				do: func(op Collective, send, recv *device.Buffer, count int) {
-					if cfg.Persistent && op == Allreduce {
-						if count != poCount {
-							if po != nil {
-								po.Free()
-							}
-							var err error
-							po, err = x.AllReduceInit(send.Slice(0, int64(count)*4),
-								recv.Slice(0, int64(count)*4), count, mpi.Float32, mpi.OpSum)
-							if err != nil {
-								panic(fmt.Sprintf("omb: persistent init: %v", err))
-							}
-							poCount = count
-						}
-						if err := po.Do(); err != nil {
-							panic(fmt.Sprintf("omb: persistent allreduce: %v", err))
-						}
-						return
-					}
-					collOp(x, op, send, recv, count)
-				},
-				barrier: func() { x.MPI().Barrier() },
-				proc:    x.MPI().Proc(), dev: x.Device(), rank: x.Rank(),
-			})
-		})
-	case StackMPI, StackOpenMPI, StackUCC:
-		var job *mpi.Job
-		if cfg.Stack == StackMPI {
-			job = mpi.NewJobOnSystem(w.fab, mpi.MVAPICHProfile(), w.sys, nranks)
-		} else {
-			job = baseline.NewOpenMPIJob(w.fab, w.sys, nranks)
-		}
-		job.SetMetrics(cfg.Metrics)
-		if cfg.Stack == StackUCC {
-			return baseline.NewUCC(job).Run(func(x *baseline.Comm) {
-				body(&collDriver{
-					do:      func(op Collective, send, recv *device.Buffer, count int) { collOp(x, op, send, recv, count) },
-					barrier: x.Barrier,
-					proc:    x.MPI().Proc(), dev: x.Device(), rank: x.Rank(),
-				})
-			})
-		}
-		return job.Run(func(c *mpi.Comm) {
-			body(&collDriver{
-				do:      func(op Collective, send, recv *device.Buffer, count int) { collOp(c, op, send, recv, count) },
-				barrier: c.Barrier,
-				proc:    c.Proc(), dev: c.Device(), rank: c.Rank(),
-			})
-		})
-	case StackPureCCL:
-		return runPureCCLCollective(cfg, w, nranks, body)
-	default:
-		return fmt.Errorf("omb: unknown stack %q", cfg.Stack)
 	}
 }
 
-// collComm is the collective method set the hybrid runtime (*core.Comm),
-// the MPI runtimes (*mpi.Comm) and UCC (*baseline.Comm) share.
-type collComm interface {
-	Size() int
-	Allreduce(send, recv *device.Buffer, count int, dt mpi.Datatype, op mpi.Op)
-	Reduce(send, recv *device.Buffer, count int, dt mpi.Datatype, op mpi.Op, root int)
-	Bcast(buf *device.Buffer, count int, dt mpi.Datatype, root int)
-	Alltoall(send *device.Buffer, count int, dt mpi.Datatype, recv *device.Buffer)
-	Allgather(send *device.Buffer, count int, dt mpi.Datatype, recv *device.Buffer)
-	Gather(send *device.Buffer, count int, dt mpi.Datatype, recv *device.Buffer, root int)
-	Scatter(send *device.Buffer, count int, dt mpi.Datatype, recv *device.Buffer, root int)
-}
-
 // collOp issues one blocking float32 collective of count elements per
-// block, rooted at rank 0, on any of the MPI-interface stacks.
-func collOp(c collComm, op Collective, send, recv *device.Buffer, count int) {
+// block, rooted at rank 0, on any stack.
+func collOp(c world.Rank, op Collective, send, recv *device.Buffer, count int) {
 	blk := int64(count) * 4
 	all := blk * int64(c.Size())
 	switch op {

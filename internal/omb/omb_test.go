@@ -12,6 +12,7 @@ import (
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/sim"
 	"mpixccl/internal/topology"
+	"mpixccl/internal/world"
 )
 
 func find(results []Result, bytes int64) Result {
@@ -132,12 +133,12 @@ func TestPt2PtRCCLCalibration(t *testing.T) {
 // small messages and loses for large ones, crossing over in the tens of KB.
 func TestFig1aCrossoverShape(t *testing.T) {
 	cfg := Config{System: "thetagpu", Nodes: 4, MinBytes: 256, MaxBytes: 1 << 20, Iterations: 1}
-	cfg.Stack = StackMPI
+	cfg.Stack = world.StackMPI
 	mpiRes, err := RunCollective(cfg, Allreduce)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Stack = StackPureCCL
+	cfg.Stack = world.StackPureCCL
 	ncclRes, err := RunCollective(cfg, Allreduce)
 	if err != nil {
 		t.Fatal(err)
@@ -159,13 +160,13 @@ func TestFig1aCrossoverShape(t *testing.T) {
 func TestHybridTracksWinner(t *testing.T) {
 	base := Config{System: "thetagpu", Nodes: 1, MinBytes: 256, MaxBytes: 4 << 20, Iterations: 1}
 	hyb := base
-	hyb.Stack = StackHybrid
+	hyb.Stack = world.StackHybrid
 	hybRes, err := RunCollective(hyb, Allreduce)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pure := base
-	pure.Stack = StackPureXCCL
+	pure.Stack = world.StackPureXCCL
 	pureRes, err := RunCollective(pure, Allreduce)
 	if err != nil {
 		t.Fatal(err)
@@ -186,13 +187,13 @@ func TestHybridTracksWinner(t *testing.T) {
 func TestPureXCCLOverheadSmall(t *testing.T) {
 	base := Config{System: "thetagpu", Nodes: 1, MinBytes: 64 << 10, MaxBytes: 4 << 20, Iterations: 2}
 	x := base
-	x.Stack = StackPureXCCL
+	x.Stack = world.StackPureXCCL
 	xr, err := RunCollective(x, Allreduce)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := base
-	p.Stack = StackPureCCL
+	p.Stack = world.StackPureCCL
 	pr, err := RunCollective(p, Allreduce)
 	if err != nil {
 		t.Fatal(err)
@@ -210,9 +211,9 @@ func TestPureXCCLOverheadSmall(t *testing.T) {
 func TestBeatsUCCAt4KB(t *testing.T) {
 	base := Config{System: "thetagpu", Nodes: 1, MinBytes: 4 << 10, MaxBytes: 4 << 10, Iterations: 2}
 	hyb := base
-	hyb.Stack = StackHybrid
+	hyb.Stack = world.StackHybrid
 	ucc := base
-	ucc.Stack = StackUCC
+	ucc.Stack = world.StackUCC
 	for _, op := range []Collective{Allreduce, Alltoall} {
 		hr, err := RunCollective(hyb, op)
 		if err != nil {
@@ -232,7 +233,7 @@ func TestBeatsUCCAt4KB(t *testing.T) {
 // medium window (Fig 5d) while matching it outside.
 func TestMSCCLBeatsLegacyNCCLMediumSizes(t *testing.T) {
 	msccl := Config{System: "thetagpu", Nodes: 1, MinBytes: 4 << 10, MaxBytes: 64 << 10,
-		Iterations: 2, Stack: StackPureCCL, Backend: core.MSCCL}
+		Iterations: 2, Stack: world.StackPureCCL, Backend: core.MSCCL}
 	mr, err := RunCollective(msccl, Allreduce)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +259,7 @@ func TestMSCCLBeatsLegacyNCCLMediumSizes(t *testing.T) {
 // and 64 B (Fig 6c: 7–12× jumps).
 func TestHCCLStepCurves(t *testing.T) {
 	cfg := Config{System: "voyager", Nodes: 4, MinBytes: 4, MaxBytes: 256,
-		Iterations: 1, Stack: StackPureXCCL, Backend: core.HCCL,
+		Iterations: 1, Stack: world.StackPureXCCL, Backend: core.HCCL,
 		Table: nil}
 	res, err := RunCollective(cfg, Allreduce)
 	if err != nil {
@@ -287,13 +288,31 @@ func TestUnknownStackAndSystem(t *testing.T) {
 	}
 }
 
+// A size sweep that is empty (min above max) or never ends (min not
+// positive) is an error from every runner, not a panic or a hang.
+func TestRejectsBadSizeSweep(t *testing.T) {
+	runners := map[string]func(Config) error{
+		"RunCollective": func(cfg Config) error { _, err := RunCollective(cfg, Allreduce); return err },
+		"RunPt2Pt":      func(cfg Config) error { _, err := RunPt2Pt(cfg, LatencyBench); return err },
+		"RunMultiBW":    func(cfg Config) error { _, err := RunMultiBW(cfg, 0); return err },
+		"Tune":          func(cfg Config) error { _, err := Tune(cfg, nil); return err },
+	}
+	for name, run := range runners {
+		for _, sweep := range [][2]int64{{64, 4}, {-4, 0}, {-4, 64}} {
+			if err := run(Config{MinBytes: sweep[0], MaxBytes: sweep[1]}); err == nil {
+				t.Errorf("%s: sweep [%d, %d] accepted", name, sweep[0], sweep[1])
+			}
+		}
+	}
+}
+
 // All five collectives complete and return monotone-in-size latency on
 // every system preset (smoke coverage for Figs 5–6 machinery).
 func TestAllCollectivesAllSystemsSmoke(t *testing.T) {
 	for _, system := range []string{"thetagpu", "mri", "voyager"} {
 		for _, op := range []Collective{Allreduce, Reduce, Bcast, Alltoall, Allgather} {
 			cfg := Config{System: system, Nodes: 1, MinBytes: 4 << 10, MaxBytes: 32 << 10,
-				Iterations: 1, Stack: StackHybrid}
+				Iterations: 1, Stack: world.StackHybrid}
 			res, err := RunCollective(cfg, op)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", system, op, err)
@@ -392,7 +411,7 @@ func TestTunerFindsCrossover(t *testing.T) {
 	}
 	// The tuned table must be loadable by a hybrid runtime.
 	cfg := Config{System: "thetagpu", Nodes: 1, MinBytes: 4 << 10, MaxBytes: 4 << 10,
-		Iterations: 1, Stack: StackHybrid, Table: table}
+		Iterations: 1, Stack: world.StackHybrid, Table: table}
 	if _, err := RunCollective(cfg, Allreduce); err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +419,7 @@ func TestTunerFindsCrossover(t *testing.T) {
 
 func TestFullResultsMinMax(t *testing.T) {
 	res, err := RunCollective(Config{System: "thetagpu", Nodes: 1, MinBytes: 4 << 10,
-		MaxBytes: 4 << 10, Iterations: 2, Stack: StackHybrid}, Reduce)
+		MaxBytes: 4 << 10, Iterations: 2, Stack: world.StackHybrid}, Reduce)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +467,7 @@ func TestTuneSweepsHierarchical(t *testing.T) {
 	at4MB := func(tb *core.TuningTable) time.Duration {
 		res, err := RunCollective(Config{System: "thetagpu", Nodes: 2,
 			MinBytes: 4 << 20, MaxBytes: 4 << 20, Iterations: 2,
-			Stack: StackHybrid, Table: tb}, Allreduce)
+			Stack: world.StackHybrid, Table: tb}, Allreduce)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,7 +496,7 @@ func TestTuneNoAlgoSweep(t *testing.T) {
 // compiled path (Config.Compile) matches the group-loop latency curve's
 // shape (monotone, no collapse).
 func TestGatherScatterAllStacksSmoke(t *testing.T) {
-	for _, stack := range []Stack{StackHybrid, StackPureXCCL, StackMPI, StackOpenMPI, StackUCC, StackPureCCL} {
+	for _, stack := range []world.Stack{world.StackHybrid, world.StackPureXCCL, world.StackMPI, world.StackOpenMPI, world.StackUCC, world.StackPureCCL} {
 		for _, op := range []Collective{Gather, Scatter} {
 			cfg := Config{System: "thetagpu", Nodes: 1, MinBytes: 64 << 10, MaxBytes: 256 << 10,
 				Iterations: 1, Stack: stack}
@@ -500,7 +519,7 @@ func TestCompiledAlltoallBeatsLoopMultiNode(t *testing.T) {
 	// loop convoys (HOL) and the phased pairing schedule wins. 256 KB keeps
 	// the event count test-sized.
 	base := Config{System: "thetagpu", Nodes: 4,
-		MinBytes: 256 << 10, MaxBytes: 256 << 10, Iterations: 2, Stack: StackPureXCCL}
+		MinBytes: 256 << 10, MaxBytes: 256 << 10, Iterations: 2, Stack: world.StackPureXCCL}
 	loop, err := RunCollective(base, Alltoall)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,8 @@ import (
 
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/device"
-	"mpixccl/internal/sim"
+	"mpixccl/internal/topology"
+	"mpixccl/internal/world"
 )
 
 // Pt2PtKind names an OMB point-to-point benchmark.
@@ -36,25 +37,19 @@ func RunPt2Pt(cfg Config, bench Pt2PtKind) ([]Result, error) {
 	default:
 		return nil, fmt.Errorf("omb: unknown pt2pt bench %q", bench)
 	}
-	cfg.fillDefaults()
-	w, err := buildWorld(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	a := w.sys.Device(0)
-	b := w.sys.Device(1)
-	if cfg.Nodes > 1 {
-		b = w.sys.Nodes[1].Devices[0]
-	}
-	comms, err := pureCCLComms(&cfg, w, []*device.Device{a, b})
-	if err != nil {
+	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
 	sizes := Sizes(cfg.MinBytes, cfg.MaxBytes)
 	results := make([]Result, len(sizes))
-	bar := sim.NewBarrier(w.k, 2)
-
-	err = ccl.Run(comms, func(cc *ccl.Comm, s *device.Stream, p *sim.Proc) {
+	pair := func(sys *topology.System) []*device.Device {
+		if cfg.Nodes > 1 {
+			return []*device.Device{sys.Device(0), sys.Nodes[1].Devices[0]}
+		}
+		return []*device.Device{sys.Device(0), sys.Device(1)}
+	}
+	err := world.RunCCL(cfg.spec(), pair, func(r *world.CCLRank) {
+		cc, s, p := r.CCL(), r.Stream(), r.Proc()
 		rank := cc.Rank()
 		buf := cc.Device().MustMalloc(sizes[len(sizes)-1])
 		buf2 := cc.Device().MustMalloc(sizes[len(sizes)-1])
@@ -69,7 +64,7 @@ func RunPt2Pt(cfg Config, bench Pt2PtKind) ([]Result, error) {
 			msgBytes := int64(count) * 4
 			msg := buf.Slice(0, msgBytes)
 			msg2 := buf2.Slice(0, msgBytes)
-			bar.Wait(p)
+			r.Barrier()
 			start := p.Now()
 			iters := cfg.Iterations
 			for it := 0; it < iters; it++ {
@@ -133,7 +128,7 @@ func RunPt2Pt(cfg Config, bench Pt2PtKind) ([]Result, error) {
 					results[si].BandwidthMBs = payload / elapsed.Seconds() / 1e6
 				}
 			}
-			bar.Wait(p)
+			r.Barrier()
 		}
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mpixccl/internal/core"
+	"mpixccl/internal/world"
 )
 
 // defaultChunkSweep is the hierarchical pipeline chunk sizes Tune tries
@@ -58,7 +59,9 @@ type tuneVariant struct {
 // algorithm family, chunk, and winning plan key alongside the MPI/CCL
 // path, ready for the hybrid runtime to honor.
 func Tune(cfg Config, ops []Collective) (*core.TuningTable, error) {
-	cfg.fillDefaults()
+	if err := cfg.fillDefaults(); err != nil {
+		return nil, err
+	}
 	if len(ops) == 0 {
 		ops = []Collective{Allreduce, Reduce, Bcast, Alltoall, Allgather, Gather, Scatter}
 	}
@@ -69,13 +72,13 @@ func Tune(cfg Config, ops []Collective) (*core.TuningTable, error) {
 	table := &core.TuningTable{System: cfg.System, Backend: string(cfg.Backend)}
 	for _, op := range ops {
 		mpiCfg := cfg
-		mpiCfg.Stack = StackMPI
+		mpiCfg.Stack = world.StackMPI
 		mpiRes, err := RunCollective(mpiCfg, op)
 		if err != nil {
 			return nil, fmt.Errorf("tune %s (mpi): %w", op, err)
 		}
 		cclCfg := cfg
-		cclCfg.Stack = StackPureXCCL
+		cclCfg.Stack = world.StackPureXCCL
 		cclRes, err := RunCollective(cclCfg, op)
 		if err != nil {
 			return nil, fmt.Errorf("tune %s (ccl): %w", op, err)
@@ -91,7 +94,7 @@ func Tune(cfg Config, ops []Collective) (*core.TuningTable, error) {
 				forced := &core.TuningTable{System: cfg.System, Backend: string(cfg.Backend)}
 				forced.Set(tuneOpKind(op), []core.Threshold{band})
 				hierCfg := cfg
-				hierCfg.Stack = StackHybrid
+				hierCfg.Stack = world.StackHybrid
 				hierCfg.Table = forced
 				res, err := RunCollective(hierCfg, op)
 				if err != nil {
@@ -106,7 +109,7 @@ func Tune(cfg Config, ops []Collective) (*core.TuningTable, error) {
 				forced := &core.TuningTable{System: cfg.System, Backend: string(cfg.Backend)}
 				forced.Set(tuneOpKind(op), []core.Threshold{band})
 				planCfg := cfg
-				planCfg.Stack = StackHybrid
+				planCfg.Stack = world.StackHybrid
 				planCfg.Table = forced
 				res, err := RunCollective(planCfg, op)
 				if err != nil {

@@ -45,8 +45,9 @@ scripts/doclinks.sh
 # the IR/cost/search suite joins the race rotation wholesale (it is small).
 # internal/mpi hands every nonblocking operation to per-rank pools of
 # resident progress processes (sim.Pool), shared by all of a job's
-# communicators.
-go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fault mpixccl/internal/fabric mpixccl/internal/core mpixccl/internal/ccl/comp mpixccl/internal/mpi
+# communicators. internal/world builds every stack the harnesses run (its
+# per-stack test drives all six, each reporting into one registry).
+go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fault mpixccl/internal/fabric mpixccl/internal/core mpixccl/internal/ccl/comp mpixccl/internal/mpi mpixccl/internal/world
 # The whole internal/mpi suite, which runs in a second or two and under
 # the leak gate (simtest.Main: every world its tests build must be released
 # by Job.Run, which closes the kernel) — among it the progress-pool pins
@@ -68,7 +69,8 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # through Runtime.Run or ccl.Run, or ending in a deadlock or a panic, leaves
 # no goroutine once Run returns), and the core membership
 # suite (crash, revoke, shrink, grow, partition, heartbeat and admission
-# parity) at one and at several OS threads: processes are coroutines on
+# parity), and the world builder's per-stack and rank-count tests, at one
+# and at several OS threads: processes are coroutines on
 # goroutines of their own either way, and verdicts and modeled times must
 # not depend on how many threads run them.
 for procs in 1 4; do
@@ -77,6 +79,7 @@ for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat|TestGroup|TestSynthesized' mpixccl/internal/ccl
 	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting|TestWorldReleasedAfterRun' mpixccl/internal/core mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity' mpixccl/internal/core
+	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/world
 done
 # The experiments race leg covers the parallel runner, two RunAll calls
 # with different Options in flight at once (TestRunAllConcurrentOptions),
