@@ -279,20 +279,23 @@ func (rc *runCtx) stage(dst, src *device.Buffer, off, n int64, move bool) {
 	rc.p.Sleep(rc.dev().CopyTime(n))
 }
 
-// segBounds splits count elements into n segments (element start offsets).
-func segBounds(count, n int) []int {
-	b := make([]int, n+1)
-	base, rem := count/n, count%n
-	off := 0
-	for i := 0; i < n; i++ {
-		b[i] = off
-		off += base
-		if i < rem {
-			off++
-		}
+// copyView copies src into dst, one device-local memcpy of src's length.
+// Unlike stage it always copies: two views of one range are still a copy.
+func (rc *runCtx) copyView(dst, src device.View) {
+	copy(dst.Bytes(), src.Bytes())
+	rc.p.Sleep(rc.dev().CopyTime(src.Len()))
+}
+
+// segment returns the element range [lo, lo+n) of segment s when count
+// elements split into m near-equal segments, the first count%m of them one
+// element longer.
+func segment(count, m, s int) (lo, n int) {
+	base, rem := count/m, count%m
+	lo, n = s*base+min(s, rem), base
+	if s < rem {
+		n++
 	}
-	b[n] = count
-	return b
+	return lo, n
 }
 
 // ringAllReduce stages the input into recv and runs the ring over all
@@ -319,14 +322,12 @@ func (rc *runCtx) ringAllReduceOver(group []int, idx int, dt Datatype, op RedOp,
 	right := group[(idx+1)%m]
 	left := group[(idx-1+m)%m]
 	esz := int64(dt.Size())
-	recv := rc.st.args[rc.rank].recv
-	bounds := rc.segs(count, m)
-	slotBytes := int64(bounds[1]-bounds[0]) * esz
-	if slotBytes == 0 {
-		slotBytes = esz
-	}
+	recv, rrecv := rc.st.args[rc.rank].recv, rc.st.args[right].recv
+	_, n0 := segment(count, m, 0)
+	slotBytes := max(int64(n0)*esz, esz)
 	seg := func(s int) (int64, int64) {
-		return base + int64(bounds[s])*esz, int64(bounds[s+1]-bounds[s]) * esz
+		lo, n := segment(count, m, s)
+		return base + int64(lo)*esz, int64(n) * esz
 	}
 	// Reduce-scatter: after m-1 steps member idx owns segment idx reduced.
 	for step := 0; step < m-1; step++ {
@@ -334,11 +335,11 @@ func (rc *runCtx) ringAllReduceOver(group []int, idx int, dt Datatype, op RedOp,
 		ro, rl := seg((idx - step - 2 + 2*m) % m)
 		var sent *sim.Counter
 		if sl > 0 {
-			sent = rc.putAsync(right, byRef, rc.slice(recv, so, sl), sl, slotBytes)
+			sent = rc.putAsync(right, byRef, recv.View(so, sl), sl, slotBytes)
 		}
 		if rl > 0 {
 			slot, buf := rc.get(left, slotBytes)
-			rc.reduceInto(op, dt, rc.slice(recv, ro, rl), buf, int(rl/esz))
+			rc.reduceInto(op, dt, recv.View(ro, rl), buf, int(rl/esz))
 			rc.release(left, slot, slotBytes)
 		}
 		if sent != nil {
@@ -352,7 +353,7 @@ func (rc *runCtx) ringAllReduceOver(group []int, idx int, dt Datatype, op RedOp,
 		_, rl := seg((idx - step - 1 + 2*m) % m)
 		var sent *sim.Counter
 		if sl > 0 {
-			sent = rc.putAsync(right, rc.slice(rc.st.args[right].recv, so, sl), rc.slice(recv, so, sl), sl, slotBytes)
+			sent = rc.putAsync(right, rrecv.View(so, sl), recv.View(so, sl), sl, slotBytes)
 		}
 		if rl > 0 {
 			rc.getPlaced(left, rl, slotBytes)
@@ -422,15 +423,15 @@ func (rc *runCtx) treeReduceOver(group []int, idx int, dt Datatype, op RedOp,
 	esz := int64(dt.Size())
 	bytes := int64(count) * esz
 	// mine views this rank's partial: its input in src until the first
-	// reduce writes buf. Views are built only where used.
-	var mine *device.Buffer
+	// reduce writes buf (the zero view until then).
+	var mine device.View
 	if src == buf {
-		mine = rc.view(buf, off, bytes)
+		mine = buf.View(off, bytes)
 	}
 	for mask := 1; mask < n; mask <<= 1 {
 		if idx&mask != 0 {
-			if mine == nil {
-				mine = rc.view(src, off, bytes)
+			if mine.Buf == nil {
+				mine = src.View(off, bytes)
 			}
 			rc.putTo(group[idx-mask], byRef, mine, bytes, slotBytes)
 			return
@@ -442,8 +443,8 @@ func (rc *runCtx) treeReduceOver(group []int, idx int, dt Datatype, op RedOp,
 			case count == 0:
 				// Nothing to reduce. A zero-length reduce is not free: its
 				// zero-time sleep would still yield the process.
-			case mine == nil:
-				mine = rc.view(buf, off, bytes)
+			case mine.Buf == nil:
+				mine = buf.View(off, bytes)
 				rc.reduceTo(op, dt, mine, src.Bytes()[off:], s, count)
 			default:
 				rc.reduceInto(op, dt, mine, s, count)
@@ -451,16 +452,6 @@ func (rc *runCtx) treeReduceOver(group []int, idx int, dt Datatype, op RedOp,
 			rc.release(child, slot, slotBytes)
 		}
 	}
-}
-
-// view is slice, except that at offset 0 it returns b itself: every use in
-// treeReduceOver touches only a view's first n bytes, so the whole buffer
-// serves there without a per-call view.
-func (rc *runCtx) view(b *device.Buffer, off, n int64) *device.Buffer {
-	if off == 0 {
-		return b
-	}
-	return rc.slice(b, off, n)
 }
 
 // treeBcastOver broadcasts each rank's recv[off:off+bytes] region down a
@@ -483,8 +474,8 @@ func (rc *runCtx) treeBcastOver(group []int, idx, rootIdx int, off, bytes int64)
 	for mask > 0 {
 		if rel+mask < n {
 			child := group[(rel+mask+rootIdx)%n]
-			rc.putDirect(child, rc.slice(rc.st.args[child].recv, off, bytes),
-				rc.slice(rc.st.args[rc.rank].recv, off, bytes), bytes)
+			rc.putDirect(child, rc.st.args[child].recv.View(off, bytes),
+				rc.st.args[rc.rank].recv.View(off, bytes), bytes)
 		}
 		mask >>= 1
 	}
@@ -508,7 +499,7 @@ func (rc *runCtx) treeReduce(dt Datatype, op RedOp, count int, root int) {
 	for mask := 1; mask < n; mask <<= 1 {
 		if rel&mask != 0 {
 			parent := ((rel - mask) + root) % n
-			rc.put(parent, acc, bytes, slotBytes) // staged: acc is freed on return
+			rc.put(parent, acc.Whole(), bytes, slotBytes) // staged: acc is freed on return
 			return
 		}
 		childRel := rel + mask
@@ -516,7 +507,7 @@ func (rc *runCtx) treeReduce(dt Datatype, op RedOp, count int, root int) {
 			child := (childRel + root) % n
 			slot, buf := rc.get(child, slotBytes)
 			if count > 0 {
-				rc.reduceInto(op, dt, acc.Slice(0, bytes), buf.Slice(0, bytes), count)
+				rc.reduceInto(op, dt, acc.Whole(), buf, count)
 			}
 			rc.release(child, slot, slotBytes)
 		}
@@ -544,7 +535,7 @@ func (rc *runCtx) ringAllGather(dt Datatype, count int) {
 	left := (rc.rank - 1 + n) % n
 	for step := 0; step < n-1; step++ {
 		off := int64((rc.rank-step+n)%n) * bytes
-		sent := rc.putAsync(right, rc.slice(rc.st.args[right].recv, off, bytes), rc.slice(a.recv, off, bytes), bytes, 1)
+		sent := rc.putAsync(right, rc.st.args[right].recv.View(off, bytes), a.recv.View(off, bytes), bytes, 1)
 		rc.getPlaced(left, bytes, 1)
 		sent.Wait(rc.p)
 	}
@@ -572,12 +563,12 @@ func (rc *runCtx) ringReduceScatter(dt Datatype, op RedOp, recvCount int) {
 			recvSeg := (rc.rank - step - 2 + 2*n) % n
 			// Staged: work returns to the pool while the last receiver may
 			// still be reading it.
-			sent := rc.putAsync(right, nil, work.Slice(int64(sendSeg)*blk, blk), blk, slotBytes)
+			sent := rc.putAsync(right, device.View{}, work.View(int64(sendSeg)*blk, blk), blk, slotBytes)
 			slot, buf := rc.get(left, slotBytes)
-			rc.reduceInto(op, dt, work.Slice(int64(recvSeg)*blk, blk), buf.Slice(0, blk), recvCount)
+			rc.reduceInto(op, dt, work.View(int64(recvSeg)*blk, blk), buf, recvCount)
 			rc.release(left, slot, slotBytes)
 			sent.Wait(rc.p)
 		}
 	}
-	rc.localCopy(a.recv, work.Slice(int64(rc.rank)*blk, blk), blk)
+	rc.copyView(a.recv.View(0, blk), work.View(int64(rc.rank)*blk, blk))
 }

@@ -77,6 +77,13 @@ type core struct {
 	// serialized by the scheduler token.
 	argsFree []*opArgs
 	ctxFree  []*runCtx
+
+	// opFree holds the op states of finished, clean collectives, and
+	// idlePipes each rank pair's scratch pipes that no op holds (a stack
+	// linked through pipe.next). The next op reuses both, so a one-shot
+	// collective in steady state builds neither (see join and finish).
+	opFree    []*opState
+	idlePipes map[[2]int]*pipe
 }
 
 // newArgs returns a recycled (or fresh) opArgs holding the call arguments.
@@ -255,10 +262,11 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 	}
 	co := &core{
 		cfg: cfg, fab: fab, devs: devs, n: len(devs), faults: inj, failStop: fs,
-		ops:     make(map[int]*opState),
-		p2pPost: make(map[[2]int]*sim.Chan[*p2pSlot]),
-		engines: make(map[*sim.Proc]*hierEngine),
-		persist: make(map[int]*persistShared),
+		ops:       make(map[int]*opState),
+		p2pPost:   make(map[[2]int]*sim.Chan[*p2pSlot]),
+		engines:   make(map[*sim.Proc]*hierEngine),
+		persist:   make(map[int]*persistShared),
+		idlePipes: make(map[[2]int]*pipe),
 	}
 	for dt, ok := range cfg.Datatypes {
 		if i := int(dt); i >= 0 && i < len(co.dtOK) {
@@ -424,15 +432,17 @@ type opArgs struct {
 	scounts, sdispls, rcounts, rdispls []int
 }
 
-// join registers rank args for collective #seq and returns the shared state.
+// join registers rank args for collective #seq and returns the shared
+// state: a finished op's recycled state when one is free (see finish).
 func (co *core) join(seq, rank int, a *opArgs) *opState {
 	st, ok := co.ops[seq]
 	if !ok {
-		st = &opState{
-			seq:   seq,
-			args:  make([]*opArgs, co.n),
-			start: sim.NewBarrier(co.fab.Kernel(), co.n),
-			pipes: make(map[[2]int]*pipe),
+		if n := len(co.opFree); n > 0 {
+			st = co.opFree[n-1]
+			co.opFree = co.opFree[:n-1]
+			st.seq = seq
+		} else {
+			st = co.newOpState(seq)
 		}
 		co.ops[seq] = st
 	}
@@ -440,65 +450,133 @@ func (co *core) join(seq, rank int, a *opArgs) *opState {
 	return st
 }
 
+// newOpState builds the shared state of one collective.
+func (co *core) newOpState(seq int) *opState {
+	return &opState{
+		seq:   seq,
+		args:  make([]*opArgs, co.n),
+		start: sim.NewBarrier(co.fab.Kernel(), co.n),
+		pipes: make(map[[2]int]*pipe),
+	}
+}
+
 // finish releases op state once every rank's task completed, recycling the
-// per-rank argument records onto the core free list.
+// per-rank argument records onto the core free list. A clean op hands its
+// pipes back to the pairs' idle stacks and its state (pipe map, start
+// barrier, args slice) to the op free list. An aborted op — a watchdog
+// verdict or a severed hop — may have stranded credits, signals or refs
+// mid-schedule, so it frees its slots and returns nothing: every op starts
+// on full credits and empty pipes.
 func (co *core) finish(st *opState) {
 	st.done++
-	if st.done == co.n {
-		for _, pp := range st.pipes {
-			for _, s := range pp.slots {
-				s.Free()
-			}
+	if st.done < co.n {
+		return
+	}
+	clean := !st.aborted && st.abortErr == nil
+	for key, pp := range st.pipes {
+		if clean {
+			co.parkPipe(key, pp)
+		} else {
+			pp.free()
 		}
-		for _, b := range st.scratch {
-			if b != nil {
-				b.Free()
-			}
+	}
+	for _, b := range st.scratch {
+		if b != nil {
+			b.Free()
 		}
-		st.scratch = nil
-		for i, a := range st.args {
-			if a != nil {
-				st.args[i] = nil
-				*a = opArgs{}
-				co.argsFree = append(co.argsFree, a)
-			}
+	}
+	st.scratch = nil
+	for i, a := range st.args {
+		if a != nil {
+			st.args[i] = nil
+			*a = opArgs{}
+			co.argsFree = append(co.argsFree, a)
 		}
-		delete(co.ops, st.seq)
+	}
+	delete(co.ops, st.seq)
+	if clean {
+		clear(st.pipes)
+		st.done, st.vplan = 0, nil
+		co.opFree = append(co.opFree, st)
 	}
 }
 
 // pipe is a credit-managed scratch pipeline between a directed rank pair,
-// modeling NCCL's bounded FIFO buffers (NCCL_BUFFSIZE slots).
+// modeling NCCL's bounded FIFO buffers (NCCL_BUFFSIZE slots). Like NCCL's
+// connection buffers it belongs to the communicator: an op takes the pair's
+// idle pipe at its first touch of the pair and parks it again when the op
+// finishes clean (see finish), so its channels and slots outlive the op.
 type pipe struct {
 	data   *sim.Chan[int]
 	credit *sim.Chan[int]
 	slots  [pipeSlots]*device.Buffer
 	// refs[i] is the sender's own segment, published instead of filling
-	// slots[i] by a reduce-on-receive put (see byRef); nil while slots[i]
-	// holds the payload.
-	refs [pipeSlots]*device.Buffer
+	// slots[i] by a reduce-on-receive put (see byRef); the zero view while
+	// slots[i] holds the payload.
+	refs [pipeSlots]device.View
+	next *pipe // the pair's next idle pipe (see core.idlePipes)
 }
 
 const pipeSlots = 2
 
-// pipe returns (creating on first use) the pair pipe with slot capacity
-// slotBytes at the receiver's device.
+// pipe returns the op's pipe for the pair, taking it on first use with slot
+// capacity of at least slotBytes at the receiver's device.
 func (st *opState) pipe(co *core, from, to int, slotBytes int64) *pipe {
 	key := [2]int{from, to}
 	pp, ok := st.pipes[key]
 	if !ok {
+		pp = co.takePipe(key, slotBytes)
+		st.pipes[key] = pp
+	}
+	return pp
+}
+
+// takePipe lends an op the pair's idle pipe, or builds one on full
+// credits. Slots only grow: a pipe keeps the largest capacity its pair has
+// needed, so a pair that alternates sizes settles on one allocation.
+func (co *core) takePipe(key [2]int, slotBytes int64) *pipe {
+	pp := co.idlePipes[key]
+	if pp != nil {
+		co.idlePipes[key], pp.next = pp.next, nil
+	} else {
 		k := co.fab.Kernel()
 		pp = &pipe{
 			data:   sim.NewChan[int](k, pipeSlots+1),
 			credit: sim.NewChan[int](k, pipeSlots+1),
 		}
 		for i := range pp.slots {
-			pp.slots[i] = co.devs[to].MustMallocScratch(slotBytes)
 			pp.credit.TrySend(i)
 		}
-		st.pipes[key] = pp
+	}
+	if pp.slots[0] == nil || pp.slots[0].Len() < slotBytes {
+		pp.free()
+		for i := range pp.slots {
+			pp.slots[i] = co.devs[key[1]].MustMallocScratch(slotBytes)
+		}
 	}
 	return pp
+}
+
+// parkPipe returns a clean op's pipe to its pair's idle stack. A clean op
+// consumed every signal and returned every credit; anything else is a
+// schedule bug that reuse would carry into the next op.
+func (co *core) parkPipe(key [2]int, pp *pipe) {
+	if pp.data.Len() != 0 || pp.credit.Len() != pipeSlots {
+		panic(fmt.Sprintf("ccl: pipe %d->%d finished with %d signals and %d credits",
+			key[0], key[1], pp.data.Len(), pp.credit.Len()))
+	}
+	pp.next = co.idlePipes[key]
+	co.idlePipes[key] = pp
+}
+
+// free returns the pipe's slots to the receiver's device.
+func (pp *pipe) free() {
+	for i, s := range pp.slots {
+		if s != nil {
+			s.Free()
+			pp.slots[i] = nil
+		}
+	}
 }
 
 // runCtx is the execution context of one rank's part of a collective.
@@ -508,9 +586,9 @@ type runCtx struct {
 	rank int
 	p    *sim.Proc
 
-	// pers carries a persistent handle's caches and partition gate (see
-	// persistent.go); nil on the one-shot path.
-	pers *persistState
+	// gate is a partitioned persistent handle's readiness gate (see
+	// persistent.go); nil everywhere else.
+	gate *partGate
 	// latch counts this context's posted jobs down (see post); created at
 	// the first post.
 	latch *sim.Counter
@@ -549,7 +627,7 @@ func (co *core) fabOpts() fabric.Opts {
 // time instead of stranding peers mid-collective. noCopy prices the hop
 // without moving bytes (fabric.Price); xfer reports whether the hop was
 // delivered.
-func (rc *runCtx) xfer(dst, src *device.Buffer, n int64, noCopy bool) bool {
+func (rc *runCtx) xfer(dst, src device.View, n int64, noCopy bool) bool {
 	rc.co.countXfer(n)
 	var (
 		d   time.Duration
@@ -582,16 +660,16 @@ func (rc *runCtx) xfer(dst, src *device.Buffer, n int64, noCopy bool) bool {
 // concurrently — rings are full duplex, exactly like the hardware channels
 // they run on. Jobs are plain values, so a post allocates nothing. A job is
 // one putTo; or, when blocks is non-nil, a node block-set: one n-byte block
-// per listed rank r at offset r·n of src, put staged (nil dst) or directly
+// per listed rank r at offset r·n of src, put staged (zero dst) or directly
 // at the same offset of dst; or, when ph is non-nil, one lane of a compiled
 // plan phase: ph's moves to rank to on plan lane lane; or, when eng is
 // non-nil, one call of a hierarchical leader's engine; or, when group is
 // non-nil, one GroupEnd send of n bytes from src to rank to. The worker
-// runs it under the poster's st, rank, pers and chunk and counts done down
+// runs it under the poster's st, rank, gate and chunk and counts done down
 // when it completes.
 type helperJob struct {
 	to           int
-	dst, src     *device.Buffer
+	dst, src     device.View
 	n, slotBytes int64
 	blocks       []int
 	ph           *comp.RankPhase
@@ -601,7 +679,7 @@ type helperJob struct {
 
 	st    *opState
 	rank  int
-	pers  *persistState
+	gate  *partGate
 	chunk int64
 	done  *sim.Counter
 }
@@ -631,18 +709,18 @@ func (rc *runCtx) arm(n int) *sim.Counter {
 // start posts j, under rc's context, to the rank's workers; done counts it
 // down when it completes.
 func (rc *runCtx) start(j helperJob, done *sim.Counter) {
-	j.st, j.rank, j.pers, j.chunk, j.done = rc.st, rc.rank, rc.pers, rc.chunk, done
+	j.st, j.rank, j.gate, j.chunk, j.done = rc.st, rc.rank, rc.gate, rc.chunk, done
 	rc.co.workers[rc.rank].Post(rc.p.Kernel(), j)
 }
 
 // runJob runs one posted job on worker p.
 func (co *core) runJob(p *sim.Proc, j helperJob) {
-	rc := runCtx{co: co, st: j.st, rank: j.rank, p: p, pers: j.pers, chunk: j.chunk}
+	rc := runCtx{co: co, st: j.st, rank: j.rank, p: p, gate: j.gate, chunk: j.chunk}
 	switch {
 	case j.eng != nil:
 		j.eng.run(p)
 	case j.group != nil:
-		if err := co.runSend(p, j.group.rank, p2pOp{peer: j.to, buf: j.src, bytes: j.n}); err != nil {
+		if err := co.runSend(p, j.group.rank, p2pOp{peer: j.to, buf: j.src.Buf, bytes: j.n}); err != nil {
 			j.group.raiseAsync(err)
 		}
 	case j.ph != nil:
@@ -652,10 +730,10 @@ func (co *core) runJob(p *sim.Proc, j helperJob) {
 	default:
 		for _, r := range j.blocks {
 			off := int64(r) * j.n
-			if j.dst == nil {
-				rc.put(j.to, rc.slice(j.src, off, j.n), j.n, j.n)
+			if j.dst.Buf == nil {
+				rc.put(j.to, j.src.Sub(off, j.n), j.n, j.n)
 			} else {
-				rc.putDirect(j.to, rc.slice(j.dst, off, j.n), rc.slice(j.src, off, j.n), j.n)
+				rc.putDirect(j.to, j.dst.Sub(off, j.n), j.src.Sub(off, j.n), j.n)
 			}
 		}
 	}
@@ -665,14 +743,14 @@ func (co *core) runJob(p *sim.Proc, j helperJob) {
 }
 
 // putAsync runs putTo on one of the rank's resident workers (see post).
-func (rc *runCtx) putAsync(to int, dst, src *device.Buffer, n int64, slotBytes int64) *sim.Counter {
+func (rc *runCtx) putAsync(to int, dst, src device.View, n int64, slotBytes int64) *sim.Counter {
 	return rc.post(helperJob{to: to, dst: dst, src: src, n: n, slotBytes: slotBytes})
 }
 
 // put ships n bytes from src into a scratch slot at rank "to" and signals
 // it; blocks on flow-control credits.
-func (rc *runCtx) put(to int, src *device.Buffer, n int64, slotBytes int64) {
-	rc.putTo(to, nil, src, n, slotBytes)
+func (rc *runCtx) put(to int, src device.View, n int64, slotBytes int64) {
+	rc.putTo(to, device.View{}, src, n, slotBytes)
 }
 
 // byRef is the putTo destination that selects reduce-on-receive: the put
@@ -704,28 +782,28 @@ func (rc *runCtx) put(to int, src *device.Buffer, n int64, slotBytes int64) {
 // Staged sites say at the call why they stay staged. The fabric must also
 // be Faithful: injected corruption lands in a real copy and CRC32C compares
 // two, so with a corrupter attached or integrity on, a byRef put stages as
-// a nil-dst put does. A severed hop publishes nothing, so the receiver
+// a zero-dst put does. A severed hop publishes nothing, so the receiver
 // reads the slot, as after a severed staged put.
-var byRef = new(device.Buffer)
+var byRef = device.View{Buf: new(device.Buffer)}
 
 // putTo is put with the payload placed at dst, a region of the receiver's
-// own buffer, instead of the scratch slot when dst is non-nil (byRef aside).
+// own buffer, instead of the scratch slot when dst is non-zero (byRef aside).
 // The credit and the data signal still travel exactly as for a staged put,
 // so flow control — and with it every virtual timestamp — is unchanged; only
 // the receiver's slot-to-buffer copy disappears. The receiver consumes it
 // with getPlaced; callers must ensure the write cannot race the receiver's
 // own accesses to dst (see getPlaced for the ring argument).
-func (rc *runCtx) putTo(to int, dst, src *device.Buffer, n int64, slotBytes int64) {
+func (rc *runCtx) putTo(to int, dst, src device.View, n int64, slotBytes int64) {
 	pp := rc.st.pipe(rc.co, rc.rank, to, slotBytes)
 	rc.p.Sleep(rc.co.cfg.StepCost)
 	slot := pp.credit.Recv(rc.p)
 	switch {
 	case dst == byRef && rc.co.fab.Faithful():
-		if rc.xfer(pp.slots[slot], src, n, true) {
+		if rc.xfer(pp.slots[slot].Whole(), src, n, true) {
 			pp.refs[slot] = src
 		}
-	case dst == nil || dst == byRef:
-		rc.xfer(rc.slice(pp.slots[slot], 0, n), src, n, false)
+	case dst.Buf == nil || dst == byRef:
+		rc.xfer(pp.slots[slot].View(0, n), src, n, false)
 	default:
 		rc.xfer(dst, src, n, false)
 	}
@@ -735,24 +813,24 @@ func (rc *runCtx) putTo(to int, dst, src *device.Buffer, n int64, slotBytes int6
 // get blocks until a put from rank "from" is ready and returns its slot
 // index and payload: the scratch slot, or the sender's own segment after a
 // byRef put. The caller must release it with release.
-func (rc *runCtx) get(from int, slotBytes int64) (int, *device.Buffer) {
+func (rc *runCtx) get(from int, slotBytes int64) (int, device.View) {
 	pp := rc.st.pipe(rc.co, from, rc.rank, slotBytes)
 	slot := pp.data.Recv(rc.p)
-	if ref := pp.refs[slot]; ref != nil {
+	if ref := pp.refs[slot]; ref.Buf != nil {
 		return slot, ref
 	}
-	return slot, pp.slots[slot]
+	return slot, pp.slots[slot].Whole()
 }
 
 func (rc *runCtx) release(from, slot int, slotBytes int64) {
 	pp := rc.st.pipe(rc.co, from, rc.rank, slotBytes)
-	pp.refs[slot] = nil
+	pp.refs[slot] = device.View{}
 	pp.credit.TrySend(slot)
 }
 
 // putDirect ships n bytes straight into dst (a region of the receiving
 // rank's user buffer that is written exactly once) and signals rank "to".
-func (rc *runCtx) putDirect(to int, dst, src *device.Buffer, n int64) {
+func (rc *runCtx) putDirect(to int, dst, src device.View, n int64) {
 	pp := rc.st.pipe(rc.co, rc.rank, to, 1)
 	rc.p.Sleep(rc.co.cfg.StepCost)
 	rc.xfer(dst, src, n, false)
@@ -766,8 +844,8 @@ func (rc *runCtx) waitDirect(from int) {
 }
 
 // reduceInto combines src into dst over count elements, charging device time.
-// Both buffers may be longer: only their first count elements are touched.
-func (rc *runCtx) reduceInto(op RedOp, dt Datatype, dst, src *device.Buffer, count int) {
+// Both views may be longer: only their first count elements are touched.
+func (rc *runCtx) reduceInto(op RedOp, dt Datatype, dst, src device.View, count int) {
 	elem.Reduce(op.elemOp(), dt.kind(), dst.Bytes(), src.Bytes(), count)
 	rc.p.Sleep(rc.dev().ReduceTime(int64(count) * int64(dt.Size())))
 }
@@ -775,7 +853,7 @@ func (rc *runCtx) reduceInto(op RedOp, dt Datatype, dst, src *device.Buffer, cou
 // reduceTo is reduceInto out of place, dst = a ⊕ src, at the same device
 // time: a rank's first reduce of a chunk whose own input it reads from the
 // send buffer (see treeReduceOver).
-func (rc *runCtx) reduceTo(op RedOp, dt Datatype, dst *device.Buffer, a []byte, src *device.Buffer, count int) {
+func (rc *runCtx) reduceTo(op RedOp, dt Datatype, dst device.View, a []byte, src device.View, count int) {
 	elem.ReduceTo(op.elemOp(), dt.kind(), dst.Bytes(), a, src.Bytes(), count)
 	rc.p.Sleep(rc.dev().ReduceTime(int64(count) * int64(dt.Size())))
 }

@@ -130,15 +130,15 @@ func (rc *runCtx) fence(op string) bool {
 }
 
 // bufAt resolves a move endpoint to a view of the owning rank's buffer.
-func (rc *runCtx) bufAt(role comp.BufRole, rank int, off, n int64) *device.Buffer {
+func (rc *runCtx) bufAt(role comp.BufRole, rank int, off, n int64) device.View {
 	st := rc.st
 	switch role {
 	case comp.SendBuf:
-		return st.args[rank].send.Slice(off, n)
+		return st.args[rank].send.View(off, n)
 	case comp.RecvBuf:
-		return st.args[rank].recv.Slice(off, n)
+		return st.args[rank].recv.View(off, n)
 	default:
-		return st.scratch[rank].Slice(off, n)
+		return st.scratch[rank].View(off, n)
 	}
 }
 
@@ -182,7 +182,7 @@ func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64) {
 			}
 			src := rc.bufAt(m.SrcBuf, m.From, m.SrcOff, m.Bytes)
 			dst := rc.bufAt(m.DstBuf, m.To, m.DstOff, m.Bytes)
-			rc.localCopy(dst, src, m.Bytes)
+			rc.copyView(dst, src)
 		}
 		for i := range ph.Ins {
 			m := &ph.Ins[i]
@@ -190,7 +190,7 @@ func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64) {
 				si, buf := rc.get(m.From, slot)
 				dst := rc.bufAt(m.DstBuf, rc.rank, m.DstOff, m.Bytes)
 				if m.Reduce {
-					rc.reduceInto(op, dt, dst, buf.Slice(0, m.Bytes), int(m.Bytes/esz))
+					rc.reduceInto(op, dt, dst, buf, int(m.Bytes/esz))
 				} else {
 					copy(dst.Bytes(), buf.Bytes()[:m.Bytes])
 					rc.p.Sleep(rc.dev().CopyTime(m.Bytes))

@@ -132,7 +132,7 @@ type customPlan struct {
 // customPlan converts a registered MSCCL schedule into a compiled plan:
 // each step becomes one unfenced phase, each chunk transfer a staged
 // recv-buffer move (SrcBytes carries the source chunk length when
-// segBounds splits the payload unevenly). The conversion preserves the
+// segment splits the payload unevenly). The conversion preserves the
 // historical interpreter's exact execution — same per-destination sender
 // processes, per-pair FIFO order, flow-control credits, and virtual-time
 // charges — so converted schedules stay byte-identical with the goldens.
@@ -144,21 +144,20 @@ func (co *core) customPlan(a *Algo, count int, esz int64) *customPlan {
 	if cp, ok := co.customPlans[k]; ok {
 		return cp
 	}
-	bounds := segBounds(count, a.NChunks)
-	maxChunk := int64(bounds[1]-bounds[0]) * esz
-	if maxChunk == 0 {
-		maxChunk = esz
-	}
+	_, n0 := segment(count, a.NChunks, 0)
+	maxChunk := max(int64(n0)*esz, esz)
 	plan := &comp.Plan{Op: "custom/" + a.Name, Key: "msccl", Ranks: a.Ranks,
 		Phases: make([]comp.Phase, len(a.Steps)), PipeDepth: 1}
 	for si, stp := range a.Steps {
 		for _, x := range stp.Xfers {
+			slo, sn := segment(count, a.NChunks, x.SrcChunk)
+			dlo, dn := segment(count, a.NChunks, x.DstChunk)
 			plan.Phases[si].Moves = append(plan.Phases[si].Moves, comp.Move{
 				From: x.From, To: x.To,
-				SrcBuf: comp.RecvBuf, SrcOff: int64(bounds[x.SrcChunk]) * esz,
-				DstBuf: comp.RecvBuf, DstOff: int64(bounds[x.DstChunk]) * esz,
-				Bytes:    int64(bounds[x.DstChunk+1]-bounds[x.DstChunk]) * esz,
-				SrcBytes: int64(bounds[x.SrcChunk+1]-bounds[x.SrcChunk]) * esz,
+				SrcBuf: comp.RecvBuf, SrcOff: int64(slo) * esz,
+				DstBuf: comp.RecvBuf, DstOff: int64(dlo) * esz,
+				Bytes:    int64(dn) * esz,
+				SrcBytes: int64(sn) * esz,
 				Reduce:   x.Kind == ReduceOp, Staged: true,
 			})
 		}

@@ -97,6 +97,27 @@ type hierPlan struct {
 	nodeIdx []int
 	// localIdx[r] is rank r's position within locals[nodeIdx[r]].
 	localIdx []int
+	// reps[root] is hierBroadcast's representative group for a root that
+	// is not its node's leader (see repsFor); built on first use.
+	reps [][]int
+}
+
+// repsFor returns the broadcast representatives for root, one per node:
+// the node leaders, with root standing in for its own node's leader.
+func (hp *hierPlan) repsFor(root int) []int {
+	ni := hp.nodeIdx[root]
+	if hp.leaders[ni] == root {
+		return hp.leaders
+	}
+	if hp.reps == nil {
+		hp.reps = make([][]int, len(hp.nodeIdx))
+	}
+	if hp.reps[root] == nil {
+		reps := append([]int(nil), hp.leaders...)
+		reps[ni] = root
+		hp.reps[root] = reps
+	}
+	return hp.reps[root]
 }
 
 // hier returns (building on first use) the cached node plan.
@@ -164,7 +185,7 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 	// persistent schedule stages each chunk as its partition becomes ready
 	// (stageChunk below); everything else stages the whole payload up front.
 	lone := len(locals) == 1
-	if rc.gate() == nil {
+	if rc.gate == nil {
 		rc.stage(a.recv, a.send, 0, int64(count)*esz, lone)
 	}
 	m := len(hp.leaders)
@@ -224,7 +245,7 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 // slot at which an engine spawned per call would take chunk 0. Its own
 // asynchronous sends go to the same workers under its own latch.
 type hierEngine struct {
-	rc    runCtx              // co fixed; st, rank, pers and chunk set per call, p per run
+	rc    runCtx              // co fixed; st, rank, gate and chunk set per call, p per run
 	ready *sim.Chan[struct{}] // unbuffered: wakes the engine parked for a chunk
 	fed   int                 // chunks fed this call
 	done  []*sim.Event        // done[ck]: chunk ck's leader ring completed
@@ -244,7 +265,7 @@ func (rc *runCtx) engine(hp *hierPlan, dt Datatype, op RedOp, count, ce, nchunks
 		e = &hierEngine{rc: runCtx{co: co}, ready: sim.NewChan[struct{}](k, 0)}
 		co.engines[rc.p] = e
 	}
-	e.rc.st, e.rc.rank, e.rc.pers, e.rc.chunk = rc.st, rc.rank, rc.pers, rc.chunk
+	e.rc.st, e.rc.rank, e.rc.gate, e.rc.chunk = rc.st, rc.rank, rc.gate, rc.chunk
 	e.hp, e.dt, e.op, e.count, e.ce, e.nchunks = hp, dt, op, count, ce, nchunks
 	e.fed = 0
 	for len(e.done) < nchunks {
@@ -297,21 +318,7 @@ func (rc *runCtx) hierBroadcast(dt Datatype, count, root int, chunkBytes int64) 
 		return
 	}
 	rootNode := hp.nodeIdx[root]
-	reps := hp.leaders
-	if hp.leaders[rootNode] != root {
-		// The root stands in for its node's leader. Persistent schedules
-		// memoize the substituted group — the root never changes per handle.
-		if rc.pers != nil && rc.pers.reps != nil {
-			reps = rc.pers.reps
-		} else {
-			reps = make([]int, len(hp.leaders))
-			copy(reps, hp.leaders)
-			reps[rootNode] = root
-			if rc.pers != nil {
-				rc.pers.reps = reps
-			}
-		}
-	}
+	reps := hp.repsFor(root)
 	locals := hp.locals[hp.nodeIdx[rc.rank]]
 	li := hp.localIdx[rc.rank]
 	// My node's representative position within locals (root may not be the
@@ -358,8 +365,8 @@ func (rc *runCtx) hierAllGather(dt Datatype, count int, chunkBytes int64) {
 	if li != 0 {
 		// Phase A: deliver my block straight into the leader's recv at its
 		// final offset, then wait for the assembled result (phase C).
-		rc.putDirect(leader, rc.slice(rc.st.args[leader].recv, int64(rc.rank)*blk, blk),
-			rc.slice(a.recv, int64(rc.rank)*blk, blk), blk)
+		rc.putDirect(leader, rc.st.args[leader].recv.View(int64(rc.rank)*blk, blk),
+			a.recv.View(int64(rc.rank)*blk, blk), blk)
 		rc.hierAllGatherFanIn(locals, li, int64(rc.co.n)*blk, chunkBytes)
 		return
 	}
@@ -375,7 +382,7 @@ func (rc *runCtx) hierAllGather(dt Datatype, count int, chunkBytes int64) {
 		for step := 0; step < m-1; step++ {
 			srcNode := (ni - step + m) % m
 			inNode := (ni - step - 1 + 2*m) % m
-			sent := rc.post(helperJob{to: right, dst: rc.st.args[right].recv, src: a.recv, n: blk,
+			sent := rc.post(helperJob{to: right, dst: rc.st.args[right].recv.Whole(), src: a.recv.Whole(), n: blk,
 				blocks: hp.locals[srcNode]})
 			for range hp.locals[inNode] {
 				rc.waitDirect(left)
@@ -454,12 +461,12 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 		for step := 0; step < m-1; step++ {
 			sendNode := (ni - step - 1 + 2*m) % m
 			recvNode := (ni - step - 2 + 2*m) % m
-			// Staged (nil dst): work returns to the pool while the last
+			// Staged (zero dst): work returns to the pool while the last
 			// receiver may still be reading it.
-			sent := rc.post(helperJob{to: right, src: work, n: blk, blocks: hp.locals[sendNode]})
+			sent := rc.post(helperJob{to: right, src: work.Whole(), n: blk, blocks: hp.locals[sendNode]})
 			for _, r := range hp.locals[recvNode] {
 				slot, buf := rc.get(left, blk)
-				rc.reduceInto(op, dt, work.Slice(int64(r)*blk, blk), buf.Slice(0, blk), recvCount)
+				rc.reduceInto(op, dt, work.View(int64(r)*blk, blk), buf, recvCount)
 				rc.release(left, slot, blk)
 			}
 			sent.Wait(rc.p)
@@ -467,7 +474,7 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 	}
 	// Phase C: deliver each local rank's reduced block.
 	for _, r := range locals[1:] {
-		rc.putDirect(r, rc.st.args[r].recv.Slice(0, blk), work.Slice(int64(r)*blk, blk), blk)
+		rc.putDirect(r, rc.st.args[r].recv.View(0, blk), work.View(int64(r)*blk, blk), blk)
 	}
-	rc.localCopy(a.recv, work.Slice(int64(rc.rank)*blk, blk), blk)
+	rc.copyView(a.recv.View(0, blk), work.View(int64(rc.rank)*blk, blk))
 }

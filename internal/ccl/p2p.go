@@ -61,7 +61,7 @@ func (co *core) runSend(p *sim.Proc, rank int, op p2pOp) error {
 		panic(fmt.Sprintf("ccl: send of %d bytes into %d-byte posted recv", op.bytes, slot.bytes))
 	}
 	co.countXfer(op.bytes)
-	_, err := co.fab.TryTransfer(p, slot.buf.Slice(0, op.bytes), op.buf.Slice(0, op.bytes), op.bytes,
+	_, err := co.fab.TryTransfer(p, slot.buf.View(0, op.bytes), op.buf.View(0, op.bytes), op.bytes,
 		co.fabOpts())
 	if err != nil {
 		if !errors.Is(err, fabric.ErrPartitioned) {
@@ -181,7 +181,7 @@ func (c *Comm) GroupEnd() error {
 		// disarmed), and the pool grows past it.
 		counter := sim.NewCounter(k, len(g.sends))
 		for _, op := range g.sends {
-			co.workers[rank].Post(k, helperJob{group: c, to: op.peer, src: op.buf, n: op.bytes, done: counter})
+			co.workers[rank].Post(k, helperJob{group: c, to: op.peer, src: op.buf.Whole(), n: op.bytes, done: counter})
 		}
 		// Each timed wait is bounded on its own (the sends and posted
 		// receives carry per-wait deadlines), so the fused task as a whole

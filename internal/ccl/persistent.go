@@ -2,16 +2,18 @@ package ccl
 
 // Persistent collectives: the MPI-4 MPI_Allreduce_init analogue at the CCL
 // layer. AllReduceInit performs everything a one-shot AllReduce pays per
-// call — argument validation, plan (schedule family) selection, op-state
-// and scratch-pipe setup — exactly once, and returns a handle whose
-// Start/Wait execute the pre-built schedule, the same schedule code as the
-// one-shot path, with zero steady-state heap allocations:
+// call — argument validation, plan (schedule family) selection and op-state
+// setup — exactly once, and returns a handle whose Start/Wait execute the
+// pre-built schedule, the same schedule code as the one-shot path, with
+// zero steady-state heap allocations:
 //
 //   - the stream work item and its completion event are reused
 //     (device.PersistentTask + sim.Event.Reset);
-//   - sub-buffer views and segment-bound tables are memoized per handle, so
-//     the offsets a wave touches are materialized once during the first
-//     (warm-up) wave;
+//   - the handle keeps its op state and scratch pipes for its lifetime (a
+//     one-shot op borrows both from the communicator instead, see finish);
+//   - segments are addressed by value (device.View) and their bounds
+//     computed arithmetically, on this path and the one-shot path alike, so
+//     no wave builds a view or a bounds table;
 //   - asynchronous sends and the hierarchical leader's inter-node engine
 //     run on the rank's resident workers (helperJob), which one-shot and
 //     persistent work share and which take jobs as plain values: a handle
@@ -33,70 +35,11 @@ import (
 	"mpixccl/internal/sim"
 )
 
-// sliceKey identifies one memoized sub-buffer view.
-type sliceKey struct {
-	buf    *device.Buffer
-	off, n int64
-}
-
-// persistState carries one rank-handle's schedule caches and partition
-// gate, shared by every process executing part of that handle (stream
-// task, worker, inter-node engine). The simulation is cooperatively
-// scheduled, so the maps need no locking.
-type persistState struct {
-	slices map[sliceKey]*device.Buffer
-	bounds map[[2]int][]int
-	gate   *partGate // nil unless the handle is partitioned
-	// reps memoizes hierBroadcast's root-substituted representative group
-	// (allocated on the first wave when the root is not its node's leader).
-	reps []int
-}
-
-// slice returns a view of b[off, off+n), memoized on the persistent
-// schedule: a wave touches the same offsets every time, so the views built
-// during the warm-up wave make the steady state allocation-free. One-shot
-// contexts (nil pers) build views directly.
-func (rc *runCtx) slice(b *device.Buffer, off, n int64) *device.Buffer {
-	ps := rc.pers
-	if ps == nil {
-		return b.Slice(off, n)
-	}
-	k := sliceKey{buf: b, off: off, n: n}
-	if s, ok := ps.slices[k]; ok {
-		return s
-	}
-	s := b.Slice(off, n)
-	ps.slices[k] = s
-	return s
-}
-
-// segs is segBounds with the same persistent-schedule memoization.
-func (rc *runCtx) segs(count, n int) []int {
-	ps := rc.pers
-	if ps == nil {
-		return segBounds(count, n)
-	}
-	k := [2]int{count, n}
-	if b, ok := ps.bounds[k]; ok {
-		return b
-	}
-	b := segBounds(count, n)
-	ps.bounds[k] = b
-	return b
-}
-
-// gate returns the partition gate of a partitioned persistent schedule, or
-// nil on one-shot and non-partitioned paths.
-func (rc *runCtx) gate() *partGate {
-	if rc.pers == nil {
-		return nil
-	}
-	return rc.pers.gate
-}
-
 // partGate tracks which payload partitions the application has marked ready
 // in the current wave. Readiness tokens buffer in the channel, so Pready
-// may run before the schedule starts consuming, and in any order.
+// may run before the schedule starts consuming, and in any order. Every
+// process executing part of the handle's wave (stream task, worker,
+// inter-node engine) shares it through its runCtx.
 type partGate struct {
 	n    int
 	ch   *sim.Chan[int]
@@ -121,7 +64,7 @@ func (g *partGate) reset() {
 // waitPart blocks until partition ck has been marked ready, recording any
 // other partitions whose tokens arrive first.
 func (rc *runCtx) waitPart(ck int) {
-	g := rc.gate()
+	g := rc.gate
 	if g == nil || ck >= g.n {
 		return
 	}
@@ -138,7 +81,7 @@ func (rc *runCtx) waitPart(ck int) {
 // the whole-payload gate of the flat schedules, and the end-of-phase drain
 // that keeps the channel empty across waves.
 func (rc *runCtx) waitAllParts() {
-	g := rc.gate()
+	g := rc.gate
 	if g == nil {
 		return
 	}
@@ -157,7 +100,7 @@ func (rc *runCtx) waitAllParts() {
 // chunk; everywhere else the gate is nil and the payload was staged whole
 // before the first chunk.
 func (rc *runCtx) stageChunk(a *opArgs, off, bytes int64, ck int, move bool) {
-	if rc.gate() == nil {
+	if rc.gate == nil {
 		return
 	}
 	rc.waitPart(ck)
@@ -167,39 +110,31 @@ func (rc *runCtx) stageChunk(a *opArgs, off, bytes int64, ck int, move bool) {
 // persistShared is the cross-rank Init rendezvous record: the i-th
 // persistent Init of every rank joins the same shared op state. Ranks must
 // create persistent ops in the same order, like collectives themselves,
-// and the i-th Init must be the same collective kind on every rank.
+// and with the same arguments.
 type persistShared struct {
 	st     *opState
-	kind   string
 	count  int
 	dt     Datatype
 	op     RedOp
 	parts  int
-	root   int
 	joined int
 }
 
 // persistJoin runs the cross-rank Init rendezvous for the caller's next
 // persistent op, validating argument agreement across ranks.
-func (c *Comm) persistJoin(kind string, count int, dt Datatype, op RedOp, parts, root int) (*persistShared, int, error) {
+func (c *Comm) persistJoin(count int, dt Datatype, op RedOp, parts int) (*persistShared, int, error) {
 	co := c.core
 	id := c.pseq
 	c.pseq++
 	ps, ok := co.persist[id]
 	if !ok {
 		ps = &persistShared{
-			st: &opState{
-				seq:   -(id + 1), // outside the one-shot sequence space
-				args:  make([]*opArgs, co.n),
-				start: sim.NewBarrier(co.fab.Kernel(), co.n),
-				pipes: make(map[[2]int]*pipe),
-			},
-			kind: kind, count: count, dt: dt, op: op, parts: parts, root: root,
+			st:    co.newOpState(-(id + 1)), // outside the one-shot sequence space
+			count: count, dt: dt, op: op, parts: parts,
 		}
 		co.persist[id] = ps
-	} else if ps.kind != kind || ps.count != count || ps.dt != dt || ps.op != op ||
-		ps.parts != parts || ps.root != root {
-		return nil, 0, &Error{Backend: co.cfg.Name, Result: ErrInvalidArgument, Op: kind + "-init",
+	} else if ps.count != count || ps.dt != dt || ps.op != op || ps.parts != parts {
+		return nil, 0, &Error{Backend: co.cfg.Name, Result: ErrInvalidArgument, Op: "allreduce-init",
 			Rank: c.rank, Msg: fmt.Sprintf("persistent op #%d: mismatched arguments across ranks", id)}
 	}
 	ps.joined++
@@ -217,15 +152,12 @@ func (c *Comm) persistJoin(kind string, count int, dt Datatype, op RedOp, parts,
 func (c *Comm) newPersistentColl(s *device.Stream, st *opState, id int, op string, algo Algorithm,
 	parts int, bytes int64, run func(rc *runCtx)) *PersistentColl {
 	co := c.core
-	ps := &persistState{
-		slices: make(map[sliceKey]*device.Buffer),
-		bounds: make(map[[2]int][]int),
-	}
+	var g *partGate
 	if parts > 1 {
-		ps.gate = newPartGate(co.fab.Kernel(), parts)
+		g = newPartGate(co.fab.Kernel(), parts)
 	}
-	rc := &runCtx{co: co, st: st, rank: c.rank, pers: ps}
-	pc := &PersistentColl{c: c, st: st, pers: ps, algo: algo, op: op, parts: parts}
+	rc := &runCtx{co: co, st: st, rank: c.rank, gate: g}
+	pc := &PersistentColl{c: c, st: st, gate: g, algo: algo, op: op, parts: parts}
 	pc.task = s.NewPersistentTask(fmt.Sprintf("%s/%s-persist%d/r%d", co.cfg.Name, op, id, c.rank), func(p *sim.Proc) {
 		rc.p = p
 		c.wave(rc, op, bytes, run)
@@ -246,7 +178,7 @@ type PersistentColl struct {
 	c     *Comm
 	st    *opState
 	task  *device.PersistentTask
-	pers  *persistState
+	gate  *partGate // nil unless the handle is partitioned
 	algo  Algorithm
 	op    string // collective kind, for fault-hook probes and task names
 	parts int
@@ -285,7 +217,7 @@ func (c *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 	}
 
 	// Init rendezvous: the i-th Init of every rank joins one shared state.
-	ps, id, err := c.persistJoin("allreduce", count, dt, op, parts, 0)
+	ps, id, err := c.persistJoin(count, dt, op, parts)
 	if err != nil {
 		return nil, err
 	}
@@ -297,53 +229,6 @@ func (c *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 	return c.newPersistentColl(s, st, id, "allreduce", algo, parts, int64(count)*int64(dt.Size()), run), nil
 }
 
-// BcastInit builds a persistent broadcast handle (the MPI_Bcast_init
-// analogue): validation, schedule selection (binomial tree, or the chunked
-// hierarchical fan-out when forced on a multi-node shape), and scratch-pipe
-// setup run once; steady-state waves replay the schedule allocation-free.
-// Every rank must call Init with consistent arguments and in the same
-// handle order. Broadcast handles are not partitionable (only the root
-// produces payload).
-func (c *Comm) BcastInit(send, recv *device.Buffer, count int, dt Datatype, root int, s *device.Stream) (*PersistentColl, error) {
-	if err := c.validateArgs("broadcast", send, recv, count, dt, nil, root); err != nil {
-		return nil, err
-	}
-	ps, id, err := c.persistJoin("broadcast", count, dt, Sum, 1, root)
-	if err != nil {
-		return nil, err
-	}
-	st := ps.st
-	st.args[c.rank] = &opArgs{send: send, recv: recv, count: count, root: root}
-
-	algo, run := c.broadcastSchedule(count, dt, root)
-	return c.newPersistentColl(s, st, id, "broadcast", algo, 1, int64(count)*int64(dt.Size()), run), nil
-}
-
-// AllgatherInit builds a persistent allgather handle (MPI_Allgather_init):
-// the block ring, or the hierarchical leader-ring schedule when forced on a
-// multi-node shape. Steady-state waves spawn no processes and allocate
-// nothing.
-func (c *Comm) AllgatherInit(send, recv *device.Buffer, count int, dt Datatype, s *device.Stream) (*PersistentColl, error) {
-	co := c.core
-	if err := c.validateArgs("allgather", send, nil, count, dt, nil, 0); err != nil {
-		return nil, err
-	}
-	bytes := int64(count) * int64(dt.Size())
-	if recv == nil || recv.Len() < bytes*int64(co.n) {
-		return nil, &Error{Backend: co.cfg.Name, Result: ErrInvalidArgument, Op: "allgather-init",
-			Rank: c.rank, Msg: "recv buffer missing or too small"}
-	}
-	ps, id, err := c.persistJoin("allgather", count, dt, Sum, 1, 0)
-	if err != nil {
-		return nil, err
-	}
-	st := ps.st
-	st.args[c.rank] = &opArgs{send: send, recv: recv, count: count}
-
-	algo, run := c.allgatherSchedule(count, dt)
-	return c.newPersistentColl(s, st, id, "allgather", algo, 1, bytes, run), nil
-}
-
 // Start launches one execution of the pre-built schedule on the stream
 // without blocking. The previous execution must have been Waited. Fault
 // hooks are probed per Start, exactly as per one-shot call: a fail-stopped
@@ -353,7 +238,7 @@ func (pc *PersistentColl) Start() error {
 	if err := pc.c.inject(pc.op); err != nil {
 		return err
 	}
-	if g := pc.pers.gate; g != nil {
+	if g := pc.gate; g != nil {
 		g.reset()
 	}
 	pc.ev = pc.task.Launch()
@@ -365,7 +250,7 @@ func (pc *PersistentColl) Start() error {
 // wave; non-partitioned handles ignore it (the whole payload is implicitly
 // ready at Start).
 func (pc *PersistentColl) Pready(k int) {
-	g := pc.pers.gate
+	g := pc.gate
 	if g == nil {
 		return
 	}
@@ -383,7 +268,7 @@ func (pc *PersistentColl) Pready(k int) {
 
 // PreadyAll marks every partition of the wave in flight ready.
 func (pc *PersistentColl) PreadyAll() {
-	if pc.pers.gate == nil {
+	if pc.gate == nil {
 		return
 	}
 	for k := 0; k < pc.parts; k++ {
@@ -429,9 +314,7 @@ func (pc *PersistentColl) Free() {
 	pc.st.done++
 	if pc.st.done == pc.c.core.n {
 		for _, pp := range pc.st.pipes {
-			for _, s := range pp.slots {
-				s.Free()
-			}
+			pp.free()
 		}
 		pc.st.pipes = nil
 	}

@@ -16,18 +16,24 @@ import (
 	"mpixccl/internal/topology"
 )
 
-// The persistent-collective contract: after the
-// warm-up waves have materialized the schedule's sub-buffer views,
-// segment tables, scratch pipes, fabric routes, and waiter-slice
-// capacities, a steady-state Start → [Pready…] → Wait wave performs ZERO
-// heap allocations on any rank — the stream work item, completion
-// events, helper latches and jobs, partition gate, and inter-node engine
-// are all recycled. The test measures the global malloc count across whole waves
-// (every rank parked at a barrier between reads), with GC disabled so
-// background collection cannot perturb the counter.
+// The steady-state allocation contract. A persistent wave (Start →
+// [Pready…] → Wait) performs ZERO heap allocations on any rank once the
+// warm-up waves have built its scratch pipes, fabric routes and waiter-slice
+// capacities: the stream work item, completion events, helper latches and
+// jobs, partition gate, and inter-node engine are all recycled. A one-shot
+// collective reaches the same state for its schedule — segments are views
+// by value, and op states and pipes are recycled on the communicator — and
+// pays only its enqueue: the stream task, its completion event, the task
+// name and the closures that bind the call's arguments. The tests measure
+// the global malloc count across whole waves (every rank parked at a
+// barrier between reads), with GC disabled so background collection cannot
+// perturb the counter.
 
-func measureWaveAllocs(t *testing.T, nodes, nranks int, algo Algorithm,
-	init func(c *Comm, s *device.Stream) (*PersistentColl, error)) {
+// measureWaveAllocs runs warm-up and then measured waves of one collective
+// on nranks ranks of thetagpu nodes and pins every measured wave's mallocs,
+// summed over all ranks, at want. setup builds one rank's wave.
+func measureWaveAllocs(t *testing.T, nodes, nranks int, algo Algorithm, want uint64,
+	setup func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error)) {
 	t.Helper()
 	const warmWaves = 3
 	const measured = 8
@@ -52,14 +58,14 @@ func measureWaveAllocs(t *testing.T, nodes, nranks int, algo Algorithm,
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	err = Run(comms, func(c *Comm, s *device.Stream, p *sim.Proc) {
 		c.SetAlgorithm(algo, 0)
-		po, err := init(c, s)
+		wave, err := setup(c, s)
 		if err != nil {
-			t.Errorf("init: %v", err)
+			t.Errorf("setup: %v", err)
 			return
 		}
 		bar.Wait(p)
 		for w := 0; w < warmWaves+measured; w++ {
-			if err := po.Do(p); err != nil {
+			if err := wave(p); err != nil {
 				t.Errorf("wave %d: %v", w, err)
 				return
 			}
@@ -76,20 +82,25 @@ func measureWaveAllocs(t *testing.T, nodes, nranks int, algo Algorithm,
 		t.Fatal(err)
 	}
 	for w := warmWaves; w < warmWaves+measured; w++ {
-		if d := mallocs[w] - mallocs[w-1]; d != 0 {
-			t.Errorf("steady-state wave %d allocated %d objects across %d ranks; want 0",
-				w, d, nranks)
+		if d := mallocs[w] - mallocs[w-1]; d != want {
+			t.Errorf("steady-state wave %d allocated %d objects across %d ranks; want %d",
+				w, d, nranks, want)
 		}
 	}
 }
 
-// measurePersistentWaveAllocs keeps the historical allreduce entry point.
+// measurePersistentWaveAllocs pins a persistent allreduce handle's waves
+// at zero allocations.
 func measurePersistentWaveAllocs(t *testing.T, nodes, nranks, count, parts int, algo Algorithm) {
 	t.Helper()
-	measureWaveAllocs(t, nodes, nranks, algo, func(c *Comm, s *device.Stream) (*PersistentColl, error) {
+	measureWaveAllocs(t, nodes, nranks, algo, 0, func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error) {
 		send := c.Device().MustMalloc(int64(count) * 4)
 		recv := c.Device().MustMalloc(int64(count) * 4)
-		return c.AllReduceInitPartitioned(send, recv, count, Float32, Sum, parts, s)
+		pc, err := c.AllReduceInitPartitioned(send, recv, count, Float32, Sum, parts, s)
+		if err != nil {
+			return nil, err
+		}
+		return pc.Do, nil
 	})
 }
 
@@ -113,37 +124,55 @@ func TestPersistentSteadyStateAllocFreePartitionedTree(t *testing.T) {
 	measurePersistentWaveAllocs(t, 1, 4, 1024, 4, AlgoTree)
 }
 
-// The same zero-alloc contract for the persistent broadcast handles (tree
-// and chunked hierarchical fan-out, including the root-substituted rep
-// group with root ≠ node leader, which must be memoized).
-func TestPersistentSteadyStateAllocFreeBcastTree(t *testing.T) {
-	measureWaveAllocs(t, 1, 4, AlgoTree, func(c *Comm, s *device.Stream) (*PersistentColl, error) {
-		buf := c.Device().MustMalloc(4096 * 4)
-		return c.BcastInit(buf, buf, 4096, Float32, 2, s)
-	})
+// oneShotWave is a rank's one-shot wave: enqueue the call, synchronize the
+// stream, collect the verdict.
+func oneShotWave(c *Comm, s *device.Stream, call func() error) func(p *sim.Proc) error {
+	return func(p *sim.Proc) error {
+		if err := call(); err != nil {
+			return err
+		}
+		s.Synchronize(p)
+		return c.TakeAsyncErr()
+	}
 }
 
-func TestPersistentSteadyStateAllocFreeBcastHier(t *testing.T) {
-	measureWaveAllocs(t, 2, 16, AlgoHierarchical, func(c *Comm, s *device.Stream) (*PersistentColl, error) {
-		buf := c.Device().MustMalloc(64 << 10)
-		return c.BcastInit(buf, buf, 64<<10/4, Float32, 3, s)
-	})
-}
-
-// ...and the persistent allgather handles: the ring's block puts and the
-// hierarchical leader's block-set posts to its stream's helper.
-func TestPersistentSteadyStateAllocFreeAllgatherRing(t *testing.T) {
-	measureWaveAllocs(t, 1, 4, AlgoFlatRing, func(c *Comm, s *device.Stream) (*PersistentColl, error) {
-		send := c.Device().MustMalloc(16 << 10)
-		recv := c.Device().MustMalloc(4 * 16 << 10)
-		return c.AllgatherInit(send, recv, 16<<10/4, Float32, s)
-	})
-}
-
-func TestPersistentSteadyStateAllocFreeAllgatherHier(t *testing.T) {
-	measureWaveAllocs(t, 2, 16, AlgoHierarchical, func(c *Comm, s *device.Stream) (*PersistentColl, error) {
-		send := c.Device().MustMalloc(16 << 10)
-		recv := c.Device().MustMalloc(16 * 16 << 10)
-		return c.AllgatherInit(send, recv, 16<<10/4, Float32, s)
-	})
+// TestOneShotSteadyStateAllocs pins a one-shot collective's steady-state
+// waves at their enqueue allocations: per rank, the stream task and its
+// completion event, the task name, and the closures binding the call (the
+// wave body, the schedule, and for the compiled plan the plan executor).
+// The schedule itself — segments, pipes, op state, helper jobs, the
+// hierarchical engine — allocates nothing.
+func TestOneShotSteadyStateAllocs(t *testing.T) {
+	allreduce := func(count int) func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error) {
+		return func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error) {
+			send := c.Device().MustMalloc(int64(count) * 4)
+			recv := c.Device().MustMalloc(int64(count) * 4)
+			return oneShotWave(c, s, func() error {
+				return c.AllReduce(send, recv, count, Float32, Sum, s)
+			}), nil
+		}
+	}
+	for _, tc := range []struct {
+		name          string
+		nodes, nranks int
+		algo          Algorithm
+		perRank       uint64
+		setup         func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error)
+	}{
+		{"tree", 1, 4, AlgoTree, 8, allreduce(1024)},
+		{"flat-ring", 1, 4, AlgoFlatRing, 8, allreduce(256 << 10 / 4)},
+		{"hierarchical", 2, 16, AlgoHierarchical, 8, allreduce(256 << 10 / 4)},
+		{"compiled-alltoall", 1, 4, AlgoAuto, 8, func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error) {
+			const blk = 4 << 10 // elements per block
+			send := c.Device().MustMalloc(4 * blk * 4)
+			recv := c.Device().MustMalloc(4 * blk * 4)
+			return oneShotWave(c, s, func() error {
+				return c.Alltoall(send, recv, blk, Float32, "auto", s)
+			}), nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			measureWaveAllocs(t, tc.nodes, tc.nranks, tc.algo, tc.perRank*uint64(tc.nranks), tc.setup)
+		})
+	}
 }

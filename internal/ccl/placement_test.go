@@ -166,9 +166,10 @@ func TestRingPlacementExact(t *testing.T) {
 	}
 }
 
-// TestPersistentRingPlacementExact runs persistent ring allreduce and
-// allgather handles for several waves, changing the payload between waves,
-// so a wave's placed segments land in buffers the previous wave read. An
+// TestPersistentRingPlacementExact runs a persistent ring allreduce handle
+// and one-shot ring allgathers, which reuse the communicator's pipes, for
+// several waves, changing the payload between waves, so a wave's placed
+// segments land in buffers the previous wave read. An
 // out-of-place partitioned hierarchical allreduce handle rides along: on the
 // multi-node shapes it stages each chunk as its partition becomes ready,
 // and its ranks read their input from the send buffer in place.
@@ -190,11 +191,6 @@ func TestPersistentRingPlacementExact(t *testing.T) {
 				}
 				send := c.Device().MustMalloc(int64(count) * 4)
 				all := c.Device().MustMalloc(int64(n*count) * 4)
-				ag, err := c.AllgatherInit(send, all, count, ccl.Int32, s)
-				if err != nil {
-					t.Errorf("allgather init: %v", err)
-					return
-				}
 				c.SetAlgorithm(ccl.AlgoHierarchical, 0)
 				hin := c.Device().MustMalloc(int64(count) * 4)
 				hout := c.Device().MustMalloc(int64(count) * 4)
@@ -213,7 +209,7 @@ func TestPersistentRingPlacementExact(t *testing.T) {
 						t.Errorf("allreduce wave %d: %v", w, err)
 						return
 					}
-					if err := ag.Do(p); err != nil {
+					if err := c.AllGather(send, all, count, ccl.Int32, s); err != nil {
 						t.Errorf("allgather wave %d: %v", w, err)
 						return
 					}
@@ -250,7 +246,6 @@ func TestPersistentRingPlacementExact(t *testing.T) {
 					}
 				}
 				ar.Free()
-				ag.Free()
 				hr.Free()
 			})
 		})
@@ -259,7 +254,7 @@ func TestPersistentRingPlacementExact(t *testing.T) {
 
 // TestRingScheduleVirtualTime pins the modeled completion time of three
 // back-to-back calls of each ring, tree and hierarchical schedule, one-shot
-// and persistent: neither placement nor the helper processes that carry the
+// and (allreduce) persistent: neither placement nor the helper processes that carry the
 // asynchronous sends may change what the model charges, on the first call
 // or on the calls that reuse what the first one set up. bytes is the
 // per-rank payload (the recv block of a reduce-scatter); the zero-byte rows
@@ -277,7 +272,7 @@ func TestRingScheduleVirtualTime(t *testing.T) {
 		shape   ringShape
 		algo    ccl.Algorithm
 		coll    string // allreduce | allgather | reducescatter | broadcast
-		persist bool   // a persistent handle's waves instead of one-shot calls
+		persist bool   // a persistent allreduce handle's waves instead of one-shot calls
 		parts   int    // partitions of a persistent allreduce
 		bytes   int64
 		want    [3]time.Duration
@@ -304,10 +299,6 @@ func TestRingScheduleVirtualTime(t *testing.T) {
 			[3]time.Duration{357180 * ns, 714360 * ns, 1071540 * ns}},
 		{"persistent-hier-allreduce-parts", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoHierarchical, "allreduce", true, 4, 1 << 20,
 			[3]time.Duration{139419 * ns, 278838 * ns, 418257 * ns}},
-		{"persistent-ring-allgather", ringShape{"mri", 5, rccl.New}, ccl.AlgoFlatRing, "allgather", true, 1, 256 << 10,
-			[3]time.Duration{218114 * ns, 436228 * ns, 654342 * ns}},
-		{"persistent-hier-allgather", ringShape{"thetagpu", 16, nccl.New}, ccl.AlgoHierarchical, "allgather", true, 1, 256 << 10,
-			[3]time.Duration{297723 * ns, 595446 * ns, 893169 * ns}},
 		{"tree-allreduce", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoTree, "allreduce", false, 1, 64 << 10,
 			[3]time.Duration{52363 * ns, 104726 * ns, 157089 * ns}},
 		{"tree-allreduce-mri", ringShape{"mri", 5, rccl.New}, ccl.AlgoTree, "allreduce", false, 1, 4<<10 + 12,
@@ -316,11 +307,7 @@ func TestRingScheduleVirtualTime(t *testing.T) {
 			[3]time.Duration{52363 * ns, 104726 * ns, 157089 * ns}},
 		{"tree-broadcast", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "broadcast", false, 1, 1 << 20,
 			[3]time.Duration{215340 * ns, 430680 * ns, 646020 * ns}},
-		{"persistent-tree-broadcast", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "broadcast", true, 1, 1 << 20,
-			[3]time.Duration{215340 * ns, 430680 * ns, 646020 * ns}},
 		{"hier-broadcast", ringShape{"thetagpu", 16, nccl.New}, ccl.AlgoHierarchical, "broadcast", false, 1, 4 << 20,
-			[3]time.Duration{396051 * ns, 792102 * ns, 1188153 * ns}},
-		{"persistent-hier-broadcast", ringShape{"thetagpu", 16, nccl.New}, ccl.AlgoHierarchical, "broadcast", true, 1, 4 << 20,
 			[3]time.Duration{396051 * ns, 792102 * ns, 1188153 * ns}},
 		{"zero-allreduce", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "allreduce", false, 1, 0,
 			[3]time.Duration{42400 * ns, 84800 * ns, 127200 * ns}},
@@ -351,16 +338,7 @@ func TestRingScheduleVirtualTime(t *testing.T) {
 					}
 				}
 				if tc.persist {
-					var pc *ccl.PersistentColl
-					var err error
-					switch tc.coll {
-					case "allgather":
-						pc, err = c.AllgatherInit(send, recv, count, ccl.Float32, s)
-					case "broadcast":
-						pc, err = c.BcastInit(send, recv, count, ccl.Float32, bcastRoot, s)
-					default:
-						pc, err = c.AllReduceInitPartitioned(send, recv, count, ccl.Float32, ccl.Sum, tc.parts, s)
-					}
+					pc, err := c.AllReduceInitPartitioned(send, recv, count, ccl.Float32, ccl.Sum, tc.parts, s)
 					if err != nil {
 						t.Error(err)
 						return

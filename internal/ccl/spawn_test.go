@@ -71,12 +71,7 @@ func TestSteadyStateSpawnsNoProcs(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			ag, err := c.AllgatherInit(buf.Slice(0, count/n*4), all, count/n, ccl.Float32, s)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			handles = append(handles, ar, ag)
+			handles = append(handles, ar)
 		}
 		mark(r, p)
 		for w := 0; w < 2; w++ {

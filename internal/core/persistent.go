@@ -35,8 +35,8 @@ var ErrOpFreed = errors.New("xccl: persistent op used after Free")
 // Free already released the CCL-layer scratch; the second did nothing.
 var ErrOpDoubleFree = errors.New("xccl: persistent op freed twice")
 
-// PersistentOp is one rank's handle on a persistent collective (allreduce,
-// bcast, or allgather). The state machine is Init → (Start → [Pready…] →
+// PersistentOp is one rank's handle on a persistent allreduce. The state
+// machine is Init → (Start → [Pready…] →
 // Wait)* → Free:
 //
 //	Start   launches the pre-built schedule without blocking
@@ -103,45 +103,7 @@ func (x *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 	})
 }
 
-// BcastInit builds a persistent broadcast handle (MPI_Bcast_init) over buf,
-// in place, rooted at root. Same Init-once contract as AllReduceInit;
-// broadcast handles are not partitionable.
-func (x *Comm) BcastInit(buf *device.Buffer, count int, dt mpi.Datatype, root int) (*PersistentOp, error) {
-	if err := x.admit(OpBcast); err != nil {
-		return nil, err
-	}
-	bytes := int64(count) * int64(dt.Size())
-	po := &PersistentOp{
-		x: x, kind: OpBcast, send: buf, recv: buf,
-		count: count, dt: dt, bytes: bytes, parts: 1,
-		fb: func() { x.mpi.Bcast(buf, count, dt, root) },
-	}
-	d := x.decide(OpBcast, bytes, dt, nil, buf)
-	return x.persistInit(po, d, func(cc *ccl.Comm, s *device.Stream) (*ccl.PersistentColl, error) {
-		return cc.BcastInit(buf, buf, count, d.dt, root, s)
-	})
-}
-
-// AllgatherInit builds a persistent allgather handle (MPI_Allgather_init):
-// each wave concatenates every rank's send buffer into recv (size count×n).
-func (x *Comm) AllgatherInit(send *device.Buffer, count int, dt mpi.Datatype, recv *device.Buffer) (*PersistentOp, error) {
-	if err := x.admit(OpAllgather); err != nil {
-		return nil, err
-	}
-	bytes := int64(count) * int64(dt.Size())
-	po := &PersistentOp{
-		x: x, kind: OpAllgather, send: send, recv: recv,
-		count: count, dt: dt, bytes: bytes, parts: 1,
-		fb: func() { x.mpi.Allgather(send, count, dt, recv) },
-	}
-	d := x.decide(OpAllgather, bytes, dt, nil, send, recv)
-	return x.persistInit(po, d, func(cc *ccl.Comm, s *device.Stream) (*ccl.PersistentColl, error) {
-		return cc.AllgatherInit(send, recv, count, d.dt, s)
-	})
-}
-
-// persistInit finishes handle construction for any persistent collective:
-// breaker consult, CCL communicator rendezvous, algorithm forcing, and the
+// persistInit finishes handle construction: breaker consult, CCL communicator rendezvous, algorithm forcing, and the
 // CCL layer's schedule build.
 func (x *Comm) persistInit(po *PersistentOp, d decision,
 	ccInit func(cc *ccl.Comm, s *device.Stream) (*ccl.PersistentColl, error)) (*PersistentOp, error) {

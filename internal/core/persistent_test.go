@@ -362,166 +362,14 @@ func TestPersistentFreeStateMachine(t *testing.T) {
 	}
 }
 
-// Persistent bcast and allgather: a handle's waves must be bytewise
-// identical to the one-shot calls, across dispatch modes and schedule
-// families (16 ranks on 2 nodes exercise the hierarchical plans), and
-// MPI-path handles (PureMPI) must work via the blocking fallback.
-func TestPersistentBcastMatchesOneShot(t *testing.T) {
-	const nranks, count, waves, root = 16, 2048, 3, 3
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"pure-ccl", Options{Backend: Auto, Mode: PureCCL}},
-		{"pure-mpi", Options{Backend: Auto, Mode: PureMPI}},
-		{"hybrid-hier", func() Options {
-			table := &TuningTable{System: "test", Backend: string(NCCL), Version: TableVersion}
-			table.Set(OpBcast, []Threshold{{Path: PathCCL, Algo: AlgoHierarchical}})
-			return Options{Backend: Auto, Mode: Hybrid, Table: table}
-		}()},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			mk := func(persistent bool) [][]byte {
-				rt := newRuntime(t, "thetagpu", nranks, tc.opts)
-				out := make([][]byte, waves)
-				for w := range out {
-					out[w] = make([]byte, count*4)
-				}
-				err := rt.Run(func(x *Comm) {
-					buf := x.Device().MustMalloc(count * 4)
-					var po *PersistentOp
-					if persistent {
-						var err error
-						po, err = x.BcastInit(buf, count, mpi.Float32, root)
-						if err != nil {
-							t.Errorf("init: %v", err)
-							return
-						}
-						defer po.Free()
-					}
-					for w := 0; w < waves; w++ {
-						for i := 0; i < count; i++ {
-							if x.Rank() == root {
-								buf.SetFloat32(i, float32((i*7+w)%97))
-							} else {
-								buf.SetFloat32(i, -1)
-							}
-						}
-						if persistent {
-							if err := po.Do(); err != nil {
-								t.Errorf("wave %d: %v", w, err)
-								return
-							}
-						} else {
-							x.Bcast(buf, count, mpi.Float32, root)
-						}
-						if x.Rank() == nranks-1 {
-							copy(out[w], buf.Bytes())
-						}
-					}
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out
-			}
-			got, want := mk(true), mk(false)
-			for w := range want {
-				for i := range want[w] {
-					if got[w][i] != want[w][i] {
-						t.Fatalf("wave %d byte %d: persistent %d != one-shot %d",
-							w, i, got[w][i], want[w][i])
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestPersistentAllgatherMatchesOneShot(t *testing.T) {
-	const nranks, count, waves = 16, 1024, 3
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"pure-ccl", Options{Backend: Auto, Mode: PureCCL}},
-		{"pure-mpi", Options{Backend: Auto, Mode: PureMPI}},
-		{"hybrid-hier", func() Options {
-			table := &TuningTable{System: "test", Backend: string(NCCL), Version: TableVersion}
-			table.Set(OpAllgather, []Threshold{{Path: PathCCL, Algo: AlgoHierarchical}})
-			return Options{Backend: Auto, Mode: Hybrid, Table: table}
-		}()},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			mk := func(persistent bool) [][]byte {
-				rt := newRuntime(t, "thetagpu", nranks, tc.opts)
-				out := make([][]byte, waves)
-				for w := range out {
-					out[w] = make([]byte, nranks*count*4)
-				}
-				err := rt.Run(func(x *Comm) {
-					send := x.Device().MustMalloc(count * 4)
-					recv := x.Device().MustMalloc(nranks * count * 4)
-					var po *PersistentOp
-					if persistent {
-						var err error
-						po, err = x.AllgatherInit(send, count, mpi.Float32, recv)
-						if err != nil {
-							t.Errorf("init: %v", err)
-							return
-						}
-						defer po.Free()
-					}
-					for w := 0; w < waves; w++ {
-						for i := 0; i < count; i++ {
-							send.SetFloat32(i, float32((x.Rank()*31+i+w)%113))
-						}
-						if persistent {
-							if err := po.Do(); err != nil {
-								t.Errorf("wave %d: %v", w, err)
-								return
-							}
-						} else {
-							x.Allgather(send, count, mpi.Float32, recv)
-						}
-						if x.Rank() == 0 {
-							copy(out[w], recv.Bytes())
-						}
-					}
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out
-			}
-			got, want := mk(true), mk(false)
-			for w := range want {
-				for i := range want[w] {
-					if got[w][i] != want[w][i] {
-						t.Fatalf("wave %d byte %d: persistent %d != one-shot %d",
-							w, i, got[w][i], want[w][i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// Mixing persistent-op kinds at the same Init position across ranks must
-// be rejected at the CCL layer, not deadlock.
-func TestPersistentKindMismatchRejected(t *testing.T) {
+// Persistent handles whose arguments disagree across ranks at the same
+// Init position must be rejected at the CCL layer, not deadlock.
+func TestPersistentArgMismatchRejected(t *testing.T) {
 	rt := newRuntime(t, "thetagpu", 2, Options{Backend: Auto, Mode: PureCCL})
 	errs := make([]error, 2)
 	err := rt.Run(func(x *Comm) {
 		buf := x.Device().MustMalloc(1024 * 4)
-		recv := x.Device().MustMalloc(2 * 1024 * 4)
-		if x.Rank() == 0 {
-			_, errs[0] = x.BcastInit(buf, 1024, mpi.Float32, 0)
-		} else {
-			_, errs[1] = x.AllgatherInit(buf, 1024, mpi.Float32, recv)
-		}
+		_, errs[x.Rank()] = x.AllReduceInit(buf, buf, 512*(x.Rank()+1), mpi.Float32, mpi.OpSum)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -529,6 +377,6 @@ func TestPersistentKindMismatchRejected(t *testing.T) {
 	// Whichever rank rendezvoused second saw the mismatch; the first
 	// succeeded (its handle is simply never used).
 	if errs[0] == nil && errs[1] == nil {
-		t.Error("mismatched persistent kinds not rejected on either rank")
+		t.Error("mismatched persistent arguments not rejected on either rank")
 	}
 }

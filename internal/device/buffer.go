@@ -48,21 +48,55 @@ func (b *Buffer) Slice(off, n int64) *Buffer {
 	return &Buffer{dev: b.dev, data: b.data[off : off+n], view: true}
 }
 
-// Free releases the allocation back to the device. Freeing a slice view or
-// a host buffer is a no-op; double-free panics (as CUDA would fail).
+// View returns the by-value view of the byte range [off, off+n) of b. Like
+// Slice it shares b's storage and accounting, but it is a plain value, so
+// addressing a segment allocates nothing.
+func (b *Buffer) View(off, n int64) View {
+	if off < 0 || n < 0 || off+n > int64(len(b.data)) {
+		panic(fmt.Sprintf("device: view [%d,%d) out of range of %d-byte buffer", off, off+n, len(b.data)))
+	}
+	return View{Buf: b, Off: off, N: n}
+}
+
+// Whole returns the view of all of b.
+func (b *Buffer) Whole() View { return View{Buf: b, N: int64(len(b.data))} }
+
+// View is the byte range [Off, Off+N) of a parent buffer, addressed by
+// value: communication schedules hand segments around as Views, so touching
+// a segment costs no allocation. The zero View addresses nothing.
+type View struct {
+	Buf    *Buffer
+	Off, N int64
+}
+
+// Len returns the view's size in bytes.
+func (v View) Len() int64 { return v.N }
+
+// Bytes exposes the view's range of the parent's storage.
+func (v View) Bytes() []byte { return v.Buf.data[v.Off : v.Off+v.N] }
+
+// Device returns the parent's device (nil for unmanaged host buffers).
+func (v View) Device() *Device { return v.Buf.dev }
+
+// Sub returns the view of [off, off+n) within v.
+func (v View) Sub(off, n int64) View {
+	if off < 0 || n < 0 || off+n > v.N {
+		panic(fmt.Sprintf("device: view [%d,%d) out of range of %d-byte view", off, off+n, v.N))
+	}
+	return View{Buf: v.Buf, Off: v.Off + off, N: n}
+}
+
+// Free releases the allocation back to the device. Freeing a host buffer,
+// or a slice view, whose parent still owns the storage, leaves device
+// accounting alone. Double-free panics (as CUDA would fail).
 func (b *Buffer) Free() {
 	if b.freed {
 		panic("device: double free")
 	}
 	b.freed = true
-	if b.dev != nil {
+	if b.dev != nil && !b.view {
 		b.dev.allocated -= int64(len(b.data))
-		if b.dev.allocated < 0 {
-			b.dev.allocated = 0
-		}
-		if !b.view {
-			b.dev.recycle(b.data)
-		}
+		b.dev.recycle(b.data)
 	}
 	b.data = nil
 }

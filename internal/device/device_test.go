@@ -1,6 +1,7 @@
 package device
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 	"time"
@@ -39,6 +40,62 @@ func TestMallocAccounting(t *testing.T) {
 	b.Free()
 	if d.Allocated() != 0 {
 		t.Fatalf("Allocated after free = %d", d.Allocated())
+	}
+}
+
+// Freeing a view leaves device accounting alone: the parent still owns the
+// storage, and only the parent's own Free returns it.
+func TestFreeViewKeepsAccounting(t *testing.T) {
+	k := sim.NewKernel()
+	d := newTestDevice(k)
+	b := d.MustMalloc(1 << 20)
+	v := b.Slice(0, 512<<10)
+	v.Free()
+	if d.Allocated() != 1<<20 {
+		t.Fatalf("Allocated after freeing a view = %d, want %d", d.Allocated(), 1<<20)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second Free of a view did not panic")
+			}
+		}()
+		v.Free()
+	}()
+	b.Free()
+	if d.Allocated() != 0 {
+		t.Fatalf("Allocated after freeing the parent = %d, want 0", d.Allocated())
+	}
+}
+
+// A View addresses a segment by value: same bytes as Slice, bounds-checked.
+func TestViewMatchesSlice(t *testing.T) {
+	k := sim.NewKernel()
+	d := newTestDevice(k)
+	b := d.MustMalloc(64)
+	for i := range b.Bytes() {
+		b.Bytes()[i] = byte(i)
+	}
+	v := b.View(8, 32).Sub(4, 16)
+	if v.Len() != 16 || v.Device() != d || !bytes.Equal(v.Bytes(), b.Slice(12, 16).Bytes()) {
+		t.Fatalf("view %+v bytes %v, want b[12:28]", v, v.Bytes())
+	}
+	if w := b.Whole(); w.Len() != 64 || w.Off != 0 {
+		t.Fatalf("Whole = %+v", w)
+	}
+	for _, f := range []func(){
+		func() { b.View(60, 8) },
+		func() { b.View(-1, 4) },
+		func() { v.Sub(8, 9) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("out-of-range view did not panic")
+				}
+			}()
+			f()
+		}()
 	}
 }
 

@@ -359,20 +359,22 @@ func (f *Fabric) Latency(src, dst *device.Device) time.Duration {
 // routing failure — e.g. under an injected topology fault — should call
 // TryTransfer and handle the error.
 func (f *Fabric) Transfer(p *sim.Proc, dst, src *device.Buffer, n int64, o Opts) time.Duration {
-	d, err := f.TryTransfer(p, dst, src, n, o)
+	d, err := f.TryTransfer(p, dst.Whole(), src.Whole(), n, o)
 	if err != nil {
 		panic(err)
 	}
 	return d
 }
 
-// TryTransfer moves n bytes from src to dst, blocking p for the priced
-// time, and returns the elapsed virtual duration. It returns an error
-// (consuming no virtual time) when the endpoints have no route or the
-// length is out of bounds. Any active link-degradation window (SetFaults)
-// scales the route's α and per-channel bandwidth and caps the channel
-// grant for the whole transfer, as observed at its start time.
-func (f *Fabric) TryTransfer(p *sim.Proc, dst, src *device.Buffer, n int64, o Opts) (time.Duration, error) {
+// TryTransfer moves n bytes from the src view to the dst view, blocking p
+// for the priced time, and returns the elapsed virtual duration. Views
+// address segments by value, so a schedule's per-segment transfers build
+// no buffers. It returns an error (consuming no virtual time) when the
+// endpoints have no route or the length is out of bounds. Any active
+// link-degradation window (SetFaults) scales the route's α and per-channel
+// bandwidth and caps the channel grant for the whole transfer, as observed
+// at its start time.
+func (f *Fabric) TryTransfer(p *sim.Proc, dst, src device.View, n int64, o Opts) (time.Duration, error) {
 	if n < 0 || n > src.Len() || n > dst.Len() {
 		return 0, fmt.Errorf("fabric: transfer of %d bytes between %d-byte src and %d-byte dst", n, src.Len(), dst.Len())
 	}
@@ -388,7 +390,7 @@ func (f *Fabric) TryTransfer(p *sim.Proc, dst, src *device.Buffer, n int64, o Op
 		w.send(p, n)
 		switch {
 		case w.r.local:
-			dst.CopyFrom(src)
+			copy(dst.Bytes(), src.Bytes())
 		case n > 0:
 			copy(dst.Bytes()[:n], src.Bytes()[:n])
 		}

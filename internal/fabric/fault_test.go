@@ -28,10 +28,10 @@ func TestTryTransferReturnsErrorNotPanic(t *testing.T) {
 	detached := device.NewHostBuffer(16)
 	k.Spawn("main", func(p *sim.Proc) {
 		before := p.Now()
-		if _, err := f.TryTransfer(p, short, good, 16, Opts{}); err == nil {
+		if _, err := f.TryTransfer(p, short.Whole(), good.Whole(), 16, Opts{}); err == nil {
 			t.Error("oversize transfer returned nil error")
 		}
-		if _, err := f.TryTransfer(p, good, detached, 16, Opts{}); err == nil {
+		if _, err := f.TryTransfer(p, good.Whole(), detached.Whole(), 16, Opts{}); err == nil {
 			t.Error("detached source returned nil error")
 		}
 		if p.Now() != before {

@@ -113,42 +113,44 @@ func (c *Comm) alltoallBruck(sendBuf, recvBuf *device.Buffer, count int, dt Data
 	tag := tagOf(epoch, tagAlltoall)
 	n := c.Size()
 	bytes := int64(count) * int64(dt.Size())
-	work := c.tmp(bytes * int64(n))
+	// Both scratch buffers are written before they are read: work by the
+	// rotation below, stage by each round's packing and receive.
+	work := c.dev.MustMallocScratch(bytes * int64(n))
 	defer work.Free()
-	stage := c.tmp(bytes * int64(n))
+	stage := c.dev.MustMallocScratch(bytes * int64(n))
 	defer stage.Free()
+	block := func(b *device.Buffer, i int) []byte {
+		return b.Bytes()[int64(i)*bytes : int64(i+1)*bytes]
+	}
 	// Local rotation: work[i] = sendBuf[(rank+i) mod n].
 	for i := 0; i < n; i++ {
-		src := (c.rank + i) % n
-		copy(work.Bytes()[int64(i)*bytes:(int64(i)+1)*bytes], sendBuf.Bytes()[int64(src)*bytes:(int64(src)+1)*bytes])
+		copy(block(work, i), block(sendBuf, (c.rank+i)%n))
 	}
 	c.proc.Sleep(c.dev.CopyTime(bytes * int64(n)))
 	for pof := 1; pof < n; pof <<= 1 {
-		// Collect the blocks whose index has bit pof set.
-		var idxs []int
-		for i := 0; i < n; i++ {
+		// Pack the m blocks whose index has bit pof set, in index order.
+		m := 0
+		for i := pof; i < n; i++ {
 			if i&pof != 0 {
-				idxs = append(idxs, i)
+				copy(block(stage, m), block(work, i))
+				m++
 			}
-		}
-		for j, i := range idxs {
-			copy(stage.Bytes()[int64(j)*bytes:(int64(j)+1)*bytes], work.Bytes()[int64(i)*bytes:(int64(i)+1)*bytes])
 		}
 		dst := (c.rank + pof) % n
 		src := (c.rank - pof + n) % n
-		cnt := len(idxs) * count
-		c.Sendrecv(stage.Slice(0, int64(len(idxs))*bytes), cnt, dt, dst, tag,
-			stage.Slice(int64(len(idxs))*bytes, int64(len(idxs))*bytes), cnt, dt, src, tag)
-		for j, i := range idxs {
-			copy(work.Bytes()[int64(i)*bytes:(int64(i)+1)*bytes],
-				stage.Bytes()[int64(len(idxs)+j)*bytes:(int64(len(idxs)+j)+1)*bytes])
+		c.Sendrecv(stage.Slice(0, int64(m)*bytes), m*count, dt, dst, tag,
+			stage.Slice(int64(m)*bytes, int64(m)*bytes), m*count, dt, src, tag)
+		for i, j := pof, m; i < n; i++ {
+			if i&pof != 0 {
+				copy(block(work, i), block(stage, j))
+				j++
+			}
 		}
-		c.proc.Sleep(c.dev.CopyTime(2 * bytes * int64(len(idxs))))
+		c.proc.Sleep(c.dev.CopyTime(2 * bytes * int64(m)))
 	}
 	// Inverse rotation: recvBuf[r] = work[(rank-r) mod n] reversed ordering.
 	for i := 0; i < n; i++ {
-		r := (c.rank - i + n) % n
-		copy(recvBuf.Bytes()[int64(r)*bytes:(int64(r)+1)*bytes], work.Bytes()[int64(i)*bytes:(int64(i)+1)*bytes])
+		copy(block(recvBuf, (c.rank-i+n)%n), block(work, i))
 	}
 	c.proc.Sleep(c.dev.CopyTime(bytes * int64(n)))
 }
