@@ -49,7 +49,7 @@ func (c *Comm) enqueueColl(s *device.Stream, name string, a *opArgs, bytes int64
 	st := c.core.join(seq, c.rank, a)
 	rank := c.rank
 	co := c.core
-	return s.Enqueue(fmt.Sprintf("%s/%s/r%d", co.cfg.Name, name, rank), func(p *sim.Proc) {
+	return s.Enqueue(func(p *sim.Proc) {
 		rc := co.getCtx(st, rank, p)
 		c.wave(rc, name, bytes, run)
 		// finish runs on every path, so the op state drains for the ranks

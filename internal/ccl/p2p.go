@@ -92,7 +92,7 @@ func (c *Comm) Send(buf *device.Buffer, count int, dt Datatype, peer int, s *dev
 	}
 	co := c.core
 	rank := c.rank
-	s.Enqueue(fmt.Sprintf("%s/send/r%d", co.cfg.Name, rank), func(p *sim.Proc) {
+	s.Enqueue(func(p *sim.Proc) {
 		co.countLaunch("p2p")
 		c.delay(p, "send")
 		p.Sleep(co.cfg.Launch)
@@ -117,7 +117,7 @@ func (c *Comm) Recv(buf *device.Buffer, count int, dt Datatype, peer int, s *dev
 	}
 	co := c.core
 	rank := c.rank
-	s.Enqueue(fmt.Sprintf("%s/recv/r%d", co.cfg.Name, rank), func(p *sim.Proc) {
+	s.Enqueue(func(p *sim.Proc) {
 		co.countLaunch("p2p")
 		c.delay(p, "recv")
 		p.Sleep(co.cfg.Launch)
@@ -158,7 +158,7 @@ func (c *Comm) GroupEnd() error {
 	co := c.core
 	rank := c.rank
 
-	g.stream.Enqueue(fmt.Sprintf("%s/group/r%d", co.cfg.Name, rank), func(p *sim.Proc) {
+	g.stream.Enqueue(func(p *sim.Proc) {
 		// One launch for the whole fused group: this is why group calls
 		// beat per-message launches.
 		co.countLaunch("group")

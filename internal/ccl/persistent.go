@@ -158,7 +158,7 @@ func (c *Comm) newPersistentColl(s *device.Stream, st *opState, id int, op strin
 	}
 	rc := &runCtx{co: co, st: st, rank: c.rank, gate: g}
 	pc := &PersistentColl{c: c, st: st, gate: g, algo: algo, op: op, parts: parts}
-	pc.task = s.NewPersistentTask(fmt.Sprintf("%s/%s-persist%d/r%d", co.cfg.Name, op, id, c.rank), func(p *sim.Proc) {
+	pc.task = s.NewPersistentTask(func(p *sim.Proc) {
 		rc.p = p
 		c.wave(rc, op, bytes, run)
 	})

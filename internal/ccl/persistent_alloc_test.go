@@ -138,8 +138,8 @@ func oneShotWave(c *Comm, s *device.Stream, call func() error) func(p *sim.Proc)
 
 // TestOneShotSteadyStateAllocs pins a one-shot collective's steady-state
 // waves at their enqueue allocations: per rank, the stream task and its
-// completion event, the task name, and the closures binding the call (the
-// wave body, the schedule, and for the compiled plan the plan executor).
+// completion event and the closures binding the call (the wave body, the
+// schedule, and for the compiled plan the plan executor).
 // The schedule itself — segments, pipes, op state, helper jobs, the
 // hierarchical engine — allocates nothing.
 func TestOneShotSteadyStateAllocs(t *testing.T) {
@@ -159,10 +159,10 @@ func TestOneShotSteadyStateAllocs(t *testing.T) {
 		perRank       uint64
 		setup         func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error)
 	}{
-		{"tree", 1, 4, AlgoTree, 8, allreduce(1024)},
-		{"flat-ring", 1, 4, AlgoFlatRing, 8, allreduce(256 << 10 / 4)},
-		{"hierarchical", 2, 16, AlgoHierarchical, 8, allreduce(256 << 10 / 4)},
-		{"compiled-alltoall", 1, 4, AlgoAuto, 8, func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error) {
+		{"tree", 1, 4, AlgoTree, 5, allreduce(1024)},
+		{"flat-ring", 1, 4, AlgoFlatRing, 5, allreduce(256 << 10 / 4)},
+		{"hierarchical", 2, 16, AlgoHierarchical, 5, allreduce(256 << 10 / 4)},
+		{"compiled-alltoall", 1, 4, AlgoAuto, 5, func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error) {
 			const blk = 4 << 10 // elements per block
 			send := c.Device().MustMalloc(4 * blk * 4)
 			recv := c.Device().MustMalloc(4 * blk * 4)

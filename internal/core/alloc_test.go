@@ -8,6 +8,7 @@ package core
 import (
 	"testing"
 
+	"mpixccl/internal/ccl"
 	"mpixccl/internal/mpi"
 )
 
@@ -34,6 +35,30 @@ func TestDecideAllocs(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// With neither a registry nor a recorder wired, folding an event only
+// moves Stats: no kind allocates.
+func TestEmitWithoutSinksAllocs(t *testing.T) {
+	rt := newRuntime(t, "thetagpu", 1, Options{Backend: Auto, Mode: PureCCL})
+	transient := &ccl.Error{Backend: "nccl", Result: ccl.ErrRemote}
+	for _, ev := range []event{
+		{kind: evOp, op: OpAllreduce, path: PathCCL, bytes: 1 << 20},
+		{kind: evFallback, op: OpAllreduce, cause: causeBreakerOpen},
+		{kind: evTuning, op: OpAllreduce, path: PathCCL, hit: true, algo: AlgoHierarchical},
+		{kind: evRetry, op: OpAllreduce, err: transient},
+		{kind: evBreaker, op: OpAllreduce, to: breakerHalfOpen},
+		{kind: evVerdict, op: OpAllreduce, dead: true, self: true},
+		{kind: evRevoke},
+		{kind: evRetire, op: "shrink", members: 3, cut: 1},
+		{kind: evFence, peer: 2},
+		{kind: evHeartbeat},
+		{kind: evSuspicion, outcome: suspicionRetracted},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { rt.emit(ev) }); allocs != 0 {
+			t.Errorf("event kind %d allocates %.2f objects per emit; want 0", ev.kind, allocs)
 		}
 	}
 }

@@ -5,9 +5,7 @@ import (
 
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/device"
-	"mpixccl/internal/metrics"
 	"mpixccl/internal/mpi"
-	"mpixccl/internal/trace"
 )
 
 // The MPI-standard collective API of the xCCL layer. Every method keeps
@@ -16,21 +14,15 @@ import (
 
 // run executes one collective through the decided path, handling the
 // CCL-error fallback (§1.2 advantage 3), the resilience policy (transient
-// retries, circuit breaker), statistics, trace records, and metric
-// aggregation.
+// retries, circuit breaker) and the operation's instrumentation.
 func (x *Comm) run(op OpKind, bytes int64, d decision,
 	cclPath func(cc *ccl.Comm, s *device.Stream) error, mpiPath func()) {
 	if x.admit(op) != nil {
 		return
 	}
 	start := x.mpi.Proc().Now()
-	if d.useCCL && !x.rt.allowCCL(x, op) {
-		// Open breaker: demote to MPI without paying the CCL failure.
-		d.useCCL = false
-		x.rt.stats.BreakerSkips++
-		x.rt.stats.Fallbacks.Error++
-		x.rt.countFallback(op, "breaker_open")
-	}
+	// An open breaker demotes to MPI without paying the CCL failure.
+	d.useCCL = d.useCCL && x.rt.allowCCL(x, op)
 	var err error
 	if d.useCCL {
 		err = x.runResilient(op, cclPath)
@@ -43,33 +35,25 @@ func (x *Comm) run(op OpKind, bytes int64, d decision,
 // partition verdict (noteVerdict) is returned with no fallback and no
 // record — the rank abandoned the operation. Otherwise the breaker learns
 // the CCL outcome, the blocking MPI algorithm runs when the CCL path was
-// not taken or failed, and one trace record covers the operation.
+// not taken or failed, and one op event covers the operation.
 func (x *Comm) complete(op OpKind, bytes int64, start time.Duration, usedCCL bool, err error, mpiPath func()) error {
 	rt := x.rt
 	path := PathMPI
 	switch {
 	case !usedCCL:
-		rt.stats.MPIOps++
 		mpiPath()
 	case err != nil:
 		if x.noteVerdict(op, err) {
 			return err
 		}
 		rt.breakerFailure(x, op)
-		rt.stats.Fallbacks.Error++
-		rt.stats.MPIOps++
-		rt.countFallback(op, "ccl_error")
 		mpiPath()
 	default:
 		rt.breakerSuccess(x, op)
 		path = PathCCL
-		rt.stats.CCLOps++
 	}
-	rt.emit(trace.Record{
-		Op: string(op), Path: path.String(), Backend: string(rt.kind),
-		Rank: x.Rank(), Bytes: bytes,
-		Start: start, Duration: x.mpi.Proc().Now() - start,
-	})
+	rt.emit(event{kind: evOp, op: op, path: path, rank: x.Rank(), bytes: bytes,
+		at: start, dur: x.mpi.Proc().Now() - start})
 	return nil
 }
 
@@ -147,15 +131,17 @@ func (x *Comm) ReduceScatterBlock(sendBuf, recvBuf *device.Buffer, count int, dt
 		func() { x.mpi.ReduceScatterBlock(sendBuf, recvBuf, count, dt, op) })
 }
 
+// opBarrier names Barrier's operation in its op event (no table tunes it).
+const opBarrier OpKind = "barrier"
+
 // Barrier always runs on the MPI path: a zero-byte synchronization gains
-// nothing from a CCL kernel launch.
+// nothing from a CCL kernel launch. It skips admission and the dispatch
+// decision but reports like every other operation.
 func (x *Comm) Barrier() {
-	x.rt.stats.MPIOps++
-	x.rt.opts.Metrics.Counter(trace.MetricOps,
-		"Collective operations by dispatch path.",
-		metrics.Labels{"op": "barrier", "path": PathMPI.String(),
-			"backend": string(x.rt.kind), "size_bucket": metrics.SizeBucketLabel(0)}).Inc()
+	start := x.mpi.Proc().Now()
 	x.mpi.Barrier()
+	x.rt.emit(event{kind: evOp, op: opBarrier, path: PathMPI, rank: x.Rank(),
+		at: start, dur: x.mpi.Proc().Now() - start})
 }
 
 // The send-recv-based collectives of §3.3 (Alltoall, Alltoallv, Gather,

@@ -4,11 +4,6 @@ import (
 	"fmt"
 
 	"mpixccl/internal/ccl"
-	"mpixccl/internal/ccl/hccl"
-	"mpixccl/internal/ccl/msccl"
-	"mpixccl/internal/ccl/nccl"
-	"mpixccl/internal/ccl/oneccl"
-	"mpixccl/internal/ccl/rccl"
 	"mpixccl/internal/device"
 	"mpixccl/internal/mpi"
 	"mpixccl/internal/sim"
@@ -54,27 +49,6 @@ func (x *Comm) Proc() *sim.Proc { return x.mpi.Proc() }
 // Runtime returns the owning xCCL runtime.
 func (x *Comm) Runtime() *Runtime { return x.rt }
 
-// backendConfig returns the personality of the runtime's backend without
-// instantiating a communicator.
-func backendConfig(kind BackendKind) (ccl.Config, error) {
-	switch kind {
-	case NCCL:
-		return nccl.Config(), nil
-	case RCCL:
-		return rccl.Config(), nil
-	case HCCL:
-		return hccl.Config(), nil
-	case MSCCL:
-		return msccl.Config(), nil
-	case OneCCL:
-		return oneccl.Config(), nil
-	case BackendKind(legacy):
-		return nccl.VersionConfig(nccl.LegacyVersion), nil
-	default:
-		return ccl.Config{}, fmt.Errorf("xccl: no config for backend %q", kind)
-	}
-}
-
 // cclComm returns (creating and caching on first use) this rank's CCL
 // communicator mirroring the MPI communicator — the communicator
 // maintenance box of Fig 2. Creation mirrors the real flow where the MPI
@@ -85,7 +59,7 @@ func backendConfig(kind BackendKind) (ccl.Config, error) {
 // wave rendezvouses again, so a transient comm-init fault heals.
 func (x *Comm) cclComm() (*ccl.Comm, error) {
 	rt := x.rt
-	key := rt.cacheKey(x.mpi.ContextID())
+	key := x.mpi.ContextID()
 	if comms, ok := rt.cache[key]; ok {
 		return comms[x.Rank()], nil
 	}
@@ -106,7 +80,7 @@ func (x *Comm) cclComm() (*ccl.Comm, error) {
 			for r := range devs {
 				devs[r] = x.mpi.RankDevice(r)
 			}
-			comms, err := newBackendComms(rt.kind, x.mpi.Job().Fabric(), devs)
+			comms, err := NewBackendComms(rt.kind, x.mpi.Job().Fabric(), devs)
 			if err != nil {
 				ci.err = err
 			} else {
@@ -188,53 +162,43 @@ func mapAlgo(a Algo) ccl.Algorithm {
 // dispatch.
 func (x *Comm) decide(op OpKind, bytes int64, dt mpi.Datatype, rop *mpi.Op, bufs ...*device.Buffer) decision {
 	rt := x.rt
-	if rt.opts.Mode == PureMPI || rt.kind == "" || rt.kind == NoCCL {
+	cfg := rt.cfg
+	if rt.opts.Mode == PureMPI || cfg == nil {
 		return decision{}
 	}
-	if rt.cfgErr != nil {
+	fallback := func(cause fallbackCause) decision {
+		rt.emit(event{kind: evFallback, op: op, cause: cause})
 		return decision{}
 	}
-	cfg := &rt.cfg
 	if !cfg.SupportsKind(x.Device().Kind) {
-		rt.stats.Fallbacks.Device++
-		rt.countFallback(op, "device")
-		return decision{}
+		return fallback(causeDevice)
 	}
 	for _, b := range bufs {
 		if b != nil && !b.OnDevice() {
-			rt.stats.Fallbacks.HostBuffer++
-			rt.countFallback(op, "host_buffer")
-			return decision{}
+			return fallback(causeHostBuffer)
 		}
 	}
 	cdt, ok := CCLDatatype(dt)
 	if !ok || !cfg.Datatypes[cdt] {
-		rt.stats.Fallbacks.Datatype++
-		rt.countFallback(op, "datatype")
-		return decision{}
+		return fallback(causeDatatype)
 	}
 	var cop ccl.RedOp
 	if rop != nil {
 		cop, ok = CCLOp(*rop)
 		if !ok || !cfg.Ops[cop] {
-			rt.stats.Fallbacks.Op++
-			rt.countFallback(op, "op")
-			return decision{}
+			return fallback(causeOp)
 		}
 	}
 	d := decision{useCCL: true, dt: cdt, op: cop}
 	if rt.opts.Mode == Hybrid {
 		th, hit := rt.table.Choice(op, bytes)
-		rt.countTuning(op, th.Path, hit)
+		rt.emit(event{kind: evTuning, op: op, path: th.Path, hit: hit, algo: th.Algo})
 		if th.Path == PathMPI {
 			return decision{}
 		}
 		// Only the compiled ops read d.plan; ParseTable rejects a plan key
 		// on a built-in op, whose family the band forces through Algo.
 		d.algo, d.chunk, d.plan = mapAlgo(th.Algo), th.ChunkBytes, th.Plan
-		if th.Algo != AlgoAuto {
-			rt.countAlgoChoice(op, th.Algo)
-		}
 	}
 	if d.plan == "" && rt.opts.Compile && compilableOps[op] {
 		d.plan = "auto"
@@ -285,6 +249,3 @@ func (x *Comm) syncEnv(cc *ccl.Comm) {
 		cc.SetChannelCap(0)
 	}
 }
-
-// cacheKey names a context's entry in Runtime.cache.
-func (rt *Runtime) cacheKey(ctx int) string { return fmt.Sprintf("%d/%s", ctx, rt.kind) }

@@ -25,7 +25,7 @@ func TestBrokenNCCLBuildFallsBackTransparently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.cache["0/nccl"] = broken
+	rt.cache[0] = broken
 
 	const count = 1 << 20 // 4 MB: would dispatch to NCCL
 	err = rt.Run(func(x *Comm) {

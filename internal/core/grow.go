@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mpixccl/internal/metrics"
 	"mpixccl/internal/sim"
 )
 
@@ -87,7 +86,7 @@ func (x *Comm) Grow(need int) (*Comm, []int, error) {
 		return nil, nil, fmt.Errorf("xccl: Grow requires ranks launched through Runtime.Run")
 	}
 	fab := x.mpi.Job().Fabric()
-	a, retired := x.agree(func() *agreement {
+	a := x.agree(func() *agreement {
 		// Every member votes to local rank 0, and the broadcast skips it.
 		a := &agreement{op: "grow", status: ctxSuperseded, skipCoord: true}
 		for r := 0; r < x.Size(); r++ {
@@ -121,12 +120,6 @@ func (x *Comm) Grow(need int) (*Comm, []int, error) {
 	})
 	if a.err != nil {
 		return nil, nil, a.err
-	}
-	if retired {
-		rt.stats.Grows++
-		rt.opts.Metrics.Counter("xccl_grow_total",
-			"Completed spare-rank communicator grows.",
-			metrics.Labels{"backend": string(rt.kind)}).Inc()
 	}
 	return rt.Wrap(world.Subset(a.members)), a.adopted, nil
 }

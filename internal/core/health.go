@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"mpixccl/internal/metrics"
 	"mpixccl/internal/mpi"
 	"mpixccl/internal/sim"
-	"mpixccl/internal/trace"
 )
 
 // healthMonitor is the proactive heartbeat failure detector
@@ -102,9 +100,7 @@ func (hm *healthMonitor) beat(c *mpi.Comm, self int, p *sim.Proc) {
 		_, _ = fab.TryControlMsg(p, c.Device(), c.RankDevice(r))
 	}
 	hm.observe(self, p.Now())
-	hm.rt.opts.Metrics.Counter("xccl_heartbeats_sent_total",
-		"Heartbeat rounds sent by the failure detector.",
-		metrics.Labels{"backend": string(hm.rt.kind)}).Inc()
+	hm.rt.emit(event{kind: evHeartbeat})
 }
 
 // observe folds one beat into the rank's inter-arrival model.
@@ -151,7 +147,7 @@ func (hm *healthMonitor) check(c *mpi.Comm, self int, p *sim.Proc) {
 			key := [2]int{self, wr}
 			if !hm.cutNoted[key] {
 				hm.cutNoted[key] = true
-				hm.noteSuspicion(wr, self, now, "partitioned")
+				hm.rt.emit(event{kind: evSuspicion, rank: self, peer: wr, outcome: suspicionPartitioned, at: now})
 			}
 			continue
 		}
@@ -174,34 +170,11 @@ func (hm *healthMonitor) check(c *mpi.Comm, self int, p *sim.Proc) {
 		}
 		if fs != nil && fs.RankDead(wr, now) {
 			hm.suspected[wr] = now
-			hm.noteSuspicion(wr, self, now, "confirmed")
+			hm.rt.emit(event{kind: evSuspicion, rank: self, peer: wr, outcome: suspicionConfirmed, at: now})
 		} else {
 			hm.last[wr] = now
 			hm.mean[wr] = m * 2
-			hm.noteSuspicion(wr, self, now, "retracted")
+			hm.rt.emit(event{kind: evSuspicion, rank: self, peer: wr, outcome: suspicionRetracted, at: now})
 		}
 	}
-}
-
-// noteSuspicion publishes one suspicion outcome. The trace record names
-// the witnessing rank; Bytes carries the suspected peer's world rank.
-func (hm *healthMonitor) noteSuspicion(peer, witness int, now time.Duration, outcome string) {
-	rt := hm.rt
-	if outcome == "confirmed" {
-		rt.stats.Suspicions++
-	}
-	rt.opts.Metrics.Counter("xccl_suspicions_total",
-		"Heartbeat suspicions by outcome (confirmed dead, retracted false positive, or partitioned peer).",
-		metrics.Labels{"backend": string(rt.kind), "outcome": outcome}).Inc()
-	event := "rank_suspected"
-	switch outcome {
-	case "retracted":
-		event = "suspicion_retracted"
-	case "partitioned":
-		event = "rank_partitioned"
-	}
-	rt.emit(trace.Record{
-		Op: "heartbeat", Backend: string(rt.kind), Rank: witness,
-		Event: event, Start: now, Bytes: int64(peer),
-	})
 }

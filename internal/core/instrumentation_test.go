@@ -316,3 +316,28 @@ func TestInstrumentationGolden(t *testing.T) {
 		}
 	}
 }
+
+// A trace's per-path summary adds up to Stats: every operation the
+// runtime counts, Barrier included, leaves exactly one record.
+func TestTraceSummaryMatchesStats(t *testing.T) {
+	rec := trace.New()
+	rt := newRuntime(t, "thetagpu", 8, Options{Backend: Auto, Mode: Hybrid, Trace: rec})
+	runOrFatal(t, rt, func(x *Comm) {
+		allreduceOnce(t, x, 256)   // 1 KiB: MPI
+		x.Barrier()                // always MPI
+		allreduceOnce(t, x, 1<<18) // 1 MiB: CCL
+		x.Barrier()
+	})
+	perPath := map[string]int{}
+	for _, s := range rec.Summarize() {
+		perPath[s.Path] += s.Count
+	}
+	st := rt.Stats()
+	if perPath["ccl"] != st.CCLOps || perPath["mpi"] != st.MPIOps {
+		t.Errorf("trace counts ccl=%d mpi=%d, Stats CCLOps=%d MPIOps=%d",
+			perPath["ccl"], perPath["mpi"], st.CCLOps, st.MPIOps)
+	}
+	if st.CCLOps != 8 || st.MPIOps != 24 {
+		t.Errorf("CCLOps, MPIOps = %d, %d; want 8, 24", st.CCLOps, st.MPIOps)
+	}
+}

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"mpixccl/internal/ccl"
-	"mpixccl/internal/metrics"
 	"mpixccl/internal/sim"
-	"mpixccl/internal/trace"
 )
 
 // The membership path of the dispatch layer, one step at a time: every
@@ -107,25 +105,23 @@ func (x *Comm) admit(op OpKind) error {
 	return err
 }
 
-// noteVerdict classifies an error that ended an operation and records it
-// on the handle. ErrRankDead is a fail-stop verdict: when it names this
-// rank the handle is dead, the failure counters move (exactly one rank
-// observes each crash as its own, so they stay exact rather than
-// per-witness) and the record is "rank_dead" — which witnesses emit too,
-// the Record naming the observing rank. ErrUnreachable is a partition
-// verdict, "rank_unreachable": the severed peer is alive, so no failure
-// counter moves (the quorum Shrink counts the episode). Only the first
-// verdict per handle is recorded — a caller that keeps dispatching on the
-// broken communicator, legal until it revokes, fails again on every op,
-// and those repeats must not inflate the counters or the trace.
+// noteVerdict classifies an error that ended an operation, records it on
+// the handle and emits one verdict event. ErrRankDead is a fail-stop
+// verdict: when it names this rank the handle is dead, and the event is
+// self-named (exactly one rank observes each crash as its own, so failure
+// counts stay exact rather than per-witness). ErrUnreachable is a
+// partition verdict: the severed peer is alive (the quorum Shrink counts
+// the episode). Only the first verdict per handle is emitted — a caller
+// that keeps dispatching on the broken communicator, legal until it
+// revokes, fails again on every op, and those repeats must not inflate the
+// counters or the trace.
 //
 // It reports whether err was one of these verdicts. Either one ends the
 // operation: retrying cannot succeed, and the MPI fallback would block on
 // the same dead or severed peer. Any other error is not terminal.
 func (x *Comm) noteVerdict(op OpKind, err error) bool {
-	event := "rank_unreachable"
-	if errors.Is(err, ccl.ErrRankDead) {
-		event = "rank_dead"
+	dead := errors.Is(err, ccl.ErrRankDead)
+	if dead {
 		var ce *ccl.Error
 		if errors.As(err, &ce) && ce.Rank == x.mpi.WorldRank() {
 			x.dead = true
@@ -137,17 +133,8 @@ func (x *Comm) noteVerdict(op OpKind, err error) bool {
 		return true
 	}
 	x.failure = err
-	rt := x.rt
-	if x.dead {
-		rt.stats.RankFailures++
-		rt.opts.Metrics.Counter("xccl_rank_failures_total",
-			"Fail-stopped ranks, counted once per crash on the dead rank's own detection.",
-			metrics.Labels{"backend": string(rt.kind)}).Inc()
-	}
-	rt.emit(trace.Record{
-		Op: string(op), Backend: string(rt.kind), Rank: x.Rank(),
-		Event: event, Start: x.mpi.Proc().Now(),
-	})
+	x.rt.emit(event{kind: evVerdict, op: op, rank: x.Rank(), dead: dead, self: x.dead,
+		at: x.mpi.Proc().Now()})
 	return true
 }
 
@@ -177,9 +164,8 @@ type agreement struct {
 // waits for the same peers, and later changes are a different epoch. Every
 // participant but the coordinator sends it one vote. The last arrival
 // closes: invite (when non-nil) runs, the coordinator broadcasts the
-// decision, the old context retires, and everyone wakes. It returns the
-// agreement and whether this rank retired the context.
-func (x *Comm) agree(decide func() *agreement, invite func(*agreement)) (*agreement, bool) {
+// decision, the old context retires, and everyone wakes.
+func (x *Comm) agree(decide func() *agreement, invite func(*agreement)) *agreement {
 	rt := x.rt
 	p := x.mpi.Proc()
 	fab := x.mpi.Job().Fabric()
@@ -197,7 +183,7 @@ func (x *Comm) agree(decide func() *agreement, invite func(*agreement)) (*agreem
 	a.arrived++
 	if a.arrived < len(a.voters) {
 		a.ready.Wait(p)
-		return a, false
+		return a
 	}
 	if a.err == nil {
 		if invite != nil {
@@ -216,21 +202,16 @@ func (x *Comm) agree(decide func() *agreement, invite func(*agreement)) (*agreem
 	}
 	delete(rt.agreements, ctx)
 	a.ready.Fire()
-	return a, a.err == nil
+	return a
 }
 
 // retire closes an agreement on the old context: it takes the agreement's
 // status (a revoked context stays revoked), its cached CCL communicators
-// are dropped, the membership epoch advances, and one record goes out
-// (rank -1: the event belongs to the runtime).
+// are dropped, and one retire event advances the membership epoch.
 func (rt *Runtime) retire(ctx int, a *agreement, now time.Duration) {
 	if rt.status[ctx] != ctxRevoked {
 		rt.status[ctx] = a.status
 	}
-	delete(rt.cache, rt.cacheKey(ctx))
-	rt.bumpEpoch()
-	rt.emit(trace.Record{
-		Op: a.op, Backend: string(rt.kind), Rank: -1,
-		Event: "comm_" + a.op, Start: now, Bytes: int64(len(a.members)),
-	})
+	delete(rt.cache, ctx)
+	rt.emit(event{kind: evRetire, op: OpKind(a.op), at: now, members: len(a.members), cut: a.cut})
 }

@@ -5,7 +5,6 @@ import (
 
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/mpi"
-	"mpixccl/internal/trace"
 )
 
 func TestMetricsFallbackCounterDoubleComplexOnHCCL(t *testing.T) {
@@ -28,12 +27,12 @@ func TestMetricsFallbackCounterDoubleComplexOnHCCL(t *testing.T) {
 	if !ok || fb != 8 {
 		t.Errorf("datatype fallback counter = %v, %v; want 8, true", fb, ok)
 	}
-	ops, ok := reg.CounterValue(trace.MetricOps, metrics.Labels{
+	ops, ok := reg.CounterValue(famOps.name, metrics.Labels{
 		"op": "allreduce", "path": "mpi", "backend": "hccl", "size_bucket": "0-1KiB"})
 	if !ok || ops != 8 {
 		t.Errorf("mpi-path op counter = %v, %v; want 8, true", ops, ok)
 	}
-	if _, ok := reg.CounterValue(trace.MetricOps, metrics.Labels{
+	if _, ok := reg.CounterValue(famOps.name, metrics.Labels{
 		"op": "allreduce", "path": "ccl", "backend": "hccl", "size_bucket": "0-1KiB"}); ok {
 		t.Error("complex allreduce must not count a ccl-path op")
 	}
@@ -54,7 +53,7 @@ func TestMetricsHybridDispatchCounters(t *testing.T) {
 	for _, want := range []struct {
 		path, bucket string
 	}{{"mpi", "0-1KiB"}, {"ccl", "256KiB-4MiB"}} {
-		v, ok := reg.CounterValue(trace.MetricOps, metrics.Labels{
+		v, ok := reg.CounterValue(famOps.name, metrics.Labels{
 			"op": "allreduce", "path": want.path, "backend": "nccl", "size_bucket": want.bucket})
 		if !ok || v != 8 {
 			t.Errorf("path=%s op counter = %v, %v; want 8, true", want.path, v, ok)

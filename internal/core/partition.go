@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"mpixccl/internal/fabric"
-	"mpixccl/internal/metrics"
 	"mpixccl/internal/mpi"
-	"mpixccl/internal/trace"
 )
 
 // Epoch-based quorum membership (failure model v3). Crashes (v1, PR 4) and
@@ -89,31 +87,15 @@ func (rt *Runtime) Fenced() map[int]time.Duration {
 	return out
 }
 
-// bumpEpoch advances the membership epoch and publishes the gauge. Called
-// once per completed membership change, by the rank closing the agreement.
-func (rt *Runtime) bumpEpoch() {
-	rt.stats.Epoch++
-	rt.opts.Metrics.Gauge("xccl_epoch",
-		"Current membership epoch: completed membership changes (shrinks and grows).",
-		metrics.Labels{"backend": string(rt.kind)}).Set(float64(rt.stats.Epoch))
-}
-
-// fence marks this rank fenced (once), counting it and emitting the trace
-// event. A fenced rank's collectives fail fast with ErrFenced until Rejoin.
+// fence marks this rank fenced (once) and emits the fence event. A fenced
+// rank's collectives fail fast with ErrFenced until Rejoin.
 func (rt *Runtime) fence(x *Comm, now time.Duration) {
 	wr := x.mpi.WorldRank()
 	if _, ok := rt.fenced[wr]; ok {
 		return
 	}
 	rt.fenced[wr] = now
-	rt.stats.FencedRanks++
-	rt.opts.Metrics.Counter("xccl_fenced_ranks_total",
-		"Ranks that fenced themselves on the minority side of a network partition.",
-		metrics.Labels{"backend": string(rt.kind)}).Inc()
-	rt.emit(trace.Record{
-		Op: "partition", Backend: string(rt.kind), Rank: x.Rank(),
-		Event: "rank_fenced", Start: now, Bytes: int64(wr),
-	})
+	rt.emit(event{kind: evFence, rank: x.Rank(), peer: wr, at: now})
 }
 
 // unfence clears a rank's fence (it is rejoining through the spare pool).

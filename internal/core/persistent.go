@@ -107,26 +107,18 @@ func (x *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt
 // CCL layer's schedule build.
 func (x *Comm) persistInit(po *PersistentOp, d decision,
 	ccInit func(cc *ccl.Comm, s *device.Stream) (*ccl.PersistentColl, error)) (*PersistentOp, error) {
-	if d.useCCL && !x.rt.allowCCL(x, po.kind) {
-		// Open breaker at plan time: the handle is demoted to the MPI path
-		// for its whole lifetime, exactly as one one-shot call would be for
-		// one wave. Rebuild the handle after the breaker closes to return
-		// to the CCL.
-		d.useCCL = false
-		x.rt.stats.BreakerSkips++
-		x.rt.stats.Fallbacks.Error++
-		x.rt.countFallback(po.kind, "breaker_open")
-	}
-	if !d.useCCL {
+	// An open breaker at plan time demotes the handle to the MPI path for
+	// its whole lifetime, exactly as one one-shot call would be for one
+	// wave. Rebuild the handle after the breaker closes to return to the
+	// CCL.
+	if !d.useCCL || !x.rt.allowCCL(x, po.kind) {
 		return po, nil
 	}
 	cc, err := x.cclComm()
 	if err != nil {
 		// Communicator creation failures behave like any CCL error:
-		// breaker feedback, fallback counters, MPI-path handle.
+		// breaker feedback, a ccl_error fallback, MPI-path handle.
 		x.rt.breakerFailure(x, po.kind)
-		x.rt.stats.Fallbacks.Error++
-		x.rt.countFallback(po.kind, "ccl_error")
 		return po, nil
 	}
 	cc.SetAlgorithm(d.algo, d.chunk)
@@ -170,8 +162,6 @@ func (po *PersistentOp) Start() error {
 			return err
 		}
 		x.rt.breakerFailure(x, po.kind)
-		x.rt.stats.Fallbacks.Error++
-		x.rt.countFallback(po.kind, "ccl_error")
 		po.demoted = true
 	}
 	return nil
@@ -200,7 +190,7 @@ func (po *PersistentOp) PreadyAll() {
 // and returns without a trace record (the rank abandoned the operation);
 // any other CCL failure feeds the breaker and re-executes the wave on the
 // blocking MPI path; success credits the breaker. Every completed wave
-// emits the same trace record and metric aggregates as a one-shot call.
+// emits the same op event as a one-shot call.
 func (po *PersistentOp) Wait() error {
 	x := po.x
 	if po.freed {

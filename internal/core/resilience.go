@@ -1,13 +1,10 @@
 package core
 
 import (
-	"errors"
 	"time"
 
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/device"
-	"mpixccl/internal/metrics"
-	"mpixccl/internal/trace"
 )
 
 // Resilience tunes how the dispatch layer reacts to CCL failures beyond
@@ -136,8 +133,9 @@ func (rt *Runtime) breakerFor(op OpKind) *breaker {
 }
 
 // allowCCL gates one rank's CCL dispatch on the (backend, op) breaker,
-// with wave-consistent verdicts (see above). Call it only for ranks whose
-// decision chose the CCL path.
+// with wave-consistent verdicts (see above); a denied dispatch is a
+// breaker_open fallback. Call it only for ranks whose decision chose the
+// CCL path.
 func (rt *Runtime) allowCCL(x *Comm, op OpKind) bool {
 	if rt.policy.BreakerThreshold <= 0 {
 		return true
@@ -156,6 +154,9 @@ func (rt *Runtime) allowCCL(x *Comm, op OpKind) bool {
 	if wv.consumed == x.Size() {
 		delete(rt.waves, wk)
 	}
+	if !wv.allow {
+		rt.emit(event{kind: evFallback, op: op, cause: causeBreakerOpen})
+	}
 	return wv.allow
 }
 
@@ -169,7 +170,7 @@ func (rt *Runtime) breakerAllow(x *Comm, op OpKind) bool {
 	now := x.mpi.Proc().Now()
 	if now-b.openedAt >= breakerCooldown {
 		b.state = breakerHalfOpen
-		rt.noteBreaker(op, breakerHalfOpen, now)
+		rt.emit(event{kind: evBreaker, op: op, to: breakerHalfOpen, at: now})
 		return true
 	}
 	return false
@@ -185,14 +186,15 @@ func (rt *Runtime) breakerSuccess(x *Comm, op OpKind) {
 	b.fails = 0
 	if b.state != breakerClosed {
 		b.state = breakerClosed
-		rt.noteBreaker(op, breakerClosed, x.mpi.Proc().Now())
+		rt.emit(event{kind: evBreaker, op: op, to: breakerClosed, at: x.mpi.Proc().Now()})
 	}
 }
 
-// breakerFailure records a failed CCL operation (after retries): a failed
-// half-open probe re-opens, and threshold consecutive failures open a
-// closed breaker.
+// breakerFailure records a failed CCL operation (after retries), which
+// falls back to MPI as a ccl_error fallback: a failed half-open probe
+// re-opens, and threshold consecutive failures open a closed breaker.
 func (rt *Runtime) breakerFailure(x *Comm, op OpKind) {
+	rt.emit(event{kind: evFallback, op: op, cause: causeCCLError})
 	pol := rt.policy
 	if pol.BreakerThreshold <= 0 {
 		return
@@ -204,50 +206,20 @@ func (rt *Runtime) breakerFailure(x *Comm, op OpKind) {
 		b.state = breakerOpen
 		b.fails = 0
 		b.openedAt = now
-		rt.noteBreaker(op, breakerOpen, now)
+		rt.emit(event{kind: evBreaker, op: op, to: breakerOpen, at: now})
 	case breakerClosed:
 		b.fails++
 		if b.fails >= pol.BreakerThreshold {
 			b.state = breakerOpen
 			b.fails = 0
 			b.openedAt = now
-			rt.noteBreaker(op, breakerOpen, now)
+			rt.emit(event{kind: evBreaker, op: op, to: breakerOpen, at: now})
 		}
 	case breakerOpen:
 		// Late failures of the wave that opened the breaker: extend the
 		// cooldown from the most recent evidence.
 		b.openedAt = now
 	}
-}
-
-// noteBreaker publishes a breaker transition to the metrics registry and
-// the trace recorder (rank -1: the event belongs to the runtime, not to
-// one rank).
-func (rt *Runtime) noteBreaker(op OpKind, to breakerState, now time.Duration) {
-	rt.opts.Metrics.Counter("xccl_breaker_transitions_total",
-		"Circuit-breaker state transitions by backend, operation, and target state.",
-		metrics.Labels{"backend": string(rt.kind), "op": string(op), "to": to.String()}).Inc()
-	rt.emit(trace.Record{
-		Op: string(op), Backend: string(rt.kind), Rank: -1,
-		Event: "breaker_" + to.String(), Start: now,
-	})
-}
-
-// countRetry publishes one transient-failure reissue.
-func (rt *Runtime) countRetry(x *Comm, op OpKind, err error) {
-	rt.stats.Retries++
-	result := "unknown"
-	var ce *ccl.Error
-	if errors.As(err, &ce) {
-		result = ce.Result.String()
-	}
-	rt.opts.Metrics.Counter("xccl_retries_total",
-		"CCL-path reissues of transient failures by operation, backend, and result code.",
-		metrics.Labels{"op": string(op), "backend": string(rt.kind), "result": result}).Inc()
-	rt.emit(trace.Record{
-		Op: string(op), Backend: string(rt.kind), Rank: x.Rank(),
-		Event: "retry", Start: x.mpi.Proc().Now(),
-	})
 }
 
 // runResilient executes the CCL path under the retry policy: a transient
@@ -263,7 +235,7 @@ func (x *Comm) runResilient(op OpKind, cclPath func(cc *ccl.Comm, s *device.Stre
 	}
 	backoff := retryBackoff
 	for attempt := 0; attempt < pol.MaxRetries && err != nil && ccl.IsTransient(err); attempt++ {
-		x.rt.countRetry(x, op, err)
+		x.rt.emit(event{kind: evRetry, op: op, rank: x.Rank(), err: err, at: x.mpi.Proc().Now()})
 		x.mpi.Proc().Sleep(backoff)
 		backoff *= 2
 		err = x.runCCL(cclPath)

@@ -3,9 +3,6 @@ package core
 import (
 	"errors"
 	"time"
-
-	"mpixccl/internal/metrics"
-	"mpixccl/internal/trace"
 )
 
 // ULFM-style fail-stop recovery (User Level Failure Mitigation, the MPI
@@ -58,10 +55,7 @@ func (x *Comm) Revoke() {
 		// notification, and the shared runtime state already carries it.
 		_, _ = fab.TryControlMsg(x.mpi.Proc(), x.Device(), x.mpi.RankDevice(r))
 	}
-	rt.emit(trace.Record{
-		Op: "revoke", Backend: string(rt.kind), Rank: x.Rank(),
-		Event: "comm_revoked", Start: now,
-	})
+	rt.emit(event{kind: evRevoke, rank: x.Rank(), at: now})
 }
 
 // Shrink builds the survivor communicator (MPI_Comm_shrink): the ranks
@@ -96,25 +90,12 @@ func (x *Comm) Shrink() (*Comm, error) {
 	// Shrinking implies revocation: late ranks that skipped the explicit
 	// Revoke must still stop dispatching on the old handle.
 	x.Revoke()
-	a, retired := x.agree(func() *agreement {
+	a := x.agree(func() *agreement {
 		a := &agreement{op: "shrink", status: ctxRevoked}
 		a.voters, a.cut = x.survivorView(x.mpi.Proc().Now())
 		a.members = a.voters
 		return a
 	}, nil)
-	if retired {
-		// A positive cut is one handled partition episode.
-		rt.stats.Shrinks++
-		rt.opts.Metrics.Counter("xccl_shrink_total",
-			"Completed ULFM-style communicator shrinks.",
-			metrics.Labels{"backend": string(rt.kind)}).Inc()
-		if a.cut > 0 {
-			rt.stats.Partitions++
-			rt.opts.Metrics.Counter("xccl_partitions_total",
-				"Partition episodes handled: quorum shrinks that excluded alive-but-unreachable ranks.",
-				metrics.Labels{"backend": string(rt.kind)}).Inc()
-		}
-	}
 	return rt.Wrap(x.mpi.Subset(a.members)), nil
 }
 

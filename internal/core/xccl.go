@@ -78,9 +78,9 @@ const (
 	legacy             = "nccl-legacy" // internal: NCCL 2.12 for MSCCL baselines
 )
 
-// backendFor resolves Auto using the device kind (the per-vendor mapping
-// of Fig 2's bottom row).
-func backendFor(kind BackendKind, dev device.Kind) (BackendKind, error) {
+// ResolveBackend resolves Auto using the device kind (the per-vendor
+// mapping of Fig 2's bottom row).
+func ResolveBackend(kind BackendKind, dev device.Kind) (BackendKind, error) {
 	if kind != Auto {
 		return kind, nil
 	}
@@ -98,37 +98,34 @@ func backendFor(kind BackendKind, dev device.Kind) (BackendKind, error) {
 	}
 }
 
-// newBackendComms instantiates the backend's communicators.
-func newBackendComms(kind BackendKind, fab *fabric.Fabric, devs []*device.Device) ([]*ccl.Comm, error) {
-	switch kind {
-	case NCCL:
-		return nccl.New(fab, devs)
-	case RCCL:
-		return rccl.New(fab, devs)
-	case HCCL:
-		return hccl.New(fab, devs)
-	case MSCCL:
-		return msccl.New(fab, devs)
-	case OneCCL:
-		return oneccl.New(fab, devs)
-	case BackendKind(legacy):
-		return nccl.NewVersion(fab, devs, nccl.LegacyVersion)
-	default:
+// backends maps each CCL kind to its personality and its communicator
+// constructor.
+var backends = map[BackendKind]struct {
+	config func() ccl.Config
+	init   func(*fabric.Fabric, []*device.Device) ([]*ccl.Comm, error)
+}{
+	NCCL:   {nccl.Config, nccl.New},
+	RCCL:   {rccl.Config, rccl.New},
+	HCCL:   {hccl.Config, hccl.New},
+	MSCCL:  {msccl.Config, msccl.New},
+	OneCCL: {oneccl.Config, oneccl.New},
+	legacy: {
+		func() ccl.Config { return nccl.VersionConfig(nccl.LegacyVersion) },
+		func(fab *fabric.Fabric, devs []*device.Device) ([]*ccl.Comm, error) {
+			return nccl.NewVersion(fab, devs, nccl.LegacyVersion)
+		},
+	},
+}
+
+// NewBackendComms instantiates the communicators of a backend kind
+// (ncclCommInitAll and friends): the runtime's communicator cache and
+// pure-CCL harnesses both build them here.
+func NewBackendComms(kind BackendKind, fab *fabric.Fabric, devs []*device.Device) ([]*ccl.Comm, error) {
+	b, ok := backends[kind]
+	if !ok {
 		return nil, fmt.Errorf("xccl: unknown backend %q", kind)
 	}
-}
-
-// ResolveBackend resolves Auto against a device kind (exported for
-// harnesses that drive raw CCL communicators, e.g. the OMB pure-CCL
-// benchmarks).
-func ResolveBackend(kind BackendKind, dev device.Kind) (BackendKind, error) {
-	return backendFor(kind, dev)
-}
-
-// NewBackendComms instantiates raw communicators for a backend kind
-// (ncclCommInitAll and friends), for pure-CCL benchmarking.
-func NewBackendComms(kind BackendKind, fab *fabric.Fabric, devs []*device.Device) ([]*ccl.Comm, error) {
-	return newBackendComms(kind, fab, devs)
+	return b.init(fab, devs)
 }
 
 // LegacyNCCL names the NCCL 2.12 backend used as the MSCCL comparison
@@ -203,17 +200,16 @@ type Options struct {
 // and per-rank streams. One Runtime serves every rank of the job (ranks
 // share it safely because the simulation is cooperatively scheduled).
 type Runtime struct {
-	job    *mpi.Job
-	opts   Options
-	kind   BackendKind
-	cfg    ccl.Config // kind's personality, resolved once for decide
-	cfgErr error      // why kind has no personality (NoCCL, unknown)
-	table  *TuningTable
-	stats  Stats
+	job   *mpi.Job
+	opts  Options
+	kind  BackendKind
+	cfg   *ccl.Config // kind's personality, resolved once for decide (nil: none)
+	table *TuningTable
+	stats Stats
 
 	streams map[int]*device.Stream // world rank -> stream
-	cache   map[string][]*ccl.Comm // comm cache key -> per-local-rank CCL comms
-	pending map[string]*commInit   // in-flight collective comm creation
+	cache   map[int][]*ccl.Comm    // context id -> per-local-rank CCL comms
+	pending map[int]*commInit      // context id -> in-flight CCL comm creation
 
 	policy   *Resilience              // resolved resilience policy (never nil)
 	breakers map[breakerKey]*breaker  // per-(backend, op) circuit breakers
@@ -249,8 +245,8 @@ func NewRuntime(job *mpi.Job, opts Options) (*Runtime, error) {
 		job:        job,
 		opts:       opts,
 		streams:    make(map[int]*device.Stream),
-		cache:      make(map[string][]*ccl.Comm),
-		pending:    make(map[string]*commInit),
+		cache:      make(map[int][]*ccl.Comm),
+		pending:    make(map[int]*commInit),
 		breakers:   make(map[breakerKey]*breaker),
 		waves:      make(map[waveKey]*waveVerdict),
 		waveIdx:    make(map[rankKey]int),
@@ -271,12 +267,15 @@ func NewRuntime(job *mpi.Job, opts Options) (*Runtime, error) {
 		rt.health = newHealthMonitor(rt, rt.policy.HeartbeatInterval)
 	}
 	if opts.Mode != PureMPI {
-		kind, err := backendFor(opts.Backend, job.Fabric().System().Device(0).Kind)
+		kind, err := ResolveBackend(opts.Backend, job.Fabric().System().Device(0).Kind)
 		if err != nil {
 			return nil, err
 		}
 		rt.kind = kind
-		rt.cfg, rt.cfgErr = backendConfig(kind)
+		if b, ok := backends[kind]; ok {
+			cfg := b.config()
+			rt.cfg = &cfg
+		}
 	}
 	rt.table = opts.Table
 	if rt.table == nil {
@@ -295,43 +294,6 @@ func NewRuntime(job *mpi.Job, opts Options) (*Runtime, error) {
 
 // Resilience returns the active (resolved) resilience policy.
 func (rt *Runtime) Resilience() *Resilience { return rt.policy }
-
-// Metrics returns the runtime's registry (nil when none was wired).
-func (rt *Runtime) Metrics() *metrics.Registry { return rt.opts.Metrics }
-
-// emit publishes one record to the trace recorder and the metrics registry.
-func (rt *Runtime) emit(rec trace.Record) {
-	rt.opts.Trace.Add(rec)
-	trace.RecordMetrics(rt.opts.Metrics, rec)
-}
-
-// countFallback bumps the per-cause MPI-fallback counter.
-func (rt *Runtime) countFallback(op OpKind, cause string) {
-	rt.opts.Metrics.Counter("xccl_fallbacks_total",
-		"MPI-path fallbacks by cause (datatype, op, device, host_buffer, ccl_error).",
-		metrics.Labels{"op": string(op), "cause": cause, "backend": string(rt.kind)}).Inc()
-}
-
-// countTuning bumps the tuning-table lookup counter: decision is the path
-// the table chose, hit reports whether a tuned rule decided it (vs the
-// CCL default for ops without a rule).
-func (rt *Runtime) countTuning(op OpKind, decision Path, hit bool) {
-	table := "default"
-	if hit {
-		table = "hit"
-	}
-	rt.opts.Metrics.Counter("xccl_tuning_lookups_total",
-		"Hybrid-mode tuning-table lookups by decided path and rule hit/miss.",
-		metrics.Labels{"op": string(op), "decision": decision.String(), "table": table}).Inc()
-}
-
-// countAlgoChoice bumps the algorithm-selection counter when a tuned band
-// forces a CCL schedule family (v2 tables; auto bands are not counted).
-func (rt *Runtime) countAlgoChoice(op OpKind, algo Algo) {
-	rt.opts.Metrics.Counter("xccl_algo_selections_total",
-		"CCL algorithm families forced by tuned table bands.",
-		metrics.Labels{"op": string(op), "algo": string(algo), "backend": string(rt.kind)}).Inc()
-}
 
 // Backend reports the resolved CCL backend.
 func (rt *Runtime) Backend() BackendKind { return rt.kind }

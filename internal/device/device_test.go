@@ -249,7 +249,7 @@ func TestStreamFIFOOrdering(t *testing.T) {
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
-		s.Enqueue("t", func(p *sim.Proc) {
+		s.Enqueue(func(p *sim.Proc) {
 			p.Sleep(time.Duration(4-i) * time.Microsecond) // later tasks shorter
 			order = append(order, i)
 		})
@@ -269,8 +269,8 @@ func TestStreamSynchronizeWaitsForAll(t *testing.T) {
 	k := sim.NewKernel()
 	d := newTestDevice(k)
 	s := d.NewStream()
-	s.EnqueueBusy("k1", 10*time.Microsecond)
-	s.EnqueueBusy("k2", 20*time.Microsecond)
+	s.EnqueueBusy(10 * time.Microsecond)
+	s.EnqueueBusy(20 * time.Microsecond)
 	var at sim.Time
 	k.Spawn("main", func(p *sim.Proc) {
 		s.Synchronize(p)
@@ -289,11 +289,11 @@ func TestStreamRecordAndWaitEvent(t *testing.T) {
 	k := sim.NewKernel()
 	d := newTestDevice(k)
 	s1, s2 := d.NewStream(), d.NewStream()
-	s1.EnqueueBusy("producer", 50*time.Microsecond)
+	s1.EnqueueBusy(50 * time.Microsecond)
 	ev := s1.Record()
 	s2.WaitEvent(ev)
 	var consumerStart sim.Time
-	s2.Enqueue("consumer", func(p *sim.Proc) { consumerStart = p.Now() })
+	s2.Enqueue(func(p *sim.Proc) { consumerStart = p.Now() })
 	k.Spawn("main", func(p *sim.Proc) {
 		s2.Synchronize(p)
 	})

@@ -22,7 +22,6 @@ type Stream struct {
 }
 
 type streamTask struct {
-	name string
 	fn   func(p *sim.Proc)
 	done *sim.Event
 }
@@ -51,8 +50,8 @@ func (s *Stream) Device() *Device { return s.dev }
 // Enqueue schedules fn on the stream and returns its completion event.
 // fn runs on the stream's process; it may sleep, transfer, and synchronize
 // with peer streams. The caller does not block.
-func (s *Stream) Enqueue(name string, fn func(p *sim.Proc)) *sim.Event {
-	t := &streamTask{name: name, fn: fn, done: sim.NewEvent(s.dev.k)}
+func (s *Stream) Enqueue(fn func(p *sim.Proc)) *sim.Event {
+	t := &streamTask{fn: fn, done: sim.NewEvent(s.dev.k)}
 	if !s.tasks.TrySend(t) {
 		panic(fmt.Sprintf("device: stream %s/%d queue overflow", s.dev, s.id))
 	}
@@ -71,10 +70,10 @@ type PersistentTask struct {
 
 // NewPersistentTask builds a reusable work item for this stream. fn runs on
 // the stream's process each time Launch is called.
-func (s *Stream) NewPersistentTask(name string, fn func(p *sim.Proc)) *PersistentTask {
+func (s *Stream) NewPersistentTask(fn func(p *sim.Proc)) *PersistentTask {
 	return &PersistentTask{
 		s: s,
-		t: &streamTask{name: name, fn: fn, done: sim.NewEvent(s.dev.k)},
+		t: &streamTask{fn: fn, done: sim.NewEvent(s.dev.k)},
 	}
 }
 
@@ -95,9 +94,9 @@ func (pt *PersistentTask) Done() *sim.Event { return pt.t.done }
 
 // EnqueueBusy schedules a fixed-duration work item (e.g. a compute kernel):
 // launch overhead plus busy time on the stream.
-func (s *Stream) EnqueueBusy(name string, busy sim.Time) *sim.Event {
+func (s *Stream) EnqueueBusy(busy sim.Time) *sim.Event {
 	d := s.dev
-	return s.Enqueue(name, func(p *sim.Proc) {
+	return s.Enqueue(func(p *sim.Proc) {
 		p.Sleep(d.KernelLaunch + busy)
 	})
 }
@@ -124,5 +123,5 @@ func (s *Stream) Record() *sim.Event {
 // WaitEvent enqueues a dependency: subsequent tasks on this stream do not
 // start until ev fires (cudaStreamWaitEvent).
 func (s *Stream) WaitEvent(ev *sim.Event) {
-	s.Enqueue("wait-event", func(p *sim.Proc) { ev.Wait(p) })
+	s.Enqueue(func(p *sim.Proc) { ev.Wait(p) })
 }

@@ -7,9 +7,9 @@ import (
 
 // post runs r on one of the calling rank's resident progress processes
 // (Job.progress). Every nonblocking operation the rank starts — Isend and
-// Irecv, and through them Sendrecv, Waitall fan-outs and persistent
-// requests, plus the nonblocking collectives — runs there, at the virtual
-// time a process spawned per operation would (see sim.Pool).
+// Irecv, and through them Sendrecv and Waitall fan-outs, plus the
+// nonblocking collectives — runs there, at the virtual time a process
+// spawned per operation would (see sim.Pool).
 // TestProgressReuseVirtualTime pins three back-to-back calls of each
 // collective, since the calls after the first are where reuse could drift.
 func (c *Comm) post(r *Request) {
@@ -39,44 +39,6 @@ func runRequest(p *sim.Proc, r *Request) {
 	r.done.Fire()
 }
 
-// PersistentRequest is an initialized-but-inactive point-to-point operation
-// (MPI_Send_init / MPI_Recv_init): Start launches it, Wait completes it,
-// and it can be started again. Every start reuses the one request.
-type PersistentRequest struct {
-	req    Request
-	active bool
-}
-
-// SendInit creates a persistent send (MPI_Send_init).
-func (c *Comm) SendInit(buf *device.Buffer, count int, dt Datatype, dest, tag int) *PersistentRequest {
-	return &PersistentRequest{req: Request{c: c, send: true, buf: buf, count: count, dt: dt, peer: dest, tag: tag}}
-}
-
-// RecvInit creates a persistent receive (MPI_Recv_init).
-func (c *Comm) RecvInit(buf *device.Buffer, count int, dt Datatype, src, tag int) *PersistentRequest {
-	return &PersistentRequest{req: Request{c: c, buf: buf, count: count, dt: dt, peer: src, tag: tag}}
-}
-
-// Start launches the operation (MPI_Start). Starting an already-active
-// request panics, per the standard.
-func (pr *PersistentRequest) Start() {
-	if pr.active {
-		panic("mpi: Start on active persistent request")
-	}
-	pr.active = true
-	pr.req.restart()
-}
-
-// Wait completes the active operation and re-arms the request.
-func (pr *PersistentRequest) Wait() Status {
-	if !pr.active {
-		panic("mpi: Wait on inactive persistent request")
-	}
-	st := pr.req.c.Wait(&pr.req)
-	pr.active = false
-	return st
-}
-
 // Nonblocking collectives at the MPI level: each reserves its sequence slot
 // at call time and runs the blocking algorithm on a progress process, per
 // the MPI-3 nonblocking-collective matching rules.
@@ -102,11 +64,6 @@ func (c *Comm) Iallreduce(sendBuf, recvBuf *device.Buffer, count int, dt Datatyp
 	return c.Icoll(func(ac *Comm) { ac.Allreduce(sendBuf, recvBuf, count, dt, op) })
 }
 
-// Ireduce is the nonblocking MPI_Ireduce.
-func (c *Comm) Ireduce(sendBuf, recvBuf *device.Buffer, count int, dt Datatype, op Op, root int) *Request {
-	return c.Icoll(func(ac *Comm) { ac.Reduce(sendBuf, recvBuf, count, dt, op, root) })
-}
-
 // Iallgather is the nonblocking MPI_Iallgather.
 func (c *Comm) Iallgather(sendBuf *device.Buffer, count int, dt Datatype, recvBuf *device.Buffer) *Request {
 	return c.Icoll(func(ac *Comm) { ac.Allgather(sendBuf, count, dt, recvBuf) })
@@ -115,9 +72,4 @@ func (c *Comm) Iallgather(sendBuf *device.Buffer, count int, dt Datatype, recvBu
 // Ialltoall is the nonblocking MPI_Ialltoall.
 func (c *Comm) Ialltoall(sendBuf *device.Buffer, count int, dt Datatype, recvBuf *device.Buffer) *Request {
 	return c.Icoll(func(ac *Comm) { ac.Alltoall(sendBuf, count, dt, recvBuf) })
-}
-
-// Ibarrier is the nonblocking MPI_Ibarrier.
-func (c *Comm) Ibarrier() *Request {
-	return c.Icoll(func(ac *Comm) { ac.Barrier() })
 }

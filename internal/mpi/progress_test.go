@@ -73,8 +73,6 @@ const (
 // progressBufs is one rank's working set for progressOps.
 type progressBufs struct {
 	a, b       *device.Buffer
-	sendInit   *PersistentRequest
-	recvInit   *PersistentRequest
 	sc, rc, ds []int // Alltoallv counts and displacements
 }
 
@@ -82,8 +80,6 @@ func newProgressBufs(c *Comm) *progressBufs {
 	n, r := c.Size(), c.Rank()
 	b := &progressBufs{a: c.Device().MustMalloc(progressBuf), b: c.Device().MustMalloc(progressBuf)}
 	b.a.FillFloat64(float64(r + 1))
-	b.sendInit = c.SendInit(b.a, blockCount, Float64, (r+1)%n, 9)
-	b.recvInit = c.RecvInit(b.b, blockCount, Float64, (r+n-1)%n, 9)
 	// Alltoallv: rank a sends 64·(1+(a+b)%4) elements to rank b, a count
 	// symmetric in (a, b), so what r sends to q is what q sends to r.
 	for q := 0; q < n; q++ {
@@ -134,18 +130,19 @@ var progressOps = []struct {
 		c.Wait(large)
 		c.Wait(small)
 	}},
-	{"persistent", func(c *Comm, b *progressBufs) {
-		b.recvInit.Start()
-		b.sendInit.Start()
-		b.sendInit.Wait()
-		b.recvInit.Wait()
+	{"ring-exchange", func(c *Comm, b *progressBufs) {
+		n, r := c.Size(), c.Rank()
+		recv := c.Irecv(b.b, blockCount, Float64, (r+n-1)%n, 9)
+		send := c.Isend(b.a, blockCount, Float64, (r+1)%n, 9)
+		c.Wait(send)
+		c.Wait(recv)
 	}},
 	{"waitall", func(c *Comm, b *progressBufs) { b.waitall(c) }},
 }
 
 // TestMPISteadyStateSpawnsNoProcs pins the resident progress pool: after a
 // warm-up wave has grown each rank's pool to the concurrency its calls
-// need, no collective, nonblocking collective, persistent request or
+// need, no collective, nonblocking collective, point-to-point exchange or
 // Waitall fan-out spawns a process. Spawns are counted as the pid distance
 // between sentinel processes spawned after every call. Spawning a process
 // per Isend instead would read ⌈log2 n⌉ per rank for a barrier alone.
@@ -201,7 +198,7 @@ func TestProgressReuseVirtualTime(t *testing.T) {
 		"scatter":          {721958 * ns, 727010 * ns, 732062 * ns, 721958 * ns, 727010 * ns, 732062 * ns},
 		"alltoallv":        {737387 * ns, 741703 * ns, 749665 * ns, 737665 * ns, 743835 * ns, 749947 * ns},
 		"iallreduce":       {892152 * ns, 1034357 * ns, 1176562 * ns, 892152 * ns, 1034357 * ns, 1176562 * ns},
-		"persistent":       {1179912 * ns, 1183262 * ns, 1186612 * ns, 1179912 * ns, 1183262 * ns, 1186612 * ns},
+		"ring-exchange":    {1179912 * ns, 1183262 * ns, 1186612 * ns, 1179912 * ns, 1183262 * ns, 1186612 * ns},
 		"waitall":          {1217933 * ns, 1244701 * ns, 1279245 * ns, 1217933 * ns, 1250445 * ns, 1289693 * ns},
 	}
 	j := newTestJob(t, progressRanks)
@@ -246,7 +243,7 @@ func TestNonblockingCollectivesOverlap(t *testing.T) {
 			bc.FillFloat32(7)
 		}
 		r2 := c.Ibcast(bc, 1024, Float32, 2)
-		r3 := c.Ibarrier()
+		r3 := c.Icoll(func(ac *Comm) { ac.Barrier() })
 		c.Wait(r1)
 		c.Wait(r2)
 		c.Wait(r3)
@@ -298,7 +295,7 @@ func TestIreduceAndIgatherStyleOps(t *testing.T) {
 		recv := c.Device().MustMalloc(64)
 		all := c.Device().MustMalloc(64 * n)
 		send.FillFloat32(float32(c.Rank() + 1))
-		r1 := c.Ireduce(send, recv, 16, Float32, OpSum, 0)
+		r1 := c.Icoll(func(ac *Comm) { ac.Reduce(send, recv, 16, Float32, OpSum, 0) })
 		r2 := c.Iallgather(send, 16, Float32, all)
 		a2a := c.Device().MustMalloc(64 * n)
 		r3 := c.Ialltoall(all, 16, Float32, a2a)
@@ -311,59 +308,6 @@ func TestIreduceAndIgatherStyleOps(t *testing.T) {
 		if all.Float32(16*2+3) != 3 {
 			t.Errorf("iallgather = %v", all.Float32(16*2+3))
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPersistentRequests(t *testing.T) {
-	j := newTestJob(t, 2)
-	err := j.Run(func(c *Comm) {
-		buf := c.Device().MustMalloc(64)
-		if c.Rank() == 0 {
-			pr := c.SendInit(buf, 8, Float64, 1, 3)
-			for round := 0; round < 3; round++ {
-				buf.FillFloat64(float64(round))
-				pr.Start()
-				pr.Wait()
-			}
-		} else {
-			pr := c.RecvInit(buf, 8, Float64, 0, 3)
-			for round := 0; round < 3; round++ {
-				pr.Start()
-				st := pr.Wait()
-				if st.Source != 0 || buf.Float64(2) != float64(round) {
-					t.Errorf("round %d: status %+v payload %v", round, st, buf.Float64(2))
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPersistentDoubleStartPanics(t *testing.T) {
-	j := newTestJob(t, 2)
-	err := j.Run(func(c *Comm) {
-		if c.Rank() == 1 {
-			buf := c.Device().MustMalloc(64)
-			c.Recv(buf, 8, Float64, 0, 0)
-			return
-		}
-		buf := c.Device().MustMalloc(64)
-		pr := c.SendInit(buf, 8, Float64, 1, 0)
-		pr.Start()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("double Start did not panic")
-				}
-			}()
-			pr.Start()
-		}()
-		pr.Wait()
 	})
 	if err != nil {
 		t.Fatal(err)

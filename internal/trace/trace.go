@@ -28,10 +28,9 @@ type Record struct {
 	// Start is the virtual start time; Duration the elapsed virtual time.
 	Start    time.Duration
 	Duration time.Duration
-	// Event, when non-empty, marks a resilience event ("retry",
-	// "breaker_open", "breaker_half_open", "breaker_closed") instead of a
-	// completed operation: it aggregates into MetricEvents, not the op
-	// counters.
+	// Event, when non-empty, marks a resilience or membership event
+	// ("retry", "breaker_open", "rank_dead", "comm_shrink", ...) instead of
+	// a completed operation; Summarize skips it.
 	Event string
 }
 

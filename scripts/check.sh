@@ -9,6 +9,18 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+# One instrumentation route in the dispatch layer: internal/core/events.go
+# folds every event into Stats, the metrics registry and the trace
+# recorder, so no other non-test file in internal/core may call a registry
+# method, build a metrics.Labels or trace.Record literal, or write Stats.
+sinks=$(grep -nE 'metrics\.Labels\{|\.(Counter|Gauge|Histogram)\(|trace\.Record\{|stats\.[A-Za-z.]+ *([-+*/]?=[^=]|\+\+|--)' internal/core/*.go |
+	grep -v '_test\.go:' | grep -v '^internal/core/events\.go:' || true)
+if [ -n "$sinks" ]; then
+	echo "check.sh: instrumentation outside internal/core/events.go (emit an event instead):" >&2
+	echo "$sinks" >&2
+	exit 1
+fi
+
 # On amd64, vet's asmdecl pass also checks the frame offsets and sizes of
 # elem's AVX2 sum bodies (internal/elem/sum_amd64.s) against their Go
 # declarations.
@@ -71,7 +83,9 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # through Runtime.Run or ccl.Run, or ending in a deadlock or a panic, leaves
 # no goroutine once Run returns), and the core membership
 # suite (crash, revoke, shrink, grow, partition, heartbeat and admission
-# parity), and the world builder's per-stack and rank-count tests, at one
+# parity) with the instrumentation golden (Stats, metrics and trace records
+# of one scenario per event kind), and the world builder's per-stack and
+# rank-count tests, at one
 # and at several OS threads: processes are coroutines on
 # goroutines of their own either way, and verdicts and modeled times must
 # not depend on how many threads run them.
@@ -80,7 +94,7 @@ for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$|TestEventOrder|TestPool' mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestOneShotSteadyStateAllocs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat|TestGroup|TestSynthesized' mpixccl/internal/ccl
 	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting|TestWorldReleasedAfterRun' mpixccl/internal/core mpixccl/internal/sim
-	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity' mpixccl/internal/core
+	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity|TestInstrumentationGolden' mpixccl/internal/core
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/world
 done
 # The experiments race leg covers the parallel runner, two RunAll calls
