@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -21,14 +22,25 @@ var updateGolden = flag.Bool("update-golden", false,
 
 const goldenPath = "testdata/golden_quick.json"
 
-// goldenVerifyIDs is the set checked on a `go test` run: every exhibit,
-// or under -short only those that finish in seconds (fig6, partition and
-// the application exhibits fig7–fig10 are skipped).
+// compiledSuffix marks a golden entry run with the collective compiler on
+// (Options{Compile: true}). fig5 and fig6 carry the alltoall columns, and
+// fig6 is the multi-node one, where the search picks phased plans.
+const compiledSuffix = "-compile"
+
+// goldenIDs is every golden entry: each exhibit, plus fig5 and fig6
+// compiled.
+func goldenIDs() []string {
+	return append(IDs(), "fig5"+compiledSuffix, "fig6"+compiledSuffix)
+}
+
+// goldenVerifyIDs is the set checked on a `go test` run: every entry, or
+// under -short only those that finish in seconds (fig6 either way,
+// partition and the application exhibits fig7–fig10 are skipped).
 func goldenVerifyIDs() []string {
 	if testing.Short() {
-		return []string{"table1", "fig1a", "fig1b", "fig3", "fig4", "fig5", "resilience", "elastic"}
+		return []string{"table1", "fig1a", "fig1b", "fig3", "fig4", "fig5", "fig5" + compiledSuffix, "resilience", "elastic"}
 	}
-	return IDs()
+	return goldenIDs()
 }
 
 func readGolden(t *testing.T) map[string]string {
@@ -44,9 +56,12 @@ func readGolden(t *testing.T) map[string]string {
 	return golden
 }
 
-// quickExhibit is Run(id, Options{}), with fig7 shared with
-// TestFig7SeriesShape.
+// quickExhibit is Run(id, Options{}) (Compile set for a compiled entry),
+// with fig7 shared with TestFig7SeriesShape.
 func quickExhibit(id string) (string, error) {
+	if base, ok := strings.CutSuffix(id, compiledSuffix); ok {
+		return Run(base, Options{Compile: true})
+	}
 	if id != "fig7" {
 		return Run(id, Options{})
 	}
@@ -63,8 +78,8 @@ func quickExhibit(id string) (string, error) {
 func TestGoldenVirtualTime(t *testing.T) {
 	if *updateGolden {
 		golden := map[string]string{}
-		for _, id := range IDs() {
-			out, err := Run(id, Options{})
+		for _, id := range goldenIDs() {
+			out, err := quickExhibit(id)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
