@@ -52,7 +52,7 @@ type core struct {
 	// locks under the cooperative scheduler.
 	compTopoCache *comp.Topo
 	compPlans     map[compPlanKey]*comp.Plan
-	customPlans   map[customPlanKey]*customPlan
+	customPlans   map[customPlanKey]*comp.Plan
 
 	// persist holds in-flight persistent-op Init rendezvous, keyed by each
 	// rank's persistent-op ordinal (ranks must Init handles in the same

@@ -66,6 +66,8 @@ func TestValidKey(t *testing.T) {
 		{"scatter", "staged:intra=tree,stripe=2,depth=1", true},
 		{"gather", "staged:intra=flat,stripe=4,depth=4", true},
 		{"gather", "native:flat", false},
+		{"gather", "phased", false},
+		{"scatter", "phased:chunk=1048576", false},
 		{"allreduce", "native:hier", false},
 		{"allreduce", "direct", false},
 		{"bcast", "native:flat", false},
@@ -204,36 +206,46 @@ func TestRankProgramSplit(t *testing.T) {
 
 func TestPairPhaseCoversAllPairs(t *testing.T) {
 	topo := thetaTopo(4, 2)
-	s := Strategy{Name: "phased"}
-	if n := NumPhases(topo, s); n != 3 {
-		t.Fatalf("NumPhases = %d, want 3", n)
+	p, err := Lower("alltoall", topo, Shape{BlockBytes: 8}, Strategy{Name: "phased"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Within a phase, each node pair is a permutation: every node sends to
-	// exactly one other node (plus phase-0 self traffic).
-	for p := 0; p < 3; p++ {
+	if n := len(p.Phases); n != 3 {
+		t.Fatalf("phased plan has %d phases, want 3", n)
+	}
+	// Every rank pair moves exactly once. Within a phase, each node pair is
+	// a permutation: every node sends to exactly one other node (plus
+	// phase-0 intra-node and self traffic).
+	pairs := map[[2]int]int{}
+	for pi, ph := range p.Phases {
 		egressTo := map[int]map[int]bool{}
-		for from := 0; from < topo.Ranks(); from++ {
-			for to := 0; to < topo.Ranks(); to++ {
-				if PairPhase(topo, s, from, to) != p {
-					continue
+		for _, m := range ph.Moves {
+			pairs[[2]int{m.From, m.To}]++
+			sn, dn := topo.NodeOf[m.From], topo.NodeOf[m.To]
+			if sn == dn {
+				if pi != 0 {
+					t.Fatalf("intra traffic in phase %d", pi)
 				}
-				sn, dn := topo.NodeOf[from], topo.NodeOf[to]
-				if sn == dn {
-					if p != 0 {
-						t.Fatalf("intra traffic in phase %d", p)
-					}
-					continue
-				}
-				if egressTo[sn] == nil {
-					egressTo[sn] = map[int]bool{}
-				}
-				egressTo[sn][dn] = true
+				continue
 			}
+			if egressTo[sn] == nil {
+				egressTo[sn] = map[int]bool{}
+			}
+			egressTo[sn][dn] = true
 		}
 		for sn, tos := range egressTo {
 			if len(tos) != 1 {
-				t.Fatalf("phase %d: node %d egresses to %d nodes, want 1", p, sn, len(tos))
+				t.Fatalf("phase %d: node %d egresses to %d nodes, want 1", pi, sn, len(tos))
 			}
+		}
+	}
+	n := topo.Ranks()
+	if len(pairs) != n*n {
+		t.Fatalf("phased plan covers %d rank pairs, want %d", len(pairs), n*n)
+	}
+	for pr, c := range pairs {
+		if c != 1 {
+			t.Fatalf("pair %v moves %d times, want once", pr, c)
 		}
 	}
 }
@@ -296,23 +308,74 @@ func TestKeysSorted(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
-	d := &DAG{Op: "x", Ranks: 2, Prims: []Prim{
-		{Kind: Shuffle, Moves: []Move{{From: 0, To: 5, Bytes: 1}}},
-	}}
-	if err := d.Validate(); err == nil {
+	check := func(m Move) error {
+		p := &Plan{Op: "x", Ranks: 2, Phases: []Phase{{Moves: []Move{m}}}}
+		return p.Check()
+	}
+	if err := check(Move{From: 0, To: 5, Bytes: 1}); err == nil {
 		t.Fatal("out-of-range endpoint not rejected")
 	}
-	d = &DAG{Op: "x", Ranks: 2, Prims: []Prim{
-		{Kind: Shuffle, Deps: []int{0}},
-	}}
-	if err := d.Validate(); err == nil {
-		t.Fatal("self dep not rejected")
+	if err := check(Move{From: 0, To: 1, Bytes: -1}); err == nil {
+		t.Fatal("negative size not rejected")
 	}
-	d = &DAG{Op: "x", Ranks: 2, Prims: []Prim{
-		{Kind: Reduce, Moves: []Move{{From: 0, To: 1, Bytes: 1, Reduce: true}}},
-	}}
-	if err := d.Validate(); err == nil {
+	if err := check(Move{From: 0, To: 1, Bytes: 1, SrcOff: -1}); err == nil {
+		t.Fatal("negative offset not rejected")
+	}
+	if err := check(Move{From: 0, To: 1, Bytes: 1, Reduce: true}); err == nil {
 		t.Fatal("unstaged reduce move not rejected")
+	}
+	for _, s := range Candidates("scatter", thetaTopo(2, 2)) {
+		if _, err := Lower("scatter", thetaTopo(2, 2), Shape{BlockBytes: 8, Root: 4}, s); err == nil {
+			t.Fatalf("%s: Lower accepted a root outside the topology", s.Key())
+		}
+	}
+}
+
+// TestCheckSizesSlot: a plan's pipe slot is its largest staged source
+// chunk, and 1 when nothing is staged.
+func TestCheckSizesSlot(t *testing.T) {
+	p := &Plan{Op: "x", Ranks: 2, Phases: []Phase{{Moves: []Move{
+		{From: 0, To: 1, Bytes: 64},
+		{From: 1, To: 0, Bytes: 8, SrcBytes: 12, Staged: true},
+		{From: 0, To: 1, Bytes: 10, Reduce: true, Staged: true},
+	}}}}
+	if err := p.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Slot != 12 {
+		t.Fatalf("slot = %d, want the largest staged source chunk 12", p.Slot)
+	}
+	d, err := Lower("alltoall", thetaTopo(2, 2), Shape{BlockBytes: 1 << 20}, Strategy{Name: "direct"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Slot != 1 {
+		t.Fatalf("all-direct plan slot = %d, want 1", d.Slot)
+	}
+}
+
+// TestLowerDeterministic: lowering the same candidate twice yields equal
+// plans, move order included.
+func TestLowerDeterministic(t *testing.T) {
+	for _, topo := range []*Topo{thetaTopo(4, 3), topoOf(0, 1, 2, 0, 1, 2, 2)} {
+		for _, op := range []string{"alltoall", "alltoallv", "scatter", "gather"} {
+			for _, s := range Candidates(op, topo) {
+				sh := Shape{BlockBytes: 96, Root: 1}
+				a, err := Lower(op, topo, sh, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 5; i++ {
+					b, err := Lower(op, topo, sh, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(a, b) {
+						t.Fatalf("%s %s: two lowerings differ", op, s.Key())
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package comp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,7 +13,7 @@ import (
 //
 // Key grammar:
 //
-//	direct[:chunk=N]                         one shuffle/multicast phase
+//	direct[:chunk=N]                         one phase of every move
 //	phased[:chunk=N]                         node-permutation phases
 //	staged:intra=flat|tree,stripe=W,depth=D[,chunk=N]
 //	                                         leader-staged hierarchy
@@ -82,6 +83,11 @@ func ParseKey(key string) (Strategy, error) {
 	return s, nil
 }
 
+// maxCount bounds a key's stripe and depth. The search sweeps up to 4 of
+// each; a tuning table is outside input, so a key past the bound is
+// refused before anything is sized by it.
+const maxCount = 64
+
 type attrSet struct {
 	intra         string
 	stripe, depth int
@@ -106,6 +112,9 @@ func parseAttrs(key, attrs string, allowed map[string]bool) (attrSet, error) {
 			if err != nil || n < 1 {
 				return out, fmt.Errorf("comp: plan key %q: %s wants a positive integer, got %q", key, k, v)
 			}
+			if k != "chunk" && n > maxCount {
+				return out, fmt.Errorf("comp: plan key %q: %s is at most %d, got %d", key, k, maxCount, n)
+			}
 			switch k {
 			case "stripe":
 				out.stripe = int(n)
@@ -119,25 +128,37 @@ func parseAttrs(key, attrs string, allowed map[string]bool) (attrSet, error) {
 	return out, nil
 }
 
-// compiledOps lists the collectives the compiler lowers to move phases.
-var compiledOps = map[string]bool{
-	"alltoall": true, "alltoallv": true, "scatter": true, "gather": true,
+// lowerFunc lowers one (op, strategy family) pair into an unchecked plan.
+type lowerFunc func(op string, t *Topo, sh Shape, s Strategy) *Plan
+
+// lowerings maps each compiled op to the lowering of every strategy
+// family it takes. Lower, ValidKey and Compiles all read it, so a key a
+// tuning table may carry is exactly a key Lower can build.
+var lowerings = map[string]map[string]lowerFunc{
+	"alltoall":  {"direct": lowerAlltoall, "phased": lowerAlltoall},
+	"alltoallv": {"direct": lowerAlltoall, "phased": lowerAlltoall},
+	"scatter":   {"direct": lowerRootDirect, "staged": lowerRootStaged},
+	"gather":    {"direct": lowerRootDirect, "staged": lowerRootStaged},
 }
+
+// Compiles reports whether the compiler lowers op (the synthesized
+// collectives: alltoall(v), scatter, gather).
+func Compiles(op string) bool { return lowerings[op] != nil }
 
 // ValidKey reports whether key names a strategy the given op can run
 // (table-v3 validation: reject bands that could never dispatch). Only the
 // compiled ops take plan keys; a built-in collective's schedule family is
 // the band's algorithm selector, not a plan.
 func ValidKey(op, key string) error {
-	if !compiledOps[op] {
+	if !Compiles(op) {
 		return fmt.Errorf("comp: op %s takes no plan key, got %q", op, key)
 	}
 	s, err := ParseKey(key)
 	if err != nil {
 		return err
 	}
-	if s.Name == "staged" && (op == "alltoall" || op == "alltoallv") {
-		return fmt.Errorf("comp: op %s has no staged lowering (plan %q)", op, key)
+	if lowerings[op][s.Name] == nil {
+		return fmt.Errorf("comp: op %s has no %s lowering (plan %q)", op, s.Name, key)
 	}
 	return nil
 }
@@ -184,61 +205,25 @@ type Shape struct {
 	Root       int
 }
 
-// Lower compiles (op, shape, strategy) for the topology into an
-// executable plan: build the primitive DAG, schedule it into phases, and
-// attach the execution attributes. The plan cost is NOT set — Search
-// prices candidates; direct callers can use Topo.PlanCost.
+// Lower compiles (op, shape, strategy) for the topology into a checked,
+// executable plan. The plan cost is NOT set — Search prices candidates;
+// direct callers can use Topo.PlanCost.
 func Lower(op string, t *Topo, sh Shape, s Strategy) (*Plan, error) {
 	if t.Ranks() == 0 {
 		return nil, fmt.Errorf("comp: empty topology")
 	}
-	var (
-		d     *DAG
-		err   error
-		plan  *Plan
-		fence bool
-		stage []int
-		depth = 1
-	)
-	switch {
-	case op == "alltoall" || op == "alltoallv":
-		switch s.Name {
-		case "direct":
-			d = lowerAlltoallDirect(t, sh.BlockBytes)
-		case "phased":
-			d = lowerAlltoallPhased(t, sh.BlockBytes)
-			fence = true
-		default:
-			err = fmt.Errorf("comp: op %s has no %s lowering", op, s.Name)
-		}
-	case op == "scatter" || op == "gather":
-		switch s.Name {
-		case "direct":
-			d = lowerRootDirect(op, t, sh)
-		case "staged":
-			d, stage, err = lowerRootStaged(op, t, sh, s)
-			depth = s.Depth
-		default:
-			err = fmt.Errorf("comp: op %s has no %s lowering", op, s.Name)
-		}
-	default:
-		err = fmt.Errorf("comp: unknown op %q", op)
+	if sh.Root < 0 || sh.Root >= t.Ranks() {
+		return nil, fmt.Errorf("comp: root %d out of %d ranks", sh.Root, t.Ranks())
 	}
-	if err != nil {
+	lower := lowerings[op][s.Name]
+	if lower == nil {
+		return nil, fmt.Errorf("comp: op %q has no %s lowering", op, s.Name)
+	}
+	p := lower(op, t, sh, s)
+	if err := p.Check(); err != nil {
 		return nil, err
 	}
-	plan, err = d.Schedule(s.Key())
-	if err != nil {
-		return nil, err
-	}
-	plan.Op = op
-	plan.Fenced = fence
-	plan.ChunkBytes = s.Chunk
-	plan.PipeDepth = depth
-	if depth > 1 {
-		plan.StageOf = stage
-	}
-	return plan, nil
+	return p, nil
 }
 
 // Search lowers every candidate strategy for (op, shape), prices each with
@@ -277,117 +262,73 @@ func CompileKey(op string, t *Topo, sh Shape, key string) (*Plan, error) {
 	return p, nil
 }
 
-// NumPhases returns the phase count of the pairing schedule for the
-// strategy on this topology (alltoallv builds its per-rank moves at run
-// time from local counts; only the pairing is compiled).
-func NumPhases(t *Topo, s Strategy) int {
-	if s.Name == "phased" && t.Nodes > 1 {
-		return t.Nodes - 1
+// Pairwise builds the plan of a rank-pair exchange (alltoall, alltoallv)
+// under the strategy's pairing: move(r, q) is rank r's block for rank q,
+// and false skips the pair. "direct" runs every move in one phase.
+// "phased" runs m−1 fenced node-permutation rounds: in round p node i
+// sends only to node (i+p+1) mod m, so every egress pool feeds exactly one
+// ingress pool — no flow parks on a foreign-contended pool holding grants
+// (the head-of-line convoy the direct schedule suffers on ≥3 nodes).
+// Intra-node and self moves run in round 0, overlapping the first
+// exchange on the local links. A round keeps its place even when every
+// pair in it is skipped, so every fence still happens. The plan is
+// unchecked.
+func Pairwise(op string, t *Topo, s Strategy, move func(r, q int) (Move, bool)) *Plan {
+	p := newPlan(op, t, s)
+	p.Fenced = s.Name == "phased"
+	rounds := 1
+	if p.Fenced && t.Nodes > 1 {
+		rounds = t.Nodes - 1
 	}
-	return 1
-}
-
-// PairPhase places the (from → to) flow in its phase under the strategy's
-// pairing schedule. Phased plans run node-permutation rounds — in phase p
-// node i talks only to node (i+p+1) mod m, so each egress pool serves
-// exactly one ingress pool — with intra-node traffic folded into phase 0.
-func PairPhase(t *Topo, s Strategy, from, to int) int {
-	if s.Name != "phased" || t.Nodes <= 1 {
-		return 0
-	}
-	o := offsetMod(t.NodeOf[to]-t.NodeOf[from], t.Nodes)
-	if o == 0 {
-		return 0
-	}
-	return o - 1
-}
-
-func offsetMod(d, m int) int {
-	d %= m
-	if d < 0 {
-		d += m
-	}
-	return d
-}
-
-// --- Lowerings ---
-
-// lowerAlltoallDirect: one shuffle prim with every pairwise block move —
-// the schedule the send-recv synthesized path approximates.
-func lowerAlltoallDirect(t *Topo, blk int64) *DAG {
+	p.Phases = make([]Phase, rounds)
 	n := t.Ranks()
-	pr := Prim{Kind: Shuffle, Group: allRanks(n)}
 	for r := 0; r < n; r++ {
 		for q := 0; q < n; q++ {
-			pr.Moves = append(pr.Moves, Move{
-				From: r, To: q,
-				SrcBuf: SendBuf, SrcOff: int64(q) * blk,
-				DstBuf: RecvBuf, DstOff: int64(r) * blk,
-				Bytes: blk,
-			})
-		}
-	}
-	return &DAG{Op: "alltoall", Ranks: n, Prims: []Prim{pr}}
-}
-
-// lowerAlltoallPhased: m-1 node-permutation shuffle prims separated by
-// fences. In phase p, node i sends only to node (i+p+1) mod m, so every
-// egress pool feeds exactly one ingress pool — no flow parks on a
-// foreign-contended pool holding grants (the head-of-line convoy the
-// direct schedule suffers on ≥3 nodes). Intra-node and self moves fold
-// into phase 0, overlapping the first exchange on the local links.
-func lowerAlltoallPhased(t *Topo, blk int64) *DAG {
-	n := t.Ranks()
-	m := t.Nodes
-	if m <= 1 {
-		return lowerAlltoallDirect(t, blk)
-	}
-	d := &DAG{Op: "alltoall", Ranks: n}
-	prev := -1
-	for p := 0; p < m-1; p++ {
-		pr := Prim{Kind: Shuffle, Group: allRanks(n)}
-		if prev >= 0 {
-			pr.Deps = []int{prev}
-		}
-		for r := 0; r < n; r++ {
-			for q := 0; q < n; q++ {
-				o := offsetMod(t.NodeOf[q]-t.NodeOf[r], m)
-				if (o == 0 && p == 0) || o == p+1 {
-					pr.Moves = append(pr.Moves, Move{
-						From: r, To: q,
-						SrcBuf: SendBuf, SrcOff: int64(q) * blk,
-						DstBuf: RecvBuf, DstOff: int64(r) * blk,
-						Bytes: blk,
-					})
-				}
+			m, ok := move(r, q)
+			if !ok {
+				continue
 			}
+			round := 0
+			if rounds > 1 {
+				d := (t.NodeOf[q] - t.NodeOf[r] + t.Nodes) % t.Nodes
+				round = max(d-1, 0)
+			}
+			p.Phases[round].Moves = append(p.Phases[round].Moves, m)
 		}
-		d.Prims = append(d.Prims, pr)
-		prev = len(d.Prims) - 1
 	}
-	return d
+	return p
 }
 
-// lowerRootDirect: scatter/gather as one multicast/reduce-free fan
-// between root and every rank — the synthesized baseline's shape.
-func lowerRootDirect(op string, t *Topo, sh Shape) *DAG {
-	n := t.Ranks()
+// lowerAlltoall pairs uniform blocks: rank r's block q lands in rank q's
+// block r.
+func lowerAlltoall(op string, t *Topo, sh Shape, s Strategy) *Plan {
+	blk := sh.BlockBytes
+	return Pairwise(op, t, s, func(r, q int) (Move, bool) {
+		return Move{
+			From: r, To: q,
+			SrcBuf: SendBuf, SrcOff: int64(q) * blk,
+			DstBuf: RecvBuf, DstOff: int64(r) * blk,
+			Bytes: blk,
+		}, true
+	})
+}
+
+// lowerRootDirect: scatter/gather as one fan between root and every rank
+// — the synthesized baseline's shape.
+func lowerRootDirect(op string, t *Topo, sh Shape, s Strategy) *Plan {
+	p := newPlan(op, t, s)
 	blk, root := sh.BlockBytes, sh.Root
-	kind := Multicast
-	if op == "gather" {
-		kind = Reduce // fan-in shape (no combining — moves carry no Reduce flag)
-	}
-	pr := Prim{Kind: kind, Group: allRanks(n), Root: root}
-	for q := 0; q < n; q++ {
+	var moves []Move
+	for q := 0; q < t.Ranks(); q++ {
 		if op == "scatter" {
-			pr.Moves = append(pr.Moves, Move{
+			moves = append(moves, Move{
 				From: root, To: q,
 				SrcBuf: SendBuf, SrcOff: int64(q) * blk,
 				DstBuf: RecvBuf, DstOff: 0,
 				Bytes: blk,
 			})
 		} else {
-			pr.Moves = append(pr.Moves, Move{
+			moves = append(moves, Move{
 				From: q, To: root,
 				SrcBuf: SendBuf, SrcOff: 0,
 				DstBuf: RecvBuf, DstOff: int64(q) * blk,
@@ -395,7 +336,8 @@ func lowerRootDirect(op string, t *Topo, sh Shape) *DAG {
 			})
 		}
 	}
-	return &DAG{Op: op, Ranks: n, Prims: []Prim{pr}}
+	p.add(0, moves)
+	return p
 }
 
 // chunkBounds splits [0, blk) into depth byte ranges.
@@ -438,37 +380,19 @@ func laneSplit(m Move, w int) []Move {
 // pool past one flow's per-direction channel cap), then the leader fans
 // out intra-node — flat (direct writes) or a binomial tree over the local
 // group. Gather is the mirror image. Root's own node always moves
-// directly. Returns the DAG plus each emitted prim-level's stage class
-// (0 = inter hop, 1 = intra hop) aligned with the scheduled phases.
-func lowerRootStaged(op string, t *Topo, sh Shape, s Strategy) (*DAG, []int, error) {
-	n, m := t.Ranks(), t.Nodes
+// directly. Inter hops are stage class 0, intra hops stage class 1.
+func lowerRootStaged(op string, t *Topo, sh Shape, s Strategy) *Plan {
+	if t.Nodes <= 1 {
+		p := lowerRootDirect(op, t, sh, s)
+		p.PipeDepth = s.Depth
+		return p
+	}
+	p := newPlan(op, t, s)
+	p.PipeDepth = s.Depth
 	blk, root := sh.BlockBytes, sh.Root
-	if m <= 1 {
-		d := lowerRootDirect(op, t, sh)
-		return d, []int{0}, nil
-	}
 	rootNode := t.NodeOf[root]
-	nodes := t.nodes()
-	leaders := map[int]int{}
-	locals := map[int][]int{}
-	for _, nd := range nodes {
-		g := groupRanks(t, nd)
-		locals[nd] = g
-		leaders[nd] = g[0]
-	}
-	d := &DAG{Op: op, Ranks: n}
-	var stages []int
+	locals := t.groups()
 	bounds := chunkBounds(blk, s.Depth)
-	prev := -1
-	emit := func(pr Prim, stage int) int {
-		if prev >= 0 {
-			pr.Deps = []int{prev}
-		}
-		d.Prims = append(d.Prims, pr)
-		stages = append(stages, stage)
-		prev = len(d.Prims) - 1
-		return prev
-	}
 	for c := 0; c < s.Depth; c++ {
 		c0, c1 := bounds[c], bounds[c+1]
 		ln := c1 - c0
@@ -477,187 +401,168 @@ func lowerRootStaged(op string, t *Topo, sh Shape, s Strategy) (*DAG, []int, err
 		}
 		if op == "scatter" {
 			// Inter hop: root → leaders (scratch), root's node direct.
-			inter := Prim{Kind: Multicast, Group: allRanks(n), Root: root, Stripe: s.Stripe, ChunkBytes: s.Chunk}
-			for _, nd := range nodes {
-				if nd == rootNode {
-					for _, q := range locals[nd] {
-						inter.Moves = append(inter.Moves, Move{
+			var inter []Move
+			for nd, g := range locals {
+				for li, q := range g {
+					if nd == rootNode {
+						inter = append(inter, Move{
 							From: root, To: q,
 							SrcBuf: SendBuf, SrcOff: int64(q)*blk + c0,
 							DstBuf: RecvBuf, DstOff: c0,
 							Bytes: ln,
 						})
+						continue
 					}
-					continue
-				}
-				lead := leaders[nd]
-				for li, q := range locals[nd] {
-					base := Move{
-						From: root, To: lead,
+					inter = append(inter, laneSplit(Move{
+						From: root, To: g[0],
 						SrcBuf: SendBuf, SrcOff: int64(q)*blk + c0,
 						DstBuf: ScratchBuf, DstOff: int64(li)*blk + c0,
 						Bytes: ln,
-					}
-					inter.Moves = append(inter.Moves, laneSplit(base, s.Stripe)...)
+					}, s.Stripe)...)
 				}
 			}
-			emit(inter, 0)
+			p.add(0, inter)
 			// Intra hop: leaders fan out scratch → recv.
 			if s.Intra == "tree" {
-				emitTreeFan(d, emit, t, locals, leaders, rootNode, blk, c0, ln, true)
-			} else {
-				intra := Prim{Kind: Multicast, Group: allRanks(n)}
-				for _, nd := range nodes {
-					if nd == rootNode {
-						continue
-					}
-					lead := leaders[nd]
-					for li, q := range locals[nd] {
-						intra.Moves = append(intra.Moves, Move{
-							From: lead, To: q,
-							SrcBuf: ScratchBuf, SrcOff: int64(li)*blk + c0,
-							DstBuf: RecvBuf, DstOff: c0,
-							Bytes: ln,
-						})
-					}
-				}
-				emit(intra, 1)
+				treeFan(p, locals, rootNode, blk, c0, ln, true)
+				continue
 			}
-		} else { // gather
-			// Intra hop: locals → leader scratch, root's node direct to root.
-			if s.Intra == "tree" {
-				emitTreeFan(d, emit, t, locals, leaders, rootNode, blk, c0, ln, false)
-			} else {
-				intra := Prim{Kind: Reduce, Group: allRanks(n)}
-				for _, nd := range nodes {
-					if nd == rootNode {
-						continue
-					}
-					lead := leaders[nd]
-					for li, q := range locals[nd] {
-						intra.Moves = append(intra.Moves, Move{
-							From: q, To: lead,
-							SrcBuf: SendBuf, SrcOff: c0,
-							DstBuf: ScratchBuf, DstOff: int64(li)*blk + c0,
-							Bytes: ln,
-						})
-					}
-				}
-				emit(intra, 1)
-			}
-			// Root's node ranks send direct; root self-copies. Same level as
-			// the remote nodes' intra hop via its own prim (merged level
-			// would chain deps; emit then the inter hop).
-			direct := Prim{Kind: Reduce, Group: locals[rootNode], Root: root}
-			for _, q := range locals[rootNode] {
-				direct.Moves = append(direct.Moves, Move{
-					From: q, To: root,
-					SrcBuf: SendBuf, SrcOff: c0,
-					DstBuf: RecvBuf, DstOff: int64(q)*blk + c0,
-					Bytes: ln,
-				})
-			}
-			emit(direct, 1)
-			// Inter hop: leaders ship their node's aggregate to root.
-			inter := Prim{Kind: Reduce, Group: allRanks(n), Root: root, Stripe: s.Stripe, ChunkBytes: s.Chunk}
-			for _, nd := range nodes {
+			var intra []Move
+			for nd, g := range locals {
 				if nd == rootNode {
 					continue
 				}
-				lead := leaders[nd]
-				for li, q := range locals[nd] {
-					base := Move{
-						From: lead, To: root,
+				for li, q := range g {
+					intra = append(intra, Move{
+						From: g[0], To: q,
 						SrcBuf: ScratchBuf, SrcOff: int64(li)*blk + c0,
-						DstBuf: RecvBuf, DstOff: int64(q)*blk + c0,
+						DstBuf: RecvBuf, DstOff: c0,
 						Bytes: ln,
-					}
-					inter.Moves = append(inter.Moves, laneSplit(base, s.Stripe)...)
+					})
 				}
 			}
-			emit(inter, 0)
+			p.add(1, intra)
+			continue
 		}
-	}
-	return d, stages, nil
-}
-
-// emitTreeFan emits the binomial intra-node relay levels for staged
-// scatter (down = true: leader fans block ranges out through relays) or
-// gather (down = false: relays fan block ranges in toward the leader).
-// Every emitted level is an intra hop (stage 1). Ranges live in scratch at
-// every hop; a final copy level moves each rank's own block between
-// scratch and the user buffer.
-func emitTreeFan(d *DAG, emit func(Prim, int) int, t *Topo,
-	locals map[int][]int, leaders map[int]int, rootNode int,
-	blk, c0, ln int64, down bool) {
-	// Level distances: largest power of two below the biggest group.
-	maxL := 0
-	for nd, g := range locals {
-		if nd != rootNode && len(g) > maxL {
-			maxL = len(g)
+		// Gather. Intra hop: locals → leader scratch.
+		if s.Intra == "tree" {
+			treeFan(p, locals, rootNode, blk, c0, ln, false)
+		} else {
+			var intra []Move
+			for nd, g := range locals {
+				if nd == rootNode {
+					continue
+				}
+				for li, q := range g {
+					intra = append(intra, Move{
+						From: q, To: g[0],
+						SrcBuf: SendBuf, SrcOff: c0,
+						DstBuf: ScratchBuf, DstOff: int64(li)*blk + c0,
+						Bytes: ln,
+					})
+				}
+			}
+			p.add(1, intra)
 		}
-	}
-	pow := 1
-	for pow*2 < maxL {
-		pow *= 2
-	}
-	step := func(dist int, f func(nd int, g []int)) {
+		// Root's node ranks send direct; root self-copies.
+		var direct []Move
+		for _, q := range locals[rootNode] {
+			direct = append(direct, Move{
+				From: q, To: root,
+				SrcBuf: SendBuf, SrcOff: c0,
+				DstBuf: RecvBuf, DstOff: int64(q)*blk + c0,
+				Bytes: ln,
+			})
+		}
+		p.add(1, direct)
+		// Inter hop: leaders ship their node's aggregate to root.
+		var inter []Move
 		for nd, g := range locals {
-			if nd == rootNode || dist >= len(g) {
+			if nd == rootNode {
 				continue
 			}
-			f(nd, g)
-		}
-	}
-	dists := []int{}
-	for dd := pow; dd >= 1; dd /= 2 {
-		dists = append(dists, dd)
-	}
-	if !down {
-		// Gather relays run smallest distance first (fan-in).
-		for i, j := 0, len(dists)-1; i < j; i, j = i+1, j-1 {
-			dists[i], dists[j] = dists[j], dists[i]
-		}
-		// Each rank seeds its own block into its scratch range first.
-		seed := Prim{Kind: Reduce}
-		step(0, func(nd int, g []int) {
 			for li, q := range g {
-				seed.Group = append(seed.Group, q)
-				seed.Moves = append(seed.Moves, Move{
+				inter = append(inter, laneSplit(Move{
+					From: g[0], To: root,
+					SrcBuf: ScratchBuf, SrcOff: int64(li)*blk + c0,
+					DstBuf: RecvBuf, DstOff: int64(q)*blk + c0,
+					Bytes: ln,
+				}, s.Stripe)...)
+			}
+		}
+		p.add(0, inter)
+	}
+	return p
+}
+
+// treeFan appends the binomial intra-node relay levels for staged scatter
+// (down = true: each leader fans block ranges out through relays) or
+// gather (down = false: relays fan block ranges in toward the leader) on
+// every node but the root's. Every level is an intra hop (stage 1). Ranges
+// live in scratch at every hop; a copy level moves each rank's own block
+// between scratch and the user buffer.
+func treeFan(p *Plan, locals [][]int, rootNode int, blk, c0, ln int64, down bool) {
+	// Level distances: the powers of two below the biggest group, smallest
+	// first for a gather's fan-in.
+	maxL := 0
+	for nd, g := range locals {
+		if nd != rootNode {
+			maxL = max(maxL, len(g))
+		}
+	}
+	var dists []int
+	for d := 1; d < maxL; d *= 2 {
+		dists = append(dists, d)
+	}
+	if down {
+		// Scatter relays run largest distance first (fan-out).
+		slices.Reverse(dists)
+	}
+	// own moves each rank's block between its user buffer and its scratch
+	// range (send → scratch before a gather, scratch → recv after a
+	// scatter).
+	own := func() []Move {
+		var moves []Move
+		for nd, g := range locals {
+			if nd == rootNode {
+				continue
+			}
+			for li, q := range g {
+				m := Move{
 					From: q, To: q,
 					SrcBuf: SendBuf, SrcOff: c0,
 					DstBuf: ScratchBuf, DstOff: int64(li)*blk + c0,
 					Bytes: ln,
-				})
+				}
+				if down {
+					m.SrcBuf, m.SrcOff = ScratchBuf, int64(li)*blk+c0
+					m.DstBuf, m.DstOff = RecvBuf, c0
+				}
+				moves = append(moves, m)
 			}
-		})
-		emit(seed, 1)
+		}
+		return moves
+	}
+	if !down {
+		p.add(1, own())
 	}
 	for _, dist := range dists {
-		pr := Prim{Kind: Multicast}
-		if !down {
-			pr.Kind = Reduce
-		}
-		step(dist, func(nd int, g []int) {
-			for i := 0; i < len(g); i += 2 * dist {
-				j := i + dist
-				if j >= len(g) {
-					continue
-				}
+		var moves []Move
+		for nd, g := range locals {
+			if nd == rootNode {
+				continue
+			}
+			for i := 0; i+dist < len(g); i += 2 * dist {
 				// The range [j, min(j+dist, len)) of local blocks moves
 				// between holder g[i] and relay g[j], one move per block so
 				// the executor stays uniform across chunked rounds.
-				hi := j + dist
-				if hi > len(g) {
-					hi = len(g)
-				}
-				for b := j; b < hi; b++ {
+				j := i + dist
+				for b := j; b < min(j+dist, len(g)); b++ {
 					src, dst := g[i], g[j]
 					if !down {
 						src, dst = g[j], g[i]
 					}
-					pr.Group = append(pr.Group, src, dst)
-					pr.Moves = append(pr.Moves, Move{
+					moves = append(moves, Move{
 						From: src, To: dst,
 						SrcBuf: ScratchBuf, SrcOff: int64(b)*blk + c0,
 						DstBuf: ScratchBuf, DstOff: int64(b)*blk + c0,
@@ -665,35 +570,12 @@ func emitTreeFan(d *DAG, emit func(Prim, int) int, t *Topo,
 					})
 				}
 			}
-		})
-		if len(pr.Moves) > 0 {
-			emit(pr, 1)
 		}
+		p.add(1, moves)
 	}
 	if down {
-		// Each rank lifts its own block scratch → recv.
-		lift := Prim{Kind: Multicast}
-		step(0, func(nd int, g []int) {
-			for li, q := range g {
-				lift.Group = append(lift.Group, q)
-				lift.Moves = append(lift.Moves, Move{
-					From: q, To: q,
-					SrcBuf: ScratchBuf, SrcOff: int64(li)*blk + c0,
-					DstBuf: RecvBuf, DstOff: c0,
-					Bytes: ln,
-				})
-			}
-		})
-		emit(lift, 1)
+		p.add(1, own())
 	}
-}
-
-func allRanks(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // Keys returns the canonical candidate keys for op on the topology: the

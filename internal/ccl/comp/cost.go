@@ -1,7 +1,5 @@
 package comp
 
-import "sort"
-
 // Topo is the machine description the cost model prices plans against:
 // the rank→node map from the cached hierarchy plan plus the α–β link
 // parameters the fabric charges. All rates are bytes per virtual second,
@@ -179,10 +177,10 @@ func (t *Topo) PhaseCost(moves []Move) float64 {
 // first round (total/D).
 func (t *Topo) PlanCost(p *Plan) float64 {
 	c := t.Launch
-	if p.PipeDepth > 1 && len(p.StageOf) == len(p.Phases) {
+	if p.PipeDepth > 1 {
 		totals := map[int]float64{}
-		for i, ph := range p.Phases {
-			totals[p.StageOf[i]] += t.PhaseCost(ph.Moves)
+		for _, ph := range p.Phases {
+			totals[ph.Stage] += t.PhaseCost(ph.Moves)
 		}
 		var bottleneck, rest float64
 		for _, tot := range totals {
@@ -200,16 +198,11 @@ func (t *Topo) PlanCost(p *Plan) float64 {
 	return c
 }
 
-// nodesOf returns the sorted distinct node ids present in the topo.
-func (t *Topo) nodes() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, n := range t.NodeOf {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
+// groups returns each node's ranks in ascending order, indexed by node.
+func (t *Topo) groups() [][]int {
+	g := make([][]int, t.Nodes)
+	for r, n := range t.NodeOf {
+		g[n] = append(g[n], r)
 	}
-	sort.Ints(out)
-	return out
+	return g
 }

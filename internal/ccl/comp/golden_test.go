@@ -90,7 +90,11 @@ func planStages(p *Plan) []int {
 	if p.PipeDepth <= 1 {
 		return nil
 	}
-	return p.StageOf
+	stages := []int{}
+	for _, ph := range p.Phases {
+		stages = append(stages, ph.Stage)
+	}
+	return stages
 }
 
 // dumpPlan writes the plan's attributes and every rank's program.

@@ -1,67 +1,28 @@
-// Package comp is the compositional collective compiler: a primitive IR
-// (multicast / reduce / shuffle / fence steps over rank groups with
-// chunking and striping attributes), a lowering from the
-// send-recv-synthesized collectives (Alltoall(v), Scatter, Gather) into a
-// primitive DAG, and an α–β cost model that searches
-// decompositions against the machine hierarchy and emits an executable
-// schedule (a Plan of fence-separated move phases).
+// Package comp is the compositional collective compiler: lowerings from
+// the send-recv-synthesized collectives (Alltoall(v), Scatter, Gather)
+// into plans of fence-separated move phases, and an α–β cost model that
+// searches decompositions against the machine hierarchy.
 //
 // The package is machine-agnostic and dependency-free: the ccl layer
 // extracts a Topo from its fabric and executes the emitted Plan through
 // its existing engine/sender processes; internal/core persists winning
 // plan keys in version-3 tuning tables.
 //
-// IR grammar (one primitive per DAG node):
+// IR grammar (a Plan is the only IR; lowerings append phases to it):
 //
-//	prim     := multicast | reduce | shuffle | fence
-//	multicast: root ∈ group sends distinct or identical blocks to every
-//	           member (Scatter fan-out, Bcast relay, leader fan-in/out)
-//	reduce   : every member combines its block into root (ReduceOp moves)
-//	shuffle  : a bipartite block permutation between two rank groups
-//	           (Alltoall phases, leader exchanges)
-//	fence    : a cross-group barrier ordering the prims depending on it
+//	plan  := phase*   phases run in order; a fenced plan barriers between them
+//	phase := move*    the moves of one phase may proceed concurrently
+//	move  := bytes from one rank's buffer to another's (or the same rank's)
 //
-// Attributes: Stripe splits a prim's inter-node flows across w concurrent
-// sub-flows (multi-rail saturation when a lone transfer's DirChannels cap
-// is below the NIC pool), ChunkBytes sets the pipeline granularity, and
-// the derived pipeline depth is Stripe × ⌈bytes/ChunkBytes⌉ in-flight
-// chunks. Scheduling linearizes the DAG into fence-separated phases whose
-// moves execute concurrently.
+// A move names its source and destination buffer (send, recv or
+// compiler-allocated scratch) and offset, and may reduce on arrival,
+// ship staged through scratch pipes, and ride a stripe lane (concurrent
+// sub-flows to one peer). Each phase records its stage class: in a
+// pipelined plan (chunked rounds) phases of one class share a resource
+// and serialize, and different classes overlap across rounds.
 package comp
 
-import (
-	"fmt"
-	"sort"
-)
-
-// PrimKind enumerates the IR primitives.
-type PrimKind int
-
-const (
-	// Multicast distributes blocks from Root to the group.
-	Multicast PrimKind = iota
-	// Reduce combines the group's blocks into Root.
-	Reduce
-	// Shuffle permutes blocks between ranks (bipartite exchange).
-	Shuffle
-	// Fence orders dependents after every move of the prims it depends on.
-	Fence
-)
-
-// String names the primitive kind.
-func (k PrimKind) String() string {
-	switch k {
-	case Multicast:
-		return "multicast"
-	case Reduce:
-		return "reduce"
-	case Shuffle:
-		return "shuffle"
-	case Fence:
-		return "fence"
-	}
-	return fmt.Sprintf("prim(%d)", int(k))
-}
+import "fmt"
 
 // BufRole says which buffer of a rank a move offset indexes.
 type BufRole int
@@ -99,68 +60,22 @@ type Move struct {
 	Lane int
 }
 
-// srcLen is the byte count shipped from the source.
-func (m *Move) srcLen() int64 {
+// SrcLen is the byte count shipped from the source (Bytes unless
+// overridden by SrcBytes).
+func (m *Move) SrcLen() int64 {
 	if m.SrcBytes != 0 {
 		return m.SrcBytes
 	}
 	return m.Bytes
 }
 
-// SrcLen is the byte count shipped from the source (Bytes unless
-// overridden by SrcBytes).
-func (m *Move) SrcLen() int64 { return m.srcLen() }
-
-// Prim is one IR node: a primitive over a rank group with chunking and
-// striping attributes, lowered to concrete moves, plus DAG dependencies
-// (indices into the owning DAG's node list).
-type Prim struct {
-	Kind       PrimKind
-	Group      []int // participating ranks (world ranks)
-	Root       int   // multicast source / reduce destination
-	Stripe     int   // concurrent inter-node sub-flows (0/1 = unstriped)
-	ChunkBytes int64 // pipeline granularity (0 = whole-block)
-	Moves      []Move
-	Deps       []int
-}
-
-// DAG is a compiled primitive graph for one collective call shape.
-type DAG struct {
-	Op    string
-	Ranks int
-	Prims []Prim
-}
-
-// Validate checks the DAG's structural consistency: endpoint ranks in
-// range, dependency indices acyclic (deps must point at earlier prims —
-// lowerings emit nodes in topological order), and reduce moves staged.
-func (d *DAG) Validate() error {
-	for i, pr := range d.Prims {
-		for _, dep := range pr.Deps {
-			if dep < 0 || dep >= i {
-				return fmt.Errorf("comp: %s dag prim %d: dep %d not an earlier prim", d.Op, i, dep)
-			}
-		}
-		for mi, m := range pr.Moves {
-			if m.From < 0 || m.From >= d.Ranks || m.To < 0 || m.To >= d.Ranks {
-				return fmt.Errorf("comp: %s dag prim %d move %d: endpoints %d->%d out of %d ranks",
-					d.Op, i, mi, m.From, m.To, d.Ranks)
-			}
-			if m.Bytes < 0 || m.SrcOff < 0 || m.DstOff < 0 {
-				return fmt.Errorf("comp: %s dag prim %d move %d: negative size or offset", d.Op, i, mi)
-			}
-			if m.Reduce && !m.Staged {
-				return fmt.Errorf("comp: %s dag prim %d move %d: reduce move must be staged", d.Op, i, mi)
-			}
-		}
-	}
-	return nil
-}
-
 // Phase is one fence-separated schedule step: its moves may proceed
 // concurrently; every move completes before the next phase starts.
 type Phase struct {
 	Moves []Move
+	// Stage is the phase's stage class for pipelined costing (staged
+	// lowerings: 0 = inter-node hop, 1 = intra-node hop).
+	Stage int
 }
 
 // Plan is the executable schedule emitted for one collective call shape:
@@ -181,49 +96,57 @@ type Plan struct {
 	Fenced bool
 	// ChunkBytes overrides the fabric pipeline granularity (0 = default).
 	ChunkBytes int64
-	// StageOf classifies each phase for pipelined costing (same length as
-	// Phases when PipeDepth > 1): phases of the same stage class share a
-	// resource and serialize; different classes overlap across rounds.
-	StageOf []int
 	// PipeDepth is the chunked round count (1 = unpipelined).
 	PipeDepth int
 	// Scratch is the staging bytes each rank must provide (nil = none).
+	// Set by Check.
 	Scratch []int64
+	// Slot is the staged pipe slot size: the largest staged move's source
+	// chunk, or 1 when no move is staged (the slot is unused then, but
+	// pipes want a positive capacity). Set by Check.
+	Slot int64
 	// Cost is the α–β model's estimate for the whole plan.
 	Cost float64
 
 	rankProgs []*RankProgram // lazy per-rank split (single-threaded use)
 }
 
-// Schedule linearizes the DAG into a Plan: prims are levelled by their
-// dependency depth (every prim lands one level after its deepest dep), a
-// fence between levels orders the phases, and each level's moves merge in
-// prim order. Fence prims contribute ordering only.
-func (d *DAG) Schedule(key string) (*Plan, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
+// newPlan starts an empty unpipelined plan for (op, strategy) on t.
+func newPlan(op string, t *Topo, s Strategy) *Plan {
+	return &Plan{Op: op, Key: s.Key(), Ranks: t.Ranks(), ChunkBytes: s.Chunk, PipeDepth: 1}
+}
+
+// add appends a phase of the given stage class; an empty one (a chunk or
+// relay level with nothing to move) is dropped.
+func (p *Plan) add(stage int, moves []Move) {
+	if len(moves) > 0 {
+		p.Phases = append(p.Phases, Phase{Moves: moves, Stage: stage})
 	}
-	level := make([]int, len(d.Prims))
-	max := 0
-	for i, pr := range d.Prims {
-		l := 0
-		for _, dep := range pr.Deps {
-			if level[dep]+1 > l {
-				l = level[dep] + 1
-			}
-		}
-		level[i] = l
-		if l > max {
-			max = l
-		}
-	}
-	p := &Plan{Op: d.Op, Key: key, Ranks: d.Ranks, Phases: make([]Phase, max+1)}
-	scratch := make([]int64, d.Ranks)
+}
+
+// Check validates the plan — every move's endpoints in range, no negative
+// size or offset, reduce moves staged — and sizes it for the executor:
+// Scratch (the furthest byte each rank's scratch moves reach) and Slot.
+func (p *Plan) Check() error {
+	scratch := make([]int64, p.Ranks)
 	var hasScratch bool
-	for i, pr := range d.Prims {
-		ph := &p.Phases[level[i]]
-		for _, m := range pr.Moves {
-			ph.Moves = append(ph.Moves, m)
+	p.Slot = 1
+	for pi := range p.Phases {
+		for mi := range p.Phases[pi].Moves {
+			m := &p.Phases[pi].Moves[mi]
+			if m.From < 0 || m.From >= p.Ranks || m.To < 0 || m.To >= p.Ranks {
+				return fmt.Errorf("comp: %s plan phase %d move %d: endpoints %d->%d out of %d ranks",
+					p.Op, pi, mi, m.From, m.To, p.Ranks)
+			}
+			if m.Bytes < 0 || m.SrcBytes < 0 || m.SrcOff < 0 || m.DstOff < 0 {
+				return fmt.Errorf("comp: %s plan phase %d move %d: negative size or offset", p.Op, pi, mi)
+			}
+			if m.Reduce && !m.Staged {
+				return fmt.Errorf("comp: %s plan phase %d move %d: reduce move must be staged", p.Op, pi, mi)
+			}
+			if m.Staged {
+				p.Slot = max(p.Slot, m.SrcLen())
+			}
 			for _, end := range [2]struct {
 				rank int
 				role BufRole
@@ -236,18 +159,11 @@ func (d *DAG) Schedule(key string) (*Plan, error) {
 			}
 		}
 	}
+	p.Scratch = nil
 	if hasScratch {
 		p.Scratch = scratch
 	}
-	// Drop empty trailing/interior phases (pure-fence levels).
-	kept := p.Phases[:0]
-	for _, ph := range p.Phases {
-		if len(ph.Moves) > 0 {
-			kept = append(kept, ph)
-		}
-	}
-	p.Phases = kept
-	return p, nil
+	return nil
 }
 
 // Dest identifies one sender process: a destination rank plus a stripe
@@ -300,16 +216,4 @@ func (p *Plan) Rank(r int) *RankProgram {
 	}
 	p.rankProgs[r] = rp
 	return rp
-}
-
-// groupRanks returns the sorted distinct ranks of a node-grouped world.
-func groupRanks(t *Topo, node int) []int {
-	var g []int
-	for r, n := range t.NodeOf {
-		if n == node {
-			g = append(g, r)
-		}
-	}
-	sort.Ints(g)
-	return g
 }

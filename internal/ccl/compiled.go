@@ -95,22 +95,6 @@ func (co *core) compiledPlan(op string, blk int64, root int, key string) (*comp.
 	return p, nil
 }
 
-// planSlot is the staged-pipe slot size a plan needs: the largest staged
-// move's source chunk (1 when the plan is all-direct — the slot is unused
-// then, but pipes want a positive capacity).
-func planSlot(p *comp.Plan) int64 {
-	var max int64 = 1
-	for pi := range p.Phases {
-		for i := range p.Phases[pi].Moves {
-			m := &p.Phases[pi].Moves[i]
-			if m.Staged && m.SrcLen() > max {
-				max = m.SrcLen()
-			}
-		}
-	}
-	return max
-}
-
 // fence synchronizes every rank between phases of a fenced plan, reusing
 // the op's cyclic start barrier. Every rank reaches every fence (programs
 // always drain), so the barrier's parties match. With the watchdog armed a
@@ -142,13 +126,14 @@ func (rc *runCtx) bufAt(role comp.BufRole, rank int, off, n int64) device.View {
 	}
 }
 
-// runPlan executes this rank's slice of a compiled plan. slot is the
-// staged pipe slot size (planSlot). A phase's (destination, lane) pairs
-// send concurrently, each on one of the rank's resident workers (see
-// helperJob) and all counted down by one latch, while the process itself
-// performs the local copies and receives.
-func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp, slot int64) {
+// runPlan executes this rank's slice of a checked plan, whose staged
+// moves ship through pipe slots of plan.Slot bytes. A phase's
+// (destination, lane) pairs send concurrently, each on one of the rank's
+// resident workers (see helperJob) and all counted down by one latch,
+// while the process itself performs the local copies and receives.
+func (rc *runCtx) runPlan(plan *comp.Plan, dt Datatype, op RedOp) {
 	co, st := rc.co, rc.st
+	slot := plan.Slot
 	if plan.Scratch != nil && st.scratch == nil {
 		// First rank to arrive stages scratch for everyone (cooperative
 		// scheduling; every rank's moves resolve buffers lazily).
@@ -217,7 +202,7 @@ func (rc *runCtx) runLane(ph *comp.RankPhase, to, lane int, slot int64) {
 		src := rc.bufAt(m.SrcBuf, m.From, m.SrcOff, m.SrcLen())
 		if m.Staged {
 			// Staged, not byRef: a plan carries no proof that src
-			// outlives the receiver's read, so DAG.Validate
+			// outlives the receiver's read, so Plan.Check
 			// requires staged transport for reducing moves.
 			rc.put(m.To, src, src.Len(), slot)
 		} else {
@@ -320,7 +305,7 @@ func (c *Comm) Alltoallv(send *device.Buffer, scounts, sdispls []int,
 	c.enqueueColl(s, "alltoallv", a, 0, func(rc *runCtx) {
 		pl := rc.vPlan(strat, esz)
 		rc.chunk = pl.ChunkBytes
-		rc.runPlan(pl, dt, Sum, 1)
+		rc.runPlan(pl, dt, Sum)
 	})
 	return nil
 }
@@ -335,34 +320,28 @@ func fits(b *device.Buffer, off, count int, esz int64) bool {
 }
 
 // vPlan builds (once per op, by the first rank to execute) the alltoallv
-// move program from every rank's counts: the pairing schedule is compiled
-// (comp.PairPhase), the move list is runtime data. Runs after the start
-// rendezvous, so all ranks' opArgs are visible.
+// move program from every rank's counts: the pairing is the compiled
+// alltoall's (comp.Pairwise), the moves are runtime data, and an empty
+// block moves nothing. Runs after the start rendezvous, so all ranks'
+// opArgs are visible.
 func (rc *runCtx) vPlan(strat comp.Strategy, esz int64) *comp.Plan {
-	st, co := rc.st, rc.co
+	st := rc.st
 	if st.vplan != nil {
 		return st.vplan.(*comp.Plan)
 	}
-	t := co.compTopo()
-	nPhases := comp.NumPhases(t, strat)
-	plan := &comp.Plan{Op: "alltoallv", Key: strat.Key(), Ranks: co.n,
-		Phases: make([]comp.Phase, nPhases), Fenced: nPhases > 1,
-		ChunkBytes: strat.Chunk, PipeDepth: 1}
-	for r := 0; r < co.n; r++ {
+	plan := comp.Pairwise("alltoallv", rc.co.compTopo(), strat, func(r, q int) (comp.Move, bool) {
 		ar := st.args[r]
-		for q := 0; q < co.n; q++ {
-			ln := int64(ar.scounts[q]) * esz
-			if ln == 0 {
-				continue
-			}
-			ph := comp.PairPhase(t, strat, r, q)
-			plan.Phases[ph].Moves = append(plan.Phases[ph].Moves, comp.Move{
-				From: r, To: q,
-				SrcBuf: comp.SendBuf, SrcOff: int64(ar.sdispls[q]) * esz,
-				DstBuf: comp.RecvBuf, DstOff: int64(st.args[q].rdispls[r]) * esz,
-				Bytes: ln,
-			})
-		}
+		ln := int64(ar.scounts[q]) * esz
+		return comp.Move{
+			From: r, To: q,
+			SrcBuf: comp.SendBuf, SrcOff: int64(ar.sdispls[q]) * esz,
+			DstBuf: comp.RecvBuf, DstOff: int64(st.args[q].rdispls[r]) * esz,
+			Bytes: ln,
+		}, ln > 0
+	})
+	if err := plan.Check(); err != nil {
+		// Alltoallv checked every count and displacement on entry.
+		panic(err)
 	}
 	st.vplan = plan
 	return plan
@@ -423,10 +402,9 @@ func (c *Comm) enqueuePlan(op string, send, recv *device.Buffer, count int, dt D
 		return c.invalidPlan(op, err)
 	}
 	a := c.core.newArgs(send, recv, count, root)
-	slot := planSlot(pl)
 	c.enqueueColl(s, op, a, blk, func(rc *runCtx) {
 		rc.chunk = pl.ChunkBytes
-		rc.runPlan(pl, dt, Sum, slot)
+		rc.runPlan(pl, dt, Sum)
 	})
 	return nil
 }

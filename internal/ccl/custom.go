@@ -122,13 +122,6 @@ type customPlanKey struct {
 	esz   int64
 }
 
-// customPlan is a converted MSCCL schedule: the unified-executor plan plus
-// the staged pipe slot size (the largest chunk).
-type customPlan struct {
-	plan *comp.Plan
-	slot int64
-}
-
 // customPlan converts a registered MSCCL schedule into a compiled plan:
 // each step becomes one unfenced phase, each chunk transfer a staged
 // recv-buffer move (SrcBytes carries the source chunk length when
@@ -136,16 +129,14 @@ type customPlan struct {
 // historical interpreter's exact execution — same per-destination sender
 // processes, per-pair FIFO order, flow-control credits, and virtual-time
 // charges — so converted schedules stay byte-identical with the goldens.
-func (co *core) customPlan(a *Algo, count int, esz int64) *customPlan {
+func (co *core) customPlan(a *Algo, count int, esz int64) *comp.Plan {
 	if co.customPlans == nil {
-		co.customPlans = map[customPlanKey]*customPlan{}
+		co.customPlans = map[customPlanKey]*comp.Plan{}
 	}
 	k := customPlanKey{algo: a, count: count, esz: esz}
-	if cp, ok := co.customPlans[k]; ok {
-		return cp
+	if p, ok := co.customPlans[k]; ok {
+		return p
 	}
-	_, n0 := segment(count, a.NChunks, 0)
-	maxChunk := max(int64(n0)*esz, esz)
 	plan := &comp.Plan{Op: "custom/" + a.Name, Key: "msccl", Ranks: a.Ranks,
 		Phases: make([]comp.Phase, len(a.Steps)), PipeDepth: 1}
 	for si, stp := range a.Steps {
@@ -162,9 +153,12 @@ func (co *core) customPlan(a *Algo, count int, esz int64) *customPlan {
 			})
 		}
 	}
-	cp := &customPlan{plan: plan, slot: maxChunk}
-	co.customPlans[k] = cp
-	return cp
+	if err := plan.Check(); err != nil {
+		// RegisterAlgo validated the schedule's ranks and chunks.
+		panic(err)
+	}
+	co.customPlans[k] = plan
+	return plan
 }
 
 // runCustom executes the schedule for this rank, operating on the recv
@@ -172,8 +166,7 @@ func (co *core) customPlan(a *Algo, count int, esz int64) *customPlan {
 // converted to a compiled plan and runs through the unified executor
 // (compiled.go).
 func (rc *runCtx) runCustom(a *Algo, dt Datatype, op RedOp, count int) {
-	cp := rc.co.customPlan(a, count, int64(dt.Size()))
-	rc.runPlan(cp.plan, dt, op, cp.slot)
+	rc.runPlan(rc.co.customPlan(a, count, int64(dt.Size())), dt, op)
 }
 
 // AllPairsAllReduce generates the MSCCL "allpairs" allreduce schedule for n

@@ -1,6 +1,8 @@
 package ccl
 
 import (
+	"cmp"
+	"fmt"
 	"sort"
 
 	"mpixccl/internal/sim"
@@ -52,6 +54,23 @@ func (a Algorithm) String() string {
 		return "hierarchical"
 	}
 	return "auto"
+}
+
+// MarshalText spells the algorithm as String does (tuning tables omit
+// AlgoAuto).
+func (a Algorithm) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText reads a tuning table's algorithm name: "" and "auto" read
+// as AlgoAuto, any other unknown name is an error.
+func (a *Algorithm) UnmarshalText(b []byte) error {
+	name := cmp.Or(string(b), "auto")
+	for c := AlgoAuto; c <= AlgoHierarchical; c++ {
+		if name == c.String() {
+			*a = c
+			return nil
+		}
+	}
+	return fmt.Errorf("xccl: unknown algorithm %q", b)
 }
 
 // defaultHierChunkBytes is the pipeline chunk used when neither the caller

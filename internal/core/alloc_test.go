@@ -47,7 +47,7 @@ func TestEmitWithoutSinksAllocs(t *testing.T) {
 	for _, ev := range []event{
 		{kind: evOp, op: OpAllreduce, path: PathCCL, bytes: 1 << 20},
 		{kind: evFallback, op: OpAllreduce, cause: causeBreakerOpen},
-		{kind: evTuning, op: OpAllreduce, path: PathCCL, hit: true, algo: AlgoHierarchical},
+		{kind: evTuning, op: OpAllreduce, path: PathCCL, hit: true, algo: ccl.AlgoHierarchical},
 		{kind: evRetry, op: OpAllreduce, err: transient},
 		{kind: evBreaker, op: OpAllreduce, to: breakerHalfOpen},
 		{kind: evVerdict, op: OpAllreduce, dead: true, self: true},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mpixccl/internal/ccl"
+	"mpixccl/internal/ccl/comp"
 	"mpixccl/internal/device"
 	"mpixccl/internal/mpi"
 	"mpixccl/internal/sim"
@@ -137,25 +138,6 @@ type decision struct {
 	plan string
 }
 
-// compilableOps are the synthesized collectives the compiler lowers into
-// primitive DAGs (the ops that today bypass the CCL built-ins entirely).
-var compilableOps = map[OpKind]bool{
-	OpAlltoall: true, OpAlltoallv: true, OpGather: true, OpScatter: true,
-}
-
-// mapAlgo translates a tuning-table algorithm name into the CCL selector.
-func mapAlgo(a Algo) ccl.Algorithm {
-	switch a {
-	case AlgoFlatRing:
-		return ccl.AlgoFlatRing
-	case AlgoTree:
-		return ccl.AlgoTree
-	case AlgoHierarchical:
-		return ccl.AlgoHierarchical
-	}
-	return ccl.AlgoAuto
-}
-
 // decide runs the §3.1–§3.4 checks: device-buffer identify, datatype and
 // reduction support, then the mode policy (hybrid tuning table lookup).
 // bufs are the user buffers that must live on the accelerator for a CCL
@@ -198,9 +180,9 @@ func (x *Comm) decide(op OpKind, bytes int64, dt mpi.Datatype, rop *mpi.Op, bufs
 		}
 		// Only the compiled ops read d.plan; ParseTable rejects a plan key
 		// on a built-in op, whose family the band forces through Algo.
-		d.algo, d.chunk, d.plan = mapAlgo(th.Algo), th.ChunkBytes, th.Plan
+		d.algo, d.chunk, d.plan = th.Algo, th.ChunkBytes, th.Plan
 	}
-	if d.plan == "" && rt.opts.Compile && compilableOps[op] {
+	if d.plan == "" && rt.opts.Compile && comp.Compiles(string(op)) {
 		d.plan = "auto"
 	}
 	return d

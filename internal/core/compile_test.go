@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"mpixccl/internal/ccl"
 	"mpixccl/internal/mpi"
 )
 
@@ -116,7 +117,7 @@ func TestTablePlanForcesStrategy(t *testing.T) {
 	const count = 4096
 	tab := DefaultTableFor("ThetaGPU", NCCL, false)
 	tab.Set(OpAlltoall, []Threshold{{MaxBytes: 0, Path: PathCCL, Plan: "direct:chunk=4096"}})
-	tab.Set(OpAllreduce, []Threshold{{MaxBytes: 0, Path: PathCCL, Algo: AlgoHierarchical}})
+	tab.Set(OpAllreduce, []Threshold{{MaxBytes: 0, Path: PathCCL, Algo: ccl.AlgoHierarchical}})
 	rt := newRuntime(t, "thetagpu", n, Options{Backend: Auto, Mode: Hybrid, Table: tab})
 	err := rt.Run(func(x *Comm) {
 		dev := x.Device()

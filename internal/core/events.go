@@ -74,7 +74,7 @@ type event struct {
 	path  Path          // evOp: the executor; evTuning: the decided path
 
 	cause fallbackCause // evFallback
-	algo  Algo          // evTuning: the band's forced family
+	algo  ccl.Algorithm // evTuning: the band's forced family
 	hit   bool          // evTuning: a tuned rule decided (not the default)
 	err   error         // evRetry: the transient failure
 	to    breakerState  // evBreaker
@@ -156,8 +156,8 @@ func (rt *Runtime) emit(ev event) {
 			table = "hit"
 		}
 		rt.count(famTuning, metrics.Labels{"op": op, "decision": ev.path.String(), "table": table})
-		if ev.path != PathMPI && ev.algo != AlgoAuto {
-			rt.count(famAlgo, metrics.Labels{"op": op, "algo": string(ev.algo), "backend": backend})
+		if ev.path != PathMPI && ev.algo != ccl.AlgoAuto {
+			rt.count(famAlgo, metrics.Labels{"op": op, "algo": ev.algo.String(), "backend": backend})
 		}
 	case evRetry:
 		st.Retries++

@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"mpixccl/internal/ccl"
 )
 
 // FuzzParseTable feeds arbitrary bytes to ParseTable, seeded with the
@@ -19,7 +21,7 @@ func FuzzParseTable(f *testing.F) {
 	}
 	planned := DefaultTableFor("thetagpu", NCCL, false)
 	planned.Set(OpAlltoall, []Threshold{{MaxBytes: 0, Path: PathCCL, Plan: "direct:chunk=4096"}})
-	planned.Set(OpAllreduce, []Threshold{{MaxBytes: 0, Path: PathCCL, Algo: AlgoTree}})
+	planned.Set(OpAllreduce, []Threshold{{MaxBytes: 0, Path: PathCCL, Algo: ccl.AlgoTree}})
 	seeds = append(seeds, planned)
 	for _, tab := range seeds {
 		data, err := tab.JSON()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mpixccl/internal/ccl"
 	"mpixccl/internal/mpi"
 )
 
@@ -149,9 +150,9 @@ func TestPersistentMatchesOneShotProperty(t *testing.T) {
 // must still match the one-shot run under the same table.
 func TestPersistentForcedAlgorithms(t *testing.T) {
 	const nranks, count, waves = 16, 2048, 3
-	for _, algo := range []Algo{AlgoTree, AlgoFlatRing, AlgoHierarchical} {
+	for _, algo := range []ccl.Algorithm{ccl.AlgoTree, ccl.AlgoFlatRing, ccl.AlgoHierarchical} {
 		algo := algo
-		t.Run(string(algo), func(t *testing.T) {
+		t.Run(algo.String(), func(t *testing.T) {
 			table := &TuningTable{System: "test", Backend: string(NCCL), Version: TableVersion}
 			table.Set(OpAllreduce, []Threshold{{Path: PathCCL, Algo: algo}})
 			mk := func(persistent bool) [][]byte {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mpixccl/internal/ccl"
 	"mpixccl/internal/ccl/comp"
 )
 
@@ -42,30 +43,6 @@ func (p Path) String() string {
 	return "mpi"
 }
 
-// Algo names the CCL algorithm family a tuned band forces. The empty
-// string ("auto") keeps the backend's built-in size-based split — the only
-// choice version-1 tables could express.
-type Algo string
-
-// Tunable algorithm families for CCL-path bands.
-const (
-	AlgoAuto         Algo = ""
-	AlgoFlatRing     Algo = "flat-ring"
-	AlgoTree         Algo = "tree"
-	AlgoHierarchical Algo = "hierarchical"
-)
-
-// ParseAlgo validates an algorithm name from a serialized table.
-func ParseAlgo(s string) (Algo, error) {
-	switch a := Algo(s); a {
-	case AlgoAuto, AlgoFlatRing, AlgoTree, AlgoHierarchical:
-		return a, nil
-	case "auto":
-		return AlgoAuto, nil
-	}
-	return AlgoAuto, fmt.Errorf("xccl: unknown algorithm %q", s)
-}
-
 // TableVersion is the current tuning-table schema: version 2 added the
 // per-band algorithm selector and pipeline chunk size; version 3 added the
 // compiled-plan key (Threshold.Plan). Version-1 tables (no version field)
@@ -80,8 +57,11 @@ const TableVersion = 3
 type Threshold struct {
 	MaxBytes int64 `json:"max_bytes"`
 	Path     Path  `json:"path"`
-	// Algo forces a CCL schedule family for this band ("" = backend auto).
-	Algo Algo `json:"algo,omitempty"`
+	// Algo forces a CCL schedule family for this band (ccl.AlgoAuto, which
+	// the JSON omits and reads from "" or "auto", keeps the backend's
+	// built-in size-based split — the only choice version-1 tables could
+	// express).
+	Algo ccl.Algorithm `json:"algo,omitempty"`
 	// ChunkBytes is the hierarchical pipeline chunk (0 = backend default).
 	ChunkBytes int64 `json:"chunk_bytes,omitempty"`
 	// Plan is the compiled-plan strategy key for this band (v3; "" = no
@@ -165,7 +145,7 @@ func (t *TuningTable) JSON() ([]byte, error) {
 // ParseTable loads a table from JSON (the xccltuner output format). Tables
 // from older schema versions (including unversioned v1 tables) load
 // unchanged; tables from a newer schema are rejected rather than silently
-// misread. Algorithm names are validated per band.
+// misread. Algorithm names and plan keys are validated per band.
 func ParseTable(data []byte) (*TuningTable, error) {
 	var t TuningTable
 	if err := json.Unmarshal(data, &t); err != nil {
@@ -177,11 +157,6 @@ func ParseTable(data []byte) (*TuningTable, error) {
 	}
 	for op, rule := range t.Rules {
 		for i, th := range rule {
-			a, err := ParseAlgo(string(th.Algo))
-			if err != nil {
-				return nil, fmt.Errorf("xccl: tuning table rule %s band %d: %w", op, i, err)
-			}
-			rule[i].Algo = a
 			if th.Plan != "" {
 				if err := comp.ValidKey(string(op), th.Plan); err != nil {
 					return nil, fmt.Errorf("xccl: tuning table rule %s band %d: %w", op, i, err)
@@ -273,7 +248,7 @@ func HierarchicalTableFor(system string, backend BackendKind, multiNode bool, ch
 		rule := t.Rules[op]
 		for i := range rule {
 			if rule[i].Path == PathCCL {
-				rule[i].Algo = AlgoHierarchical
+				rule[i].Algo = ccl.AlgoHierarchical
 				rule[i].ChunkBytes = chunkBytes
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"mpixccl/internal/ccl"
 )
 
 func TestTuningLookupBands(t *testing.T) {
@@ -146,7 +148,7 @@ func TestParseTableMigration(t *testing.T) {
 					t.Fatal("v1 bands misread")
 				}
 				th, _ := tab.Choice(OpAllreduce, 1<<20)
-				if th.Algo != AlgoAuto || th.Plan != "" {
+				if th.Algo != ccl.AlgoAuto || th.Plan != "" {
 					t.Fatalf("v1 band gained fields: %+v", th)
 				}
 			},
@@ -157,7 +159,7 @@ func TestParseTableMigration(t *testing.T) {
 				"allreduce":[{"max_bytes":0,"path":1,"algo":"hierarchical","chunk_bytes":1048576}]}}`,
 			check: func(t *testing.T, tab *TuningTable) {
 				th, _ := tab.Choice(OpAllreduce, 1<<20)
-				if th.Algo != AlgoHierarchical || th.ChunkBytes != 1<<20 || th.Plan != "" {
+				if th.Algo != ccl.AlgoHierarchical || th.ChunkBytes != 1<<20 || th.Plan != "" {
 					t.Fatalf("v2 band misread: %+v", th)
 				}
 			},
@@ -190,6 +192,18 @@ func TestParseTableMigration(t *testing.T) {
 			json: `{"version":3,"system":"ThetaGPU","backend":"nccl","rules":{
 				"allreduce":[{"max_bytes":0,"path":1,"plan":"native:hier"}]}}`,
 			wantErr: "native:hier",
+		},
+		{
+			name: "v3-phased-gather-rejected",
+			json: `{"version":3,"system":"ThetaGPU","backend":"nccl","rules":{
+				"gather":[{"max_bytes":0,"path":1,"plan":"phased"}]}}`,
+			wantErr: "no phased lowering",
+		},
+		{
+			name: "v2-unknown-algo",
+			json: `{"version":2,"system":"ThetaGPU","backend":"nccl","rules":{
+				"allreduce":[{"max_bytes":0,"path":1,"algo":"warp-ring"}]}}`,
+			wantErr: "warp-ring",
 		},
 		{
 			name: "v3-plan-wrong-op",

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mpixccl/internal/ccl"
 	"mpixccl/internal/ccl/comp"
 	"mpixccl/internal/core"
 	"mpixccl/internal/fabric"
@@ -443,7 +444,7 @@ func TestTuneSweepsHierarchical(t *testing.T) {
 	if !ok || th.Path != core.PathCCL {
 		t.Fatalf("tuner should pick CCL at 4MB on 2 nodes, got %+v (hit=%v)", th, ok)
 	}
-	if th.Algo != core.AlgoHierarchical {
+	if th.Algo != ccl.AlgoHierarchical {
 		t.Fatalf("tuner should pick the hierarchical schedule at 4MB, got %+v", th)
 	}
 	if th.ChunkBytes <= 0 {
@@ -486,7 +487,7 @@ func TestTuneNoAlgoSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, band := range table.Rules[core.OpAllreduce] {
-		if band.Algo != core.AlgoAuto || band.ChunkBytes != 0 {
+		if band.Algo != ccl.AlgoAuto || band.ChunkBytes != 0 {
 			t.Fatalf("NoAlgoSweep table must stay path-only, got %+v", band)
 		}
 	}

@@ -3,6 +3,7 @@ package omb
 import (
 	"fmt"
 
+	"mpixccl/internal/ccl"
 	"mpixccl/internal/core"
 	"mpixccl/internal/world"
 )
@@ -87,12 +88,12 @@ func Tune(cfg Config, ops []Collective) (*core.TuningTable, error) {
 		if !cfg.NoAlgoSweep && cfg.Nodes > 1 && hierOp(op) {
 			for _, chunk := range chunks {
 				band := core.Threshold{Path: core.PathCCL,
-					Algo: core.AlgoHierarchical, ChunkBytes: chunk}
+					Algo: ccl.AlgoHierarchical, ChunkBytes: chunk}
 				// Force the candidate through a single-band table on the
 				// hybrid stack — the exact dispatch plumbing production
 				// tables use, so measurements include its overheads.
 				forced := &core.TuningTable{System: cfg.System, Backend: string(cfg.Backend)}
-				forced.Set(tuneOpKind(op), []core.Threshold{band})
+				forced.Set(core.OpKind(op), []core.Threshold{band})
 				hierCfg := cfg
 				hierCfg.Stack = world.StackHybrid
 				hierCfg.Table = forced
@@ -107,7 +108,7 @@ func Tune(cfg Config, ops []Collective) (*core.TuningTable, error) {
 			for _, key := range planSweep(op, cfg.Nodes > 1) {
 				band := core.Threshold{Path: core.PathCCL, Plan: key}
 				forced := &core.TuningTable{System: cfg.System, Backend: string(cfg.Backend)}
-				forced.Set(tuneOpKind(op), []core.Threshold{band})
+				forced.Set(core.OpKind(op), []core.Threshold{band})
 				planCfg := cfg
 				planCfg.Stack = world.StackHybrid
 				planCfg.Table = forced
@@ -143,27 +144,7 @@ func Tune(cfg Config, ops []Collective) (*core.TuningTable, error) {
 		if len(rule) > 0 {
 			rule[len(rule)-1].MaxBytes = 0 // open-ended final band
 		}
-		table.Set(tuneOpKind(op), rule)
+		table.Set(core.OpKind(op), rule)
 	}
 	return table, nil
-}
-
-func tuneOpKind(op Collective) core.OpKind {
-	switch op {
-	case Allreduce:
-		return core.OpAllreduce
-	case Reduce:
-		return core.OpReduce
-	case Bcast:
-		return core.OpBcast
-	case Alltoall:
-		return core.OpAlltoall
-	case Allgather:
-		return core.OpAllgather
-	case Gather:
-		return core.OpGather
-	case Scatter:
-		return core.OpScatter
-	}
-	return core.OpKind(op)
 }

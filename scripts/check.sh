@@ -112,8 +112,8 @@ go test -race -run 'TestTrainElastic|TestTrainPersistent' mpixccl/internal/dl
 # and hand their sends and leader engines to the rank's resident workers,
 # shared by one-shot and persistent work; the property tests cover every phase
 # interleaving, so they are the ccl surface worth a race pass. TestCompiled
-# adds the compiled executor: every plan strategy's primitive DAG runs its
-# steps through the same pooled pipes. TestRing, TestPersistentRing and
+# adds the compiled executor: every plan strategy's move phases run
+# through the same pooled pipes. TestRing, TestPersistentRing and
 # TestReduceOnReceive cover the pipe steps that read or write a peer's
 # buffer in place (allgather placement, reduce-on-receive, leaves sending
 # from their send buffer) and their staged fallback;
@@ -129,6 +129,7 @@ go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled|Tes
 # Fuzz smoke: a few seconds of coverage-guided input per parser on top of
 # the seed corpora the suite above already ran.
 go test -run '^$' -fuzz '^FuzzParseTable$' -fuzztime 5s mpixccl/internal/core
+go test -run '^$' -fuzz '^FuzzParseKey$' -fuzztime 5s mpixccl/internal/ccl/comp
 go test -run '^$' -fuzz '^FuzzParseChromeTrace$' -fuzztime 5s mpixccl/internal/trace
 go test -run '^$' -fuzz '^FuzzParseAlgo$' -fuzztime 5s mpixccl/internal/ccl/msccl
 go test -run '^$' -fuzz '^FuzzParsePartition$' -fuzztime 5s mpixccl/cmd/ombrun
