@@ -61,7 +61,8 @@ func (c *Comm) enqueueColl(s *device.Stream, name string, a *opArgs, bytes int64
 
 // wave runs rank c's part of one execution of a collective on rc.st, for
 // one-shot calls (enqueueColl) and persistent waves (newPersistentColl)
-// alike: the injected straggler latency, the launch, the start rendezvous
+// alike: the byte regime (recorded by the first rank in, see enter), the
+// injected straggler latency, the launch, the start rendezvous
 // under the collective watchdog, the schedule, and the verdict. A rank
 // whose rendezvous times out on a fail-stopped peer, or that arrives after
 // a peer already judged the sequence dead, abandons the schedule with an
@@ -70,6 +71,7 @@ func (c *Comm) enqueueColl(s *device.Stream, name string, a *opArgs, bytes int64
 // side of the cut. Verdicts are asynchronous; a rank keeps the first.
 func (c *Comm) wave(rc *runCtx, name string, bytes int64, run func(rc *runCtx)) {
 	co, st, p := c.core, rc.st, rc.p
+	st.enter(co)
 	c.delay(p, name)
 	rc.launch(bytes)
 	// Only an armed watchdog fails fast on st.aborted: a severed hop sets it
@@ -311,23 +313,49 @@ func (rc *runCtx) ringAllReduce(dt Datatype, op RedOp, count int) {
 // over the rank group, in place over count elements at byte offset base of
 // each member's recv buffer; idx is this rank's position in group. The
 // flat ring runs it over all ranks, the hierarchical leader engine over
-// the node leaders, one pipeline chunk at a time. Neither phase copies
-// through the pipes' scratch: reduce-scatter segments are reduced straight
-// from the sender's buffer (see byRef), and allgather segments are placed
-// straight at their final offset in the right neighbor's recv buffer (see
-// getPlaced). A chunk shorter than the group leaves some segments empty;
-// their steps move nothing.
+// the node leaders, one pipeline chunk at a time. A chunk shorter than the
+// group leaves some segments empty; their steps move nothing.
+//
+// Every hop keeps its credit, data signal, StepCost, wire time, ReduceTime
+// and unpack CopyTime, so the schedule's virtual time is the same in both
+// byte regimes of the op (opState.faithful):
+//   - Faithful: owner computes. The hops are priced and move no bytes. At
+//     its last reduce-scatter step, the owner of segment k reduces
+//     x_k ⊕ (x_{k−1} ⊕ (… ⊕ x_{k+1})) straight from every member's recv
+//     segment and writes the result into all of them (ownerReduce), the
+//     association and operand order of the hop-by-hop ring, so the bytes are
+//     identical. That is safe for three reasons. Every member staged its
+//     input before it sent its first partial of segment k, so all inputs
+//     are in place by the owner's last step. Nothing else writes segment k
+//     during the op: no hop moves bytes, and only its owner reduces it.
+//     And no member reads it before the value is there: a member's call
+//     ends only after its allgather received segment k, which follows the
+//     owner's pass, and nothing reads a member's segment sooner. An op
+//     already aborted (a severed hop, whose result is void) skips the pass.
+//   - Unfaithful (a corrupter attached or integrity on): hop by hop, since
+//     corruption and CRC retries need real payloads. Reduce-scatter puts
+//     stage each partial in the receiver's slot, and the allgather places
+//     each reduced segment straight at its final offset in the right
+//     member's recv buffer (see getPlaced).
 func (rc *runCtx) ringAllReduceOver(group []int, idx int, dt Datatype, op RedOp, base int64, count int) {
 	m := len(group)
 	right := group[(idx+1)%m]
 	left := group[(idx-1+m)%m]
 	esz := int64(dt.Size())
 	recv, rrecv := rc.st.args[rc.rank].recv, rc.st.args[right].recv
+	fused := rc.st.faithful
 	_, n0 := segment(count, m, 0)
 	slotBytes := max(int64(n0)*esz, esz)
 	seg := func(s int) (int64, int64) {
 		lo, n := segment(count, m, s)
 		return base + int64(lo)*esz, int64(n) * esz
+	}
+	// Hop by hop, reduce-scatter stages each partial and the allgather
+	// places each reduced segment; when the owners move the bytes, every
+	// hop is priced.
+	rsHop, agHop := staged, placed
+	if fused {
+		rsHop, agHop = priced, priced
 	}
 	// Reduce-scatter: after m-1 steps member idx owns segment idx reduced.
 	for step := 0; step < m-1; step++ {
@@ -335,25 +363,32 @@ func (rc *runCtx) ringAllReduceOver(group []int, idx int, dt Datatype, op RedOp,
 		ro, rl := seg((idx - step - 2 + 2*m) % m)
 		var sent *sim.Counter
 		if sl > 0 {
-			sent = rc.putAsync(right, byRef, recv.View(so, sl), sl, slotBytes)
+			sent = rc.putAsync(right, rsHop, device.View{}, recv.View(so, sl), sl, slotBytes)
 		}
 		if rl > 0 {
 			slot, buf := rc.get(left, slotBytes)
-			rc.reduceInto(op, dt, recv.View(ro, rl), buf, int(rl/esz))
+			switch {
+			case !fused:
+				rc.reduceInto(op, dt, recv.View(ro, rl), buf, int(rl/esz))
+			case step == m-2 && !rc.st.aborted:
+				rc.ownerReduce(group, idx, dt, op, ro, rl)
+				fallthrough
+			default:
+				rc.p.Sleep(rc.dev().ReduceTime(rl))
+			}
 			rc.release(left, slot, slotBytes)
 		}
 		if sent != nil {
 			sent.Wait(rc.p)
 		}
 	}
-	// Allgather: forward the reduced segments around the same ring, placed
-	// directly in the right member's recv buffer.
+	// Allgather: forward the reduced segments around the same ring.
 	for step := 0; step < m-1; step++ {
 		so, sl := seg((idx - step + m) % m)
 		_, rl := seg((idx - step - 1 + 2*m) % m)
 		var sent *sim.Counter
 		if sl > 0 {
-			sent = rc.putAsync(right, rrecv.View(so, sl), recv.View(so, sl), sl, slotBytes)
+			sent = rc.putAsync(right, agHop, rrecv.View(so, sl), recv.View(so, sl), sl, slotBytes)
 		}
 		if rl > 0 {
 			rc.getPlaced(left, rl, slotBytes)
@@ -364,17 +399,59 @@ func (rc *runCtx) ringAllReduceOver(group []int, idx int, dt Datatype, op RedOp,
 	}
 }
 
-// getPlaced consumes a put that putTo placed at its final offset in this
-// rank's buffer, n bytes: the receiver still pays the modeled unpack time
-// of the staged copy and returns the credit, but moves no bytes.
+// fuseBlock is the byte size of one block of ownerReduce: a few blocks of
+// it (a member's input, the running partial, the next partial) stay in a
+// core's L2 cache while the pass works on them.
+const fuseBlock = 64 << 10
+
+// ownerReduce is the owner-computes pass of the group ring (see
+// ringAllReduceOver): member idx, the owner of the segment at byte offset
+// off and length n of every member's recv buffer, reduces it as the hop-by-
+// hop ring would — the partial of member idx+1's input, then each next
+// member's own input on the left of the partial it received — and writes
+// the result into every member's segment. It runs in fuseBlock blocks,
+// through the communicator's two scratch blocks, so each finished block is
+// copied out while it is still in cache. It charges no time: the ring's
+// hops charge the steps it replaces.
+func (rc *runCtx) ownerReduce(group []int, idx int, dt Datatype, op RedOp, off, n int64) {
+	co := rc.co
+	if co.fuse[0] == nil {
+		co.fuse = [2][]byte{make([]byte, fuseBlock), make([]byte, fuseBlock)}
+	}
+	m := len(group)
+	eop, kind := op.elemOp(), dt.kind()
+	for lo := int64(0); lo < n; lo += fuseBlock {
+		bn := min(int64(fuseBlock), n-lo)
+		cnt := int(bn / int64(dt.Size()))
+		at := func(i int) []byte {
+			return rc.st.args[group[(idx+i)%m]].recv.Bytes()[off+lo : off+lo+bn]
+		}
+		acc := at(1)
+		for i := 2; i < m; i++ {
+			next := co.fuse[i%2][:bn]
+			elem.ReduceTo(eop, kind, next, at(i), acc, cnt)
+			acc = next
+		}
+		own := at(0)
+		elem.ReduceTo(eop, kind, own, own, acc, cnt)
+		for i := 1; i < m; i++ {
+			copy(at(i), own)
+		}
+	}
+}
+
+// getPlaced consumes a placed put, n bytes already at their final offset in
+// this rank's buffer, or a priced one, which moved none: the receiver still
+// pays the modeled unpack time of the staged copy and returns the credit,
+// but moves no bytes.
 //
-// Placement is safe in a ring allgather phase because each segment is
-// written once, and causally after the receiver's last access to it. In an
-// allreduce that access is the reduce-scatter send of the segment's partial
-// sum; the final value reaches the left neighbor only after that partial
-// has travelled on around the ring. In a plain allgather the receiver never
-// touches a foreign block before it arrives. After arrival, the receiver
-// reads the segment only to forward it, which follows the get.
+// Placement is safe in a ring allgather because each segment is written
+// once, and causally after the receiver's last access to it. In a per-hop
+// ring allreduce that access is the reduce-scatter send of the segment's
+// partial; the final value reaches the left neighbor only after that
+// partial has travelled on around the ring. In a plain allgather the
+// receiver never touches a foreign block before it arrives. After arrival,
+// the receiver reads the segment only to forward it, which follows the get.
 func (rc *runCtx) getPlaced(from int, n, slotBytes int64) {
 	slot, _ := rc.get(from, slotBytes)
 	rc.p.Sleep(rc.dev().CopyTime(n))
@@ -433,7 +510,7 @@ func (rc *runCtx) treeReduceOver(group []int, idx int, dt Datatype, op RedOp,
 			if mine.Buf == nil {
 				mine = src.View(off, bytes)
 			}
-			rc.putTo(group[idx-mask], byRef, mine, bytes, slotBytes)
+			rc.putTo(group[idx-mask], byRef, device.View{}, mine, bytes, slotBytes)
 			return
 		}
 		if idx+mask < n {
@@ -535,7 +612,7 @@ func (rc *runCtx) ringAllGather(dt Datatype, count int) {
 	left := (rc.rank - 1 + n) % n
 	for step := 0; step < n-1; step++ {
 		off := int64((rc.rank-step+n)%n) * bytes
-		sent := rc.putAsync(right, rc.st.args[right].recv.View(off, bytes), a.recv.View(off, bytes), bytes, 1)
+		sent := rc.putAsync(right, placed, rc.st.args[right].recv.View(off, bytes), a.recv.View(off, bytes), bytes, 1)
 		rc.getPlaced(left, bytes, 1)
 		sent.Wait(rc.p)
 	}
@@ -563,7 +640,7 @@ func (rc *runCtx) ringReduceScatter(dt Datatype, op RedOp, recvCount int) {
 			recvSeg := (rc.rank - step - 2 + 2*n) % n
 			// Staged: work returns to the pool while the last receiver may
 			// still be reading it.
-			sent := rc.putAsync(right, device.View{}, work.View(int64(sendSeg)*blk, blk), blk, slotBytes)
+			sent := rc.putAsync(right, staged, device.View{}, work.View(int64(sendSeg)*blk, blk), blk, slotBytes)
 			slot, buf := rc.get(left, slotBytes)
 			rc.reduceInto(op, dt, work.View(int64(recvSeg)*blk, blk), buf, recvCount)
 			rc.release(left, slot, slotBytes)

@@ -84,6 +84,11 @@ type core struct {
 	// collective in steady state builds neither (see join and finish).
 	opFree    []*opState
 	idlePipes map[[2]int]*pipe
+
+	// fuse holds the two scratch blocks of the ring allreduce's fused
+	// owner pass (see ownerReduce), made at the first pass. One pair serves
+	// every rank: a pass never yields, so no two run at once.
+	fuse [2][]byte
 }
 
 // newArgs returns a recycled (or fresh) opArgs holding the call arguments.
@@ -420,6 +425,14 @@ type opState struct {
 	// vplan is the alltoallv move program built at run time from every
 	// rank's counts (first arriving rank builds it; see compiled.go).
 	vplan any
+	// faithful is the op's byte regime, the fabric's Faithful() read once
+	// when the first rank enters the wave (entered counts the ranks that
+	// have, back to 0 when all have). Every byte decision of the wave reads
+	// it — byRef, the ring's priced hops and its fused owner pass — so a
+	// SetIntegrity or SetFaults while the op runs cannot split it between
+	// two regimes.
+	faithful bool
+	entered  int
 }
 
 type opArgs struct {
@@ -430,6 +443,17 @@ type opArgs struct {
 	// displacements. The compiled executor reads every rank's counts after
 	// the start rendezvous to build the move program.
 	scounts, sdispls, rcounts, rdispls []int
+}
+
+// enter records the op's byte regime at the first rank's entry into a
+// wave: once per one-shot op, and once per wave of a persistent handle.
+func (st *opState) enter(co *core) {
+	if st.entered == 0 {
+		st.faithful = co.fab.Faithful()
+	}
+	if st.entered++; st.entered == co.n {
+		st.entered = 0
+	}
 }
 
 // join registers rank args for collective #seq and returns the shared
@@ -659,16 +683,17 @@ func (rc *runCtx) xfer(dst, src device.View, n int64, noCopy bool) bool {
 // are the asynchronous sends that let an executing process receive
 // concurrently — rings are full duplex, exactly like the hardware channels
 // they run on. Jobs are plain values, so a post allocates nothing. A job is
-// one putTo; or, when blocks is non-nil, a node block-set: one n-byte block
-// per listed rank r at offset r·n of src, put staged (zero dst) or directly
-// at the same offset of dst; or, when ph is non-nil, one lane of a compiled
-// plan phase: ph's moves to rank to on plan lane lane; or, when eng is
-// non-nil, one call of a hierarchical leader's engine; or, when group is
-// non-nil, one GroupEnd send of n bytes from src to rank to. The worker
-// runs it under the poster's st, rank, gate and chunk and counts done down
-// when it completes.
+// one putTo by transport how; or, when blocks is non-nil, a node block-set:
+// one n-byte block per listed rank r at offset r·n of src, staged, or
+// placed (putDirect) at the same offset of dst; or, when ph is non-nil, one
+// lane of a compiled plan phase: ph's moves to rank to on plan lane lane;
+// or, when eng is non-nil, one call of a hierarchical leader's engine; or,
+// when group is non-nil, one GroupEnd send of n bytes from src to rank to.
+// The worker runs it under the poster's st, rank, gate and chunk and counts
+// done down when it completes.
 type helperJob struct {
 	to           int
+	how          transport
 	dst, src     device.View
 	n, slotBytes int64
 	blocks       []int
@@ -726,14 +751,14 @@ func (co *core) runJob(p *sim.Proc, j helperJob) {
 	case j.ph != nil:
 		rc.runLane(j.ph, j.to, j.lane, j.slotBytes)
 	case j.blocks == nil:
-		rc.putTo(j.to, j.dst, j.src, j.n, j.slotBytes)
+		rc.putTo(j.to, j.how, j.dst, j.src, j.n, j.slotBytes)
 	default:
 		for _, r := range j.blocks {
 			off := int64(r) * j.n
-			if j.dst.Buf == nil {
-				rc.put(j.to, j.src.Sub(off, j.n), j.n, j.n)
-			} else {
+			if j.how == placed {
 				rc.putDirect(j.to, j.dst.Sub(off, j.n), j.src.Sub(off, j.n), j.n)
+			} else {
+				rc.put(j.to, j.src.Sub(off, j.n), j.n, j.n)
 			}
 		}
 	}
@@ -743,69 +768,84 @@ func (co *core) runJob(p *sim.Proc, j helperJob) {
 }
 
 // putAsync runs putTo on one of the rank's resident workers (see post).
-func (rc *runCtx) putAsync(to int, dst, src device.View, n int64, slotBytes int64) *sim.Counter {
-	return rc.post(helperJob{to: to, dst: dst, src: src, n: n, slotBytes: slotBytes})
+func (rc *runCtx) putAsync(to int, how transport, dst, src device.View, n int64, slotBytes int64) *sim.Counter {
+	return rc.post(helperJob{to: to, how: how, dst: dst, src: src, n: n, slotBytes: slotBytes})
 }
 
-// put ships n bytes from src into a scratch slot at rank "to" and signals
-// it; blocks on flow-control credits.
+// put is a staged putTo.
 func (rc *runCtx) put(to int, src device.View, n int64, slotBytes int64) {
-	rc.putTo(to, device.View{}, src, n, slotBytes)
+	rc.putTo(to, staged, device.View{}, src, n, slotBytes)
 }
 
-// byRef is the putTo destination that selects reduce-on-receive: the put
-// takes the credit, pays the identical α–β, chunk and contention time, and
-// sends the data signal, but publishes src itself in the pipe instead of
-// copying it into the slot. The receiver's get returns src, reduceInto reads
-// it in place (charging ReduceTime as ever), and release drops the
-// reference — NCCL's P2P read of a peer buffer over NVLink. Virtual time is
-// unchanged; one host memory pass per reduced byte disappears.
-//
-// The caller must guarantee src is not written until the receiver has
-// released it. That holds at each reduce step where the sender's next write
-// to the segment is causally after the receiver's reduce. Each proof holds
-// for its group schedule over any rank group, flat or hierarchical:
-//   - the group ring's reduce-scatter (ringAllReduceOver): the segment a
-//     rank sends at step s is next written by the allgather, with the
-//     segment's final value, which exists only after the partial has
-//     travelled on around the ring through the right neighbor's reduce;
-//   - the group binomial reduction over the accumulation buffer
-//     (treeReduceOver): a child's chunk is next written by the broadcast
-//     phase, or freed after waitDirect, and both follow its parent's
-//     reduce;
-//   - a leaf of treeReduceOver that sends its input straight from the
-//     caller's send buffer: the schedule never writes send, and the leaf's
-//     call, after which the caller may, ends only once its parent's reduce
-//     is done (the leaf then waits for the broadcast or the leader's
-//     delivery).
-//
-// Staged sites say at the call why they stay staged. The fabric must also
-// be Faithful: injected corruption lands in a real copy and CRC32C compares
-// two, so with a corrupter attached or integrity on, a byRef put stages as
-// a zero-dst put does. A severed hop publishes nothing, so the receiver
-// reads the slot, as after a severed staged put.
-var byRef = device.View{Buf: new(device.Buffer)}
+// transport is how a put's payload reaches the receiver, chosen by the
+// schedule at each put. Whatever it is, the put takes the credit, pays the
+// hop's wire time (fabric.Price is TryTransfer's pricing core) and sends
+// the data signal as a staged put does, so flow control, and with it every
+// virtual timestamp, does not depend on it: only the host bytes moved do.
+type transport uint8
 
-// putTo is put with the payload placed at dst, a region of the receiver's
-// own buffer, instead of the scratch slot when dst is non-zero (byRef aside).
-// The credit and the data signal still travel exactly as for a staged put,
-// so flow control — and with it every virtual timestamp — is unchanged; only
-// the receiver's slot-to-buffer copy disappears. The receiver consumes it
-// with getPlaced; callers must ensure the write cannot race the receiver's
-// own accesses to dst (see getPlaced for the ring argument).
-func (rc *runCtx) putTo(to int, dst, src device.View, n int64, slotBytes int64) {
+const (
+	// staged copies the payload into the receiver's scratch slot, which
+	// get returns.
+	staged transport = iota
+	// placed writes the payload at dst, its final offset in the receiver's
+	// own buffer. The receiver consumes it with getPlaced; the schedule must
+	// ensure the write cannot race the receiver's own accesses to dst (see
+	// getPlaced for the ring allgather's argument).
+	placed
+	// byRef selects reduce on receive: the put publishes src itself in the
+	// pipe instead of copying it into the slot. The receiver's get returns
+	// src, reduceInto reads it in place (charging ReduceTime as ever), and
+	// release drops the reference — NCCL's P2P read of a peer buffer over
+	// NVLink. One host memory pass per reduced byte disappears.
+	//
+	// The caller must guarantee src is not written until the receiver has
+	// released it. That holds at each reduce step where the sender's next
+	// write to the segment is causally after the receiver's reduce. The
+	// proof holds for the group binomial reduction (treeReduceOver) over
+	// any rank group, flat or hierarchical:
+	//   - over the accumulation buffer: a child's chunk is next written by
+	//     the broadcast phase, or freed after waitDirect, and both follow
+	//     its parent's reduce;
+	//   - a leaf that sends its input straight from the caller's send
+	//     buffer: the schedule never writes send, and the leaf's call, after
+	//     which the caller may, ends only once its parent's reduce is done
+	//     (the leaf then waits for the broadcast or the leader's delivery).
+	//
+	// Staged sites say at the call why they stay staged. The op's byte
+	// regime must also be faithful (opState.faithful): injected corruption
+	// lands in a real copy and CRC32C compares two, so on an unfaithful op a
+	// byRef put stages. A severed hop publishes nothing, so the receiver
+	// reads the slot, as after a severed staged put.
+	byRef
+	// priced moves no bytes: the receiver consumes the put (getPlaced)
+	// without reading a payload. Only the ring allreduce of a faithful op
+	// puts it; the segment owners' passes move its bytes instead (see
+	// ringAllReduceOver).
+	priced
+)
+
+// putTo ships n bytes from src to rank "to" by transport how (dst is the
+// placed destination, ignored otherwise) and signals it; it blocks on
+// flow-control credits.
+func (rc *runCtx) putTo(to int, how transport, dst, src device.View, n int64, slotBytes int64) {
 	pp := rc.st.pipe(rc.co, rc.rank, to, slotBytes)
 	rc.p.Sleep(rc.co.cfg.StepCost)
 	slot := pp.credit.Recv(rc.p)
-	switch {
-	case dst == byRef && rc.co.fab.Faithful():
+	if how == byRef && !rc.st.faithful {
+		how = staged
+	}
+	switch how {
+	case staged:
+		rc.xfer(pp.slots[slot].View(0, n), src, n, false)
+	case placed:
+		rc.xfer(dst, src, n, false)
+	case byRef:
 		if rc.xfer(pp.slots[slot].Whole(), src, n, true) {
 			pp.refs[slot] = src
 		}
-	case dst.Buf == nil || dst == byRef:
-		rc.xfer(pp.slots[slot].View(0, n), src, n, false)
-	default:
-		rc.xfer(dst, src, n, false)
+	case priced:
+		rc.xfer(pp.slots[slot].Whole(), src, n, true)
 	}
 	pp.data.Send(rc.p, slot)
 }

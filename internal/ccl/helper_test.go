@@ -32,10 +32,10 @@ func TestHelperPostWhileBusyPanics(t *testing.T) {
 	k.Spawn("rank", func(p *sim.Proc) {
 		rc := co.getCtx(st, 0, p)
 		src := co.devs[0].MustMalloc(64)
-		rc.putAsync(1, device.View{}, src.Whole(), 64, 64).Wait(p)
-		rc.putAsync(1, device.View{}, src.Whole(), 64, 64) // the first job completed: accepted
+		rc.putAsync(1, staged, device.View{}, src.Whole(), 64, 64).Wait(p)
+		rc.putAsync(1, staged, device.View{}, src.Whole(), 64, 64) // the first job completed: accepted
 		defer func() { got = recover() }()
-		rc.putAsync(1, device.View{}, src.Whole(), 64, 64)
+		rc.putAsync(1, staged, device.View{}, src.Whole(), 64, 64)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

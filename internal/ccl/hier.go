@@ -401,7 +401,7 @@ func (rc *runCtx) hierAllGather(dt Datatype, count int, chunkBytes int64) {
 		for step := 0; step < m-1; step++ {
 			srcNode := (ni - step + m) % m
 			inNode := (ni - step - 1 + 2*m) % m
-			sent := rc.post(helperJob{to: right, dst: rc.st.args[right].recv.Whole(), src: a.recv.Whole(), n: blk,
+			sent := rc.post(helperJob{to: right, how: placed, dst: rc.st.args[right].recv.Whole(), src: a.recv.Whole(), n: blk,
 				blocks: hp.locals[srcNode]})
 			for range hp.locals[inNode] {
 				rc.waitDirect(left)
@@ -480,7 +480,7 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 		for step := 0; step < m-1; step++ {
 			sendNode := (ni - step - 1 + 2*m) % m
 			recvNode := (ni - step - 2 + 2*m) % m
-			// Staged (zero dst): work returns to the pool while the last
+			// Staged: work returns to the pool while the last
 			// receiver may still be reading it.
 			sent := rc.post(helperJob{to: right, src: work.Whole(), n: blk, blocks: hp.locals[sendNode]})
 			for _, r := range hp.locals[recvNode] {

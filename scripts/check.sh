@@ -74,7 +74,8 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # end Run, Close unwinds both), the ccl no-spawn pin with compiled plans
 # and group sends on the rank's resident workers, the one-shot
 # steady-state allocation pin (recycled op states and pipes) and the
-# exact-time pins,
+# exact-time pins, the owner-computes ring's bit and time equivalence
+# with the hop-by-hop ring,
 # the group alltoall, the group-send verdict and deadlock pins, the
 # send-recv synthesis's contract (argument checks before any fault probe,
 # op-scoped probes, group abort, empty blocks), the flat-versus-
@@ -92,7 +93,7 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/mpi
 	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$|TestEventOrder|TestPool' mpixccl/internal/sim
-	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestOneShotSteadyStateAllocs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat|TestGroup|TestSynthesized' mpixccl/internal/ccl
+	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestOneShotSteadyStateAllocs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat|TestGroup|TestSynthesized|TestFusedRingMatchesPerHop' mpixccl/internal/ccl
 	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting|TestWorldReleasedAfterRun' mpixccl/internal/core mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity|TestInstrumentationGolden' mpixccl/internal/core
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/world
@@ -122,10 +123,14 @@ go test -race -run 'TestTrainElastic|TestTrainPersistent' mpixccl/internal/dl
 # and TestSynthesized cover the §3.3 send-recv synthesis, whose group
 # sends run on the rank's resident workers. TestReuseAfterAbort checks that
 # an op aborted by a network cut returns neither its state nor its pipes to
-# the communicator, which recycles both across one-shot ops. The zero-alloc
+# the communicator, which recycles both across one-shot ops. TestFusedRing
+# holds the owner-computes ring allreduce to the hop-by-hop ring's bytes
+# and times, and runs it in two worlds at once (its fusion scratch belongs
+# to one communicator); TestByteRegime toggles integrity under queued ops,
+# each of which must keep one byte regime. The zero-alloc
 # and no-spawn pins (TestPersistentSteadyState*, TestOneShotSteadyState*,
 # TestSteadyStateSpawns*) run only un-raced, in the suite above.
-go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled|TestRing|TestPersistentRing|TestReduceOnReceive|TestHelper|TestGroup|TestSynthesized|TestReuseAfterAbort' mpixccl/internal/ccl
+go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled|TestRing|TestPersistentRing|TestReduceOnReceive|TestHelper|TestGroup|TestSynthesized|TestReuseAfterAbort|TestFusedRing|TestByteRegime' mpixccl/internal/ccl
 # Fuzz smoke: a few seconds of coverage-guided input per parser on top of
 # the seed corpora the suite above already ran.
 go test -run '^$' -fuzz '^FuzzParseTable$' -fuzztime 5s mpixccl/internal/core
