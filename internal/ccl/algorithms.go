@@ -399,45 +399,27 @@ func (rc *runCtx) ringAllReduceOver(group []int, idx int, dt Datatype, op RedOp,
 	}
 }
 
-// fuseBlock is the byte size of one block of ownerReduce: a few blocks of
-// it (a member's input, the running partial, the next partial) stay in a
-// core's L2 cache while the pass works on them.
-const fuseBlock = 64 << 10
-
 // ownerReduce is the owner-computes pass of the group ring (see
 // ringAllReduceOver): member idx, the owner of the segment at byte offset
 // off and length n of every member's recv buffer, reduces it as the hop-by-
 // hop ring would — the partial of member idx+1's input, then each next
 // member's own input on the left of the partial it received — and writes
-// the result into every member's segment. It runs in fuseBlock blocks,
-// through the communicator's two scratch blocks, so each finished block is
-// copied out while it is still in cache. It charges no time: the ring's
-// hops charge the steps it replaces.
+// the result into every member's segment. It lists the segments in that
+// order, member idx's first, on the communicator and makes one
+// elem.ReduceChain call over them: F32 and F64 sums read each segment once
+// and store the sum to every member from registers, the rest run the
+// pairwise chain through the communicator's scratch blocks. It charges no
+// time: the ring's hops charge the steps it replaces.
 func (rc *runCtx) ownerReduce(group []int, idx int, dt Datatype, op RedOp, off, n int64) {
 	co := rc.co
-	if co.fuse[0] == nil {
-		co.fuse = [2][]byte{make([]byte, fuseBlock), make([]byte, fuseBlock)}
-	}
 	m := len(group)
-	eop, kind := op.elemOp(), dt.kind()
-	for lo := int64(0); lo < n; lo += fuseBlock {
-		bn := min(int64(fuseBlock), n-lo)
-		cnt := int(bn / int64(dt.Size()))
-		at := func(i int) []byte {
-			return rc.st.args[group[(idx+i)%m]].recv.Bytes()[off+lo : off+lo+bn]
-		}
-		acc := at(1)
-		for i := 2; i < m; i++ {
-			next := co.fuse[i%2][:bn]
-			elem.ReduceTo(eop, kind, next, at(i), acc, cnt)
-			acc = next
-		}
-		own := at(0)
-		elem.ReduceTo(eop, kind, own, own, acc, cnt)
-		for i := 1; i < m; i++ {
-			copy(at(i), own)
-		}
+	segs := co.chain[:0]
+	for i := 0; i < m; i++ {
+		segs = append(segs, rc.st.args[group[(idx+i)%m]].recv.Bytes()[off:off+n])
 	}
+	elem.ReduceChain(op.elemOp(), dt.kind(), segs, segs, int(n/int64(dt.Size())), &co.fuse)
+	clear(segs) // hold no member's buffer past the pass
+	co.chain = segs
 }
 
 // getPlaced consumes a placed put, n bytes already at their final offset in

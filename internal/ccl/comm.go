@@ -85,10 +85,13 @@ type core struct {
 	opFree    []*opState
 	idlePipes map[[2]int]*pipe
 
-	// fuse holds the two scratch blocks of the ring allreduce's fused
-	// owner pass (see ownerReduce), made at the first pass. One pair serves
-	// every rank: a pass never yields, so no two run at once.
-	fuse [2][]byte
+	// fuse holds the two scratch blocks of the pairwise chain of the ring
+	// allreduce's owner pass (see ownerReduce), which elem.ReduceChain
+	// makes at first need, and chain the pass's ordered list of member
+	// segments. One of each serves every rank: a pass never yields, so no
+	// two run at once.
+	fuse  [2][]byte
+	chain [][]byte
 }
 
 // newArgs returns a recycled (or fresh) opArgs holding the call arguments.

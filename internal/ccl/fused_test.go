@@ -130,8 +130,9 @@ type fusedRun struct {
 }
 
 // runFusedCase queues, per stream, every datatype × op at a short count
-// (not divisible by the ring size) in place and out of place, and a
-// multi-block call per datatype, then runs two waves of a persistent
+// (not divisible by the ring size) in place and out of place, a
+// multi-block call per datatype and a float32 and a float64 sum whose
+// segments end in a vector tail, then runs two waves of a persistent
 // handle and one of a partitioned handle whose partitions become ready one
 // by one. integrity forces the hop-by-hop path.
 func runFusedCase(t *testing.T, fc fusedCase, integrity bool) fusedRun {
@@ -176,6 +177,10 @@ func runFusedCase(t *testing.T, fc fusedCase, integrity bool) fusedRun {
 			// Segments over 80 KiB: several blocks of the owner's pass.
 			issue(dt, fusedOps[ti%len(fusedOps)], n*(80<<10)/dt.Size()+3, ti%2 == 1, 0)
 		}
+		// Flat-ring segments of 32·40+7 elements: the owner pass's vector
+		// body and a 7-element tail, for both float widths at every m.
+		issue(ccl.Float32, ccl.Sum, n*(32*40+7), true, 0)
+		issue(ccl.Float64, ccl.Sum, n*(32*40+7), false, 0)
 		sums := make([][sha256.Size]byte, 0, len(calls)+3)
 		times := make([]time.Duration, 0, len(calls)+3)
 		for _, cl := range calls {

@@ -23,6 +23,16 @@ func TestSumAllocs(t *testing.T) {
 			if n := testing.AllocsPerRun(100, func() { ReduceTo(OpSum, k, dst, a, b, count) }); n != 0 {
 				t.Errorf("%s ReduceTo sum allocates %.2f objects per call; want 0", kindName[k], n)
 			}
+			// The owner pass of an 8-member ring, in place; its scratch is
+			// made by the warm-up call and reused after.
+			segs := make([][]byte, 8)
+			for i := range segs {
+				segs[i] = aligned(sz, 0)
+			}
+			var scratch [2][]byte
+			if n := testing.AllocsPerRun(100, func() { ReduceChain(OpSum, k, segs, segs, count, &scratch) }); n != 0 {
+				t.Errorf("%s ReduceChain sum allocates %.2f objects per call; want 0", kindName[k], n)
+			}
 		}
 	})
 }

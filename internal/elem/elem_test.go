@@ -349,7 +349,11 @@ func TestReduceKernelsMatchPortable(t *testing.T) {
 
 // The vector bodies take the left operand as the first source of
 // VADDPS/VADDPD, so NaN + NaN keeps the left operand's payload, as the
-// ADDSS/ADDSD of the scalar kernels in a normal build do.
+// ADDSS/ADDSD of the scalar kernels in a normal build do. The chain bodies
+// must keep it at every step: for each step s of the chain (ins[2] …
+// ins[m−1], then ins[0]), the inputs up to and including step s's are NaNs
+// with distinct payloads and the rest are 1, so the result carries step
+// s's payload only if every add from step s on kept its left operand.
 func TestVectorSumOperandOrder(t *testing.T) {
 	if !haveAVX2() {
 		t.Skip("no AVX2 vector sum path on this CPU or architecture")
@@ -378,21 +382,70 @@ func TestVectorSumOperandOrder(t *testing.T) {
 			}
 		}
 	}
+	const m = 5
+	order := []int{1, 2, 3, 4, 0}
+	for _, k := range []Kind{F32, F64} {
+		for s := 1; s < m; s++ {
+			ins := make([][]byte, m)
+			var want uint64
+			for p, i := range order {
+				ins[i] = aligned(n*k.Size(), 0)
+				v := uint64(0x3ff0000000000000) // 1
+				if k == F32 {
+					v = 0x3f800000
+				}
+				if p <= s {
+					v = 0x7ff8000000000000 | uint64(p+1)<<8 | uint64(p&1)<<63
+					if k == F32 {
+						v = 0x7fc00000 | uint64(p+1)<<8 | uint64(p&1)<<31
+					}
+				}
+				if p == s {
+					want = v
+				}
+				for e := 0; e < n; e++ {
+					putBits(k, ins[i], e, v)
+				}
+			}
+			outs := [][]byte{aligned(n*k.Size(), 0), ins[0]}
+			body := sumChainF32
+			if k == F64 {
+				body = sumChainF64
+			}
+			if body(outs, ins, n) != n {
+				t.Fatalf("%s chain body did not cover a whole block", kindName[k])
+			}
+			for j, o := range outs {
+				for e := 0; e < n; e++ {
+					if got := bitsAt(k, o, e); got != want {
+						t.Fatalf("%s step %d out %d elem %d: %#x, want the left payload %#x",
+							kindName[k], s, j, e, got, want)
+					}
+				}
+			}
+		}
+	}
 }
+
+// reduceVals are the values the out-of-place and chained reduces are held
+// to on every kind: signed zeros, NaNs with three distinct payloads,
+// infinities, subnormals of both widths, the edges of float32 and float16,
+// and small integers.
+var reduceVals = []float64{0, math.Copysign(0, -1), 1, -1.5, math.NaN(), math.Inf(1), math.Inf(-1),
+	1e-40, 5e-324, 6e-8, 3.4e38, -7, 250, 65504,
+	math.Float64frombits(0x7ffa000000000000), math.Float64frombits(0xfffc000000000000)}
+
+// reduceCounts are every length up to 17 (the scalar kernels' unroll
+// tails), one short of, at and one past the 32- and 64-element vector
+// block edges, and a long ragged run.
+var reduceCounts = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33, 63, 64, 65, 4099}
 
 // ReduceTo must equal copy-then-Reduce byte for byte: on every kind and
 // operator, every tail length of the scalar and vector sum kernels, the
 // delicate float values, unaligned operands, which take the portable path,
 // and dst == a, which the fused kernels allow.
 func TestReduceToMatchesCopyThenReduce(t *testing.T) {
-	vals := []float64{0, math.Copysign(0, -1), 1, -1.5, math.NaN(), math.Inf(1), math.Inf(-1),
-		1e-40, 5e-324, 6e-8, 3.4e38, -7, 250, 65504,
-		math.Float64frombits(0x7ffa000000000000), math.Float64frombits(0xfffc000000000000)}
-	counts := []int{0}
-	for c := 1; c <= 17; c++ {
-		counts = append(counts, c)
-	}
-	counts = append(counts, 31, 32, 33, 63, 64, 65, 1000, 4099)
+	counts := append(append([]int(nil), reduceCounts...), 1000)
 	sumPaths(t, func(t *testing.T) {
 		for _, k := range []Kind{U8, I32, I64, F16, F32, F64, C128} {
 			for _, op := range []Op{OpSum, OpProd, OpMax, OpMin} {
@@ -405,8 +458,8 @@ func TestReduceToMatchesCopyThenReduce(t *testing.T) {
 					for shift := 0; shift < 8; shift++ {
 						dst, a, b := aligned(sz, shift&1), aligned(sz, shift>>1&1), aligned(sz, shift>>2&1)
 						for i := 0; i < count; i++ {
-							Set(k, a, i, vals[(i*5)%len(vals)], vals[(i+2)%len(vals)])
-							Set(k, b, i, vals[(i*3+1)%len(vals)], vals[(i+7)%len(vals)])
+							Set(k, a, i, reduceVals[(i*5)%len(reduceVals)], reduceVals[(i+2)%len(reduceVals)])
+							Set(k, b, i, reduceVals[(i*3+1)%len(reduceVals)], reduceVals[(i+7)%len(reduceVals)])
 							Set(k, dst, i, 99, 99) // stale contents must not leak through
 						}
 						want := append([]byte(nil), a...)

@@ -3,7 +3,8 @@ package elem
 // The vector sum bodies live in sum_amd64.s. Each adds over the largest
 // multiple of 32 float32s (16 float64s) of its operands, four 256-bit
 // registers per iteration, and returns that element count; the caller
-// finishes the tail with the scalar kernel. Every output lane is one IEEE
+// finishes the tail with the scalar kernel (ReduceChain with its pairwise
+// chain, whose steps are those kernels). Every output lane is one IEEE
 // add of the same two operands in the same order as the scalar loop (the
 // left operand is the first source of VADDPS/VADDPD, as it is of
 // ADDSS/ADDSD the compiler emits there), so the results are bit-identical,
@@ -23,6 +24,20 @@ func sumOfF32(d, a, b []float32) int
 
 //go:noescape
 func sumOfF64(d, a, b []float64) int
+
+// The chain bodies are ReduceChain's one-pass sums: per vector of
+// elements, the partial is loaded from ins[1], each of ins[2] up to
+// ins[m−1] and then ins[0] is added on its left, and the sum is stored into
+// every out, over the largest multiple of 32 float32s (16 float64s) of n.
+// They return that count. Every operand must hold n elements, outs must be
+// non-empty, ins must hold at least two operands, and an out may alias
+// only the in of the same index.
+
+//go:noescape
+func sumChainF32(outs, ins [][]byte, n int) int
+
+//go:noescape
+func sumChainF64(outs, ins [][]byte, n int) int
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

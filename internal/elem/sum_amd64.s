@@ -131,6 +131,149 @@ cond:
 	MOVQ CX, ret+72(FP)
 	RET
 
+// The chain bodies run over [0, n &^ 31) float32s or [0, n &^ 15)
+// float64s, four 32-byte lanes per iteration. outs and ins are slices of
+// slice headers (24 bytes each, base first). Per iteration the partial is
+// loaded from ins[1]; each next input, ins[2] up to ins[m-1] and then
+// ins[0], is loaded into Y4–Y7 and is the first source of the add, so it
+// stays the left operand; the sum is stored from Y0–Y3 into every out.
+
+// func sumChainF32(outs, ins [][]byte, n int) int
+TEXT ·sumChainF32(SB), NOSPLIT, $0-64
+	MOVQ outs_base+0(FP), R8
+	MOVQ outs_len+8(FP), R9
+	IMUL3Q $24, R9, R9
+	ADDQ R8, R9
+	MOVQ ins_base+24(FP), R10
+	MOVQ ins_len+32(FP), R11
+	IMUL3Q $24, R11, R11
+	ADDQ R10, R11
+	MOVQ n+48(FP), CX
+	ANDQ $-32, CX
+	XORQ AX, AX
+	JMP  cond
+
+loop:
+	MOVQ    24(R10), SI
+	VMOVUPS (SI)(AX*4), Y0
+	VMOVUPS 32(SI)(AX*4), Y1
+	VMOVUPS 64(SI)(AX*4), Y2
+	VMOVUPS 96(SI)(AX*4), Y3
+	LEAQ    48(R10), DX
+
+add:
+	CMPQ    DX, R11
+	JEQ     last
+	MOVQ    (DX), SI
+	VMOVUPS (SI)(AX*4), Y4
+	VMOVUPS 32(SI)(AX*4), Y5
+	VMOVUPS 64(SI)(AX*4), Y6
+	VMOVUPS 96(SI)(AX*4), Y7
+	VADDPS  Y0, Y4, Y0
+	VADDPS  Y1, Y5, Y1
+	VADDPS  Y2, Y6, Y2
+	VADDPS  Y3, Y7, Y3
+	ADDQ    $24, DX
+	JMP     add
+
+last:
+	MOVQ    (R10), SI
+	VMOVUPS (SI)(AX*4), Y4
+	VMOVUPS 32(SI)(AX*4), Y5
+	VMOVUPS 64(SI)(AX*4), Y6
+	VMOVUPS 96(SI)(AX*4), Y7
+	VADDPS  Y0, Y4, Y0
+	VADDPS  Y1, Y5, Y1
+	VADDPS  Y2, Y6, Y2
+	VADDPS  Y3, Y7, Y3
+	MOVQ    R8, DX
+
+store:
+	MOVQ    (DX), DI
+	VMOVUPS Y0, (DI)(AX*4)
+	VMOVUPS Y1, 32(DI)(AX*4)
+	VMOVUPS Y2, 64(DI)(AX*4)
+	VMOVUPS Y3, 96(DI)(AX*4)
+	ADDQ    $24, DX
+	CMPQ    DX, R9
+	JNE     store
+	ADDQ    $32, AX
+
+cond:
+	CMPQ AX, CX
+	JLT  loop
+	VZEROUPPER
+	MOVQ CX, ret+56(FP)
+	RET
+
+// func sumChainF64(outs, ins [][]byte, n int) int
+TEXT ·sumChainF64(SB), NOSPLIT, $0-64
+	MOVQ outs_base+0(FP), R8
+	MOVQ outs_len+8(FP), R9
+	IMUL3Q $24, R9, R9
+	ADDQ R8, R9
+	MOVQ ins_base+24(FP), R10
+	MOVQ ins_len+32(FP), R11
+	IMUL3Q $24, R11, R11
+	ADDQ R10, R11
+	MOVQ n+48(FP), CX
+	ANDQ $-16, CX
+	XORQ AX, AX
+	JMP  cond
+
+loop:
+	MOVQ    24(R10), SI
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD 32(SI)(AX*8), Y1
+	VMOVUPD 64(SI)(AX*8), Y2
+	VMOVUPD 96(SI)(AX*8), Y3
+	LEAQ    48(R10), DX
+
+add:
+	CMPQ    DX, R11
+	JEQ     last
+	MOVQ    (DX), SI
+	VMOVUPD (SI)(AX*8), Y4
+	VMOVUPD 32(SI)(AX*8), Y5
+	VMOVUPD 64(SI)(AX*8), Y6
+	VMOVUPD 96(SI)(AX*8), Y7
+	VADDPD  Y0, Y4, Y0
+	VADDPD  Y1, Y5, Y1
+	VADDPD  Y2, Y6, Y2
+	VADDPD  Y3, Y7, Y3
+	ADDQ    $24, DX
+	JMP     add
+
+last:
+	MOVQ    (R10), SI
+	VMOVUPD (SI)(AX*8), Y4
+	VMOVUPD 32(SI)(AX*8), Y5
+	VMOVUPD 64(SI)(AX*8), Y6
+	VMOVUPD 96(SI)(AX*8), Y7
+	VADDPD  Y0, Y4, Y0
+	VADDPD  Y1, Y5, Y1
+	VADDPD  Y2, Y6, Y2
+	VADDPD  Y3, Y7, Y3
+	MOVQ    R8, DX
+
+store:
+	MOVQ    (DX), DI
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	VMOVUPD Y3, 96(DI)(AX*8)
+	ADDQ    $24, DX
+	CMPQ    DX, R9
+	JNE     store
+	ADDQ    $16, AX
+
+cond:
+	CMPQ AX, CX
+	JLT  loop
+	VZEROUPPER
+	MOVQ CX, ret+56(FP)
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -131,8 +131,9 @@ go test -race -run 'TestTrainElastic|TestTrainPersistent' mpixccl/internal/dl
 # and no-spawn pins (TestPersistentSteadyState*, TestOneShotSteadyState*,
 # TestSteadyStateSpawns*) run only un-raced, in the suite above.
 go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled|TestRing|TestPersistentRing|TestReduceOnReceive|TestHelper|TestGroup|TestSynthesized|TestReuseAfterAbort|TestFusedRing|TestByteRegime' mpixccl/internal/ccl
-# Fuzz smoke: a few seconds of coverage-guided input per parser on top of
-# the seed corpora the suite above already ran.
+# Fuzz smoke: a few seconds of coverage-guided input per parser, and for
+# the ring owner pass's one-pass reduce against its pairwise chain, on top
+# of the seed corpora the suite above already ran.
 go test -run '^$' -fuzz '^FuzzParseTable$' -fuzztime 5s mpixccl/internal/core
 go test -run '^$' -fuzz '^FuzzParseKey$' -fuzztime 5s mpixccl/internal/ccl/comp
 go test -run '^$' -fuzz '^FuzzParseChromeTrace$' -fuzztime 5s mpixccl/internal/trace
@@ -140,6 +141,7 @@ go test -run '^$' -fuzz '^FuzzParseAlgo$' -fuzztime 5s mpixccl/internal/ccl/mscc
 go test -run '^$' -fuzz '^FuzzParsePartition$' -fuzztime 5s mpixccl/cmd/ombrun
 go test -run '^$' -fuzz '^FuzzParseAt$' -fuzztime 5s mpixccl/cmd/xcclbench
 go test -run '^$' -fuzz '^FuzzParseScale$' -fuzztime 5s mpixccl/cmd/xcclbench
+go test -run '^$' -fuzz '^FuzzReduceChain$' -fuzztime 5s mpixccl/internal/elem
 # Chaos smoke: a short seeded soak through the CLI entry point proves the
 # randomized fault schedules — including two partition schedules in the
 # six-run rotation — still terminate with every invariant held, inside
