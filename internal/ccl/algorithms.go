@@ -3,6 +3,7 @@ package ccl
 import (
 	"fmt"
 
+	"mpixccl/internal/ccl/comp"
 	"mpixccl/internal/device"
 	"mpixccl/internal/elem"
 	"mpixccl/internal/sim"
@@ -306,7 +307,7 @@ func segment(count, m, s int) (lo, n int) {
 func (rc *runCtx) ringAllReduce(dt Datatype, op RedOp, count int) {
 	a := rc.st.args[rc.rank]
 	rc.localCopy(a.recv, a.send, int64(count)*int64(dt.Size()))
-	rc.ringAllReduceOver(rc.co.ranks, rc.rank, dt, op, 0, count)
+	rc.ringAllReduceOver(rc.co.ranks, nil, rc.rank, dt, op, 0, count)
 }
 
 // ringAllReduceOver runs a ring allreduce (reduce-scatter, then allgather)
@@ -314,7 +315,10 @@ func (rc *runCtx) ringAllReduce(dt Datatype, op RedOp, count int) {
 // each member's recv buffer; idx is this rank's position in group. The
 // flat ring runs it over all ranks, the hierarchical leader engine over
 // the node leaders, one pipeline chunk at a time. A chunk shorter than the
-// group leaves some segments empty; their steps move nothing.
+// group leaves some segments empty; their steps move nothing. extra lists
+// ranks outside the group whose recv buffers get the result too, on a
+// faithful op only: nil for the flat ring, the non-leaders for the
+// hierarchical engine (see hierAllReduce).
 //
 // Every hop keeps its credit, data signal, StepCost, wire time, ReduceTime
 // and unpack CopyTime, so the schedule's virtual time is the same in both
@@ -322,22 +326,25 @@ func (rc *runCtx) ringAllReduce(dt Datatype, op RedOp, count int) {
 //   - Faithful: owner computes. The hops are priced and move no bytes. At
 //     its last reduce-scatter step, the owner of segment k reduces
 //     x_k ⊕ (x_{k−1} ⊕ (… ⊕ x_{k+1})) straight from every member's recv
-//     segment and writes the result into all of them (ownerReduce), the
-//     association and operand order of the hop-by-hop ring, so the bytes are
-//     identical. That is safe for three reasons. Every member staged its
-//     input before it sent its first partial of segment k, so all inputs
-//     are in place by the owner's last step. Nothing else writes segment k
-//     during the op: no hop moves bytes, and only its owner reduces it.
-//     And no member reads it before the value is there: a member's call
-//     ends only after its allgather received segment k, which follows the
-//     owner's pass, and nothing reads a member's segment sooner. An op
-//     already aborted (a severed hop, whose result is void) skips the pass.
+//     segment and writes the result into all of them and into every extra
+//     rank's (ownerReduce), the association and operand order of the
+//     hop-by-hop ring, so the bytes are identical. That is safe for three
+//     reasons. Every member staged its input before it sent its first
+//     partial of segment k, so all inputs are in place by the owner's last
+//     step. Nothing else writes segment k during the op: no hop moves
+//     bytes, and only its owner reduces it. And no member reads it before
+//     the value is there: a member's call ends only after its allgather
+//     received segment k, which follows the owner's pass, and nothing
+//     reads a member's segment sooner. An extra rank's segment is written
+//     after its own input was consumed and read only after its call's end,
+//     under the conditions its caller states. An op already aborted (a
+//     severed hop, whose result is void) skips the pass.
 //   - Unfaithful (a corrupter attached or integrity on): hop by hop, since
 //     corruption and CRC retries need real payloads. Reduce-scatter puts
 //     stage each partial in the receiver's slot, and the allgather places
 //     each reduced segment straight at its final offset in the right
 //     member's recv buffer (see getPlaced).
-func (rc *runCtx) ringAllReduceOver(group []int, idx int, dt Datatype, op RedOp, base int64, count int) {
+func (rc *runCtx) ringAllReduceOver(group, extra []int, idx int, dt Datatype, op RedOp, base int64, count int) {
 	m := len(group)
 	right := group[(idx+1)%m]
 	left := group[(idx-1+m)%m]
@@ -371,7 +378,7 @@ func (rc *runCtx) ringAllReduceOver(group []int, idx int, dt Datatype, op RedOp,
 			case !fused:
 				rc.reduceInto(op, dt, recv.View(ro, rl), buf, int(rl/esz))
 			case step == m-2 && !rc.st.aborted:
-				rc.ownerReduce(group, idx, dt, op, ro, rl)
+				rc.ownerReduce(group, extra, idx, dt, op, ro, rl)
 				fallthrough
 			default:
 				rc.p.Sleep(rc.dev().ReduceTime(rl))
@@ -404,20 +411,24 @@ func (rc *runCtx) ringAllReduceOver(group []int, idx int, dt Datatype, op RedOp,
 // off and length n of every member's recv buffer, reduces it as the hop-by-
 // hop ring would — the partial of member idx+1's input, then each next
 // member's own input on the left of the partial it received — and writes
-// the result into every member's segment. It lists the segments in that
-// order, member idx's first, on the communicator and makes one
-// elem.ReduceChain call over them: F32 and F64 sums read each segment once
-// and store the sum to every member from registers, the rest run the
-// pairwise chain through the communicator's scratch blocks. It charges no
-// time: the ring's hops charge the steps it replaces.
-func (rc *runCtx) ownerReduce(group []int, idx int, dt Datatype, op RedOp, off, n int64) {
+// the result into every member's segment and every extra rank's. It lists
+// the members' segments in that order, member idx's first, then the extra
+// ranks', on the communicator and makes one elem.ReduceChain call over
+// them: F32 and F64 sums read each segment once and store the sum to every
+// out from registers, the rest run the pairwise chain through the
+// communicator's scratch blocks. It charges no time: the ring's hops
+// charge the steps it replaces.
+func (rc *runCtx) ownerReduce(group, extra []int, idx int, dt Datatype, op RedOp, off, n int64) {
 	co := rc.co
 	m := len(group)
 	segs := co.chain[:0]
 	for i := 0; i < m; i++ {
 		segs = append(segs, rc.st.args[group[(idx+i)%m]].recv.Bytes()[off:off+n])
 	}
-	elem.ReduceChain(op.elemOp(), dt.kind(), segs, segs, int(n/int64(dt.Size())), &co.fuse)
+	for _, r := range extra {
+		segs = append(segs, rc.st.args[r].recv.Bytes()[off:off+n])
+	}
+	elem.ReduceChain(op.elemOp(), dt.kind(), segs, segs[:m], int(n/int64(dt.Size())), &co.fuse)
 	clear(segs) // hold no member's buffer past the pass
 	co.chain = segs
 }
@@ -448,8 +459,8 @@ func (rc *runCtx) treeAllReduce(dt Datatype, op RedOp, count int) {
 	esz := int64(dt.Size())
 	bytes := int64(count) * esz
 	rc.localCopy(a.recv, a.send, bytes)
-	rc.treeReduceOver(rc.co.ranks, rc.rank, dt, op, a.recv, a.recv, 0, count, max(bytes, esz))
-	rc.treeBcastOver(rc.co.ranks, rc.rank, 0, 0, bytes)
+	rc.treeReduceOver(rc.co.ranks, rc.rank, dt, op, a.recv, comp.RecvBuf, 0, count, max(bytes, esz))
+	rc.treeBcastOver(rc.co.ranks, rc.rank, 0, 0, bytes, placed)
 }
 
 // treeBroadcast copies root's send buffer down a binomial tree over all
@@ -460,39 +471,60 @@ func (rc *runCtx) treeBroadcast(dt Datatype, count int, root int) {
 	if rc.rank == root {
 		rc.localCopy(a.recv, a.send, bytes)
 	}
-	rc.treeBcastOver(rc.co.ranks, rc.rank, root, 0, bytes)
+	rc.treeBcastOver(rc.co.ranks, rc.rank, root, 0, bytes, placed)
 }
 
 // treeReduceOver runs a binomial reduction of count elements at byte offset
-// off over the rank group toward group[0], accumulating in each rank's buf;
-// idx is this rank's position in group. A rank's own input is read from
-// src at the same offset: src is buf in place; otherwise the rank's first
-// reduce is out of place, buf = src ⊕ child, and a rank that sends before
-// it reduces (a leaf) puts straight from src. Parents reduce straight from
-// each child's segment (byRef), which the child leaves alone until the
-// broadcast phase writes it, or it is freed after waitDirect, or (src) the
-// child's call ends. An empty reduction (count 0) sends and receives its
-// steps but reduces nothing.
+// off over the rank group toward group[0], whose result lands in the
+// root's accumulator buf at off; idx is this rank's position in group.
+// Every member's input is its src buffer (comp.SendBuf or comp.RecvBuf of
+// its args) at the same offset. Every hop keeps its credit, data signal,
+// wire time and ReduceTime, so virtual time is the same in both byte
+// regimes of the op (opState.faithful):
+//   - Faithful: owner computes. The hops are priced and move no bytes, and
+//     no member but the root writes anything. At its last child's get the
+//     root reduces every member's input in one pass (fanIn), in the
+//     association and operand order of the hop-by-hop tree, so the bytes
+//     are identical. That is safe for three reasons. Every member's input
+//     is in place before the root's last get: the start rendezvous, or on
+//     a partitioned handle stageChunk, precedes each member's first put,
+//     and every member's put precedes that get. No member's call ends
+//     before the pass, so no caller writes an input under it: a leaf waits
+//     for the broadcast, or for its leader's delivery in reduce-scatter,
+//     and both follow the pass. And no member's accumulator is written, so
+//     whatever the schedule writes next there (the broadcast) is the first
+//     write. An empty or already aborted op skips the pass.
+//   - Unfaithful (a corrupter attached or integrity on): hop by hop, staged,
+//     since corruption and CRC retries need real payloads. A rank's first
+//     reduce is out of place, buf = src ⊕ child (in place when src is
+//     buf), later ones reduce into buf, and a rank sends its partial, or
+//     straight from src when it is a leaf.
 func (rc *runCtx) treeReduceOver(group []int, idx int, dt Datatype, op RedOp,
-	buf, src *device.Buffer, off int64, count int, slotBytes int64) {
+	buf *device.Buffer, src comp.BufRole, off int64, count int, slotBytes int64) {
 	n := len(group)
 	if n <= 1 {
 		return
 	}
 	esz := int64(dt.Size())
 	bytes := int64(count) * esz
-	// mine views this rank's partial: its input in src until the first
-	// reduce writes buf (the zero view until then).
+	fused := rc.st.faithful
+	hop := staged
+	if fused {
+		hop = priced
+	}
+	in := rc.bufAt(src, rc.rank, off, bytes)
+	// mine views this rank's partial once it is in buf: from the start in
+	// place, else from its first reduce (the zero view until then).
 	var mine device.View
-	if src == buf {
-		mine = buf.View(off, bytes)
+	if in.Buf == buf {
+		mine = in
 	}
 	for mask := 1; mask < n; mask <<= 1 {
 		if idx&mask != 0 {
 			if mine.Buf == nil {
-				mine = src.View(off, bytes)
+				mine = in
 			}
-			rc.putTo(group[idx-mask], byRef, device.View{}, mine, bytes, slotBytes)
+			rc.putTo(group[idx-mask], hop, device.View{}, mine, bytes, slotBytes)
 			return
 		}
 		if idx+mask < n {
@@ -502,9 +534,14 @@ func (rc *runCtx) treeReduceOver(group []int, idx int, dt Datatype, op RedOp,
 			case count == 0:
 				// Nothing to reduce. A zero-length reduce is not free: its
 				// zero-time sleep would still yield the process.
+			case fused:
+				if idx == 0 && mask<<1 >= n && !rc.st.aborted {
+					rc.fanIn(group, dt, op, buf.View(off, bytes), src, count)
+				}
+				rc.p.Sleep(rc.dev().ReduceTime(bytes))
 			case mine.Buf == nil:
 				mine = buf.View(off, bytes)
-				rc.reduceTo(op, dt, mine, src.Bytes()[off:], s, count)
+				rc.reduceTo(op, dt, mine, in.Bytes(), s, count)
 			default:
 				rc.reduceInto(op, dt, mine, s, count)
 			}
@@ -513,12 +550,31 @@ func (rc *runCtx) treeReduceOver(group []int, idx int, dt Datatype, op RedOp,
 	}
 }
 
+// fanIn is the owner-computes pass of the group binomial reduction (see
+// treeReduceOver): the root lists every member's count-element input, its
+// src buffer at acc's offset, in group order on the communicator and
+// makes one elem.ReduceTree call, which evaluates the tree in cache-sized
+// blocks through the communicator's scratch and writes only acc, the
+// root's accumulator. It charges no time: the tree's hops charge the steps
+// it replaces.
+func (rc *runCtx) fanIn(group []int, dt Datatype, op RedOp, acc device.View, src comp.BufRole, count int) {
+	co := rc.co
+	ins := co.chain[:0]
+	for _, r := range group {
+		ins = append(ins, rc.bufAt(src, r, acc.Off, acc.N).Bytes())
+	}
+	elem.ReduceTree(op.elemOp(), dt.kind(), acc.Bytes(), ins, count, &co.fuse)
+	clear(ins) // hold no member's buffer past the pass
+	co.chain = ins
+}
+
 // treeBcastOver broadcasts each rank's recv[off:off+bytes] region down a
 // binomial tree over the rank group rooted at group[rootIdx], via direct
-// writes into the user buffers (the region is written exactly once); idx
-// is this rank's position in group. An empty region still sends every
-// step, zero bytes each.
-func (rc *runCtx) treeBcastOver(group []int, idx, rootIdx int, off, bytes int64) {
+// writes into the user buffers (the region is written exactly once) by
+// transport how: placed, or priced where an owner pass already wrote every
+// member's region (see hierAllReduce); idx is this rank's position in
+// group. An empty region still sends every step, zero bytes each.
+func (rc *runCtx) treeBcastOver(group []int, idx, rootIdx int, off, bytes int64, how transport) {
 	n := len(group)
 	rel := (idx - rootIdx + n) % n
 	mask := 1
@@ -533,7 +589,7 @@ func (rc *runCtx) treeBcastOver(group []int, idx, rootIdx int, off, bytes int64)
 	for mask > 0 {
 		if rel+mask < n {
 			child := group[(rel+mask+rootIdx)%n]
-			rc.putDirect(child, rc.st.args[child].recv.View(off, bytes),
+			rc.putDirect(child, how, rc.st.args[child].recv.View(off, bytes),
 				rc.st.args[rc.rank].recv.View(off, bytes), bytes)
 		}
 		mask >>= 1

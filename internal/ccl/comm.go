@@ -85,12 +85,12 @@ type core struct {
 	opFree    []*opState
 	idlePipes map[[2]int]*pipe
 
-	// fuse holds the two scratch blocks of the pairwise chain of the ring
-	// allreduce's owner pass (see ownerReduce), which elem.ReduceChain
-	// makes at first need, and chain the pass's ordered list of member
-	// segments. One of each serves every rank: a pass never yields, so no
-	// two run at once.
-	fuse  [2][]byte
+	// fuse holds the scratch blocks of the owner passes, the ring
+	// allreduce's pairwise chain (see ownerReduce) and the tree fan-in's
+	// levels (see fanIn), which elem makes at first need, and chain a
+	// pass's ordered list of member segments. One of each serves every
+	// rank: a pass never yields, so no two run at once.
+	fuse  [][]byte
 	chain [][]byte
 }
 
@@ -431,9 +431,9 @@ type opState struct {
 	// faithful is the op's byte regime, the fabric's Faithful() read once
 	// when the first rank enters the wave (entered counts the ranks that
 	// have, back to 0 when all have). Every byte decision of the wave reads
-	// it — byRef, the ring's priced hops and its fused owner pass — so a
-	// SetIntegrity or SetFaults while the op runs cannot split it between
-	// two regimes.
+	// it — the priced hops of the ring and the tree fan-in, their owner
+	// passes and the hierarchical fan-out — so a SetIntegrity or SetFaults
+	// while the op runs cannot split it between two regimes.
 	faithful bool
 	entered  int
 }
@@ -491,7 +491,7 @@ func (co *core) newOpState(seq int) *opState {
 // per-rank argument records onto the core free list. A clean op hands its
 // pipes back to the pairs' idle stacks and its state (pipe map, start
 // barrier, args slice) to the op free list. An aborted op — a watchdog
-// verdict or a severed hop — may have stranded credits, signals or refs
+// verdict or a severed hop — may have stranded credits or signals
 // mid-schedule, so it frees its slots and returns nothing: every op starts
 // on full credits and empty pipes.
 func (co *core) finish(st *opState) {
@@ -537,11 +537,7 @@ type pipe struct {
 	data   *sim.Chan[int]
 	credit *sim.Chan[int]
 	slots  [pipeSlots]*device.Buffer
-	// refs[i] is the sender's own segment, published instead of filling
-	// slots[i] by a reduce-on-receive put (see byRef); the zero view while
-	// slots[i] holds the payload.
-	refs [pipeSlots]device.View
-	next *pipe // the pair's next idle pipe (see core.idlePipes)
+	next   *pipe // the pair's next idle pipe (see core.idlePipes)
 }
 
 const pipeSlots = 2
@@ -714,9 +710,8 @@ type helperJob struct {
 
 // post hands j to one of the rank's resident workers and returns rc's
 // latch, which fires when the job completes. Wait on it before reusing src
-// (after a byRef put, byRef says when src may be written again) and before
-// posting again: posting while the previous job still runs panics, like
-// overflowing a stream's queue.
+// and before posting again: posting while the previous job still runs
+// panics, like overflowing a stream's queue.
 func (rc *runCtx) post(j helperJob) *sim.Counter {
 	done := rc.arm(1)
 	rc.start(j, done)
@@ -759,7 +754,7 @@ func (co *core) runJob(p *sim.Proc, j helperJob) {
 		for _, r := range j.blocks {
 			off := int64(r) * j.n
 			if j.how == placed {
-				rc.putDirect(j.to, j.dst.Sub(off, j.n), j.src.Sub(off, j.n), j.n)
+				rc.putDirect(j.to, placed, j.dst.Sub(off, j.n), j.src.Sub(off, j.n), j.n)
 			} else {
 				rc.put(j.to, j.src.Sub(off, j.n), j.n, j.n)
 			}
@@ -792,39 +787,17 @@ const (
 	// get returns.
 	staged transport = iota
 	// placed writes the payload at dst, its final offset in the receiver's
-	// own buffer. The receiver consumes it with getPlaced; the schedule must
-	// ensure the write cannot race the receiver's own accesses to dst (see
-	// getPlaced for the ring allgather's argument).
+	// own buffer. The receiver consumes it with getPlaced (or waitDirect,
+	// after putDirect); the schedule must ensure the write cannot race the
+	// receiver's own accesses to dst (see getPlaced for the ring
+	// allgather's argument).
 	placed
-	// byRef selects reduce on receive: the put publishes src itself in the
-	// pipe instead of copying it into the slot. The receiver's get returns
-	// src, reduceInto reads it in place (charging ReduceTime as ever), and
-	// release drops the reference — NCCL's P2P read of a peer buffer over
-	// NVLink. One host memory pass per reduced byte disappears.
-	//
-	// The caller must guarantee src is not written until the receiver has
-	// released it. That holds at each reduce step where the sender's next
-	// write to the segment is causally after the receiver's reduce. The
-	// proof holds for the group binomial reduction (treeReduceOver) over
-	// any rank group, flat or hierarchical:
-	//   - over the accumulation buffer: a child's chunk is next written by
-	//     the broadcast phase, or freed after waitDirect, and both follow
-	//     its parent's reduce;
-	//   - a leaf that sends its input straight from the caller's send
-	//     buffer: the schedule never writes send, and the leaf's call, after
-	//     which the caller may, ends only once its parent's reduce is done
-	//     (the leaf then waits for the broadcast or the leader's delivery).
-	//
-	// Staged sites say at the call why they stay staged. The op's byte
-	// regime must also be faithful (opState.faithful): injected corruption
-	// lands in a real copy and CRC32C compares two, so on an unfaithful op a
-	// byRef put stages. A severed hop publishes nothing, so the receiver
-	// reads the slot, as after a severed staged put.
-	byRef
-	// priced moves no bytes: the receiver consumes the put (getPlaced)
-	// without reading a payload. Only the ring allreduce of a faithful op
-	// puts it; the segment owners' passes move its bytes instead (see
-	// ringAllReduceOver).
+	// priced moves no bytes: the receiver consumes the put without reading
+	// a payload. Only schedules whose owner passes move the bytes instead
+	// put it, on a faithful op (opState.faithful): the ring allreduce's
+	// hops (see ringAllReduceOver), the group tree fan-in's (see
+	// treeReduceOver) and the hierarchical allreduce's fan-out (see
+	// hierAllReduce).
 	priced
 )
 
@@ -835,18 +808,11 @@ func (rc *runCtx) putTo(to int, how transport, dst, src device.View, n int64, sl
 	pp := rc.st.pipe(rc.co, rc.rank, to, slotBytes)
 	rc.p.Sleep(rc.co.cfg.StepCost)
 	slot := pp.credit.Recv(rc.p)
-	if how == byRef && !rc.st.faithful {
-		how = staged
-	}
 	switch how {
 	case staged:
 		rc.xfer(pp.slots[slot].View(0, n), src, n, false)
 	case placed:
 		rc.xfer(dst, src, n, false)
-	case byRef:
-		if rc.xfer(pp.slots[slot].Whole(), src, n, true) {
-			pp.refs[slot] = src
-		}
 	case priced:
 		rc.xfer(pp.slots[slot].Whole(), src, n, true)
 	}
@@ -854,29 +820,25 @@ func (rc *runCtx) putTo(to int, how transport, dst, src device.View, n int64, sl
 }
 
 // get blocks until a put from rank "from" is ready and returns its slot
-// index and payload: the scratch slot, or the sender's own segment after a
-// byRef put. The caller must release it with release.
+// index and the slot's payload. The caller must release it with release.
 func (rc *runCtx) get(from int, slotBytes int64) (int, device.View) {
 	pp := rc.st.pipe(rc.co, from, rc.rank, slotBytes)
 	slot := pp.data.Recv(rc.p)
-	if ref := pp.refs[slot]; ref.Buf != nil {
-		return slot, ref
-	}
 	return slot, pp.slots[slot].Whole()
 }
 
 func (rc *runCtx) release(from, slot int, slotBytes int64) {
-	pp := rc.st.pipe(rc.co, from, rc.rank, slotBytes)
-	pp.refs[slot] = device.View{}
-	pp.credit.TrySend(slot)
+	rc.st.pipe(rc.co, from, rc.rank, slotBytes).credit.TrySend(slot)
 }
 
 // putDirect ships n bytes straight into dst (a region of the receiving
-// rank's user buffer that is written exactly once) and signals rank "to".
-func (rc *runCtx) putDirect(to int, dst, src device.View, n int64) {
+// rank's user buffer that is written exactly once) by transport how,
+// placed or priced (the hop priced, no bytes moved), and signals rank
+// "to".
+func (rc *runCtx) putDirect(to int, how transport, dst, src device.View, n int64) {
 	pp := rc.st.pipe(rc.co, rc.rank, to, 1)
 	rc.p.Sleep(rc.co.cfg.StepCost)
-	rc.xfer(dst, src, n, false)
+	rc.xfer(dst, src, n, how == priced)
 	pp.data.Send(rc.p, 0)
 }
 
@@ -894,8 +856,8 @@ func (rc *runCtx) reduceInto(op RedOp, dt Datatype, dst, src device.View, count 
 }
 
 // reduceTo is reduceInto out of place, dst = a ⊕ src, at the same device
-// time: a rank's first reduce of a chunk whose own input it reads from the
-// send buffer (see treeReduceOver).
+// time: a rank's first reduce of a chunk in the hop-by-hop tree, whose own
+// input it may read from the send buffer (see treeReduceOver).
 func (rc *runCtx) reduceTo(op RedOp, dt Datatype, dst device.View, a []byte, src device.View, count int) {
 	elem.ReduceTo(op.elemOp(), dt.kind(), dst.Bytes(), a, src.Bytes(), count)
 	rc.p.Sleep(rc.dev().ReduceTime(int64(count) * int64(dt.Size())))

@@ -201,13 +201,13 @@ func (rc *runCtx) runLane(ph *comp.RankPhase, to, lane int, slot int64) {
 		}
 		src := rc.bufAt(m.SrcBuf, m.From, m.SrcOff, m.SrcLen())
 		if m.Staged {
-			// Staged, not byRef: a plan carries no proof that src
-			// outlives the receiver's read, so Plan.Check
-			// requires staged transport for reducing moves.
+			// Staged: a plan carries no proof that src outlives the
+			// receiver's read, so Plan.Check requires staged
+			// transport for reducing moves.
 			rc.put(m.To, src, src.Len(), slot)
 		} else {
 			dst := rc.bufAt(m.DstBuf, m.To, m.DstOff, m.Bytes)
-			rc.putDirect(m.To, dst, src, m.Bytes)
+			rc.putDirect(m.To, placed, dst, src, m.Bytes)
 		}
 	}
 }

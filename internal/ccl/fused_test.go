@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,11 +17,13 @@ import (
 	"mpixccl/internal/sim"
 )
 
-// On a faithful op the group ring's hops move no bytes: the owner of each
-// segment reduces it in one pass over every member's buffer and writes the
-// result to all of them. With integrity on (and no corrupter) the same
-// schedule runs hop by hop, so these tests run each call both ways and
-// require the same bytes and the same modeled times.
+// On a faithful op the group ring's and the group tree's hops move no
+// bytes: the owner of each ring segment reduces it in one pass over every
+// member's buffer and writes the result to all of them (and, in the
+// hierarchical allreduce, to every non-leader), and the root of each tree
+// fan-in reduces every member's input in one pass. With integrity on (and
+// no corrupter) the same schedules run hop by hop, so these tests run each
+// call both ways and require the same bytes and the same modeled times.
 
 type fusedCase struct {
 	name  string
@@ -39,6 +42,11 @@ var fusedCases = []fusedCase{
 	// chunk leaves a segment empty. mri/5 has a one-rank node.
 	{"hier/2nodes", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoHierarchical, 1},
 	{"hier/3nodes", ringShape{"mri", 5, rccl.New}, ccl.AlgoHierarchical, 2},
+	// The flat tree's fan-in over one node's ranks (full and ragged
+	// binomial trees) and over two nodes.
+	{"tree/5", ringShape{"thetagpu", 5, nccl.New}, ccl.AlgoTree, 0},
+	{"tree/8", ringShape{"thetagpu", 8, nccl.New}, ccl.AlgoTree, 0},
+	{"tree/12-2nodes", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoTree, 0},
 }
 
 var (
@@ -132,9 +140,12 @@ type fusedRun struct {
 // runFusedCase queues, per stream, every datatype × op at a short count
 // (not divisible by the ring size) in place and out of place, a
 // multi-block call per datatype and a float32 and a float64 sum whose
-// segments end in a vector tail, then runs two waves of a persistent
-// handle and one of a partitioned handle whose partitions become ready one
-// by one. integrity forces the hop-by-hop path.
+// segments end in a vector tail, then the same short and multi-block calls
+// as hierarchical reduce-scatters (in place, recv being the rank's block
+// of send, and out of place; a shape without a node hierarchy runs the
+// ring), then runs two waves of a persistent handle and one of a
+// partitioned handle whose partitions are written and marked ready one by
+// one. integrity forces the hop-by-hop path.
 func runFusedCase(t *testing.T, fc fusedCase, integrity bool) fusedRun {
 	t.Helper()
 	n := fc.shape.n
@@ -181,6 +192,32 @@ func runFusedCase(t *testing.T, fc fusedCase, integrity bool) fusedRun {
 		// body and a 7-element tail, for both float widths at every m.
 		issue(ccl.Float32, ccl.Sum, n*(32*40+7), true, 0)
 		issue(ccl.Float64, ccl.Sum, n*(32*40+7), false, 0)
+		reduceScatter := func(dt ccl.Datatype, op ccl.RedOp, count int, inPlace bool, chunk int) {
+			j := len(calls)
+			blk := int64(count) * int64(dt.Size())
+			send := c.Device().MustMalloc(blk * int64(n))
+			fusedFill(send, dt, op, count*n, r, j)
+			recv := send.Slice(int64(r)*blk, blk)
+			if !inPlace {
+				recv = c.Device().MustMalloc(blk)
+			}
+			c.SetAlgorithm(ccl.AlgoHierarchical, int64(chunk*dt.Size()))
+			if err := c.ReduceScatter(send, recv, count, dt, op, s); err != nil {
+				t.Errorf("reducescatter: %v", err)
+				return
+			}
+			name := fmt.Sprintf("reducescatter/%v/%v/count=%d/inplace=%v", dt, op, count, inPlace)
+			calls = append(calls, call{name, recv, blk, s.Record()})
+		}
+		for ti, dt := range fusedTypes {
+			for _, op := range fusedOps {
+				reduceScatter(dt, op, 3, false, 2*n+1)
+				reduceScatter(dt, op, 3, true, 2*n+1)
+			}
+			// A payload over 64 KiB in one chunk: several blocks of the
+			// fan-in pass.
+			reduceScatter(dt, fusedOps[ti%len(fusedOps)], (80<<10)/(n*dt.Size())+3, ti%2 == 0, 0)
+		}
 		sums := make([][sha256.Size]byte, 0, len(calls)+3)
 		times := make([]time.Duration, 0, len(calls)+3)
 		for _, cl := range calls {
@@ -220,13 +257,20 @@ func runFusedCase(t *testing.T, fc fusedCase, integrity bool) fusedRun {
 			t.Errorf("partitioned allreduce init: %v", err)
 			return
 		}
-		fusedFill(buf, ccl.Float32, ccl.Sum, count, r, 2000)
+		// Partition k's input is written only just before Pready(k), later
+		// on higher ranks, so a pass that reads a member's partition before
+		// it is ready reads the last wave's result instead.
+		in := c.Device().MustMalloc(int64(count) * 4)
+		fusedFill(in, ccl.Float32, ccl.Sum, count, r, 2000)
 		if err := pc.Start(); err != nil {
 			t.Errorf("partitioned start: %v", err)
 			return
 		}
+		pe := (count + parts - 1) / parts
 		for k := parts - 1; k >= 0; k-- {
-			p.Sleep(time.Microsecond)
+			p.Sleep(time.Duration(1+r) * time.Microsecond)
+			lo, hi := 4*k*pe, 4*min((k+1)*pe, count)
+			copy(buf.Bytes()[lo:hi], in.Bytes()[lo:hi])
 			pc.Pready(k)
 		}
 		if err := pc.Wait(p); err != nil {
@@ -244,10 +288,12 @@ func runFusedCase(t *testing.T, fc fusedCase, integrity bool) fusedRun {
 	return run
 }
 
-// TestFusedRingMatchesPerHop requires the owner-computes ring (faithful
-// fabric) and the hop-by-hop ring (integrity on) to leave identical bytes
-// in every rank's recv buffer and finish every call at the same modeled
-// instant on every rank, for flat and leader rings, every datatype and op.
+// TestFusedRingMatchesPerHop requires the owner-computes ring and tree
+// fan-in (faithful fabric) and the hop-by-hop schedules (integrity on) to
+// leave identical bytes in every rank's recv buffer and finish every call
+// at the same modeled instant on every rank, for flat and leader rings,
+// flat and intra-node trees, every datatype and op. Every allreduce
+// leaves the same bytes on every rank.
 func TestFusedRingMatchesPerHop(t *testing.T) {
 	for _, fc := range fusedCases {
 		t.Run(fc.name, func(t *testing.T) {
@@ -258,7 +304,7 @@ func TestFusedRingMatchesPerHop(t *testing.T) {
 			}
 			for r := range fused.sums {
 				for j, name := range fused.names {
-					if fused.sums[r][j] != fused.sums[0][j] {
+					if !strings.HasPrefix(name, "reducescatter/") && fused.sums[r][j] != fused.sums[0][j] {
 						t.Errorf("%s: rank %d's result differs from rank 0's", name, r)
 					}
 					if fused.sums[r][j] != hop.sums[r][j] {
@@ -274,7 +320,8 @@ func TestFusedRingMatchesPerHop(t *testing.T) {
 }
 
 // TestByteRegimeFixedPerOp toggles integrity every 700 ns of virtual time
-// while ring, hierarchical and tree allreduces are queued on every stream,
+// while ring, hierarchical and tree allreduces and hierarchical
+// reduce-scatters are queued on every stream,
 // and the ranks enter each op at staggered instants, so the fabric changes
 // regime between one rank's entry into an op and the next's, and in the
 // middle of ops. Each op keeps the regime its first rank
@@ -286,6 +333,7 @@ func TestByteRegimeFixedPerOp(t *testing.T) {
 			h := newHarness(t, sh.system, n, sh.mk)
 			type check struct {
 				buf   *device.Buffer
+				off   int // the element index of buf[0] in the reduction
 				count int
 				j     int
 			}
@@ -318,9 +366,25 @@ func TestByteRegimeFixedPerOp(t *testing.T) {
 								t.Errorf("allreduce: %v", err)
 								return
 							}
-							checks[r] = append(checks[r], check{b, count, j})
+							checks[r] = append(checks[r], check{b, 0, count, j})
 							j++
 						}
+					}
+					// Rank r's block of the reduction of every rank's send.
+					c.SetAlgorithm(ccl.AlgoHierarchical, 256)
+					for _, count := range []int{3, 601} {
+						send := c.Device().MustMalloc(int64(count*n) * 4)
+						for i := 0; i < count*n; i++ {
+							send.SetInt32(i, ringVal(r, i, j))
+						}
+						recv := c.Device().MustMalloc(int64(count) * 4)
+						s.Enqueue(stagger)
+						if err := c.ReduceScatter(send, recv, count, ccl.Int32, ccl.Sum, s); err != nil {
+							t.Errorf("reducescatter: %v", err)
+							return
+						}
+						checks[r] = append(checks[r], check{recv, r * count, count, j})
+						j++
 					}
 				}
 				s.Synchronize(p)
@@ -329,7 +393,7 @@ func TestByteRegimeFixedPerOp(t *testing.T) {
 			for r, cs := range checks {
 				for _, ck := range cs {
 					for i := 0; i < ck.count; i++ {
-						if got, want := ck.buf.Int32(i), ringSum(n, i, ck.j); got != want {
+						if got, want := ck.buf.Int32(i), ringSum(n, ck.off+i, ck.j); got != want {
 							t.Fatalf("op %d (count %d) rank %d elem %d = %d, want %d", ck.j, ck.count, r, i, got, want)
 						}
 					}
@@ -339,18 +403,30 @@ func TestByteRegimeFixedPerOp(t *testing.T) {
 	}
 }
 
-// TestFusedRingConcurrentWorlds runs the owner-computes ring in two worlds
-// at once, on separate goroutines. Under the race detector it fails if
-// the pass's scratch is shared beyond one communicator.
+// TestFusedRingConcurrentWorlds runs the owner-computes ring in two flat
+// worlds and the hierarchical allreduce (the tree fan-in and the leader
+// ring's owner writing every rank) in a third, all at once on separate
+// goroutines. Under the race detector it fails if the passes' scratch is
+// shared beyond one communicator.
 func TestFusedRingConcurrentWorlds(t *testing.T) {
-	for w := 0; w < 2; w++ {
-		t.Run(fmt.Sprintf("world%d", w), func(t *testing.T) {
+	worlds := []struct {
+		name  string
+		shape ringShape
+		algo  ccl.Algorithm
+	}{
+		{"world0", ringShape{"thetagpu", 4, nccl.New}, ccl.AlgoFlatRing},
+		{"world1", ringShape{"thetagpu", 4, nccl.New}, ccl.AlgoFlatRing},
+		{"hier", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoHierarchical},
+	}
+	for w, wc := range worlds {
+		t.Run(wc.name, func(t *testing.T) {
 			t.Parallel()
-			const n, count = 4, 50000
-			h := newHarness(t, "thetagpu", n, nccl.New)
+			const count = 50000
+			n := wc.shape.n
+			h := newHarness(t, wc.shape.system, n, wc.shape.mk)
 			bufs := make([]*device.Buffer, n)
 			h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
-				c.SetAlgorithm(ccl.AlgoFlatRing, 0)
+				c.SetAlgorithm(wc.algo, 0)
 				b := c.Device().MustMalloc(count * 4)
 				for j := 0; j < 3; j++ {
 					for i := 0; i < count; i++ {
@@ -367,7 +443,7 @@ func TestFusedRingConcurrentWorlds(t *testing.T) {
 			for r, b := range bufs {
 				for i := 0; i < count; i++ {
 					if got, want := b.Int32(i), ringSum(n, i, 2+w); got != want {
-						t.Fatalf("world %d rank %d elem %d = %d, want %d", w, r, i, got, want)
+						t.Fatalf("%s rank %d elem %d = %d, want %d", wc.name, r, i, got, want)
 					}
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mpixccl/internal/ccl/comp"
 	"mpixccl/internal/sim"
 )
 
@@ -112,6 +113,9 @@ type hierPlan struct {
 	leaders []int
 	// locals[i] lists the comm ranks on node i (same node order), ascending.
 	locals [][]int
+	// others lists every rank that leads no node, ascending: the extra
+	// outputs of the leader ring's owner passes (see hierAllReduce).
+	others []int
 	// nodeIdx[r] is rank r's node index into leaders/locals.
 	nodeIdx []int
 	// localIdx[r] is rank r's position within locals[nodeIdx[r]].
@@ -171,6 +175,11 @@ func (co *core) hier() *hierPlan {
 			hp.localIdx[r] = j
 		}
 	}
+	for r, j := range hp.localIdx {
+		if j != 0 {
+			hp.others = append(hp.others, r)
+		}
+	}
 	hp.ok = len(nodes) > 1 && packed
 	co.hierCache = hp
 	return hp
@@ -192,17 +201,28 @@ func chunkRange(count, ce, ck int) (lo, n int) {
 // allreduce over the leader group (phase B, on the leader's hierEngine so it
 // overlaps phase A of the next chunk), and a binomial intra-node broadcast
 // (phase C) as soon as the ring delivers the chunk.
+//
+// On a faithful op each segment's owner in the leader ring also writes its
+// result into every non-leader's recv (the ring's extra outputs), so the
+// fan-out is priced and moves no bytes. That is safe for two reasons.
+// Every rank's call ends after every owner pass of every chunk: a
+// non-leader's ends after its leader's fan-out of the last chunk, which
+// waits for the leader ring of that chunk, and that ring ends after all of
+// its owner passes. And a non-leader's chunk input was consumed before any
+// owner pass of the chunk writes its recv, even in place: its node's
+// fan-in (phase A) read it before its leader fed the chunk to the ring.
 func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int64) {
 	hp := rc.co.hier()
 	a := rc.st.args[rc.rank]
 	esz := int64(dt.Size())
 	locals := hp.locals[hp.nodeIdx[rc.rank]]
 	li := hp.localIdx[rc.rank]
-	// Ranks read their own input from send in place (see treeReduceOver),
-	// so staging it into recv only charges the copy, except at a one-rank
-	// node's leader, which reduces nothing and must copy. A partition-gated
-	// persistent schedule stages each chunk as its partition becomes ready
-	// (stageChunk below); everything else stages the whole payload up front.
+	// The fan-in reads every rank's input from send in place (see
+	// treeReduceOver), so staging it into recv only charges the copy,
+	// except at a one-rank node's leader, which reduces nothing and must
+	// copy. A partition-gated persistent schedule stages each chunk as its
+	// partition becomes ready (stageChunk below); everything else stages
+	// the whole payload up front.
 	lone := len(locals) == 1
 	if rc.gate == nil {
 		rc.stage(a.recv, a.send, 0, int64(count)*esz, lone)
@@ -214,18 +234,22 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 	}
 	nchunks := (count + ce - 1) / ce
 	slotBytes := int64(ce) * esz
+	fanOut := placed
+	if rc.st.faithful && m > 1 {
+		fanOut = priced
+	}
 
 	if li != 0 {
 		// Non-leader: feed chunks up the intra tree, then receive results.
 		for ck := 0; ck < nchunks; ck++ {
 			lo, cn := chunkRange(count, ce, ck)
 			rc.stageChunk(a, int64(lo)*esz, int64(cn)*esz, ck, lone)
-			rc.treeReduceOver(locals, li, dt, op, a.recv, a.send, int64(lo)*esz, cn, slotBytes)
+			rc.treeReduceOver(locals, li, dt, op, a.recv, comp.SendBuf, int64(lo)*esz, cn, slotBytes)
 		}
 		rc.waitAllParts()
 		for ck := 0; ck < nchunks; ck++ {
 			lo, cn := chunkRange(count, ce, ck)
-			rc.treeBcastOver(locals, li, 0, int64(lo)*esz, int64(cn)*esz)
+			rc.treeBcastOver(locals, li, 0, int64(lo)*esz, int64(cn)*esz, fanOut)
 		}
 		return
 	}
@@ -240,7 +264,7 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 	for ck := 0; ck < nchunks; ck++ {
 		lo, cn := chunkRange(count, ce, ck)
 		rc.stageChunk(a, int64(lo)*esz, int64(cn)*esz, ck, lone)
-		rc.treeReduceOver(locals, li, dt, op, a.recv, a.send, int64(lo)*esz, cn, slotBytes)
+		rc.treeReduceOver(locals, li, dt, op, a.recv, comp.SendBuf, int64(lo)*esz, cn, slotBytes)
 		if eng != nil {
 			eng.feed()
 		}
@@ -251,7 +275,7 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 			eng.done[ck].Wait(rc.p)
 		}
 		lo, cn := chunkRange(count, ce, ck)
-		rc.treeBcastOver(locals, li, 0, int64(lo)*esz, int64(cn)*esz)
+		rc.treeBcastOver(locals, li, 0, int64(lo)*esz, int64(cn)*esz, fanOut)
 	}
 }
 
@@ -304,7 +328,7 @@ func (e *hierEngine) run(p *sim.Proc) {
 			e.ready.Recv(p)
 		}
 		lo, cn := chunkRange(e.count, e.ce, ck)
-		e.rc.ringAllReduceOver(e.hp.leaders, e.hp.nodeIdx[e.rc.rank], e.dt, e.op, int64(lo)*int64(e.dt.Size()), cn)
+		e.rc.ringAllReduceOver(e.hp.leaders, e.hp.others, e.hp.nodeIdx[e.rc.rank], e.dt, e.op, int64(lo)*int64(e.dt.Size()), cn)
 		e.done[ck].Fire()
 	}
 }
@@ -356,9 +380,9 @@ func (rc *runCtx) hierBroadcast(dt Datatype, count, root int, chunkBytes int64) 
 		lo, cn := chunkRange(count, ce, ck)
 		off, bytes := int64(lo)*esz, int64(cn)*esz
 		if isRep {
-			rc.treeBcastOver(reps, hp.nodeIdx[rc.rank], rootNode, off, bytes)
+			rc.treeBcastOver(reps, hp.nodeIdx[rc.rank], rootNode, off, bytes, placed)
 		}
-		rc.treeBcastOver(locals, li, repIdx, off, bytes)
+		rc.treeBcastOver(locals, li, repIdx, off, bytes, placed)
 	}
 }
 
@@ -384,9 +408,9 @@ func (rc *runCtx) hierAllGather(dt Datatype, count int, chunkBytes int64) {
 	if li != 0 {
 		// Phase A: deliver my block straight into the leader's recv at its
 		// final offset, then wait for the assembled result (phase C).
-		rc.putDirect(leader, rc.st.args[leader].recv.View(int64(rc.rank)*blk, blk),
+		rc.putDirect(leader, placed, rc.st.args[leader].recv.View(int64(rc.rank)*blk, blk),
 			a.recv.View(int64(rc.rank)*blk, blk), blk)
-		rc.hierAllGatherFanIn(locals, li, int64(rc.co.n)*blk, chunkBytes)
+		rc.hierAllGatherFanOut(locals, li, int64(rc.co.n)*blk, chunkBytes)
 		return
 	}
 	for _, r := range locals[1:] {
@@ -410,13 +434,14 @@ func (rc *runCtx) hierAllGather(dt Datatype, count int, chunkBytes int64) {
 		}
 	}
 	// Phase C: fan the fully assembled buffer out within the node.
-	rc.hierAllGatherFanIn(locals, li, int64(rc.co.n)*blk, chunkBytes)
+	rc.hierAllGatherFanOut(locals, li, int64(rc.co.n)*blk, chunkBytes)
 }
 
-// hierAllGatherFanIn runs the chunked intra-node broadcast of the whole
-// recv buffer from the leader (re-sending a rank its own block is harmless
-// and keeps every chunk a contiguous direct write).
-func (rc *runCtx) hierAllGatherFanIn(locals []int, li int, total int64, chunkBytes int64) {
+// hierAllGatherFanOut is allgather's phase C, the leader's chunked
+// intra-node broadcast of the whole assembled recv buffer (re-sending a
+// rank its own block is harmless and keeps every chunk a contiguous direct
+// write).
+func (rc *runCtx) hierAllGatherFanOut(locals []int, li int, total int64, chunkBytes int64) {
 	if len(locals) <= 1 {
 		return
 	}
@@ -428,7 +453,7 @@ func (rc *runCtx) hierAllGatherFanIn(locals []int, li int, total int64, chunkByt
 		if bytes > chunkBytes {
 			bytes = chunkBytes
 		}
-		rc.treeBcastOver(locals, li, 0, off, bytes)
+		rc.treeBcastOver(locals, li, 0, off, bytes, placed)
 	}
 }
 
@@ -446,10 +471,11 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 	locals := hp.locals[ni]
 	li := hp.localIdx[rc.rank]
 	m := len(hp.leaders)
-	// work is written before it is read: by a rank's first reduce of each
-	// chunk in phase A (the rank's own input is read from send in place, so
+	// A leader's work is written before it is read: by phase A's fan-in
+	// of each chunk (every rank's input is read from send in place, so
 	// staging it only charges the copy), or, at a one-rank node's leader,
-	// which reduces nothing, by the copy here. Leaves never touch it.
+	// which reduces nothing, by the copy here. Leaves never touch it, nor,
+	// on a faithful op, does any other non-leader (see treeReduceOver).
 	work := rc.dev().MustMallocScratch(total)
 	defer work.Free()
 	rc.stage(work, a.send, 0, total, len(locals) == 1)
@@ -464,7 +490,7 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 	slotBytes := int64(ce) * esz
 	for ck := 0; ck < nchunks; ck++ {
 		lo, cn := chunkRange(totalCount, ce, ck)
-		rc.treeReduceOver(locals, li, dt, op, work, a.send, int64(lo)*esz, cn, slotBytes)
+		rc.treeReduceOver(locals, li, dt, op, work, comp.SendBuf, int64(lo)*esz, cn, slotBytes)
 	}
 
 	if li != 0 {
@@ -493,7 +519,7 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 	}
 	// Phase C: deliver each local rank's reduced block.
 	for _, r := range locals[1:] {
-		rc.putDirect(r, rc.st.args[r].recv.View(0, blk), work.View(int64(r)*blk, blk), blk)
+		rc.putDirect(r, placed, rc.st.args[r].recv.View(0, blk), work.View(int64(r)*blk, blk), blk)
 	}
 	rc.copyView(a.recv.View(0, blk), work.View(int64(rc.rank)*blk, blk))
 }

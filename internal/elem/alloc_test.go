@@ -29,9 +29,18 @@ func TestSumAllocs(t *testing.T) {
 			for i := range segs {
 				segs[i] = aligned(sz, 0)
 			}
-			var scratch [2][]byte
+			var scratch [][]byte
 			if n := testing.AllocsPerRun(100, func() { ReduceChain(OpSum, k, segs, segs, count, &scratch) }); n != 0 {
 				t.Errorf("%s ReduceChain sum allocates %.2f objects per call; want 0", kindName[k], n)
+			}
+			// The fan-in of a 16-rank node into its root, in place; its
+			// scratch is kept from the warm-up call as well.
+			ins := make([][]byte, 16)
+			for i := range ins {
+				ins[i] = aligned(sz, 0)
+			}
+			if n := testing.AllocsPerRun(100, func() { ReduceTree(OpSum, k, ins[0], ins, count, &scratch) }); n != 0 {
+				t.Errorf("%s ReduceTree sum allocates %.2f objects per call; want 0", kindName[k], n)
 			}
 		}
 	})

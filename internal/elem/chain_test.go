@@ -30,7 +30,7 @@ func chainRef(op Op, k Kind, ins [][]byte, count, outShift int) []byte {
 // place (outs is ins, as the ring's owner pass does), 1 into two fresh
 // outs, 2 in place with one input misaligned by a byte, 3 into fresh outs
 // of which the first is misaligned.
-func chainCase(t *testing.T, op Op, k Kind, m, count, variant int, scratch *[2][]byte) {
+func chainCase(t *testing.T, op Op, k Kind, m, count, variant int, scratch *[][]byte) {
 	t.Helper()
 	sz := count * k.Size()
 	ins := make([][]byte, m)
@@ -74,7 +74,7 @@ func chainCase(t *testing.T, op Op, k Kind, m, count, variant int, scratch *[2][
 // cross the chain's block edges.
 func TestReduceChainMatchesPairwise(t *testing.T) {
 	sumPaths(t, func(t *testing.T) {
-		var scratch [2][]byte
+		var scratch [][]byte
 		for _, k := range []Kind{U8, I32, I64, F16, F32, F64, C128} {
 			for _, op := range []Op{OpSum, OpProd, OpMax, OpMin} {
 				if k == C128 && (op == OpMax || op == OpMin) {
@@ -133,7 +133,7 @@ func FuzzReduceChain(f *testing.F) {
 			outs = [][]byte{aligned(sz, outShift), aligned(sz, 0), aligned(sz, 0)}
 		}
 		want := chainRef(o, k, ins, cnt, outShift)
-		var scratch [2][]byte
+		var scratch [][]byte
 		ReduceChain(o, k, outs, ins, cnt, &scratch)
 		for j, out := range outs {
 			if string(out) != string(want) {
@@ -170,7 +170,7 @@ func BenchmarkReduceChain(b *testing.B) {
 		count := seg / 4
 		for _, path := range []string{"pairwise", "kernel"} {
 			b.Run(fmt.Sprintf("f32/m=%d/%dKiB/%s/%s", m, seg>>10, temp, path), func(b *testing.B) {
-				var scratch [2][]byte
+				var scratch [][]byte
 				b.SetBytes(m * seg)
 				for i := 0; i < b.N; i++ {
 					g := groups[i%sets]

@@ -425,6 +425,52 @@ func TestVectorSumOperandOrder(t *testing.T) {
 			}
 		}
 	}
+	// ReduceTree must keep the member's own side on the left at every step
+	// of the tree: for the step where member j takes child c's partial,
+	// ins[j] and ins[c] are NaNs with distinct payloads and every other
+	// input is 1, so the root's result carries ins[j]'s payload only if
+	// that step kept its left operand (the NaN then travels up as a right
+	// operand against finite partials, which keep it).
+	for _, k := range []Kind{F32, F64} {
+		for _, m := range []int{5, 12} {
+			for j := 0; j < m; j++ {
+				for mask := 1; j&mask == 0 && j+mask < m; mask <<= 1 {
+					nan := func(p int) uint64 {
+						if k == F32 {
+							return 0x7fc00000 | uint64(p+1)<<8 | uint64(p&1)<<31
+						}
+						return 0x7ff8000000000000 | uint64(p+1)<<8 | uint64(p&1)<<63
+					}
+					ins := make([][]byte, m)
+					for i := range ins {
+						v := uint64(0x3ff0000000000000) // 1
+						if k == F32 {
+							v = 0x3f800000
+						}
+						switch i {
+						case j:
+							v = nan(0)
+						case j + mask:
+							v = nan(1)
+						}
+						ins[i] = aligned(n*k.Size(), 0)
+						for e := 0; e < n; e++ {
+							putBits(k, ins[i], e, v)
+						}
+					}
+					out := aligned(n*k.Size(), 0)
+					var scratch [][]byte
+					ReduceTree(OpSum, k, out, ins, n, &scratch)
+					for e := 0; e < n; e++ {
+						if got := bitsAt(k, out, e); got != nan(0) {
+							t.Fatalf("%s m %d step %d←%d elem %d: %#x, want the left payload %#x",
+								kindName[k], m, j, j+mask, e, got, nan(0))
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // reduceVals are the values the out-of-place and chained reduces are held

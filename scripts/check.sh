@@ -74,8 +74,11 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # end Run, Close unwinds both), the ccl no-spawn pin with compiled plans
 # and group sends on the rank's resident workers, the one-shot
 # steady-state allocation pin (recycled op states and pipes) and the
-# exact-time pins, the owner-computes ring's bit and time equivalence
-# with the hop-by-hop ring,
+# exact-time pins, the owner-computes ring's and tree fan-in's bit and
+# time equivalence with the hop-by-hop schedules (flat and hierarchical
+# allreduce and reduce-scatter, persistent and partitioned waves), the
+# byte regime fixed per op under integrity toggles, the owner passes in
+# concurrent worlds,
 # the group alltoall, the group-send verdict and deadlock pins, the
 # send-recv synthesis's contract (argument checks before any fault probe,
 # op-scoped probes, group abort, empty blocks), the flat-versus-
@@ -93,7 +96,7 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/mpi
 	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$|TestEventOrder|TestPool' mpixccl/internal/sim
-	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestOneShotSteadyStateAllocs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat|TestGroup|TestSynthesized|TestFusedRingMatchesPerHop' mpixccl/internal/ccl
+	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestOneShotSteadyStateAllocs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat|TestGroup|TestSynthesized|TestFusedRing|TestByteRegime|TestReduceOnReceive' mpixccl/internal/ccl
 	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting|TestWorldReleasedAfterRun' mpixccl/internal/core mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity|TestInstrumentationGolden' mpixccl/internal/core
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/world
@@ -115,25 +118,28 @@ go test -race -run 'TestTrainElastic|TestTrainPersistent' mpixccl/internal/dl
 # interleaving, so they are the ccl surface worth a race pass. TestCompiled
 # adds the compiled executor: every plan strategy's move phases run
 # through the same pooled pipes. TestRing, TestPersistentRing and
-# TestReduceOnReceive cover the pipe steps that read or write a peer's
-# buffer in place (allgather placement, reduce-on-receive, leaves sending
-# from their send buffer) and their staged fallback;
+# TestReduceOnReceive cover the pipe steps that write a peer's buffer in
+# place (allgather placement) and the staged hop-by-hop fallback of the
+# reductions under corruption;
 # TestRingScheduleVirtualTime among them pins back-to-back calls on reused
 # workers, and TestHelper the one-job-at-a-time latch contract. TestGroup
 # and TestSynthesized cover the §3.3 send-recv synthesis, whose group
 # sends run on the rank's resident workers. TestReuseAfterAbort checks that
 # an op aborted by a network cut returns neither its state nor its pipes to
 # the communicator, which recycles both across one-shot ops. TestFusedRing
-# holds the owner-computes ring allreduce to the hop-by-hop ring's bytes
-# and times, and runs it in two worlds at once (its fusion scratch belongs
-# to one communicator); TestByteRegime toggles integrity under queued ops,
-# each of which must keep one byte regime. The zero-alloc
+# holds the owner-computes ring allreduce and tree fan-in (flat tree,
+# hierarchical allreduce and reduce-scatter) to the hop-by-hop schedules'
+# bytes and times, and runs them in three worlds at once, one of them
+# hierarchical (their fusion scratch belongs to one communicator);
+# TestByteRegime toggles integrity under queued allreduces and
+# hierarchical reduce-scatters, each of which must keep one byte regime. The zero-alloc
 # and no-spawn pins (TestPersistentSteadyState*, TestOneShotSteadyState*,
 # TestSteadyStateSpawns*) run only un-raced, in the suite above.
 go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled|TestRing|TestPersistentRing|TestReduceOnReceive|TestHelper|TestGroup|TestSynthesized|TestReuseAfterAbort|TestFusedRing|TestByteRegime' mpixccl/internal/ccl
-# Fuzz smoke: a few seconds of coverage-guided input per parser, and for
-# the ring owner pass's one-pass reduce against its pairwise chain, on top
-# of the seed corpora the suite above already ran.
+# Fuzz smoke: a few seconds of coverage-guided input per parser, for the
+# ring owner pass's one-pass reduce against its pairwise chain, and for the
+# tree fan-in's blocked pass against the hop-by-hop binomial reduction, on
+# top of the seed corpora the suite above already ran.
 go test -run '^$' -fuzz '^FuzzParseTable$' -fuzztime 5s mpixccl/internal/core
 go test -run '^$' -fuzz '^FuzzParseKey$' -fuzztime 5s mpixccl/internal/ccl/comp
 go test -run '^$' -fuzz '^FuzzParseChromeTrace$' -fuzztime 5s mpixccl/internal/trace
@@ -142,6 +148,7 @@ go test -run '^$' -fuzz '^FuzzParsePartition$' -fuzztime 5s mpixccl/cmd/ombrun
 go test -run '^$' -fuzz '^FuzzParseAt$' -fuzztime 5s mpixccl/cmd/xcclbench
 go test -run '^$' -fuzz '^FuzzParseScale$' -fuzztime 5s mpixccl/cmd/xcclbench
 go test -run '^$' -fuzz '^FuzzReduceChain$' -fuzztime 5s mpixccl/internal/elem
+go test -run '^$' -fuzz '^FuzzReduceTree$' -fuzztime 5s mpixccl/internal/elem
 # Chaos smoke: a short seeded soak through the CLI entry point proves the
 # randomized fault schedules — including two partition schedules in the
 # six-run rotation — still terminate with every invariant held, inside
