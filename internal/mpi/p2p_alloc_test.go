@@ -86,3 +86,34 @@ func TestEagerMessageAllocs(t *testing.T) {
 		})
 	}
 }
+
+// An eager Isend completed by Wait allocates two objects: the request and
+// the waiter list its Wait appends the rank to. Everything the send runs
+// on is reused once warm. Rank 0 sends, rank 1 receives; rank 0 measures
+// its iterations, which take rank 1's along.
+func TestEagerIsendAllocs(t *testing.T) {
+	const count = 64 // 512 B of float64s: eager
+	const warm = 8
+	j := newTestJob(t, 2)
+	var allocs float64
+	err := j.Run(func(c *Comm) {
+		buf := c.Device().MustMalloc(count * 8)
+		if c.Rank() == 1 {
+			for i := 0; i < warm+101; i++ { // AllocsPerRun(100, f) invokes f 101 times
+				c.Recv(buf, count, Float64, 0, 0)
+			}
+			return
+		}
+		step := func() { c.Wait(c.Isend(buf, count, Float64, 1, 0)) }
+		for i := 0; i < warm; i++ {
+			step()
+		}
+		allocs = testing.AllocsPerRun(100, step)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 2 {
+		t.Errorf("eager Isend+Wait allocates %.2f objects; want at most 2 (the request and its waiter list)", allocs)
+	}
+}
