@@ -373,70 +373,15 @@ func (f *Fabric) Transfer(p *sim.Proc, dst, src *device.Buffer, n int64, o Opts)
 // endpoints have no route or the length is out of bounds. Any active
 // link-degradation window (SetFaults) scales the route's α and per-channel
 // bandwidth and caps the channel grant for the whole transfer, as observed
-// at its start time.
+// at its start time. It is the process driver of the transfer state
+// machine (Xfer); Start runs the same machine as kernel callbacks.
 func (f *Fabric) TryTransfer(p *sim.Proc, dst, src device.View, n int64, o Opts) (time.Duration, error) {
-	if n < 0 || n > src.Len() || n > dst.Len() {
-		return 0, fmt.Errorf("fabric: transfer of %d bytes between %d-byte src and %d-byte dst", n, src.Len(), dst.Len())
-	}
 	start := p.Now()
-	w, err := f.open(dst.Device(), src.Device(), start, o)
-	if err != nil {
+	var x Xfer
+	if err := x.openViews(f, dst, src, n, o); err != nil {
 		return 0, err
 	}
-	// One full wire attempt: the time, then the byte copy. Retransmissions
-	// (integrity retries) replay it under the degradation snapshot taken
-	// at the transfer's start.
-	xfer := func() {
-		w.send(p, n)
-		switch {
-		case w.r.local:
-			copy(dst.Bytes(), src.Bytes())
-		case n > 0:
-			copy(dst.Bytes()[:n], src.Bytes()[:n])
-		}
-	}
-	xfer()
-	if w.r.local || n == 0 || f.Faithful() {
-		return p.Now() - start, nil
-	}
-	for attempt := 0; ; attempt++ {
-		if f.corrupter != nil {
-			if offs := f.corrupter.CorruptTransfer(w.r.class, w.r.srcNode, w.r.dstNode, n, p.Now()); len(offs) > 0 {
-				b := dst.Bytes()
-				for _, off := range offs {
-					if off >= 0 && off < n {
-						b[off] ^= 0xff
-					}
-				}
-				f.reg.Counter("xccl_corruptions_injected_total",
-					"Transfers whose payload was corrupted on the wire, by link class.",
-					metrics.Labels{"link": w.r.class}).Inc()
-			}
-		}
-		if !f.integrity.Enabled {
-			break
-		}
-		// CRC32C of source vs destination; NIC-offloaded, so no virtual time.
-		if crc32.Checksum(src.Bytes()[:n], castagnoli) == crc32.Checksum(dst.Bytes()[:n], castagnoli) {
-			break
-		}
-		f.reg.Counter("xccl_corruptions_detected_total",
-			"Transfers whose CRC32C check caught a payload mismatch, by link class.",
-			metrics.Labels{"link": w.r.class}).Inc()
-		if attempt >= f.integrity.MaxRetries {
-			// Out of retransmit budget: deliver the corrupt payload rather
-			// than strand the collective's peer ranks, and let the policy
-			// layer observe the unrecovered counter.
-			f.reg.Counter("xccl_corruptions_unrecovered_total",
-				"Transfers delivered corrupt after exhausting the retransmit budget, by link class.",
-				metrics.Labels{"link": w.r.class}).Inc()
-			break
-		}
-		f.reg.Counter("xccl_transfer_retransmits_total",
-			"Retransmissions triggered by CRC32C mismatches, by link class.",
-			metrics.Labels{"link": w.r.class}).Inc()
-		xfer()
-	}
+	x.runOn(p)
 	return p.Now() - start, nil
 }
 
@@ -448,12 +393,34 @@ func (f *Fabric) TryTransfer(p *sim.Proc, dst, src device.View, n int64, o Opts)
 // only model time, use it instead of staging a copy.
 func (f *Fabric) Price(p *sim.Proc, dst, src *device.Device, n int64, o Opts) (time.Duration, error) {
 	start := p.Now()
-	w, err := f.open(dst, src, start, o)
-	if err != nil {
+	var x Xfer
+	if err := x.open(f, dst, src, n, o); err != nil {
 		return 0, err
 	}
-	w.send(p, n)
+	x.runOn(p)
 	return p.Now() - start, nil
+}
+
+// Start moves n bytes from the src view to the dst view exactly as
+// TryTransfer does, but runs the transfer as kernel callbacks instead of
+// on a process, and calls then when the copy, and any retransmission, is
+// done. Every wait TryTransfer makes becomes an event in the same
+// (time, seq) slot: each sleep an After callback, each contended channel
+// acquire a continuation its pool files where it would wake a process.
+// The first step runs before Start returns, at the current instant. Start
+// fails like TryTransfer, at open and before any time passes. x is the
+// caller's reusable transfer state; it must not be restarted before then
+// runs.
+func (f *Fabric) Start(x *Xfer, dst, src device.View, n int64, o Opts, then func()) error {
+	if err := x.openViews(f, dst, src, n, o); err != nil {
+		return err
+	}
+	if x.stepFn == nil {
+		x.stepFn, x.grantFn = x.step, x.granted
+	}
+	x.then = then
+	x.step()
+	return nil
 }
 
 // wire is one transfer's priced path: its route and the degradation
@@ -466,20 +433,93 @@ type wire struct {
 	chunk int64
 }
 
-// open resolves the route between two devices and snapshots any active
-// degradation at now. It fails on a missing route or a severed partition.
-func (f *Fabric) open(dst, src *device.Device, now time.Duration, o Opts) (wire, error) {
+// Xfer is one transfer's state machine: the only copy of the fabric's
+// pricing loop. One wire attempt is a local copy's device time, or the α
+// and then, per pipeline chunk, an adaptive channel acquire through every
+// pool of the route, the chunk's time, and the release. The attempt ends
+// with the byte copy; on an unfaithful fabric the corruption probe and the
+// CRC32C check follow, and a mismatch replays the attempt, up to
+// Integrity.MaxRetries, under the degradation snapshot taken at open.
+//
+// advance runs the machine up to its next wait, and a driver performs the
+// wait: runOn on a process (TryTransfer, Price), step as kernel callbacks
+// (Start). The zero value is ready to use; a caller that starts transfers
+// as callbacks keeps one Xfer per transfer in flight and reuses it.
+type Xfer struct {
+	f        *Fabric
+	w        wire
+	dst, src device.View
+	n        int64
+	move     bool // copy and check the bytes; Price only charges the time
+
+	pc      xferStep
+	attempt int
+	off     int64         // the next chunk's offset
+	pool    int           // the route pool being acquired
+	ask     int           // channels asked of it
+	got     int           // channels it granted
+	held    int           // channels the chunk holds in every pool so far
+	d       time.Duration // the sleep advance asked for
+
+	// The kernel driver: the completion, and its step and granted methods,
+	// bound once.
+	then    func()
+	stepFn  func()
+	grantFn func(int)
+}
+
+// xferStep is where advance resumes.
+type xferStep uint8
+
+const (
+	xferAttempt xferStep = iota // start a wire attempt
+	xferChunk                   // acquire the next chunk's channels, or finish the attempt
+	xferGranted                 // pools[pool] granted got channels
+	xferRelease                 // the chunk's time is up
+	xferCopied                  // the attempt's wire time is up: copy the bytes
+)
+
+// xferWait is what advance asks its driver to do.
+type xferWait uint8
+
+const (
+	xferDone    xferWait = iota
+	xferSleep            // for d
+	xferAcquire          // up to ask channels of w.r.pools[pool]
+)
+
+// openViews opens x to move n bytes between two views (open), after
+// checking the length.
+func (x *Xfer) openViews(f *Fabric, dst, src device.View, n int64, o Opts) error {
+	if n < 0 || n > src.Len() || n > dst.Len() {
+		return fmt.Errorf("fabric: transfer of %d bytes between %d-byte src and %d-byte dst", n, src.Len(), dst.Len())
+	}
+	if err := x.open(f, dst.Device(), src.Device(), n, o); err != nil {
+		return err
+	}
+	x.dst, x.src, x.move = dst, src, true
+	return nil
+}
+
+// open resets x to price n bytes between two devices: it resolves the
+// route and snapshots any active degradation at the current instant into
+// x's wire. It fails on a missing route or a severed partition.
+func (x *Xfer) open(f *Fabric, dst, src *device.Device, n int64, o Opts) error {
 	r, err := f.route(src, dst)
 	if err != nil {
-		return wire{}, err
+		return err
 	}
+	x.f, x.n, x.move, x.pc, x.attempt = f, n, false, xferAttempt, 0
+	w := &x.w
+	*w = wire{r: r}
 	if r.local {
-		return wire{r: r}, nil
+		return nil
 	}
+	now := f.k.Now()
 	if f.partitioner != nil && f.partitioner.Severed(r.srcNode, r.dstNode, now) {
-		return wire{}, ErrPartitioned
+		return ErrPartitioned
 	}
-	w := wire{r: r, alpha: r.link.Alpha, bw: r.link.ChannelBW, want: o.Channels, chunk: o.ChunkBytes}
+	w.alpha, w.bw, w.want, w.chunk = r.link.Alpha, r.link.ChannelBW, o.Channels, o.ChunkBytes
 	maxCh := r.link.DirChannels
 	if lf, ok := f.degradedFor(r, now); ok {
 		if lf.AlphaScale > 0 {
@@ -501,46 +541,157 @@ func (f *Fabric) open(dst, src *device.Device, now time.Duration, o Opts) (wire,
 	if w.chunk <= 0 {
 		w.chunk = DefaultChunk
 	}
-	return w, nil
+	return nil
 }
 
-// send blocks p for one attempt's wire time of n bytes: a local copy's
-// device time, or the α and the chunked pipeline through the route's
-// contention pools.
-func (w *wire) send(p *sim.Proc, n int64) {
-	r := &w.r
-	if r.local {
-		p.Sleep(r.device.CopyTime(n))
-		return
-	}
-	p.Sleep(w.alpha)
-	for off := int64(0); off < n; off += w.chunk {
-		sz := w.chunk
-		if off+sz > n {
-			sz = n - off
-		}
-		// Acquire adaptively through every pool in order; if a later pool
-		// grants less, return the surplus to the earlier ones. This lets
-		// opposing flows converge to a fair split of a shared duplex pool
-		// instead of alternating full-width.
-		granted := r.pools[0].AcquireUpTo(p, w.want)
-		for _, pool := range r.pools[1:] {
-			g := pool.AcquireUpTo(p, granted)
-			if g < granted {
-				for _, prev := range r.pools {
-					if prev == pool {
-						break
-					}
-					prev.Release(granted - g)
-				}
-				granted = g
+// advance runs the transfer up to its next wait and reports it.
+func (x *Xfer) advance() xferWait {
+	r := &x.w.r
+	for {
+		switch x.pc {
+		case xferAttempt:
+			x.pc = xferCopied
+			if r.local {
+				x.d = r.device.CopyTime(x.n)
+				return xferSleep
 			}
-		}
-		p.Sleep(time.Duration(float64(sz) / (float64(granted) * w.bw) * float64(time.Second)))
-		for _, pool := range r.pools {
-			pool.Release(granted)
+			x.off, x.pc = 0, xferChunk
+			x.d = x.w.alpha
+			return xferSleep
+		case xferChunk:
+			if x.off >= x.n {
+				x.pc = xferCopied
+				continue
+			}
+			// Acquire adaptively through every pool in order; if a later
+			// pool grants less, return the surplus to the earlier ones.
+			// This lets opposing flows converge to a fair split of a
+			// shared duplex pool instead of alternating full-width.
+			x.pool, x.ask, x.pc = 0, x.w.want, xferGranted
+			return xferAcquire
+		case xferGranted:
+			if x.pool == 0 {
+				x.held = x.got
+			} else if x.got < x.held {
+				for _, prev := range r.pools[:x.pool] {
+					prev.Release(x.held - x.got)
+				}
+				x.held = x.got
+			}
+			if x.pool++; x.pool < len(r.pools) {
+				x.ask = x.held
+				return xferAcquire
+			}
+			sz := x.w.chunk
+			if x.off+sz > x.n {
+				sz = x.n - x.off
+			}
+			x.d = time.Duration(float64(sz) / (float64(x.held) * x.w.bw) * float64(time.Second))
+			x.pc = xferRelease
+			return xferSleep
+		case xferRelease:
+			for _, pool := range r.pools {
+				pool.Release(x.held)
+			}
+			x.off += x.w.chunk
+			x.pc = xferChunk
+		case xferCopied:
+			if !x.move {
+				return xferDone
+			}
+			switch {
+			case r.local:
+				copy(x.dst.Bytes(), x.src.Bytes())
+			case x.n > 0:
+				copy(x.dst.Bytes()[:x.n], x.src.Bytes()[:x.n])
+			}
+			if x.attempt == 0 && (r.local || x.n == 0 || x.f.Faithful()) {
+				return xferDone
+			}
+			if !x.check() {
+				return xferDone
+			}
+			x.attempt++
+			x.pc = xferAttempt
 		}
 	}
+}
+
+// check runs an unfaithful attempt's corruption probe and CRC32C check and
+// reports whether to retransmit.
+func (x *Xfer) check() bool {
+	f, r, n := x.f, &x.w.r, x.n
+	if f.corrupter != nil {
+		if offs := f.corrupter.CorruptTransfer(r.class, r.srcNode, r.dstNode, n, f.k.Now()); len(offs) > 0 {
+			b := x.dst.Bytes()
+			for _, off := range offs {
+				if off >= 0 && off < n {
+					b[off] ^= 0xff
+				}
+			}
+			f.reg.Counter("xccl_corruptions_injected_total",
+				"Transfers whose payload was corrupted on the wire, by link class.",
+				metrics.Labels{"link": r.class}).Inc()
+		}
+	}
+	if !f.integrity.Enabled {
+		return false
+	}
+	// CRC32C of source vs destination; NIC-offloaded, so no virtual time.
+	if crc32.Checksum(x.src.Bytes()[:n], castagnoli) == crc32.Checksum(x.dst.Bytes()[:n], castagnoli) {
+		return false
+	}
+	f.reg.Counter("xccl_corruptions_detected_total",
+		"Transfers whose CRC32C check caught a payload mismatch, by link class.",
+		metrics.Labels{"link": r.class}).Inc()
+	if x.attempt >= f.integrity.MaxRetries {
+		// Out of retransmit budget: deliver the corrupt payload rather
+		// than strand the collective's peer ranks, and let the policy
+		// layer observe the unrecovered counter.
+		f.reg.Counter("xccl_corruptions_unrecovered_total",
+			"Transfers delivered corrupt after exhausting the retransmit budget, by link class.",
+			metrics.Labels{"link": r.class}).Inc()
+		return false
+	}
+	f.reg.Counter("xccl_transfer_retransmits_total",
+		"Retransmissions triggered by CRC32C mismatches, by link class.",
+		metrics.Labels{"link": r.class}).Inc()
+	return true
+}
+
+// runOn is the process driver: it performs each wait on p.
+func (x *Xfer) runOn(p *sim.Proc) {
+	for {
+		switch x.advance() {
+		case xferSleep:
+			p.Sleep(x.d)
+		case xferAcquire:
+			x.got = x.w.r.pools[x.pool].AcquireUpTo(p, x.ask)
+		default:
+			return
+		}
+	}
+}
+
+// step is the kernel driver: it files each wait as an event that resumes
+// the machine, and calls then when the transfer is done.
+func (x *Xfer) step() {
+	switch x.advance() {
+	case xferSleep:
+		x.f.k.After(x.d, x.stepFn)
+	case xferAcquire:
+		x.w.r.pools[x.pool].AcquireUpToFunc(x.ask, x.grantFn)
+	default:
+		then := x.then
+		x.then, x.dst, x.src = nil, device.View{}, device.View{} // a finished Xfer pins no buffers
+		then()
+	}
+}
+
+// granted resumes the kernel driver with a pool's grant.
+func (x *Xfer) granted(n int) {
+	x.got = n
+	x.step()
 }
 
 // ControlMsg charges the α of one small control message (e.g. an MPI

@@ -21,9 +21,12 @@ type Job struct {
 	nextCtx int
 	metrics *metrics.Registry // nil = no instrumentation
 	// progress holds each world rank's resident progress processes, which
-	// run its nonblocking operations (see post). A rank's processes all
-	// live on the kernel of the rank's own process.
+	// run its nonblocking operations other than eager sends (see post). A
+	// rank's processes all live on the kernel of the rank's own process.
 	progress []*sim.Pool[*Request]
+	// sends holds each world rank's idle eager-send states, which run its
+	// nonblocking eager sends as kernel callbacks (see startEager).
+	sends [][]*eagerOp
 }
 
 // NewJob creates a job with one rank per given device, in rank order.
@@ -31,7 +34,8 @@ func NewJob(fab *fabric.Fabric, profile Profile, devices []*device.Device) *Job 
 	if len(devices) == 0 {
 		panic("mpi: job needs at least one device")
 	}
-	j := &Job{fab: fab, profile: profile, devices: devices, progress: make([]*sim.Pool[*Request], len(devices))}
+	j := &Job{fab: fab, profile: profile, devices: devices, progress: make([]*sim.Pool[*Request], len(devices)),
+		sends: make([][]*eagerOp, len(devices))}
 	for r := range j.progress {
 		j.progress[r] = sim.NewPool(fmt.Sprintf("mpi/r%d/progress", r), runRequest)
 	}

@@ -221,3 +221,42 @@ func TestOrphanedEagerIsendCompletes(t *testing.T) {
 		t.Fatalf("rank 1's unexpected queue = %v, want the one eager envelope from rank 0", q)
 	}
 }
+
+// TestEagerSendsSpawnNoProgress pins that no eager send runs on a progress
+// process, in either profile and with integrity on: a barrier, a small
+// allreduce and a round of eager Isends, all of whose sends are eager,
+// leave every rank's progress pool empty.
+func TestEagerSendsSpawnNoProgress(t *testing.T) {
+	worlds := map[string]func(t *testing.T) *Job{
+		"mvapich":     func(t *testing.T) *Job { return newTestJob(t, 16) },
+		"openmpi-ucx": func(t *testing.T) *Job { return newSystemJob(t, "thetagpu", 16, OpenMPIUCXProfile()) },
+		"integrity": func(t *testing.T) *Job {
+			j := newTestJob(t, 16)
+			j.Fabric().SetIntegrity(fabric.Integrity{Enabled: true, MaxRetries: 2})
+			j.Fabric().SetFaults(&flipCorrupter{seen: map[int64]int{}})
+			return j
+		},
+	}
+	for name, world := range worlds {
+		t.Run(name, func(t *testing.T) {
+			j := world(t)
+			err := j.Run(func(c *Comm) {
+				n, r := c.Size(), c.Rank()
+				a, b := c.Device().MustMalloc(1024), c.Device().MustMalloc(1024)
+				c.Barrier()
+				c.Allreduce(a, b, 16, Float64, OpSum)
+				send := c.Isend(a, 64, Float64, (r+1)%n, 3)
+				c.Recv(b, 64, Float64, (r+n-1)%n, 3)
+				c.Wait(send)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, pool := range j.progress {
+				if all, _ := pool.Workers(); all != 0 {
+					t.Errorf("rank %d spawned %d progress processes; want 0", r, all)
+				}
+			}
+		})
+	}
+}

@@ -2,10 +2,8 @@ package mpi
 
 import (
 	"fmt"
-	"time"
 
 	"mpixccl/internal/device"
-	"mpixccl/internal/fabric"
 	"mpixccl/internal/sim"
 )
 
@@ -137,65 +135,19 @@ func (c *Comm) Send(buf *device.Buffer, count int, dt Datatype, dest, tag int) {
 }
 
 func (c *Comm) sendOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, dest, tag int) {
-	if dest < 0 || dest >= c.Size() {
-		panic(fmt.Sprintf("mpi: send to rank %d of %d", dest, c.Size()))
-	}
-	bytes := int64(count) * int64(dt.Size())
-	if bytes > buf.Len() {
-		panic(fmt.Sprintf("mpi: send of %d bytes from %d-byte buffer", bytes, buf.Len()))
-	}
-	prof := c.ctx.job.profile
-	fab := c.ctx.job.fab
-	p.Sleep(prof.SendOverhead)
-	dstDev := c.ctx.job.devices[c.ctx.group[dest]]
-	m := c.ctx.match[dest]
-	opts := fabric.Opts{Channels: prof.Channels, ChunkBytes: prof.ChunkBytes}
-	// Non-GPU-direct runtimes pay a staging penalty on device payloads,
-	// proportional to the wire time (see Profile.GPUBWEff*).
-	gpuPenalty := func() {
-		if !buf.OnDevice() || c.dev == dstDev {
-			return
-		}
-		effIntra, effInter := prof.gpuEff()
-		eff := effIntra
-		if c.dev.Node != dstDev.Node {
-			eff = effInter
-		}
-		if eff >= 1 {
-			return
-		}
-		link := fab.System().LinkBetween(c.dev, dstDev)
-		wire := link.Time(bytes, prof.Channels) - link.Alpha
-		p.Sleep(time.Duration(float64(wire) * (1/eff - 1)))
-	}
-
-	if bytes <= prof.EagerThreshold {
-		c.ctx.job.countSend("eager", bytes)
-		if r := m.takePosted(c.rank, tag); r != nil {
-			if int64(r.count)*int64(r.dt.Size()) < bytes {
-				panic("mpi: eager message longer than posted receive")
-			}
-			fab.Transfer(p, r.dst, buf, bytes, opts)
-			gpuPenalty()
-			r.status = Status{Source: c.rank, Tag: tag, Count: count}
-			r.done.Fire()
-			return
-		}
-		// No receive posted: stage a copy at the receiver (the eager
-		// protocol's bounce buffer) and complete immediately.
-		env := m.getEager(bytes)
-		copy(env.payload, buf.Bytes()[:bytes])
-		env.src, env.tag, env.dt, env.count = c.rank, tag, dt, count
-		m.unexpected = append(m.unexpected, env)
-		// Charge the uncontended wire time (α + payload) for injecting
-		// into the receiver's bounce buffer; eager messages are small
-		// enough that link contention is negligible.
-		p.Sleep(fab.System().LinkBetween(c.dev, dstDev).Time(bytes, prof.Channels))
-		gpuPenalty()
+	bytes := c.sendBytes(buf, count, dt, dest)
+	if bytes <= c.ctx.job.profile.EagerThreshold {
+		var e eagerSend
+		e.reset(c, buf, count, dt, dest, tag, bytes)
+		e.runOn(p)
 		return
 	}
 
 	// Rendezvous: RTS, wait for the receive, then move data directly.
+	fab := c.ctx.job.fab
+	p.Sleep(c.ctx.job.profile.SendOverhead)
+	dstDev := c.RankDevice(dest)
+	m := c.ctx.match[dest]
 	c.ctx.job.countSend("rendezvous", bytes)
 	env := &envelope{
 		src: c.rank, tag: tag, dt: dt, count: count,
@@ -207,8 +159,8 @@ func (c *Comm) sendOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, d
 	if r := m.takePosted(c.rank, tag); r != nil {
 		env.dstBuf = r.dst
 		env.recvReady.Fire()
-		fab.Transfer(p, env.dstBuf, buf, bytes, opts)
-		gpuPenalty()
+		fab.Transfer(p, env.dstBuf, buf, bytes, c.sendOpts())
+		c.stage(p, buf, dstDev, bytes)
 		r.status = Status{Source: c.rank, Tag: tag, Count: count}
 		env.done.Fire()
 		r.done.Fire()
@@ -217,9 +169,30 @@ func (c *Comm) sendOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, d
 	m.unexpected = append(m.unexpected, env)
 	env.recvReady.Wait(p)
 	fab.ControlMsg(p, dstDev, c.dev) // CTS
-	fab.Transfer(p, env.dstBuf, buf, bytes, opts)
-	gpuPenalty()
+	fab.Transfer(p, env.dstBuf, buf, bytes, c.sendOpts())
+	c.stage(p, buf, dstDev, bytes)
 	env.done.Fire()
+}
+
+// sendBytes checks a send's destination and length and returns its payload
+// size in bytes.
+func (c *Comm) sendBytes(buf *device.Buffer, count int, dt Datatype, dest int) int64 {
+	if dest < 0 || dest >= c.Size() {
+		panic(fmt.Sprintf("mpi: send to rank %d of %d", dest, c.Size()))
+	}
+	bytes := int64(count) * int64(dt.Size())
+	if bytes > buf.Len() {
+		panic(fmt.Sprintf("mpi: send of %d bytes from %d-byte buffer", bytes, buf.Len()))
+	}
+	return bytes
+}
+
+// stage blocks p for the staging penalty of a rendezvous payload, if the
+// runtime pays one (stagingPenalty).
+func (c *Comm) stage(p *sim.Proc, buf *device.Buffer, dstDev *device.Device, bytes int64) {
+	if d, ok := c.stagingPenalty(buf, dstDev, bytes); ok {
+		p.Sleep(d)
+	}
 }
 
 // Recv blocks until a message matching (src, tag) arrives and is delivered
@@ -264,7 +237,8 @@ func (c *Comm) recvOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, s
 }
 
 // Request is a handle on a nonblocking operation. It carries the operation
-// itself: a progress process of the posting rank runs it (see post).
+// itself, which kernel callbacks (an eager send) or a progress process of
+// the posting rank (everything else) run (see post).
 type Request struct {
 	done   sim.Event
 	status Status // a receive's status; zero for sends and collectives
@@ -310,7 +284,9 @@ func (c *Comm) Irecv(buf *device.Buffer, count int, dt Datatype, src, tag int) *
 // Sendrecv performs a simultaneous send and receive, the workhorse of the
 // ring and pairwise collective algorithms. Its send is a nonblocking send
 // on one request per communicator handle, re-armed by every call: the call
-// waits for it before returning, and a handle is used by one process.
+// waits for it before returning, and a handle is used by one process. An
+// eager send runs as kernel callbacks and a rendezvous one on a progress
+// process (see post), while the receive runs on the calling process.
 func (c *Comm) Sendrecv(
 	sendBuf *device.Buffer, sendCount int, sendDt Datatype, dest, sendTag int,
 	recvBuf *device.Buffer, recvCount int, recvDt Datatype, src, recvTag int,

@@ -5,14 +5,22 @@ import (
 	"mpixccl/internal/sim"
 )
 
-// post runs r on one of the calling rank's resident progress processes
-// (Job.progress). Every nonblocking operation the rank starts — Isend and
-// Irecv, and through them Sendrecv and Waitall fan-outs, plus the
-// nonblocking collectives — runs there, at the virtual time a process
-// spawned per operation would (see sim.Pool).
+// post starts r. An eager send runs as kernel callbacks (startEager): it
+// never waits on its receiver, so it needs no process. Every other
+// nonblocking operation the rank starts — a rendezvous Isend, every Irecv,
+// and the nonblocking collectives — runs on one of the rank's resident
+// progress processes (Job.progress), at the virtual time a process spawned
+// per operation would (see sim.Pool); those wait on a peer, and one that
+// waits forever must leave a live process for the deadlock report to name.
 // TestProgressReuseVirtualTime pins three back-to-back calls of each
 // collective, since the calls after the first are where reuse could drift.
 func (c *Comm) post(r *Request) {
+	if r.send {
+		if bytes := c.sendBytes(r.buf, r.count, r.dt, r.peer); bytes <= c.ctx.job.profile.EagerThreshold {
+			c.startEager(r, bytes)
+			return
+		}
+	}
 	c.ctx.job.progress[c.WorldRank()].Post(c.proc.Kernel(), r)
 }
 

@@ -96,6 +96,34 @@ func TestChanSendRecvAllocs(t *testing.T) {
 	}
 }
 
+// TestResourceFuncAllocs pins a contended callback acquire: the request
+// queues behind the holder, Release files its continuation, and the
+// continuation runs with the unit. The waiter node and its bound
+// continuation event are recycled, so a cycle allocates nothing.
+func TestResourceFuncAllocs(t *testing.T) {
+	k := NewKernel()
+	warmQueue(k, 256)
+	r := NewResource(k, 1)
+	granted := 0
+	then := func(n int) { granted += n }
+	r.AcquireUpToFunc(1, then) // the holder: granted at once
+	cycle := func() {
+		r.AcquireUpToFunc(1, then) // queued: the unit is held
+		r.Release(1)               // admits it, filing its continuation now
+		k.pick()                   // runs the continuation, which now holds the unit
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(100, cycle)
+	if granted != 1+8+101 || r.InUse() != 1 {
+		t.Fatalf("granted %d units, %d in use; want %d and 1", granted, r.InUse(), 1+8+101)
+	}
+	if allocs != 0 {
+		t.Errorf("a contended AcquireUpToFunc/Release cycle allocates %.2f objects; want 0", allocs)
+	}
+}
+
 func TestEventFireAllocs(t *testing.T) {
 	k := NewKernel()
 	warmQueue(k, 1024)

@@ -11,12 +11,16 @@
 // deterministic: the same program produces the same virtual-time trace on
 // every run.
 //
-// This kernel is the substrate for the simulated cluster: every MPI rank,
-// device stream, and fabric transfer in this repository is a sim process.
-// Work that an operation starts in the background — MPI progress, CCL
-// asynchronous sends, plan lanes, leader engines and group sends — runs on
-// resident workers from a Pool, at the virtual time of a process spawned
-// per job.
+// This kernel is the substrate for the simulated cluster: every MPI rank
+// and device stream in this repository is a sim process, and so is nearly
+// every fabric transfer. Work that an operation starts in the background
+// and that may wait on a peer — MPI rendezvous sends, receives and
+// nonblocking collectives, CCL asynchronous sends, plan lanes, leader
+// engines and group sends — runs on resident workers from a Pool, at the
+// virtual time of a process spawned per job. A nonblocking MPI eager send
+// never waits on a peer, so it runs as kernel callbacks instead (After and
+// Resource.AcquireUpToFunc), each in the (time, seq) slot where such a
+// worker would have woken.
 //
 // # Scheduling internals
 //

@@ -22,9 +22,11 @@ type orderEntry struct {
 }
 
 // orderModel drives one kernel through a random mix of Sleep(0), Sleep(d),
-// Event.Fire wake-ups, After callbacks and Spawns at the current instant.
-// Every scheduling call first records the entry it expects (reading the
-// kernel's next seq), and every activation logs its label when it runs.
+// Event.Fire wake-ups, After callbacks, Spawns at the current instant, and
+// acquires and releases of one contended Resource by processes
+// (AcquireUpTo) and callbacks (AcquireUpToFunc). Every scheduling call
+// first records the entry it expects (reading the kernel's next seq), and
+// every activation logs its label when it runs.
 type orderModel struct {
 	k       *Kernel
 	rng     *rand.Rand
@@ -34,6 +36,18 @@ type orderModel struct {
 	pending map[*Proc]int // label of a parked waiter's wake-up
 	labels  int
 	spawns  int
+
+	res     *Resource
+	queue   []*resReq // the requests queued on res, in the model's order
+	tickets int       // requests made of res so far
+	grants  []int     // request tickets in the order res granted them
+	waited  [2]int    // requests that queued: by processes, by callbacks
+}
+
+// resReq is one request of the model's resource: its arrival ticket, and,
+// once Release admits it, the label of its wake-up or continuation.
+type resReq struct {
+	ticket, label int
 }
 
 // orderEnd is when a cleanup callback fires every event of the pool, so
@@ -41,7 +55,7 @@ type orderModel struct {
 const orderEnd Time = 1000
 
 func newOrderModel(k *Kernel, seed int64) *orderModel {
-	m := &orderModel{k: k, rng: rand.New(rand.NewSource(seed)), pending: map[*Proc]int{}}
+	m := &orderModel{k: k, rng: rand.New(rand.NewSource(seed)), pending: map[*Proc]int{}, res: NewResource(k, 3)}
 	for i := 0; i < 3; i++ {
 		m.events = append(m.events, NewEvent(k))
 	}
@@ -95,9 +109,55 @@ func (m *orderModel) fire(i int) {
 	m.events[i] = NewEvent(m.k)
 }
 
+// request makes the next request of the model's resource and reports
+// whether it is granted at once: nobody is queued and a unit is free.
+// Otherwise it joins the model's queue, as it joins the resource's.
+func (m *orderModel) request() (*resReq, bool) {
+	m.tickets++
+	q := &resReq{ticket: m.tickets}
+	if len(m.res.waitq) == 0 && m.res.InUse() < m.res.capacity {
+		m.grants = append(m.grants, q.ticket)
+		return q, true
+	}
+	m.queue = append(m.queue, q)
+	return q, false
+}
+
+// release returns n units. Release admits a prefix of the queue, and each
+// admitted request's wake-up or continuation is due now, one seq each in
+// queue order: the slot where it would wake a process.
+func (m *orderModel) release(n int) {
+	before, seq := len(m.res.waitq), m.k.seq
+	m.res.Release(n)
+	admitted := before - len(m.res.waitq)
+	for i, q := range m.queue[:admitted] {
+		q.label = m.expect(m.k.now, seq+uint64(i))
+		m.grants = append(m.grants, q.ticket)
+	}
+	m.queue = m.queue[admitted:]
+}
+
+// acquireFunc acquires up to 1–3 units with a continuation that holds them
+// for 0–3 ns and releases them from an After callback.
+func (m *orderModel) acquireFunc() {
+	q, now := m.request()
+	ran := false
+	m.res.AcquireUpToFunc(1+m.rng.Intn(3), func(n int) {
+		ran = true
+		if !now {
+			m.waited[1]++
+			m.log(q.label)
+		}
+		m.after(Time(m.rng.Intn(4)), func() { m.release(n) })
+	})
+	if ran != now {
+		panic(fmt.Sprintf("request %d: continuation ran inline = %v, granted at once = %v", q.ticket, ran, now))
+	}
+}
+
 func (m *orderModel) run(p *Proc, budget int) {
 	for ; budget > 0; budget-- {
-		switch m.rng.Intn(6) {
+		switch m.rng.Intn(8) {
 		case 0, 1:
 			// Sleep(0) and short sleeps land on shared instants often.
 			d := Time(m.rng.Intn(4))
@@ -116,8 +176,11 @@ func (m *orderModel) run(p *Proc, budget int) {
 		case 4:
 			i := m.rng.Intn(len(m.events))
 			m.after(Time(m.rng.Intn(3)), func() {
-				if m.rng.Intn(2) == 0 {
+				switch m.rng.Intn(3) {
+				case 0:
 					m.fire(i)
+				case 1:
+					m.acquireFunc()
 				}
 			})
 		case 5:
@@ -125,14 +188,37 @@ func (m *orderModel) run(p *Proc, budget int) {
 				m.spawns++
 				m.spawn(budget / 2)
 			}
+		case 6:
+			q, now := m.request()
+			n := m.res.AcquireUpTo(p, 1+m.rng.Intn(3))
+			if !now {
+				m.waited[0]++
+				m.log(q.label)
+			}
+			d := Time(m.rng.Intn(4))
+			label := m.expect(m.k.now+d, m.k.seq)
+			p.Sleep(d)
+			m.log(label)
+			m.release(n)
+		case 7:
+			m.acquireFunc()
 		}
 	}
 }
 
 // check compares the activation trace with the expected entries sorted by
-// (time, seq).
+// (time, seq), and requires the resource to have granted every request in
+// arrival order.
 func (m *orderModel) check(t *testing.T, name string) {
 	t.Helper()
+	if len(m.grants) != m.tickets || len(m.queue) != 0 {
+		t.Fatalf("%s: %d of %d resource requests granted", name, len(m.grants), m.tickets)
+	}
+	for i, g := range m.grants {
+		if g != i+1 {
+			t.Fatalf("%s: resource grant %d went to request %d; want FIFO", name, i+1, g)
+		}
+	}
 	want := slices.Clone(m.want)
 	slices.SortFunc(want, func(x, y orderEntry) int {
 		if c := cmp.Compare(x.at, y.at); c != 0 {
@@ -152,6 +238,7 @@ func (m *orderModel) check(t *testing.T, name string) {
 }
 
 func TestEventOrderKernel(t *testing.T) {
+	var waited [2]int
 	for seed := int64(1); seed <= 200; seed++ {
 		k := NewKernel()
 		m := newOrderModel(k, seed)
@@ -160,6 +247,11 @@ func TestEventOrderKernel(t *testing.T) {
 		}
 		m.check(t, fmt.Sprintf("seed %d", seed))
 		k.Close()
+		waited[0] += m.waited[0]
+		waited[1] += m.waited[1]
+	}
+	if waited[0] == 0 || waited[1] == 0 {
+		t.Errorf("contended resource requests: %d by processes, %d by callbacks; want some of each", waited[0], waited[1])
 	}
 }
 

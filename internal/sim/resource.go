@@ -1,8 +1,9 @@
 package sim
 
 // Resource is a counting semaphore in virtual time with FIFO admission: a
-// fixed capacity of units that processes acquire and release. It models
-// contended hardware such as a link, a copy engine, or a NIC queue.
+// fixed capacity of units that processes, or callbacks (AcquireUpToFunc),
+// acquire and release. It models contended hardware such as a link, a copy
+// engine, or a NIC queue.
 type Resource struct {
 	k        *Kernel
 	capacity int
@@ -11,14 +12,21 @@ type Resource struct {
 	wfree    []*resWait
 }
 
+// resWait is one queued request: a parked process p, or, when p is nil, a
+// callback continuation then. n is the request (negative for an adaptive
+// one) until Release writes the grant into it.
 type resWait struct {
-	p *Proc
-	n int
+	r    *Resource
+	p    *Proc
+	n    int
+	then func(granted int)
+	wake func() // w.grant, bound once per node: the event Release files for then
 }
 
 // getWait recycles waiter nodes so contended acquires do not allocate in
-// steady state; the waiter frees its node after it resumes (Release has
-// written the grant into n by then).
+// steady state. A process waiter frees its node after it resumes (Release
+// has written the grant into n by then); a callback waiter's node is freed
+// by grant before the continuation runs.
 func (r *Resource) getWait(p *Proc, n int) *resWait {
 	if l := len(r.wfree); l > 0 {
 		w := r.wfree[l-1]
@@ -26,12 +34,20 @@ func (r *Resource) getWait(p *Proc, n int) *resWait {
 		w.p, w.n = p, n
 		return w
 	}
-	return &resWait{p: p, n: n}
+	return &resWait{r: r, p: p, n: n}
 }
 
 func (r *Resource) putWait(w *resWait) {
-	w.p = nil
+	w.p, w.then = nil, nil
 	r.wfree = append(r.wfree, w)
+}
+
+// grant runs a callback waiter's continuation with the units Release
+// granted it.
+func (w *resWait) grant() {
+	then, n := w.then, w.n
+	w.r.putWait(w)
+	then(n)
 }
 
 // NewResource returns a resource with the given unit capacity.
@@ -69,18 +85,8 @@ func (r *Resource) Acquire(p *Proc, n int) {
 // multi-channel transfers share a link pool fairly: a lone transfer gets the
 // whole pool, two opposing transfers converge to half each.
 func (r *Resource) AcquireUpTo(p *Proc, max int) int {
-	if max < 1 {
-		max = 1
-	}
-	if max > r.capacity {
-		max = r.capacity
-	}
-	if len(r.waitq) == 0 && r.inUse < r.capacity {
-		n := r.capacity - r.inUse
-		if n > max {
-			n = max
-		}
-		r.inUse += n
+	max = r.clampUpTo(max)
+	if n, ok := r.takeUpTo(max); ok {
 		return n
 	}
 	w := r.getWait(p, -max) // negative marks an adaptive request
@@ -91,14 +97,61 @@ func (r *Resource) AcquireUpTo(p *Proc, max int) int {
 	return n
 }
 
-// Release returns n units and admits as many queued waiters as now fit.
+// AcquireUpToFunc is the callback form of AcquireUpTo, for work that runs
+// as kernel callbacks instead of on a process. It grants the same units in
+// the same order: the request queues FIFO in the same line as process
+// waiters. When units are free at once, then runs inline with the grant.
+// Otherwise Release files then as an event at the current instant, in the
+// slot where it would wake a waiting process, and then runs there.
+func (r *Resource) AcquireUpToFunc(max int, then func(granted int)) {
+	max = r.clampUpTo(max)
+	if n, ok := r.takeUpTo(max); ok {
+		then(n)
+		return
+	}
+	w := r.getWait(nil, -max)
+	w.then = then
+	if w.wake == nil {
+		w.wake = w.grant
+	}
+	r.waitq = append(r.waitq, w)
+}
+
+// clampUpTo bounds an adaptive request to [1, capacity].
+func (r *Resource) clampUpTo(max int) int {
+	if max < 1 {
+		max = 1
+	}
+	if max > r.capacity {
+		max = r.capacity
+	}
+	return max
+}
+
+// takeUpTo grants up to max units at once when nobody is queued and a unit
+// is free.
+func (r *Resource) takeUpTo(max int) (int, bool) {
+	if len(r.waitq) > 0 || r.inUse >= r.capacity {
+		return 0, false
+	}
+	n := r.capacity - r.inUse
+	if n > max {
+		n = max
+	}
+	r.inUse += n
+	return n, true
+}
+
+// Release returns n units and admits as many queued waiters as now fit, in
+// queue order: each admitted process is woken, and each admitted callback
+// filed, at the current instant.
 func (r *Resource) Release(n int) {
 	r.inUse -= n
 	if r.inUse < 0 {
 		r.inUse = 0
 	}
-	for len(r.waitq) > 0 {
-		w := r.waitq[0]
+	admitted := 0
+	for _, w := range r.waitq {
 		if w.n < 0 { // adaptive request: grant whatever is free, up to -w.n
 			free := r.capacity - r.inUse
 			if free < 1 {
@@ -112,9 +165,19 @@ func (r *Resource) Release(n int) {
 		} else if r.inUse+w.n > r.capacity {
 			break
 		}
-		r.waitq = r.waitq[1:]
+		admitted++
 		r.inUse += w.n
-		w.p.unpark()
+		if w.p != nil {
+			w.p.unpark()
+		} else {
+			r.k.schedule(r.k.now, w.wake)
+		}
+	}
+	if admitted > 0 {
+		// Dequeue by copy-down, so the queue's backing array is reused.
+		rest := copy(r.waitq, r.waitq[admitted:])
+		clear(r.waitq[rest:])
+		r.waitq = r.waitq[:rest]
 	}
 }
 

@@ -55,23 +55,32 @@ scripts/doclinks.sh
 # internal/ccl/comp is the collective compiler: the plan search is pure,
 # but its lowered programs drive the executor's pipelined primitives, so
 # the IR/cost/search suite joins the race rotation wholesale (it is small).
-# internal/mpi hands every nonblocking operation to per-rank pools of
-# resident progress processes (sim.Pool), shared by all of a job's
-# communicators. internal/world builds every stack the harnesses run (its
-# per-stack test drives all six, each reporting into one registry).
+# internal/mpi hands its rendezvous sends, receives and nonblocking
+# collectives to per-rank pools of resident progress processes (sim.Pool),
+# shared by all of a job's communicators, and runs its eager sends as
+# kernel callbacks over recycled per-rank states. internal/world builds
+# every stack the harnesses run (its per-stack test drives all six, each
+# reporting into one registry).
 go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fault mpixccl/internal/fabric mpixccl/internal/core mpixccl/internal/ccl/comp mpixccl/internal/mpi mpixccl/internal/world
 # The whole internal/mpi suite, which runs in a second or two and under
 # the leak gate (simtest.Main: every world its tests build must be released
 # by Job.Run, which closes the kernel) — among it the progress-pool pins
 # (orphaned-Isend deadlock, idle pool, no-spawn waves, exact reuse times),
-# the exact scatter-ring Bcast times and the
-# recycled eager envelopes — the kernel's hand-off semantics (a process's
+# the eager-send pins (same-instant tie order, exact contended, staged and
+# retransmitted completions, orphaned eager Isend, no eager send on a
+# progress process), the exact scatter-ring Bcast times and the recycled
+# eager envelopes — the fabric's two transfer drivers (process and kernel
+# callbacks) agreeing on seeded transfer mixes under every fault setting,
+# the kernel's hand-off semantics (a process's
 # panic and t.FailNow reach Run, Close leaves no goroutine, the hand-off
-# paths allocate nothing and so does a cross-shard message
-# (TestShardedInjectAllocs), same-instant and future events run in (time,
-# seq) order on plain and sharded kernels, Close drops a sharded engine's
-# in-flight deliveries), the worker pool's pins (the same trace as a spawn per job, busy workers deadlock by name, idle ones
-# end Run, Close unwinds both), the ccl no-spawn pin with compiled plans
+# paths allocate nothing and so do a cross-shard message
+# (TestShardedInjectAllocs) and a contended callback acquire
+# (TestResourceFuncAllocs), same-instant and future events, resource
+# grants to processes and callbacks among them, run in (time, seq) order
+# on plain and sharded kernels, Close drops a sharded engine's
+# in-flight deliveries), the worker pool's pins (the same trace as a
+# spawn per job, busy workers deadlock by name, idle ones end Run, Close
+# unwinds both), the ccl no-spawn pin with compiled plans
 # and group sends on the rank's resident workers, the one-shot
 # steady-state allocation pin (recycled op states and pipes) and the
 # exact-time pins, the owner-computes ring's and tree fan-in's bit and
@@ -95,6 +104,7 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # not depend on how many threads run them.
 for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/mpi
+	GOMAXPROCS=$procs go test -count=1 -run 'TestTransferDriversAgree' mpixccl/internal/fabric
 	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$|TestEventOrder|TestPool' mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestOneShotSteadyStateAllocs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat|TestGroup|TestSynthesized|TestFusedRing|TestByteRegime|TestReduceOnReceive' mpixccl/internal/ccl
 	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting|TestWorldReleasedAfterRun' mpixccl/internal/core mpixccl/internal/sim
