@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -305,16 +306,51 @@ func TestSendToInvalidRankPanics(t *testing.T) {
 	}
 }
 
+// A receive that never matches is a deadlock naming every process it
+// leaves blocked and why: a blocking Recv and the receive of a Sendrecv
+// leave the rank waiting on the receive's event, an Irecv leaves its
+// progress process waiting there and the rank waiting on the request, and
+// a Sendrecv whose receive matched but whose rendezvous send never does
+// leaves the rank waiting on its send.
 func TestDeadlockDetectedOnMissingSend(t *testing.T) {
-	j := newTestJob(t, 2)
-	err := j.Run(func(c *Comm) {
-		if c.Rank() == 1 {
-			buf := c.Device().MustMalloc(8)
-			c.Recv(buf, 1, Float64, 0, 0) // never sent
-		}
-	})
-	if _, ok := err.(*sim.DeadlockError); !ok {
-		t.Fatalf("err = %v, want DeadlockError", err)
+	const big = 4096 // 32 KiB of float64s: rendezvous
+	cases := []struct {
+		name    string
+		rank1   func(c *Comm, small, large *device.Buffer)
+		blocked string
+	}{
+		{"recv", func(c *Comm, small, _ *device.Buffer) {
+			c.Recv(small, 1, Float64, 0, 0) // never sent
+		}, "[rank1(event)]"},
+		{"sendrecv", func(c *Comm, small, _ *device.Buffer) {
+			c.Sendrecv(small, 1, Float64, 0, 1, small, 1, Float64, 0, 0)
+		}, "[rank1(event)]"},
+		{"irecv-wait", func(c *Comm, small, _ *device.Buffer) {
+			c.Wait(c.Irecv(small, 1, Float64, 0, 0))
+		}, "[mpi/r1/progress0(event) rank1(event)]"},
+		{"sendrecv-send", func(c *Comm, small, large *device.Buffer) {
+			c.Sendrecv(large, big, Float64, 0, 1, small, 1, Float64, 0, 2)
+		}, "[mpi/r1/progress0(event) rank1(event)]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			j := newTestJob(t, 2)
+			err := j.Run(func(c *Comm) {
+				small, large := c.Device().MustMalloc(8), c.Device().MustMalloc(big*8)
+				if c.Rank() == 0 {
+					c.Send(small, 1, Float64, 1, 2) // matches only sendrecv-send's receive
+					return
+				}
+				tc.rank1(c, small, large)
+			})
+			de, ok := err.(*sim.DeadlockError)
+			if !ok {
+				t.Fatalf("err = %v, want DeadlockError", err)
+			}
+			if got := fmt.Sprint(de.Blocked); got != tc.blocked {
+				t.Errorf("blocked = %s, want %s", got, tc.blocked)
+			}
+		})
 	}
 }
 
