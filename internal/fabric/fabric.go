@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 	"time"
 
 	"mpixccl/internal/device"
@@ -374,11 +375,15 @@ func (f *Fabric) Transfer(p *sim.Proc, dst, src *device.Buffer, n int64, o Opts)
 // link-degradation window (SetFaults) scales the route's α and per-channel
 // bandwidth and caps the channel grant for the whole transfer, as observed
 // at its start time. It is the process driver of the transfer state
-// machine (Xfer); Start runs the same machine as kernel callbacks.
+// machine (Xfer): every sleep and contended channel acquire is one of p's
+// own wake-ups, each running the machine as a guarded step
+// (sim.Proc.Guarded), so p is switched to once, when the transfer is done.
+// Start runs the same machine as kernel callbacks.
 func (f *Fabric) TryTransfer(p *sim.Proc, dst, src device.View, n int64, o Opts) (time.Duration, error) {
 	start := p.Now()
-	var x Xfer
-	if err := x.openViews(f, dst, src, n, o); err != nil {
+	x := getXfer()
+	defer putXfer(x)
+	if err := f.Open(x, dst, src, n, o); err != nil {
 		return 0, err
 	}
 	x.runOn(p)
@@ -393,12 +398,46 @@ func (f *Fabric) TryTransfer(p *sim.Proc, dst, src device.View, n int64, o Opts)
 // only model time, use it instead of staging a copy.
 func (f *Fabric) Price(p *sim.Proc, dst, src *device.Device, n int64, o Opts) (time.Duration, error) {
 	start := p.Now()
-	var x Xfer
+	x := getXfer()
+	defer putXfer(x)
 	if err := x.open(f, dst, src, n, o); err != nil {
 		return 0, err
 	}
 	x.runOn(p)
 	return p.Now() - start, nil
+}
+
+// xfers holds the idle transfer states of the process driver (TryTransfer
+// and Price), each with its step bound once. One list serves every fabric,
+// so a world built per call, such as the scale model, whose thousands of
+// processes price at once, finds them warm; the lock is for the shards of
+// a sharded fabric, and for worlds run in parallel, which run on threads
+// of their own.
+var xfers struct {
+	sync.Mutex
+	idle []*Xfer
+}
+
+// getXfer returns an idle transfer state for the process driver.
+func getXfer() *Xfer {
+	xfers.Lock()
+	defer xfers.Unlock()
+	if n := len(xfers.idle); n > 0 {
+		x := xfers.idle[n-1]
+		xfers.idle = xfers.idle[:n-1]
+		return x
+	}
+	x := &Xfer{}
+	x.onFn = x.on
+	return x
+}
+
+// putXfer returns x to the idle list, pinning nothing of its world.
+func putXfer(x *Xfer) {
+	x.f, x.p, x.w, x.dst, x.src = nil, nil, wire{}, device.View{}, device.View{}
+	xfers.Lock()
+	xfers.idle = append(xfers.idle, x)
+	xfers.Unlock()
 }
 
 // Start moves n bytes from the src view to the dst view exactly as
@@ -412,7 +451,7 @@ func (f *Fabric) Price(p *sim.Proc, dst, src *device.Device, n int64, o Opts) (t
 // caller's reusable transfer state; it must not be restarted before then
 // runs.
 func (f *Fabric) Start(x *Xfer, dst, src device.View, n int64, o Opts, then func()) error {
-	if err := x.openViews(f, dst, src, n, o); err != nil {
+	if err := f.Open(x, dst, src, n, o); err != nil {
 		return err
 	}
 	if x.stepFn == nil {
@@ -442,9 +481,10 @@ type wire struct {
 // Integrity.MaxRetries, under the degradation snapshot taken at open.
 //
 // advance runs the machine up to its next wait, and a driver performs the
-// wait: runOn on a process (TryTransfer, Price), step as kernel callbacks
-// (Start). The zero value is ready to use; a caller that starts transfers
-// as callbacks keeps one Xfer per transfer in flight and reuses it.
+// wait: StepOn as guarded steps of a process (TryTransfer, Price, and
+// callers that Open an Xfer themselves), step as kernel callbacks (Start).
+// The zero value is ready to use; a caller that runs transfers itself
+// keeps one Xfer per transfer in flight and reuses it.
 type Xfer struct {
 	f        *Fabric
 	w        wire
@@ -466,6 +506,9 @@ type Xfer struct {
 	then    func()
 	stepFn  func()
 	grantFn func(int)
+	// The process driver of runOn: the process, and on bound once (xfers).
+	p    *sim.Proc
+	onFn func() bool
 }
 
 // xferStep is where advance resumes.
@@ -488,9 +531,12 @@ const (
 	xferAcquire          // up to ask channels of w.r.pools[pool]
 )
 
-// openViews opens x to move n bytes between two views (open), after
-// checking the length.
-func (x *Xfer) openViews(f *Fabric, dst, src device.View, n int64, o Opts) error {
+// Open readies x to move n bytes from the src view to the dst view: it
+// checks the length and resolves the route (open), and fails before any
+// time passes. TryTransfer and Start open their transfers with it, and so
+// does a caller that drives its own Xfer with StepOn from a guarded step
+// of its process.
+func (f *Fabric) Open(x *Xfer, dst, src device.View, n int64, o Opts) error {
 	if n < 0 || n > src.Len() || n > dst.Len() {
 		return fmt.Errorf("fabric: transfer of %d bytes between %d-byte src and %d-byte dst", n, src.Len(), dst.Len())
 	}
@@ -659,16 +705,32 @@ func (x *Xfer) check() bool {
 	return true
 }
 
-// runOn is the process driver: it performs each wait on p.
+// runOn drives x on p until the transfer is done, as guarded steps of p.
 func (x *Xfer) runOn(p *sim.Proc) {
+	x.p = p
+	p.Guarded(x.onFn)
+}
+
+func (x *Xfer) on() bool { return x.StepOn(x.p) }
+
+// StepOn is the process driver. Called from a guarded step of p
+// (sim.Proc.Guarded), first after Open and then at each of p's
+// activations, it runs the machine up to its next wait and files that wait
+// as p's next activation, as TryTransfer's process would: a sleep as p's
+// wake-up, a contended channel acquire as p's place in the pool's queue. It
+// reports false while a wait is filed, and true once the transfer is done.
+func (x *Xfer) StepOn(p *sim.Proc) bool {
 	for {
 		switch x.advance() {
 		case xferSleep:
-			p.Sleep(x.d)
+			p.SleepStep(x.d)
+			return false
 		case xferAcquire:
-			x.got = x.w.r.pools[x.pool].AcquireUpTo(p, x.ask)
+			if !x.w.r.pools[x.pool].AcquireUpToStep(p, x.ask, &x.got) {
+				return false
+			}
 		default:
-			return
+			return true
 		}
 	}
 }

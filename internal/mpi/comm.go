@@ -25,8 +25,10 @@ type Job struct {
 	// rank's processes all live on the kernel of the rank's own process.
 	progress []*sim.Pool[*Request]
 	// sends holds each world rank's idle eager-send states, which run its
-	// nonblocking eager sends as kernel callbacks (see startEager).
+	// eager sends (see eagerOp), and recvs its idle receive states, which
+	// run its receives (see recvOp).
 	sends [][]*eagerOp
+	recvs [][]*recvOp
 }
 
 // NewJob creates a job with one rank per given device, in rank order.
@@ -35,7 +37,7 @@ func NewJob(fab *fabric.Fabric, profile Profile, devices []*device.Device) *Job 
 		panic("mpi: job needs at least one device")
 	}
 	j := &Job{fab: fab, profile: profile, devices: devices, progress: make([]*sim.Pool[*Request], len(devices)),
-		sends: make([][]*eagerOp, len(devices))}
+		sends: make([][]*eagerOp, len(devices)), recvs: make([][]*recvOp, len(devices))}
 	for r := range j.progress {
 		j.progress[r] = sim.NewPool(fmt.Sprintf("mpi/r%d/progress", r), runRequest)
 	}

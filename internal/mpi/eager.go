@@ -15,9 +15,9 @@ import (
 // staging penalty of a non-GPU-direct runtime; then the posted receive's
 // completion.
 //
-// advance runs the protocol up to its next wait, and a driver performs the
-// wait: runOn on a process (the blocking Send), eagerOp's step as kernel
-// callbacks (Isend and Sendrecv).
+// advance runs the protocol up to its next wait, and one of eagerOp's two
+// drivers performs the wait: on as guarded steps of a process (the
+// blocking Send), step as kernel callbacks (Isend and Sendrecv).
 type eagerSend struct {
 	c         *Comm
 	buf       *device.Buffer
@@ -103,31 +103,81 @@ func (e *eagerSend) advance() eagerWait {
 	}
 }
 
-// runOn is the process driver: it performs each wait on p.
-func (e *eagerSend) runOn(p *sim.Proc) {
-	for {
-		switch e.advance() {
-		case eagerSleep:
-			p.Sleep(e.d)
-		case eagerTransfer:
-			e.c.ctx.job.fab.Transfer(p, e.posted.dst, e.buf, e.bytes, e.c.sendOpts())
-		default:
-			return
-		}
-	}
-}
-
-// eagerOp runs one nonblocking eager send as kernel callbacks, one in each
-// (time, seq) slot where a progress process running the send would wake:
-// the protocol's sleeps are After callbacks, and its posted-path transfer
-// runs on the fabric's kernel driver. A send never waits on its receiver,
-// so it needs no process. Each world rank keeps its idle ops for reuse
-// (Job.sends), with their step bound once.
+// eagerOp runs one eager send. A nonblocking one (Isend, Sendrecv's send)
+// runs as kernel callbacks, one in each (time, seq) slot where a progress
+// process running the send would wake: the protocol's sleeps are After
+// callbacks, and its posted-path transfer runs on the fabric's kernel
+// driver. A send never waits on its receiver, so it needs no process. A
+// blocking Send runs as guarded steps of the sending process instead, each
+// in the slot of one of its own wake-ups (sim.Proc.Guarded), so the process
+// is switched to once, when Send returns. Each world rank keeps its idle
+// ops for reuse (Job.sends), with both drivers bound once.
 type eagerOp struct {
 	eagerSend
 	x      fabric.Xfer
-	req    *Request
+	req    *Request  // the nonblocking send's request
+	p      *sim.Proc // the blocking send's process
+	moving bool      // the blocking send's posted-path transfer is in flight
 	stepFn func()
+	onFn   func() bool
+}
+
+// getEagerOp returns an idle eager-send state of c's world rank.
+func (c *Comm) getEagerOp() *eagerOp {
+	j, wr := c.ctx.job, c.WorldRank()
+	if n := len(j.sends[wr]); n > 0 {
+		o := j.sends[wr][n-1]
+		j.sends[wr][n-1] = nil
+		j.sends[wr] = j.sends[wr][:n-1]
+		return o
+	}
+	o := &eagerOp{}
+	o.stepFn, o.onFn = o.step, o.on
+	return o
+}
+
+// put returns a finished op to its world rank's idle list.
+func (o *eagerOp) put() {
+	j, wr := o.c.ctx.job, o.c.WorldRank()
+	o.eagerSend, o.req, o.p = eagerSend{}, nil, nil // an idle op pins nothing its send referenced
+	j.sends[wr] = append(j.sends[wr], o)
+}
+
+// sendEager runs the blocking eager send of bytes bytes on p.
+func (c *Comm) sendEager(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, dest, tag int, bytes int64) {
+	o := c.getEagerOp()
+	o.reset(c, buf, count, dt, dest, tag, bytes)
+	o.p = p
+	p.Guarded(o.onFn)
+	o.put()
+}
+
+// on is the process driver: at each activation of o.p it runs the
+// protocol, and its posted-path transfer (fabric.Xfer.StepOn), up to the
+// next wait and files it on o.p, or reports true when the send is done.
+func (o *eagerOp) on() bool {
+	if o.moving {
+		if !o.x.StepOn(o.p) {
+			return false
+		}
+		o.moving = false
+	}
+	for {
+		switch o.advance() {
+		case eagerSleep:
+			o.p.SleepStep(o.d)
+			return false
+		case eagerTransfer:
+			if err := o.c.ctx.job.fab.Open(&o.x, o.posted.dst.Whole(), o.buf.Whole(), o.bytes, o.c.sendOpts()); err != nil {
+				panic(err)
+			}
+			if o.moving = !o.x.StepOn(o.p); o.moving {
+				return false
+			}
+		default:
+			return true
+		}
+	}
 }
 
 // startEager runs the eager send r as callbacks. Its first step is filed
@@ -136,19 +186,10 @@ type eagerOp struct {
 // scheduling the overhead here instead would run the send ahead of
 // same-instant events filed after the post.
 func (c *Comm) startEager(r *Request, bytes int64) {
-	j, wr := c.ctx.job, c.WorldRank()
-	var o *eagerOp
-	if n := len(j.sends[wr]); n > 0 {
-		o = j.sends[wr][n-1]
-		j.sends[wr][n-1] = nil
-		j.sends[wr] = j.sends[wr][:n-1]
-	} else {
-		o = &eagerOp{}
-		o.stepFn = o.step
-	}
+	o := c.getEagerOp()
 	o.reset(c, r.buf, r.count, r.dt, r.peer, r.tag, bytes)
 	o.req = r
-	j.fab.Kernel().After(0, o.stepFn)
+	c.ctx.job.fab.Kernel().After(0, o.stepFn)
 }
 
 // step is the callback driver: it files each wait as an event that resumes
@@ -165,9 +206,8 @@ func (o *eagerOp) step() {
 			panic(err)
 		}
 	default:
-		r, j, wr := o.req, c.ctx.job, c.WorldRank()
-		o.eagerSend, o.req = eagerSend{}, nil // an idle op pins nothing its send referenced
-		j.sends[wr] = append(j.sends[wr], o)
+		r := o.req
+		o.put()
 		r.done.Fire()
 	}
 }

@@ -137,9 +137,7 @@ func (c *Comm) Send(buf *device.Buffer, count int, dt Datatype, dest, tag int) {
 func (c *Comm) sendOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, dest, tag int) {
 	bytes := c.sendBytes(buf, count, dt, dest)
 	if bytes <= c.ctx.job.profile.EagerThreshold {
-		var e eagerSend
-		e.reset(c, buf, count, dt, dest, tag, bytes)
-		e.runOn(p)
+		c.sendEager(p, buf, count, dt, dest, tag, bytes)
 		return
 	}
 
@@ -196,44 +194,133 @@ func (c *Comm) stage(p *sim.Proc, buf *device.Buffer, dstDev *device.Device, byt
 }
 
 // Recv blocks until a message matching (src, tag) arrives and is delivered
-// into buf. src may be AnySource and tag AnyTag.
+// into buf. src may be AnySource and tag AnyTag. The receive runs as
+// guarded steps of the rank's process (see recvOp), so the rank is
+// switched to once, when Recv returns.
 func (c *Comm) Recv(buf *device.Buffer, count int, dt Datatype, src, tag int) Status {
-	return c.recvOn(c.proc, buf, count, dt, src, tag)
+	return c.recvOn(c.proc, buf, count, dt, src, tag, nil)
 }
 
-func (c *Comm) recvOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, src, tag int) Status {
+// recvOn runs one receive on p and, when send is not nil, waits for that
+// send to complete too before returning.
+func (c *Comm) recvOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, src, tag int, send *Request) Status {
 	bytes := int64(count) * int64(dt.Size())
 	if bytes > buf.Len() {
 		panic(fmt.Sprintf("mpi: recv of %d bytes into %d-byte buffer", bytes, buf.Len()))
 	}
-	prof := c.ctx.job.profile
-	p.Sleep(prof.RecvOverhead)
-	m := c.ctx.match[c.rank]
-	if env := m.takeUnexpected(src, tag); env != nil {
-		got := int64(env.count) * int64(env.dt.Size())
-		if got > bytes {
-			panic("mpi: message truncation (received longer than posted)")
-		}
-		st := Status{Source: env.src, Tag: env.tag, Count: env.count}
-		if env.eager {
-			// Drain the bounce buffer into the user buffer: a local copy.
-			copy(buf.Bytes()[:got], env.payload)
-			m.putEager(env)
-			p.Sleep(c.dev.CopyTime(got))
-			return st
-		}
-		env.dstBuf = buf
-		env.recvReady.Fire()
-		env.done.Wait(p)
-		return st
-	}
-	r := m.getRecv()
-	r.src, r.tag, r.dt, r.count, r.dst = src, tag, dt, count, buf
-	m.posted = append(m.posted, r)
-	r.done.Wait(p)
-	st := r.status
-	m.putRecv(r)
+	o := c.getRecvOp()
+	o.c, o.p, o.buf, o.count, o.dt, o.src, o.tag, o.bytes, o.send = c, p, buf, count, dt, src, tag, bytes, send
+	p.Guarded(o.stepFn)
+	st := o.st
+	o.put()
 	return st
+}
+
+// getRecvOp returns an idle receive state of c's world rank.
+func (c *Comm) getRecvOp() *recvOp {
+	j, wr := c.ctx.job, c.WorldRank()
+	if n := len(j.recvs[wr]); n > 0 {
+		o := j.recvs[wr][n-1]
+		j.recvs[wr][n-1] = nil
+		j.recvs[wr] = j.recvs[wr][:n-1]
+		return o
+	}
+	o := &recvOp{}
+	o.stepFn = o.step
+	return o
+}
+
+// put returns a finished op to its world rank's idle list.
+func (o *recvOp) put() {
+	j, wr := o.c.ctx.job, o.c.WorldRank()
+	*o = recvOp{stepFn: o.stepFn} // an idle op pins nothing its receive referenced
+	j.recvs[wr] = append(j.recvs[wr], o)
+}
+
+// recvOp is the receive protocol, the only copy of it, for Recv, the
+// receive of Sendrecv and Irecv's progress process alike. It runs as
+// guarded steps of the receiving process (sim.Proc.Guarded), each in the
+// slot of one of the process's own wake-ups and each running the code the
+// process would run between that wake and its next wait: the overhead;
+// then matching, which copies an unexpected eager message out of its
+// bounce buffer and charges the copy, or lets an unexpected rendezvous
+// sender go and waits for its transfer, or else posts the receive and
+// waits for a sender to complete it; then, for Sendrecv, the wait for its
+// own send. Each world rank keeps its idle ops for reuse (Job.recvs), with
+// their step bound once.
+type recvOp struct {
+	c        *Comm
+	p        *sim.Proc
+	buf      *device.Buffer
+	count    int
+	dt       Datatype
+	src, tag int
+	bytes    int64
+	send     *Request // Sendrecv's send, waited for after the receive
+
+	pc     recvStep
+	posted *postedRecv // the posted receive, once matching posted it
+	st     Status
+	stepFn func() bool
+}
+
+// recvStep is where step resumes.
+type recvStep uint8
+
+const (
+	recvOverhead recvStep = iota // charge the receive overhead
+	recvMatch                    // match an unexpected message or post the receive
+	recvPosted                   // a sender completed the posted receive
+	recvSend                     // the message is in: wait for Sendrecv's send
+)
+
+// step runs the receive up to its next wait and files it on o.p, or
+// reports true when the receive, and Sendrecv's send, are done.
+func (o *recvOp) step() bool {
+	c, p := o.c, o.p
+	m := c.ctx.match[c.rank]
+	for {
+		switch o.pc {
+		case recvOverhead:
+			o.pc = recvMatch
+			p.SleepStep(c.ctx.job.profile.RecvOverhead)
+			return false
+		case recvMatch:
+			env := m.takeUnexpected(o.src, o.tag)
+			if env == nil {
+				r := m.getRecv()
+				r.src, r.tag, r.dt, r.count, r.dst = o.src, o.tag, o.dt, o.count, o.buf
+				m.posted = append(m.posted, r)
+				o.posted, o.pc = r, recvPosted
+				r.done.WaitStep(p) // just posted: nobody can have completed it
+				return false
+			}
+			got := int64(env.count) * int64(env.dt.Size())
+			if got > o.bytes {
+				panic("mpi: message truncation (received longer than posted)")
+			}
+			o.st = Status{Source: env.src, Tag: env.tag, Count: env.count}
+			o.pc = recvSend
+			if env.eager {
+				// Drain the bounce buffer into the user buffer: a local copy.
+				copy(o.buf.Bytes()[:got], env.payload)
+				m.putEager(env)
+				p.SleepStep(c.dev.CopyTime(got))
+				return false
+			}
+			env.dstBuf = o.buf
+			env.recvReady.Fire()
+			if !env.done.WaitStep(p) {
+				return false
+			}
+		case recvPosted:
+			o.st = o.posted.status
+			m.putRecv(o.posted)
+			o.posted, o.pc = nil, recvSend
+		case recvSend:
+			return o.send == nil || o.send.done.WaitStep(p)
+		}
+	}
 }
 
 // Request is a handle on a nonblocking operation. It carries the operation
@@ -283,10 +370,12 @@ func (c *Comm) Irecv(buf *device.Buffer, count int, dt Datatype, src, tag int) *
 
 // Sendrecv performs a simultaneous send and receive, the workhorse of the
 // ring and pairwise collective algorithms. Its send is a nonblocking send
-// on one request per communicator handle, re-armed by every call: the call
-// waits for it before returning, and a handle is used by one process. An
-// eager send runs as kernel callbacks and a rendezvous one on a progress
-// process (see post), while the receive runs on the calling process.
+// on one request per communicator handle, re-armed by every call, and a
+// handle is used by one process. An eager send runs as kernel callbacks and
+// a rendezvous one on a progress process (see post). The receive runs as
+// guarded steps of the calling process (see recvOp), whose last step waits
+// for the send in the slot where the receive completes, so the process is
+// switched to once, when both are done.
 func (c *Comm) Sendrecv(
 	sendBuf *device.Buffer, sendCount int, sendDt Datatype, dest, sendTag int,
 	recvBuf *device.Buffer, recvCount int, recvDt Datatype, src, recvTag int,
@@ -298,7 +387,5 @@ func (c *Comm) Sendrecv(
 	}
 	sreq.buf, sreq.count, sreq.dt, sreq.peer, sreq.tag = sendBuf, sendCount, sendDt, dest, sendTag
 	sreq.restart()
-	st := c.Recv(recvBuf, recvCount, recvDt, src, recvTag)
-	c.Wait(sreq)
-	return st
+	return c.recvOn(c.proc, recvBuf, recvCount, recvDt, src, recvTag, sreq)
 }

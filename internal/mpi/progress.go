@@ -42,7 +42,7 @@ func runRequest(p *sim.Proc, r *Request) {
 	case r.send:
 		c.sendOn(p, r.buf, r.count, r.dt, r.peer, r.tag)
 	default:
-		r.status = c.recvOn(p, r.buf, r.count, r.dt, r.peer, r.tag)
+		r.status = c.recvOn(p, r.buf, r.count, r.dt, r.peer, r.tag, nil)
 	}
 	r.done.Fire()
 }

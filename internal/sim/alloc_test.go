@@ -124,6 +124,66 @@ func TestResourceFuncAllocs(t *testing.T) {
 	}
 }
 
+// TestGuardedActivationAllocs pins a guarded call (Proc.Guarded) whose step
+// takes every kind of wait: a sleep filed at the call, a sleep filed at
+// that activation (the step declines), a wait on an event that a callback
+// fires, and a contended acquire of a unit that a callback holds and
+// releases; at the grant the step releases the unit and resumes the
+// process. Steps, waiter lists and waiter nodes are reused, so a call
+// allocates nothing.
+func TestGuardedActivationAllocs(t *testing.T) {
+	k := NewKernel()
+	warmQueue(k, 256)
+	r := NewResource(k, 1)
+	e := NewEvent(k)
+	hold := func(int) {}
+	fire, release := e.Fire, func() { r.Release(1) }
+	var p *Proc
+	phase, got, calls := 0, 0, 0
+	step := func() bool {
+		phase++
+		switch phase {
+		case 1, 2:
+			p.SleepStep(time.Microsecond)
+		case 3:
+			e.Reset()
+			k.After(time.Microsecond, fire)
+			if e.WaitStep(p) {
+				panic("WaitStep on an unfired event reported it fired")
+			}
+		case 4:
+			r.AcquireUpToFunc(1, hold) // granted at once
+			k.After(time.Microsecond, release)
+			if r.AcquireUpToStep(p, 1, &got) {
+				panic("AcquireUpToStep on a held unit granted it at once")
+			}
+		default:
+			r.Release(got)
+			phase = 0
+			calls++
+			return true
+		}
+		return false
+	}
+	var allocs float64
+	p = k.Spawn("guarded", func(p *Proc) {
+		for i := 0; i < 8; i++ {
+			p.Guarded(step)
+		}
+		allocs = testing.AllocsPerRun(100, func() { p.Guarded(step) })
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Close()
+	if calls != 8+101 || got != 1 || r.InUse() != 0 {
+		t.Fatalf("%d guarded calls returned, last grant %d, %d units in use; want %d, 1 and 0", calls, got, r.InUse(), 8+101)
+	}
+	if allocs != 0 {
+		t.Errorf("a guarded call allocates %.2f objects; want 0", allocs)
+	}
+}
+
 func TestEventFireAllocs(t *testing.T) {
 	k := NewKernel()
 	warmQueue(k, 1024)

@@ -39,16 +39,20 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 		defer func() { unwound = append(unwound, "stuck") }()
 		ev.Wait(p)
 	})
+	k.Spawn("guarded", func(p *Proc) {
+		defer func() { unwound = append(unwound, "guarded") }()
+		p.Guarded(func() bool { return ev.WaitStep(p) })
+	})
 	if _, ok := k.Run().(*DeadlockError); !ok {
 		t.Fatal("stuck process not reported")
 	}
 	// Spawned after Run and never activated: it holds no goroutine.
 	k.Spawn("late", func(p *Proc) { t.Error("late process ran") })
-	if n := settleGoroutines(base + 2); n != base+2 {
-		t.Fatalf("%d goroutines before Close, want %d: one per started, parked process", n, base+2)
+	if n := settleGoroutines(base + 3); n != base+3 {
+		t.Fatalf("%d goroutines before Close, want %d: one per started, parked process", n, base+3)
 	}
 	k.Close()
-	if want := []string{"server", "stuck"}; !reflect.DeepEqual(unwound, want) {
+	if want := []string{"server", "stuck", "guarded"}; !reflect.DeepEqual(unwound, want) {
 		t.Fatalf("unwound = %v, want %v in pid order", unwound, want)
 	}
 	if len(k.procs) != 0 || k.alive != 0 || len(k.queue) != 0 || k.fifo.n != 0 {

@@ -33,11 +33,21 @@ func (e *Event) Fire() {
 
 // Wait blocks p until the event fires.
 func (e *Event) Wait(p *Proc) {
+	if !e.WaitStep(p) {
+		p.wait()
+	}
+}
+
+// WaitStep is Wait for a guarded step (see Proc.Guarded): it reports true
+// when the event has fired, and otherwise registers p as a waiter, as Wait
+// does, and reports false without blocking.
+func (e *Event) WaitStep(p *Proc) bool {
 	if e.fired {
-		return
+		return true
 	}
 	e.waiters = append(e.waiters, p)
-	p.park("event")
+	p.blocked = "event"
+	return false
 }
 
 // Reset returns a fired event to the unfired state so persistent handles

@@ -52,6 +52,47 @@ func TestPanicInProcessSurfacesFromRun(t *testing.T) {
 	}
 }
 
+// A guarded step runs in whichever process picks its activation, here a
+// process parking in Sleep or exiting, but its panic is the guarded
+// process's own.
+func TestPanicInGuardedStepNamesItsProcess(t *testing.T) {
+	for _, host := range []struct {
+		name string
+		fn   func(p *Proc)
+	}{
+		{"parking", func(p *Proc) { p.Sleep(2 * time.Microsecond) }},
+		{"exiting", func(*Proc) {}},
+	} {
+		t.Run(host.name, func(t *testing.T) {
+			k := NewKernel()
+			defer k.Close()
+			boom := errors.New("boom")
+			var g *Proc
+			g = k.Spawn("guarded", func(p *Proc) {
+				p.Guarded(func() bool {
+					if p.Now() == 0 {
+						p.SleepStep(time.Microsecond)
+						return false
+					}
+					panic(boom)
+				})
+			})
+			k.Spawn("host", host.fn)
+			r := runRecovering(k.Run)
+			pe, ok := r.(*PanicError)
+			if !ok {
+				t.Fatalf("Run panicked with %v (%T), want a *PanicError", r, r)
+			}
+			if pe.Proc != "guarded" || !errors.Is(pe, boom) {
+				t.Fatalf("PanicError names %q with value %v, want guarded and boom", pe.Proc, pe.Value)
+			}
+			if g.dead {
+				t.Fatal("the guarded process exited; it should still be parked for Close to unwind")
+			}
+		})
+	}
+}
+
 func TestShardedPanicSurfacesFromRun(t *testing.T) {
 	s := NewSharded(2, time.Microsecond)
 	defer s.Close()

@@ -20,7 +20,12 @@
 // virtual time of a process spawned per job. A nonblocking MPI eager send
 // never waits on a peer, so it runs as kernel callbacks instead (After and
 // Resource.AcquireUpToFunc), each in the (time, seq) slot where such a
-// worker would have woken.
+// worker would have woken. A process whose call only does bookkeeping at
+// some of its wake-ups (an MPI receive, Sendrecv, a blocking eager send, a
+// fabric transfer) runs that call as a guarded one (Proc.Guarded): the
+// bookkeeping runs as steps in the kernel, each in the slot of the
+// process's own wake-up, and the process is switched to once, when the
+// call returns.
 //
 // # Scheduling internals
 //
@@ -44,6 +49,8 @@
 //     events itself until one activates a process: itself, and it simply
 //     keeps running (no switch at all — the dominant Sleep/park/unpark
 //     cycle), or another, which it leaves for the loop before yielding.
+//     An activation that carries a guarded step runs the step in pick
+//     and activates the process only once the step reports its call done.
 //     The runtime switches coroutines directly, without the run-queue
 //     round trip of a channel send and a goroutine park.
 package sim
@@ -194,6 +201,8 @@ type Kernel struct {
 	// and all parked processes intact for the next window.
 	bounded bool
 	horizon Time
+
+	onResume func(*Proc) // see OnResume
 }
 
 // NewKernel returns a kernel with an empty event queue and the clock at zero.
@@ -259,11 +268,13 @@ func (k *Kernel) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 }
 
 // pick executes events until one activates a live process and returns
-// that process. It returns nil once the queue drains, Stop is called, or
-// (in a bounded window) the next event lies at or past the horizon. The
-// side holding control runs it: the loop, or a parking or exiting process,
-// so all kernel state stays single-threaded even though every process has
-// its own goroutine.
+// that process. An activation of a process parked in a guarded call
+// (Proc.Guarded) runs the call's step first, and activates the process
+// only if the step reports the call done. pick returns nil once the queue
+// drains, Stop is called, or (in a bounded window) the next event lies at
+// or past the horizon. The side holding control runs it: the loop, or a
+// parking or exiting process, so all kernel state stays single-threaded
+// even though every process has its own goroutine.
 //
 // Events run in (at, seq) order. FIFO events are all due now and the heap
 // holds nothing earlier, so the next event is the FIFO's head unless the
@@ -291,16 +302,35 @@ func (k *Kernel) pick() *Proc {
 		}
 		k.now = ev.at
 		if p := ev.proc; p != nil {
-			if !p.dead { // else a stale activation of an exited process
-				return p
+			if p.dead { // a stale activation of an exited process
+				continue
 			}
-			continue
+			if s := p.step; s != nil && !p.runStep(s) {
+				continue // a guarded step filed p's next wait
+			}
+			p.step = nil
+			if k.onResume != nil {
+				k.onResume(p)
+			}
+			return p
 		}
 		if ev.fn != nil {
 			ev.fn()
 		}
 	}
 	return nil
+}
+
+// runStep runs p's guarded step s. The step runs on whichever side holds
+// control, so a panic in it is re-raised as p's own *PanicError, as if p
+// had run the code itself.
+func (p *Proc) runStep(s func() bool) bool {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(&PanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
+		}
+	}()
+	return s()
 }
 
 // loop is the dispatch loop of Run and runWindow: it switches into each
@@ -326,12 +356,18 @@ func (p *Proc) run() {
 
 // retire removes an exited or unwound process from the kernel's books.
 func (k *Kernel) retire(p *Proc) {
-	p.dead = true
+	p.dead, p.step = true, nil
 	if !p.daemon {
 		k.alive--
 	}
 	delete(k.procs, p.id)
 }
+
+// OnResume installs fn to be called with every process the kernel resumes,
+// whether it switches into the process or the process picked its own
+// activation, and not at activations that a guarded step (Proc.Guarded)
+// keeps parked. It exists for tests that count resumes; nil removes it.
+func (k *Kernel) OnResume(fn func(*Proc)) { k.onResume = fn }
 
 // Stop aborts the simulation: Run returns after the current event completes.
 // Outstanding processes are left parked; Run does not report them as a
@@ -394,7 +430,8 @@ func (k *Kernel) unwindAll() {
 // t.FailNow inside a process, which iter.Pull re-raises on the loop's
 // goroutine) and a genuine panic retire the process; the panic then
 // continues as a *PanicError, which the loop's goroutine re-raises, so it
-// surfaces from Run.
+// surfaces from Run. A guarded step's panic is one already, naming the
+// step's own process, and passes through.
 func (k *Kernel) reap(p *Proc) {
 	if p.dead {
 		return // fn returned normally
@@ -403,6 +440,8 @@ func (k *Kernel) reap(p *Proc) {
 	k.retire(p)
 	switch r.(type) {
 	case nil, unwind:
+	case *PanicError: // another process's guarded step, run in p's pick (runStep)
+		panic(r)
 	default:
 		panic(&PanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
 	}

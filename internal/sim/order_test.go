@@ -22,11 +22,14 @@ type orderEntry struct {
 }
 
 // orderModel drives one kernel through a random mix of Sleep(0), Sleep(d),
-// Event.Fire wake-ups, After callbacks, Spawns at the current instant, and
+// Event.Fire wake-ups, After callbacks, Spawns at the current instant,
 // acquires and releases of one contended Resource by processes
-// (AcquireUpTo) and callbacks (AcquireUpToFunc). Every scheduling call
-// first records the entry it expects (reading the kernel's next seq), and
-// every activation logs its label when it runs.
+// (AcquireUpTo), callbacks (AcquireUpToFunc) and guarded steps
+// (AcquireUpToStep), and guarded calls (Proc.Guarded) whose steps sleep,
+// decline and sleep again, wait on an event and on the resource, and
+// resume. Every scheduling call first records the entry it expects
+// (reading the kernel's next seq), and every activation logs its label
+// when it runs: a guarded step logs it from the kernel, in its slot.
 type orderModel struct {
 	k       *Kernel
 	rng     *rand.Rand
@@ -41,7 +44,8 @@ type orderModel struct {
 	queue   []*resReq // the requests queued on res, in the model's order
 	tickets int       // requests made of res so far
 	grants  []int     // request tickets in the order res granted them
-	waited  [2]int    // requests that queued: by processes, by callbacks
+	waited  [3]int    // requests that queued: by processes, callbacks, guarded steps
+	guards  [2]int    // guarded calls made, and those whose step waited on an event
 }
 
 // resReq is one request of the model's resource: its arrival ticket, and,
@@ -157,7 +161,7 @@ func (m *orderModel) acquireFunc() {
 
 func (m *orderModel) run(p *Proc, budget int) {
 	for ; budget > 0; budget-- {
-		switch m.rng.Intn(8) {
+		switch m.rng.Intn(9) {
 		case 0, 1:
 			// Sleep(0) and short sleeps land on shared instants often.
 			d := Time(m.rng.Intn(4))
@@ -202,7 +206,72 @@ func (m *orderModel) run(p *Proc, budget int) {
 			m.release(n)
 		case 7:
 			m.acquireFunc()
+		case 8:
+			m.guarded(p)
 		}
+	}
+}
+
+// guarded makes one guarded call on p. Its step files a sleep when called;
+// at that activation it declines and files another; then it waits on a
+// pool event (before orderEnd) and acquires up to 1–3 units of the
+// resource, queueing when it is contended; it holds them over a last
+// sleep, and at that activation releases them and resumes p. Each
+// activation's step logs the activation's label, and p must resume in the
+// last one's slot.
+func (m *orderModel) guarded(p *Proc) {
+	m.guards[0]++
+	var (
+		phase, got int
+		wake       func() int // the label of p's pending activation
+	)
+	sleep := func() {
+		d := Time(m.rng.Intn(4))
+		label := m.expect(m.k.now+d, m.k.seq)
+		wake = func() int { return label }
+		p.SleepStep(d)
+	}
+	last := 0
+	p.Guarded(func() bool {
+		if wake != nil {
+			last = wake()
+			m.log(last)
+			wake = nil
+		}
+		for {
+			phase++
+			switch phase {
+			case 1, 2, 5:
+				sleep()
+				return false
+			case 3:
+				if m.k.now >= orderEnd {
+					continue
+				}
+				if !m.events[m.rng.Intn(len(m.events))].WaitStep(p) {
+					m.guards[1]++
+					wake = func() int { return m.pending[p] }
+					return false
+				}
+			case 4:
+				q, now := m.request()
+				queued := !m.res.AcquireUpToStep(p, 1+m.rng.Intn(3), &got)
+				if queued == now {
+					panic(fmt.Sprintf("request %d: guarded step queued = %v, granted at once = %v", q.ticket, queued, now))
+				}
+				if queued {
+					m.waited[2]++
+					wake = func() int { return q.label }
+					return false
+				}
+			default:
+				m.release(got)
+				return true
+			}
+		}
+	})
+	if got := m.got[len(m.got)-1]; got.label != last || got.at != m.k.now {
+		panic(fmt.Sprintf("guarded call resumed at %v after activation %d; want the slot of its last activation %d", m.k.now, got.label, last))
 	}
 }
 
@@ -238,7 +307,8 @@ func (m *orderModel) check(t *testing.T, name string) {
 }
 
 func TestEventOrderKernel(t *testing.T) {
-	var waited [2]int
+	var waited [3]int
+	var guards [2]int
 	for seed := int64(1); seed <= 200; seed++ {
 		k := NewKernel()
 		m := newOrderModel(k, seed)
@@ -247,11 +317,18 @@ func TestEventOrderKernel(t *testing.T) {
 		}
 		m.check(t, fmt.Sprintf("seed %d", seed))
 		k.Close()
-		waited[0] += m.waited[0]
-		waited[1] += m.waited[1]
+		for i := range waited {
+			waited[i] += m.waited[i]
+		}
+		guards[0] += m.guards[0]
+		guards[1] += m.guards[1]
 	}
-	if waited[0] == 0 || waited[1] == 0 {
-		t.Errorf("contended resource requests: %d by processes, %d by callbacks; want some of each", waited[0], waited[1])
+	if waited[0] == 0 || waited[1] == 0 || waited[2] == 0 {
+		t.Errorf("contended resource requests: %d by processes, %d by callbacks, %d by guarded steps; want some of each",
+			waited[0], waited[1], waited[2])
+	}
+	if guards[1] == 0 {
+		t.Errorf("%d guarded calls, none of whose steps waited on an event; want some", guards[0])
 	}
 }
 

@@ -15,6 +15,10 @@ type Proc struct {
 	dead    bool
 	daemon  bool
 	blocked string
+	// step is a guarded call's step (see Guarded): set while the process
+	// parks in the call, run by pick at each of its activations, and
+	// cleared when it reports the call done and the process resumes.
+	step func() bool
 
 	// The coroutine (see coro.go), created at the first activation: pull
 	// switches into it, yield back out to the loop, and stop unwinds it.
@@ -59,13 +63,18 @@ func (p *Proc) SetDaemon(on bool) {
 func (p *Proc) Now() Time { return p.k.now }
 
 // park blocks the process until another event resumes it. reason is shown in
-// deadlock reports. The parking process picks further events itself; on
-// its own activation it simply returns, and only when another process (or
-// none) comes up does it leave that to the loop and yield (see
-// Kernel.loop). A yield ended by Close unwinds the process instead of
-// returning.
+// deadlock reports.
 func (p *Proc) park(reason string) {
 	p.blocked = reason
+	p.wait()
+}
+
+// wait blocks the process until an activation resumes it. The parking
+// process picks further events itself; on its own activation it simply
+// returns, and only when another process (or none) comes up does it leave
+// that to the loop and yield (see Kernel.loop). A yield ended by Close
+// unwinds the process instead of returning.
+func (p *Proc) wait() {
 	k := p.k
 	if q := k.pick(); q != p {
 		k.next = q
@@ -73,6 +82,39 @@ func (p *Proc) park(reason string) {
 			panic(unwind{})
 		}
 	}
+}
+
+// Guarded runs step now, on p, and then at each of p's activations until
+// step reports true, when Guarded returns. Those activations run step in
+// the kernel, in the activation's own (time, seq) slot, while p stays
+// parked, so p resumes once per call. step must run exactly the code the
+// process version runs between that wake and its next park, and file that
+// park the same way: with SleepStep, Event.WaitStep or
+// Resource.AcquireUpToStep, each of which also sets the reason a deadlock
+// report shows. It then reports false; it must not block, and it must file
+// exactly one wait. Every event a guarded call files is then one that the
+// process version files, in the same slot, so virtual time and event order
+// are the same either way. A panic in step surfaces from Run as p's
+// *PanicError, wherever the step ran. A stale activation of a process that
+// has exited is skipped without running its step, and Close unwinds a
+// guarded park like any other.
+func (p *Proc) Guarded(step func() bool) {
+	if step() {
+		return
+	}
+	p.step = step
+	p.wait()
+}
+
+// SleepStep files p's next activation d of virtual time from now, as Sleep
+// does, without blocking: it is Sleep for a guarded step (see Guarded).
+func (p *Proc) SleepStep(d time.Duration) {
+	k := p.k
+	if d < 0 {
+		d = 0
+	}
+	k.scheduleProc(k.now+d, p)
+	p.blocked = "sleep"
 }
 
 // unpark schedules the process to resume at the current virtual time.
@@ -86,12 +128,8 @@ func (p *Proc) unpark() {
 // after already-queued events). When no other process is runnable earlier,
 // the sleeping process re-activates itself without any coroutine switch.
 func (p *Proc) Sleep(d time.Duration) {
-	k := p.k
-	if d < 0 {
-		d = 0
-	}
-	k.scheduleProc(k.now+d, p)
-	p.park("sleep")
+	p.SleepStep(d)
+	p.wait()
 }
 
 // Join blocks until q's function has returned. Joining an already-finished

@@ -14,19 +14,22 @@ type Resource struct {
 
 // resWait is one queued request: a parked process p, or, when p is nil, a
 // callback continuation then. n is the request (negative for an adaptive
-// one) until Release writes the grant into it.
+// one) until Release writes the grant into it. A guarded process's request
+// (AcquireUpToStep) also has got, where Release copies the grant.
 type resWait struct {
 	r    *Resource
 	p    *Proc
 	n    int
+	got  *int
 	then func(granted int)
 	wake func() // w.grant, bound once per node: the event Release files for then
 }
 
 // getWait recycles waiter nodes so contended acquires do not allocate in
 // steady state. A process waiter frees its node after it resumes (Release
-// has written the grant into n by then); a callback waiter's node is freed
-// by grant before the continuation runs.
+// has written the grant into n by then), a guarded one's node is freed by
+// Release once it has copied the grant out, and a callback waiter's node is
+// freed by grant before the continuation runs.
 func (r *Resource) getWait(p *Proc, n int) *resWait {
 	if l := len(r.wfree); l > 0 {
 		w := r.wfree[l-1]
@@ -38,7 +41,7 @@ func (r *Resource) getWait(p *Proc, n int) *resWait {
 }
 
 func (r *Resource) putWait(w *resWait) {
-	w.p, w.then = nil, nil
+	w.p, w.got, w.then = nil, nil, nil
 	r.wfree = append(r.wfree, w)
 }
 
@@ -95,6 +98,24 @@ func (r *Resource) AcquireUpTo(p *Proc, max int) int {
 	n := w.n
 	r.putWait(w)
 	return n
+}
+
+// AcquireUpToStep is AcquireUpTo for a guarded step (see Proc.Guarded). When
+// units are free at once, it writes the grant to *got and reports true.
+// Otherwise it queues p as AcquireUpTo does and reports false without
+// blocking; Release writes the grant to *got before it wakes p, so the step
+// finds it there at that activation.
+func (r *Resource) AcquireUpToStep(p *Proc, max int, got *int) bool {
+	max = r.clampUpTo(max)
+	if n, ok := r.takeUpTo(max); ok {
+		*got = n
+		return true
+	}
+	w := r.getWait(p, -max)
+	w.got = got
+	r.waitq = append(r.waitq, w)
+	p.blocked = "resource"
+	return false
 }
 
 // AcquireUpToFunc is the callback form of AcquireUpTo, for work that runs
@@ -167,7 +188,11 @@ func (r *Resource) Release(n int) {
 		}
 		admitted++
 		r.inUse += w.n
-		if w.p != nil {
+		if w.got != nil {
+			*w.got = w.n
+			w.p.unpark()
+			r.putWait(w)
+		} else if w.p != nil {
 			w.p.unpark()
 		} else {
 			r.k.schedule(r.k.now, w.wake)
