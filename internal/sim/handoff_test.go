@@ -52,16 +52,20 @@ func TestPanicInProcessSurfacesFromRun(t *testing.T) {
 	}
 }
 
-// A guarded step runs in whichever process picks its activation, here a
-// process parking in Sleep or exiting, but its panic is the guarded
+// A guarded step runs in whichever side picks its activation, here a
+// process parking in Sleep or exiting, or the loop of the Run or RunFor
+// after a RunFor that left it pending, but its panic is the guarded
 // process's own.
 func TestPanicInGuardedStepNamesItsProcess(t *testing.T) {
 	for _, host := range []struct {
 		name string
 		fn   func(p *Proc)
+		run  func(k *Kernel) error
 	}{
-		{"parking", func(p *Proc) { p.Sleep(2 * time.Microsecond) }},
-		{"exiting", func(*Proc) {}},
+		{"parking", func(p *Proc) { p.Sleep(2 * time.Microsecond) }, nil},
+		{"exiting", func(*Proc) {}, nil},
+		{"run", func(*Proc) {}, func(k *Kernel) error { return k.Run() }},
+		{"runfor", func(*Proc) {}, func(k *Kernel) error { return k.RunFor(time.Microsecond) }},
 	} {
 		t.Run(host.name, func(t *testing.T) {
 			k := NewKernel()
@@ -78,7 +82,14 @@ func TestPanicInGuardedStepNamesItsProcess(t *testing.T) {
 				})
 			})
 			k.Spawn("host", host.fn)
-			r := runRecovering(k.Run)
+			run := k.Run
+			if host.run != nil {
+				if err := k.RunFor(time.Microsecond / 2); err != nil {
+					t.Fatal(err)
+				}
+				run = func() error { return host.run(k) }
+			}
+			r := runRecovering(run)
 			pe, ok := r.(*PanicError)
 			if !ok {
 				t.Fatalf("Run panicked with %v (%T), want a *PanicError", r, r)

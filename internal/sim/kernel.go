@@ -202,6 +202,7 @@ type Kernel struct {
 	bounded bool
 	horizon Time
 
+	stepping *Proc       // the process whose guarded step pick is running
 	onResume func(*Proc) // see OnResume
 }
 
@@ -305,10 +306,15 @@ func (k *Kernel) pick() *Proc {
 			if p.dead { // a stale activation of an exited process
 				continue
 			}
-			if s := p.step; s != nil && !p.runStep(s) {
-				continue // a guarded step filed p's next wait
+			if s := p.step; s != nil {
+				k.stepping = p
+				done := s()
+				k.stepping = nil
+				if !done {
+					continue // the step filed p's next wait
+				}
+				p.step = nil
 			}
-			p.step = nil
 			if k.onResume != nil {
 				k.onResume(p)
 			}
@@ -321,16 +327,19 @@ func (k *Kernel) pick() *Proc {
 	return nil
 }
 
-// runStep runs p's guarded step s. The step runs on whichever side holds
-// control, so a panic in it is re-raised as p's own *PanicError, as if p
-// had run the code itself.
-func (p *Proc) runStep(s func() bool) bool {
-	defer func() {
-		if r := recover(); r != nil {
-			panic(&PanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
-		}
-	}()
-	return s()
+// stepPanic ends the run of a guarded step that pick left unfinished, if
+// any. The step ran on whichever side held control, so its panic r is
+// re-raised as the step's process's own *PanicError, as if that process had
+// run the code itself; a runtime.Goexit (r == nil) goes on.
+func (k *Kernel) stepPanic(r any) {
+	g := k.stepping
+	if g == nil {
+		return
+	}
+	k.stepping = nil
+	if r != nil {
+		panic(&PanicError{Proc: g.name, Value: r, Stack: debug.Stack()})
+	}
 }
 
 // loop is the dispatch loop of Run and runWindow: it switches into each
@@ -430,18 +439,18 @@ func (k *Kernel) unwindAll() {
 // t.FailNow inside a process, which iter.Pull re-raises on the loop's
 // goroutine) and a genuine panic retire the process; the panic then
 // continues as a *PanicError, which the loop's goroutine re-raises, so it
-// surfaces from Run. A guarded step's panic is one already, naming the
-// step's own process, and passes through.
+// surfaces from Run. A panic in a guarded step that p's pick ran is the
+// step's process's (stepPanic); one in an exiting p's pick passes on to the
+// loop's goroutine, where Run or runWindow attributes it.
 func (k *Kernel) reap(p *Proc) {
 	if p.dead {
 		return // fn returned normally
 	}
 	r := recover()
 	k.retire(p)
+	k.stepPanic(r)
 	switch r.(type) {
 	case nil, unwind:
-	case *PanicError: // another process's guarded step, run in p's pick (runStep)
-		panic(r)
 	default:
 		panic(&PanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
 	}
@@ -455,7 +464,12 @@ func (k *Kernel) Run() error {
 		return fmt.Errorf("sim: kernel already running")
 	}
 	k.running = true
-	defer func() { k.running = false }()
+	defer func() {
+		k.running = false
+		if k.stepping != nil {
+			k.stepPanic(recover()) // a step's panic that reached the loop's goroutine
+		}
+	}()
 	k.loop()
 	if k.stopped {
 		return nil
@@ -472,7 +486,12 @@ func (k *Kernel) Run() error {
 func (k *Kernel) runWindow(horizon Time) {
 	k.running = true
 	k.bounded, k.horizon = true, horizon
-	defer func() { k.bounded, k.running = false, false }()
+	defer func() {
+		k.bounded, k.running = false, false
+		if k.stepping != nil {
+			k.stepPanic(recover()) // a step's panic that reached the loop's goroutine
+		}
+	}()
 	k.loop()
 }
 
