@@ -27,9 +27,28 @@ type Job struct {
 	// sends holds each world rank's idle eager-send states, which run its
 	// eager sends (see eagerOp), and recvs its idle receive states, which
 	// run its receives (see recvOp).
-	sends [][]*eagerOp
-	recvs [][]*recvOp
+	sends []idle[eagerOp]
+	recvs []idle[recvOp]
 }
+
+// idle is a world rank's list of recycled protocol states.
+type idle[T any] []*T
+
+// get pops the state put last, or returns a fresh one from fresh when the
+// list is empty.
+func (l *idle[T]) get(fresh func() *T) *T {
+	n := len(*l)
+	if n == 0 {
+		return fresh()
+	}
+	x := (*l)[n-1]
+	(*l)[n-1] = nil
+	*l = (*l)[:n-1]
+	return x
+}
+
+// put returns a finished state, already cleared by its owner, to the list.
+func (l *idle[T]) put(x *T) { *l = append(*l, x) }
 
 // NewJob creates a job with one rank per given device, in rank order.
 func NewJob(fab *fabric.Fabric, profile Profile, devices []*device.Device) *Job {
@@ -37,7 +56,7 @@ func NewJob(fab *fabric.Fabric, profile Profile, devices []*device.Device) *Job 
 		panic("mpi: job needs at least one device")
 	}
 	j := &Job{fab: fab, profile: profile, devices: devices, progress: make([]*sim.Pool[*Request], len(devices)),
-		sends: make([][]*eagerOp, len(devices)), recvs: make([][]*recvOp, len(devices))}
+		sends: make([]idle[eagerOp], len(devices)), recvs: make([]idle[recvOp], len(devices))}
 	for r := range j.progress {
 		j.progress[r] = sim.NewPool(fmt.Sprintf("mpi/r%d/progress", r), runRequest)
 	}

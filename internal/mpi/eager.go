@@ -124,13 +124,10 @@ type eagerOp struct {
 
 // getEagerOp returns an idle eager-send state of c's world rank.
 func (c *Comm) getEagerOp() *eagerOp {
-	j, wr := c.ctx.job, c.WorldRank()
-	if n := len(j.sends[wr]); n > 0 {
-		o := j.sends[wr][n-1]
-		j.sends[wr][n-1] = nil
-		j.sends[wr] = j.sends[wr][:n-1]
-		return o
-	}
+	return c.ctx.job.sends[c.WorldRank()].get(newEagerOp)
+}
+
+func newEagerOp() *eagerOp {
 	o := &eagerOp{}
 	o.stepFn, o.onFn = o.step, o.on
 	return o
@@ -138,9 +135,9 @@ func (c *Comm) getEagerOp() *eagerOp {
 
 // put returns a finished op to its world rank's idle list.
 func (o *eagerOp) put() {
-	j, wr := o.c.ctx.job, o.c.WorldRank()
+	sends := &o.c.ctx.job.sends[o.c.WorldRank()]
 	o.eagerSend, o.req, o.p = eagerSend{}, nil, nil // an idle op pins nothing its send referenced
-	j.sends[wr] = append(j.sends[wr], o)
+	sends.put(o)
 }
 
 // sendEager runs the blocking eager send of bytes bytes on p.

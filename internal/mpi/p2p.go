@@ -218,13 +218,10 @@ func (c *Comm) recvOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, s
 
 // getRecvOp returns an idle receive state of c's world rank.
 func (c *Comm) getRecvOp() *recvOp {
-	j, wr := c.ctx.job, c.WorldRank()
-	if n := len(j.recvs[wr]); n > 0 {
-		o := j.recvs[wr][n-1]
-		j.recvs[wr][n-1] = nil
-		j.recvs[wr] = j.recvs[wr][:n-1]
-		return o
-	}
+	return c.ctx.job.recvs[c.WorldRank()].get(newRecvOp)
+}
+
+func newRecvOp() *recvOp {
 	o := &recvOp{}
 	o.stepFn = o.step
 	return o
@@ -232,9 +229,9 @@ func (c *Comm) getRecvOp() *recvOp {
 
 // put returns a finished op to its world rank's idle list.
 func (o *recvOp) put() {
-	j, wr := o.c.ctx.job, o.c.WorldRank()
+	recvs := &o.c.ctx.job.recvs[o.c.WorldRank()]
 	*o = recvOp{stepFn: o.stepFn} // an idle op pins nothing its receive referenced
-	j.recvs[wr] = append(j.recvs[wr], o)
+	recvs.put(o)
 }
 
 // recvOp is the receive protocol, the only copy of it, for Recv, the

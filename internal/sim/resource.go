@@ -14,8 +14,8 @@ type Resource struct {
 
 // resWait is one queued request: a parked process p, or, when p is nil, a
 // callback continuation then. n is the request (negative for an adaptive
-// one) until Release writes the grant into it. A guarded process's request
-// (AcquireUpToStep) also has got, where Release copies the grant.
+// one) until Release writes the grant into it. A process waiter's grant is
+// copied to got before the process is woken.
 type resWait struct {
 	r    *Resource
 	p    *Proc
@@ -26,10 +26,9 @@ type resWait struct {
 }
 
 // getWait recycles waiter nodes so contended acquires do not allocate in
-// steady state. A process waiter frees its node after it resumes (Release
-// has written the grant into n by then), a guarded one's node is freed by
-// Release once it has copied the grant out, and a callback waiter's node is
-// freed by grant before the continuation runs.
+// steady state. A process waiter's node is freed by Release once it has
+// copied the grant out, and a callback waiter's node by grant before the
+// continuation runs.
 func (r *Resource) getWait(p *Proc, n int) *resWait {
 	if l := len(r.wfree); l > 0 {
 		w := r.wfree[l-1]
@@ -43,6 +42,15 @@ func (r *Resource) getWait(p *Proc, n int) *resWait {
 func (r *Resource) putWait(w *resWait) {
 	w.p, w.got, w.then = nil, nil, nil
 	r.wfree = append(r.wfree, w)
+}
+
+// queue files p as a waiter for n units (-max for an adaptive request)
+// without blocking; Release writes the grant to *got before it wakes p.
+func (r *Resource) queue(p *Proc, n int, got *int) {
+	w := r.getWait(p, n)
+	w.got = got
+	r.waitq = append(r.waitq, w)
+	p.blocked = "resource"
 }
 
 // grant runs a callback waiter's continuation with the units Release
@@ -75,10 +83,9 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		r.inUse += n
 		return
 	}
-	w := r.getWait(p, n)
-	r.waitq = append(r.waitq, w)
-	p.park("resource")
-	r.putWait(w)
+	var got int
+	r.queue(p, n, &got)
+	p.wait()
 }
 
 // AcquireUpTo takes between 1 and max units, preferring as many as are
@@ -88,15 +95,10 @@ func (r *Resource) Acquire(p *Proc, n int) {
 // multi-channel transfers share a link pool fairly: a lone transfer gets the
 // whole pool, two opposing transfers converge to half each.
 func (r *Resource) AcquireUpTo(p *Proc, max int) int {
-	max = r.clampUpTo(max)
-	if n, ok := r.takeUpTo(max); ok {
-		return n
+	var n int
+	if !r.AcquireUpToStep(p, max, &n) {
+		p.wait()
 	}
-	w := r.getWait(p, -max) // negative marks an adaptive request
-	r.waitq = append(r.waitq, w)
-	p.park("resource")
-	n := w.n
-	r.putWait(w)
 	return n
 }
 
@@ -111,10 +113,7 @@ func (r *Resource) AcquireUpToStep(p *Proc, max int, got *int) bool {
 		*got = n
 		return true
 	}
-	w := r.getWait(p, -max)
-	w.got = got
-	r.waitq = append(r.waitq, w)
-	p.blocked = "resource"
+	r.queue(p, -max, got) // negative marks an adaptive request
 	return false
 }
 
@@ -188,12 +187,10 @@ func (r *Resource) Release(n int) {
 		}
 		admitted++
 		r.inUse += w.n
-		if w.got != nil {
+		if w.p != nil {
 			*w.got = w.n
 			w.p.unpark()
 			r.putWait(w)
-		} else if w.p != nil {
-			w.p.unpark()
 		} else {
 			r.k.schedule(r.k.now, w.wake)
 		}
