@@ -74,6 +74,62 @@ func recvPair(c *Comm, mark func(), a, b int) []byte {
 	return got
 }
 
+// windowDegrader degrades every route for transfers and control messages
+// that start in [from, to).
+type windowDegrader struct {
+	from, to time.Duration
+	lf       fabric.LinkFault
+}
+
+func (w windowDegrader) DegradedLink(_ string, _, _ int, now time.Duration) (fabric.LinkFault, bool) {
+	return w.lf, now >= w.from && now < w.to
+}
+
+func (w windowDegrader) DegradedNow(now time.Duration) (fabric.LinkFault, bool) {
+	return w.DegradedLink("", 0, 0, now)
+}
+
+// rndvPair runs rendezvous messages from rank a to rank b: a blocking Send
+// and Recv, unexpected (the receive is posted 5 µs late) and posted (the
+// send starts 5 µs late), then an Isend and an Irecv on the ranks' progress
+// workers, each completed by Wait. It returns the bytes rank b received.
+func rndvPair(c *Comm, mark func(), a, b int) []byte {
+	const gap = 5 * time.Microsecond
+	rndv := int(c.Profile().EagerThreshold/8) + 64
+	buf := c.Device().MustMalloc(int64(rndv) * 8)
+	var got []byte
+	r := c.Rank()
+	for i, late := range []bool{true, false} {
+		switch r {
+		case a:
+			fillRank(buf, r*10+i, rndv)
+			if !late {
+				c.proc.Sleep(gap)
+			}
+			c.Send(buf, rndv, Float64, b, i)
+			mark()
+		case b:
+			if late {
+				c.proc.Sleep(gap)
+			}
+			c.Recv(buf, rndv, Float64, a, i)
+			mark()
+			got = append(got, buf.Bytes()...)
+		}
+	}
+	switch r {
+	case a:
+		fillRank(buf, r*10+2, rndv)
+		c.Wait(c.Isend(buf, rndv, Float64, b, 2))
+		mark()
+	case b:
+		c.Wait(c.Irecv(buf, rndv, Float64, a, 2))
+		mark()
+		got = append(got, buf.Bytes()...)
+	}
+	return got
+}
+
 // ringRecv has every rank exchange with its ring neighbors twice: once
 // through Sendrecv, and once as a blocking Send and Recv, even ranks
 // sending first. It returns the bytes the rank received.
@@ -203,14 +259,32 @@ var recvRows = []recvRow{
 		log:  "r1@5815 r2@5848 r4@5866 r3@5866 r5@5899 r7@5917 r6@5917 r8@5950 r10@5968 r9@5968 r11@6001 r13@6016 r12@6016 r14@6052 r4@8094 r5@8094 r6@8156 r7@8156 r10@8229 r11@8229 r12@8288 r13@8288 r14@8336 r0@8575 r15@8575 r15@8876 r13@10566 r14@10566 r0@10780 r1@10780 r0@11081 r7@11168 r2@11696 r3@11696 r8@11900 r9@11900 r2@11996 r15@12001 r8@12200 r1@12991 r3@13918 r4@13918 r5@13993 r6@13993 r9@14156 r10@14156 r11@14230 r12@14230",
 		hash: 0xd45bbc05df3d5f3a,
 	},
+	{
+		// Rank 0 to 1 within a node and rank 2 to 10 across nodes, inside a
+		// link-degradation window that scales α and caps the channels: the
+		// rendezvous RTS and CTS pay the scaled α.
+		name: "rendezvous-degraded",
+		job: func(t *testing.T) *Job {
+			j := newTestJob(t, 16)
+			j.Fabric().SetFaults(windowDegrader{from: 0, to: time.Millisecond,
+				lf: fabric.LinkFault{AlphaScale: 3, ChannelCap: 1}})
+			return j
+		},
+		run: func(c *Comm, mark func()) []byte {
+			return append(rndvPair(c, mark, 0, 1), rndvPair(c, mark, 2, 10)...)
+		},
+		log:  "r0@12679 r1@12679 r2@19113 r10@19113 r0@30358 r1@30358 r0@43037 r1@43037 r2@43226 r10@43226 r2@62339 r10@62339",
+		hash: 0x4ccc2a165d2deea8,
+	},
 }
 
 // TestBlockingRecvVirtualTime pins the modeled completion time and the
-// resume order of every blocking receive and Sendrecv in five scenarios:
+// resume order of every blocking receive and Sendrecv in six scenarios:
 // eager and rendezvous messages, unexpected and posted, within and across
 // nodes, and AnySource; Sendrecvs whose sends finish after their receives,
-// by contention and by staging; overheads that tie; and integrity
-// retransmits.
+// by contention and by staging; overheads that tie; integrity
+// retransmits; and rendezvous handshakes, blocking and on progress
+// workers, inside a link-degradation window.
 func TestBlockingRecvVirtualTime(t *testing.T) {
 	for _, row := range recvRows {
 		t.Run(row.name, func(t *testing.T) {
