@@ -254,3 +254,39 @@ func TestStartFailsAtOpen(t *testing.T) {
 		t.Errorf("a failed Start ran its completion (%v) or took time (now %v)", ran, k.Now())
 	}
 }
+
+// TestFinishedXferPinsNoBuffers runs transfers to done under both runners,
+// on a process (sim.Proc.Drive) and as kernel callbacks (Start), over a
+// local, an intra-node and an inter-node route, and requires each finished
+// Xfer to hold neither of its views.
+func TestFinishedXferPinsNoBuffers(t *testing.T) {
+	k, sys, f := setup(2)
+	defer k.Close()
+	src := sys.Device(0).MustMalloc(4096)
+	dsts := []*device.Device{sys.Device(0), sys.Device(1), sys.Device(8)}
+	procs := make([]Xfer, len(dsts))
+	calls := make([]Xfer, len(dsts))
+	for i, d := range dsts {
+		dst := d.MustMalloc(4096)
+		k.Spawn(fmt.Sprint("xfer", i), func(p *sim.Proc) {
+			if err := f.Open(&procs[i], dst.Whole(), src.Whole(), 4096, Opts{}); err != nil {
+				t.Error(err)
+				return
+			}
+			p.Drive(&procs[i])
+		})
+		if err := f.Start(&calls[i], dst.Whole(), src.Whole(), 4096, Opts{}, func() {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range dsts {
+		for runner, x := range map[string]*Xfer{"process": &procs[i], "callbacks": &calls[i]} {
+			if x.dst != (device.View{}) || x.src != (device.View{}) {
+				t.Errorf("transfer %d (%s): a finished Xfer still holds dst %v or src %v", i, runner, x.dst, x.src)
+			}
+		}
+	}
+}

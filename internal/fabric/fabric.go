@@ -374,10 +374,8 @@ func (f *Fabric) Transfer(p *sim.Proc, dst, src *device.Buffer, n int64, o Opts)
 // endpoints have no route or the length is out of bounds. Any active
 // link-degradation window (SetFaults) scales the route's α and per-channel
 // bandwidth and caps the channel grant for the whole transfer, as observed
-// at its start time. It is the process driver of the transfer state
-// machine (Xfer): every sleep and contended channel acquire is one of p's
-// own wake-ups, each running the machine as a guarded step
-// (sim.Proc.Guarded), so p is switched to once, when the transfer is done.
+// at its start time. It drives the transfer's state machine (Xfer) on p
+// (sim.Proc.Drive), so p is switched to once, when the transfer is done.
 // Start runs the same machine as kernel callbacks.
 func (f *Fabric) TryTransfer(p *sim.Proc, dst, src device.View, n int64, o Opts) (time.Duration, error) {
 	start := p.Now()
@@ -386,7 +384,7 @@ func (f *Fabric) TryTransfer(p *sim.Proc, dst, src device.View, n int64, o Opts)
 	if err := f.Open(x, dst, src, n, o); err != nil {
 		return 0, err
 	}
-	x.runOn(p)
+	p.Drive(x)
 	return p.Now() - start, nil
 }
 
@@ -403,22 +401,21 @@ func (f *Fabric) Price(p *sim.Proc, dst, src *device.Device, n int64, o Opts) (t
 	if err := x.open(f, dst, src, n, o); err != nil {
 		return 0, err
 	}
-	x.runOn(p)
+	p.Drive(x)
 	return p.Now() - start, nil
 }
 
-// xfers holds the idle transfer states of the process driver (TryTransfer
-// and Price), each with its step bound once. One list serves every fabric,
-// so a world built per call, such as the scale model, whose thousands of
-// processes price at once, finds them warm; the lock is for the shards of
-// a sharded fabric, and for worlds run in parallel, which run on threads
-// of their own.
+// xfers holds the idle transfer states of TryTransfer and Price. One list
+// serves every fabric, so a world built per call, such as the scale model,
+// whose thousands of processes price at once, finds them warm; the lock is
+// for the shards of a sharded fabric, and for worlds run in parallel, which
+// run on threads of their own.
 var xfers struct {
 	sync.Mutex
 	idle []*Xfer
 }
 
-// getXfer returns an idle transfer state for the process driver.
+// getXfer returns an idle transfer state.
 func getXfer() *Xfer {
 	xfers.Lock()
 	defer xfers.Unlock()
@@ -427,38 +424,30 @@ func getXfer() *Xfer {
 		xfers.idle = xfers.idle[:n-1]
 		return x
 	}
-	x := &Xfer{}
-	x.onFn = x.on
-	return x
+	return &Xfer{}
 }
 
 // putXfer returns x to the idle list, pinning nothing of its world.
 func putXfer(x *Xfer) {
-	x.f, x.p, x.w, x.dst, x.src = nil, nil, wire{}, device.View{}, device.View{}
+	x.f, x.w, x.dst, x.src = nil, wire{}, device.View{}, device.View{}
 	xfers.Lock()
 	xfers.idle = append(xfers.idle, x)
 	xfers.Unlock()
 }
 
 // Start moves n bytes from the src view to the dst view exactly as
-// TryTransfer does, but runs the transfer as kernel callbacks instead of
-// on a process, and calls then when the copy, and any retransmission, is
-// done. Every wait TryTransfer makes becomes an event in the same
-// (time, seq) slot: each sleep an After callback, each contended channel
-// acquire a continuation its pool files where it would wake a process.
-// The first step runs before Start returns, at the current instant. Start
-// fails like TryTransfer, at open and before any time passes. x is the
-// caller's reusable transfer state; it must not be restarted before then
-// runs.
+// TryTransfer does, but runs the transfer as kernel callbacks
+// (sim.Kernel.Start) instead of on a process, and calls then when the
+// copy, and any retransmission, is done. Every wait TryTransfer makes
+// becomes an event in the same (time, seq) slot. The first step runs
+// before Start returns, at the current instant. Start fails like
+// TryTransfer, at open and before any time passes. x is the caller's
+// reusable transfer state; it must not be restarted before then runs.
 func (f *Fabric) Start(x *Xfer, dst, src device.View, n int64, o Opts, then func()) error {
 	if err := f.Open(x, dst, src, n, o); err != nil {
 		return err
 	}
-	if x.stepFn == nil {
-		x.stepFn, x.grantFn = x.step, x.granted
-	}
-	x.then = then
-	x.step()
+	f.k.Start(&x.t, x, then)
 	return nil
 }
 
@@ -472,19 +461,20 @@ type wire struct {
 	chunk int64
 }
 
-// Xfer is one transfer's state machine: the only copy of the fabric's
-// pricing loop. One wire attempt is a local copy's device time, or the α
-// and then, per pipeline chunk, an adaptive channel acquire through every
-// pool of the route, the chunk's time, and the release. The attempt ends
-// with the byte copy; on an unfaithful fabric the corruption probe and the
-// CRC32C check follow, and a mismatch replays the attempt, up to
-// Integrity.MaxRetries, under the degradation snapshot taken at open.
+// Xfer is one transfer's state machine (sim.Machine): the only copy of the
+// fabric's pricing loop. One wire attempt is a local copy's device time, or
+// the α and then, per pipeline chunk, an adaptive channel acquire through
+// every pool of the route, the chunk's time, and the release. The attempt
+// ends with the byte copy; on an unfaithful fabric the corruption probe and
+// the CRC32C check follow, and a mismatch replays the attempt, up to
+// Integrity.MaxRetries, under the degradation snapshot taken at open. A
+// finished Xfer pins no buffers.
 //
-// advance runs the machine up to its next wait, and a driver performs the
-// wait: StepOn as guarded steps of a process (TryTransfer, Price, and
-// callers that Open an Xfer themselves), step as kernel callbacks (Start).
-// The zero value is ready to use; a caller that runs transfers itself
-// keeps one Xfer per transfer in flight and reuses it.
+// Open readies it, and either runner drives it: a process
+// (sim.Proc.Drive: TryTransfer, Price) or kernel callbacks (Start). A
+// machine that moves bytes as one of its phases opens an Xfer and forwards
+// its Advance. The zero value is ready to use; a caller that runs
+// transfers itself keeps one Xfer per transfer in flight and reuses it.
 type Xfer struct {
 	f        *Fabric
 	w        wire
@@ -494,24 +484,15 @@ type Xfer struct {
 
 	pc      xferStep
 	attempt int
-	off     int64         // the next chunk's offset
-	pool    int           // the route pool being acquired
-	ask     int           // channels asked of it
-	got     int           // channels it granted
-	held    int           // channels the chunk holds in every pool so far
-	d       time.Duration // the sleep advance asked for
+	off     int64 // the next chunk's offset
+	pool    int   // the route pool being acquired
+	got     int   // channels it granted
+	held    int   // channels the chunk holds in every pool so far
 
-	// The kernel driver: the completion, and its step and granted methods,
-	// bound once.
-	then    func()
-	stepFn  func()
-	grantFn func(int)
-	// The process driver of runOn: the process, and on bound once (xfers).
-	p    *sim.Proc
-	onFn func() bool
+	t sim.Task // Start's runner
 }
 
-// xferStep is where advance resumes.
+// xferStep is where Advance resumes.
 type xferStep uint8
 
 const (
@@ -522,20 +503,10 @@ const (
 	xferCopied                  // the attempt's wire time is up: copy the bytes
 )
 
-// xferWait is what advance asks its driver to do.
-type xferWait uint8
-
-const (
-	xferDone    xferWait = iota
-	xferSleep            // for d
-	xferAcquire          // up to ask channels of w.r.pools[pool]
-)
-
 // Open readies x to move n bytes from the src view to the dst view: it
 // checks the length and resolves the route (open), and fails before any
 // time passes. TryTransfer and Start open their transfers with it, and so
-// does a caller that drives its own Xfer with StepOn from a guarded step
-// of its process.
+// does a caller that forwards x's Advance from a machine of its own.
 func (f *Fabric) Open(x *Xfer, dst, src device.View, n int64, o Opts) error {
 	if n < 0 || n > src.Len() || n > dst.Len() {
 		return fmt.Errorf("fabric: transfer of %d bytes between %d-byte src and %d-byte dst", n, src.Len(), dst.Len())
@@ -590,20 +561,19 @@ func (x *Xfer) open(f *Fabric, dst, src *device.Device, n int64, o Opts) error {
 	return nil
 }
 
-// advance runs the transfer up to its next wait and reports it.
-func (x *Xfer) advance() xferWait {
+// Advance runs the transfer up to its next wait and returns it, or returns
+// the zero wait once the transfer is done.
+func (x *Xfer) Advance() sim.Wait {
 	r := &x.w.r
 	for {
 		switch x.pc {
 		case xferAttempt:
 			x.pc = xferCopied
 			if r.local {
-				x.d = r.device.CopyTime(x.n)
-				return xferSleep
+				return sim.Sleep(r.device.CopyTime(x.n))
 			}
 			x.off, x.pc = 0, xferChunk
-			x.d = x.w.alpha
-			return xferSleep
+			return sim.Sleep(x.w.alpha)
 		case xferChunk:
 			if x.off >= x.n {
 				x.pc = xferCopied
@@ -613,8 +583,8 @@ func (x *Xfer) advance() xferWait {
 			// pool grants less, return the surplus to the earlier ones.
 			// This lets opposing flows converge to a fair split of a
 			// shared duplex pool instead of alternating full-width.
-			x.pool, x.ask, x.pc = 0, x.w.want, xferGranted
-			return xferAcquire
+			x.pool, x.pc = 0, xferGranted
+			return sim.AcquireUpTo(r.pools[0], x.w.want, &x.got)
 		case xferGranted:
 			if x.pool == 0 {
 				x.held = x.got
@@ -625,16 +595,14 @@ func (x *Xfer) advance() xferWait {
 				x.held = x.got
 			}
 			if x.pool++; x.pool < len(r.pools) {
-				x.ask = x.held
-				return xferAcquire
+				return sim.AcquireUpTo(r.pools[x.pool], x.held, &x.got)
 			}
 			sz := x.w.chunk
 			if x.off+sz > x.n {
 				sz = x.n - x.off
 			}
-			x.d = time.Duration(float64(sz) / (float64(x.held) * x.w.bw) * float64(time.Second))
 			x.pc = xferRelease
-			return xferSleep
+			return sim.Sleep(time.Duration(float64(sz) / (float64(x.held) * x.w.bw) * float64(time.Second)))
 		case xferRelease:
 			for _, pool := range r.pools {
 				pool.Release(x.held)
@@ -642,23 +610,21 @@ func (x *Xfer) advance() xferWait {
 			x.off += x.w.chunk
 			x.pc = xferChunk
 		case xferCopied:
-			if !x.move {
-				return xferDone
+			if x.move {
+				switch {
+				case r.local:
+					copy(x.dst.Bytes(), x.src.Bytes())
+				case x.n > 0:
+					copy(x.dst.Bytes()[:x.n], x.src.Bytes()[:x.n])
+				}
+				if (x.attempt > 0 || !r.local && x.n > 0 && !x.f.Faithful()) && x.check() {
+					x.attempt++
+					x.pc = xferAttempt
+					continue
+				}
 			}
-			switch {
-			case r.local:
-				copy(x.dst.Bytes(), x.src.Bytes())
-			case x.n > 0:
-				copy(x.dst.Bytes()[:x.n], x.src.Bytes()[:x.n])
-			}
-			if x.attempt == 0 && (r.local || x.n == 0 || x.f.Faithful()) {
-				return xferDone
-			}
-			if !x.check() {
-				return xferDone
-			}
-			x.attempt++
-			x.pc = xferAttempt
+			x.dst, x.src = device.View{}, device.View{} // a finished Xfer pins no buffers
+			return sim.Wait{}
 		}
 	}
 }
@@ -705,57 +671,6 @@ func (x *Xfer) check() bool {
 	return true
 }
 
-// runOn drives x on p until the transfer is done, as guarded steps of p.
-func (x *Xfer) runOn(p *sim.Proc) {
-	x.p = p
-	p.Guarded(x.onFn)
-}
-
-func (x *Xfer) on() bool { return x.StepOn(x.p) }
-
-// StepOn is the process driver. Called from a guarded step of p
-// (sim.Proc.Guarded), first after Open and then at each of p's
-// activations, it runs the machine up to its next wait and files that wait
-// as p's next activation, as TryTransfer's process would: a sleep as p's
-// wake-up, a contended channel acquire as p's place in the pool's queue. It
-// reports false while a wait is filed, and true once the transfer is done.
-func (x *Xfer) StepOn(p *sim.Proc) bool {
-	for {
-		switch x.advance() {
-		case xferSleep:
-			p.SleepStep(x.d)
-			return false
-		case xferAcquire:
-			if !x.w.r.pools[x.pool].AcquireUpToStep(p, x.ask, &x.got) {
-				return false
-			}
-		default:
-			return true
-		}
-	}
-}
-
-// step is the kernel driver: it files each wait as an event that resumes
-// the machine, and calls then when the transfer is done.
-func (x *Xfer) step() {
-	switch x.advance() {
-	case xferSleep:
-		x.f.k.After(x.d, x.stepFn)
-	case xferAcquire:
-		x.w.r.pools[x.pool].AcquireUpToFunc(x.ask, x.grantFn)
-	default:
-		then := x.then
-		x.then, x.dst, x.src = nil, device.View{}, device.View{} // a finished Xfer pins no buffers
-		then()
-	}
-}
-
-// granted resumes the kernel driver with a pool's grant.
-func (x *Xfer) granted(n int) {
-	x.got = n
-	x.step()
-}
-
 // ControlMsg charges the α of one small control message (e.g. an MPI
 // rendezvous RTS/CTS envelope) between two devices' owning endpoints. It
 // is the Must-variant of TryControlMsg and panics on a routing failure.
@@ -767,24 +682,34 @@ func (f *Fabric) ControlMsg(p *sim.Proc, src, dst *device.Device) time.Duration 
 	return d
 }
 
-// TryControlMsg charges the α of one control message, returning an error
-// when the endpoints have no route. Active degradation windows scale the
-// α like they do for TryTransfer.
+// TryControlMsg charges the α of one control message (ControlAlpha),
+// returning an error when the endpoints have no route.
 func (f *Fabric) TryControlMsg(p *sim.Proc, src, dst *device.Device) (time.Duration, error) {
+	alpha, send, err := f.ControlAlpha(src, dst)
+	if send {
+		p.Sleep(alpha)
+	}
+	return alpha, err
+}
+
+// ControlAlpha reports the α one control message pays from src to dst if
+// it starts now: the route's α, scaled like TryTransfer's by any active
+// degradation window. send is false, and no message is sent, between two
+// endpoints on one device. It fails like TryTransfer when the endpoints
+// have no route or a partition severs them. A machine charges its control
+// messages as sleeps of this α.
+func (f *Fabric) ControlAlpha(src, dst *device.Device) (alpha time.Duration, send bool, err error) {
 	r, err := f.route(src, dst)
-	if err != nil {
-		return 0, err
+	if err != nil || r.local {
+		return 0, false, err
 	}
-	if r.local {
-		return 0, nil
+	now := f.k.Now()
+	if f.partitioner != nil && f.partitioner.Severed(r.srcNode, r.dstNode, now) {
+		return 0, false, ErrPartitioned
 	}
-	if f.partitioner != nil && f.partitioner.Severed(r.srcNode, r.dstNode, p.Now()) {
-		return 0, ErrPartitioned
-	}
-	alpha := r.link.Alpha
-	if lf, ok := f.degradedFor(r, p.Now()); ok && lf.AlphaScale > 0 {
+	alpha = r.link.Alpha
+	if lf, ok := f.degradedFor(r, now); ok && lf.AlphaScale > 0 {
 		alpha = time.Duration(float64(alpha) * lf.AlphaScale)
 	}
-	p.Sleep(alpha)
-	return alpha, nil
+	return alpha, true, nil
 }

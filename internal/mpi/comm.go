@@ -24,10 +24,10 @@ type Job struct {
 	// run its nonblocking operations other than eager sends (see post). A
 	// rank's processes all live on the kernel of the rank's own process.
 	progress []*sim.Pool[*Request]
-	// sends holds each world rank's idle eager-send states, which run its
-	// eager sends (see eagerOp), and recvs its idle receive states, which
-	// run its receives (see recvOp).
-	sends []idle[eagerOp]
+	// sends holds each world rank's idle send states, which run its sends
+	// (see sendOp), and recvs its idle receive states, which run its
+	// receives (see recvOp).
+	sends []idle[sendOp]
 	recvs []idle[recvOp]
 }
 
@@ -56,7 +56,7 @@ func NewJob(fab *fabric.Fabric, profile Profile, devices []*device.Device) *Job 
 		panic("mpi: job needs at least one device")
 	}
 	j := &Job{fab: fab, profile: profile, devices: devices, progress: make([]*sim.Pool[*Request], len(devices)),
-		sends: make([]idle[eagerOp], len(devices)), recvs: make([]idle[recvOp], len(devices))}
+		sends: make([]idle[sendOp], len(devices)), recvs: make([]idle[recvOp], len(devices))}
 	for r := range j.progress {
 		j.progress[r] = sim.NewPool(fmt.Sprintf("mpi/r%d/progress", r), runRequest)
 	}

@@ -32,10 +32,9 @@ type envelope struct {
 	count     int
 	eager     bool
 	payload   []byte         // eager: the bounce buffer, a copy at the receiver
-	srcBuf    *device.Buffer // rendezvous: sender's live buffer
 	dstBuf    *device.Buffer // rendezvous: set when the receive is posted
-	recvReady *sim.Event     // rendezvous: receiver has posted
-	done      *sim.Event     // transfer complete
+	recvReady sim.Event      // rendezvous: receiver has posted
+	done      sim.Event      // rendezvous: transfer complete
 }
 
 // postedRecv is a receive waiting for its message.
@@ -52,29 +51,38 @@ type postedRecv struct {
 // receive queue and the unexpected message queue, searched in order as the
 // MPI standard requires.
 //
-// It also keeps free lists of the rank's eager envelopes and posted
-// receives, so a small message allocates nothing once they are warm. Each
-// object has one owner at a time: the sender stops touching it when it
-// hands it over (queues an eager envelope, fires a receive's event), and
-// the receiver returns it here once it has read it.
+// It also keeps free lists of the rank's envelopes and posted receives, so
+// a message allocates nothing once they are warm. Each object has one
+// owner at a time: the sender stops touching it when it hands it over
+// (queues an eager envelope, fires a rendezvous envelope's done or a
+// receive's event), and the receiver returns it here once it has read it.
 type matchCtx struct {
 	posted     []*postedRecv
 	unexpected []*envelope
-	freeEager  []*envelope
+	freeEnv    []*envelope
 	freeRecv   []*postedRecv
 }
 
-// getEager returns an eager envelope whose payload holds bytes bytes,
-// reusing a free one and its payload when the capacity fits.
-func (m *matchCtx) getEager(bytes int64) *envelope {
+// getEnv returns an envelope of the given protocol with its events reset.
+func (m *matchCtx) getEnv(eager bool) *envelope {
 	var e *envelope
-	if n := len(m.freeEager); n > 0 {
-		e = m.freeEager[n-1]
-		m.freeEager[n-1] = nil
-		m.freeEager = m.freeEager[:n-1]
+	if n := len(m.freeEnv); n > 0 {
+		e = m.freeEnv[n-1]
+		m.freeEnv[n-1] = nil
+		m.freeEnv = m.freeEnv[:n-1]
+		e.recvReady.Reset()
+		e.done.Reset()
 	} else {
-		e = &envelope{eager: true}
+		e = &envelope{}
 	}
+	e.eager = eager
+	return e
+}
+
+// getEager returns an eager envelope whose payload holds bytes bytes,
+// reusing a free envelope's payload when the capacity fits.
+func (m *matchCtx) getEager(bytes int64) *envelope {
+	e := m.getEnv(true)
 	if int64(cap(e.payload)) < bytes {
 		e.payload = make([]byte, bytes)
 	}
@@ -82,7 +90,11 @@ func (m *matchCtx) getEager(bytes int64) *envelope {
 	return e
 }
 
-func (m *matchCtx) putEager(e *envelope) { m.freeEager = append(m.freeEager, e) }
+// putEnv frees a read envelope, dropping its buffer reference.
+func (m *matchCtx) putEnv(e *envelope) {
+	e.dstBuf = nil
+	m.freeEnv = append(m.freeEnv, e)
+}
 
 // getRecv returns a posted receive with its event reset.
 func (m *matchCtx) getRecv() *postedRecv {
@@ -130,46 +142,12 @@ func (m *matchCtx) takePosted(src, tag int) *postedRecv {
 // Send transmits count elements of dt from buf to dest with the given tag,
 // blocking until the send buffer is reusable (eager: after injection;
 // rendezvous: after the transfer completes). buf must hold count elements.
+// The send runs on the rank's process (see sendOp), so the rank is switched
+// to once, when Send returns.
 func (c *Comm) Send(buf *device.Buffer, count int, dt Datatype, dest, tag int) {
-	c.sendOn(c.proc, buf, count, dt, dest, tag)
-}
-
-func (c *Comm) sendOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, dest, tag int) {
-	bytes := c.sendBytes(buf, count, dt, dest)
-	if bytes <= c.ctx.job.profile.EagerThreshold {
-		c.sendEager(p, buf, count, dt, dest, tag, bytes)
-		return
-	}
-
-	// Rendezvous: RTS, wait for the receive, then move data directly.
-	fab := c.ctx.job.fab
-	p.Sleep(c.ctx.job.profile.SendOverhead)
-	dstDev := c.RankDevice(dest)
-	m := c.ctx.match[dest]
-	c.ctx.job.countSend("rendezvous", bytes)
-	env := &envelope{
-		src: c.rank, tag: tag, dt: dt, count: count,
-		srcBuf:    buf,
-		recvReady: sim.NewEvent(p.Kernel()),
-		done:      sim.NewEvent(p.Kernel()),
-	}
-	fab.ControlMsg(p, c.dev, dstDev) // RTS
-	if r := m.takePosted(c.rank, tag); r != nil {
-		env.dstBuf = r.dst
-		env.recvReady.Fire()
-		fab.Transfer(p, env.dstBuf, buf, bytes, c.sendOpts())
-		c.stage(p, buf, dstDev, bytes)
-		r.status = Status{Source: c.rank, Tag: tag, Count: count}
-		env.done.Fire()
-		r.done.Fire()
-		return
-	}
-	m.unexpected = append(m.unexpected, env)
-	env.recvReady.Wait(p)
-	fab.ControlMsg(p, dstDev, c.dev) // CTS
-	fab.Transfer(p, env.dstBuf, buf, bytes, c.sendOpts())
-	c.stage(p, buf, dstDev, bytes)
-	env.done.Fire()
+	o := c.getSendOp(buf, count, dt, dest, tag)
+	c.proc.Drive(o)
+	o.put()
 }
 
 // sendBytes checks a send's destination and length and returns its payload
@@ -185,18 +163,10 @@ func (c *Comm) sendBytes(buf *device.Buffer, count int, dt Datatype, dest int) i
 	return bytes
 }
 
-// stage blocks p for the staging penalty of a rendezvous payload, if the
-// runtime pays one (stagingPenalty).
-func (c *Comm) stage(p *sim.Proc, buf *device.Buffer, dstDev *device.Device, bytes int64) {
-	if d, ok := c.stagingPenalty(buf, dstDev, bytes); ok {
-		p.Sleep(d)
-	}
-}
-
 // Recv blocks until a message matching (src, tag) arrives and is delivered
-// into buf. src may be AnySource and tag AnyTag. The receive runs as
-// guarded steps of the rank's process (see recvOp), so the rank is
-// switched to once, when Recv returns.
+// into buf. src may be AnySource and tag AnyTag. The receive runs on the
+// rank's process (see recvOp), so the rank is switched to once, when Recv
+// returns.
 func (c *Comm) Recv(buf *device.Buffer, count int, dt Datatype, src, tag int) Status {
 	return c.recvOn(c.proc, buf, count, dt, src, tag, nil)
 }
@@ -208,46 +178,29 @@ func (c *Comm) recvOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, s
 	if bytes > buf.Len() {
 		panic(fmt.Sprintf("mpi: recv of %d bytes into %d-byte buffer", bytes, buf.Len()))
 	}
-	o := c.getRecvOp()
-	o.c, o.p, o.buf, o.count, o.dt, o.src, o.tag, o.bytes, o.send = c, p, buf, count, dt, src, tag, bytes, send
-	p.Guarded(o.stepFn)
+	recvs := &c.ctx.job.recvs[c.WorldRank()]
+	o := recvs.get(newRecvOp)
+	o.c, o.buf, o.count, o.dt, o.src, o.tag, o.bytes, o.send = c, buf, count, dt, src, tag, bytes, send
+	p.Drive(o)
 	st := o.st
-	o.put()
+	*o = recvOp{} // an idle op pins nothing its receive referenced
+	recvs.put(o)
 	return st
 }
 
-// getRecvOp returns an idle receive state of c's world rank.
-func (c *Comm) getRecvOp() *recvOp {
-	return c.ctx.job.recvs[c.WorldRank()].get(newRecvOp)
-}
-
-func newRecvOp() *recvOp {
-	o := &recvOp{}
-	o.stepFn = o.step
-	return o
-}
-
-// put returns a finished op to its world rank's idle list.
-func (o *recvOp) put() {
-	recvs := &o.c.ctx.job.recvs[o.c.WorldRank()]
-	*o = recvOp{stepFn: o.stepFn} // an idle op pins nothing its receive referenced
-	recvs.put(o)
-}
+func newRecvOp() *recvOp { return &recvOp{} }
 
 // recvOp is the receive protocol, the only copy of it, for Recv, the
-// receive of Sendrecv and Irecv's progress process alike. It runs as
-// guarded steps of the receiving process (sim.Proc.Guarded), each in the
-// slot of one of the process's own wake-ups and each running the code the
-// process would run between that wake and its next wait: the overhead;
-// then matching, which copies an unexpected eager message out of its
-// bounce buffer and charges the copy, or lets an unexpected rendezvous
-// sender go and waits for its transfer, or else posts the receive and
-// waits for a sender to complete it; then, for Sendrecv, the wait for its
-// own send. Each world rank keeps its idle ops for reuse (Job.recvs), with
-// their step bound once.
+// receive of Sendrecv and Irecv's progress process alike (a sim.Machine):
+// the overhead; then matching, which copies an unexpected eager message out
+// of its bounce buffer and charges the copy, or lets an unexpected
+// rendezvous sender go and waits for its transfer, or else posts the
+// receive and waits for a sender to complete it; then, for Sendrecv, the
+// wait for its own send. The receiving process drives it (sim.Proc.Drive),
+// so it resumes once, when the receive is done. Each world rank keeps its
+// idle ops for reuse (Job.recvs).
 type recvOp struct {
 	c        *Comm
-	p        *sim.Proc
 	buf      *device.Buffer
 	count    int
 	dt       Datatype
@@ -257,31 +210,31 @@ type recvOp struct {
 
 	pc     recvStep
 	posted *postedRecv // the posted receive, once matching posted it
+	env    *envelope   // the matched rendezvous envelope, until its done
 	st     Status
-	stepFn func() bool
 }
 
-// recvStep is where step resumes.
+// recvStep is where Advance resumes.
 type recvStep uint8
 
 const (
 	recvOverhead recvStep = iota // charge the receive overhead
 	recvMatch                    // match an unexpected message or post the receive
 	recvPosted                   // a sender completed the posted receive
+	recvRndv                     // an unexpected rendezvous sender completed its transfer
 	recvSend                     // the message is in: wait for Sendrecv's send
 )
 
-// step runs the receive up to its next wait and files it on o.p, or
-// reports true when the receive, and Sendrecv's send, are done.
-func (o *recvOp) step() bool {
-	c, p := o.c, o.p
+// Advance runs the receive up to its next wait and returns it, or returns
+// the zero wait once the receive, and Sendrecv's send, are done.
+func (o *recvOp) Advance() sim.Wait {
+	c := o.c
 	m := c.ctx.match[c.rank]
 	for {
 		switch o.pc {
 		case recvOverhead:
 			o.pc = recvMatch
-			p.SleepStep(c.ctx.job.profile.RecvOverhead)
-			return false
+			return sim.Sleep(c.ctx.job.profile.RecvOverhead)
 		case recvMatch:
 			env := m.takeUnexpected(o.src, o.tag)
 			if env == nil {
@@ -289,33 +242,37 @@ func (o *recvOp) step() bool {
 				r.src, r.tag, r.dt, r.count, r.dst = o.src, o.tag, o.dt, o.count, o.buf
 				m.posted = append(m.posted, r)
 				o.posted, o.pc = r, recvPosted
-				r.done.WaitStep(p) // just posted: nobody can have completed it
-				return false
+				return sim.Await(&r.done)
 			}
 			got := int64(env.count) * int64(env.dt.Size())
 			if got > o.bytes {
 				panic("mpi: message truncation (received longer than posted)")
 			}
 			o.st = Status{Source: env.src, Tag: env.tag, Count: env.count}
-			o.pc = recvSend
 			if env.eager {
 				// Drain the bounce buffer into the user buffer: a local copy.
 				copy(o.buf.Bytes()[:got], env.payload)
-				m.putEager(env)
-				p.SleepStep(c.dev.CopyTime(got))
-				return false
+				m.putEnv(env)
+				o.pc = recvSend
+				return sim.Sleep(c.dev.CopyTime(got))
 			}
 			env.dstBuf = o.buf
 			env.recvReady.Fire()
-			if !env.done.WaitStep(p) {
-				return false
-			}
+			o.env, o.pc = env, recvRndv
+			return sim.Await(&env.done)
+		case recvRndv:
+			m.putEnv(o.env)
+			o.env, o.pc = nil, recvSend
 		case recvPosted:
 			o.st = o.posted.status
 			m.putRecv(o.posted)
 			o.posted, o.pc = nil, recvSend
 		case recvSend:
-			return o.send == nil || o.send.done.WaitStep(p)
+			if s := o.send; s != nil {
+				o.send = nil
+				return sim.Await(&s.done)
+			}
+			return sim.Wait{}
 		}
 	}
 }
@@ -369,10 +326,9 @@ func (c *Comm) Irecv(buf *device.Buffer, count int, dt Datatype, src, tag int) *
 // ring and pairwise collective algorithms. Its send is a nonblocking send
 // on one request per communicator handle, re-armed by every call, and a
 // handle is used by one process. An eager send runs as kernel callbacks and
-// a rendezvous one on a progress process (see post). The receive runs as
-// guarded steps of the calling process (see recvOp), whose last step waits
-// for the send in the slot where the receive completes, so the process is
-// switched to once, when both are done.
+// a rendezvous one on a progress process (see post). The receive runs on
+// the calling process (see recvOp), whose last wait is for the send, so the
+// process is switched to once, when both are done.
 func (c *Comm) Sendrecv(
 	sendBuf *device.Buffer, sendCount int, sendDt Datatype, dest, sendTag int,
 	recvBuf *device.Buffer, recvCount int, recvDt Datatype, src, recvTag int,

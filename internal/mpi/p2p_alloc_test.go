@@ -117,3 +117,71 @@ func TestEagerIsendAllocs(t *testing.T) {
 		t.Errorf("eager Isend+Wait allocates %.2f objects; want at most 2 (the request and its waiter list)", allocs)
 	}
 }
+
+// A blocking rendezvous message allocates nothing once warm either: the
+// send and receive states, the transfer, and on the unexpected path the
+// envelope with its events, are all reused, and the posted path builds no
+// envelope. Rank 0 sends and measures its iterations, which take rank 1's
+// receives along.
+func TestRendezvousMessageAllocs(t *testing.T) {
+	const gap = 20 * time.Microsecond
+	const warm = 8
+	cases := []struct {
+		name string
+		// step runs one message from rank 0 to rank 1 and reports whether
+		// it took the case's path.
+		step func(c *Comm, buf *device.Buffer, count int) bool
+	}{
+		{"unexpected", func(c *Comm, buf *device.Buffer, count int) bool {
+			if c.Rank() == 0 {
+				c.Send(buf, count, Float64, 1, 0)
+				return true
+			}
+			c.proc.Sleep(gap)
+			queued := len(c.ctx.match[1].unexpected) == 1
+			c.Recv(buf, count, Float64, 0, 0)
+			return queued
+		}},
+		{"posted", func(c *Comm, buf *device.Buffer, count int) bool {
+			if c.Rank() == 1 {
+				c.Recv(buf, count, Float64, 0, 0)
+				return true
+			}
+			c.proc.Sleep(gap)
+			posted := len(c.ctx.match[1].posted) == 1
+			c.Send(buf, count, Float64, 1, 0)
+			return posted
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			j := newTestJob(t, 2)
+			var allocs float64
+			onPath := true
+			err := j.Run(func(c *Comm) {
+				count := int(c.Profile().EagerThreshold/8) + 64
+				buf := c.Device().MustMalloc(int64(count) * 8)
+				step := func() { onPath = tc.step(c, buf, count) && onPath }
+				for i := 0; i < warm; i++ {
+					step()
+				}
+				if c.Rank() == 0 {
+					allocs = testing.AllocsPerRun(100, step)
+					return
+				}
+				for i := 0; i < 101; i++ { // AllocsPerRun(100, f) invokes f 101 times
+					step()
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !onPath {
+				t.Fatalf("a message missed the %s path", tc.name)
+			}
+			if allocs != 0 {
+				t.Errorf("%s rendezvous message allocates %.2f objects; want 0", tc.name, allocs)
+			}
+		})
+	}
+}

@@ -15,11 +15,9 @@ import (
 // TestProgressReuseVirtualTime pins three back-to-back calls of each
 // collective, since the calls after the first are where reuse could drift.
 func (c *Comm) post(r *Request) {
-	if r.send {
-		if bytes := c.sendBytes(r.buf, r.count, r.dt, r.peer); bytes <= c.ctx.job.profile.EagerThreshold {
-			c.startEager(r, bytes)
-			return
-		}
+	if r.send && c.sendBytes(r.buf, r.count, r.dt, r.peer) <= c.ctx.job.profile.EagerThreshold {
+		c.startEager(r)
+		return
 	}
 	c.ctx.job.progress[c.WorldRank()].Post(c.proc.Kernel(), r)
 }
@@ -40,7 +38,9 @@ func runRequest(p *sim.Proc, r *Request) {
 	case r.coll != nil:
 		r.coll(&Comm{ctx: c.ctx, rank: c.rank, proc: p, dev: c.dev, collSeq: r.epoch})
 	case r.send:
-		c.sendOn(p, r.buf, r.count, r.dt, r.peer, r.tag)
+		o := c.getSendOp(r.buf, r.count, r.dt, r.peer, r.tag)
+		p.Drive(o)
+		o.put()
 	default:
 		r.status = c.recvOn(p, r.buf, r.count, r.dt, r.peer, r.tag, nil)
 	}

@@ -10,12 +10,13 @@ import (
 )
 
 // TestRankResumesPerCall pins how often a blocking point-to-point call
-// resumes the rank's process: a receive, a Sendrecv and an eager Send run
-// their protocol steps in the rank's own wake-ups without switching to it
-// (sim.Proc.Guarded), so each resumes the rank exactly once, when it
-// returns. That holds for receives of every protocol and arrival order,
-// for Sendrecvs whose sends finish after their receives, for eager sends
-// whose posted-path transfers contend, and with integrity retransmits.
+// resumes the rank's process: a receive, a Sendrecv and a Send run their
+// protocol machines in the rank's own wake-ups without switching to it
+// (sim.Proc.Drive), so each resumes the rank exactly once, when it
+// returns. That holds for receives and sends of every protocol and arrival
+// order, for Sendrecvs whose sends finish after their receives, for eager
+// sends whose posted-path transfers contend, and with integrity
+// retransmits.
 // A 16-rank Barrier, a collective entry plus four Sendrecv rounds, resumes
 // each rank at most 5 times. The kernel's resume hook counts the resumes.
 func TestRankResumesPerCall(t *testing.T) {
@@ -78,11 +79,7 @@ func TestRankResumesPerCall(t *testing.T) {
 						if r%2 == 0 {
 							c.proc.Sleep(20 * time.Microsecond)
 						}
-						if count == eager {
-							once(c, "eager Send", func() { c.Send(send, count, Float64, 0, count) })
-						} else {
-							c.Send(send, count, Float64, 0, count)
-						}
+						once(c, fmt.Sprintf("Send of %d", count), func() { c.Send(send, count, Float64, 0, count) })
 					}
 					c.Barrier()
 				}

@@ -96,91 +96,113 @@ func TestChanSendRecvAllocs(t *testing.T) {
 	}
 }
 
-// TestResourceFuncAllocs pins a contended callback acquire: the request
-// queues behind the holder, Release files its continuation, and the
-// continuation runs with the unit. The waiter node and its bound
-// continuation event are recycled, so a cycle allocates nothing.
+// machineFunc adapts a function to Machine: each Advance calls it.
+type machineFunc func() Wait
+
+func (f machineFunc) Advance() Wait { return f() }
+
+// acquireOne is a machine that acquires one unit of r and then ends,
+// adding the grant to granted.
+type acquireOne struct {
+	r            *Resource
+	asked        bool
+	got, granted int
+}
+
+func (a *acquireOne) Advance() Wait {
+	if a.asked = !a.asked; a.asked {
+		return AcquireUpTo(a.r, 1, &a.got)
+	}
+	a.granted += a.got
+	return Wait{}
+}
+
+// TestResourceFuncAllocs pins a contended acquire of a machine run as
+// kernel callbacks (Kernel.Start): the request queues its task behind the
+// holder, Release files the task's next step, and the step runs the
+// machine on with the unit. The queue's backing array and the task's bound
+// step are reused, so a cycle allocates nothing.
 func TestResourceFuncAllocs(t *testing.T) {
 	k := NewKernel()
 	warmQueue(k, 256)
 	r := NewResource(k, 1)
-	granted := 0
-	then := func(n int) { granted += n }
-	r.AcquireUpToFunc(1, then) // the holder: granted at once
+	m := &acquireOne{r: r}
+	var task Task
+	then := func() {}
+	k.Start(&task, m, then) // the holder: granted at once
 	cycle := func() {
-		r.AcquireUpToFunc(1, then) // queued: the unit is held
-		r.Release(1)               // admits it, filing its continuation now
-		k.pick()                   // runs the continuation, which now holds the unit
+		k.Start(&task, m, then) // queued: the unit is held
+		r.Release(1)            // admits it, filing its next step now
+		k.pick()                // runs the step, which now holds the unit
 	}
 	for i := 0; i < 8; i++ {
 		cycle()
 	}
 	allocs := testing.AllocsPerRun(100, cycle)
-	if granted != 1+8+101 || r.InUse() != 1 {
-		t.Fatalf("granted %d units, %d in use; want %d and 1", granted, r.InUse(), 1+8+101)
+	if m.granted != 1+8+101 || r.InUse() != 1 {
+		t.Fatalf("granted %d units, %d in use; want %d and 1", m.granted, r.InUse(), 1+8+101)
 	}
 	if allocs != 0 {
-		t.Errorf("a contended AcquireUpToFunc/Release cycle allocates %.2f objects; want 0", allocs)
+		t.Errorf("a contended Kernel.Start acquire/Release cycle allocates %.2f objects; want 0", allocs)
 	}
 }
 
-// TestGuardedActivationAllocs pins a guarded call (Proc.Guarded) whose step
-// takes every kind of wait: a sleep filed at the call, a sleep filed at
-// that activation (the step declines), a wait on an event that a callback
-// fires, and a contended acquire of a unit that a callback holds and
-// releases; at the grant the step releases the unit and resumes the
-// process. Steps, waiter lists and waiter nodes are reused, so a call
-// allocates nothing.
+// TestGuardedActivationAllocs pins a machine driven on a process
+// (Proc.Drive) that takes every kind of wait: a sleep returned at the call,
+// a sleep returned at that activation, a wait on an event that a callback
+// fires, and a contended acquire of a unit that a task holds and a
+// callback releases; at the grant the machine releases the unit and ends,
+// and the process resumes. Waiter lists, queues and the task's step are
+// reused, so a call allocates nothing.
 func TestGuardedActivationAllocs(t *testing.T) {
 	k := NewKernel()
 	warmQueue(k, 256)
 	r := NewResource(k, 1)
 	e := NewEvent(k)
-	hold := func(int) {}
+	hold := &acquireOne{r: r}
+	var holder Task
+	nop := func() {}
 	fire, release := e.Fire, func() { r.Release(1) }
-	var p *Proc
 	phase, got, calls := 0, 0, 0
-	step := func() bool {
+	m := machineFunc(func() Wait {
 		phase++
 		switch phase {
 		case 1, 2:
-			p.SleepStep(time.Microsecond)
+			return Sleep(time.Microsecond)
 		case 3:
 			e.Reset()
 			k.After(time.Microsecond, fire)
-			if e.WaitStep(p) {
-				panic("WaitStep on an unfired event reported it fired")
-			}
+			return Await(e)
 		case 4:
-			r.AcquireUpToFunc(1, hold) // granted at once
+			k.Start(&holder, hold, nop) // granted at once
 			k.After(time.Microsecond, release)
-			if r.AcquireUpToStep(p, 1, &got) {
-				panic("AcquireUpToStep on a held unit granted it at once")
+			if r.InUse() != 1 {
+				panic("the holder did not take the unit at once")
 			}
+			return AcquireUpTo(r, 1, &got)
 		default:
 			r.Release(got)
 			phase = 0
 			calls++
-			return true
+			return Wait{}
 		}
-		return false
-	}
+	})
 	var allocs float64
-	p = k.Spawn("guarded", func(p *Proc) {
+	k.Spawn("guarded", func(p *Proc) {
 		for i := 0; i < 8; i++ {
-			p.Guarded(step)
+			p.Drive(m)
 		}
-		allocs = testing.AllocsPerRun(100, func() { p.Guarded(step) })
+		allocs = testing.AllocsPerRun(100, func() { p.Drive(m) })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	k.Close()
 	if calls != 8+101 || got != 1 || r.InUse() != 0 {
-		t.Fatalf("%d guarded calls returned, last grant %d, %d units in use; want %d, 1 and 0", calls, got, r.InUse(), 8+101)
+		t.Fatalf("%d driven calls returned, last grant %d, %d units in use; want %d, 1 and 0", calls, got, r.InUse(), 8+101)
 	}
 	if allocs != 0 {
-		t.Errorf("a guarded call allocates %.2f objects; want 0", allocs)
+		t.Errorf("a driven machine allocates %.2f objects; want 0", allocs)
 	}
 }
 

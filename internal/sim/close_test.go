@@ -41,7 +41,14 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 	})
 	k.Spawn("guarded", func(p *Proc) {
 		defer func() { unwound = append(unwound, "guarded") }()
-		p.Guarded(func() bool { return ev.WaitStep(p) })
+		waited := false
+		p.Drive(machineFunc(func() Wait {
+			if waited {
+				return Wait{}
+			}
+			waited = true
+			return Await(ev)
+		}))
 	})
 	if _, ok := k.Run().(*DeadlockError); !ok {
 		t.Fatal("stuck process not reported")

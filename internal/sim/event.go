@@ -33,15 +33,14 @@ func (e *Event) Fire() {
 
 // Wait blocks p until the event fires.
 func (e *Event) Wait(p *Proc) {
-	if !e.WaitStep(p) {
+	if !e.waitStep(p) {
 		p.wait()
 	}
 }
 
-// WaitStep is Wait for a guarded step (see Proc.Guarded): it reports true
-// when the event has fired, and otherwise registers p as a waiter, as Wait
-// does, and reports false without blocking.
-func (e *Event) WaitStep(p *Proc) bool {
+// waitStep reports true when the event has fired, and otherwise registers p
+// as a waiter and reports false without blocking.
+func (e *Event) waitStep(p *Proc) bool {
 	if e.fired {
 		return true
 	}

@@ -52,10 +52,10 @@ func TestPanicInProcessSurfacesFromRun(t *testing.T) {
 	}
 }
 
-// A guarded step runs in whichever side picks its activation, here a
-// process parking in Sleep or exiting, or the loop of the Run or RunFor
-// after a RunFor that left it pending, but its panic is the guarded
-// process's own.
+// A driven machine (Proc.Drive) advances in whichever side picks its
+// process's activation, here a process parking in Sleep or exiting, or the
+// loop of the Run or RunFor after a RunFor that left it pending, but its
+// panic is the driving process's own.
 func TestPanicInGuardedStepNamesItsProcess(t *testing.T) {
 	for _, host := range []struct {
 		name string
@@ -73,13 +73,12 @@ func TestPanicInGuardedStepNamesItsProcess(t *testing.T) {
 			boom := errors.New("boom")
 			var g *Proc
 			g = k.Spawn("guarded", func(p *Proc) {
-				p.Guarded(func() bool {
+				p.Drive(machineFunc(func() Wait {
 					if p.Now() == 0 {
-						p.SleepStep(time.Microsecond)
-						return false
+						return Sleep(time.Microsecond)
 					}
 					panic(boom)
-				})
+				}))
 			})
 			k.Spawn("host", host.fn)
 			run := k.Run

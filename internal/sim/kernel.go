@@ -17,15 +17,15 @@
 // and that may wait on a peer — MPI rendezvous sends, receives and
 // nonblocking collectives, CCL asynchronous sends, plan lanes, leader
 // engines and group sends — runs on resident workers from a Pool, at the
-// virtual time of a process spawned per job. A nonblocking MPI eager send
-// never waits on a peer, so it runs as kernel callbacks instead (After and
-// Resource.AcquireUpToFunc), each in the (time, seq) slot where such a
-// worker would have woken. A process whose call only does bookkeeping at
-// some of its wake-ups (an MPI receive, Sendrecv, a blocking eager send, a
-// fabric transfer) runs that call as a guarded one (Proc.Guarded): the
-// bookkeeping runs as steps in the kernel, each in the slot of the
-// process's own wake-up, and the process is switched to once, when the
-// call returns.
+// virtual time of a process spawned per job. A call that only does
+// bookkeeping at its wake-ups (an MPI send or receive, Sendrecv, a fabric
+// transfer) is written once, as a Machine whose Advance returns its next
+// Wait, and one of two runners drives it: a process (Proc.Drive), which
+// advances the machine in the kernel, in the slot of each of its own
+// wake-ups, and is switched to once, when the call returns; or kernel
+// callbacks (Kernel.Start), for a nonblocking MPI eager send, which never
+// waits on a peer, each in the (time, seq) slot where a worker running it
+// would have woken.
 //
 // # Scheduling internals
 //
@@ -49,8 +49,8 @@
 //     events itself until one activates a process: itself, and it simply
 //     keeps running (no switch at all — the dominant Sleep/park/unpark
 //     cycle), or another, which it leaves for the loop before yielding.
-//     An activation that carries a guarded step runs the step in pick
-//     and activates the process only once the step reports its call done.
+//     The activation of a process driving a machine advances the machine
+//     in pick and activates the process only once the machine is done.
 //     The runtime switches coroutines directly, without the run-queue
 //     round trip of a channel send and a goroutine park.
 package sim
@@ -202,7 +202,7 @@ type Kernel struct {
 	bounded bool
 	horizon Time
 
-	stepping *Proc       // the process whose guarded step pick is running
+	stepping *Proc       // the process whose machine pick is advancing
 	onResume func(*Proc) // see OnResume
 }
 
@@ -269,9 +269,8 @@ func (k *Kernel) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 }
 
 // pick executes events until one activates a live process and returns
-// that process. An activation of a process parked in a guarded call
-// (Proc.Guarded) runs the call's step first, and activates the process
-// only if the step reports the call done. pick returns nil once the queue
+// that process. An activation of a process parked in Drive advances its
+// machine first, and activates the process only once the machine is done. pick returns nil once the queue
 // drains, Stop is called, or (in a bounded window) the next event lies at
 // or past the horizon. The side holding control runs it: the loop, or a
 // parking or exiting process, so all kernel state stays single-threaded
@@ -306,14 +305,14 @@ func (k *Kernel) pick() *Proc {
 			if p.dead { // a stale activation of an exited process
 				continue
 			}
-			if s := p.step; s != nil {
+			if m := p.m; m != nil {
 				k.stepping = p
-				done := s()
+				done := p.advance(m)
 				k.stepping = nil
 				if !done {
-					continue // the step filed p's next wait
+					continue // the machine filed p's next wait
 				}
-				p.step = nil
+				p.m = nil
 			}
 			if k.onResume != nil {
 				k.onResume(p)
@@ -327,10 +326,10 @@ func (k *Kernel) pick() *Proc {
 	return nil
 }
 
-// stepPanic ends the run of a guarded step that pick left unfinished, if
-// any. The step ran on whichever side held control, so its panic r is
-// re-raised as the step's process's own *PanicError, as if that process had
-// run the code itself; a runtime.Goexit (r == nil) goes on.
+// stepPanic ends an Advance of a driven machine that pick left unfinished,
+// if any. It ran on whichever side held control, so its panic r is
+// re-raised as the driving process's own *PanicError, as if that process
+// had run the code itself; a runtime.Goexit (r == nil) goes on.
 func (k *Kernel) stepPanic(r any) {
 	g := k.stepping
 	if g == nil {
@@ -365,7 +364,7 @@ func (p *Proc) run() {
 
 // retire removes an exited or unwound process from the kernel's books.
 func (k *Kernel) retire(p *Proc) {
-	p.dead, p.step = true, nil
+	p.dead, p.m = true, nil
 	if !p.daemon {
 		k.alive--
 	}
@@ -374,8 +373,7 @@ func (k *Kernel) retire(p *Proc) {
 
 // OnResume installs fn to be called with every process the kernel resumes,
 // whether it switches into the process or the process picked its own
-// activation, and not at activations that a guarded step (Proc.Guarded)
-// keeps parked. It exists for tests that count resumes; nil removes it.
+// activation, and not at activations that leave a process parked in Drive. It exists for tests that count resumes; nil removes it.
 func (k *Kernel) OnResume(fn func(*Proc)) { k.onResume = fn }
 
 // Stop aborts the simulation: Run returns after the current event completes.
@@ -439,9 +437,9 @@ func (k *Kernel) unwindAll() {
 // t.FailNow inside a process, which iter.Pull re-raises on the loop's
 // goroutine) and a genuine panic retire the process; the panic then
 // continues as a *PanicError, which the loop's goroutine re-raises, so it
-// surfaces from Run. A panic in a guarded step that p's pick ran is the
-// step's process's (stepPanic); one in an exiting p's pick passes on to the
-// loop's goroutine, where Run or runWindow attributes it.
+// surfaces from Run. A panic in a driven machine that p's pick advanced is
+// its driving process's (stepPanic); one in an exiting p's pick passes on
+// to the loop's goroutine, where Run or runWindow attributes it.
 func (k *Kernel) reap(p *Proc) {
 	if p.dead {
 		return // fn returned normally
@@ -467,7 +465,7 @@ func (k *Kernel) Run() error {
 	defer func() {
 		k.running = false
 		if k.stepping != nil {
-			k.stepPanic(recover()) // a step's panic that reached the loop's goroutine
+			k.stepPanic(recover()) // a machine's panic that reached the loop's goroutine
 		}
 	}()
 	k.loop()
@@ -489,7 +487,7 @@ func (k *Kernel) runWindow(horizon Time) {
 	defer func() {
 		k.bounded, k.running = false, false
 		if k.stepping != nil {
-			k.stepPanic(recover()) // a step's panic that reached the loop's goroutine
+			k.stepPanic(recover()) // a machine's panic that reached the loop's goroutine
 		}
 	}()
 	k.loop()

@@ -386,3 +386,17 @@ func TestSleepOrderingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Kernel.Start runs sleep and acquire waits only: a machine that waits on
+// an event must run on a process, which a deadlock report can name.
+func TestStartRejectsEventWaits(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	ev := NewEvent(k)
+	defer func() {
+		if recover() == nil {
+			t.Error("Kernel.Start ran a machine's event wait")
+		}
+	}()
+	k.Start(new(Task), machineFunc(func() Wait { return Await(ev) }), func() {})
+}

@@ -24,12 +24,13 @@ type orderEntry struct {
 // orderModel drives one kernel through a random mix of Sleep(0), Sleep(d),
 // Event.Fire wake-ups, After callbacks, Spawns at the current instant,
 // acquires and releases of one contended Resource by processes
-// (AcquireUpTo), callbacks (AcquireUpToFunc) and guarded steps
-// (AcquireUpToStep), and guarded calls (Proc.Guarded) whose steps sleep,
-// decline and sleep again, wait on an event and on the resource, and
-// resume. Every scheduling call first records the entry it expects
-// (reading the kernel's next seq), and every activation logs its label
-// when it runs: a guarded step logs it from the kernel, in its slot.
+// (Resource.AcquireUpTo), machines run as kernel callbacks (Kernel.Start)
+// and machines driven on processes (Proc.Drive), and driven machines that
+// sleep, sleep again at that activation, wait on an event and on the
+// resource, and end. Every scheduling call first records the entry it
+// expects (reading the kernel's next seq), and every activation logs its
+// label when it runs: a driven machine logs it from the kernel, in its
+// slot.
 type orderModel struct {
 	k       *Kernel
 	rng     *rand.Rand
@@ -44,8 +45,8 @@ type orderModel struct {
 	queue   []*resReq // the requests queued on res, in the model's order
 	tickets int       // requests made of res so far
 	grants  []int     // request tickets in the order res granted them
-	waited  [3]int    // requests that queued: by processes, callbacks, guarded steps
-	guards  [2]int    // guarded calls made, and those whose step waited on an event
+	waited  [3]int    // requests that queued: by processes, kernel-callback and driven machines
+	guards  [2]int    // driven machines run, and those that waited on an unfired event
 }
 
 // resReq is one request of the model's resource: its arrival ticket, and,
@@ -141,21 +142,26 @@ func (m *orderModel) release(n int) {
 	m.queue = m.queue[admitted:]
 }
 
-// acquireFunc acquires up to 1–3 units with a continuation that holds them
-// for 0–3 ns and releases them from an After callback.
+// acquireFunc runs a machine as kernel callbacks that acquires up to 1–3
+// units, holds them for 0–3 ns and releases them from an After callback.
 func (m *orderModel) acquireFunc() {
 	q, now := m.request()
-	ran := false
-	m.res.AcquireUpToFunc(1+m.rng.Intn(3), func(n int) {
+	asked, ran, got := false, false, 0
+	m.k.Start(new(Task), machineFunc(func() Wait {
+		if !asked {
+			asked = true
+			return AcquireUpTo(m.res, 1+m.rng.Intn(3), &got)
+		}
 		ran = true
 		if !now {
 			m.waited[1]++
 			m.log(q.label)
 		}
-		m.after(Time(m.rng.Intn(4)), func() { m.release(n) })
-	})
+		m.after(Time(m.rng.Intn(4)), func() { m.release(got) })
+		return Wait{}
+	}), func() {})
 	if ran != now {
-		panic(fmt.Sprintf("request %d: continuation ran inline = %v, granted at once = %v", q.ticket, ran, now))
+		panic(fmt.Sprintf("request %d: machine ran on inline = %v, granted at once = %v", q.ticket, ran, now))
 	}
 }
 
@@ -212,27 +218,36 @@ func (m *orderModel) run(p *Proc, budget int) {
 	}
 }
 
-// guarded makes one guarded call on p. Its step files a sleep when called;
-// at that activation it declines and files another; then it waits on a
-// pool event (before orderEnd) and acquires up to 1–3 units of the
-// resource, queueing when it is contended; it holds them over a last
-// sleep, and at that activation releases them and resumes p. Each
-// activation's step logs the activation's label, and p must resume in the
-// last one's slot.
+// guarded drives one machine on p. It sleeps when called; at that
+// activation it sleeps again; then it waits on a pool event (before
+// orderEnd) and acquires up to 1–3 units of the resource, queueing when it
+// is contended; it holds them over a last sleep, and at that activation
+// releases them and ends, and p resumes. Each activation logs its label,
+// the runner must advance the machine in place exactly when the model
+// expects a wait to be satisfied already, and p must resume in the last
+// activation's slot.
 func (m *orderModel) guarded(p *Proc) {
 	m.guards[0]++
 	var (
 		phase, got int
 		wake       func() int // the label of p's pending activation
+		inPlace    bool       // the last wait should be satisfied at once
+		seq        uint64     // the kernel's seq when the last wait was returned
 	)
-	sleep := func() {
+	sleep := func() Wait {
 		d := Time(m.rng.Intn(4))
 		label := m.expect(m.k.now+d, m.k.seq)
 		wake = func() int { return label }
-		p.SleepStep(d)
+		return Sleep(d)
 	}
 	last := 0
-	p.Guarded(func() bool {
+	p.Drive(machineFunc(func() Wait {
+		if phase == 3 || phase == 4 {
+			// Anything the runner filed and was woken from took a seq.
+			if ran := m.k.seq == seq; ran != inPlace {
+				panic(fmt.Sprintf("phase %d: advanced in place = %v, want %v", phase, ran, inPlace))
+			}
+		}
 		if wake != nil {
 			last = wake()
 			m.log(last)
@@ -242,36 +257,32 @@ func (m *orderModel) guarded(p *Proc) {
 			phase++
 			switch phase {
 			case 1, 2, 5:
-				sleep()
-				return false
+				return sleep()
 			case 3:
 				if m.k.now >= orderEnd {
 					continue
 				}
-				if !m.events[m.rng.Intn(len(m.events))].WaitStep(p) {
+				e := m.events[m.rng.Intn(len(m.events))]
+				if inPlace, seq = e.Fired(), m.k.seq; !inPlace {
 					m.guards[1]++
 					wake = func() int { return m.pending[p] }
-					return false
 				}
+				return Await(e)
 			case 4:
 				q, now := m.request()
-				queued := !m.res.AcquireUpToStep(p, 1+m.rng.Intn(3), &got)
-				if queued == now {
-					panic(fmt.Sprintf("request %d: guarded step queued = %v, granted at once = %v", q.ticket, queued, now))
-				}
-				if queued {
+				if inPlace, seq = now, m.k.seq; !now {
 					m.waited[2]++
 					wake = func() int { return q.label }
-					return false
 				}
+				return AcquireUpTo(m.res, 1+m.rng.Intn(3), &got)
 			default:
 				m.release(got)
-				return true
+				return Wait{}
 			}
 		}
-	})
+	}))
 	if got := m.got[len(m.got)-1]; got.label != last || got.at != m.k.now {
-		panic(fmt.Sprintf("guarded call resumed at %v after activation %d; want the slot of its last activation %d", m.k.now, got.label, last))
+		panic(fmt.Sprintf("driven machine resumed at %v after activation %d; want the slot of its last activation %d", m.k.now, got.label, last))
 	}
 }
 
@@ -324,11 +335,11 @@ func TestEventOrderKernel(t *testing.T) {
 		guards[1] += m.guards[1]
 	}
 	if waited[0] == 0 || waited[1] == 0 || waited[2] == 0 {
-		t.Errorf("contended resource requests: %d by processes, %d by callbacks, %d by guarded steps; want some of each",
+		t.Errorf("contended resource requests: %d by processes, %d by kernel-callback machines, %d by driven machines; want some of each",
 			waited[0], waited[1], waited[2])
 	}
 	if guards[1] == 0 {
-		t.Errorf("%d guarded calls, none of whose steps waited on an event; want some", guards[0])
+		t.Errorf("%d driven machines, none of which waited on an unfired event; want some", guards[0])
 	}
 }
 

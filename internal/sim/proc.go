@@ -15,10 +15,10 @@ type Proc struct {
 	dead    bool
 	daemon  bool
 	blocked string
-	// step is a guarded call's step (see Guarded): set while the process
-	// parks in the call, run by pick at each of its activations, and
-	// cleared when it reports the call done and the process resumes.
-	step func() bool
+	// m is the machine the process drives (see Drive): set while the
+	// process parks in Drive, advanced by pick at each of its activations,
+	// and cleared when it is done and the process resumes.
+	m Machine
 
 	// The coroutine (see coro.go), created at the first activation: pull
 	// switches into it, yield back out to the loop, and stop unwinds it.
@@ -84,31 +84,9 @@ func (p *Proc) wait() {
 	}
 }
 
-// Guarded runs step now, on p, and then at each of p's activations until
-// step reports true, when Guarded returns. Those activations run step in
-// the kernel, in the activation's own (time, seq) slot, while p stays
-// parked, so p resumes once per call. step must run exactly the code the
-// process version runs between that wake and its next park, and file that
-// park the same way: with SleepStep, Event.WaitStep or
-// Resource.AcquireUpToStep, each of which also sets the reason a deadlock
-// report shows. It then reports false; it must not block, and it must file
-// exactly one wait. Every event a guarded call files is then one that the
-// process version files, in the same slot, so virtual time and event order
-// are the same either way. A panic in step surfaces from Run as p's
-// *PanicError, wherever the step ran. A stale activation of a process that
-// has exited is skipped without running its step, and Close unwinds a
-// guarded park like any other.
-func (p *Proc) Guarded(step func() bool) {
-	if step() {
-		return
-	}
-	p.step = step
-	p.wait()
-}
-
-// SleepStep files p's next activation d of virtual time from now, as Sleep
-// does, without blocking: it is Sleep for a guarded step (see Guarded).
-func (p *Proc) SleepStep(d time.Duration) {
+// sleepStep files p's next activation d of virtual time from now, without
+// blocking.
+func (p *Proc) sleepStep(d time.Duration) {
 	k := p.k
 	if d < 0 {
 		d = 0
@@ -128,7 +106,7 @@ func (p *Proc) unpark() {
 // after already-queued events). When no other process is runnable earlier,
 // the sleeping process re-activates itself without any coroutine switch.
 func (p *Proc) Sleep(d time.Duration) {
-	p.SleepStep(d)
+	p.sleepStep(d)
 	p.wait()
 }
 

@@ -57,13 +57,13 @@ scripts/doclinks.sh
 # the IR/cost/search suite joins the race rotation wholesale (it is small).
 # internal/mpi hands its rendezvous sends, receives and nonblocking
 # collectives to per-rank pools of resident progress processes (sim.Pool),
-# shared by all of a job's communicators, runs its eager sends as kernel
-# callbacks over recycled per-rank states, and runs its blocking receives,
-# Sendrecvs and eager Sends as guarded steps of the rank's process
-# (sim.Proc.Guarded), whose recycled states the rank and its progress
-# processes share; internal/sim's guarded activations run one process's
-# steps from another's pick (TestEventOrder*, TestGuardedActivationAllocs
-# among the suite). internal/world builds
+# shared by all of a job's communicators, runs its eager Isends as machines
+# started as kernel callbacks (sim.Kernel.Start) over recycled per-rank
+# states, and drives its blocking sends, receives and Sendrecvs as machines
+# on the rank's process (sim.Proc.Drive), whose recycled states the rank
+# and its progress processes share; internal/sim's process runner advances
+# one process's machine from another's pick (TestEventOrder*,
+# TestGuardedActivationAllocs among the suite). internal/world builds
 # every stack the harnesses run (its per-stack test drives all six, each
 # reporting into one registry).
 go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fault mpixccl/internal/fabric mpixccl/internal/core mpixccl/internal/ccl/comp mpixccl/internal/mpi mpixccl/internal/world
@@ -73,27 +73,27 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # (orphaned-Isend deadlock, idle pool, no-spawn waves, exact reuse times),
 # the eager-send pins (same-instant tie order, exact contended, staged and
 # retransmitted completions, orphaned eager Isend, no eager send on a
-# progress process), the guarded-receive pins (exact completion times and
-# resume order of every receive protocol, Sendrecv and overhead tie in
-# TestBlockingRecvVirtualTime, the blocked processes and reasons of
-# TestDeadlockDetectedOnMissingSend, one rank resume per Recv, Sendrecv
-# and eager Send in TestRankResumesPerCall), the exact scatter-ring Bcast
-# times and the recycled eager envelopes — the fabric's two transfer
-# drivers (guarded process steps and kernel callbacks) agreeing on seeded
-# transfer mixes under every fault setting,
-# the kernel's hand-off semantics (a process's
-# panic and t.FailNow reach Run, a guarded step's panic names its own
-# process wherever the step ran, Close leaves no goroutine, the hand-off
+# progress process), the driven-machine pins (exact completion times and
+# resume order of every receive protocol, Sendrecv, overhead tie and
+# degraded rendezvous handshake in TestBlockingRecvVirtualTime, the
+# blocked processes and reasons of TestDeadlockDetectedOnMissingSend, one
+# rank resume per Recv, Sendrecv and Send in TestRankResumesPerCall), the
+# exact scatter-ring Bcast times and the recycled envelopes — and the
+# whole internal/fabric and internal/sim suites, each well under a second:
+# the transfer machine's two runners (a process and kernel callbacks)
+# agreeing on seeded transfer mixes under every fault setting, a finished
+# transfer pinning no buffers, the kernel's hand-off semantics (a process's
+# panic and t.FailNow reach Run, a driven machine's panic names its own
+# process wherever it advanced, Close leaves no goroutine, the hand-off
 # paths allocate nothing and so do a cross-shard message
-# (TestShardedInjectAllocs), a contended callback acquire
-# (TestResourceFuncAllocs) and a guarded call that takes every kind of
+# (TestShardedInjectAllocs), a contended acquire of a started machine
+# (TestResourceFuncAllocs) and a driven machine that takes every kind of
 # wait (TestGuardedActivationAllocs), same-instant and future events,
-# resource grants to processes, callbacks and guarded steps among them,
-# and guarded steps that decline, wait and resume, run in (time, seq)
-# order on plain and sharded kernels, Close drops a sharded engine's
-# in-flight deliveries), the worker pool's pins (the same trace as a
-# spawn per job, busy workers deadlock by name, idle ones end Run, Close
-# unwinds both), the ccl no-spawn pin with compiled plans
+# resource grants to processes and to started and driven machines among
+# them, run in (time, seq) order on plain and sharded kernels, Close drops
+# a sharded engine's in-flight deliveries), the worker pool's pins (the
+# same trace as a spawn per job, busy workers deadlock by name, idle ones
+# end Run, Close unwinds both), the ccl no-spawn pin with compiled plans
 # and group sends on the rank's resident workers, the one-shot
 # steady-state allocation pin (recycled op states and pipes) and the
 # exact-time pins, the owner-computes ring's and tree fan-in's bit and
@@ -117,10 +117,9 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # not depend on how many threads run them.
 for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/mpi
-	GOMAXPROCS=$procs go test -count=1 -run 'TestTransferDriversAgree' mpixccl/internal/fabric
-	GOMAXPROCS=$procs go test -count=1 -run 'InProcess|TestShardedPanic|TestClose|TestShardedClose|Allocs$|TestEventOrder|TestPool|InGuardedStep' mpixccl/internal/sim
+	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/fabric mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestOneShotSteadyStateAllocs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat|TestGroup|TestSynthesized|TestFusedRing|TestByteRegime|TestReduceOnReceive' mpixccl/internal/ccl
-	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting|TestWorldReleasedAfterRun' mpixccl/internal/core mpixccl/internal/sim
+	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting|TestWorldReleasedAfterRun' mpixccl/internal/core
 	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity|TestInstrumentationGolden' mpixccl/internal/core
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/world
 done
