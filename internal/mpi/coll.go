@@ -40,85 +40,67 @@ func tagOf(epoch, op int) int {
 	return collTagBase + (epoch%(1<<14))*16 + op
 }
 
-// tmp allocates collective scratch space on the rank's device.
-func (c *Comm) tmp(bytes int64) *device.Buffer {
-	return c.dev.MustMalloc(bytes)
-}
-
-func (c *Comm) enterColl() {
-	c.proc.Sleep(c.ctx.job.profile.CollOverhead)
-}
-
 // Barrier blocks until every rank of the communicator has entered it
 // (dissemination algorithm: ⌈log2 n⌉ rounds of pairwise signals).
 func (c *Comm) Barrier() {
-	c.enterColl()
+	g := c.coll(Byte)
 	tag := tagOf(c.nextEpoch(), tagBarrier)
-	n := c.Size()
-	if n == 1 {
-		return
+	if n := c.Size(); n > 1 {
+		// No one reads the signals' byte: neither buffer needs a value.
+		token, scratch := g.alloc(1), g.alloc(1)
+		for k := 1; k < n; k <<= 1 {
+			g.sendrecv(token, (c.rank+k)%n, scratch, (c.rank-k+n)%n, tag)
+		}
 	}
-	token := c.tmp(1)
-	defer token.Free()
-	scratch := c.tmp(1)
-	defer scratch.Free()
-	for k := 1; k < n; k <<= 1 {
-		dst := (c.rank + k) % n
-		src := (c.rank - k + n) % n
-		c.Sendrecv(token, 1, Byte, dst, tag, scratch, 1, Byte, src, tag)
-	}
+	g.run()
 }
 
 // Bcast broadcasts count elements from root's buf to every rank's buf.
 // Small payloads use a binomial tree; large payloads use the van de Geijn
 // scatter + ring-allgather algorithm.
 func (c *Comm) Bcast(buf *device.Buffer, count int, dt Datatype, root int) {
-	c.enterColl()
+	g := c.coll(dt)
 	bytes := int64(count) * int64(dt.Size())
-	if c.Size() == 1 || count == 0 {
-		return
+	if c.Size() > 1 && count > 0 {
+		tag := tagOf(c.nextEpoch(), tagBcast)
+		if bytes <= c.ctx.job.profile.BcastLong || c.Size() == 2 {
+			g.bcastBinomial(buf.View(0, bytes), root, tag)
+		} else {
+			g.bcastScatterRing(buf.View(0, bytes), count, root, tag)
+		}
 	}
-	epoch := c.nextEpoch()
-	if bytes <= c.ctx.job.profile.BcastLong || c.Size() == 2 {
-		c.bcastBinomial(buf, count, dt, root, epoch)
-		return
-	}
-	c.bcastScatterRing(buf, count, dt, root, epoch)
+	g.run()
 }
 
-func (c *Comm) bcastBinomial(buf *device.Buffer, count int, dt Datatype, root, epoch int) {
-	tag := tagOf(epoch, tagBcast)
+func (g *collProg) bcastBinomial(buf device.View, root, tag int) {
+	c := g.c
 	n := c.Size()
 	rel := (c.rank - root + n) % n
 	// Receive once from the parent, then forward down the tree.
 	mask := 1
 	for mask < n {
 		if rel&mask != 0 {
-			src := (c.rank - mask + n) % n
-			c.Recv(buf, count, dt, src, tag)
+			g.recv(buf, (c.rank-mask+n)%n, tag)
 			break
 		}
 		mask <<= 1
 	}
-	mask >>= 1
-	for mask > 0 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < n {
-			dst := (c.rank + mask) % n
-			c.Send(buf, count, dt, dst, tag)
+			g.send(buf, (c.rank+mask)%n, tag)
 		}
-		mask >>= 1
 	}
 }
 
-func (c *Comm) bcastScatterRing(buf *device.Buffer, count int, dt Datatype, root, epoch int) {
+func (g *collProg) bcastScatterRing(buf device.View, count, root, tag int) {
 	// Scatter the payload binomially, then ring-allgather the pieces.
+	c := g.c
 	n := c.Size()
-	esz := int64(dt.Size())
-	segs := segment(count, n)
+	esz := g.esz
+	segs := g.segment(count)
 	// Phase 1: binomial scatter of segments relative to root.
-	tag := tagOf(epoch, tagBcast)
 	rel := (c.rank - root + n) % n
-	// recvLow/recvHigh is the relative-rank segment range this rank holds.
+	// low/high is the relative-rank segment range this rank holds.
 	low, high := 0, n
 	mask := nextPow2(n)
 	for mask > 1 {
@@ -127,43 +109,21 @@ func (c *Comm) bcastScatterRing(buf *device.Buffer, count int, dt Datatype, root
 		if mid >= high {
 			continue
 		}
+		off, ln := segRange(segs, mid, high, esz)
 		if rel < mid { // this rank owns the lower half; send upper half away
-			if rel == low {
-				off, ln := segRange(segs, mid, high, esz)
-				if ln > 0 {
-					c.Send(buf.Slice(off, ln), int(ln/esz), dt, (low+mask+root)%n, tag)
-				}
+			if rel == low && ln > 0 {
+				g.send(buf.Sub(off, ln), (low+mask+root)%n, tag)
 			}
 			high = mid
 		} else {
-			if rel == mid {
-				off, ln := segRange(segs, mid, high, esz)
-				if ln > 0 {
-					c.Recv(buf.Slice(off, ln), int(ln/esz), dt, (low+root)%n, tag)
-				}
+			if rel == mid && ln > 0 {
+				g.recv(buf.Sub(off, ln), (low+root)%n, tag)
 			}
 			low = mid
 		}
 	}
 	// Phase 2: ring allgather of the n segments, indexed relative to root.
-	c.ringAllgatherSegs(buf, segs, dt, tag, root)
-}
-
-// segment splits count elements into n contiguous ranges, returning the
-// start element of each range plus a final sentinel (len n+1).
-func segment(count, n int) []int {
-	bounds := make([]int, n+1)
-	base, rem := count/n, count%n
-	off := 0
-	for i := 0; i < n; i++ {
-		bounds[i] = off
-		off += base
-		if i < rem {
-			off++
-		}
-	}
-	bounds[n] = count
-	return bounds
+	g.ringAllgatherSegs(buf, segs, tag, root)
 }
 
 // segRange maps segment range [a,b) to a byte (offset, length) in the
@@ -187,49 +147,47 @@ func nextPow2(n int) int {
 // Gather collects count elements from every rank's sendBuf into root's
 // recvBuf (laid out by rank). recvBuf may be nil on non-root ranks.
 func (c *Comm) Gather(sendBuf *device.Buffer, count int, dt Datatype, recvBuf *device.Buffer, root int) {
-	c.enterColl()
+	g := c.coll(dt)
 	tag := tagOf(c.nextEpoch(), tagGather)
 	n := c.Size()
-	esz := int64(dt.Size())
-	bytes := int64(count) * esz
+	bytes := int64(count) * int64(dt.Size())
 	if c.rank == root {
 		if recvBuf.Len() < bytes*int64(n) {
 			panic(fmt.Sprintf("mpi: gather recv buffer %d < %d", recvBuf.Len(), bytes*int64(n)))
 		}
-		copy(recvBuf.Bytes()[int64(root)*bytes:(int64(root)+1)*bytes], sendBuf.Bytes()[:bytes])
-		c.proc.Sleep(c.dev.CopyTime(bytes))
-		reqs := make([]*Request, 0, n-1)
+		g.copy(recvBuf.View(int64(root)*bytes, bytes), sendBuf.View(0, bytes))
+		g.sleep(c.dev.CopyTime(bytes))
 		for r := 0; r < n; r++ {
-			if r == root {
-				continue
+			if r != root {
+				g.irecv(recvBuf.View(int64(r)*bytes, bytes), r, tag)
 			}
-			reqs = append(reqs, c.Irecv(recvBuf.Slice(int64(r)*bytes, bytes), count, dt, r, tag))
 		}
-		c.Waitall(reqs)
-		return
+		g.waitall()
+	} else {
+		g.send(sendBuf.View(0, bytes), root, tag)
 	}
-	c.Send(sendBuf, count, dt, root, tag)
+	g.run()
 }
 
 // Scatter distributes root's sendBuf (laid out by rank) so each rank
 // receives count elements into recvBuf. sendBuf may be nil on non-roots.
 func (c *Comm) Scatter(sendBuf *device.Buffer, count int, dt Datatype, recvBuf *device.Buffer, root int) {
-	c.enterColl()
+	g := c.coll(dt)
 	tag := tagOf(c.nextEpoch(), tagScatter)
 	n := c.Size()
 	bytes := int64(count) * int64(dt.Size())
 	if c.rank == root {
-		reqs := make([]*Request, 0, n-1)
 		for r := 0; r < n; r++ {
 			if r == root {
-				copy(recvBuf.Bytes()[:bytes], sendBuf.Bytes()[int64(r)*bytes:(int64(r)+1)*bytes])
-				c.proc.Sleep(c.dev.CopyTime(bytes))
-				continue
+				g.copy(recvBuf.View(0, bytes), sendBuf.View(int64(r)*bytes, bytes))
+				g.sleep(c.dev.CopyTime(bytes))
+			} else {
+				g.isend(sendBuf.View(int64(r)*bytes, bytes), r, tag)
 			}
-			reqs = append(reqs, c.Isend(sendBuf.Slice(int64(r)*bytes, bytes), count, dt, r, tag))
 		}
-		c.Waitall(reqs)
-		return
+		g.waitall()
+	} else {
+		g.recv(recvBuf.View(0, bytes), root, tag)
 	}
-	c.Recv(recvBuf, count, dt, root, tag)
+	g.run()
 }

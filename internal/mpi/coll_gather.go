@@ -10,149 +10,121 @@ import (
 // recvBuf, laid out by rank. Small payloads use the Bruck algorithm
 // (⌈log2 n⌉ rounds); large payloads use the bandwidth-optimal ring.
 func (c *Comm) Allgather(sendBuf *device.Buffer, count int, dt Datatype, recvBuf *device.Buffer) {
-	c.enterColl()
+	g := c.coll(dt)
 	n := c.Size()
-	esz := int64(dt.Size())
-	bytes := int64(count) * esz
+	bytes := int64(count) * int64(dt.Size())
 	if recvBuf.Len() < bytes*int64(n) {
 		panic(fmt.Sprintf("mpi: allgather recv buffer %d < %d", recvBuf.Len(), bytes*int64(n)))
 	}
-	copy(recvBuf.Bytes()[int64(c.rank)*bytes:(int64(c.rank)+1)*bytes], sendBuf.Bytes()[:bytes])
-	if n == 1 || count == 0 {
-		return
+	recv := recvBuf.View(0, bytes*int64(n))
+	g.copy(recv.Sub(int64(c.rank)*bytes, bytes), sendBuf.View(0, bytes))
+	if n > 1 && count > 0 {
+		epoch := c.nextEpoch()
+		if bytes <= c.ctx.job.profile.AllgatherLong {
+			g.allgatherBruck(recv, bytes, tagOf(epoch, tagAllgather))
+		} else { // the ring over n equal segments, one per rank's block
+			g.ringAllgatherSegs(recv, g.segment(count*n), tagOf(epoch, tagAllgather), 0)
+		}
 	}
-	epoch := c.nextEpoch()
-	if bytes <= c.ctx.job.profile.AllgatherLong {
-		c.allgatherBruck(recvBuf, count, dt, epoch)
-		return
-	}
-	segs := make([]int, n+1)
-	for i := range segs {
-		segs[i] = i * count
-	}
-	c.ringAllgatherSegs(recvBuf, segs, dt, tagOf(epoch, tagAllgather), 0)
+	g.run()
 }
 
 // allgatherBruck runs Bruck's allgather: data is kept rotated so that each
 // rank's own block is first, doubling the gathered prefix every round,
 // then rotated back into rank order.
-func (c *Comm) allgatherBruck(recvBuf *device.Buffer, count int, dt Datatype, epoch int) {
-	tag := tagOf(epoch, tagAllgather)
+func (g *collProg) allgatherBruck(recv device.View, bytes int64, tag int) {
+	c := g.c
 	n := c.Size()
-	esz := int64(dt.Size())
-	bytes := int64(count) * esz
-	work := c.tmp(bytes * int64(n))
-	defer work.Free()
+	// work is written whole: block 0 below, the rest by the rounds' receives.
+	work := g.alloc(bytes * int64(n))
 	// Start with own block first.
-	copy(work.Bytes()[:bytes], recvBuf.Bytes()[int64(c.rank)*bytes:(int64(c.rank)+1)*bytes])
+	g.copy(work.Sub(0, bytes), recv.Sub(int64(c.rank)*bytes, bytes))
 	have := 1
 	for pof := 1; pof < n; pof <<= 1 {
-		sendCnt := have
-		if sendCnt > n-have {
-			sendCnt = n - have
-		}
-		dst := (c.rank - pof + n) % n
-		src := (c.rank + pof) % n
-		c.Sendrecv(work.Slice(0, int64(sendCnt)*bytes), sendCnt*count, dt, dst, tag,
-			work.Slice(int64(have)*bytes, int64(sendCnt)*bytes), sendCnt*count, dt, src, tag)
-		have += sendCnt
+		cnt := int64(min(have, n-have))
+		g.sendrecv(work.Sub(0, cnt*bytes), (c.rank-pof+n)%n, work.Sub(int64(have)*bytes, cnt*bytes), (c.rank+pof)%n, tag)
+		have += int(cnt)
 	}
 	// Rotate block i of work (which is rank (rank+i)%n's data) into place.
 	for i := 0; i < n; i++ {
-		r := (c.rank + i) % n
-		copy(recvBuf.Bytes()[int64(r)*bytes:(int64(r)+1)*bytes], work.Bytes()[int64(i)*bytes:(int64(i)+1)*bytes])
+		g.copy(recv.Sub(int64((c.rank+i)%n)*bytes, bytes), work.Sub(int64(i)*bytes, bytes))
 	}
-	c.proc.Sleep(c.dev.CopyTime(bytes * int64(n)))
+	g.sleep(c.dev.CopyTime(bytes * int64(n)))
 }
 
 // Alltoall sends block r of sendBuf to rank r and receives block s from
 // rank s into recvBuf (count elements per block). Small payloads use the
 // Bruck algorithm; large payloads use pairwise exchange.
 func (c *Comm) Alltoall(sendBuf *device.Buffer, count int, dt Datatype, recvBuf *device.Buffer) {
-	c.enterColl()
+	g := c.coll(dt)
 	n := c.Size()
-	esz := int64(dt.Size())
-	bytes := int64(count) * esz
-	copy(recvBuf.Bytes()[int64(c.rank)*bytes:(int64(c.rank)+1)*bytes],
-		sendBuf.Bytes()[int64(c.rank)*bytes:(int64(c.rank)+1)*bytes])
-	if n == 1 || count == 0 {
-		return
+	bytes := int64(count) * int64(dt.Size())
+	send, recv := sendBuf.View(0, bytes*int64(n)), recvBuf.View(0, bytes*int64(n))
+	g.copy(recv.Sub(int64(c.rank)*bytes, bytes), send.Sub(int64(c.rank)*bytes, bytes))
+	if n > 1 && count > 0 {
+		epoch := c.nextEpoch()
+		if bytes <= c.ctx.job.profile.AlltoallLong {
+			g.alltoallBruck(send, recv, bytes, tagOf(epoch, tagAlltoall))
+		} else {
+			g.alltoallPairwise(send, recv, bytes, tagOf(epoch, tagAlltoall))
+		}
 	}
-	epoch := c.nextEpoch()
-	if bytes <= c.ctx.job.profile.AlltoallLong {
-		c.alltoallBruck(sendBuf, recvBuf, count, dt, epoch)
-		return
-	}
-	c.alltoallPairwise(sendBuf, recvBuf, count, dt, epoch)
+	g.run()
 }
 
 // alltoallPairwise exchanges with peer rank^^step (XOR for power-of-two
 // sizes, ring offsets otherwise), n-1 rounds of full-duplex transfers.
-func (c *Comm) alltoallPairwise(sendBuf, recvBuf *device.Buffer, count int, dt Datatype, epoch int) {
-	tag := tagOf(epoch, tagAlltoall)
+func (g *collProg) alltoallPairwise(send, recv device.View, bytes int64, tag int) {
+	c := g.c
 	n := c.Size()
-	bytes := int64(count) * int64(dt.Size())
 	pow2 := n&(n-1) == 0
 	for step := 1; step < n; step++ {
-		var sendTo, recvFrom int
+		sendTo, recvFrom := (c.rank+step)%n, (c.rank-step+n)%n
 		if pow2 {
 			sendTo = c.rank ^ step
 			recvFrom = sendTo
-		} else {
-			sendTo = (c.rank + step) % n
-			recvFrom = (c.rank - step + n) % n
 		}
-		c.Sendrecv(sendBuf.Slice(int64(sendTo)*bytes, bytes), count, dt, sendTo, tag,
-			recvBuf.Slice(int64(recvFrom)*bytes, bytes), count, dt, recvFrom, tag)
+		g.sendrecv(send.Sub(int64(sendTo)*bytes, bytes), sendTo, recv.Sub(int64(recvFrom)*bytes, bytes), recvFrom, tag)
 	}
 }
 
 // alltoallBruck is the log-round small-message algorithm: blocks are
 // rotated, exchanged by bit of the round index, and rotated back.
-func (c *Comm) alltoallBruck(sendBuf, recvBuf *device.Buffer, count int, dt Datatype, epoch int) {
-	tag := tagOf(epoch, tagAlltoall)
+func (g *collProg) alltoallBruck(send, recv device.View, bytes int64, tag int) {
+	c := g.c
 	n := c.Size()
-	bytes := int64(count) * int64(dt.Size())
 	// Both scratch buffers are written before they are read: work by the
 	// rotation below, stage by each round's packing and receive.
-	work := c.dev.MustMallocScratch(bytes * int64(n))
-	defer work.Free()
-	stage := c.dev.MustMallocScratch(bytes * int64(n))
-	defer stage.Free()
-	block := func(b *device.Buffer, i int) []byte {
-		return b.Bytes()[int64(i)*bytes : int64(i+1)*bytes]
-	}
-	// Local rotation: work[i] = sendBuf[(rank+i) mod n].
+	work, stage := g.alloc(bytes*int64(n)), g.alloc(bytes*int64(n))
+	block := func(v device.View, i int) device.View { return v.Sub(int64(i)*bytes, bytes) }
+	// Local rotation: work[i] = send[(rank+i) mod n].
 	for i := 0; i < n; i++ {
-		copy(block(work, i), block(sendBuf, (c.rank+i)%n))
+		g.copy(block(work, i), block(send, (c.rank+i)%n))
 	}
-	c.proc.Sleep(c.dev.CopyTime(bytes * int64(n)))
+	g.sleep(c.dev.CopyTime(bytes * int64(n)))
 	for pof := 1; pof < n; pof <<= 1 {
 		// Pack the m blocks whose index has bit pof set, in index order.
 		m := 0
 		for i := pof; i < n; i++ {
 			if i&pof != 0 {
-				copy(block(stage, m), block(work, i))
+				g.copy(block(stage, m), block(work, i))
 				m++
 			}
 		}
-		dst := (c.rank + pof) % n
-		src := (c.rank - pof + n) % n
-		c.Sendrecv(stage.Slice(0, int64(m)*bytes), m*count, dt, dst, tag,
-			stage.Slice(int64(m)*bytes, int64(m)*bytes), m*count, dt, src, tag)
+		g.sendrecv(stage.Sub(0, int64(m)*bytes), (c.rank+pof)%n, stage.Sub(int64(m)*bytes, int64(m)*bytes), (c.rank-pof+n)%n, tag)
 		for i, j := pof, m; i < n; i++ {
 			if i&pof != 0 {
-				copy(block(work, i), block(stage, j))
+				g.copy(block(work, i), block(stage, j))
 				j++
 			}
 		}
-		c.proc.Sleep(c.dev.CopyTime(2 * bytes * int64(m)))
+		g.sleep(c.dev.CopyTime(2 * bytes * int64(m)))
 	}
-	// Inverse rotation: recvBuf[r] = work[(rank-r) mod n] reversed ordering.
+	// Inverse rotation: recv[r] = work[(rank-r) mod n] reversed ordering.
 	for i := 0; i < n; i++ {
-		copy(block(recvBuf, (c.rank-i+n)%n), block(work, i))
+		g.copy(block(recv, (c.rank-i+n)%n), block(work, i))
 	}
-	c.proc.Sleep(c.dev.CopyTime(bytes * int64(n)))
+	g.sleep(c.dev.CopyTime(bytes * int64(n)))
 }
 
 // Alltoallv is the fully general personalized exchange of Listing 1:
@@ -162,39 +134,29 @@ func (c *Comm) alltoallBruck(sendBuf, recvBuf *device.Buffer, count int, dt Data
 // design it is compared with).
 func (c *Comm) Alltoallv(sendBuf *device.Buffer, sendCounts, sdispls []int, dt Datatype,
 	recvBuf *device.Buffer, recvCounts, rdispls []int) {
-	c.enterColl()
+	g := c.coll(dt)
 	tag := tagOf(c.nextEpoch(), tagAlltoall)
 	n := c.Size()
 	esz := int64(dt.Size())
-	reqs := make([]*Request, 0, 2*n)
+	view := func(b *device.Buffer, displ, count int) device.View {
+		return b.View(int64(displ)*esz, int64(count)*esz)
+	}
 	for r := 0; r < n; r++ {
-		if r == c.rank {
-			continue
-		}
-		if recvCounts[r] > 0 {
-			off := int64(rdispls[r]) * esz
-			ln := int64(recvCounts[r]) * esz
-			reqs = append(reqs, c.Irecv(recvBuf.Slice(off, ln), recvCounts[r], dt, r, tag))
+		if r != c.rank && recvCounts[r] > 0 {
+			g.irecv(view(recvBuf, rdispls[r], recvCounts[r]), r, tag)
 		}
 	}
 	for i := 1; i <= n; i++ {
 		r := (c.rank + i) % n
-		if r == c.rank {
-			// Self block: local copy.
-			if sendCounts[c.rank] > 0 {
-				so := int64(sdispls[c.rank]) * esz
-				ro := int64(rdispls[c.rank]) * esz
-				ln := int64(sendCounts[c.rank]) * esz
-				copy(recvBuf.Bytes()[ro:ro+ln], sendBuf.Bytes()[so:so+ln])
-				c.proc.Sleep(c.dev.CopyTime(ln))
-			}
-			continue
-		}
-		if sendCounts[r] > 0 {
-			off := int64(sdispls[r]) * esz
-			ln := int64(sendCounts[r]) * esz
-			reqs = append(reqs, c.Isend(sendBuf.Slice(off, ln), sendCounts[r], dt, r, tag))
+		switch {
+		case sendCounts[r] == 0:
+		case r == c.rank: // self block: local copy
+			g.copy(view(recvBuf, rdispls[r], sendCounts[r]), view(sendBuf, sdispls[r], sendCounts[r]))
+			g.sleep(c.dev.CopyTime(int64(sendCounts[r]) * esz))
+		default:
+			g.isend(view(sendBuf, sdispls[r], sendCounts[r]), r, tag)
 		}
 	}
-	c.Waitall(reqs)
+	g.waitall()
+	g.run()
 }

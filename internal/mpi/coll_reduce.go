@@ -2,126 +2,105 @@ package mpi
 
 import "mpixccl/internal/device"
 
-// reduceLocal combines src into dst (dst = op(dst, src)) over count
-// elements, charging device reduction time.
-func (c *Comm) reduceLocal(op Op, dt Datatype, dst, src *device.Buffer, count int) {
-	Reduce(op, dt, dst.Bytes(), src.Bytes(), count)
-	c.proc.Sleep(c.dev.ReduceTime(int64(count) * int64(dt.Size())))
-}
-
 // Reduce combines every rank's sendBuf with op, leaving the result in
 // root's recvBuf. Small payloads use a binomial tree; large payloads use
 // Rabenseifner's reduce-scatter + binomial gather.
 func (c *Comm) Reduce(sendBuf, recvBuf *device.Buffer, count int, dt Datatype, op Op, root int) {
-	c.enterColl()
+	g := c.coll(dt)
+	g.op = op
 	bytes := int64(count) * int64(dt.Size())
-	if c.Size() == 1 {
+	send := sendBuf.View(0, bytes)
+	var recv device.View // root's only: recvBuf may be nil elsewhere
+	if c.rank == root {
+		recv = recvBuf.View(0, bytes)
+	}
+	switch {
+	case c.Size() == 1:
 		if c.rank == root && recvBuf != sendBuf {
-			copy(recvBuf.Bytes()[:bytes], sendBuf.Bytes()[:bytes])
+			g.copy(recv, send)
 		}
-		return
+	case bytes <= c.ctx.job.profile.ReduceLong || c.Size() == 2:
+		g.reduceBinomial(send, recv, root, tagOf(c.nextEpoch(), tagReduce))
+	default:
+		g.reduceScatterGather(send, recv, count, root, c.nextEpoch())
 	}
-	epoch := c.nextEpoch()
-	if bytes <= c.ctx.job.profile.ReduceLong || c.Size() == 2 {
-		c.reduceBinomial(sendBuf, recvBuf, count, dt, op, root, epoch)
-		return
-	}
-	c.reduceScatterGather(sendBuf, recvBuf, count, dt, op, root, epoch)
+	g.run()
 }
 
-func (c *Comm) reduceBinomial(sendBuf, recvBuf *device.Buffer, count int, dt Datatype, op Op, root, epoch int) {
-	tag := tagOf(epoch, tagReduce)
+func (g *collProg) reduceBinomial(send, recv device.View, root, tag int) {
+	c := g.c
 	n := c.Size()
-	esz := int64(dt.Size())
-	bytes := int64(count) * esz
 	rel := (c.rank - root + n) % n
-	// acc accumulates this rank's subtree.
-	acc := c.tmp(bytes)
-	defer acc.Free()
-	copy(acc.Bytes(), sendBuf.Bytes()[:bytes])
-	in := c.tmp(bytes)
-	defer in.Free()
-	mask := 1
-	for mask < n {
-		if rel&mask == 0 {
-			childRel := rel + mask
-			if childRel < n {
-				child := (childRel + root) % n
-				c.Recv(in, count, dt, child, tag)
-				c.reduceLocal(op, dt, acc, in, count)
-			}
-		} else {
-			parent := ((rel - mask) + root) % n
-			c.Send(acc, count, dt, parent, tag)
+	// acc accumulates this rank's subtree: the copy below writes all of it.
+	acc := g.alloc(send.N)
+	g.copy(acc, send)
+	// in is written by each child's receive before the reduce reads it.
+	in := g.alloc(send.N)
+	for mask := 1; mask < n; mask <<= 1 {
+		if rel&mask != 0 {
+			g.send(acc, ((rel-mask)+root)%n, tag)
 			break
 		}
-		mask <<= 1
+		if childRel := rel + mask; childRel < n {
+			g.recv(in, (childRel+root)%n, tag)
+			g.reduce(acc, in)
+		}
 	}
 	if c.rank == root {
-		copy(recvBuf.Bytes()[:bytes], acc.Bytes())
+		g.copy(recv, acc)
 	}
 }
 
 // reduceScatterGather is Rabenseifner's large-message reduce: a ring
 // reduce-scatter leaves each rank owning the reduced segment for its index,
 // then segments are gathered to root.
-func (c *Comm) reduceScatterGather(sendBuf, recvBuf *device.Buffer, count int, dt Datatype, op Op, root, epoch int) {
+func (g *collProg) reduceScatterGather(send, recv device.View, count, root, epoch int) {
+	c := g.c
 	n := c.Size()
-	esz := int64(dt.Size())
-	bytes := int64(count) * esz
-	segs := segment(count, n)
-	work := c.tmp(bytes)
-	defer work.Free()
-	copy(work.Bytes(), sendBuf.Bytes()[:bytes])
-	c.ringReduceScatter(work, segs, dt, op, tagOf(epoch, tagReduceScatter))
+	esz := g.esz
+	segs := g.segment(count)
+	// work is the reduction's buffer: the copy below writes all of it.
+	work := g.alloc(send.N)
+	g.copy(work, send)
+	g.ringReduceScatter(work, segs, tagOf(epoch, tagReduceScatter))
 	// Gather: every rank sends its owned segment to root.
 	tag := tagOf(epoch, tagReduce)
-	own := c.rank
-	oOff, oLen := segRange(segs, own, own+1, esz)
+	oOff, oLen := segRange(segs, c.rank, c.rank+1, esz)
 	if c.rank == root {
-		copy(recvBuf.Bytes()[oOff:oOff+oLen], work.Bytes()[oOff:oOff+oLen])
-		reqs := make([]*Request, 0, n-1)
+		g.copy(recv.Sub(oOff, oLen), work.Sub(oOff, oLen))
 		for r := 0; r < n; r++ {
-			if r == root {
-				continue
+			if off, ln := segRange(segs, r, r+1, esz); r != root && ln > 0 {
+				g.irecv(recv.Sub(off, ln), r, tag)
 			}
-			off, ln := segRange(segs, r, r+1, esz)
-			if ln == 0 {
-				continue
-			}
-			reqs = append(reqs, c.Irecv(recvBuf.Slice(off, ln), int(ln/esz), dt, r, tag))
 		}
-		c.Waitall(reqs)
-		return
-	}
-	if oLen > 0 {
-		c.Send(work.Slice(oOff, oLen), int(oLen/esz), dt, root, tag)
+		g.waitall()
+	} else if oLen > 0 {
+		g.send(work.Sub(oOff, oLen), root, tag)
 	}
 }
 
 // ringReduceScatter runs the ring reduce-scatter phase in place on work:
 // after n-1 steps, rank r holds the fully reduced segment r.
-func (c *Comm) ringReduceScatter(work *device.Buffer, segs []int, dt Datatype, op Op, tag int) {
+func (g *collProg) ringReduceScatter(work device.View, segs []int, tag int) {
+	c := g.c
 	n := c.Size()
-	esz := int64(dt.Size())
+	esz := g.esz
 	if n == 1 {
 		return
 	}
 	right := (c.rank + 1) % n
 	left := (c.rank - 1 + n) % n
-	maxSeg := int64(segs[1]-segs[0]) * esz
-	in := c.tmp(maxSeg + esz)
-	defer in.Free()
+	// in is written by each step's receive before its reduce reads it.
+	in := g.alloc(int64(segs[1]-segs[0])*esz + esz)
 	for step := 0; step < n-1; step++ {
 		// Indexed so that after n-1 steps rank r owns segment r reduced.
 		sendSeg := (c.rank - step - 1 + 2*n) % n
 		recvSeg := (c.rank - step - 2 + 2*n) % n
 		so, sl := segRange(segs, sendSeg, sendSeg+1, esz)
 		ro, rl := segRange(segs, recvSeg, recvSeg+1, esz)
-		c.Sendrecv(work.Slice(so, sl), int(sl/esz), dt, right, tag,
-			in.Slice(0, rl), int(rl/esz), dt, left, tag)
+		g.sendrecv(work.Sub(so, sl), right, in.Sub(0, rl), left, tag)
 		if rl > 0 {
-			c.reduceLocal(op, dt, work.Slice(ro, rl), in.Slice(0, rl), int(rl/esz))
+			g.reduce(work.Sub(ro, rl), in.Sub(0, rl))
 		}
 	}
 }
@@ -132,10 +111,11 @@ func (c *Comm) ringReduceScatter(work *device.Buffer, segs []int, dt Datatype, o
 // root. After n-1 steps every rank holds all segments. A step whose send
 // and receive segments are both empty is skipped; only Bcast can have
 // empty segments, since Allgather's hold count > 0 elements each and
-// allreduceRing runs only when count >= n.
-func (c *Comm) ringAllgatherSegs(work *device.Buffer, segs []int, dt Datatype, tag, rot int) {
+// the ring allreduce runs only when count >= n.
+func (g *collProg) ringAllgatherSegs(work device.View, segs []int, tag, rot int) {
+	c := g.c
 	n := c.Size()
-	esz := int64(dt.Size())
+	esz := g.esz
 	right := (c.rank + 1) % n
 	left := (c.rank - 1 + n) % n
 	own := (c.rank - rot + n) % n
@@ -147,8 +127,7 @@ func (c *Comm) ringAllgatherSegs(work *device.Buffer, segs []int, dt Datatype, t
 		if sl == 0 && rl == 0 {
 			continue
 		}
-		c.Sendrecv(work.Slice(so, sl), int(sl/esz), dt, right, tag,
-			work.Slice(ro, rl), int(rl/esz), dt, left, tag)
+		g.sendrecv(work.Sub(so, sl), right, work.Sub(ro, rl), left, tag)
 	}
 }
 
@@ -156,30 +135,34 @@ func (c *Comm) ringAllgatherSegs(work *device.Buffer, segs []int, dt Datatype, t
 // result in every rank's recvBuf. Small payloads use recursive doubling;
 // large payloads use the ring (reduce-scatter + allgather) algorithm.
 func (c *Comm) Allreduce(sendBuf, recvBuf *device.Buffer, count int, dt Datatype, op Op) {
-	c.enterColl()
+	g := c.coll(dt)
+	g.op = op
 	bytes := int64(count) * int64(dt.Size())
+	buf := recvBuf.View(0, bytes)
 	if recvBuf != sendBuf {
-		copy(recvBuf.Bytes()[:bytes], sendBuf.Bytes()[:bytes])
+		g.copy(buf, sendBuf.View(0, bytes))
 	}
-	if c.Size() == 1 || count == 0 {
-		return
+	if n := c.Size(); n > 1 && count > 0 {
+		epoch := c.nextEpoch()
+		if bytes <= c.ctx.job.profile.AllreduceLong || n == 2 || count < n {
+			g.allreduceRecDoubling(buf, tagOf(epoch, tagAllreduce))
+		} else {
+			// The ring: reduce-scatter, then allgather, in place on buf.
+			segs := g.segment(count)
+			g.ringReduceScatter(buf, segs, tagOf(epoch, tagReduceScatter))
+			g.ringAllgatherSegs(buf, segs, tagOf(epoch, tagAllgather), 0)
+		}
 	}
-	epoch := c.nextEpoch()
-	if bytes <= c.ctx.job.profile.AllreduceLong || c.Size() == 2 || count < c.Size() {
-		c.allreduceRecDoubling(recvBuf, count, dt, op, epoch)
-		return
-	}
-	c.allreduceRing(recvBuf, count, dt, op, epoch)
+	g.run()
 }
 
 // allreduceRecDoubling is the latency-optimal log2(n) algorithm, operating
 // in place on buf (which already holds this rank's contribution).
-func (c *Comm) allreduceRecDoubling(buf *device.Buffer, count int, dt Datatype, op Op, epoch int) {
-	tag := tagOf(epoch, tagAllreduce)
+func (g *collProg) allreduceRecDoubling(buf device.View, tag int) {
+	c := g.c
 	n := c.Size()
-	bytes := int64(count) * int64(dt.Size())
-	in := c.tmp(bytes)
-	defer in.Free()
+	// in is written by each receive before the reduce that follows it.
+	in := g.alloc(buf.N)
 
 	pof2 := 1
 	for pof2*2 <= n {
@@ -190,10 +173,10 @@ func (c *Comm) allreduceRecDoubling(buf *device.Buffer, count int, dt Datatype, 
 	switch {
 	case c.rank < 2*rem && c.rank%2 == 0:
 		// Fold: evens below 2*rem hand their data to the odd neighbor.
-		c.Send(buf, count, dt, c.rank+1, tag)
+		g.send(buf, c.rank+1, tag)
 	case c.rank < 2*rem:
-		c.Recv(in, count, dt, c.rank-1, tag)
-		c.reduceLocal(op, dt, buf, in, count)
+		g.recv(in, c.rank-1, tag)
+		g.reduce(buf, in)
 		newRank = c.rank / 2
 	default:
 		newRank = c.rank - rem
@@ -205,40 +188,33 @@ func (c *Comm) allreduceRecDoubling(buf *device.Buffer, count int, dt Datatype, 
 			if peerNew < rem {
 				peer = peerNew*2 + 1
 			}
-			c.Sendrecv(buf, count, dt, peer, tag, in, count, dt, peer, tag)
-			c.reduceLocal(op, dt, buf, in, count)
+			g.sendrecv(buf, peer, in, peer, tag)
+			g.reduce(buf, in)
 		}
 	}
 	// Unfold: odds return the result to their even neighbor.
 	switch {
 	case c.rank < 2*rem && c.rank%2 == 0:
-		c.Recv(buf, count, dt, c.rank+1, tag)
+		g.recv(buf, c.rank+1, tag)
 	case c.rank < 2*rem:
-		c.Send(buf, count, dt, c.rank-1, tag)
+		g.send(buf, c.rank-1, tag)
 	}
-}
-
-// allreduceRing is the bandwidth-optimal algorithm: ring reduce-scatter
-// followed by ring allgather, in place on buf.
-func (c *Comm) allreduceRing(buf *device.Buffer, count int, dt Datatype, op Op, epoch int) {
-	segs := segment(count, c.Size())
-	c.ringReduceScatter(buf, segs, dt, op, tagOf(epoch, tagReduceScatter))
-	c.ringAllgatherSegs(buf, segs, dt, tagOf(epoch, tagAllgather), 0)
 }
 
 // ReduceScatterBlock reduces count×n elements with op and scatters the
 // result: rank r receives elements [r·count, (r+1)·count) into recvBuf.
 func (c *Comm) ReduceScatterBlock(sendBuf, recvBuf *device.Buffer, count int, dt Datatype, op Op) {
-	c.enterColl()
-	n := c.Size()
+	g := c.coll(dt)
+	g.op = op
 	esz := int64(dt.Size())
-	total := count * n
-	work := c.tmp(int64(total) * esz)
-	defer work.Free()
-	copy(work.Bytes(), sendBuf.Bytes()[:int64(total)*esz])
-	segs := segment(total, n)
-	c.ringReduceScatter(work, segs, dt, op, tagOf(c.nextEpoch(), tagReduceScatter))
+	total := count * c.Size()
+	// work is the reduction's buffer: the copy below writes all of it.
+	work := g.alloc(int64(total) * esz)
+	g.copy(work, sendBuf.View(0, work.N))
+	segs := g.segment(total)
+	g.ringReduceScatter(work, segs, tagOf(c.nextEpoch(), tagReduceScatter))
 	off, ln := segRange(segs, c.rank, c.rank+1, esz)
-	copy(recvBuf.Bytes()[:ln], work.Bytes()[off:off+ln])
-	c.proc.Sleep(c.dev.CopyTime(ln))
+	g.copy(recvBuf.View(0, ln), work.Sub(off, ln))
+	g.sleep(c.dev.CopyTime(ln))
+	g.run()
 }

@@ -29,6 +29,9 @@ type Job struct {
 	// receives (see recvOp).
 	sends []idle[sendOp]
 	recvs []idle[recvOp]
+	// progs holds each world rank's idle collective programs (see
+	// collProg).
+	progs []idle[collProg]
 }
 
 // idle is a world rank's list of recycled protocol states.
@@ -56,7 +59,8 @@ func NewJob(fab *fabric.Fabric, profile Profile, devices []*device.Device) *Job 
 		panic("mpi: job needs at least one device")
 	}
 	j := &Job{fab: fab, profile: profile, devices: devices, progress: make([]*sim.Pool[*Request], len(devices)),
-		sends: make([]idle[sendOp], len(devices)), recvs: make([]idle[recvOp], len(devices))}
+		sends: make([]idle[sendOp], len(devices)), recvs: make([]idle[recvOp], len(devices)),
+		progs: make([]idle[collProg], len(devices))}
 	for r := range j.progress {
 		j.progress[r] = sim.NewPool(fmt.Sprintf("mpi/r%d/progress", r), runRequest)
 	}

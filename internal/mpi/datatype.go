@@ -42,7 +42,9 @@ const (
 	DoubleComplex
 )
 
-var datatypeInfo = map[Datatype]struct {
+// datatypeInfo is indexed by Datatype: an array, since Size runs on every
+// message and collective step.
+var datatypeInfo = [...]struct {
 	name string
 	kind elem.Kind
 }{
@@ -57,20 +59,21 @@ var datatypeInfo = map[Datatype]struct {
 
 // Kind returns the underlying element kind.
 func (d Datatype) Kind() elem.Kind {
-	info, ok := datatypeInfo[d]
-	if !ok {
+	if !d.known() {
 		panic(fmt.Sprintf("mpi: unknown datatype %d", int(d)))
 	}
-	return info.kind
+	return datatypeInfo[d].kind
 }
+
+func (d Datatype) known() bool { return d >= 0 && int(d) < len(datatypeInfo) }
 
 // Size returns the datatype's extent in bytes.
 func (d Datatype) Size() int { return d.Kind().Size() }
 
 // String returns the MPI constant name.
 func (d Datatype) String() string {
-	if info, ok := datatypeInfo[d]; ok {
-		return info.name
+	if d.known() {
+		return datatypeInfo[d].name
 	}
 	return fmt.Sprintf("Datatype(%d)", int(d))
 }

@@ -31,10 +31,10 @@ type envelope struct {
 	dt        Datatype
 	count     int
 	eager     bool
-	payload   []byte         // eager: the bounce buffer, a copy at the receiver
-	dstBuf    *device.Buffer // rendezvous: set when the receive is posted
-	recvReady sim.Event      // rendezvous: receiver has posted
-	done      sim.Event      // rendezvous: transfer complete
+	payload   []byte      // eager: the bounce buffer, a copy at the receiver
+	dst       device.View // rendezvous: set when the receive is posted
+	recvReady sim.Event   // rendezvous: receiver has posted
+	done      sim.Event   // rendezvous: transfer complete
 }
 
 // postedRecv is a receive waiting for its message.
@@ -42,7 +42,7 @@ type postedRecv struct {
 	src, tag int
 	dt       Datatype
 	count    int
-	dst      *device.Buffer
+	dst      device.View
 	done     sim.Event
 	status   Status
 }
@@ -92,7 +92,7 @@ func (m *matchCtx) getEager(bytes int64) *envelope {
 
 // putEnv frees a read envelope, dropping its buffer reference.
 func (m *matchCtx) putEnv(e *envelope) {
-	e.dstBuf = nil
+	e.dst = device.View{}
 	m.freeEnv = append(m.freeEnv, e)
 }
 
@@ -111,7 +111,7 @@ func (m *matchCtx) getRecv() *postedRecv {
 
 // putRecv frees a completed receive, dropping its buffer reference.
 func (m *matchCtx) putRecv(r *postedRecv) {
-	r.dst = nil
+	r.dst = device.View{}
 	m.freeRecv = append(m.freeRecv, r)
 }
 
@@ -145,14 +145,14 @@ func (m *matchCtx) takePosted(src, tag int) *postedRecv {
 // The send runs on the rank's process (see sendOp), so the rank is switched
 // to once, when Send returns.
 func (c *Comm) Send(buf *device.Buffer, count int, dt Datatype, dest, tag int) {
-	o := c.getSendOp(buf, count, dt, dest, tag)
+	o := c.getSendOp(buf.Whole(), count, dt, dest, tag)
 	c.proc.Drive(o)
 	o.put()
 }
 
 // sendBytes checks a send's destination and length and returns its payload
 // size in bytes.
-func (c *Comm) sendBytes(buf *device.Buffer, count int, dt Datatype, dest int) int64 {
+func (c *Comm) sendBytes(buf device.View, count int, dt Datatype, dest int) int64 {
 	if dest < 0 || dest >= c.Size() {
 		panic(fmt.Sprintf("mpi: send to rank %d of %d", dest, c.Size()))
 	}
@@ -168,19 +168,15 @@ func (c *Comm) sendBytes(buf *device.Buffer, count int, dt Datatype, dest int) i
 // rank's process (see recvOp), so the rank is switched to once, when Recv
 // returns.
 func (c *Comm) Recv(buf *device.Buffer, count int, dt Datatype, src, tag int) Status {
-	return c.recvOn(c.proc, buf, count, dt, src, tag, nil)
+	return c.recvOn(c.proc, buf.Whole(), count, dt, src, tag, nil)
 }
 
 // recvOn runs one receive on p and, when send is not nil, waits for that
 // send to complete too before returning.
-func (c *Comm) recvOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, src, tag int, send *Request) Status {
-	bytes := int64(count) * int64(dt.Size())
-	if bytes > buf.Len() {
-		panic(fmt.Sprintf("mpi: recv of %d bytes into %d-byte buffer", bytes, buf.Len()))
-	}
+func (c *Comm) recvOn(p *sim.Proc, buf device.View, count int, dt Datatype, src, tag int, send *Request) Status {
 	recvs := &c.ctx.job.recvs[c.WorldRank()]
 	o := recvs.get(newRecvOp)
-	o.c, o.buf, o.count, o.dt, o.src, o.tag, o.bytes, o.send = c, buf, count, dt, src, tag, bytes, send
+	o.arm(c, buf, count, dt, src, tag, send)
 	p.Drive(o)
 	st := o.st
 	*o = recvOp{} // an idle op pins nothing its receive referenced
@@ -190,8 +186,20 @@ func (c *Comm) recvOn(p *sim.Proc, buf *device.Buffer, count int, dt Datatype, s
 
 func newRecvOp() *recvOp { return &recvOp{} }
 
+// arm sets o up for one receive of count elements into buf and, when send
+// is not nil, the wait for that send.
+func (o *recvOp) arm(c *Comm, buf device.View, count int, dt Datatype, src, tag int, send *Request) {
+	bytes := int64(count) * int64(dt.Size())
+	if bytes > buf.Len() {
+		panic(fmt.Sprintf("mpi: recv of %d bytes into %d-byte buffer", bytes, buf.Len()))
+	}
+	o.c, o.buf, o.count, o.dt, o.src, o.tag, o.bytes, o.send = c, buf, count, dt, src, tag, bytes, send
+	o.pc, o.st = recvOverhead, Status{} // a done op holds no posted receive or envelope
+}
+
 // recvOp is the receive protocol, the only copy of it, for Recv, the
-// receive of Sendrecv and Irecv's progress process alike (a sim.Machine):
+// receive of Sendrecv, Irecv's progress process and a collective program's
+// receive steps alike (a sim.Machine):
 // the overhead; then matching, which copies an unexpected eager message out
 // of its bounce buffer and charges the copy, or lets an unexpected
 // rendezvous sender go and waits for its transfer, or else posts the
@@ -201,7 +209,7 @@ func newRecvOp() *recvOp { return &recvOp{} }
 // idle ops for reuse (Job.recvs).
 type recvOp struct {
 	c        *Comm
-	buf      *device.Buffer
+	buf      device.View
 	count    int
 	dt       Datatype
 	src, tag int
@@ -256,7 +264,7 @@ func (o *recvOp) Advance() sim.Wait {
 				o.pc = recvSend
 				return sim.Sleep(c.dev.CopyTime(got))
 			}
-			env.dstBuf = o.buf
+			env.dst = o.buf
 			env.recvReady.Fire()
 			o.env, o.pc = env, recvRndv
 			return sim.Await(&env.done)
@@ -288,7 +296,7 @@ type Request struct {
 	coll      func(ac *Comm) // a nonblocking collective; nil for point-to-point
 	epoch     int            // coll's reserved collective sequence slot
 	send      bool
-	buf       *device.Buffer
+	buf       device.View
 	count     int
 	dt        Datatype
 	peer, tag int
@@ -310,15 +318,15 @@ func (c *Comm) Waitall(reqs []*Request) {
 
 // Isend starts a nonblocking send; complete it with Wait.
 func (c *Comm) Isend(buf *device.Buffer, count int, dt Datatype, dest, tag int) *Request {
-	r := &Request{c: c, send: true, buf: buf, count: count, dt: dt, peer: dest, tag: tag}
-	c.post(r)
+	r := &Request{}
+	r.start(c, true, buf.Whole(), count, dt, dest, tag)
 	return r
 }
 
 // Irecv starts a nonblocking receive; complete it with Wait.
 func (c *Comm) Irecv(buf *device.Buffer, count int, dt Datatype, src, tag int) *Request {
-	r := &Request{c: c, buf: buf, count: count, dt: dt, peer: src, tag: tag}
-	c.post(r)
+	r := &Request{}
+	r.start(c, false, buf.Whole(), count, dt, src, tag)
 	return r
 }
 
@@ -335,10 +343,9 @@ func (c *Comm) Sendrecv(
 ) Status {
 	sreq := c.sendrecv
 	if sreq == nil {
-		sreq = &Request{c: c, send: true}
+		sreq = &Request{}
 		c.sendrecv = sreq
 	}
-	sreq.buf, sreq.count, sreq.dt, sreq.peer, sreq.tag = sendBuf, sendCount, sendDt, dest, sendTag
-	sreq.restart()
-	return c.recvOn(c.proc, recvBuf, recvCount, recvDt, src, recvTag, sreq)
+	sreq.start(c, true, sendBuf.Whole(), sendCount, sendDt, dest, sendTag)
+	return c.recvOn(c.proc, recvBuf.Whole(), recvCount, recvDt, src, recvTag, sreq)
 }

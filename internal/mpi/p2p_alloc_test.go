@@ -6,10 +6,12 @@
 package mpi
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"mpixccl/internal/device"
+	"mpixccl/internal/sim"
 )
 
 // A small message allocates nothing once a rank's free lists are warm:
@@ -181,6 +183,59 @@ func TestRendezvousMessageAllocs(t *testing.T) {
 			}
 			if allocs != 0 {
 				t.Errorf("%s rendezvous message allocates %.2f objects; want 0", tc.name, allocs)
+			}
+		})
+	}
+}
+
+// A warm collective call allocates only its scratch buffers' headers
+// (device.Buffer values; their bytes are recycled by the device): the
+// program, its steps, its sendrecv request and receive, and every send and
+// receive state it runs are reused. Every rank runs 100 calls between two
+// sim barriers, which allocate nothing, and rank 0 reads the heap's
+// allocation count on either side of them.
+func TestCollectiveAllocs(t *testing.T) {
+	const ranks, warm, calls = 4, 8, 100
+	cases := []struct {
+		name    string
+		call    func(c *Comm, send, recv *device.Buffer)
+		scratch int // scratch buffers per rank and call
+	}{
+		{"barrier", func(c *Comm, _, _ *device.Buffer) { c.Barrier() }, 2},
+		{"allreduce-8B", func(c *Comm, send, recv *device.Buffer) { c.Allreduce(send, recv, 1, Float64, OpSum) }, 1},
+		{"allgather-bruck", func(c *Comm, send, recv *device.Buffer) { c.Allgather(send, 64, Float64, recv) }, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			j := newTestJob(t, ranks)
+			bar := sim.NewBarrier(j.Fabric().Kernel(), ranks)
+			var before, after runtime.MemStats
+			err := j.Run(func(c *Comm) {
+				send, recv := c.Device().MustMalloc(64*8), c.Device().MustMalloc(ranks*64*8)
+				for i := 0; i < warm; i++ {
+					tc.call(c, send, recv)
+				}
+				bar.Wait(c.Proc())
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&before)
+				}
+				bar.Wait(c.Proc()) // no rank calls before rank 0 has read
+				for i := 0; i < calls; i++ {
+					tc.call(c, send, recv)
+				}
+				bar.Wait(c.Proc())
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&after)
+				}
+				bar.Wait(c.Proc()) // no rank exits before rank 0 has read
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := float64(after.Mallocs-before.Mallocs) / calls
+			if want := float64(ranks * tc.scratch); got != want {
+				t.Errorf("%s allocates %.2f objects per call; want %v (%d scratch headers on each of %d ranks)",
+					tc.name, got, want, tc.scratch, ranks)
 			}
 		})
 	}

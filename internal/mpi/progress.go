@@ -22,9 +22,10 @@ func (c *Comm) post(r *Request) {
 	c.ctx.job.progress[c.WorldRank()].Post(c.proc.Kernel(), r)
 }
 
-// restart runs a completed (or never started) request's operation again,
-// reusing the request and its event.
-func (r *Request) restart() {
+// start arms r for one point-to-point operation on c and runs it (see
+// post). A completed request may start again: it reuses its event.
+func (r *Request) start(c *Comm, send bool, buf device.View, count int, dt Datatype, peer, tag int) {
+	r.c, r.send, r.buf, r.count, r.dt, r.peer, r.tag = c, send, buf, count, dt, peer, tag
 	r.done.Reset()
 	r.status = Status{}
 	r.c.post(r)
@@ -48,8 +49,8 @@ func runRequest(p *sim.Proc, r *Request) {
 }
 
 // Nonblocking collectives at the MPI level: each reserves its sequence slot
-// at call time and runs the blocking algorithm on a progress process, per
-// the MPI-3 nonblocking-collective matching rules.
+// at call time, per the MPI-3 nonblocking-collective matching rules, and a
+// progress process drives the collective's program (see collProg).
 
 // Icoll starts fn as a nonblocking collective: it reserves the
 // communicator's next collective sequence slot now, at issue time, and

@@ -28,7 +28,7 @@ import (
 // process. Each world rank keeps its idle ops for reuse (Job.sends).
 type sendOp struct {
 	c         *Comm
-	buf       *device.Buffer
+	buf       device.View
 	count     int
 	dt        Datatype
 	dest, tag int
@@ -62,7 +62,7 @@ const (
 
 // getSendOp returns an idle send state of c's world rank, armed for one
 // message.
-func (c *Comm) getSendOp(buf *device.Buffer, count int, dt Datatype, dest, tag int) *sendOp {
+func (c *Comm) getSendOp(buf device.View, count int, dt Datatype, dest, tag int) *sendOp {
 	bytes := c.sendBytes(buf, count, dt, dest)
 	o := c.ctx.job.sends[c.WorldRank()].get(newSendOp)
 	o.c, o.buf, o.count, o.dt, o.dest, o.tag, o.bytes, o.pc = c, buf, count, dt, dest, tag, bytes, sendOverhead
@@ -80,7 +80,7 @@ func newSendOp() *sendOp {
 // its message leaves it pinning nothing the send referenced.
 func (o *sendOp) put() {
 	sends := &o.c.ctx.job.sends[o.c.WorldRank()]
-	o.c, o.buf, o.req = nil, nil, nil
+	o.c, o.buf, o.req = nil, device.View{}, nil
 	sends.put(o)
 }
 
@@ -151,7 +151,7 @@ func (o *sendOp) Advance() sim.Wait {
 				return sim.Sleep(d)
 			}
 		case sendOpen:
-			o.open(o.env.dstBuf)
+			o.open(o.env.dst)
 		case sendMove:
 			if w := o.x.Advance(); !w.Done() {
 				return w
@@ -178,8 +178,8 @@ func (o *sendOp) Advance() sim.Wait {
 }
 
 // open opens the op's transfer into dst and moves the protocol to it.
-func (o *sendOp) open(dst *device.Buffer) {
-	if err := o.c.ctx.job.fab.Open(&o.x, dst.Whole(), o.buf.Whole(), o.bytes, o.c.sendOpts()); err != nil {
+func (o *sendOp) open(dst device.View) {
+	if err := o.c.ctx.job.fab.Open(&o.x, dst, o.buf, o.bytes, o.c.sendOpts()); err != nil {
 		panic(err)
 	}
 	o.pc = sendMove
@@ -219,8 +219,8 @@ func (c *Comm) sendOpts() fabric.Opts {
 // stagingPenalty is the time a non-GPU-direct runtime adds to send a
 // device payload of bytes to dstDev, proportional to the wire time (see
 // Profile.GPUBWEff*). ok is false when the send pays none.
-func (c *Comm) stagingPenalty(buf *device.Buffer, dstDev *device.Device, bytes int64) (d time.Duration, ok bool) {
-	if !buf.OnDevice() || c.dev == dstDev {
+func (c *Comm) stagingPenalty(buf device.View, dstDev *device.Device, bytes int64) (d time.Duration, ok bool) {
+	if !buf.Buf.OnDevice() || c.dev == dstDev {
 		return 0, false
 	}
 	prof := c.ctx.job.profile

@@ -59,9 +59,10 @@ scripts/doclinks.sh
 # collectives to per-rank pools of resident progress processes (sim.Pool),
 # shared by all of a job's communicators, runs its eager Isends as machines
 # started as kernel callbacks (sim.Kernel.Start) over recycled per-rank
-# states, and drives its blocking sends, receives and Sendrecvs as machines
-# on the rank's process (sim.Proc.Drive), whose recycled states the rank
-# and its progress processes share; internal/sim's process runner advances
+# states, and drives its blocking sends, receives and Sendrecvs, and every
+# collective's per-call program, as machines on the rank's process or a
+# progress process (sim.Proc.Drive), whose recycled states and programs
+# the rank and its progress processes share; internal/sim's process runner advances
 # one process's machine from another's pick (TestEventOrder*,
 # TestGuardedActivationAllocs among the suite). internal/world builds
 # every stack the harnesses run (its per-stack test drives all six, each
@@ -77,8 +78,11 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # resume order of every receive protocol, Sendrecv, overhead tie and
 # degraded rendezvous handshake in TestBlockingRecvVirtualTime, the
 # blocked processes and reasons of TestDeadlockDetectedOnMissingSend, one
-# rank resume per Recv, Sendrecv and Send in TestRankResumesPerCall), the
-# exact scatter-ring Bcast times and the recycled envelopes — and the
+# rank resume per Recv, Sendrecv, Send, collective call and nonblocking
+# collective's Wait in TestRankResumesPerCall), the collective programs'
+# exact times, resume order and bytes for every algorithm branch
+# (TestCollectiveVirtualTime), the exact scatter-ring Bcast times and the
+# recycled envelopes — and the
 # whole internal/fabric and internal/sim suites, each well under a second:
 # the transfer machine's two runners (a process and kernel callbacks)
 # agreeing on seeded transfer mixes under every fault setting, a finished
@@ -105,12 +109,14 @@ go test -race mpixccl/internal/metrics mpixccl/internal/sim mpixccl/internal/fau
 # send-recv synthesis's contract (argument checks before any fault probe,
 # op-scoped probes, group abort, empty blocks), the flat-versus-
 # hierarchical and forced-algorithm correctness properties of the group
-# tree and ring that both paths run, the world-release pins (a world run
+# tree and ring that both paths run, the whole internal/core suite (about a
+# second), where hybrid dispatch, membership and the instrumentation golden
+# drive the MPI collectives: among it the world-release pins (a world run
 # through Runtime.Run or ccl.Run, or ending in a deadlock or a panic, leaves
-# no goroutine once Run returns), and the core membership
-# suite (crash, revoke, shrink, grow, partition, heartbeat and admission
-# parity) with the instrumentation golden (Stats, metrics and trace records
-# of one scenario per event kind), and the world builder's per-stack and
+# no goroutine once Run returns), the membership suite (crash, revoke,
+# shrink, grow, partition, heartbeat and admission parity) and the
+# instrumentation golden (Stats, metrics and trace records of one scenario
+# per event kind), and the world builder's per-stack and
 # rank-count tests, at one
 # and at several OS threads: processes are coroutines on
 # goroutines of their own either way, and verdicts and modeled times must
@@ -119,8 +125,7 @@ for procs in 1 4; do
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/mpi
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/fabric mpixccl/internal/sim
 	GOMAXPROCS=$procs go test -count=1 -run 'TestSteadyStateSpawnsNoProcs|TestOneShotSteadyStateAllocs|TestCompiledPlanVirtualTime|TestRingScheduleVirtualTime|TestForcedFlatAlgorithms|TestHierarchicalMatchesFlat|TestGroup|TestSynthesized|TestFusedRing|TestByteRegime|TestReduceOnReceive' mpixccl/internal/ccl
-	GOMAXPROCS=$procs go test -count=1 -run 'TestIallreduceSpawnsNoProcs|TestSetDaemonMovesLiveAccounting|TestWorldReleasedAfterRun' mpixccl/internal/core
-	GOMAXPROCS=$procs go test -count=1 -run 'TestCrash|TestRevoke|TestTimeTriggered|TestGrow|TestUnusedSpare|TestPartition|TestHeartbeat|TestAdmissionParity|TestInstrumentationGolden' mpixccl/internal/core
+	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/core
 	GOMAXPROCS=$procs go test -count=1 mpixccl/internal/world
 done
 # The experiments race leg covers the parallel runner, two RunAll calls
