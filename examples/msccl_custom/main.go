@@ -81,7 +81,7 @@ func main() {
 	// Author a fresh custom schedule from scratch: a two-step "star"
 	// reduce-broadcast through rank 0, and validate it.
 	star := &ccl.Algo{
-		Name: "star", Collective: "allreduce", Ranks: 4, NChunks: 1,
+		Name: "star", Ranks: 4, NChunks: 1,
 		MinBytes: 1, MaxBytes: 64 << 10,
 	}
 	var s1, s2 ccl.Step

@@ -142,7 +142,7 @@ func (c *Comm) allreduceSchedule(count int, dt Datatype, op RedOp, parts int, cu
 	algo, chunk := c.resolveAlgo(count)
 	var msccl *Algo
 	if algo == AlgoAuto && custom {
-		if msccl = co.findAlgo("allreduce", bytes); msccl != nil && count < msccl.NChunks {
+		if msccl = co.findAlgo(bytes); msccl != nil && count < msccl.NChunks {
 			msccl = nil // too few elements to partition
 		}
 	}

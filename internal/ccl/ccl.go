@@ -109,9 +109,6 @@ func (o RedOp) String() string {
 	return fmt.Sprintf("RedOp(%d)", int(o))
 }
 
-// RedOps lists all CCL reduction operators.
-func RedOps() []RedOp { return []RedOp{Sum, Prod, Max, Min} }
-
 // Result is the CCL status code (ncclResult_t analogue).
 type Result int
 

@@ -413,28 +413,42 @@ func TestMSCCLCustomAlgoCorrectAndFaster(t *testing.T) {
 }
 
 func TestAlgoValidation(t *testing.T) {
-	bad := &ccl.Algo{Name: "bad", Collective: "allreduce", Ranks: 4, NChunks: 4,
+	bad := &ccl.Algo{Name: "bad", Ranks: 4, NChunks: 4,
 		Steps: []ccl.Step{{Xfers: []ccl.ChunkXfer{{From: 0, To: 9, SrcChunk: 0, DstChunk: 0}}}}}
 	if err := bad.Validate(); err == nil {
 		t.Error("bad endpoints accepted")
 	}
-	selfloop := &ccl.Algo{Name: "self", Collective: "allreduce", Ranks: 4, NChunks: 2,
+	selfloop := &ccl.Algo{Name: "self", Ranks: 4, NChunks: 2,
 		Steps: []ccl.Step{{Xfers: []ccl.ChunkXfer{{From: 1, To: 1}}}}}
 	if err := selfloop.Validate(); err == nil {
 		t.Error("self loop accepted")
+	}
+	// A size window that no payload can match: negative bounds, or a
+	// minimum above a finite maximum.
+	for _, w := range [][2]int64{{-1, 0}, {0, -4096}, {-8, 64}, {4096, 1024}} {
+		a := ccl.AllPairsAllReduce(4, w[0], w[1])
+		if err := a.Validate(); err == nil {
+			t.Errorf("window [%d, %d] accepted", w[0], w[1])
+		}
+	}
+	for _, w := range [][2]int64{{0, 0}, {4096, 0}, {1024, 1024}, {256, 1 << 20}} {
+		a := ccl.AllPairsAllReduce(4, w[0], w[1])
+		if err := a.Validate(); err != nil {
+			t.Errorf("window [%d, %d] rejected: %v", w[0], w[1], err)
+		}
 	}
 	good := ccl.AllPairsAllReduce(4, 0, 0)
 	if err := good.Validate(); err != nil {
 		t.Errorf("allpairs invalid: %v", err)
 	}
-	if !good.Matches("allreduce", 4, 1024) {
+	if !good.Matches(4, 1024) {
 		t.Error("allpairs should match")
 	}
-	if good.Matches("broadcast", 4, 1024) || good.Matches("allreduce", 8, 1024) {
-		t.Error("mismatched collective/ranks accepted")
+	if good.Matches(8, 1024) {
+		t.Error("mismatched ranks accepted")
 	}
 	bounded := ccl.AllPairsAllReduce(4, 256, 1024)
-	if bounded.Matches("allreduce", 4, 100) || bounded.Matches("allreduce", 4, 5000) {
+	if bounded.Matches(4, 100) || bounded.Matches(4, 5000) {
 		t.Error("size bounds ignored")
 	}
 }

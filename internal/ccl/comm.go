@@ -401,8 +401,6 @@ func (c *Comm) SetChannelCap(n int) {
 // ChannelCap reports the active channel-budget cap (0 = none).
 func (c *Comm) ChannelCap() int { return c.core.chanCap }
 
-func (c *Comm) kernel() *sim.Kernel { return c.core.fab.Kernel() }
-
 // opState coordinates one collective across all ranks.
 type opState struct {
 	seq   int

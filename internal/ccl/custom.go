@@ -36,13 +36,11 @@ type Step struct {
 	Xfers []ChunkXfer
 }
 
-// Algo is a custom collective schedule (an msccl-xml program analogue).
+// Algo is a custom allreduce schedule (an msccl-xml program analogue):
+// allreduce is the one collective that dispatches to registered schedules.
 type Algo struct {
 	// Name labels the algorithm in traces.
 	Name string
-	// Collective is the operation implemented; only "allreduce" custom
-	// schedules are dispatched today (matching our MSCCL usage).
-	Collective string
 	// Ranks is the communicator size the schedule is generated for.
 	Ranks int
 	// NChunks is the payload partition the chunk indices refer to.
@@ -59,6 +57,9 @@ func (a *Algo) Validate() error {
 	if a.Ranks < 1 || a.NChunks < 1 {
 		return fmt.Errorf("ccl: algo %q: invalid ranks/chunks %d/%d", a.Name, a.Ranks, a.NChunks)
 	}
+	if a.MinBytes < 0 || a.MaxBytes < 0 || (a.MaxBytes > 0 && a.MinBytes > a.MaxBytes) {
+		return fmt.Errorf("ccl: algo %q: invalid size window [%d, %d]", a.Name, a.MinBytes, a.MaxBytes)
+	}
 	for si, s := range a.Steps {
 		for xi, x := range s.Xfers {
 			if x.From < 0 || x.From >= a.Ranks || x.To < 0 || x.To >= a.Ranks || x.From == x.To {
@@ -72,19 +73,10 @@ func (a *Algo) Validate() error {
 	return nil
 }
 
-// Matches reports whether the schedule applies to a payload of the given
-// byte size on n ranks.
-func (a *Algo) Matches(collective string, n int, bytes int64) bool {
-	if a.Collective != collective || a.Ranks != n {
-		return false
-	}
-	if bytes < a.MinBytes {
-		return false
-	}
-	if a.MaxBytes > 0 && bytes > a.MaxBytes {
-		return false
-	}
-	return true
+// Matches reports whether the schedule applies to an allreduce of the
+// given byte size on n ranks.
+func (a *Algo) Matches(n int, bytes int64) bool {
+	return a.Ranks == n && bytes >= a.MinBytes && (a.MaxBytes == 0 || bytes <= a.MaxBytes)
 }
 
 // RegisterAlgo installs a custom schedule on the communicator (all rank
@@ -102,13 +94,11 @@ func (c *Comm) RegisterAlgo(a *Algo) error {
 	return nil
 }
 
-// Algos returns the registered custom schedules.
-func (c *Comm) Algos() []*Algo { return c.core.algos }
-
-// findAlgo returns the first matching registered schedule.
-func (co *core) findAlgo(collective string, bytes int64) *Algo {
+// findAlgo returns the first registered schedule matching an allreduce
+// of the given byte size.
+func (co *core) findAlgo(bytes int64) *Algo {
 	for _, a := range co.algos {
-		if a.Matches(collective, co.n, bytes) {
+		if a.Matches(co.n, bytes) {
 			return a
 		}
 	}
@@ -176,12 +166,11 @@ func (rc *runCtx) runCustom(a *Algo, dt Datatype, op RedOp, count int) {
 // NVSwitch-class fabrics.
 func AllPairsAllReduce(n int, minBytes, maxBytes int64) *Algo {
 	a := &Algo{
-		Name:       "allpairs",
-		Collective: "allreduce",
-		Ranks:      n,
-		NChunks:    n,
-		MinBytes:   minBytes,
-		MaxBytes:   maxBytes,
+		Name:     "allpairs",
+		Ranks:    n,
+		NChunks:  n,
+		MinBytes: minBytes,
+		MaxBytes: maxBytes,
 	}
 	var s1, s2 Step
 	for r := 0; r < n; r++ {

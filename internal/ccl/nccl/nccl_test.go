@@ -24,7 +24,7 @@ func TestConfigPersonality(t *testing.T) {
 			t.Errorf("NCCL should support %v", dt)
 		}
 	}
-	for _, op := range ccl.RedOps() {
+	for _, op := range []ccl.RedOp{ccl.Sum, ccl.Prod, ccl.Max, ccl.Min} {
 		if !cfg.Ops[op] {
 			t.Errorf("NCCL should support %v", op)
 		}

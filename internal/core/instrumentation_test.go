@@ -329,8 +329,10 @@ func TestTraceSummaryMatchesStats(t *testing.T) {
 		x.Barrier()
 	})
 	perPath := map[string]int{}
-	for _, s := range rec.Summarize() {
-		perPath[s.Path] += s.Count
+	for _, r := range rec.Records() {
+		if r.Event == "" {
+			perPath[r.Path]++
+		}
 	}
 	st := rt.Stats()
 	if perPath["ccl"] != st.CCLOps || perPath["mpi"] != st.MPIOps {

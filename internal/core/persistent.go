@@ -221,11 +221,9 @@ func (po *PersistentOp) Do() error {
 // Parts reports the partition count (1 for a plain persistent op).
 func (po *PersistentOp) Parts() int { return po.parts }
 
-// UsesCCL reports whether the handle's plan chose the CCL path.
-func (po *PersistentOp) UsesCCL() bool { return po.pc != nil }
-
 // PlannedAlgorithm reports the CCL schedule family Init selected, or ""
-// for MPI-path handles.
+// for MPI-path handles: a handle runs on the CCL path exactly when this is
+// not "".
 func (po *PersistentOp) PlannedAlgorithm() string {
 	if po.pc == nil {
 		return ""

@@ -293,8 +293,8 @@ func TestPersistentStats(t *testing.T) {
 				return
 			}
 			defer po.Free()
-			if tc.ccl != po.UsesCCL() {
-				t.Errorf("mode %v: UsesCCL = %v, want %v", tc.mode, po.UsesCCL(), tc.ccl)
+			if usesCCL := po.PlannedAlgorithm() != ""; tc.ccl != usesCCL {
+				t.Errorf("mode %v: planned algorithm %q, want the CCL path %v", tc.mode, po.PlannedAlgorithm(), tc.ccl)
 			}
 			for w := 0; w < waves; w++ {
 				if err := po.Do(); err != nil {
@@ -333,8 +333,8 @@ func TestPersistentFreeStateMachine(t *testing.T) {
 					t.Errorf("init: %v", err)
 					return
 				}
-				if po.UsesCCL() != (mode == PureCCL) {
-					t.Errorf("UsesCCL = %v in %v mode", po.UsesCCL(), mode)
+				if usesCCL := po.PlannedAlgorithm() != ""; usesCCL != (mode == PureCCL) {
+					t.Errorf("planned algorithm %q in %v mode", po.PlannedAlgorithm(), mode)
 				}
 				if err := po.Do(); err != nil {
 					t.Errorf("wave before Free: %v", err)

@@ -136,11 +136,6 @@ func (b *Buffer) Int64(i int) int64 {
 	return int64(binary.LittleEndian.Uint64(b.data[i*8:]))
 }
 
-// SetInt64 stores v at element i.
-func (b *Buffer) SetInt64(i int, v int64) {
-	binary.LittleEndian.PutUint64(b.data[i*8:], uint64(v))
-}
-
 // FillFloat32 sets every 4-byte element to v.
 func (b *Buffer) FillFloat32(v float32) {
 	for i := 0; i < len(b.data)/4; i++ {
@@ -160,12 +155,6 @@ func (b *Buffer) FillBytes(v byte) {
 	for i := range b.data {
 		b.data[i] = v
 	}
-}
-
-// CopyFrom copies min(len) bytes from src into b (pure data movement; time
-// is charged by the caller through Device.CopyTime or a fabric transfer).
-func (b *Buffer) CopyFrom(src *Buffer) int {
-	return copy(b.data, src.data)
 }
 
 // Equal reports whether two buffers hold identical bytes.

@@ -118,9 +118,6 @@ func (d *Device) String() string {
 	return fmt.Sprintf("%s[%d] node%d.%d", d.Kind, d.ID, d.Node, d.Local)
 }
 
-// Allocated reports bytes currently allocated on the device.
-func (d *Device) Allocated() int64 { return d.allocated }
-
 // OutOfMemoryError reports a failed device allocation.
 type OutOfMemoryError struct {
 	Device    string

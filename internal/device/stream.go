@@ -92,15 +92,6 @@ func (pt *PersistentTask) Launch() *sim.Event {
 // Done returns the task's completion event for the most recent launch.
 func (pt *PersistentTask) Done() *sim.Event { return pt.t.done }
 
-// EnqueueBusy schedules a fixed-duration work item (e.g. a compute kernel):
-// launch overhead plus busy time on the stream.
-func (s *Stream) EnqueueBusy(busy sim.Time) *sim.Event {
-	d := s.dev
-	return s.Enqueue(func(p *sim.Proc) {
-		p.Sleep(d.KernelLaunch + busy)
-	})
-}
-
 // Synchronize blocks the calling process until every task enqueued so far
 // has completed (cudaStreamSynchronize).
 func (s *Stream) Synchronize(p *sim.Proc) {
@@ -118,10 +109,4 @@ func (s *Stream) Record() *sim.Event {
 		return ev
 	}
 	return s.last
-}
-
-// WaitEvent enqueues a dependency: subsequent tasks on this stream do not
-// start until ev fires (cudaStreamWaitEvent).
-func (s *Stream) WaitEvent(ev *sim.Event) {
-	s.Enqueue(func(p *sim.Proc) { ev.Wait(p) })
 }

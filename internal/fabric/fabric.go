@@ -671,19 +671,9 @@ func (x *Xfer) check() bool {
 	return true
 }
 
-// ControlMsg charges the α of one small control message (e.g. an MPI
-// rendezvous RTS/CTS envelope) between two devices' owning endpoints. It
-// is the Must-variant of TryControlMsg and panics on a routing failure.
-func (f *Fabric) ControlMsg(p *sim.Proc, src, dst *device.Device) time.Duration {
-	d, err := f.TryControlMsg(p, src, dst)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// TryControlMsg charges the α of one control message (ControlAlpha),
-// returning an error when the endpoints have no route.
+// TryControlMsg charges the α of one small control message (e.g. an MPI
+// rendezvous RTS/CTS envelope) between two devices' owning endpoints
+// (ControlAlpha), returning an error when the endpoints have no route.
 func (f *Fabric) TryControlMsg(p *sim.Proc, src, dst *device.Device) (time.Duration, error) {
 	alpha, send, err := f.ControlAlpha(src, dst)
 	if send {

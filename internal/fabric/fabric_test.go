@@ -227,9 +227,14 @@ func TestControlMsgChargesAlpha(t *testing.T) {
 	k, sys, f := setup(2)
 	var intra, inter, local time.Duration
 	k.Spawn("main", func(p *sim.Proc) {
-		local = f.ControlMsg(p, sys.Device(0), sys.Device(0))
-		intra = f.ControlMsg(p, sys.Device(0), sys.Device(1))
-		inter = f.ControlMsg(p, sys.Device(0), sys.Device(8))
+		msg := func(dst int) time.Duration {
+			d, err := f.TryControlMsg(p, sys.Device(0), sys.Device(dst))
+			if err != nil {
+				t.Errorf("control msg 0->%d: %v", dst, err)
+			}
+			return d
+		}
+		local, intra, inter = msg(0), msg(1), msg(8)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -242,6 +247,9 @@ func TestControlMsgChargesAlpha(t *testing.T) {
 	}
 	if inter != sys.Inter.Alpha {
 		t.Fatalf("inter control msg = %v, want %v", inter, sys.Inter.Alpha)
+	}
+	if k.Now() != intra+inter {
+		t.Fatalf("clock at %v, want the two charged alphas %v", k.Now(), intra+inter)
 	}
 }
 

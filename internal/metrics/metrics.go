@@ -14,10 +14,9 @@
 // constructor returns a nil instrument whose methods do nothing, so hot
 // paths thread a registry unconditionally without nil checks.
 //
-// Output formats: WritePrometheus emits the Prometheus text exposition
+// Output format: WritePrometheus emits the Prometheus text exposition
 // format (parsable back with ParseText, used by tests and the -metrics
-// flags of cmd/xcclbench and cmd/ombrun); WriteSummary emits a
-// human-readable table.
+// flags of cmd/xcclbench and cmd/ombrun).
 package metrics
 
 import (

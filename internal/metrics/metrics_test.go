@@ -202,17 +202,3 @@ func TestSizeBucketLabel(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteSummary(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("ops_total", "ops", Labels{"op": "bcast"}).Add(2)
-	reg.Histogram("lat_seconds", "lat", []float64{1}, nil).Observe(0.5)
-	var buf bytes.Buffer
-	reg.WriteSummary(&buf)
-	out := buf.String()
-	for _, want := range []string{"ops_total", `op="bcast"`, "lat_seconds", "n=1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
-		}
-	}
-}

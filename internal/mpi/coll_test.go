@@ -545,12 +545,12 @@ func TestAllreduceDatatypeMatrix(t *testing.T) {
 			send := c.Device().MustMalloc(int64(count) * esz)
 			recv := c.Device().MustMalloc(int64(count) * esz)
 			for i := 0; i < count; i++ {
-				setElement(dt, send.Bytes(), i, float64(c.Rank()%2+1), 0)
+				elem.Set(dt.Kind(), send.Bytes(), i, float64(c.Rank()%2+1), 0)
 			}
 			c.Allreduce(send, recv, count, dt, OpSum)
 			want := 6.0 // 1+2+1+2
 			for i := 0; i < count; i += 7 {
-				re, _ := element(dt, recv.Bytes(), i)
+				re, _ := elem.Get(dt.Kind(), recv.Bytes(), i)
 				if re != want {
 					t.Errorf("%v elem %d = %v, want %v", dt, i, re, want)
 				}

@@ -82,9 +82,3 @@ func (d Datatype) String() string {
 func Datatypes() []Datatype {
 	return []Datatype{Byte, Int32, Int64, Float16, Float32, Float64, DoubleComplex}
 }
-
-// element and setElement are shorthands over the elem kernels used by the
-// runtime and its tests.
-func element(dt Datatype, b []byte, i int) (re, im float64) { return elem.Get(dt.Kind(), b, i) }
-
-func setElement(dt Datatype, b []byte, i int, re, im float64) { elem.Set(dt.Kind(), b, i, re, im) }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"mpixccl/internal/elem"
 )
 
 func TestDatatypeSizes(t *testing.T) {
@@ -55,8 +57,8 @@ func TestElementRoundTripAllTypes(t *testing.T) {
 			vals = []float64{0, 1, -1, 3, 100}
 		}
 		for i, v := range vals {
-			setElement(dt, b, i, v, -v)
-			re, im := element(dt, b, i)
+			elem.Set(dt.Kind(), b, i, v, -v)
+			re, im := elem.Get(dt.Kind(), b, i)
 			if re != v {
 				t.Errorf("%v element %d: re = %v, want %v", dt, i, re, v)
 			}
@@ -96,12 +98,12 @@ func TestReduceSumFloat64(t *testing.T) {
 	dst := make([]byte, n*8)
 	src := make([]byte, n*8)
 	for i := 0; i < n; i++ {
-		setElement(Float64, dst, i, float64(i), 0)
-		setElement(Float64, src, i, 10*float64(i), 0)
+		elem.Set(Float64.Kind(), dst, i, float64(i), 0)
+		elem.Set(Float64.Kind(), src, i, 10*float64(i), 0)
 	}
 	Reduce(OpSum, Float64, dst, src, n)
 	for i := 0; i < n; i++ {
-		re, _ := element(Float64, dst, i)
+		re, _ := elem.Get(Float64.Kind(), dst, i)
 		if re != 11*float64(i) {
 			t.Fatalf("element %d = %v, want %v", i, re, 11*float64(i))
 		}
@@ -111,23 +113,23 @@ func TestReduceSumFloat64(t *testing.T) {
 func TestReduceMaxMinInt32(t *testing.T) {
 	dst := make([]byte, 8)
 	src := make([]byte, 8)
-	setElement(Int32, dst, 0, 5, 0)
-	setElement(Int32, src, 0, -3, 0)
-	setElement(Int32, dst, 1, -7, 0)
-	setElement(Int32, src, 1, 2, 0)
+	elem.Set(Int32.Kind(), dst, 0, 5, 0)
+	elem.Set(Int32.Kind(), src, 0, -3, 0)
+	elem.Set(Int32.Kind(), dst, 1, -7, 0)
+	elem.Set(Int32.Kind(), src, 1, 2, 0)
 	maxDst := append([]byte(nil), dst...)
 	Reduce(OpMax, Int32, maxDst, src, 2)
-	if re, _ := element(Int32, maxDst, 0); re != 5 {
+	if re, _ := elem.Get(Int32.Kind(), maxDst, 0); re != 5 {
 		t.Errorf("max[0] = %v", re)
 	}
-	if re, _ := element(Int32, maxDst, 1); re != 2 {
+	if re, _ := elem.Get(Int32.Kind(), maxDst, 1); re != 2 {
 		t.Errorf("max[1] = %v", re)
 	}
 	Reduce(OpMin, Int32, dst, src, 2)
-	if re, _ := element(Int32, dst, 0); re != -3 {
+	if re, _ := elem.Get(Int32.Kind(), dst, 0); re != -3 {
 		t.Errorf("min[0] = %v", re)
 	}
-	if re, _ := element(Int32, dst, 1); re != -7 {
+	if re, _ := elem.Get(Int32.Kind(), dst, 1); re != -7 {
 		t.Errorf("min[1] = %v", re)
 	}
 }
@@ -135,10 +137,10 @@ func TestReduceMaxMinInt32(t *testing.T) {
 func TestReduceComplexProd(t *testing.T) {
 	dst := make([]byte, 16)
 	src := make([]byte, 16)
-	setElement(DoubleComplex, dst, 0, 1, 2)  // 1+2i
-	setElement(DoubleComplex, src, 0, 3, -1) // 3-1i
+	elem.Set(DoubleComplex.Kind(), dst, 0, 1, 2)  // 1+2i
+	elem.Set(DoubleComplex.Kind(), src, 0, 3, -1) // 3-1i
 	Reduce(OpProd, DoubleComplex, dst, src, 1)
-	re, im := element(DoubleComplex, dst, 0)
+	re, im := elem.Get(DoubleComplex.Kind(), dst, 0)
 	// (1+2i)(3-i) = 3 - i + 6i - 2i² = 5 + 5i
 	if re != 5 || im != 5 {
 		t.Fatalf("complex prod = %v+%vi, want 5+5i", re, im)
@@ -169,16 +171,16 @@ func TestReduceSumCommutativeProperty(t *testing.T) {
 		x2 := make([]byte, n*8)
 		y2 := make([]byte, n*8)
 		for i := 0; i < n; i++ {
-			setElement(Float64, x, i, a[i], 0)
-			setElement(Float64, y, i, b[i], 0)
-			setElement(Float64, x2, i, a[i], 0)
-			setElement(Float64, y2, i, b[i], 0)
+			elem.Set(Float64.Kind(), x, i, a[i], 0)
+			elem.Set(Float64.Kind(), y, i, b[i], 0)
+			elem.Set(Float64.Kind(), x2, i, a[i], 0)
+			elem.Set(Float64.Kind(), y2, i, b[i], 0)
 		}
 		Reduce(OpSum, Float64, x, y, n) // x = a+b
 		Reduce(OpSum, Float64, y2, x2, n)
 		for i := 0; i < n; i++ {
-			r1, _ := element(Float64, x, i)
-			r2, _ := element(Float64, y2, i)
+			r1, _ := elem.Get(Float64.Kind(), x, i)
+			r2, _ := elem.Get(Float64.Kind(), y2, i)
 			if r1 != r2 && !(math.IsNaN(r1) && math.IsNaN(r2)) {
 				return false
 			}

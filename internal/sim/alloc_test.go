@@ -139,8 +139,8 @@ func TestResourceFuncAllocs(t *testing.T) {
 		cycle()
 	}
 	allocs := testing.AllocsPerRun(100, cycle)
-	if m.granted != 1+8+101 || r.InUse() != 1 {
-		t.Fatalf("granted %d units, %d in use; want %d and 1", m.granted, r.InUse(), 1+8+101)
+	if m.granted != 1+8+101 || r.inUse != 1 {
+		t.Fatalf("granted %d units, %d in use; want %d and 1", m.granted, r.inUse, 1+8+101)
 	}
 	if allocs != 0 {
 		t.Errorf("a contended Kernel.Start acquire/Release cycle allocates %.2f objects; want 0", allocs)
@@ -176,7 +176,7 @@ func TestGuardedActivationAllocs(t *testing.T) {
 		case 4:
 			k.Start(&holder, hold, nop) // granted at once
 			k.After(time.Microsecond, release)
-			if r.InUse() != 1 {
+			if r.inUse != 1 {
 				panic("the holder did not take the unit at once")
 			}
 			return AcquireUpTo(r, 1, &got)
@@ -198,8 +198,8 @@ func TestGuardedActivationAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Close()
-	if calls != 8+101 || got != 1 || r.InUse() != 0 {
-		t.Fatalf("%d driven calls returned, last grant %d, %d units in use; want %d, 1 and 0", calls, got, r.InUse(), 8+101)
+	if calls != 8+101 || got != 1 || r.inUse != 0 {
+		t.Fatalf("%d driven calls returned, last grant %d, %d units in use; want %d, 1 and 0", calls, got, r.inUse, 8+101)
 	}
 	if allocs != 0 {
 		t.Errorf("a driven machine allocates %.2f objects; want 0", allocs)

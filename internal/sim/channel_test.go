@@ -171,7 +171,9 @@ func TestResourceSerializesWhenFull(t *testing.T) {
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		k.Spawn("user", func(p *Proc) {
-			r.Use(p, 1, 10*us)
+			n := acquireUpTo(p, r, 1)
+			p.Sleep(10 * us)
+			r.Release(n)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -192,7 +194,9 @@ func TestResourceParallelWithinCapacity(t *testing.T) {
 	var ends []Time
 	for i := 0; i < 4; i++ {
 		k.Spawn("user", func(p *Proc) {
-			r.Use(p, 1, 10*us)
+			n := acquireUpTo(p, r, 1)
+			p.Sleep(10 * us)
+			r.Release(n)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -206,34 +210,42 @@ func TestResourceParallelWithinCapacity(t *testing.T) {
 	}
 }
 
+// Grants go in arrival order: a small request that arrives after a large
+// one waits until the large one has had its grant and released it.
 func TestResourceFIFOPreventsStarvation(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, 2)
 	var order []string
-	k.Spawn("small1", func(p *Proc) {
-		r.Acquire(p, 1)
+	k.Spawn("hog", func(p *Proc) {
+		n := acquireUpTo(p, r, 2)
 		p.Sleep(10 * us)
-		r.Release(1)
-		order = append(order, "small1")
+		r.Release(n)
+		order = append(order, "hog")
 	})
 	k.Spawn("big", func(p *Proc) {
 		p.Sleep(us)
-		r.Acquire(p, 2) // queued behind small1's hold
+		n := acquireUpTo(p, r, 2) // queued behind hog's hold
+		if n != 2 {
+			t.Errorf("big grant = %d, want 2", n)
+		}
 		p.Sleep(10 * us)
-		r.Release(2)
+		r.Release(n)
 		order = append(order, "big")
 	})
-	k.Spawn("small2", func(p *Proc) {
+	k.Spawn("small", func(p *Proc) {
 		p.Sleep(2 * us)
-		r.Acquire(p, 1) // must wait for big even though a unit is free
+		n := acquireUpTo(p, r, 1) // must wait for big, queued first
+		if p.Now() != 20*us {
+			t.Errorf("small granted at %v, want 20µs", p.Now())
+		}
 		p.Sleep(10 * us)
-		r.Release(1)
-		order = append(order, "small2")
+		r.Release(n)
+		order = append(order, "small")
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 3 || order[0] != "small1" || order[1] != "big" || order[2] != "small2" {
+	if len(order) != 3 || order[0] != "hog" || order[1] != "big" || order[2] != "small" {
 		t.Fatalf("order = %v", order)
 	}
 }
@@ -242,11 +254,11 @@ func TestResourceOversizedRequestClamps(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, 2)
 	k.Spawn("p", func(p *Proc) {
-		r.Acquire(p, 10) // clamps to capacity rather than deadlocking
-		if r.InUse() != 2 {
-			t.Errorf("InUse = %d", r.InUse())
+		n := acquireUpTo(p, r, 10) // clamps to capacity rather than deadlocking
+		if n != 2 || r.inUse != 2 {
+			t.Errorf("grant = %d, in use = %d; want 2 and 2", n, r.inUse)
 		}
-		r.Release(2)
+		r.Release(n)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -54,8 +54,8 @@ func TestPanicInProcessSurfacesFromRun(t *testing.T) {
 
 // A driven machine (Proc.Drive) advances in whichever side picks its
 // process's activation, here a process parking in Sleep or exiting, or the
-// loop of the Run or RunFor after a RunFor that left it pending, but its
-// panic is the driving process's own.
+// loop of a Run or of a bounded window (a shard's runWindow) after a window
+// that left it pending, but its panic is the driving process's own.
 func TestPanicInGuardedStepNamesItsProcess(t *testing.T) {
 	for _, host := range []struct {
 		name string
@@ -65,7 +65,7 @@ func TestPanicInGuardedStepNamesItsProcess(t *testing.T) {
 		{"parking", func(p *Proc) { p.Sleep(2 * time.Microsecond) }, nil},
 		{"exiting", func(*Proc) {}, nil},
 		{"run", func(*Proc) {}, func(k *Kernel) error { return k.Run() }},
-		{"runfor", func(*Proc) {}, func(k *Kernel) error { return k.RunFor(time.Microsecond) }},
+		{"window", func(*Proc) {}, func(k *Kernel) error { k.runWindow(time.Microsecond + 1); return nil }},
 	} {
 		t.Run(host.name, func(t *testing.T) {
 			k := NewKernel()
@@ -83,9 +83,7 @@ func TestPanicInGuardedStepNamesItsProcess(t *testing.T) {
 			k.Spawn("host", host.fn)
 			run := k.Run
 			if host.run != nil {
-				if err := k.RunFor(time.Microsecond / 2); err != nil {
-					t.Fatal(err)
-				}
+				k.runWindow(time.Microsecond / 2)
 				run = func() error { return host.run(k) }
 			}
 			r := runRecovering(run)

@@ -503,19 +503,3 @@ func (k *Kernel) nextAt() (Time, bool) {
 	}
 	return 0, false
 }
-
-// RunFor executes the events due within the next d of virtual time, then
-// returns with the clock at now+d, unless Stop ended it earlier. Events at
-// exactly now+d still run; later ones stay pending for the next Run or
-// RunFor.
-func (k *Kernel) RunFor(d time.Duration) error {
-	if k.running {
-		return fmt.Errorf("sim: kernel already running")
-	}
-	end := k.now + max(d, 0)
-	k.runWindow(end + 1)
-	if !k.stopped {
-		k.now = max(k.now, end)
-	}
-	return nil
-}

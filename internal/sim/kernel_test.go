@@ -140,52 +140,6 @@ func TestStopEndsRunWithoutDeadlock(t *testing.T) {
 	}
 }
 
-func TestRunFor(t *testing.T) {
-	k := NewKernel()
-	ticks := 0
-	var tick func()
-	tick = func() {
-		ticks++
-		k.After(10*us, tick)
-	}
-	k.After(10*us, tick)
-	if err := k.RunFor(95 * us); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 9 {
-		t.Fatalf("ticks = %d, want 9", ticks)
-	}
-}
-
-// RunFor's window is closed at now+d: a process due exactly then runs, a
-// later one stays pending, and the clock ends at now+d either way.
-func TestRunForRunsEventsAtHorizon(t *testing.T) {
-	k := NewKernel()
-	defer k.Close()
-	ran, later := false, false
-	k.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(10 * us)
-		ran = true
-		p.Sleep(1)
-		later = true
-	})
-	if err := k.RunFor(10 * us); err != nil {
-		t.Fatal(err)
-	}
-	if !ran || later {
-		t.Fatalf("after RunFor(10µs): ran=%v later=%v, want true false", ran, later)
-	}
-	if k.Now() != 10*us {
-		t.Fatalf("clock at %v, want 10µs", k.Now())
-	}
-	if err := k.RunFor(5 * us); err != nil {
-		t.Fatal(err)
-	}
-	if !later || k.Now() != 15*us {
-		t.Fatalf("second RunFor: later=%v clock %v, want true 15µs", later, k.Now())
-	}
-}
-
 func TestEventBroadcastWakesAllAtSameInstant(t *testing.T) {
 	k := NewKernel()
 	ev := NewEvent(k)

@@ -29,9 +29,10 @@ func Sleep(d time.Duration) Wait { return Wait{n: max(d, 0) + 1} }
 // Await is a wait until e fires, as Event.Wait waits.
 func Await(e *Event) Wait { return Wait{e: e} }
 
-// AcquireUpTo is a wait for between 1 and max units of r, granted as
-// Resource.AcquireUpTo grants them. The runner writes the grant to *got
-// before the machine advances again.
+// AcquireUpTo is a wait for between 1 and max units of r: as many as are
+// free when nobody is queued ahead, else, in FIFO order, what Release
+// frees, up to max. The runner writes the grant to *got before the
+// machine advances again.
 func AcquireUpTo(r *Resource, max int, got *int) Wait {
 	return Wait{n: time.Duration(max), r: r, got: got}
 }

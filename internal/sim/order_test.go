@@ -23,8 +23,9 @@ type orderEntry struct {
 
 // orderModel drives one kernel through a random mix of Sleep(0), Sleep(d),
 // Event.Fire wake-ups, After callbacks, Spawns at the current instant,
-// acquires and releases of one contended Resource by processes
-// (Resource.AcquireUpTo), machines run as kernel callbacks (Kernel.Start)
+// acquires and releases of one contended Resource by processes (each
+// driving a one-wait AcquireUpTo machine, so it queues in the resource's
+// FIFO line as a process), machines run as kernel callbacks (Kernel.Start)
 // and machines driven on processes (Proc.Drive), and driven machines that
 // sleep, sleep again at that activation, wait on an event and on the
 // resource, and end. Every scheduling call first records the entry it
@@ -120,7 +121,7 @@ func (m *orderModel) fire(i int) {
 func (m *orderModel) request() (*resReq, bool) {
 	m.tickets++
 	q := &resReq{ticket: m.tickets}
-	if len(m.res.waitq) == 0 && m.res.InUse() < m.res.capacity {
+	if len(m.res.waitq) == 0 && m.res.inUse < m.res.capacity {
 		m.grants = append(m.grants, q.ticket)
 		return q, true
 	}
@@ -200,7 +201,7 @@ func (m *orderModel) run(p *Proc, budget int) {
 			}
 		case 6:
 			q, now := m.request()
-			n := m.res.AcquireUpTo(p, 1+m.rng.Intn(3))
+			n := acquireUpTo(p, m.res, 1+m.rng.Intn(3))
 			if !now {
 				m.waited[0]++
 				m.log(q.label)

@@ -5,15 +5,31 @@ import (
 	"time"
 )
 
+// acquireUpTo drives a one-wait machine on p that acquires between 1 and
+// max units of r, and returns the grant: the blocking acquire, built from
+// an AcquireUpTo wait as every caller builds it.
+func acquireUpTo(p *Proc, r *Resource, max int) int {
+	var got int
+	asked := false
+	p.Drive(machineFunc(func() Wait {
+		if asked {
+			return Wait{}
+		}
+		asked = true
+		return AcquireUpTo(r, max, &got)
+	}))
+	return got
+}
+
 func TestAcquireUpToTakesAllFree(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, 12)
 	k.Spawn("p", func(p *Proc) {
-		if got := r.AcquireUpTo(p, 16); got != 12 {
+		if got := acquireUpTo(p, r, 16); got != 12 {
 			t.Errorf("grant = %d, want 12 (clamped to capacity)", got)
 		}
 		r.Release(12)
-		if got := r.AcquireUpTo(p, 4); got != 4 {
+		if got := acquireUpTo(p, r, 4); got != 4 {
 			t.Errorf("grant = %d, want 4", got)
 		}
 		r.Release(4)
@@ -27,7 +43,7 @@ func TestAcquireUpToTakesPartial(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, 16)
 	k.Spawn("first", func(p *Proc) {
-		n := r.AcquireUpTo(p, 12)
+		n := acquireUpTo(p, r, 12)
 		if n != 12 {
 			t.Errorf("first grant = %d", n)
 		}
@@ -36,7 +52,7 @@ func TestAcquireUpToTakesPartial(t *testing.T) {
 	})
 	k.Spawn("second", func(p *Proc) {
 		p.Sleep(time.Microsecond)
-		n := r.AcquireUpTo(p, 12)
+		n := acquireUpTo(p, r, 12)
 		if n != 4 {
 			t.Errorf("second grant = %d, want leftover 4", n)
 		}
@@ -51,7 +67,9 @@ func TestAcquireUpToBlocksWhenEmptyThenGrants(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, 8)
 	k.Spawn("hog", func(p *Proc) {
-		r.Acquire(p, 8)
+		if got := acquireUpTo(p, r, 8); got != 8 {
+			t.Errorf("hog grant = %d, want 8", got)
+		}
 		p.Sleep(20 * time.Microsecond)
 		r.Release(8)
 	})
@@ -59,7 +77,7 @@ func TestAcquireUpToBlocksWhenEmptyThenGrants(t *testing.T) {
 	var granted int
 	k.Spawn("adaptive", func(p *Proc) {
 		p.Sleep(time.Microsecond)
-		granted = r.AcquireUpTo(p, 6)
+		granted = acquireUpTo(p, r, 6)
 		grantedAt = p.Now()
 		r.Release(granted)
 	})
@@ -84,7 +102,7 @@ func TestAcquireUpToFairSharing(t *testing.T) {
 		i := i
 		k.Spawn("dir", func(p *Proc) {
 			for chunk := 0; chunk < 50; chunk++ {
-				n := r.AcquireUpTo(p, 12)
+				n := acquireUpTo(p, r, 12)
 				totals[i] += n
 				p.Sleep(time.Microsecond)
 				r.Release(n)
@@ -103,5 +121,25 @@ func TestAcquireUpToFairSharing(t *testing.T) {
 		if tot < 50*4 {
 			t.Fatalf("direction %d starved: %d", i, tot)
 		}
+	}
+}
+
+// Releasing more units than are held is a caller's bug (a double release),
+// not something to clamp away.
+func TestResourceOverReleasePanics(t *testing.T) {
+	k := NewKernel()
+	r := NewResource(k, 4)
+	k.Spawn("p", func(p *Proc) {
+		n := acquireUpTo(p, r, 2)
+		r.Release(n)
+		defer func() {
+			if recover() == nil {
+				t.Error("a second Release of the same units did not panic")
+			}
+		}()
+		r.Release(n)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

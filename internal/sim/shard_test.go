@@ -199,7 +199,7 @@ func TestShardedCrossShardDeadlock(t *testing.T) {
 
 func TestShardedRunFor(t *testing.T) {
 	// A stop scheduled on one shard must halt the window loop exactly where
-	// RunFor stops the serial kernel: after the events at the horizon.
+	// the same stop halts the serial kernel: after the events before it.
 	ticker := func(k *Kernel, ticks *int) {
 		k.SpawnDaemon("ticker", func(p *Proc) {
 			for {
@@ -212,7 +212,8 @@ func TestShardedRunFor(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
 	ticker(k, &serial)
-	if err := k.RunFor(10 * time.Millisecond); err != nil {
+	k.After(10*time.Millisecond+1, k.Stop)
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	s := NewSharded(2, time.Microsecond)

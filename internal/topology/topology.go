@@ -32,9 +32,6 @@ type Link struct {
 	TotalChannels int
 }
 
-// PeakBW returns the best single-transfer bandwidth in bytes/second.
-func (l Link) PeakBW() float64 { return float64(l.DirChannels) * l.ChannelBW }
-
 // Time returns the uncontended cost of an n-byte transfer over c channels.
 func (l Link) Time(n int64, c int) time.Duration {
 	if c < 1 {
@@ -129,9 +126,6 @@ func (s *System) Device(id int) *device.Device { return s.devices[id] }
 
 // Devices returns all accelerators in global-id order.
 func (s *System) Devices() []*device.Device { return s.devices }
-
-// SameNode reports whether two devices share a node.
-func (s *System) SameNode(a, b *device.Device) bool { return a.Node == b.Node }
 
 // LinkBetween returns the link class connecting two devices.
 func (s *System) LinkBetween(a, b *device.Device) Link {

@@ -43,8 +43,8 @@ func TestSameNodeAndLinkBetween(t *testing.T) {
 	k := sim.NewKernel()
 	s := ThetaGPU(k, 2)
 	a, b, c := s.Device(0), s.Device(7), s.Device(8)
-	if !s.SameNode(a, b) || s.SameNode(a, c) {
-		t.Fatal("SameNode wrong")
+	if a.Node != b.Node || a.Node == c.Node {
+		t.Fatalf("nodes of devices 0, 7, 8 = %d, %d, %d", a.Node, b.Node, c.Node)
 	}
 	if s.LinkBetween(a, b).Name != "NVLink3" {
 		t.Fatalf("intra link = %s", s.LinkBetween(a, b).Name)
@@ -72,10 +72,14 @@ func TestLinkTime(t *testing.T) {
 	}
 }
 
+// peakBW is a link's best single-transfer bandwidth in bytes/second: every
+// channel one direction has.
+func peakBW(l Link) float64 { return float64(l.DirChannels) * l.ChannelBW }
+
 // The NVLink preset must reproduce the paper's NCCL 4 MB intra-node numbers:
 // ~137 GB/s peak and wire time ≈ 31 µs for 4 MiB.
 func TestNVLinkCalibration(t *testing.T) {
-	peak := NVLink3.PeakBW()
+	peak := peakBW(NVLink3)
 	if math.Abs(peak-137e9)/137e9 > 0.02 {
 		t.Fatalf("NVLink peak = %.1f GB/s, want ≈137", peak/1e9)
 	}
@@ -88,7 +92,7 @@ func TestNVLinkCalibration(t *testing.T) {
 // The RoCE preset must reproduce HCCL's ~3 GB/s intra-node bandwidth, which
 // with HCCL's 270 µs launch overhead yields the paper's 1651 µs at 4 MB.
 func TestRoCECalibration(t *testing.T) {
-	peak := RoCEGaudi.PeakBW()
+	peak := peakBW(RoCEGaudi)
 	if math.Abs(peak-3.06e9)/3.06e9 > 0.05 {
 		t.Fatalf("RoCE peak = %.2f GB/s, want ≈3.05", peak/1e9)
 	}
@@ -99,7 +103,7 @@ func TestRoCECalibration(t *testing.T) {
 }
 
 func TestPCIeCalibration(t *testing.T) {
-	peak := PCIe4MRI.PeakBW()
+	peak := peakBW(PCIe4MRI)
 	if math.Abs(peak-6.36e9)/6.36e9 > 0.02 {
 		t.Fatalf("PCIe peak = %.2f GB/s, want ≈6.36", peak/1e9)
 	}

@@ -8,7 +8,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 )
 
@@ -30,7 +29,7 @@ type Record struct {
 	Duration time.Duration
 	// Event, when non-empty, marks a resilience or membership event
 	// ("retry", "breaker_open", "rank_dead", "comm_shrink", ...) instead of
-	// a completed operation; Summarize skips it.
+	// a completed operation.
 	Event string
 }
 
@@ -72,50 +71,6 @@ func (r *Recorder) Reset() {
 	if r != nil {
 		r.records = r.records[:0]
 	}
-}
-
-// Summary aggregates per (op, path) statistics.
-type Summary struct {
-	Op, Path string
-	Count    int
-	Bytes    int64
-	Total    time.Duration
-}
-
-// Summarize groups records by (op, path), sorted by total time descending.
-func (r *Recorder) Summarize() []Summary {
-	if r == nil {
-		return nil
-	}
-	agg := map[[2]string]*Summary{}
-	for _, rec := range r.records {
-		if rec.Event != "" {
-			continue
-		}
-		key := [2]string{rec.Op, rec.Path}
-		s, ok := agg[key]
-		if !ok {
-			s = &Summary{Op: rec.Op, Path: rec.Path}
-			agg[key] = s
-		}
-		s.Count++
-		s.Bytes += rec.Bytes
-		s.Total += rec.Duration
-	}
-	out := make([]Summary, 0, len(agg))
-	for _, s := range agg {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		if out[i].Op != out[j].Op {
-			return out[i].Op < out[j].Op
-		}
-		return out[i].Path < out[j].Path
-	})
-	return out
 }
 
 // Dump writes a human-readable timeline to w (rank-0 and runtime-scoped

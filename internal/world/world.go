@@ -136,8 +136,8 @@ func Run(spec Spec, body func(r Rank)) error {
 
 // RunCCL builds the world spec describes and runs body on a raw vendor-CCL
 // communicator over the devices pick chooses from the system, in rank
-// order — the device-subset worlds of the point-to-point and multi-pair
-// benchmarks. spec.Stack and spec.Ranks are ignored.
+// order — the device-subset worlds of the point-to-point benchmarks.
+// spec.Stack and spec.Ranks are ignored.
 func RunCCL(spec Spec, pick func(sys *topology.System) []*device.Device, body func(r *CCLRank)) error {
 	sys, fab, err := build(spec)
 	if err != nil {

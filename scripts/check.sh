@@ -39,6 +39,10 @@ go test ./...
 # Docs are a public surface too: every relative link and repo path they
 # mention must resolve.
 scripts/doclinks.sh
+# No dead exports: every exported function and method under internal/ and
+# cmd/ has a non-test caller, or an allowlist entry with its reason
+# (public API, a standard interface, a test hook another package calls).
+scripts/deadexports.sh
 # The packages whose state is shared across sim procs (or any caller):
 # re-run under the race detector. internal/experiments exercises the
 # parallel runner, whose worlds must not share mutable state; internal/core
@@ -169,8 +173,6 @@ go test -race -run 'TestHier|TestForcedFlat|TestCollectivePools|TestCompiled|Tes
 # top of the seed corpora the suite above already ran.
 go test -run '^$' -fuzz '^FuzzParseTable$' -fuzztime 5s mpixccl/internal/core
 go test -run '^$' -fuzz '^FuzzParseKey$' -fuzztime 5s mpixccl/internal/ccl/comp
-go test -run '^$' -fuzz '^FuzzParseChromeTrace$' -fuzztime 5s mpixccl/internal/trace
-go test -run '^$' -fuzz '^FuzzParseAlgo$' -fuzztime 5s mpixccl/internal/ccl/msccl
 go test -run '^$' -fuzz '^FuzzParsePartition$' -fuzztime 5s mpixccl/cmd/ombrun
 go test -run '^$' -fuzz '^FuzzParseAt$' -fuzztime 5s mpixccl/cmd/xcclbench
 go test -run '^$' -fuzz '^FuzzParseScale$' -fuzztime 5s mpixccl/cmd/xcclbench
