@@ -42,8 +42,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -55,107 +57,121 @@ import (
 	"mpixccl/internal/metrics"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id (or 'all')")
-	scaleFlag := flag.String("scale", "quick",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command on its arguments: results go to stdout, errors to
+// stderr, and it returns the exit status, 2 for bad flags and 1 when a run
+// fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment id (or 'all')")
+	scaleFlag := fs.String("scale", "quick",
 		"quick or full (paper-size node counts and sweeps); or ranks=N[,shards=M] to run the scaling sweep instead of exhibits")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	parallel := flag.Int("parallel", 0, "max experiments in flight (0 = one per CPU, 1 = serial)")
-	metricsFile := flag.String("metrics", "",
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	parallel := fs.Int("parallel", 0, "max experiments in flight (0 = one per CPU, 1 = serial)")
+	metricsFile := fs.String("metrics", "",
 		"write accumulated runtime metrics to this file in Prometheus text format ('-' for stdout)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	crash := flag.String("crash", "",
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
+	crash := fs.String("crash", "",
 		"override the elastic exhibit's fail-stop injection as rank@step (e.g. 3@2)")
-	hier := flag.Bool("hier", false,
+	hier := fs.Bool("hier", false,
 		"run the hybrid-xCCL series with topology-aware hierarchical collectives (multi-node exhibits)")
-	persistent := flag.Bool("persistent", false,
+	persistent := fs.Bool("persistent", false,
 		"run the hybrid-xCCL series of the Horovod exhibits (fig7-fig10) on persistent partitioned allreduce handles")
-	compile := flag.Bool("compile", false,
+	compile := fs.Bool("compile", false,
 		"run the xCCL series with the collective compiler: cost-model-compiled plans for alltoall(v)/gather/scatter instead of the group send-recv loop")
-	chaos := flag.String("chaos", "",
+	chaos := fs.String("chaos", "",
 		"run the chaos soak instead of exhibits, as seed=N[,runs=M] (e.g. seed=7,runs=4)")
-	partition := flag.String("partition", "",
+	partition := fs.String("partition", "",
 		"override the partition exhibit's cut window as cut@heal training steps (heal 0 = permanent, e.g. 2@4)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	o := experiments.Options{Hier: *hier, Persistent: *persistent, Compile: *compile}
 	if *crash != "" {
 		var ok bool
 		o.Crash.Rank, o.Crash.Step, ok = parseAt(*crash)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "xcclbench: bad -crash %q (want rank@step, e.g. 3@2)\n", *crash)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "xcclbench: bad -crash %q (want rank@step, e.g. 3@2)\n", *crash)
+			return 2
 		}
 	}
 	if *partition != "" {
 		var ok bool
 		o.Partition.Step, o.Partition.Heal, ok = parseAt(*partition)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "xcclbench: bad -partition %q (want cut@heal steps, e.g. 2@4)\n", *partition)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "xcclbench: bad -partition %q (want cut@heal steps, e.g. 2@4)\n", *partition)
+			return 2
 		}
 	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return 0
 	}
 	if *chaos != "" {
 		seed, runs, ok := parseSpec(*chaos, "seed", "runs")
 		if !ok {
-			fmt.Fprintf(os.Stderr, "xcclbench: bad -chaos %q (want seed=N[,runs=M], M >= 1)\n", *chaos)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "xcclbench: bad -chaos %q (want seed=N[,runs=M], M >= 1)\n", *chaos)
+			return 2
 		}
 		var reg *metrics.Registry
 		if *metricsFile != "" {
 			reg = metrics.NewRegistry()
 		}
 		out, err := experiments.RunChaos(uint64(seed), runs, reg)
-		fmt.Print(out)
+		fmt.Fprint(stdout, out)
 		if reg != nil {
-			if werr := writeMetrics(reg, *metricsFile); werr != nil {
-				fmt.Fprintf(os.Stderr, "xcclbench: %v\n", werr)
-				os.Exit(1)
+			if werr := writeMetrics(reg, *metricsFile, stdout); werr != nil {
+				fmt.Fprintf(stderr, "xcclbench: %v\n", werr)
+				return 1
 			}
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xcclbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "xcclbench: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 	if strings.HasPrefix(*scaleFlag, "ranks=") {
 		ranks, shards, ok := parseScale(*scaleFlag)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "xcclbench: bad -scale %q (want ranks=N[,shards=M], N and M >= 1)\n", *scaleFlag)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "xcclbench: bad -scale %q (want ranks=N[,shards=M], N and M >= 1)\n", *scaleFlag)
+			return 2
 		}
-		if err := runScaleSweep(ranks, shards); err != nil {
-			fmt.Fprintf(os.Stderr, "xcclbench: %v\n", err)
-			os.Exit(1)
+		results, err := scaleSweep(ranks, shards)
+		if err != nil {
+			fmt.Fprintf(stderr, "xcclbench: %v\n", err)
+			return 1
 		}
-		return
+		fmt.Fprint(stdout, experiments.FormatScaleTable(results))
+		return 0
 	}
 	switch *scaleFlag {
 	case "quick":
 	case "full":
 		o.Scale = experiments.Full
 	default:
-		fmt.Fprintf(os.Stderr, "xcclbench: unknown scale %q (want quick, full, or ranks=N[,shards=M])\n", *scaleFlag)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "xcclbench: unknown scale %q (want quick, full, or ranks=N[,shards=M])\n", *scaleFlag)
+		return 2
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "xcclbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "xcclbench: %v\n", err)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "xcclbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "xcclbench: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -168,38 +184,32 @@ func main() {
 	}
 	start := time.Now()
 	results := experiments.RunAll(ids, o, *parallel)
-	failed := false
+	status := 0
 	for _, r := range results {
 		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "xcclbench: %s: %v\n", r.ID, r.Err)
-			failed = true
+			fmt.Fprintf(stderr, "xcclbench: %s: %v\n", r.ID, r.Err)
+			status = 1
 			continue
 		}
-		fmt.Print(r.Output)
-		fmt.Printf("(%s regenerated in %v wall time)\n\n", r.ID, r.Wall.Round(time.Millisecond))
+		fmt.Fprint(stdout, r.Output)
+		fmt.Fprintf(stdout, "(%s regenerated in %v wall time)\n\n", r.ID, r.Wall.Round(time.Millisecond))
 	}
 	if len(ids) > 1 {
-		fmt.Printf("(%d experiments in %v total wall time)\n", len(ids), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%d experiments in %v total wall time)\n", len(ids), time.Since(start).Round(time.Millisecond))
 	}
 	if o.Metrics != nil {
-		if err := writeMetrics(o.Metrics, *metricsFile); err != nil {
-			fmt.Fprintf(os.Stderr, "xcclbench: %v\n", err)
-			failed = true
+		if err := writeMetrics(o.Metrics, *metricsFile, stdout); err != nil {
+			fmt.Fprintf(stderr, "xcclbench: %v\n", err)
+			status = 1
 		}
 	}
 	if *memProfile != "" {
 		if err := writeMemProfile(*memProfile); err != nil {
-			fmt.Fprintf(os.Stderr, "xcclbench: %v\n", err)
-			failed = true
+			fmt.Fprintf(stderr, "xcclbench: %v\n", err)
+			status = 1
 		}
 	}
-	if failed {
-		// Flush the CPU profile before exiting: os.Exit skips defers.
-		if *cpuProfile != "" {
-			pprof.StopCPUProfile()
-		}
-		os.Exit(1)
-	}
+	return status
 }
 
 // parseAt parses the a@b fault specs (-crash rank@step, -partition
@@ -248,23 +258,13 @@ func parseScale(spec string) (ranks, shards int, ok bool) {
 	return ranks, max(shards, 1), ok && ranks >= 1
 }
 
-// runScaleSweep handles -scale ranks=N[,shards=M]: the 4096-rank-class
-// hierarchical AllReduce scaling model, run once per shard count (powers of
-// two up to M, plus M itself) and printed as one wall/virt table. Virtual
-// times must be identical down the column; wall time is where shards pay
-// off on multi-core hosts.
-func runScaleSweep(ranks, maxShards int) error {
-	results, err := scaleSweep(ranks, maxShards)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatScaleTable(results))
-	return nil
-}
-
-// scaleSweep runs the sweep's rows. RunScale clamps the shard count to the
-// node count, so the sweep stops at the first row that owns one node per
-// shard: a wider request would repeat it.
+// scaleSweep runs the rows of -scale ranks=N[,shards=M]: the
+// 4096-rank-class hierarchical AllReduce scaling model, once per shard count
+// (powers of two up to M, plus M itself). Virtual times must be identical
+// down the column; wall time is where shards pay off on multi-core hosts.
+// RunScale clamps the shard count to the node count, so the sweep stops at
+// the first row that owns one node per shard: a wider request would repeat
+// it.
 func scaleSweep(ranks, maxShards int) ([]experiments.ScaleResult, error) {
 	var counts []int
 	for s := 1; s <= maxShards; s *= 2 {
@@ -287,9 +287,10 @@ func scaleSweep(ranks, maxShards int) ([]experiments.ScaleResult, error) {
 	return results, nil
 }
 
-func writeMetrics(reg *metrics.Registry, path string) error {
+// writeMetrics writes reg to the -metrics path, "-" meaning stdout.
+func writeMetrics(reg *metrics.Registry, path string, stdout io.Writer) error {
 	if path == "-" {
-		return reg.WritePrometheus(os.Stdout)
+		return reg.WritePrometheus(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {

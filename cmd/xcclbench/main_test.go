@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mpixccl/internal/sim/simtest"
@@ -11,6 +15,72 @@ import (
 // TestMain runs the suite under the leak gate: every world a test builds
 // must be released when it finishes.
 func TestMain(m *testing.M) { simtest.Main(m) }
+
+// cli runs the command on args and returns its exit status, its standard
+// output without the wall-time lines, and its standard error.
+func cli(args ...string) (code int, out, errOut string) {
+	var stdout, stderr bytes.Buffer
+	code = run(args, &stdout, &stderr)
+	var kept []string
+	for _, line := range strings.SplitAfter(stdout.String(), "\n") {
+		if !strings.Contains(line, "wall time") {
+			kept = append(kept, line)
+		}
+	}
+	return code, strings.Join(kept, ""), stderr.String()
+}
+
+// TestCLI drives the command's entry point. Each exhibit it prints must
+// equal its golden entry byte for byte, which also shows -compile reaching
+// the exhibit pipeline, and fig5 must differ with and without it. The
+// chaos soak and the scaling sweep must finish cleanly, and bad flags must
+// exit 2.
+func TestCLI(t *testing.T) {
+	data, err := os.ReadFile("../../internal/experiments/testdata/golden_quick.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]string
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	outs := map[string]string{}
+	for _, tc := range []struct {
+		key  string
+		args []string
+	}{
+		{"fig5", []string{"-exp", "fig5"}},
+		{"fig5-compile", []string{"-exp", "fig5", "-compile"}},
+		{"partition", []string{"-exp", "partition"}},
+	} {
+		code, out, errOut := cli(tc.args...)
+		if code != 0 {
+			t.Errorf("xcclbench %s exited %d: %s", strings.Join(tc.args, " "), code, errOut)
+		}
+		// Each exhibit is followed by its wall-time line and a blank line.
+		if want := golden[tc.key] + "\n"; out != want {
+			t.Errorf("xcclbench %s differs from golden %q.\n--- want ---\n%s--- got ---\n%s",
+				strings.Join(tc.args, " "), tc.key, want, out)
+		}
+		outs[tc.key] = out
+	}
+	if outs["fig5"] == outs["fig5-compile"] {
+		t.Error("xcclbench -exp fig5 -compile equals the run without -compile")
+	}
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-chaos", "seed=7,runs=6"}, 0},
+		{[]string{"-scale", "ranks=256,shards=2"}, 0},
+		{[]string{"-nosuchflag"}, 2},
+		{[]string{"-crash", "3"}, 2},
+	} {
+		if code, _, errOut := cli(tc.args...); code != tc.want {
+			t.Errorf("xcclbench %s exited %d, want %d: %s", strings.Join(tc.args, " "), code, tc.want, errOut)
+		}
+	}
+}
 
 func TestParseAt(t *testing.T) {
 	cases := []struct {

@@ -89,9 +89,6 @@ func (pt *PersistentTask) Launch() *sim.Event {
 	return pt.t.done
 }
 
-// Done returns the task's completion event for the most recent launch.
-func (pt *PersistentTask) Done() *sim.Event { return pt.t.done }
-
 // Synchronize blocks the calling process until every task enqueued so far
 // has completed (cudaStreamSynchronize).
 func (s *Stream) Synchronize(p *sim.Proc) {

@@ -80,9 +80,20 @@ type driverRun struct {
 	counters map[string]float64 // fault counters by name, summed over link classes
 }
 
+// start runs x as kernel callbacks, the way a machine that forwards an
+// Xfer's Advance does (mpi's eager send): Open, then sim.Kernel.Start on
+// task, which calls then when x is done.
+func start(f *Fabric, task *sim.Task, x *Xfer, dst, src device.View, n int64, o Opts, then func()) error {
+	if err := f.Open(x, dst, src, n, o); err != nil {
+		return err
+	}
+	f.k.Start(task, x, then)
+	return nil
+}
+
 // runDriverMix builds a two-node world, starts a seeded mix of concurrent
 // transfers, all on processes (TryTransfer) or all as kernel callbacks
-// (Start), and reports what it observed.
+// (start), and reports what it observed.
 func runDriverMix(t *testing.T, seed int64, fs driverFaults, callbacks bool) driverRun {
 	t.Helper()
 	k := sim.NewKernel()
@@ -146,6 +157,7 @@ func runDriverMix(t *testing.T, seed int64, fs driverFaults, callbacks bool) dri
 
 	run := driverRun{done: make([]time.Duration, len(jobs)), counters: map[string]float64{}}
 	xs := make([]Xfer, len(jobs))
+	tasks := make([]sim.Task, len(jobs))
 	for i, j := range jobs {
 		i, j := i, j
 		// A spawn and an After(0) take the same slot, and so do the
@@ -153,7 +165,7 @@ func runDriverMix(t *testing.T, seed int64, fs driverFaults, callbacks bool) dri
 		if callbacks {
 			k.After(0, func() {
 				k.After(j.at, func() {
-					if err := f.Start(&xs[i], j.dst.Whole(), j.src.Whole(), j.n, j.o, func() { run.done[i] = k.Now() }); err != nil {
+					if err := start(f, &tasks[i], &xs[i], j.dst.Whole(), j.src.Whole(), j.n, j.o, func() { run.done[i] = k.Now() }); err != nil {
 						t.Error(err)
 					}
 				})
@@ -230,33 +242,34 @@ func (cutAll) PartitionedNow(time.Duration) bool                    { return tru
 func (cutAll) PartitionedUntil(time.Duration) (time.Duration, bool) { return 0, false }
 func (cutAll) HasPartitions() bool                                  { return true }
 
-// TestStartFailsAtOpen pins Start's errors: like TryTransfer it fails at
-// open, before any time passes, and then never runs.
+// TestStartFailsAtOpen pins the callback runner's errors: like TryTransfer
+// it fails at open, before any time passes, and then never runs.
 func TestStartFailsAtOpen(t *testing.T) {
 	k, sys, f := setup(2)
 	defer k.Close()
 	f.SetFaults(cutAll{})
 	src := sys.Device(0).MustMalloc(64)
 	var x Xfer
+	var task sim.Task
 	ran := false
 	k.After(time.Microsecond, func() {
-		if err := f.Start(&x, sys.Device(8).MustMalloc(64).Whole(), src.Whole(), 64, Opts{}, func() { ran = true }); !errors.Is(err, ErrPartitioned) {
-			t.Errorf("Start across a cut = %v, want ErrPartitioned", err)
+		if err := start(f, &task, &x, sys.Device(8).MustMalloc(64).Whole(), src.Whole(), 64, Opts{}, func() { ran = true }); !errors.Is(err, ErrPartitioned) {
+			t.Errorf("start across a cut = %v, want ErrPartitioned", err)
 		}
-		if err := f.Start(&x, sys.Device(1).MustMalloc(8).Whole(), src.Whole(), 64, Opts{}, func() { ran = true }); err == nil {
-			t.Error("Start of 64 bytes into an 8-byte view succeeded")
+		if err := start(f, &task, &x, sys.Device(1).MustMalloc(8).Whole(), src.Whole(), 64, Opts{}, func() { ran = true }); err == nil {
+			t.Error("start of 64 bytes into an 8-byte view succeeded")
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if ran || k.Now() != time.Microsecond {
-		t.Errorf("a failed Start ran its completion (%v) or took time (now %v)", ran, k.Now())
+		t.Errorf("a failed start ran its completion (%v) or took time (now %v)", ran, k.Now())
 	}
 }
 
 // TestFinishedXferPinsNoBuffers runs transfers to done under both runners,
-// on a process (sim.Proc.Drive) and as kernel callbacks (Start), over a
+// on a process (sim.Proc.Drive) and as kernel callbacks (start), over a
 // local, an intra-node and an inter-node route, and requires each finished
 // Xfer to hold neither of its views.
 func TestFinishedXferPinsNoBuffers(t *testing.T) {
@@ -266,6 +279,7 @@ func TestFinishedXferPinsNoBuffers(t *testing.T) {
 	dsts := []*device.Device{sys.Device(0), sys.Device(1), sys.Device(8)}
 	procs := make([]Xfer, len(dsts))
 	calls := make([]Xfer, len(dsts))
+	tasks := make([]sim.Task, len(dsts))
 	for i, d := range dsts {
 		dst := d.MustMalloc(4096)
 		k.Spawn(fmt.Sprint("xfer", i), func(p *sim.Proc) {
@@ -275,7 +289,7 @@ func TestFinishedXferPinsNoBuffers(t *testing.T) {
 			}
 			p.Drive(&procs[i])
 		})
-		if err := f.Start(&calls[i], dst.Whole(), src.Whole(), 4096, Opts{}, func() {}); err != nil {
+		if err := start(f, &tasks[i], &calls[i], dst.Whole(), src.Whole(), 4096, Opts{}, func() {}); err != nil {
 			t.Fatal(err)
 		}
 	}

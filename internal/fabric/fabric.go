@@ -198,9 +198,6 @@ func (f *Fabric) Partitioner() Partitioner { return f.partitioner }
 // SetIntegrity configures end-to-end CRC32C checking of data transfers.
 func (f *Fabric) SetIntegrity(i Integrity) { f.integrity = i }
 
-// Integrity returns the active integrity configuration.
-func (f *Fabric) Integrity() Integrity { return f.integrity }
-
 // Faithful reports whether every transfer delivers exactly the source bytes
 // with nothing to check: no corrupter is attached and integrity is off. Only
 // then may a caller skip the byte copy (Price) and let the receiver
@@ -344,15 +341,6 @@ func (f *Fabric) degradedFor(r route, now time.Duration) (LinkFault, bool) {
 	return lf, true
 }
 
-// Latency reports the uncontended α of the path between two devices.
-func (f *Fabric) Latency(src, dst *device.Device) time.Duration {
-	r, err := f.route(src, dst)
-	if err != nil || r.local {
-		return 0
-	}
-	return r.link.Alpha
-}
-
 // Transfer moves n bytes from src to dst, blocking p for the priced time,
 // and returns the elapsed virtual duration. It is the Must-variant of
 // TryTransfer: endpoints without a route (detached host buffers, foreign
@@ -376,7 +364,6 @@ func (f *Fabric) Transfer(p *sim.Proc, dst, src *device.Buffer, n int64, o Opts)
 // bandwidth and caps the channel grant for the whole transfer, as observed
 // at its start time. It drives the transfer's state machine (Xfer) on p
 // (sim.Proc.Drive), so p is switched to once, when the transfer is done.
-// Start runs the same machine as kernel callbacks.
 func (f *Fabric) TryTransfer(p *sim.Proc, dst, src device.View, n int64, o Opts) (time.Duration, error) {
 	start := p.Now()
 	x := getXfer()
@@ -435,22 +422,6 @@ func putXfer(x *Xfer) {
 	xfers.Unlock()
 }
 
-// Start moves n bytes from the src view to the dst view exactly as
-// TryTransfer does, but runs the transfer as kernel callbacks
-// (sim.Kernel.Start) instead of on a process, and calls then when the
-// copy, and any retransmission, is done. Every wait TryTransfer makes
-// becomes an event in the same (time, seq) slot. The first step runs
-// before Start returns, at the current instant. Start fails like
-// TryTransfer, at open and before any time passes. x is the caller's
-// reusable transfer state; it must not be restarted before then runs.
-func (f *Fabric) Start(x *Xfer, dst, src device.View, n int64, o Opts, then func()) error {
-	if err := f.Open(x, dst, src, n, o); err != nil {
-		return err
-	}
-	f.k.Start(&x.t, x, then)
-	return nil
-}
-
 // wire is one transfer's priced path: its route and the degradation
 // snapshot taken when it opened.
 type wire struct {
@@ -471,9 +442,9 @@ type wire struct {
 // finished Xfer pins no buffers.
 //
 // Open readies it, and either runner drives it: a process
-// (sim.Proc.Drive: TryTransfer, Price) or kernel callbacks (Start). A
-// machine that moves bytes as one of its phases opens an Xfer and forwards
-// its Advance. The zero value is ready to use; a caller that runs
+// (sim.Proc.Drive: TryTransfer, Price) or kernel callbacks
+// (sim.Kernel.Start). A machine that moves bytes as one of its phases, such
+// as mpi's eager send, opens an Xfer and forwards its Advance. The zero value is ready to use; a caller that runs
 // transfers itself keeps one Xfer per transfer in flight and reuses it.
 type Xfer struct {
 	f        *Fabric
@@ -488,8 +459,6 @@ type Xfer struct {
 	pool    int   // the route pool being acquired
 	got     int   // channels it granted
 	held    int   // channels the chunk holds in every pool so far
-
-	t sim.Task // Start's runner
 }
 
 // xferStep is where Advance resumes.
@@ -505,8 +474,8 @@ const (
 
 // Open readies x to move n bytes from the src view to the dst view: it
 // checks the length and resolves the route (open), and fails before any
-// time passes. TryTransfer and Start open their transfers with it, and so
-// does a caller that forwards x's Advance from a machine of its own.
+// time passes. TryTransfer opens its transfers with it, and so does a
+// caller that forwards x's Advance from a machine of its own.
 func (f *Fabric) Open(x *Xfer, dst, src device.View, n int64, o Opts) error {
 	if n < 0 || n > src.Len() || n > dst.Len() {
 		return fmt.Errorf("fabric: transfer of %d bytes between %d-byte src and %d-byte dst", n, src.Len(), dst.Len())

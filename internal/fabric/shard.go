@@ -56,9 +56,6 @@ func (s *Sharded) Fabric(i int) *Fabric { return s.fab[i] }
 // System returns shard i's local sub-system.
 func (s *Sharded) System(i int) *topology.System { return s.sys[i] }
 
-// Lookahead returns the engine's conservative horizon: the inter-node α.
-func (s *Sharded) Lookahead() time.Duration { return s.part.Lookahead(s.inter) }
-
 // Inter returns the inter-node link class.
 func (s *Sharded) Inter() topology.Link { return s.inter }
 

@@ -162,9 +162,6 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // shard-local worlds.
 func (s *Sharded) Kernel(i int) *Kernel { return s.shards[i] }
 
-// Lookahead reports the conservative horizon the engine was built with.
-func (s *Sharded) Lookahead() Time { return s.lookahead }
-
 // Now reports the engine clock: the maximum shard clock (the completion time
 // of the last event executed anywhere).
 func (s *Sharded) Now() Time {
