@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"strings"
@@ -476,6 +477,86 @@ func TestFormatScaleTable(t *testing.T) {
 	for _, want := range []string{"ranks", "shards", "64KiB", "ok"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestScaleResultPinned holds the scale model to exact results: every
+// ScaleResult field but Wall and Shards, for the benchmark's shape, the
+// 128-rank fault-free shape and every fault and partition case above, at
+// 1, 2 and 4 shards. The cross-shard tests compare runs with each other;
+// this one catches a change that moves all shard counts alike.
+func TestScaleResultPinned(t *testing.T) {
+	const us = time.Microsecond
+	small := func(faults func(int) *fault.Plan) ScaleConfig {
+		return ScaleConfig{Ranks: 128, Bytes: 256 << 10, Faults: faults}
+	}
+	ok := func(virt time.Duration) ScaleResult {
+		return ScaleResult{System: "thetagpu", Ranks: 128, Nodes: 16, Bytes: 256 << 10, VirtTime: virt, OK: true}
+	}
+	bad := func(virt time.Duration, badRanks int) ScaleResult {
+		r := ok(virt)
+		r.OK, r.BadRanks = false, badRanks
+		return r
+	}
+	crash, brownout, corrupt := bad(2111980, 128), ok(156380), bad(139180, 64)
+	crash.Crashed, crash.Timeouts = []int{5}, 15
+	brownout.Degraded = 64
+	corrupt.CorruptionsDetected, corrupt.Retransmits, corrupt.Unrecovered = 10, 8, 2
+	heal, permanent := ok(202536), bad(2101780, 128)
+	heal.Severed = 16
+	permanent.Severed, permanent.Timeouts = 16, 16
+	cases := []struct {
+		name string
+		cfg  ScaleConfig
+		want ScaleResult
+	}{
+		{"bench", ScaleConfig{Ranks: 4096, Seed: 1}, ScaleResult{
+			System: "thetagpu", Ranks: 4096, Nodes: 512, Bytes: 4 << 20, VirtTime: 3230306, OK: true}},
+		{"fault-free", small(nil), ok(125580)},
+		{"crash", small(func(int) *fault.Plan {
+			return fault.NewPlan(42).AddRule(fault.Rule{
+				Name: "leader5-dies", Ranks: []int{5}, From: 50 * us, Crash: true,
+			})
+		}), crash},
+		{"brownout", small(func(int) *fault.Plan {
+			return fault.NewPlan(42).AddLinkRule(fault.LinkRule{
+				Name: "inter-brownout", Link: "inter",
+				From: 30 * us, Until: 70 * us,
+				BWScale: 0.25, AlphaScale: 3,
+			})
+		}), brownout},
+		{"corrupt", small(func(int) *fault.Plan {
+			return fault.NewPlan(42).AddCorruptRule(fault.CorruptRule{
+				Name: "node7-flaky-nic", Link: "inter", Nodes: []int{7},
+				From: 40 * us, Until: 55 * us,
+			})
+		}), corrupt},
+		{"heal", small(func(int) *fault.Plan {
+			return fault.NewPlan(42).AddPartitionRule(fault.PartitionRule{
+				Name: "node7-cut-heals", Nodes: []int{7},
+				From: 40 * us, Until: 120 * us,
+			})
+		}), heal},
+		{"permanent", small(func(int) *fault.Plan {
+			return fault.NewPlan(42).AddPartitionRule(fault.PartitionRule{
+				Name: "node7-cut", Nodes: []int{7}, From: 40 * us,
+			})
+		}), permanent},
+	}
+	for _, tc := range cases {
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.Shards = shards
+				r, err := RunScale(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := stripWall(r); !reflect.DeepEqual(got, tc.want) {
+					t.Errorf("got  %+v\nwant %+v", got, tc.want)
+				}
+			})
 		}
 	}
 }
