@@ -560,3 +560,66 @@ func TestScaleResultPinned(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRunScale times whole calls of the benchmark's shape, 4096 ranks
+// on 2 shards, in raw host ns/op with allocations.
+func BenchmarkRunScale(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := RunScale(ScaleConfig{Ranks: 4096, Shards: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !r.OK {
+			b.Fatalf("digest check failed: %+v", r)
+		}
+	}
+}
+
+// TestScaleRankResumes pins how often the scale model resumes its ranks'
+// processes: each drives its rank's machine (sim.Proc.Drive), so it resumes
+// when it starts and when the machine is done, and never at a sleep or a
+// receive. It holds for the benchmark's shape and for a leader crash,
+// whose watchdog timeouts end the other leaders' rings, at 1 and 2 shards.
+// Every shard kernel's resume hook counts into the shard's own counter.
+func TestScaleRankResumes(t *testing.T) {
+	crash := func(int) *fault.Plan {
+		return fault.NewPlan(42).AddRule(fault.Rule{
+			Name: "leader5-dies", Ranks: []int{5}, From: 50 * time.Microsecond, Crash: true,
+		})
+	}
+	cases := []struct {
+		name string
+		cfg  ScaleConfig
+	}{
+		{"fault-free", ScaleConfig{Ranks: 4096}},
+		{"crash", ScaleConfig{Ranks: 128, Bytes: 256 << 10, Faults: crash}},
+	}
+	for _, tc := range cases {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.Shards = shards
+				w, err := newScaleWorld(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w.eng.Close()
+				resumes := make([]int, shards)
+				for i := range resumes {
+					w.eng.Kernel(i).OnResume(func(*sim.Proc) { resumes[i]++ })
+				}
+				if _, err := w.run(); err != nil {
+					t.Fatal(err)
+				}
+				total := 0
+				for _, n := range resumes {
+					total += n
+				}
+				if total > 2*cfg.Ranks {
+					t.Errorf("%d resumes for %d ranks, want at most %d", total, cfg.Ranks, 2*cfg.Ranks)
+				}
+			})
+		}
+	}
+}

@@ -385,7 +385,7 @@ func (f *Fabric) Price(p *sim.Proc, dst, src *device.Device, n int64, o Opts) (t
 	start := p.Now()
 	x := getXfer()
 	defer putXfer(x)
-	if err := x.open(f, dst, src, n, o); err != nil {
+	if err := f.OpenPrice(x, dst, src, n, o); err != nil {
 		return 0, err
 	}
 	p.Drive(x)
@@ -393,10 +393,9 @@ func (f *Fabric) Price(p *sim.Proc, dst, src *device.Device, n int64, o Opts) (t
 }
 
 // xfers holds the idle transfer states of TryTransfer and Price. One list
-// serves every fabric, so a world built per call, such as the scale model,
-// whose thousands of processes price at once, finds them warm; the lock is
-// for the shards of a sharded fabric, and for worlds run in parallel, which
-// run on threads of their own.
+// serves every fabric, so a world built per call finds them warm; the lock
+// is for the shards of a sharded fabric, and for worlds run in parallel,
+// which run on threads of their own.
 var xfers struct {
 	sync.Mutex
 	idle []*Xfer
@@ -441,7 +440,7 @@ type wire struct {
 // Integrity.MaxRetries, under the degradation snapshot taken at open. A
 // finished Xfer pins no buffers.
 //
-// Open readies it, and either runner drives it: a process
+// Open (or OpenPrice) readies it, and either runner drives it: a process
 // (sim.Proc.Drive: TryTransfer, Price) or kernel callbacks
 // (sim.Kernel.Start). A machine that moves bytes as one of its phases, such
 // as mpi's eager send, opens an Xfer and forwards its Advance. The zero value is ready to use; a caller that runs
@@ -485,6 +484,14 @@ func (f *Fabric) Open(x *Xfer, dst, src device.View, n int64, o Opts) error {
 	}
 	x.dst, x.src, x.move = dst, src, true
 	return nil
+}
+
+// OpenPrice readies x to price n bytes from device src to device dst, as
+// Price charges them, moving none: it resolves the route (open), and fails
+// before any time passes. Price opens its transfers with it, and so does a
+// machine that charges a hop by forwarding x's Advance.
+func (f *Fabric) OpenPrice(x *Xfer, dst, src *device.Device, n int64, o Opts) error {
+	return x.open(f, dst, src, n, o)
 }
 
 // open resets x to price n bytes between two devices: it resolves the

@@ -117,7 +117,9 @@ type LinkRule struct {
 	// BWScale multiplies per-channel bandwidth (0 < s ≤ 1 degrades);
 	// zero leaves it unchanged.
 	BWScale float64
-	// AlphaScale multiplies link α (> 1 degrades); zero leaves it.
+	// AlphaScale multiplies link α (≥ 1: a rule only degrades, which a
+	// sharded engine's lookahead, the undegraded α, relies on); zero
+	// leaves it.
 	AlphaScale float64
 	// ChannelCap caps channels per transfer; zero leaves it.
 	ChannelCap int
@@ -289,6 +291,9 @@ func CheckLinkRule(r LinkRule) error {
 	}
 	if r.AlphaScale < 0 {
 		return fmt.Errorf("fault: link rule %s has a negative AlphaScale (%v)", n, r.AlphaScale)
+	}
+	if r.AlphaScale > 0 && r.AlphaScale < 1 {
+		return fmt.Errorf("fault: link rule %s has AlphaScale %v below 1: a link rule only degrades", n, r.AlphaScale)
 	}
 	if r.ChannelCap < 0 {
 		return fmt.Errorf("fault: link rule %s has a negative ChannelCap (%d)", n, r.ChannelCap)

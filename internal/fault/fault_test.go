@@ -297,13 +297,29 @@ func TestRuleValidation(t *testing.T) {
 		t.Errorf("valid rule rejected: %v", err)
 	}
 
-	if err := CheckLinkRule(LinkRule{Name: "lw", BWScale: 0.5, From: 10, Until: 5}); err == nil ||
-		!strings.Contains(err.Error(), "inverted time window") {
-		t.Errorf("inverted link window: CheckLinkRule = %v", err)
+	linkCases := []struct {
+		name string
+		rule LinkRule
+		want string
+	}{
+		{"inverted link window", LinkRule{Name: "lw", BWScale: 0.5, From: 10, Until: 5}, "inverted time window"},
+		{"no-effect link rule", LinkRule{Name: "ln"}, "degrades nothing"},
+		{"bandwidth gain", LinkRule{Name: "lb", BWScale: 1.5}, "BWScale 1.5 outside (0, 1]"},
+		{"negative alpha", LinkRule{Name: "ln", AlphaScale: -1}, "negative AlphaScale"},
+		// A faster α would also undercut the sharded engine's lookahead,
+		// the unscaled inter-node α, and a cross-shard hop would land in
+		// the receiving shard's past.
+		{"alpha speed-up", LinkRule{Name: "la", Link: "inter", From: 30 * time.Microsecond, Until: 70 * time.Microsecond, AlphaScale: 0.5},
+			"AlphaScale 0.5 below 1"},
 	}
-	if err := CheckLinkRule(LinkRule{Name: "ln"}); err == nil ||
-		!strings.Contains(err.Error(), "degrades nothing") {
-		t.Errorf("no-effect link rule: CheckLinkRule = %v", err)
+	for _, tc := range linkCases {
+		err := CheckLinkRule(tc.rule)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckLinkRule = %v; want error containing %q", tc.name, err, tc.want)
+		}
+	}
+	if err := CheckLinkRule(LinkRule{Name: "ok", AlphaScale: 1, BWScale: 1}); err != nil {
+		t.Errorf("valid link rule rejected: %v", err)
 	}
 
 	defer func() {

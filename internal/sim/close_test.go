@@ -148,7 +148,7 @@ func TestShardedCloseUnwindsEveryShard(t *testing.T) {
 		if k := s.Kernel(i); len(k.procs) != 0 || len(k.queue) != 0 || k.fifo.n != 0 {
 			t.Fatalf("shard %d keeps %d procs and %d events", i, len(k.procs), len(k.queue)+k.fifo.n)
 		}
-		if s.outbox[i] != nil || s.free[i] != nil {
+		if s.lanes[i].outbox != nil || s.lanes[i].free != nil {
 			t.Fatalf("shard %d keeps its outbox or delivery free list", i)
 		}
 	}

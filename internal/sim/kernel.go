@@ -18,8 +18,9 @@
 // nonblocking collectives, CCL asynchronous sends, plan lanes, leader
 // engines and group sends — runs on resident workers from a Pool, at the
 // virtual time of a process spawned per job. A call that only does
-// bookkeeping at its wake-ups (an MPI send or receive, Sendrecv, a fabric
-// transfer) is written once, as a Machine whose Advance returns its next
+// bookkeeping at its wake-ups (an MPI send or receive, Sendrecv, an MPI
+// collective's program, a fabric transfer, a whole rank of the sharded
+// scale model) is written once, as a Machine whose Advance returns its next
 // Wait, and one of two runners drives it: a process (Proc.Drive), which
 // advances the machine in the kernel, in the slot of each of its own
 // wake-ups, and is switched to once, when the call returns; or kernel

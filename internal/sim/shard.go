@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // Sharded is a partitioned discrete-event engine: N plain Kernels, each with
@@ -61,15 +62,8 @@ type Sharded struct {
 	shards    []*Kernel
 	lookahead Time
 
-	// outbox[i] holds injections issued by shard i during the current
-	// window. Written only by what runs on shard i, drained only by the
-	// coordinator between windows (the WaitGroup barrier orders the two).
-	outbox [][]injection
-	injSeq []uint64
-
-	// free[j] holds shard j's idle delivery slots. flush pops them and
-	// shard j's deliveries push them back (see "Cross-shard messages").
-	free [][]*delivery
+	// lanes[i] is shard i's message state (see lane).
+	lanes []lane
 
 	// Per-window scratch, reused across windows: the merged injections
 	// (flush) and the shards with work below the horizon (Run).
@@ -77,6 +71,27 @@ type Sharded struct {
 	active []*Kernel
 
 	running bool
+}
+
+// lane is one shard's message state. Shards that inject at once write
+// their own lanes, so each lane is padded to a multiple of 128 bytes (two
+// cache lines, which some CPUs fetch as a pair, as sync.Pool pads its
+// per-P pools) and no two shards' lanes share a line.
+type lane struct {
+	laneState
+	_ [128 - unsafe.Sizeof(laneState{})%128]byte
+}
+
+type laneState struct {
+	// outbox holds the injections the shard issued during the current
+	// window, seq their count so far. Written only by what runs on the
+	// shard, drained only by the coordinator between windows (the
+	// WaitGroup barrier orders the two).
+	outbox []injection
+	seq    uint64
+	// free holds the shard's idle delivery slots. flush pops them and the
+	// shard's deliveries push them back (see "Cross-shard messages").
+	free []*delivery
 }
 
 // Receiver consumes cross-shard messages on their destination shard.
@@ -122,7 +137,7 @@ func (d *delivery) deliver() {
 // delivery slot from that shard's free list. Only the coordinator calls
 // it: during flush, or before Run and after it returns.
 func (s *Sharded) schedule(to int, at Time, r Receiver, a, b uint64) {
-	free := &s.free[to]
+	free := &s.lanes[to].free
 	var d *delivery
 	if n := len(*free); n > 0 {
 		d = (*free)[n-1]
@@ -143,12 +158,7 @@ func NewSharded(n int, lookahead Time) *Sharded {
 	if n < 1 {
 		panic("sim: NewSharded needs at least one shard")
 	}
-	s := &Sharded{
-		lookahead: lookahead,
-		outbox:    make([][]injection, n),
-		injSeq:    make([]uint64, n),
-		free:      make([][]*delivery, n),
-	}
+	s := &Sharded{lookahead: lookahead, lanes: make([]lane, n)}
 	for i := 0; i < n; i++ {
 		s.shards = append(s.shards, NewKernel())
 	}
@@ -199,8 +209,9 @@ func (s *Sharded) Inject(from, to int, at Time, r Receiver, a, b uint64) {
 	if at < now {
 		panic(fmt.Sprintf("sim: Inject at t=%v is in the sender's past (now %v)", at, now))
 	}
-	s.outbox[from] = append(s.outbox[from], injection{at: at, from: from, seq: s.injSeq[from], to: to, r: r, a: a, b: b})
-	s.injSeq[from]++
+	l := &s.lanes[from]
+	l.outbox = append(l.outbox, injection{at: at, from: from, seq: l.seq, to: to, r: r, a: a, b: b})
+	l.seq++
 }
 
 // minNext returns the earliest pending event time across all shards.
@@ -222,10 +233,11 @@ func (s *Sharded) minNext() (Time, bool) {
 // capacity keeps no receiver alive.
 func (s *Sharded) flush() {
 	batch := s.batch[:0]
-	for i, out := range s.outbox {
-		batch = append(batch, out...)
-		clear(out)
-		s.outbox[i] = out[:0]
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		batch = append(batch, l.outbox...)
+		clear(l.outbox)
+		l.outbox = l.outbox[:0]
 	}
 	slices.SortFunc(batch, func(x, y injection) int {
 		if c := cmp.Compare(x.at, y.at); c != 0 {
@@ -286,7 +298,7 @@ func (s *Sharded) Close() {
 	}
 	for i, k := range s.shards {
 		k.dropEvents()
-		s.outbox[i], s.free[i] = nil, nil
+		s.lanes[i].outbox, s.lanes[i].free = nil, nil
 	}
 }
 
