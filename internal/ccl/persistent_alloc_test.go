@@ -141,16 +141,37 @@ func oneShotWave(c *Comm, s *device.Stream, call func() error) func(p *sim.Proc)
 // completion event and the closures binding the call (the wave body, the
 // schedule, and for the compiled plan the plan executor).
 // The schedule itself — segments, pipes, op state, helper jobs, the
-// hierarchical engine — allocates nothing.
+// hierarchical engine — allocates nothing but the scratch buffers of
+// Reduce and reduce-scatter (two objects each).
 func TestOneShotSteadyStateAllocs(t *testing.T) {
-	allreduce := func(count int) func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error) {
+	// oneShot builds a rank's wave of the call that bind returns over
+	// count elements (a gather's or scatter's block).
+	type binder func(c *Comm, count int, s *device.Stream) func() error
+	oneShot := func(count int, bind binder) func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error) {
 		return func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error) {
-			send := c.Device().MustMalloc(int64(count) * 4)
-			recv := c.Device().MustMalloc(int64(count) * 4)
-			return oneShotWave(c, s, func() error {
-				return c.AllReduce(send, recv, count, Float32, Sum, s)
-			}), nil
+			return oneShotWave(c, s, bind(c, count, s)), nil
 		}
+	}
+	floats := func(c *Comm, n int) *device.Buffer { return c.Device().MustMalloc(int64(n) * 4) }
+	allreduce := func(c *Comm, count int, s *device.Stream) func() error {
+		send, recv := floats(c, count), floats(c, count)
+		return func() error { return c.AllReduce(send, recv, count, Float32, Sum, s) }
+	}
+	reduce := func(c *Comm, count int, s *device.Stream) func() error {
+		send, recv := floats(c, count), floats(c, count)
+		return func() error { return c.Reduce(send, recv, count, Float32, Sum, 3, s) }
+	}
+	broadcast := func(c *Comm, count int, s *device.Stream) func() error {
+		send, recv := floats(c, count), floats(c, count)
+		return func() error { return c.Broadcast(send, recv, count, Float32, 3, s) }
+	}
+	allgather := func(c *Comm, count int, s *device.Stream) func() error {
+		send, recv := floats(c, count), floats(c, count*c.Size())
+		return func() error { return c.AllGather(send, recv, count, Float32, s) }
+	}
+	reducescatter := func(c *Comm, count int, s *device.Stream) func() error {
+		send, recv := floats(c, count*c.Size()), floats(c, count)
+		return func() error { return c.ReduceScatter(send, recv, count, Float32, Sum, s) }
 	}
 	for _, tc := range []struct {
 		name          string
@@ -159,9 +180,15 @@ func TestOneShotSteadyStateAllocs(t *testing.T) {
 		perRank       uint64
 		setup         func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error)
 	}{
-		{"tree", 1, 4, AlgoTree, 5, allreduce(1024)},
-		{"flat-ring", 1, 4, AlgoFlatRing, 5, allreduce(256 << 10 / 4)},
-		{"hierarchical", 2, 16, AlgoHierarchical, 5, allreduce(256 << 10 / 4)},
+		{"tree", 1, 4, AlgoTree, 5, oneShot(1024, allreduce)},
+		{"flat-ring", 1, 4, AlgoFlatRing, 5, oneShot(256<<10/4, allreduce)},
+		{"hierarchical", 2, 16, AlgoHierarchical, 5, oneShot(256<<10/4, allreduce)},
+		{"reduce", 1, 4, AlgoAuto, 7, oneShot(1024, reduce)},
+		{"broadcast", 1, 4, AlgoAuto, 5, oneShot(1024, broadcast)},
+		{"flat-allgather", 1, 4, AlgoAuto, 5, oneShot(16<<10/4, allgather)},
+		{"hierarchical-allgather", 2, 16, AlgoHierarchical, 5, oneShot(16<<10/4, allgather)},
+		{"flat-reducescatter", 1, 4, AlgoAuto, 7, oneShot(16<<10/4, reducescatter)},
+		{"hierarchical-reducescatter", 2, 16, AlgoHierarchical, 7, oneShot(16<<10/4, reducescatter)},
 		{"compiled-alltoall", 1, 4, AlgoAuto, 5, func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error) {
 			const blk = 4 << 10 // elements per block
 			send := c.Device().MustMalloc(4 * blk * 4)

@@ -1,6 +1,8 @@
 package ccl_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"time"
@@ -258,20 +260,17 @@ func TestPersistentRingPlacementExact(t *testing.T) {
 // asynchronous sends may change what the model charges, on the first call
 // or on the calls that reuse what the first one set up. bytes is the
 // per-rank payload (the recv block of a reduce-scatter); the zero-byte rows
-// pin the empty calls, which still send one zero-byte step per tree edge.
-// Broadcast rows use root bcastRoot: not rank 0, and not a node leader on
-// these shapes, so the hierarchical row substitutes the root for its
-// node's leader.
+// pin the empty calls, which still send one zero-byte step per tree edge
+// or ring step. Broadcast and reduce rows use root 3: not rank 0, and not
+// a node leader on these shapes, so the hierarchical row substitutes the
+// root for its node's leader. The one-rank rows use root 0.
 func TestRingScheduleVirtualTime(t *testing.T) {
-	const (
-		ns        = time.Nanosecond
-		bcastRoot = 3
-	)
+	const ns = time.Nanosecond
 	cases := []struct {
 		name    string
 		shape   ringShape
 		algo    ccl.Algorithm
-		coll    string // allreduce | allgather | reducescatter | broadcast
+		coll    string // allreduce | allgather | reducescatter | broadcast | reduce
 		persist bool   // a persistent allreduce handle's waves instead of one-shot calls
 		parts   int    // partitions of a persistent allreduce
 		bytes   int64
@@ -315,10 +314,29 @@ func TestRingScheduleVirtualTime(t *testing.T) {
 			[3]time.Duration{42400 * ns, 84800 * ns, 127200 * ns}},
 		{"zero-broadcast", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "broadcast", false, 1, 0,
 			[3]time.Duration{34100 * ns, 68200 * ns, 102300 * ns}},
+		{"tree-reduce", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "reduce", false, 1, 1 << 20,
+			[3]time.Duration{188822 * ns, 377644 * ns, 566466 * ns}},
+		{"tree-reduce-mri", ringShape{"mri", 5, rccl.New}, ccl.AlgoAuto, "reduce", false, 1, 64<<10 + 12,
+			[3]time.Duration{55329 * ns, 110658 * ns, 165987 * ns}},
+		{"ring-reducescatter-mri", ringShape{"mri", 5, rccl.New}, ccl.AlgoAuto, "reducescatter", false, 1, 32<<10 + 12,
+			[3]time.Duration{66871 * ns, 133742 * ns, 200613 * ns}},
+		{"zero-allgather", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "allgather", false, 1, 0,
+			[3]time.Duration{60700 * ns, 121400 * ns, 182100 * ns}},
+		{"zero-reducescatter", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "reducescatter", false, 1, 0,
+			[3]time.Duration{60700 * ns, 121400 * ns, 182100 * ns}},
+		{"zero-reduce", ringShape{"thetagpu", 12, nccl.New}, ccl.AlgoAuto, "reduce", false, 1, 0,
+			[3]time.Duration{30400 * ns, 60800 * ns, 91200 * ns}},
+		{"one-rank-reduce", ringShape{"thetagpu", 1, nccl.New}, ccl.AlgoAuto, "reduce", false, 1, 64 << 10,
+			[3]time.Duration{20092 * ns, 40184 * ns, 60276 * ns}},
+		{"one-rank-allgather", ringShape{"thetagpu", 1, nccl.New}, ccl.AlgoAuto, "allgather", false, 1, 64 << 10,
+			[3]time.Duration{20046 * ns, 40092 * ns, 60138 * ns}},
+		{"one-rank-reducescatter", ringShape{"thetagpu", 1, nccl.New}, ccl.AlgoAuto, "reducescatter", false, 1, 64 << 10,
+			[3]time.Duration{20092 * ns, 40184 * ns, 60276 * ns}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.shape.n
+			root := min(3, n-1)
 			count := int(tc.bytes / 4)
 			h := newHarness(t, tc.shape.system, n, tc.shape.mk)
 			var got [3]time.Duration // latest rank's completion per call
@@ -361,7 +379,9 @@ func TestRingScheduleVirtualTime(t *testing.T) {
 					case "reducescatter":
 						err = c.ReduceScatter(send, recv, count, ccl.Float32, ccl.Sum, s)
 					case "broadcast":
-						err = c.Broadcast(send, recv, count, ccl.Float32, bcastRoot, s)
+						err = c.Broadcast(send, recv, count, ccl.Float32, root, s)
+					case "reduce":
+						err = c.Reduce(send, recv, count, ccl.Float32, ccl.Sum, root, s)
 					default:
 						err = c.AllReduce(send, recv, count, ccl.Float32, ccl.Sum, s)
 					}
@@ -380,6 +400,148 @@ func TestRingScheduleVirtualTime(t *testing.T) {
 				t.Errorf("modeled completion times %v (%d, %d, %d ns), want %v",
 					got, int64(got[0]), int64(got[1]), int64(got[2]), tc.want)
 			}
+		})
+	}
+}
+
+// flatVal is rank r's float32 input element i of op j: a quotient with no
+// exact binary form, so any change in the order or association of a
+// reduction changes the sum's bits.
+func flatVal(r, i, j int) float32 {
+	return float32(ringVal(r, i, j)) / float32(3+(r+i)%7)
+}
+
+// TestFlatScheduleResultBytes pins a SHA-256 of the result bytes of the
+// flat Reduce (root 3, the root's recv), allgather and reduce-scatter
+// (every rank's recv, in rank order) on a faithful fabric and with
+// integrity on, which runs every hop by hop. The float inputs are not exact
+// under reassociation, so a schedule that reduces in another operand order
+// fails the hash, as one whose bytes differ between the regimes does.
+func TestFlatScheduleResultBytes(t *testing.T) {
+	const (
+		root        = 3
+		reduceCount = 1003
+		block       = 257
+	)
+	want := map[string]map[string]string{
+		"thetagpu/12": {
+			"reduce":        "4b17f83ed35ea89c20588bfd7bde07eb59c3d14c880c3a9396dae63c903e7daf",
+			"allgather":     "9f58b90aef6f96ad480d0cb2cbacc4774ed7d249bcea5c6b9dc444b7605e998a",
+			"reducescatter": "9fe027844de96bd1ceb8f73e73f4f2dd83ea31ab58cf878286238820cf414f9c",
+		},
+		"mri/5": {
+			"reduce":        "8e561438160cb0862acfd493c14d9949d25dcff4cf2dd9720fcefe6234d23a9f",
+			"allgather":     "1124f1ffa71b7de42365f3a7cdd2b76807fb449ecee2522d54956f521126aee1",
+			"reducescatter": "395ff2d3185ba8f8bb01aa0542fc19ed6e00a6765fb7ffb628e0610a3397d8db",
+		},
+	}
+	for _, sh := range []ringShape{{"thetagpu", 12, nccl.New}, {"mri", 5, rccl.New}} {
+		for _, integrity := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/integrity=%v", sh, integrity), func(t *testing.T) {
+				n := sh.n
+				h := newHarness(t, sh.system, n, sh.mk)
+				if integrity {
+					h.fab.SetIntegrity(fabric.Integrity{Enabled: true, MaxRetries: 2})
+				}
+				outs := map[string][]*device.Buffer{}
+				for coll := range want[sh.String()] {
+					outs[coll] = make([]*device.Buffer, n)
+				}
+				h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
+					fill := func(count, j int) *device.Buffer {
+						b := c.Device().MustMalloc(int64(count) * 4)
+						for i := 0; i < count; i++ {
+							b.SetFloat32(i, flatVal(r, i, j))
+						}
+						return b
+					}
+					red := c.Device().MustMalloc(reduceCount * 4)
+					all := c.Device().MustMalloc(int64(n*block) * 4)
+					rs := c.Device().MustMalloc(block * 4)
+					for _, err := range []error{
+						c.Reduce(fill(reduceCount, 0), red, reduceCount, ccl.Float32, ccl.Sum, root, s),
+						c.AllGather(fill(block, 1), all, block, ccl.Float32, s),
+						c.ReduceScatter(fill(n*block, 2), rs, block, ccl.Float32, ccl.Sum, s),
+					} {
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					s.Synchronize(p)
+					if r == root {
+						outs["reduce"][0] = red
+					}
+					outs["allgather"][r], outs["reducescatter"][r] = all, rs
+				})
+				for coll, bufs := range outs {
+					sum := sha256.New()
+					for _, b := range bufs {
+						if b != nil {
+							sum.Write(b.Bytes())
+						}
+					}
+					if got := hex.EncodeToString(sum.Sum(nil)); got != want[sh.String()][coll] {
+						t.Errorf("%s result sha256 %s, want %s", coll, got, want[sh.String()][coll])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestInputReuseAfterSync pins why the flat Reduce and reduce-scatter move
+// their bytes hop by hop on a faithful fabric too: a non-root rank of a
+// Reduce, and any rank of a reduce-scatter, may end its call before a peer
+// has reduced its input, and here each overwrites its send buffer as soon
+// as its stream synchronizes, then calls again. An owner pass that read
+// send after its rank's call ended would reduce the overwritten values.
+func TestInputReuseAfterSync(t *testing.T) {
+	const (
+		root  = 3
+		count = 1000
+		calls = 3
+	)
+	for _, sh := range []ringShape{{"thetagpu", 12, nccl.New}, {"mri", 5, rccl.New}} {
+		t.Run(sh.String(), func(t *testing.T) {
+			n := sh.n
+			h := newHarness(t, sh.system, n, sh.mk)
+			h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
+				send := c.Device().MustMalloc(int64(n*count) * 4)
+				red := c.Device().MustMalloc(count * 4)
+				rs := c.Device().MustMalloc(count * 4)
+				for j := 0; j < calls; j++ {
+					for i := 0; i < n*count; i++ {
+						send.SetInt32(i, ringVal(r, i, j))
+					}
+					if err := c.Reduce(send, red, count, ccl.Int32, ccl.Sum, root, s); err != nil {
+						t.Error(err)
+						return
+					}
+					s.Synchronize(p)
+					for i := 0; i < n*count; i++ {
+						send.SetInt32(i, ringVal(r, i, j+calls))
+					}
+					if err := c.ReduceScatter(send, rs, count, ccl.Int32, ccl.Sum, s); err != nil {
+						t.Error(err)
+						return
+					}
+					s.Synchronize(p)
+					for i := 0; i < n*count; i++ {
+						send.SetInt32(i, -1)
+					}
+					for i := 0; i < count; i++ {
+						if got, want := rs.Int32(i), ringSum(n, r*count+i, j+calls); got != want {
+							t.Errorf("call %d rank %d reducescatter elem %d = %d, want %d", j, r, i, got, want)
+							return
+						}
+						if got, want := red.Int32(i), ringSum(n, i, j); r == root && got != want {
+							t.Errorf("call %d reduce elem %d = %d, want %d", j, i, got, want)
+							return
+						}
+					}
+				}
+			})
 		})
 	}
 }
