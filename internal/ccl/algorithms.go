@@ -206,7 +206,31 @@ func (c *Comm) Reduce(send, recv *device.Buffer, count int, dt Datatype, op RedO
 	bytes := int64(count) * int64(dt.Size())
 	a := c.core.newArgs(send, recv, count, root)
 	c.enqueueColl(s, "reduce", a, bytes, func(rc *runCtx) {
-		rc.treeReduce(dt, op, count, root)
+		a, n := rc.st.args[rc.rank], rc.co.n
+		esz := int64(dt.Size())
+		bytes := int64(count) * esz
+		rel := (rc.rank - root + n) % n
+		// The root reduces into recv. An inner rank (its first child is
+		// rel+1) reduces into scratch, since its recv is not significant;
+		// a leaf puts straight from send.
+		acc := a.recv
+		if rel != 0 && rel%2 == 0 && rel+1 < n {
+			acc = rc.dev().MustMallocScratch(bytes)
+			defer acc.Free()
+		}
+		// The modeled schedule copies every rank's input into an
+		// accumulator and the root's result into recv. The tree reads send
+		// in place and reduces into recv, so only a one-rank Reduce, which
+		// reduces nothing, makes its copy, but every copy is charged.
+		cp := rc.dev().CopyTime(bytes)
+		rc.p.Sleep(cp)
+		rc.treeReduceOver(rc.co.ranks[root:root+n], rel, dt, op, acc, comp.SendBuf, 0, count, max(bytes, esz), false)
+		if rel == 0 {
+			if n == 1 {
+				copy(a.recv.Bytes()[:bytes], a.send.Bytes()[:bytes])
+			}
+			rc.p.Sleep(cp)
+		}
 	})
 	return nil
 }
@@ -214,13 +238,12 @@ func (c *Comm) Reduce(send, recv *device.Buffer, count int, dt Datatype, op RedO
 // AllGather concatenates each rank's count-element send buffer into every
 // rank's recv buffer (size count×n), in rank order.
 func (c *Comm) AllGather(send, recv *device.Buffer, count int, dt Datatype, s *device.Stream) error {
-	if err := c.validate("allgather", send, nil, count, dt, nil, 0); err != nil {
+	if err := c.validate("allgather", send, recv, count, dt, nil, 0); err != nil {
 		return err
 	}
 	bytes := int64(count) * int64(dt.Size())
-	if recv == nil || recv.Len() < bytes*int64(c.core.n) {
-		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Op: "allgather", Rank: c.rank,
-			Msg: "recv buffer missing or too small"}
+	if recv.Len() < bytes*int64(c.core.n) {
+		return c.invalidArg("allgather", "recv buffer too small")
 	}
 	a := c.core.newArgs(send, recv, count, 0)
 	_, run := c.allgatherSchedule(count, dt)
@@ -230,34 +253,46 @@ func (c *Comm) AllGather(send, recv *device.Buffer, count int, dt Datatype, s *d
 
 // allgatherSchedule chooses allgather's schedule family and returns it
 // with the rank body: the hierarchical leader ring when forced (and the
-// shape has a node hierarchy), else the block ring, allgather's flat
-// schedule.
+// shape has a node hierarchy), else allgather's flat schedule, the ring's
+// allgather half over all ranks with rank r's block as segment r. Its hops
+// are placed, so the pipes' slots stay empty and are sized at one byte.
 func (c *Comm) allgatherSchedule(count int, dt Datatype) (Algorithm, func(rc *runCtx)) {
 	if algo, chunk := c.resolveAlgo(count); algo == AlgoHierarchical {
 		return algo, func(rc *runCtx) { rc.hierAllGather(dt, count, chunk) }
 	}
-	return AlgoFlatRing, func(rc *runCtx) { rc.ringAllGather(dt, count) }
+	return AlgoFlatRing, func(rc *runCtx) {
+		a, blk := rc.st.args[rc.rank], int64(count)*int64(dt.Size())
+		rc.copyView(a.recv.View(int64(rc.rank)*blk, blk), a.send.View(0, blk))
+		rc.ringAllGatherOver(rc.co.ranks, rc.rank, dt, 0, count*rc.co.n, false, 1)
+	}
 }
 
 // ReduceScatter reduces count×n elements with op and leaves rank r's
 // count-element block in its recv buffer.
 func (c *Comm) ReduceScatter(send, recv *device.Buffer, recvCount int, dt Datatype, op RedOp, s *device.Stream) error {
-	if err := c.validate("reducescatter", nil, recv, recvCount, dt, &op, 0); err != nil {
+	if err := c.validate("reducescatter", send, recv, recvCount, dt, &op, 0); err != nil {
 		return err
 	}
 	bytes := int64(recvCount) * int64(dt.Size())
-	if send == nil || send.Len() < bytes*int64(c.core.n) {
-		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Op: "reducescatter", Rank: c.rank,
-			Msg: "send buffer missing or too small"}
+	if send.Len() < bytes*int64(c.core.n) {
+		return c.invalidArg("reducescatter", "send buffer too small")
 	}
 	a := c.core.newArgs(send, recv, recvCount, 0)
 	algo, chunk := c.resolveAlgo(recvCount)
 	c.enqueueColl(s, "reducescatter", a, bytes, func(rc *runCtx) {
-		if algo == AlgoHierarchical && rc.co.n > 1 {
+		if algo == AlgoHierarchical {
 			rc.hierReduceScatter(dt, op, recvCount, chunk)
 			return
 		}
-		rc.ringReduceScatter(dt, op, recvCount)
+		// The flat schedule: the ring's reduce-scatter half over all ranks
+		// on a scratch copy of send, hop by hop (see ringReduceScatterOver).
+		a, n := rc.st.args[rc.rank], rc.co.n
+		blk := int64(recvCount) * int64(dt.Size())
+		work := rc.dev().MustMallocScratch(blk * int64(n)) // fully written by the copy below
+		defer work.Free()
+		rc.localCopy(work, a.send, blk*int64(n))
+		rc.ringReduceScatterOver(rc.co.ranks, nil, rc.rank, dt, op, work, 0, recvCount*n, false)
+		rc.copyView(a.recv.View(0, blk), work.View(int64(rc.rank)*blk, blk))
 	})
 	return nil
 }
@@ -301,30 +336,44 @@ func segment(count, m, s int) (lo, n int) {
 	return lo, n
 }
 
-// ringAllReduce stages the input into recv and runs the ring over all
-// ranks. Flat rings run only with count ≥ n (fewer elements run the tree),
-// so no segment is empty.
+// ringAllReduce stages the input into recv and runs both halves of the
+// ring over all ranks, in place in recv. Flat rings run only with
+// count ≥ n (fewer elements run the tree), so no segment is empty.
 func (rc *runCtx) ringAllReduce(dt Datatype, op RedOp, count int) {
 	a := rc.st.args[rc.rank]
 	rc.localCopy(a.recv, a.send, int64(count)*int64(dt.Size()))
-	rc.ringAllReduceOver(rc.co.ranks, nil, rc.rank, dt, op, 0, count)
+	slot := rc.ringReduceScatterOver(rc.co.ranks, nil, rc.rank, dt, op, a.recv, 0, count, true)
+	rc.ringAllGatherOver(rc.co.ranks, rc.rank, dt, 0, count, rc.st.faithful, slot)
 }
 
-// ringAllReduceOver runs a ring allreduce (reduce-scatter, then allgather)
-// over the rank group, in place over count elements at byte offset base of
-// each member's recv buffer; idx is this rank's position in group. The
-// flat ring runs it over all ranks, the hierarchical leader engine over
-// the node leaders, one pipeline chunk at a time. A chunk shorter than the
-// group leaves some segments empty; their steps move nothing. extra lists
-// ranks outside the group whose recv buffers get the result too, on a
-// faithful op only: nil for the flat ring, the non-leaders for the
-// hierarchical engine (see hierAllReduce).
+// ringSeg returns the byte offset and length of segment s when count
+// elements at byte offset base split into m ring segments (see segment).
+func ringSeg(base int64, count, m, s int, esz int64) (int64, int64) {
+	lo, n := segment(count, m, s)
+	return base + int64(lo)*esz, int64(n) * esz
+}
+
+// ringReduceScatterOver is the reduce-scatter half of the group ring: count
+// elements at byte offset base of this rank's working buffer buf (recv for
+// an allreduce, the reduce-scatter's work scratch) split into one segment
+// per member, and after m-1 steps member idx holds segment idx reduced; idx
+// is this rank's position in group. The flat allreduce and reduce-scatter
+// run it over all ranks, the hierarchical leader engine over the node
+// leaders, one pipeline chunk at a time. An empty call still sends every
+// step, zero bytes each; an empty segment of a non-empty call (a chunk
+// shorter than the group) moves nothing. It returns its pipe slot size,
+// one segment or one element, which an allreduce's allgather half reuses.
 //
-// Every hop keeps its credit, data signal, StepCost, wire time, ReduceTime
-// and unpack CopyTime, so the schedule's virtual time is the same in both
+// owner allows the owner-computes pass. Only an allreduce sets it: its
+// working buffer is every member's recv, and its allgather half keeps
+// every member's call open until the pass is done. extra lists ranks
+// outside the group whose recv buffers get the result too: nil for the
+// flat ring, the non-leaders for the hierarchical engine (see
+// hierAllReduce). Every hop keeps its credit, data signal, StepCost, wire
+// time and ReduceTime, so the schedule's virtual time is the same in both
 // byte regimes of the op (opState.faithful):
-//   - Faithful: owner computes. The hops are priced and move no bytes. At
-//     its last reduce-scatter step, the owner of segment k reduces
+//   - Faithful, with owner set: owner computes. The hops are priced and
+//     move no bytes. At its last step, the owner of segment k reduces
 //     x_k ⊕ (x_{k−1} ⊕ (… ⊕ x_{k+1})) straight from every member's recv
 //     segment and writes the result into all of them and into every extra
 //     rank's (ownerReduce), the association and operand order of the
@@ -334,49 +383,43 @@ func (rc *runCtx) ringAllReduce(dt Datatype, op RedOp, count int) {
 //     step. Nothing else writes segment k during the op: no hop moves
 //     bytes, and only its owner reduces it. And no member reads it before
 //     the value is there: a member's call ends only after its allgather
-//     received segment k, which follows the owner's pass, and nothing
+//     half received segment k, which follows the owner's pass, and nothing
 //     reads a member's segment sooner. An extra rank's segment is written
 //     after its own input was consumed and read only after its call's end,
 //     under the conditions its caller states. An op already aborted (a
 //     severed hop, whose result is void) skips the pass.
-//   - Unfaithful (a corrupter attached or integrity on): hop by hop, since
-//     corruption and CRC retries need real payloads. Reduce-scatter puts
-//     stage each partial in the receiver's slot, and the allgather places
-//     each reduced segment straight at its final offset in the right
-//     member's recv buffer (see getPlaced).
-func (rc *runCtx) ringAllReduceOver(group, extra []int, idx int, dt Datatype, op RedOp, base int64, count int) {
+//   - Otherwise hop by hop, staged: each partial lands in the receiver's
+//     slot. Unfaithful ops need real payloads for corruption and CRC
+//     retries, and a reduce-scatter's member ends its call after its own
+//     last step, while a peer may still reduce, and returns its work
+//     scratch to the pool.
+func (rc *runCtx) ringReduceScatterOver(group, extra []int, idx int, dt Datatype, op RedOp,
+	buf *device.Buffer, base int64, count int, owner bool) int64 {
 	m := len(group)
 	right := group[(idx+1)%m]
 	left := group[(idx-1+m)%m]
 	esz := int64(dt.Size())
-	recv, rrecv := rc.st.args[rc.rank].recv, rc.st.args[right].recv
-	fused := rc.st.faithful
+	fused := owner && rc.st.faithful
 	_, n0 := segment(count, m, 0)
 	slotBytes := max(int64(n0)*esz, esz)
-	seg := func(s int) (int64, int64) {
-		lo, n := segment(count, m, s)
-		return base + int64(lo)*esz, int64(n) * esz
-	}
-	// Hop by hop, reduce-scatter stages each partial and the allgather
-	// places each reduced segment; when the owners move the bytes, every
-	// hop is priced.
-	rsHop, agHop := staged, placed
+	hop := staged
 	if fused {
-		rsHop, agHop = priced, priced
+		hop = priced
 	}
-	// Reduce-scatter: after m-1 steps member idx owns segment idx reduced.
 	for step := 0; step < m-1; step++ {
-		so, sl := seg((idx - step - 1 + 2*m) % m)
-		ro, rl := seg((idx - step - 2 + 2*m) % m)
+		so, sl := ringSeg(base, count, m, (idx-step-1+2*m)%m, esz)
+		ro, rl := ringSeg(base, count, m, (idx-step-2+2*m)%m, esz)
 		var sent *sim.Counter
-		if sl > 0 {
-			sent = rc.putAsync(right, rsHop, device.View{}, recv.View(so, sl), sl, slotBytes)
+		if sl > 0 || count == 0 {
+			sent = rc.putAsync(right, hop, device.View{}, buf.View(so, sl), sl, slotBytes)
 		}
-		if rl > 0 {
-			slot, buf := rc.get(left, slotBytes)
+		if rl > 0 || count == 0 {
+			slot, s := rc.get(left, slotBytes)
 			switch {
+			case count == 0:
+				// Nothing to reduce (see treeReduceOver).
 			case !fused:
-				rc.reduceInto(op, dt, recv.View(ro, rl), buf, int(rl/esz))
+				rc.reduceInto(op, dt, buf.View(ro, rl), s, int(rl/esz))
 			case step == m-2 && !rc.st.aborted:
 				rc.ownerReduce(group, extra, idx, dt, op, ro, rl)
 				fallthrough
@@ -389,15 +432,35 @@ func (rc *runCtx) ringAllReduceOver(group, extra []int, idx int, dt Datatype, op
 			sent.Wait(rc.p)
 		}
 	}
-	// Allgather: forward the reduced segments around the same ring.
+	return slotBytes
+}
+
+// ringAllGatherOver is the allgather half of the group ring: it forwards
+// each member's segment of count elements at byte offset base (split as in
+// ringReduceScatterOver) around the ring until every member's recv holds
+// all of them; idx is this rank's position in group. Each hop places the
+// segment at its final offset in the right neighbor's recv (see getPlaced)
+// through pipes of slotBytes slots, or, when owned, moves nothing: an
+// allreduce's owner pass already wrote every member's segment. The empty
+// rule is the reduce-scatter half's.
+func (rc *runCtx) ringAllGatherOver(group []int, idx int, dt Datatype, base int64, count int, owned bool, slotBytes int64) {
+	m := len(group)
+	right := group[(idx+1)%m]
+	left := group[(idx-1+m)%m]
+	esz := int64(dt.Size())
+	recv, rrecv := rc.st.args[rc.rank].recv, rc.st.args[right].recv
+	hop := placed
+	if owned {
+		hop = priced
+	}
 	for step := 0; step < m-1; step++ {
-		so, sl := seg((idx - step + m) % m)
-		_, rl := seg((idx - step - 1 + 2*m) % m)
+		so, sl := ringSeg(base, count, m, (idx-step+m)%m, esz)
+		_, rl := ringSeg(base, count, m, (idx-step-1+2*m)%m, esz)
 		var sent *sim.Counter
-		if sl > 0 {
-			sent = rc.putAsync(right, agHop, rrecv.View(so, sl), recv.View(so, sl), sl, slotBytes)
+		if sl > 0 || count == 0 {
+			sent = rc.putAsync(right, hop, rrecv.View(so, sl), recv.View(so, sl), sl, slotBytes)
 		}
-		if rl > 0 {
+		if rl > 0 || count == 0 {
 			rc.getPlaced(left, rl, slotBytes)
 		}
 		if sent != nil {
@@ -407,7 +470,7 @@ func (rc *runCtx) ringAllReduceOver(group, extra []int, idx int, dt Datatype, op
 }
 
 // ownerReduce is the owner-computes pass of the group ring (see
-// ringAllReduceOver): member idx, the owner of the segment at byte offset
+// ringReduceScatterOver): member idx, the owner of the segment at byte offset
 // off and length n of every member's recv buffer, reduces it as the hop-by-
 // hop ring would — the partial of member idx+1's input, then each next
 // member's own input on the left of the partial it received — and writes
@@ -459,7 +522,7 @@ func (rc *runCtx) treeAllReduce(dt Datatype, op RedOp, count int) {
 	esz := int64(dt.Size())
 	bytes := int64(count) * esz
 	rc.localCopy(a.recv, a.send, bytes)
-	rc.treeReduceOver(rc.co.ranks, rc.rank, dt, op, a.recv, comp.RecvBuf, 0, count, max(bytes, esz))
+	rc.treeReduceOver(rc.co.ranks, rc.rank, dt, op, a.recv, comp.RecvBuf, 0, count, max(bytes, esz), true)
 	rc.treeBcastOver(rc.co.ranks, rc.rank, 0, 0, bytes, placed)
 }
 
@@ -478,36 +541,40 @@ func (rc *runCtx) treeBroadcast(dt Datatype, count int, root int) {
 // off over the rank group toward group[0], whose result lands in the
 // root's accumulator buf at off; idx is this rank's position in group.
 // Every member's input is its src buffer (comp.SendBuf or comp.RecvBuf of
-// its args) at the same offset. Every hop keeps its credit, data signal,
-// wire time and ReduceTime, so virtual time is the same in both byte
-// regimes of the op (opState.faithful):
-//   - Faithful: owner computes. The hops are priced and move no bytes, and
-//     no member but the root writes anything. At its last child's get the
-//     root reduces every member's input in one pass (fanIn), in the
-//     association and operand order of the hop-by-hop tree, so the bytes
-//     are identical. That is safe for three reasons. Every member's input
-//     is in place before the root's last get: the start rendezvous, or on
-//     a partitioned handle stageChunk, precedes each member's first put,
-//     and every member's put precedes that get. No member's call ends
-//     before the pass, so no caller writes an input under it: a leaf waits
-//     for the broadcast, or for its leader's delivery in reduce-scatter,
-//     and both follow the pass. And no member's accumulator is written, so
-//     whatever the schedule writes next there (the broadcast) is the first
-//     write. An empty or already aborted op skips the pass.
-//   - Unfaithful (a corrupter attached or integrity on): hop by hop, staged,
-//     since corruption and CRC retries need real payloads. A rank's first
-//     reduce is out of place, buf = src ⊕ child (in place when src is
-//     buf), later ones reduce into buf, and a rank sends its partial, or
-//     straight from src when it is a leaf.
+// its args) at the same offset. owner allows the owner-computes pass:
+// every caller sets it but Reduce, whose leaf may end its call right after
+// its put, before the root's last get, and then reuse its send. Every hop
+// keeps its credit, data signal, wire time and ReduceTime, so virtual time
+// is the same in both byte regimes of the op (opState.faithful):
+//   - Faithful, with owner set: owner computes. The hops are priced and
+//     move no bytes, and no member but the root writes anything. At its
+//     last child's get the root reduces every member's input in one pass
+//     (fanIn), in the association and operand order of the hop-by-hop
+//     tree, so the bytes are identical. That is safe for three reasons.
+//     Every member's input is in place before the root's last get: the
+//     start rendezvous, or on a partitioned handle stageChunk, precedes
+//     each member's first put, and every member's put precedes that get.
+//     No member's call ends before the pass, so no caller writes an input
+//     under it: a leaf waits for the broadcast, or for its leader's
+//     delivery in reduce-scatter, and both follow the pass. And no
+//     member's accumulator is written, so whatever the schedule writes
+//     next there (the broadcast) is the first write. An empty or already
+//     aborted op skips the pass.
+//   - Otherwise hop by hop, staged: corruption and CRC retries need real
+//     payloads, and a Reduce leaf's staged put has copied its input by the
+//     time its call ends. A rank's first reduce is out of place, buf =
+//     src ⊕ child (in place when src is buf), later ones reduce into buf,
+//     and a rank sends its partial, or straight from src when it is a
+//     leaf.
 func (rc *runCtx) treeReduceOver(group []int, idx int, dt Datatype, op RedOp,
-	buf *device.Buffer, src comp.BufRole, off int64, count int, slotBytes int64) {
+	buf *device.Buffer, src comp.BufRole, off int64, count int, slotBytes int64, owner bool) {
 	n := len(group)
 	if n <= 1 {
 		return
 	}
 	esz := int64(dt.Size())
 	bytes := int64(count) * esz
-	fused := rc.st.faithful
+	fused := owner && rc.st.faithful
 	hop := staged
 	if fused {
 		hop = priced
@@ -594,96 +661,4 @@ func (rc *runCtx) treeBcastOver(group []int, idx, rootIdx int, off, bytes int64,
 		}
 		mask >>= 1
 	}
-}
-
-// treeReduce is the standalone Reduce: binomial reduction into scratch so
-// non-root send buffers are preserved, landing in root's recv.
-func (rc *runCtx) treeReduce(dt Datatype, op RedOp, count int, root int) {
-	a := rc.st.args[rc.rank]
-	esz := int64(dt.Size())
-	bytes := int64(count) * esz
-	acc := rc.dev().MustMallocScratch(bytes) // fully written by the copy below
-	defer acc.Free()
-	rc.localCopy(acc, a.send, bytes)
-	n := rc.co.n
-	slotBytes := bytes
-	if slotBytes == 0 {
-		slotBytes = esz
-	}
-	rel := (rc.rank - root + n) % n
-	for mask := 1; mask < n; mask <<= 1 {
-		if rel&mask != 0 {
-			parent := ((rel - mask) + root) % n
-			rc.put(parent, acc.Whole(), bytes, slotBytes) // staged: acc is freed on return
-			return
-		}
-		childRel := rel + mask
-		if childRel < n {
-			child := (childRel + root) % n
-			slot, buf := rc.get(child, slotBytes)
-			if count > 0 {
-				rc.reduceInto(op, dt, acc.Whole(), buf, count)
-			}
-			rc.release(child, slot, slotBytes)
-		}
-	}
-	if rc.rank == root {
-		rc.localCopy(a.recv, acc, bytes)
-	}
-}
-
-// ringAllGather: rank r's block lands at offset r·count; blocks travel the
-// ring through credit-managed pipes, placed directly at their final offset
-// (see getPlaced), so the pipes' scratch slots stay empty and are sized at
-// one byte.
-func (rc *runCtx) ringAllGather(dt Datatype, count int) {
-	a := rc.st.args[rc.rank]
-	n := rc.co.n
-	esz := int64(dt.Size())
-	bytes := int64(count) * esz
-	copy(a.recv.Bytes()[int64(rc.rank)*bytes:(int64(rc.rank)+1)*bytes], a.send.Bytes()[:bytes])
-	rc.p.Sleep(rc.dev().CopyTime(bytes))
-	if n == 1 {
-		return
-	}
-	right := (rc.rank + 1) % n
-	left := (rc.rank - 1 + n) % n
-	for step := 0; step < n-1; step++ {
-		off := int64((rc.rank-step+n)%n) * bytes
-		sent := rc.putAsync(right, placed, rc.st.args[right].recv.View(off, bytes), a.recv.View(off, bytes), bytes, 1)
-		rc.getPlaced(left, bytes, 1)
-		sent.Wait(rc.p)
-	}
-}
-
-// ringReduceScatter: the reduce-scatter phase alone; rank r's reduced block
-// is copied into its recv buffer.
-func (rc *runCtx) ringReduceScatter(dt Datatype, op RedOp, recvCount int) {
-	a := rc.st.args[rc.rank]
-	n := rc.co.n
-	esz := int64(dt.Size())
-	blk := int64(recvCount) * esz
-	work := rc.dev().MustMallocScratch(blk * int64(n)) // fully written by the copy below
-	defer work.Free()
-	rc.localCopy(work, a.send, blk*int64(n))
-	if n > 1 {
-		right := (rc.rank + 1) % n
-		left := (rc.rank - 1 + n) % n
-		slotBytes := blk
-		if slotBytes == 0 {
-			slotBytes = esz
-		}
-		for step := 0; step < n-1; step++ {
-			sendSeg := (rc.rank - step - 1 + 2*n) % n
-			recvSeg := (rc.rank - step - 2 + 2*n) % n
-			// Staged: work returns to the pool while the last receiver may
-			// still be reading it.
-			sent := rc.putAsync(right, staged, device.View{}, work.View(int64(sendSeg)*blk, blk), blk, slotBytes)
-			slot, buf := rc.get(left, slotBytes)
-			rc.reduceInto(op, dt, work.View(int64(recvSeg)*blk, blk), buf, recvCount)
-			rc.release(left, slot, slotBytes)
-			sent.Wait(rc.p)
-		}
-	}
-	rc.copyView(a.recv.View(0, blk), work.View(int64(rc.rank)*blk, blk))
 }

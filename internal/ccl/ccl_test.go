@@ -272,9 +272,13 @@ func TestValidationErrors(t *testing.T) {
 }
 
 // TestInvalidArgumentsRejectedAtCall: a negative p2p count, a nil p2p
-// buffer, a nil allgather recv buffer and a nil reduce-scatter send buffer
-// return ErrInvalidArgument at the call, inside a group and outside one,
-// instead of panicking there or later on the stream's process.
+// buffer, and a nil buffer that a collective needs — send and recv on every
+// rank for allreduce (one-shot and persistent), allgather and
+// reduce-scatter, recv on every rank and send at the root for broadcast,
+// send on every rank and recv at the root for Reduce — return
+// ErrInvalidArgument at the call, inside a group and outside one, instead
+// of panicking there or later on the stream's process. Each rooted case
+// runs with every rank as the root, or every rank as a non-root.
 func TestInvalidArgumentsRejectedAtCall(t *testing.T) {
 	k := sim.NewKernel()
 	sys := topology.ThetaGPU(k, 1)
@@ -303,6 +307,44 @@ func TestInvalidArgumentsRejectedAtCall(t *testing.T) {
 		}},
 		{"reducescatter nil send", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
 			return c.ReduceScatter(nil, buf, 4, ccl.Float32, ccl.Sum, s)
+		}},
+		{"allreduce nil send", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.AllReduce(nil, buf, 4, ccl.Float32, ccl.Sum, s)
+		}},
+		{"allreduce nil recv", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.AllReduce(buf, nil, 4, ccl.Float32, ccl.Sum, s)
+		}},
+		{"allreduce init nil send", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			_, err := c.AllReduceInit(nil, buf, 4, ccl.Float32, ccl.Sum, s)
+			return err
+		}},
+		{"allreduce init nil recv", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			_, err := c.AllReduceInit(buf, nil, 4, ccl.Float32, ccl.Sum, s)
+			return err
+		}},
+		{"allgather nil send", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.AllGather(nil, buf, 4, ccl.Float32, s)
+		}},
+		{"reducescatter nil recv", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.ReduceScatter(buf, nil, 4, ccl.Float32, ccl.Sum, s)
+		}},
+		{"broadcast nil recv", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.Broadcast(buf, nil, 4, ccl.Float32, 1-c.Rank(), s)
+		}},
+		{"broadcast root nil recv", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.Broadcast(buf, nil, 4, ccl.Float32, c.Rank(), s)
+		}},
+		{"broadcast root nil send", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.Broadcast(nil, buf, 4, ccl.Float32, c.Rank(), s)
+		}},
+		{"reduce nil send", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.Reduce(nil, buf, 4, ccl.Float32, ccl.Sum, 1-c.Rank(), s)
+		}},
+		{"reduce root nil send", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.Reduce(nil, buf, 4, ccl.Float32, ccl.Sum, c.Rank(), s)
+		}},
+		{"reduce root nil recv", func(c *ccl.Comm, buf *device.Buffer, s *device.Stream) error {
+			return c.Reduce(buf, nil, 4, ccl.Float32, ccl.Sum, c.Rank(), s)
 		}},
 	}
 	err = ccl.Run(comms, func(c *ccl.Comm, s *device.Stream, p *sim.Proc) {

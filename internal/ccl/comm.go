@@ -23,7 +23,10 @@ type core struct {
 	failStop fabric.FailStop // nil = no fail-stop crashes
 	watchdog time.Duration   // 0 = collective watchdog disarmed
 	rankIDs  []int           // global identities for fault scoping; nil = local ranks
-	ranks    []int           // every rank in order: the group the flat schedules run over
+	// ranks lists every rank in order, the group the flat schedules run
+	// over. Its capacity holds the order twice, so ranks[root:root+n] is
+	// the group rotated to root, a flat Reduce's.
+	ranks []int
 
 	ops     map[int]*opState
 	p2pPost map[[2]int]*sim.Chan[*p2pSlot] // receiver-posted buffers per (src,dst)
@@ -286,11 +289,14 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 			co.opOK[i] = ok
 		}
 	}
-	co.ranks = make([]int, len(devs))
+	twice := make([]int, 2*len(devs))
+	for i := range twice {
+		twice[i] = i % len(devs)
+	}
+	co.ranks = twice[:len(devs)]
 	co.workers = make([]*sim.Pool[helperJob], len(devs))
 	comms := make([]*Comm, len(devs))
 	for r := range devs {
-		co.ranks[r] = r
 		co.workers[r] = sim.NewPool(fmt.Sprintf("%s/r%d/worker", cfg.Name, r), co.runJob)
 		comms[r] = &Comm{core: co, rank: r}
 	}
@@ -793,7 +799,7 @@ const (
 	// priced moves no bytes: the receiver consumes the put without reading
 	// a payload. Only schedules whose owner passes move the bytes instead
 	// put it, on a faithful op (opState.faithful): the ring allreduce's
-	// hops (see ringAllReduceOver), the group tree fan-in's (see
+	// hops (see ringReduceScatterOver), the group tree fan-in's (see
 	// treeReduceOver) and the hierarchical allreduce's fan-out (see
 	// hierAllReduce).
 	priced
@@ -951,6 +957,21 @@ func (c *Comm) validateArgs(opName string, send, recv *device.Buffer, count int,
 	if root < 0 || root >= c.core.n {
 		return &Error{Backend: cfg.Name, Result: ErrInvalidArgument, Op: opName, Rank: c.rank,
 			Msg: fmt.Sprintf("root %d out of range", root)}
+	}
+	// The built-in collectives need both buffers on every rank, except that
+	// only broadcast's root reads send and only Reduce's root writes recv.
+	// Other calls check their own buffers.
+	needSend, needRecv := false, false
+	switch opName {
+	case "allreduce", "allgather", "reducescatter":
+		needSend, needRecv = true, true
+	case "broadcast":
+		needSend, needRecv = c.rank == root, true
+	case "reduce":
+		needSend, needRecv = true, c.rank == root
+	}
+	if needSend && send == nil || needRecv && recv == nil {
+		return c.invalidArg(opName, "buffer missing")
 	}
 	bytes := int64(count) * int64(dt.Size())
 	if send != nil && send.Len() < bytes {

@@ -17,12 +17,13 @@ import (
 // pipeline, so the inter-node exchange of chunk k overlaps the intra-node
 // work of chunk k+1 (the leader feeds chunks to its inter-node engine,
 // hierEngine). The tree and ring phases are the group schedules the flat
-// collectives run over all ranks (treeReduceOver, treeBcastOver,
-// ringAllReduceOver), here over a node's ranks, the node leaders, or the
-// per-node broadcast representatives. All data movement reuses the
-// credit-managed scratch pipes; intra-node, leader-leader, and fan-out hops
-// use disjoint directed pipe keys, so the phases never contend for each
-// other's flow-control credits.
+// collectives run over all ranks (treeReduceOver, treeBcastOver and the
+// ring's two halves, ringReduceScatterOver and ringAllGatherOver), here
+// over a node's ranks, the node leaders, or the per-node broadcast
+// representatives. All data movement reuses the credit-managed scratch
+// pipes; intra-node, leader-leader, and fan-out hops use disjoint directed
+// pipe keys, so the phases never contend for each other's flow-control
+// credits.
 
 // Algorithm selects a collective schedule family. The zero value (AlgoAuto)
 // keeps the backend's built-in size-based ring/tree split; the dispatch
@@ -244,7 +245,7 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 		for ck := 0; ck < nchunks; ck++ {
 			lo, cn := chunkRange(count, ce, ck)
 			rc.stageChunk(a, int64(lo)*esz, int64(cn)*esz, ck, lone)
-			rc.treeReduceOver(locals, li, dt, op, a.recv, comp.SendBuf, int64(lo)*esz, cn, slotBytes)
+			rc.treeReduceOver(locals, li, dt, op, a.recv, comp.SendBuf, int64(lo)*esz, cn, slotBytes, true)
 		}
 		rc.waitAllParts()
 		for ck := 0; ck < nchunks; ck++ {
@@ -264,7 +265,7 @@ func (rc *runCtx) hierAllReduce(dt Datatype, op RedOp, count int, chunkBytes int
 	for ck := 0; ck < nchunks; ck++ {
 		lo, cn := chunkRange(count, ce, ck)
 		rc.stageChunk(a, int64(lo)*esz, int64(cn)*esz, ck, lone)
-		rc.treeReduceOver(locals, li, dt, op, a.recv, comp.SendBuf, int64(lo)*esz, cn, slotBytes)
+		rc.treeReduceOver(locals, li, dt, op, a.recv, comp.SendBuf, int64(lo)*esz, cn, slotBytes, true)
 		if eng != nil {
 			eng.feed()
 		}
@@ -328,7 +329,9 @@ func (e *hierEngine) run(p *sim.Proc) {
 			e.ready.Recv(p)
 		}
 		lo, cn := chunkRange(e.count, e.ce, ck)
-		e.rc.ringAllReduceOver(e.hp.leaders, e.hp.others, e.hp.nodeIdx[e.rc.rank], e.dt, e.op, int64(lo)*int64(e.dt.Size()), cn)
+		rc, idx, base := &e.rc, e.hp.nodeIdx[e.rc.rank], int64(lo)*int64(e.dt.Size())
+		slot := rc.ringReduceScatterOver(e.hp.leaders, e.hp.others, idx, e.dt, e.op, rc.st.args[rc.rank].recv, base, cn, true)
+		rc.ringAllGatherOver(e.hp.leaders, idx, e.dt, base, cn, rc.st.faithful, slot)
 		e.done[ck].Fire()
 	}
 }
@@ -356,9 +359,6 @@ func (rc *runCtx) hierBroadcast(dt Datatype, count, root int, chunkBytes int64) 
 	esz := int64(dt.Size())
 	if rc.rank == root {
 		rc.localCopy(a.recv, a.send, int64(count)*esz)
-	}
-	if count == 0 {
-		return
 	}
 	rootNode := hp.nodeIdx[root]
 	reps := hp.repsFor(root)
@@ -394,11 +394,7 @@ func (rc *runCtx) hierAllGather(dt Datatype, count int, chunkBytes int64) {
 	a := rc.st.args[rc.rank]
 	esz := int64(dt.Size())
 	blk := int64(count) * esz
-	copy(a.recv.Bytes()[int64(rc.rank)*blk:(int64(rc.rank)+1)*blk], a.send.Bytes()[:blk])
-	rc.p.Sleep(rc.dev().CopyTime(blk))
-	if count == 0 {
-		return
-	}
+	rc.copyView(a.recv.View(int64(rc.rank)*blk, blk), a.send.View(0, blk))
 	ni := hp.nodeIdx[rc.rank]
 	locals := hp.locals[ni]
 	li := hp.localIdx[rc.rank]
@@ -490,7 +486,7 @@ func (rc *runCtx) hierReduceScatter(dt Datatype, op RedOp, recvCount int, chunkB
 	slotBytes := int64(ce) * esz
 	for ck := 0; ck < nchunks; ck++ {
 		lo, cn := chunkRange(totalCount, ce, ck)
-		rc.treeReduceOver(locals, li, dt, op, work, comp.SendBuf, int64(lo)*esz, cn, slotBytes)
+		rc.treeReduceOver(locals, li, dt, op, work, comp.SendBuf, int64(lo)*esz, cn, slotBytes, true)
 	}
 
 	if li != 0 {

@@ -139,10 +139,12 @@ func oneShotWave(c *Comm, s *device.Stream, call func() error) func(p *sim.Proc)
 // TestOneShotSteadyStateAllocs pins a one-shot collective's steady-state
 // waves at their enqueue allocations: per rank, the stream task and its
 // completion event and the closures binding the call (the wave body, the
-// schedule, and for the compiled plan the plan executor).
-// The schedule itself — segments, pipes, op state, helper jobs, the
-// hierarchical engine — allocates nothing but the scratch buffers of
-// Reduce and reduce-scatter (two objects each).
+// schedule, and for the compiled plan the plan executor), five objects,
+// and for Reduce and reduce-scatter a sixth, the reduction operator their
+// wave body captures. The schedule itself —
+// segments, pipes, op state, helper jobs, the hierarchical engine —
+// allocates nothing but the scratch buffer header of a reduce-scatter's
+// ranks and of a Reduce's inner ranks (rank 1 of four at root 3).
 func TestOneShotSteadyStateAllocs(t *testing.T) {
 	// oneShot builds a rank's wave of the call that bind returns over
 	// count elements (a gather's or scatter's block).
@@ -177,19 +179,19 @@ func TestOneShotSteadyStateAllocs(t *testing.T) {
 		name          string
 		nodes, nranks int
 		algo          Algorithm
-		perRank       uint64
+		perWave       uint64 // summed over ranks
 		setup         func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error)
 	}{
-		{"tree", 1, 4, AlgoTree, 5, oneShot(1024, allreduce)},
-		{"flat-ring", 1, 4, AlgoFlatRing, 5, oneShot(256<<10/4, allreduce)},
-		{"hierarchical", 2, 16, AlgoHierarchical, 5, oneShot(256<<10/4, allreduce)},
-		{"reduce", 1, 4, AlgoAuto, 7, oneShot(1024, reduce)},
-		{"broadcast", 1, 4, AlgoAuto, 5, oneShot(1024, broadcast)},
-		{"flat-allgather", 1, 4, AlgoAuto, 5, oneShot(16<<10/4, allgather)},
-		{"hierarchical-allgather", 2, 16, AlgoHierarchical, 5, oneShot(16<<10/4, allgather)},
-		{"flat-reducescatter", 1, 4, AlgoAuto, 7, oneShot(16<<10/4, reducescatter)},
-		{"hierarchical-reducescatter", 2, 16, AlgoHierarchical, 7, oneShot(16<<10/4, reducescatter)},
-		{"compiled-alltoall", 1, 4, AlgoAuto, 5, func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error) {
+		{"tree", 1, 4, AlgoTree, 20, oneShot(1024, allreduce)},
+		{"flat-ring", 1, 4, AlgoFlatRing, 20, oneShot(256<<10/4, allreduce)},
+		{"hierarchical", 2, 16, AlgoHierarchical, 80, oneShot(256<<10/4, allreduce)},
+		{"reduce", 1, 4, AlgoAuto, 25, oneShot(1024, reduce)},
+		{"broadcast", 1, 4, AlgoAuto, 20, oneShot(1024, broadcast)},
+		{"flat-allgather", 1, 4, AlgoAuto, 20, oneShot(16<<10/4, allgather)},
+		{"hierarchical-allgather", 2, 16, AlgoHierarchical, 80, oneShot(16<<10/4, allgather)},
+		{"flat-reducescatter", 1, 4, AlgoAuto, 28, oneShot(16<<10/4, reducescatter)},
+		{"hierarchical-reducescatter", 2, 16, AlgoHierarchical, 112, oneShot(16<<10/4, reducescatter)},
+		{"compiled-alltoall", 1, 4, AlgoAuto, 20, func(c *Comm, s *device.Stream) (func(p *sim.Proc) error, error) {
 			const blk = 4 << 10 // elements per block
 			send := c.Device().MustMalloc(4 * blk * 4)
 			recv := c.Device().MustMalloc(4 * blk * 4)
@@ -199,7 +201,7 @@ func TestOneShotSteadyStateAllocs(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			measureWaveAllocs(t, tc.nodes, tc.nranks, tc.algo, tc.perRank*uint64(tc.nranks), tc.setup)
+			measureWaveAllocs(t, tc.nodes, tc.nranks, tc.algo, tc.perWave, tc.setup)
 		})
 	}
 }
