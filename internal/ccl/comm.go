@@ -221,6 +221,16 @@ type groupOps struct {
 	recvs []p2pOp
 	// streams used by the grouped calls; GroupEnd enqueues on the first.
 	stream *device.Stream
+	// ownSrc and ownDst are exchange's copy of the rank's own block, made
+	// uncharged when the stream reaches the group; zero views elsewhere.
+	ownSrc, ownDst device.View
+}
+
+// copyOwn makes exchange's copy of the rank's own block, if it has one.
+func (g *groupOps) copyOwn() {
+	if g.ownDst.N > 0 {
+		copy(g.ownDst.Bytes(), g.ownSrc.Bytes())
+	}
 }
 
 type p2pOp struct {

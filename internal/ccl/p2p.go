@@ -149,16 +149,23 @@ func (c *Comm) GroupEnd() error {
 	}
 	g := c.group
 	c.group = nil
-	if len(g.sends) == 0 && len(g.recvs) == 0 {
+	msgs := len(g.sends) > 0 || len(g.recvs) > 0
+	if !msgs && g.ownDst.N == 0 {
 		return nil
 	}
 	if g.stream == nil {
 		return &Error{Backend: c.core.cfg.Name, Result: ErrInvalidArgument, Msg: "group with no stream"}
 	}
+	if !msgs {
+		// Only exchange's own-block copy: no launch, no time.
+		g.stream.Enqueue(func(*sim.Proc) { g.copyOwn() })
+		return nil
+	}
 	co := c.core
 	rank := c.rank
 
 	g.stream.Enqueue(func(p *sim.Proc) {
+		g.copyOwn()
 		// One launch for the whole fused group: this is why group calls
 		// beat per-message launches.
 		co.countLaunch("group")
@@ -198,24 +205,27 @@ func (c *Comm) GroupEnd() error {
 	return nil
 }
 
-// exchange is the send-recv synthesis of §3.3, Listing 1's pattern: it
-// copies the rank's own block from send into recv, then, inside one group
-// call, sends each peer the block of send that blocks names and receives
-// the block of recv it names. blocks reports, in elements, the send offset
-// and count and the recv offset and count for a peer (for the rank itself,
-// the copy's source, length and destination). A negative count means no
-// message and a zero count an empty one. Faults are probed only where
+// exchange is the send-recv synthesis of §3.3, Listing 1's pattern: inside
+// one group call it copies the rank's own block from send into recv, sends
+// each peer the block of send that blocks names and receives the block of
+// recv it names. blocks reports, in elements, the send offset and count and
+// the recv offset and count for a peer (for the rank itself, the copy's
+// source, length and destination). A negative count means no message and a
+// zero count an empty one. The copy runs, uncharged, when the stream
+// reaches the group, so it reads what earlier stream work wrote to send; a
+// call with no message still enqueues it. Faults are probed only where
 // Send, Recv and the group's task probe them; a failed Send or Recv
 // discards the open group, so the next GroupStart begins clean.
 func (c *Comm) exchange(send, recv *device.Buffer, dt Datatype, s *device.Stream,
 	blocks func(peer int) (soff, scount, roff, rcount int)) error {
 	esz := int64(dt.Size())
-	if so, sn, ro, _ := blocks(c.rank); sn > 0 {
-		n := int64(sn) * esz
-		copy(recv.Bytes()[int64(ro)*esz:int64(ro)*esz+n], send.Bytes()[int64(so)*esz:int64(so)*esz+n])
-	}
 	if err := c.GroupStart(); err != nil {
 		return err
+	}
+	if so, sn, ro, _ := blocks(c.rank); sn > 0 {
+		n := int64(sn) * esz
+		c.group.ownSrc, c.group.ownDst = send.View(int64(so)*esz, n), recv.View(int64(ro)*esz, n)
+		c.group.stream = s
 	}
 	for peer := 0; peer < c.core.n; peer++ {
 		if peer == c.rank {

@@ -227,3 +227,70 @@ func TestSynthesizedEmptyBlocks(t *testing.T) {
 		t.Errorf("count-0 alltoall fused %v sends and receives, want %d", v, 2*n*(n-1))
 	}
 }
+
+// TestSynthesizedOwnBlockInStreamOrder: the group path copies the rank's
+// own block when the stream reaches the call, not when the call is
+// enqueued, so it reads what an earlier op on the same stream wrote to
+// send, also when the call has no message to send (one rank, or an
+// alltoallv whose only block is the rank's own). Every rank allreduces
+// ones into b, runs the collective from b into out on the same stream and
+// synchronizes once; the filled elements of out must all read n.
+func TestSynthesizedOwnBlockInStreamOrder(t *testing.T) {
+	const blk = 16
+	ownOnly := func(c *ccl.Comm, b, out *device.Buffer, s *device.Stream) error {
+		n, r := c.Size(), c.Rank()
+		counts, displs := make([]int, n), make([]int, n)
+		counts[r], displs[r] = blk, r*blk
+		return c.Alltoallv(b, counts, displs, out, counts, displs, ccl.Float32, "", s)
+	}
+	alltoall := func(c *ccl.Comm, b, out *device.Buffer, s *device.Stream) error {
+		return c.Alltoall(b, out, blk, ccl.Float32, "", s)
+	}
+	cases := []struct {
+		name string
+		n    int
+		call func(c *ccl.Comm, b, out *device.Buffer, s *device.Stream) error
+		// filled is the element range [lo, hi) of out the call writes.
+		filled func(r, n int) (lo, hi int)
+	}{
+		{"alltoall", 4, alltoall, func(r, n int) (int, int) { return 0, n * blk }},
+		{"alltoall/one-rank", 1, alltoall, func(r, n int) (int, int) { return 0, blk }},
+		{"alltoallv/own-block-only", 4, ownOnly, func(r, n int) (int, int) { return r * blk, (r + 1) * blk }},
+		{"gather", 4, func(c *ccl.Comm, b, out *device.Buffer, s *device.Stream) error {
+			return c.Gather(b, out, blk, ccl.Float32, 0, "", s)
+		}, func(r, n int) (int, int) {
+			if r == 0 {
+				return 0, n * blk
+			}
+			return 0, 0
+		}},
+		{"scatter", 4, func(c *ccl.Comm, b, out *device.Buffer, s *device.Stream) error {
+			return c.Scatter(b, out, blk, ccl.Float32, 0, "", s)
+		}, func(r, n int) (int, int) { return 0, blk }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, "thetagpu", tc.n, nccl.New)
+			h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
+				count := tc.n * blk
+				a := c.Device().MustMalloc(int64(count) * 4)
+				b := c.Device().MustMalloc(int64(count) * 4)
+				out := c.Device().MustMalloc(int64(count) * 4)
+				a.FillFloat32(1)
+				if err := c.AllReduce(a, b, count, ccl.Float32, ccl.Sum, s); err != nil {
+					t.Fatal(err)
+				}
+				if err := tc.call(c, b, out, s); err != nil {
+					t.Fatal(err)
+				}
+				s.Synchronize(p)
+				lo, hi := tc.filled(r, tc.n)
+				for i := lo; i < hi; i++ {
+					if got := out.Float32(i); got != float32(tc.n) {
+						t.Fatalf("rank %d: out[%d] = %v, want %d", r, i, got, tc.n)
+					}
+				}
+			})
+		})
+	}
+}

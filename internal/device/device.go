@@ -145,6 +145,12 @@ func (d *Device) Malloc(n int64) (*Buffer, error) {
 // Use it for staging buffers that are always written before they are read —
 // pipeline scratch slots, pack/unpack workspaces — where re-zeroing a
 // recycled block on every collective would dominate the allocator.
+//
+// A fresh block is advised onto transparent huge pages before anything
+// touches it (Linux only): the whole aligned 2 MiB pages inside it then
+// fault in 2 MiB at a time on first write instead of 4 KiB at a time. A
+// recycled block was advised when it was fresh. The advice changes neither
+// the bytes nor the modeled time.
 func (d *Device) MallocScratch(n int64) (*Buffer, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("device %s: negative allocation %d", d, n)
@@ -159,7 +165,9 @@ func (d *Device) MallocScratch(n int64) (*Buffer, error) {
 		d.pool[n] = blocks[:len(blocks)-1]
 		return &Buffer{dev: d, data: data, recycled: true}, nil
 	}
-	return &Buffer{dev: d, data: make([]byte, n)}, nil
+	data := make([]byte, n)
+	adviseHugePages(data)
+	return &Buffer{dev: d, data: data}, nil
 }
 
 // recycle accepts a freed block back into the size-keyed free list.

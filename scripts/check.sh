@@ -27,6 +27,9 @@ go build ./...
 # Other architectures build elem's scalar stubs (sum_other.go) instead.
 GOARCH=arm64 go vet ./internal/elem
 GOARCH=arm64 go build ./...
+# Other systems build device's no-op huge-page advice (hugepage_other.go).
+GOOS=darwin go vet ./internal/device
+GOOS=windows go build ./...
 # Verdicts and modeled times must not depend on the thread count. -p 1
 # runs one test binary at a time: dl's alone peaks near 4.7 GB.
 for procs in 1 4; do
