@@ -23,8 +23,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -37,32 +39,48 @@ import (
 	"mpixccl/internal/world"
 )
 
-func main() {
-	bench := flag.String("bench", "allreduce",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command on its arguments: tables go to stdout, errors to
+// stderr, and it returns the exit status, 2 for bad flags and 1 when a run
+// fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "allreduce",
 		"latency|bw|bibw (pt2pt) or allreduce|reduce|bcast|alltoall|allgather|gather|scatter (collective)")
-	system := flag.String("system", "thetagpu", "thetagpu|mri|voyager")
-	nodes := flag.Int("nodes", 1, "node count")
-	ranks := flag.Int("ranks", 0, "total ranks (0 = one per device)")
-	stack := flag.String("stack", string(world.StackHybrid),
+	system := fs.String("system", "thetagpu", "thetagpu|mri|voyager")
+	nodes := fs.Int("nodes", 1, "node count")
+	ranks := fs.Int("ranks", 0, "total ranks (0 = one per device)")
+	stack := fs.String("stack", string(world.StackHybrid),
 		"hybrid-xccl|pure-xccl|mpi|openmpi-ucx|openmpi-ucx-ucc|pure-ccl")
-	backend := flag.String("backend", "auto", "auto|nccl|rccl|hccl|msccl")
-	min := flag.Int64("min", 4, "min message bytes")
-	max := flag.Int64("max", 4<<20, "max message bytes")
-	iters := flag.Int("iters", 2, "timed iterations per size")
-	full := flag.Bool("f", false, "full results: min/avg/max across ranks (collectives)")
-	metricsFile := flag.String("metrics", "",
+	backend := fs.String("backend", "auto", "auto|nccl|rccl|hccl|msccl")
+	min := fs.Int64("min", 4, "min message bytes")
+	max := fs.Int64("max", 4<<20, "max message bytes")
+	iters := fs.Int("iters", 2, "timed iterations per size")
+	full := fs.Bool("f", false, "full results: min/avg/max across ranks (collectives)")
+	metricsFile := fs.String("metrics", "",
 		"write runtime metrics to this file in Prometheus text format ('-' for stdout)")
-	crash := flag.String("crash", "",
+	crash := fs.String("crash", "",
 		"fail-stop a rank as rank@call (dies after N CCL calls); CCL-backed stacks only")
-	partition := flag.String("partition", "",
+	partition := fs.String("partition", "",
 		"sever a rank's CCL data plane as rank@from[,until] virtual times (e.g. 2@200us or 2@200us,400us); CCL-backed stacks only")
-	watchdog := flag.Duration("watchdog", 2*time.Millisecond,
+	watchdog := fs.Duration("watchdog", 2*time.Millisecond,
 		"collective watchdog deadline used when -crash is set (bounds dead-peer detection)")
-	persistent := flag.Bool("persistent", false,
+	persistent := fs.Bool("persistent", false,
 		"allreduce on persistent handles (MPI_Allreduce_init-style; hybrid/pure-xccl stacks)")
-	compile := flag.Bool("compile", false,
+	compile := fs.Bool("compile", false,
 		"run synthesized collectives (alltoall/gather/scatter) through compiled plans (hybrid/pure-xccl stacks)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "ombrun: %v\n", err)
+		return code
+	}
 
 	var reg *metrics.Registry
 	if *metricsFile != "" {
@@ -78,7 +96,7 @@ func main() {
 	if *crash != "" {
 		rank, call, err := parseCrash(*crash)
 		if err != nil {
-			fatal(err)
+			return fail(2, err)
 		}
 		plan = fault.NewPlan(1).AddRule(fault.Rule{
 			Name: "fail-stop", Crash: true, Ranks: []int{rank}, After: call,
@@ -88,7 +106,7 @@ func main() {
 	if *partition != "" {
 		rule, err := parsePartition(*partition)
 		if err != nil {
-			fatal(err)
+			return fail(2, err)
 		}
 		cut = rule
 		if plan == nil {
@@ -106,60 +124,62 @@ func main() {
 	case "latency", "bw", "bibw":
 		res, err := omb.RunPt2Pt(cfg, omb.Pt2PtKind(*bench))
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
-		fmt.Printf("# OMB pt2pt %s, %s, %d node(s), backend %s\n", *bench, *system, *nodes, *backend)
-		fmt.Printf("%-12s %-14s %-14s\n", "Size", "Latency(us)", "BW(MB/s)")
+		fmt.Fprintf(stdout, "# OMB pt2pt %s, %s, %d node(s), backend %s\n", *bench, *system, *nodes, *backend)
+		fmt.Fprintf(stdout, "%-12s %-14s %-14s\n", "Size", "Latency(us)", "BW(MB/s)")
 		for _, r := range res {
-			fmt.Printf("%-12d %-14.2f %-14.2f\n", r.Bytes, us(r), r.BandwidthMBs)
+			fmt.Fprintf(stdout, "%-12d %-14.2f %-14.2f\n", r.Bytes, us(r), r.BandwidthMBs)
 		}
 	case "allreduce", "reduce", "bcast", "alltoall", "allgather", "gather", "scatter":
 		res, err := omb.RunCollective(cfg, omb.Collective(*bench))
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
-		fmt.Printf("# OMB %s, %s, %d node(s), stack %s, backend %s\n",
+		fmt.Fprintf(stdout, "# OMB %s, %s, %d node(s), stack %s, backend %s\n",
 			*bench, *system, *nodes, *stack, *backend)
 		if *full {
-			fmt.Printf("%-12s %-14s %-14s %-14s\n", "Size", "Avg(us)", "Min(us)", "Max(us)")
+			fmt.Fprintf(stdout, "%-12s %-14s %-14s %-14s\n", "Size", "Avg(us)", "Min(us)", "Max(us)")
 			for _, r := range res {
-				fmt.Printf("%-12d %-14.2f %-14.2f %-14.2f\n", r.Bytes, us(r),
+				fmt.Fprintf(stdout, "%-12d %-14.2f %-14.2f %-14.2f\n", r.Bytes, us(r),
 					float64(r.MinLatency.Nanoseconds())/1e3, float64(r.MaxLatency.Nanoseconds())/1e3)
 			}
 		} else {
-			fmt.Printf("%-12s %-14s\n", "Size", "Avg Latency(us)")
+			fmt.Fprintf(stdout, "%-12s %-14s\n", "Size", "Avg Latency(us)")
 			for _, r := range res {
-				fmt.Printf("%-12d %-14.2f\n", r.Bytes, us(r))
+				fmt.Fprintf(stdout, "%-12d %-14.2f\n", r.Bytes, us(r))
 			}
 		}
 	default:
-		fatal(fmt.Errorf("unknown bench %q", *bench))
+		return fail(1, fmt.Errorf("unknown bench %q", *bench))
 	}
 	if *crash != "" {
-		fmt.Printf("# crash injected (fired %d): the victim's calls fail fast; each survivor\n",
+		fmt.Fprintf(stdout, "# crash injected (fired %d): the victim's calls fail fast; each survivor\n",
 			plan.Fired("fail-stop"))
-		fmt.Printf("# collective resolves at the %v watchdog instead of deadlocking, so\n", *watchdog)
-		fmt.Printf("# post-crash sizes report the detection deadline, not real latency\n")
+		fmt.Fprintf(stdout, "# collective resolves at the %v watchdog instead of deadlocking, so\n", *watchdog)
+		fmt.Fprintf(stdout, "# post-crash sizes report the detection deadline, not real latency\n")
 	}
 	if *partition != "" {
-		fmt.Printf("# partition injected: rank %d's CCL data plane severed from %v", cut.Ranks[0], cut.From)
+		fmt.Fprintf(stdout, "# partition injected: rank %d's CCL data plane severed from %v", cut.Ranks[0], cut.From)
 		if cut.Until > 0 {
-			fmt.Printf(" until %v", cut.Until)
+			fmt.Fprintf(stdout, " until %v", cut.Until)
 		}
-		fmt.Printf("\n# on; cross-cut collectives fail fast with an ErrUnreachable verdict\n")
-		fmt.Printf("# (no hang, no watchdog wait), so in-window sizes report the fast-fail\n")
-		fmt.Printf("# dispatch time, not real latency; the MPI control plane stays up\n")
+		fmt.Fprintf(stdout, "\n# on; cross-cut collectives fail fast with an ErrUnreachable verdict\n")
+		fmt.Fprintf(stdout, "# (no hang, no watchdog wait), so in-window sizes report the fast-fail\n")
+		fmt.Fprintf(stdout, "# dispatch time, not real latency; the MPI control plane stays up\n")
 	}
 	if reg != nil {
-		if err := writeMetrics(reg, *metricsFile); err != nil {
-			fatal(err)
+		if err := writeMetrics(reg, *metricsFile, stdout); err != nil {
+			return fail(1, err)
 		}
 	}
+	return 0
 }
 
-func writeMetrics(reg *metrics.Registry, path string) error {
+// writeMetrics writes reg to path, or to stdout when path is "-".
+func writeMetrics(reg *metrics.Registry, path string, stdout io.Writer) error {
 	if path == "-" {
-		return reg.WritePrometheus(os.Stdout)
+		return reg.WritePrometheus(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -223,8 +243,3 @@ func nonNegative(s string) (int, bool) {
 }
 
 func us(r omb.Result) float64 { return float64(r.Latency.Nanoseconds()) / 1e3 }
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "ombrun: %v\n", err)
-	os.Exit(1)
-}

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +16,80 @@ import (
 // TestMain runs the suite under the leak gate: every world a test builds
 // must be released when it finishes.
 func TestMain(m *testing.M) { simtest.Main(m) }
+
+// cli runs the command on args and returns its exit status, its standard
+// output and its standard error.
+func cli(args ...string) (code int, out, errOut string) {
+	var stdout, stderr bytes.Buffer
+	code = run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// TestCLI drives the command's entry point: bad flags exit 2 and a run
+// that cannot start exits 1, while a collective sweep, a point-to-point
+// sweep and a metrics run print their table header and one row per size.
+func TestCLI(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-h"}, 0},
+		{[]string{"-nosuchflag"}, 2},
+		{[]string{"-crash", "3"}, 2},
+		{[]string{"-partition", "1@400us,200us"}, 2},
+		{[]string{"-bench", "nosuchbench"}, 1},
+	} {
+		if code, _, errOut := cli(tc.args...); code != tc.want {
+			t.Errorf("ombrun %s exited %d, want %d: %s", strings.Join(tc.args, " "), code, tc.want, errOut)
+		}
+	}
+	for _, tc := range []struct {
+		args   []string
+		header []string // the first lines of stdout
+		rows   int      // table rows after the header
+	}{
+		{[]string{"-bench", "allreduce", "-max", "64", "-f"}, []string{
+			"# OMB allreduce, thetagpu, 1 node(s), stack hybrid-xccl, backend auto",
+			"Size         Avg(us)        Min(us)        Max(us)       "}, 5},
+		{[]string{"-bench", "latency", "-min", "1", "-max", "1024"}, []string{
+			"# OMB pt2pt latency, thetagpu, 1 node(s), backend auto",
+			"Size         Latency(us)    BW(MB/s)      "}, 11},
+		{[]string{"-bench", "bcast", "-stack", "mpi", "-max", "16", "-metrics", "-"}, []string{
+			"# OMB bcast, thetagpu, 1 node(s), stack mpi, backend auto",
+			"Size         Avg Latency(us)"}, 3},
+	} {
+		name := "ombrun " + strings.Join(tc.args, " ")
+		code, out, errOut := cli(tc.args...)
+		if code != 0 {
+			t.Errorf("%s exited %d: %s", name, code, errOut)
+			continue
+		}
+		lines := strings.Split(out, "\n")
+		if len(lines) < len(tc.header)+tc.rows {
+			t.Errorf("%s printed %d lines:\n%s", name, len(lines), out)
+			continue
+		}
+		for i, want := range tc.header {
+			if lines[i] != want {
+				t.Errorf("%s line %d = %q, want %q", name, i, lines[i], want)
+			}
+		}
+		rows := 0
+		for _, l := range lines[len(tc.header):] {
+			if l == "" || l[0] < '0' || l[0] > '9' {
+				break
+			}
+			rows++
+		}
+		if rows != tc.rows {
+			t.Errorf("%s printed %d table rows, want %d:\n%s", name, rows, tc.rows, out)
+		}
+		metricsOut := strings.Join(lines[len(tc.header)+rows:], "\n")
+		if hasMetrics := strings.Contains(metricsOut, "# TYPE mpi_sends_total counter"); hasMetrics != slices.Contains(tc.args, "-metrics") {
+			t.Errorf("%s printed metrics %v, want %v:\n%s", name, hasMetrics, !hasMetrics, out)
+		}
+	}
+}
 
 func TestParseCrash(t *testing.T) {
 	cases := []struct {

@@ -129,11 +129,6 @@ func (x *Comm) cclComm() (*ccl.Comm, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The offloaded transport reports into the job's registry, beside
-		// the MPI layer's counters.
-		if reg := x.mpi.Job().Metrics(); reg != nil {
-			comms[0].SetMetrics(reg)
-		}
 		u.cache[key] = comms
 	}
 	return comms[x.Rank()], nil

@@ -245,32 +245,6 @@ type Injector interface {
 	CommInitError(backend string, rank int, now time.Duration) *Error
 }
 
-// staticInjector is the Injector of a broken library build: every
-// collective and p2p call fails, communicator creation still succeeds (a
-// broken build initializes fine and fails at first use, like the paper's
-// NCCL 2.18.3).
-type staticInjector struct {
-	backend string
-	result  Result
-}
-
-func (s *staticInjector) OpError(backend, op string, rank int, now time.Duration) *Error {
-	return &Error{Backend: s.backend, Result: s.result, Msg: "injected library failure"}
-}
-
-func (s *staticInjector) OpDelay(string, string, int, time.Duration) time.Duration { return 0 }
-
-func (s *staticInjector) CommInitError(string, int, time.Duration) *Error { return nil }
-
-// StaticFailure returns an Injector that fails every collective and
-// point-to-point call with result, modeling a broken library build (the
-// paper's NCCL 2.18.3 + TensorFlow version conflict, which the xCCL layer
-// bypasses by falling back to MPI). A backend personality sets it as its
-// Config.Faults (see nccl.BrokenVersion).
-func StaticFailure(backend string, result Result) Injector {
-	return &staticInjector{backend: backend, result: result}
-}
-
 // SizeOverhead is an extra per-operation cost that kicks in once the
 // message size reaches Threshold bytes. HCCL's RoCE transport exhibits
 // such step curves (descriptor inlining limits) at 16 B and 64 B. When
@@ -325,11 +299,6 @@ type Config struct {
 	// InterNodePenalty scales wire time for inter-node steps of
 	// collective algorithms (protocol/proxy inefficiency), 1.0 = none.
 	InterNodePenalty float64
-	// Faults, when non-nil, is consulted at every collective, p2p, and
-	// comm-init call site (a broken build sets StaticFailure here). When
-	// nil, NewComms falls back to any fault agent attached to the fabric
-	// (fabric.Fabric.SetFaults).
-	Faults Injector
 }
 
 // SupportsKind reports whether the backend drives the device kind.

@@ -31,7 +31,6 @@ type core struct {
 	ops     map[int]*opState
 	p2pPost map[[2]int]*sim.Chan[*p2pSlot] // receiver-posted buffers per (src,dst)
 	algos   []*Algo                        // registered custom schedules
-	reg     *metrics.Registry              // nil = no instrumentation
 	chanCap int                            // 0 = no cap; see SetChannelCap
 
 	// Capability sets flattened from cfg's maps at init: validate runs on
@@ -62,10 +61,11 @@ type core struct {
 	// order; see persistent.go).
 	persist map[int]*persistShared
 
-	// Metric instruments resolved once at SetMetrics. The counting paths
+	// Metric instruments resolved once, from the fabric's registry, when
+	// the communicator is built (see resolveMetrics). The counting paths
 	// below run per launch and per fabric transfer; resolving instruments
 	// there would build a label map per call. All nil (method no-ops)
-	// until a registry is wired.
+	// when the fabric carries no registry.
 	mLaunchColl  *metrics.Counter
 	mLaunchP2P   *metrics.Counter
 	mLaunchGroup *metrics.Counter
@@ -142,13 +142,10 @@ func (co *core) supportsOp(op RedOp) bool {
 	return false
 }
 
-// SetMetrics wires a registry into the communicator (shared by every rank
-// handle): kernel-launch counts, group-call fusion sizes, and fabric
-// transfer volume, labeled by backend. A nil registry disables
-// instrumentation. Call before issuing operations.
-func (c *Comm) SetMetrics(reg *metrics.Registry) {
-	co := c.core
-	co.reg = reg
+// resolveMetrics resolves the communicator's instruments in reg:
+// kernel-launch counts, group-call fusion sizes, and fabric transfer
+// volume, labeled by backend. A nil registry leaves them all nil.
+func (co *core) resolveMetrics(reg *metrics.Registry) {
 	reg.Gauge("ccl_channels",
 		"Fabric channels the backend drives per transfer (its configured budget).",
 		metrics.Labels{"backend": co.cfg.Name}).Set(float64(co.cfg.Channels))
@@ -247,10 +244,10 @@ type p2pSlot struct {
 
 // NewComms builds a communicator over the given devices and returns the
 // per-rank handles. It validates that the backend can drive every device
-// and consults the fault hook (explicit cfg.Faults, then any agent
-// attached to the fabric) for an injected comm-init failure: if any
-// rank's init is failed, the whole creation fails, as ncclCommInitAll
-// would.
+// and consults the fabric's fault agent, when it is an Injector, for an
+// injected comm-init failure: if any rank's init is failed, the whole
+// creation fails, as ncclCommInitAll would. The communicator keeps the
+// fault agent and metrics registry attached to the fabric at this point.
 func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, error) {
 	if len(devs) == 0 {
 		return nil, &Error{Backend: cfg.Name, Result: ErrInvalidArgument, Msg: "no devices"}
@@ -261,12 +258,7 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 				Msg: fmt.Sprintf("cannot drive %s", d)}
 		}
 	}
-	inj := cfg.Faults
-	if inj == nil && fab != nil {
-		if a, ok := fab.Faults().(Injector); ok {
-			inj = a
-		}
-	}
+	inj, _ := fab.Faults().(Injector)
 	if inj != nil {
 		now := fab.Kernel().Now()
 		for r := range devs {
@@ -275,14 +267,8 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 			}
 		}
 	}
-	var fs fabric.FailStop
-	if f, ok := inj.(fabric.FailStop); ok {
-		fs = f
-	} else if fab != nil {
-		fs = fab.FailStop()
-	}
 	co := &core{
-		cfg: cfg, fab: fab, devs: devs, n: len(devs), faults: inj, failStop: fs,
+		cfg: cfg, fab: fab, devs: devs, n: len(devs), faults: inj, failStop: fab.FailStop(),
 		ops:       make(map[int]*opState),
 		p2pPost:   make(map[[2]int]*sim.Chan[*p2pSlot]),
 		engines:   make(map[*sim.Proc]*hierEngine),
@@ -304,6 +290,7 @@ func NewComms(fab *fabric.Fabric, devs []*device.Device, cfg Config) ([]*Comm, e
 		twice[i] = i % len(devs)
 	}
 	co.ranks = twice[:len(devs)]
+	co.resolveMetrics(fab.Metrics())
 	co.workers = make([]*sim.Pool[helperJob], len(devs))
 	comms := make([]*Comm, len(devs))
 	for r := range devs {

@@ -20,12 +20,6 @@ const DefaultVersion = "2.18.3"
 // in Fig 5d); it drives fewer channels.
 const LegacyVersion = "2.12.12"
 
-// BrokenVersion names the 2.18.3 build that failed against the site's
-// TensorFlow/Horovod/CUDA combination on ThetaGPU (§4.4). Communicators
-// built from it error on every operation, which the xCCL layer survives
-// by transparently falling back to the MPI path.
-const BrokenVersion = "2.18.3-tf2.4-cuda11.4"
-
 // Config returns the personality of the default NCCL version.
 func Config() ccl.Config { return VersionConfig(DefaultVersion) }
 
@@ -57,8 +51,6 @@ func VersionConfig(version string) ccl.Config {
 		cfg.Channels = 10
 		cfg.TreeThreshold = 128 << 10
 		cfg.StepCost = 1600 * time.Nanosecond
-	case BrokenVersion:
-		cfg.Faults = ccl.StaticFailure(cfg.Name, ccl.ErrInternal)
 	}
 	return cfg
 }

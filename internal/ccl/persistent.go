@@ -198,8 +198,9 @@ func (c *Comm) AllReduceInit(send, recv *device.Buffer, count int, dt Datatype, 
 
 // AllReduceInitPartitioned is AllReduceInit with the send payload split
 // into parts contiguous element ranges whose readiness the application
-// signals per wave with Pready. parts is clamped to count (at most one
-// element per partition); parts = 1 behaves like AllReduceInit.
+// signals per wave with Pready. parts is clamped to count; parts = 1
+// behaves like AllReduceInit. Partition k is the elements [k·⌈count/parts⌉,
+// min((k+1)·⌈count/parts⌉, count)), so trailing partitions may be empty.
 func (c *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt Datatype, op RedOp, parts int, s *device.Stream) (*PersistentColl, error) {
 	co := c.core
 	if err := c.validateArgs("allreduce", send, recv, count, dt, &op, 0); err != nil {

@@ -181,15 +181,23 @@ func TestSynthesizedOpRuleScope(t *testing.T) {
 	}
 }
 
+// withMetrics wraps a communicator constructor so that it attaches reg to
+// the fabric first, where the communicators pick it up.
+func withMetrics(reg *metrics.Registry, mk func(*fabric.Fabric, []*device.Device) ([]*ccl.Comm, error)) func(*fabric.Fabric, []*device.Device) ([]*ccl.Comm, error) {
+	return func(fab *fabric.Fabric, devs []*device.Device) ([]*ccl.Comm, error) {
+		fab.SetMetrics(reg)
+		return mk(fab, devs)
+	}
+}
+
 // TestSynthesizedEmptyBlocks: a count-0 alltoall still pays its empty
 // point-to-point messages (one group per rank fusing n−1 sends and n−1
 // receives) and takes virtual time, while Listing 1's alltoallv posts no
 // message for an empty block, so an all-zero alltoallv launches nothing.
 func TestSynthesizedEmptyBlocks(t *testing.T) {
 	const n = 4
-	h := newHarness(t, "thetagpu", n, nccl.New)
 	reg := metrics.NewRegistry()
-	h.comms[0].SetMetrics(reg)
+	h := newHarness(t, "thetagpu", n, withMetrics(reg, nccl.New))
 	lbl := metrics.Labels{"backend": h.comms[0].Backend()}
 	zero := make([]int, n)
 	h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
@@ -206,9 +214,8 @@ func TestSynthesizedEmptyBlocks(t *testing.T) {
 	if v, ok := reg.CounterValue("ccl_group_calls_total", lbl); !ok || v != 0 {
 		t.Errorf("empty alltoallv made %v group calls (series exists %v), want 0", v, ok)
 	}
-	h = newHarness(t, "thetagpu", n, nccl.New)
 	reg = metrics.NewRegistry()
-	h.comms[0].SetMetrics(reg)
+	h = newHarness(t, "thetagpu", n, withMetrics(reg, nccl.New))
 	h.runRanks(t, func(r int, c *ccl.Comm, s *device.Stream, p *sim.Proc) {
 		buf := c.Device().MustMalloc(64)
 		start := p.Now()

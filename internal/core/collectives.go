@@ -169,7 +169,11 @@ func (x *Comm) Alltoallv(sendBuf *device.Buffer, sendCounts, sdispls []int, dt m
 	for _, c := range sendCounts {
 		maxBytes = max(maxBytes, int64(c)*esz)
 	}
-	d := x.decide(OpAlltoallv, maxBytes, dt, nil, sendBuf, recvBuf)
+	// Counts may differ per rank, so one rank's largest block picks the
+	// tuning band for the whole call wave: ranks that looked the table up
+	// with their own would split between the paths and deadlock.
+	band := x.rt.sizeWaves.join(x, OpAlltoallv, func() int64 { return maxBytes })
+	d := x.decide(OpAlltoallv, band, dt, nil, sendBuf, recvBuf)
 	x.run(OpAlltoallv, maxBytes, d,
 		func(cc *ccl.Comm, s *device.Stream) error {
 			return cc.Alltoallv(sendBuf, sendCounts, sdispls, recvBuf, recvCounts, rdispls, d.dt, d.plan, s)

@@ -85,12 +85,6 @@ func (x *Comm) cclComm() (*ccl.Comm, error) {
 			if err != nil {
 				ci.err = err
 			} else {
-				// Backend-level instrumentation (launches, group fusion,
-				// transfer bytes) reports into the same registry as the
-				// dispatch metrics.
-				if rt.opts.Metrics != nil && len(comms) > 0 {
-					comms[0].SetMetrics(rt.opts.Metrics)
-				}
 				ci.comms = comms
 				rt.cache[key] = comms
 			}

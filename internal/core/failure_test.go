@@ -5,30 +5,28 @@ import (
 
 	"mpixccl/internal/ccl"
 	"mpixccl/internal/ccl/nccl"
-	"mpixccl/internal/device"
+	"mpixccl/internal/fault"
 	"mpixccl/internal/mpi"
 )
 
+// brokenBuild is the paper's §4.4 environment: an NCCL 2.18.3 build that
+// failed against the site's TensorFlow stack. It initializes fine and fails
+// every call, a fault rule on the world's fabric.
+func brokenBuild() *fault.Plan {
+	return fault.NewPlan(1).AddRule(fault.Rule{Name: "broken-build", Result: ccl.ErrInternal})
+}
+
 // The paper's §4.4 anecdote: pure NCCL 2.18.3 failed against the site's
 // TensorFlow stack, while the xCCL designs "bypass such errors". Build a
-// runtime whose cached communicator is the broken NCCL build: every
-// collective must transparently complete on the MPI path with correct
-// results, and the error fallback counter must account for it.
+// runtime over a fabric carrying the broken build: every collective must
+// transparently complete on the MPI path with correct results, and the
+// error fallback counter must account for it.
 func TestBrokenNCCLBuildFallsBackTransparently(t *testing.T) {
 	rt := newRuntime(t, "thetagpu", 4, Options{Backend: Auto, Mode: PureCCL})
-	// Pre-populate the communicator cache with the broken build, as if the
-	// site's library path pointed at NCCL 2.18.3.
-	sys := rt.Job().Fabric().System()
-	devs := make([]*device.Device, 4)
-	copy(devs, sys.Devices()[:4])
-	broken, err := ccl.NewComms(rt.Job().Fabric(), devs, nccl.VersionConfig(nccl.BrokenVersion))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.cache[0] = broken
+	rt.Job().Fabric().SetFaults(brokenBuild())
 
 	const count = 1 << 20 // 4 MB: would dispatch to NCCL
-	err = rt.Run(func(x *Comm) {
+	err := rt.Run(func(x *Comm) {
 		send := x.Device().MustMalloc(count * 4)
 		recv := x.Device().MustMalloc(count * 4)
 		send.FillFloat32(float32(x.Rank() + 1))
@@ -57,8 +55,9 @@ func TestBrokenNCCLBuildFallsBackTransparently(t *testing.T) {
 // A broken build must also fail p2p operations at the CCL level.
 func TestBrokenBuildFailsP2P(t *testing.T) {
 	rt := newRuntime(t, "thetagpu", 2, Options{Backend: Auto, Mode: PureCCL})
-	comms, err := ccl.NewComms(rt.Job().Fabric(), rt.Job().Fabric().System().Devices()[:2],
-		nccl.VersionConfig(nccl.BrokenVersion))
+	fab := rt.Job().Fabric()
+	fab.SetFaults(brokenBuild())
+	comms, err := nccl.New(fab, fab.System().Devices()[:2])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,9 @@ func (x *Comm) AllReduceInit(send, recv *device.Buffer, count int, dt mpi.Dataty
 // into parts contiguous element ranges whose readiness the application
 // signals per wave with Pready (MPI_Pready), overlapping payload
 // production with the collective. parts is clamped to count; parts = 1
-// behaves like AllReduceInit. MPI-path handles ignore partitioning (the
+// behaves like AllReduceInit. Pready(k) covers the elements
+// [k·⌈count/parts⌉, min((k+1)·⌈count/parts⌉, count)), so trailing
+// partitions may be empty. MPI-path handles ignore partitioning (the
 // blocking MPI algorithm needs the whole payload).
 func (x *Comm) AllReduceInitPartitioned(send, recv *device.Buffer, count int, dt mpi.Datatype, op mpi.Op, parts int) (*PersistentOp, error) {
 	if err := x.admit(OpAllreduce); err != nil {

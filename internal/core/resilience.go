@@ -101,10 +101,21 @@ type breaker struct {
 
 // Wave-consistency bookkeeping: a collective deadlocks if its ranks
 // disagree on the dispatch path (the CCL side would wait forever for the
-// ranks that went to MPI), so breaker verdicts are memoized per call
-// "wave". The i-th call of op on a communicator forms one wave across all
-// its ranks; the first-arriving rank evaluates the breaker and peers of
-// the same wave reuse the verdict.
+// ranks that went to MPI), so a verdict that could differ per rank is
+// memoized per call "wave": breaker verdicts, and the size alltoallv looks
+// the tuning table up with. The i-th call of op on a communicator forms
+// one wave across all its ranks; the first-arriving rank makes the verdict
+// and peers of the same wave reuse it.
+type waves[T any] struct {
+	idx  map[rankKey]int      // per-rank call indices
+	open map[waveKey]*wave[T] // in-flight verdicts
+}
+
+type wave[T any] struct {
+	v      T
+	joined int
+}
+
 type rankKey struct {
 	ctx  int
 	op   OpKind
@@ -117,9 +128,27 @@ type waveKey struct {
 	idx int
 }
 
-type waveVerdict struct {
-	allow    bool
-	consumed int
+// join returns the verdict of x's next call of op, made by first when x
+// is the first rank of the wave to arrive.
+func (w *waves[T]) join(x *Comm, op OpKind, first func() T) T {
+	if w.idx == nil {
+		w.idx, w.open = make(map[rankKey]int), make(map[waveKey]*wave[T])
+	}
+	ctx := x.mpi.ContextID()
+	rk := rankKey{ctx, op, x.Rank()}
+	idx := w.idx[rk]
+	w.idx[rk] = idx + 1
+	wk := waveKey{ctx, op, idx}
+	wv, ok := w.open[wk]
+	if !ok {
+		wv = &wave[T]{v: first()}
+		w.open[wk] = wv
+	}
+	wv.joined++
+	if wv.joined == x.Size() {
+		delete(w.open, wk)
+	}
+	return wv.v
 }
 
 func (rt *Runtime) breakerFor(op OpKind) *breaker {
@@ -140,24 +169,11 @@ func (rt *Runtime) allowCCL(x *Comm, op OpKind) bool {
 	if rt.policy.BreakerThreshold <= 0 {
 		return true
 	}
-	ctx := x.mpi.ContextID()
-	rk := rankKey{ctx, op, x.Rank()}
-	idx := rt.waveIdx[rk]
-	rt.waveIdx[rk] = idx + 1
-	wk := waveKey{ctx, op, idx}
-	wv, ok := rt.waves[wk]
-	if !ok {
-		wv = &waveVerdict{allow: rt.breakerAllow(x, op)}
-		rt.waves[wk] = wv
-	}
-	wv.consumed++
-	if wv.consumed == x.Size() {
-		delete(rt.waves, wk)
-	}
-	if !wv.allow {
+	allow := rt.breakerWaves.join(x, op, func() bool { return rt.breakerAllow(x, op) })
+	if !allow {
 		rt.emit(event{kind: evFallback, op: op, cause: causeBreakerOpen})
 	}
-	return wv.allow
+	return allow
 }
 
 // breakerAllow evaluates the breaker once per wave, moving an open breaker

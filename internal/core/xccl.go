@@ -182,8 +182,9 @@ type Options struct {
 	Trace *trace.Recorder
 	// Metrics, when non-nil, aggregates runtime counters and latency
 	// histograms: per-op path selection, fallback activations, tuning-table
-	// hits/misses, plus the MPI- and CCL-layer instrumentation of the
-	// communicators this runtime creates.
+	// hits/misses. NewRuntime attaches it to the job's fabric, so the
+	// MPI- and CCL-layer instrumentation of the communicators this
+	// runtime creates reports into it too.
 	Metrics *metrics.Registry
 	// Resilience tunes the retry/circuit-breaker/degradation policy; nil
 	// uses DefaultResilience().
@@ -211,10 +212,10 @@ type Runtime struct {
 	cache   map[int][]*ccl.Comm    // context id -> per-local-rank CCL comms
 	pending map[int]*commInit      // context id -> in-flight CCL comm creation
 
-	policy   *Resilience              // resolved resilience policy (never nil)
-	breakers map[breakerKey]*breaker  // per-(backend, op) circuit breakers
-	waves    map[waveKey]*waveVerdict // in-flight wave-consistent verdicts
-	waveIdx  map[rankKey]int          // per-rank collective call indices
+	policy       *Resilience             // resolved resilience policy (never nil)
+	breakers     map[breakerKey]*breaker // per-(backend, op) circuit breakers
+	breakerWaves waves[bool]             // wave-consistent breaker verdicts
+	sizeWaves    waves[int64]            // wave-consistent alltoallv table sizes
 
 	status     map[int]ctxStatus     // context id -> membership status (absent: open)
 	agreements map[int]*agreement    // in-flight Shrink or Grow agreement by context id
@@ -248,8 +249,6 @@ func NewRuntime(job *mpi.Job, opts Options) (*Runtime, error) {
 		cache:      make(map[int][]*ccl.Comm),
 		pending:    make(map[int]*commInit),
 		breakers:   make(map[breakerKey]*breaker),
-		waves:      make(map[waveKey]*waveVerdict),
-		waveIdx:    make(map[rankKey]int),
 		status:     make(map[int]ctxStatus),
 		agreements: make(map[int]*agreement),
 		fenced:     make(map[int]time.Duration),
@@ -282,11 +281,11 @@ func NewRuntime(job *mpi.Job, opts Options) (*Runtime, error) {
 		sys := job.Fabric().System()
 		rt.table = DefaultTableFor(sys.Name, rt.kind, sys.NumNodes() > 1)
 	}
-	// One registry observes the whole stack: the MPI runtime's protocol
-	// counters and the fabric's degraded-transfer counter ride the same
-	// sink as the xCCL dispatch metrics.
+	// One registry observes the whole stack. Attached to the fabric, it
+	// collects the MPI runtime's protocol counters, the fabric's own
+	// counters and the CCL backends' instruments beside the xCCL dispatch
+	// metrics.
 	if opts.Metrics != nil {
-		job.SetMetrics(opts.Metrics)
 		job.Fabric().SetMetrics(opts.Metrics)
 	}
 	return rt, nil

@@ -311,6 +311,55 @@ func TestAlltoallvListing1OnCCL(t *testing.T) {
 	}
 }
 
+// TestAlltoallvMixedBandsAgree: MPI lets alltoallv counts differ per rank,
+// so ranks' largest blocks may fall in different tuning bands (8 KiB and 1
+// KiB here, on either side of the default table's alltoallv crossover).
+// The ranks must still take one path per call, with the breaker on and
+// off, and every received byte must be right.
+func TestAlltoallvMixedBandsAgree(t *testing.T) {
+	const n = 2
+	block := [n]int{2048, 256} // float32 elements rank r sends to each peer
+	for _, tc := range []struct {
+		name   string
+		policy *Resilience
+	}{{"breaker", nil}, {"no-breaker", &Resilience{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRuntime(t, "thetagpu", n, Options{Backend: Auto, Mode: Hybrid, Resilience: tc.policy})
+			err := rt.Run(func(x *Comm) {
+				r := x.Rank()
+				sendCounts, sdispls := make([]int, n), make([]int, n)
+				recvCounts, rdispls := make([]int, n), make([]int, n)
+				for p := 0; p < n; p++ {
+					sendCounts[p], sdispls[p] = block[r], p*block[r]
+					recvCounts[p] = block[p]
+					if p > 0 {
+						rdispls[p] = rdispls[p-1] + block[p-1]
+					}
+				}
+				send := x.Device().MustMalloc(int64(n*block[r]) * 4)
+				recv := x.Device().MustMalloc(int64(rdispls[n-1]+block[n-1]) * 4)
+				val := func(from, to, i int) float32 { return float32(from*100000 + to*10000 + i) }
+				for p := 0; p < n; p++ {
+					for i := 0; i < block[r]; i++ {
+						send.SetFloat32(sdispls[p]+i, val(r, p, i))
+					}
+				}
+				x.Alltoallv(send, sendCounts, sdispls, mpi.Float32, recv, recvCounts, rdispls)
+				for p := 0; p < n; p++ {
+					for i := 0; i < block[p]; i++ {
+						if got := recv.Float32(rdispls[p] + i); got != val(p, r, i) {
+							t.Fatalf("rank %d element %d from %d = %v, want %v", r, i, p, got, val(p, r, i))
+						}
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestGatherScatterOnCCLPath(t *testing.T) {
 	const n = 8
 	const count = 1 << 16 // 256 KB: above gather/scatter crossover
@@ -375,7 +424,11 @@ func TestSplitCommunicatorGetsOwnCCLComm(t *testing.T) {
 	const n = 8
 	rt := newRuntime(t, "thetagpu", n, Options{Backend: Auto, Mode: PureCCL})
 	err := rt.Run(func(x *Comm) {
-		sub := rt.Wrap(x.MPI().Split(x.Rank()%2, x.Rank()))
+		members := []int{0, 2, 4, 6}
+		if x.Rank()%2 == 1 {
+			members = []int{1, 3, 5, 7}
+		}
+		sub := rt.Wrap(x.MPI().Subset(members))
 		buf := sub.Device().MustMalloc(4 << 20)
 		out := sub.Device().MustMalloc(4 << 20)
 		buf.FillFloat32(1)
@@ -388,7 +441,7 @@ func TestSplitCommunicatorGetsOwnCCLComm(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rt.cache) != 2 {
-		t.Errorf("cache entries = %d, want 2 (one per split color)", len(rt.cache))
+		t.Errorf("cache entries = %d, want 2 (one per parity group)", len(rt.cache))
 	}
 }
 

@@ -205,9 +205,15 @@ func (f *Fabric) SetIntegrity(i Integrity) { f.integrity = i }
 // and a CRC32C check compares two.
 func (f *Fabric) Faithful() bool { return f.corrupter == nil && !f.integrity.Enabled }
 
-// SetMetrics wires a registry for fabric-level counters (degraded
-// transfers). A nil registry disables them.
+// SetMetrics attaches the world's metrics registry: the fabric's own
+// counters (degraded transfers, corruption and retransmits) and those of
+// every runtime built over it (mpi.Job sends, ccl.NewComms instruments)
+// report into it. Attach it before building communicators. A nil registry
+// disables them all.
 func (f *Fabric) SetMetrics(reg *metrics.Registry) { f.reg = reg }
+
+// Metrics returns the attached registry (nil when none).
+func (f *Fabric) Metrics() *metrics.Registry { return f.reg }
 
 // DegradedNow reports the composed active link degradation at virtual time
 // now, or false when no degrader is attached or no window is active.

@@ -1,15 +1,17 @@
 // Package fault provides deterministic, seeded fault plans for the
 // simulated xCCL stack. A Plan is a list of declarative rules scoped by
 // backend, operation, rank, call count, virtual-time window, and
-// probability; it implements both injection hooks the runtime exposes:
+// probability. It attaches to a world in one place, its fabric
+// (fabric.Fabric.SetFaults), beside the world's integrity setting and
+// metrics registry; communicators built on that fabric afterwards pick it
+// up. It implements every injection hook the runtime exposes:
 //
 //   - ccl.Injector — per-call CCL errors (transient xcclRemoteError or
 //     persistent xcclInternalError), straggler latency, and communicator-
-//     init failures. Attach with ccl.Config.Faults or ambiently with
-//     fabric.Fabric.SetFaults.
+//     init failures. A broken library build (the paper's §4.4 NCCL
+//     2.18.3) is one Rule with Result ccl.ErrInternal and no scope.
 //   - fabric.Degrader — link-degradation windows that scale a link class's
 //     α/bandwidth or cap its channel grant over a virtual-time interval.
-//     Attach with fabric.Fabric.SetFaults.
 //   - fabric.FailStop — fail-stop crash rules (Rule.Crash) that kill a rank
 //     permanently at a virtual time or after a call budget; the collective
 //     watchdog, the heartbeat failure detector, and the ULFM-style shrink in

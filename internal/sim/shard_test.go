@@ -198,11 +198,12 @@ func TestShardedCrossShardDeadlock(t *testing.T) {
 }
 
 func TestShardedRunFor(t *testing.T) {
-	// A stop scheduled on one shard must halt the window loop exactly where
-	// the same stop halts the serial kernel: after the events before it.
+	// A bounded ticker on one shard must run the window loop exactly as
+	// far as the serial kernel runs it: every tick, ending at the same time.
+	const want = 10
 	ticker := func(k *Kernel, ticks *int) {
-		k.SpawnDaemon("ticker", func(p *Proc) {
-			for {
+		k.Spawn("ticker", func(p *Proc) {
+			for range want {
 				p.Sleep(time.Millisecond)
 				*ticks++
 			}
@@ -212,18 +213,16 @@ func TestShardedRunFor(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
 	ticker(k, &serial)
-	k.After(10*time.Millisecond+1, k.Stop)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	s := NewSharded(2, time.Microsecond)
 	defer s.Close()
 	ticker(s.Kernel(0), &sharded)
-	s.Inject(0, 0, 10*time.Millisecond+1, receiverFunc(func(uint64, uint64) { s.Kernel(0).Stop() }), 0, 0)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if serial != sharded || serial == 0 {
-		t.Fatalf("ticks: serial %d, sharded %d", serial, sharded)
+	if serial != want || sharded != want || k.Now() != s.Now() {
+		t.Fatalf("ticks: serial %d at %v, sharded %d at %v, want %d", serial, k.Now(), sharded, s.Now(), want)
 	}
 }

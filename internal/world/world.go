@@ -120,12 +120,9 @@ func Run(spec Spec, body func(r Rank)) error {
 	case StackPureCCL:
 		return runCCL(spec, fab, sys.Devices()[:n], func(r *CCLRank) { body(r) })
 	case StackMPI:
-		job := mpi.NewJobOnSystem(fab, mpi.MVAPICHProfile(), sys, n)
-		job.SetMetrics(spec.Metrics)
-		return job.Run(func(c *mpi.Comm) { body(c) })
+		return mpi.NewJobOnSystem(fab, mpi.MVAPICHProfile(), sys, n).Run(func(c *mpi.Comm) { body(c) })
 	case StackOpenMPI, StackUCC:
 		job := baseline.NewOpenMPIJob(fab, sys, n)
-		job.SetMetrics(spec.Metrics)
 		if spec.Stack == StackUCC {
 			return baseline.NewUCC(job).Run(func(x *baseline.Comm) { body(x) })
 		}
@@ -175,9 +172,6 @@ func runCCL(spec Spec, fab *fabric.Fabric, devs []*device.Device, body func(r *C
 	comms, err := core.NewBackendComms(kind, fab, devs)
 	if err != nil {
 		return err
-	}
-	if spec.Metrics != nil {
-		comms[0].SetMetrics(spec.Metrics)
 	}
 	bar := sim.NewBarrier(fab.Kernel(), len(comms))
 	return ccl.Run(comms, func(cc *ccl.Comm, s *device.Stream, p *sim.Proc) {
