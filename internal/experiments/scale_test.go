@@ -561,18 +561,23 @@ func TestScaleResultPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkRunScale times whole calls of the benchmark's shape, 4096 ranks
-// on 2 shards, in raw host ns/op with allocations.
+// BenchmarkRunScale times whole calls of the benchmark's shape, 4096
+// ranks, in raw host ns/op with allocations: on 2 shards as the benchmark
+// runs it, and on 1 for what the second thread buys.
 func BenchmarkRunScale(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := RunScale(ScaleConfig{Ranks: 4096, Shards: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.OK {
-			b.Fatalf("digest check failed: %+v", r)
-		}
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := RunScale(ScaleConfig{Ranks: 4096, Shards: shards})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !r.OK {
+					b.Fatalf("digest check failed: %+v", r)
+				}
+			}
+		})
 	}
 }
 

@@ -148,18 +148,16 @@ type Integrity struct {
 	MaxRetries int
 }
 
-// Fabric prices and executes transfers over one system's links.
+// Fabric prices and executes transfers over one system's links. Its
+// contention pools sit in per-node tables (nodePools): the tables are made
+// at the first route and each pool at its first use. A transfer's route is
+// computed from its two endpoints and those tables, with nothing memoized,
+// and both endpoints must be devices of the fabric's system.
 type Fabric struct {
 	k   *sim.Kernel
 	sys *topology.System
 
-	intra    map[[2]int]*sim.Resource // unordered device-pair duplex pools
-	intraDir map[[2]int]*sim.Resource // ordered device-pair direction caps
-	egress   map[int]*sim.Resource    // per-node NIC egress pools
-	ingress  map[int]*sim.Resource    // per-node NIC ingress pools
-	hostlnk  map[int]*sim.Resource    // per-node host staging pools
-
-	routes map[[2]int]route // memoized per (src.ID, dst.ID) device pair
+	nodes []nodePools // indexed by node; nil until the first route
 
 	faults      any         // attached fault agent (see SetFaults)
 	degrader    Degrader    // faults, when it implements Degrader
@@ -226,15 +224,7 @@ func (f *Fabric) DegradedNow(now time.Duration) (LinkFault, bool) {
 
 // New returns a fabric for the system.
 func New(k *sim.Kernel, sys *topology.System) *Fabric {
-	return &Fabric{
-		k: k, sys: sys,
-		intra:    make(map[[2]int]*sim.Resource),
-		intraDir: make(map[[2]int]*sim.Resource),
-		egress:   make(map[int]*sim.Resource),
-		ingress:  make(map[int]*sim.Resource),
-		hostlnk:  make(map[int]*sim.Resource),
-		routes:   make(map[[2]int]route),
-	}
+	return &Fabric{k: k, sys: sys}
 }
 
 // System returns the topology the fabric runs over.
@@ -243,92 +233,107 @@ func (f *Fabric) System() *topology.System { return f.sys }
 // Kernel returns the simulation kernel.
 func (f *Fabric) Kernel() *sim.Kernel { return f.k }
 
-func (f *Fabric) intraPool(a, b int) *sim.Resource {
-	key := [2]int{a, b}
-	if a > b {
-		key = [2]int{b, a}
-	}
-	r, ok := f.intra[key]
-	if !ok {
-		r = sim.NewResource(f.k, f.sys.Intra.TotalChannels)
-		f.intra[key] = r
-	}
-	return r
+// nodePools holds one node's contention pools, each made at first use:
+// its NIC egress and ingress pools, its host staging pool, and, indexed by
+// device.Local pair a*DevicesPerNode+b, each device pair's duplex pool
+// (a < b: both directions share it) and each direction's cap.
+type nodePools struct {
+	egress, ingress, host *sim.Resource
+	duplex, dir           []*sim.Resource
 }
 
-// intraDirPool caps one direction of a device pair at DirChannels, so
-// concurrent same-direction flows cannot exceed the direction's peak even
-// though the shared duplex pool is larger.
-func (f *Fabric) intraDirPool(a, b int) *sim.Resource {
-	key := [2]int{a, b}
-	r, ok := f.intraDir[key]
-	if !ok {
-		r = sim.NewResource(f.k, f.sys.Intra.DirChannels)
-		f.intraDir[key] = r
+// node returns node n's pool table, making the fabric's tables at the
+// first route.
+func (f *Fabric) node(n int) *nodePools {
+	if f.nodes == nil {
+		f.nodes = make([]nodePools, len(f.sys.Nodes))
 	}
-	return r
+	return &f.nodes[n]
 }
 
-func (f *Fabric) nodePool(m map[int]*sim.Resource, node int, link topology.Link) *sim.Resource {
-	r, ok := m[node]
-	if !ok {
-		r = sim.NewResource(f.k, link.TotalChannels)
-		m[node] = r
+// pool returns *slot, making it with the given channel units first.
+func (f *Fabric) pool(slot **sim.Resource, units int) *sim.Resource {
+	if *slot == nil {
+		*slot = sim.NewResource(f.k, units)
 	}
-	return r
+	return *slot
+}
+
+// intraPools returns the direction cap of a → b and the pair's shared
+// duplex pool, for two devices of one node given by local index. The cap
+// holds one direction at DirChannels, so concurrent same-direction flows
+// cannot exceed the direction's peak even though the duplex pool is
+// larger.
+func (f *Fabric) intraPools(node, a, b int) (dir, duplex *sim.Resource) {
+	n := f.node(node)
+	dpn := len(f.sys.Nodes[node].Devices)
+	if n.dir == nil {
+		n.dir = make([]*sim.Resource, dpn*dpn)
+		n.duplex = make([]*sim.Resource, dpn*dpn)
+	}
+	l := &f.sys.Intra
+	return f.pool(&n.dir[a*dpn+b], l.DirChannels), f.pool(&n.duplex[min(a, b)*dpn+max(a, b)], l.TotalChannels)
 }
 
 // route describes the link class and contention pools for one transfer.
 type route struct {
-	link    topology.Link
-	pools   []*sim.Resource // acquired in order per chunk
-	local   bool            // same-device copy
-	device  *device.Device  // for local copies
-	class   string          // "intra", "inter", "host" (empty for local)
+	link    *topology.Link   // the system's link of the class
+	pools   [2]*sim.Resource // acquired in order per chunk; a host route has one
+	local   bool             // same-device copy
+	device  *device.Device   // for local copies
+	class   string           // "intra", "inter", "host" (empty for local)
 	srcNode int
 	dstNode int
 }
 
-// route resolves the link class and contention pools for a device pair,
-// memoized per (src.ID, dst.ID): transfers re-price every pipeline chunk on
-// every hop, so the pool lookups and slice build must not recur per call.
+// chain returns the route's pools in acquisition order.
+func (r *route) chain() []*sim.Resource {
+	if r.pools[1] == nil {
+		return r.pools[:1]
+	}
+	return r.pools[:]
+}
+
+// holds reports whether d is a device of the fabric's system: the device
+// at d.Local on node d.Node, or that node's host.
+func (f *Fabric) holds(d *device.Device) bool {
+	if d.Node < 0 || d.Node >= len(f.sys.Nodes) {
+		return false
+	}
+	n := f.sys.Nodes[d.Node]
+	return d == n.Host || d.Local >= 0 && d.Local < len(n.Devices) && n.Devices[d.Local] == d
+}
+
+// route resolves the link class and contention pools for a device pair.
+// Both endpoints must belong to the fabric's system.
 func (f *Fabric) route(src, dst *device.Device) (route, error) {
 	if src == nil || dst == nil {
 		return route{}, fmt.Errorf("fabric: transfer endpoint has no device (use node host buffers, not detached ones)")
 	}
-	key := [2]int{src.ID, dst.ID}
-	if r, ok := f.routes[key]; ok {
-		return r, nil
+	for _, d := range [2]*device.Device{src, dst} {
+		if !f.holds(d) {
+			return route{}, fmt.Errorf("fabric: transfer endpoint %v is not a device of system %q", d, f.sys.Name)
+		}
 	}
-	r, err := f.buildRoute(src, dst)
-	if err == nil {
-		f.routes[key] = r
-	}
-	return r, err
-}
-
-func (f *Fabric) buildRoute(src, dst *device.Device) (route, error) {
 	if src == dst {
 		return route{local: true, device: src}, nil
 	}
 	if src.Node != dst.Node {
-		l := f.sys.Inter
+		l := &f.sys.Inter
 		return route{link: l, class: "inter", srcNode: src.Node, dstNode: dst.Node,
-			pools: []*sim.Resource{
-				f.nodePool(f.egress, src.Node, l),
-				f.nodePool(f.ingress, dst.Node, l),
+			pools: [2]*sim.Resource{
+				f.pool(&f.node(src.Node).egress, l.TotalChannels),
+				f.pool(&f.node(dst.Node).ingress, l.TotalChannels),
 			}}, nil
 	}
 	if src.Kind == device.Host || dst.Kind == device.Host {
-		l := f.sys.HostLink
+		l := &f.sys.HostLink
 		return route{link: l, class: "host", srcNode: src.Node, dstNode: dst.Node,
-			pools: []*sim.Resource{f.nodePool(f.hostlnk, src.Node, l)}}, nil
+			pools: [2]*sim.Resource{f.pool(&f.node(src.Node).host, l.TotalChannels)}}, nil
 	}
-	return route{link: f.sys.Intra, class: "intra", srcNode: src.Node, dstNode: dst.Node,
-		pools: []*sim.Resource{
-			f.intraDirPool(src.ID, dst.ID),
-			f.intraPool(src.ID, dst.ID),
-		}}, nil
+	dir, duplex := f.intraPools(src.Node, src.Local, dst.Local)
+	return route{link: &f.sys.Intra, class: "intra", srcNode: src.Node, dstNode: dst.Node,
+		pools: [2]*sim.Resource{dir, duplex}}, nil
 }
 
 // degradedFor reports the active fault on a route at now, counting the
@@ -571,12 +576,12 @@ func (x *Xfer) Advance() sim.Wait {
 			if x.pool == 0 {
 				x.held = x.got
 			} else if x.got < x.held {
-				for _, prev := range r.pools[:x.pool] {
+				for _, prev := range r.chain()[:x.pool] {
 					prev.Release(x.held - x.got)
 				}
 				x.held = x.got
 			}
-			if x.pool++; x.pool < len(r.pools) {
+			if x.pool++; x.pool < len(r.chain()) {
 				return sim.AcquireUpTo(r.pools[x.pool], x.held, &x.got)
 			}
 			sz := x.w.chunk
@@ -586,7 +591,7 @@ func (x *Xfer) Advance() sim.Wait {
 			x.pc = xferRelease
 			return sim.Sleep(time.Duration(float64(sz) / (float64(x.held) * x.w.bw) * float64(time.Second)))
 		case xferRelease:
-			for _, pool := range r.pools {
+			for _, pool := range r.chain() {
 				pool.Release(x.held)
 			}
 			x.off += x.w.chunk

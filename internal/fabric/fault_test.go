@@ -7,6 +7,7 @@ import (
 	"mpixccl/internal/device"
 	"mpixccl/internal/metrics"
 	"mpixccl/internal/sim"
+	"mpixccl/internal/topology"
 )
 
 // stubDegrader degrades every intra-node route, unconditionally.
@@ -33,6 +34,46 @@ func TestTryTransferReturnsErrorNotPanic(t *testing.T) {
 		}
 		if _, err := f.TryTransfer(p, good.Whole(), detached.Whole(), 16, Opts{}); err == nil {
 			t.Error("detached source returned nil error")
+		}
+		if p.Now() != before {
+			t.Error("failed transfers consumed virtual time")
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A transfer endpoint from another system has no route on this fabric,
+// whether the other system has the same shape (its device sits at the
+// same node and local index as one of ours) or more nodes than ours. Every
+// entry point fails before any time passes.
+func TestTryTransferForeignSystemErrors(t *testing.T) {
+	k, sys, f := setup(1)
+	other := topology.ThetaGPU(k, 2)
+	ours := sys.Device(0).MustMalloc(16)
+	foreign := map[string]*device.Device{
+		"twin device":     other.Device(1),
+		"twin host":       other.Nodes[0].Host,
+		"beyond our node": other.Nodes[1].Devices[0],
+		"beyond our host": other.Nodes[1].Host,
+	}
+	k.Spawn("main", func(p *sim.Proc) {
+		before := p.Now()
+		for name, d := range foreign {
+			buf := d.MustMalloc(16)
+			if _, err := f.TryTransfer(p, ours.Whole(), buf.Whole(), 16, Opts{}); err == nil {
+				t.Errorf("%s as source: nil error", name)
+			}
+			if _, err := f.TryTransfer(p, buf.Whole(), ours.Whole(), 16, Opts{}); err == nil {
+				t.Errorf("%s as destination: nil error", name)
+			}
+			if _, err := f.Price(p, d, sys.Device(1), 16, Opts{}); err == nil {
+				t.Errorf("%s priced: nil error", name)
+			}
+			if _, err := f.TryControlMsg(p, sys.Device(0), d); err == nil {
+				t.Errorf("%s control message: nil error", name)
+			}
 		}
 		if p.Now() != before {
 			t.Error("failed transfers consumed virtual time")

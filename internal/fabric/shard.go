@@ -13,11 +13,11 @@ import (
 // sub-System and one Fabric per shard, each owning a node-aligned block of
 // the cluster (topology.Partition). All intra-node and intra-shard traffic
 // goes through the shard-local Fabric exactly as in a serial world —
-// contention pools, degrader state, integrity retransmit state, and route
-// memoization all stay shard-local, so no fabric state is ever touched from
-// two OS threads. Cross-shard traffic (inter-node hops whose endpoints live
-// on different shards) is priced by the pure InterTime and carried as
-// engine injections by the model.
+// contention pool tables, degrader state and integrity retransmit state all
+// stay shard-local, so no fabric state is ever touched from two OS threads.
+// Cross-shard traffic (inter-node hops whose endpoints live on different
+// shards) is priced by the pure InterTime and carried as engine injections
+// by the model.
 type Sharded struct {
 	eng   *sim.Sharded
 	part  topology.Partition

@@ -145,7 +145,11 @@ func TestShardedCloseUnwindsEveryShard(t *testing.T) {
 			t.Fatalf("shard %d holds %d scheduled deliveries after Run, want the first wave's 1", i, len(k.queue))
 		}
 	}
-	if n := len(s.lanes[0].outbox); n != s.Shards()-1 {
+	n := 0
+	for _, o := range s.lanes[0].out {
+		n += len(o)
+	}
+	if n != s.Shards()-1 {
 		t.Fatalf("shard 0's outbox holds %d injections after Run, want the second wave's %d", n, s.Shards()-1)
 	}
 	s.Close()
@@ -156,8 +160,8 @@ func TestShardedCloseUnwindsEveryShard(t *testing.T) {
 		if k := s.Kernel(i); len(k.procs) != 0 || len(k.queue) != 0 || k.fifo.n != 0 {
 			t.Fatalf("shard %d keeps %d procs and %d events", i, len(k.procs), len(k.queue)+k.fifo.n)
 		}
-		if s.lanes[i].outbox != nil || s.lanes[i].free != nil {
-			t.Fatalf("shard %d keeps its outbox or delivery free list", i)
+		if s.lanes[i].out != nil || s.lanes[i].free != nil {
+			t.Fatalf("shard %d keeps its outboxes or delivery free list", i)
 		}
 	}
 	if n := settleGoroutines(base); n > base {

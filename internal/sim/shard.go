@@ -3,17 +3,21 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
 // Sharded is a partitioned discrete-event engine: N plain Kernels, each with
 // its private clock, event heap, and dispatch loop, executing concurrently
-// on their own OS threads inside conservative synchronization windows. A
-// window's loop for shard i runs on a goroutine of its own and switches
-// only among shard i's process coroutines.
+// on their own OS threads inside conservative synchronization windows.
+// Shard 0 runs on the goroutine that calls Run; every other shard has a
+// resident worker goroutine, started at the first Run, that blocks between
+// Runs and exits in Close. A shard's window switches only among its own
+// process coroutines.
 //
 // # Conservative lookahead
 //
@@ -27,30 +31,42 @@ import (
 // cross-shard edges), the engine falls back to barrier-advance: windows of a
 // single virtual nanosecond, correct but with no intra-window parallelism.
 //
+// # The window protocol
+//
+// Each window is two phases, each ended by a barrier. In the run phase
+// every shard dispatches its events below the horizon. In the merge phase
+// every shard merges the injections sent to it during the window into its
+// own kernel and publishes its next event time; the coordinator (the Run
+// goroutine) takes the minimum and releases the next window. The barriers
+// spin briefly and then yield the thread (runtime.Gosched), so a shard
+// waiting for another on the same thread hands it over. A window spawns
+// no goroutine and allocates nothing.
+//
 // # Cross-shard messages
 //
 // Code running on shard i sends to shard j with Inject: a timestamped
 // record carrying two payload words by value and naming a long-lived
-// Receiver, buffered in shard i's outbox (single-writer: only the process
-// or callback running on shard i appends). At the window barrier the
-// coordinator merges all outboxes, sorts by (timestamp, sender shard,
-// sender issue order), and schedules each injection on its destination
-// kernel as a pooled delivery event taken from the destination's free
-// list. The delivery runs on the destination shard, gives its slot back
-// to that free list, and calls the receiver's Deliver with the payload.
-// Sending a message therefore allocates nothing once the free lists are
-// warm. The sort makes delivery order independent of wall-clock
-// interleaving; models must additionally keep same-timestamp injections
-// to one destination commutative (or single-source), because two
-// injections carrying equal timestamps from different senders may be
-// enqueued in either relative order versus a different shard count's run.
+// Receiver, buffered in shard i's outbox for shard j (single-writer: only
+// the process or callback running on shard i appends). In the merge phase
+// shard j gathers its outboxes from every shard, sorts them by
+// (timestamp, sender shard, sender issue order), and schedules each
+// injection on its kernel as a pooled delivery event taken from its own
+// free list. The delivery gives its slot back to that free list when it
+// runs and calls the receiver's Deliver with the payload. Sending a
+// message therefore allocates nothing once the free lists are warm. The
+// sort makes delivery order independent of wall-clock interleaving; models
+// must additionally keep same-timestamp injections to one destination
+// commutative (or single-source), because two injections carrying equal
+// timestamps from different senders may be enqueued in either relative
+// order versus a different shard count's run.
 //
-// A delivery slot has one owner at a time. The coordinator takes it from
-// the free list during flush, between windows. From then until its event
-// runs it sits in the destination's event queue, and the destination's
-// window returns it to the free list when it runs. The window barrier
-// orders the flush before and after every window, so no two threads ever
-// touch one free list at once.
+// A delivery slot has one owner at a time: the destination's merge, which
+// takes it from the free list; the destination's event queue, until its
+// event runs; and the destination's window, which returns it to the free
+// list. During Run only the destination's thread touches its free list.
+// Before the first Run and after each returns, the workers are parked and
+// the caller's goroutine owns every shard: an Inject then schedules
+// directly.
 //
 // # Determinism
 //
@@ -65,33 +81,51 @@ type Sharded struct {
 	// lanes[i] is shard i's message state (see lane).
 	lanes []lane
 
-	// Per-window scratch, reused across windows: the merged injections
-	// (flush) and the shards with work below the horizon (Run).
-	batch  []injection
-	active []*Kernel
+	// The window protocol. The coordinator writes horizon and stop, then
+	// bumps phase to release the workers into the next phase; a worker
+	// adds to arrived once it has finished the phase. The atomics order
+	// each phase's writes before the next phase's reads.
+	horizon Time
+	stop    bool // the released phase parks the workers instead
+	phase   atomic.Uint64
+	arrived atomic.Int64
+	lost    atomic.Int64 // workers a runtime.Goexit ended, counted as arrived from then on
+	waiting bool         // a phase is released and its arrivals not yet awaited
+	serving bool         // the workers are in the window loop
 
+	workers sync.WaitGroup // the resident workers, done when they exit
 	running bool
 }
 
-// lane is one shard's message state. Shards that inject at once write
-// their own lanes, so each lane is padded to a multiple of 128 bytes (two
-// cache lines, which some CPUs fetch as a pair, as sync.Pool pads its
-// per-P pools) and no two shards' lanes share a line.
+// lane is one shard's message state. Shards that run at once write their
+// own lanes, so each lane is padded to a multiple of 128 bytes (two cache
+// lines, which some CPUs fetch as a pair, as sync.Pool pads its per-P
+// pools) and no two shards' lanes share a line.
 type lane struct {
 	laneState
 	_ [128 - unsafe.Sizeof(laneState{})%128]byte
 }
 
 type laneState struct {
-	// outbox holds the injections the shard issued during the current
-	// window, seq their count so far. Written only by what runs on the
-	// shard, drained only by the coordinator between windows (the
-	// WaitGroup barrier orders the two).
-	outbox []injection
-	seq    uint64
-	// free holds the shard's idle delivery slots. flush pops them and the
-	// shard's deliveries push them back (see "Cross-shard messages").
-	free []*delivery
+	// out[j] holds the injections the shard issued to shard j during the
+	// current window, seq their count so far. Written only by what runs on
+	// the shard, drained only by shard j in the merge phase.
+	out [][]injection
+	seq uint64
+
+	// Destination side, touched only by this shard's thread during Run:
+	// its idle delivery slots (see "Cross-shard messages"), the merge's
+	// scratch, and the next event time the merge publishes.
+	free    []*delivery
+	batch   []injection
+	next    Time
+	pending bool
+
+	// failed is the panic this shard's window ended with, if any.
+	failed any
+	// wake starts the shard's worker on a Run; Close closes it. Shard 0
+	// has none: the Run goroutine runs it.
+	wake chan struct{}
 }
 
 // Receiver consumes cross-shard messages on their destination shard.
@@ -108,7 +142,6 @@ type injection struct {
 	at   Time
 	from int
 	seq  uint64 // sender-local issue order, tie-break after (at, from)
-	to   int
 	r    Receiver
 	a, b uint64
 }
@@ -134,8 +167,8 @@ func (d *delivery) deliver() {
 }
 
 // schedule files r.Deliver(a, b) at virtual time at on shard to, through a
-// delivery slot from that shard's free list. Only the coordinator calls
-// it: during flush, or before Run and after it returns.
+// delivery slot from that shard's free list. Only the owner of shard to
+// calls it: its merge during Run, or the caller's goroutine outside Run.
 func (s *Sharded) schedule(to int, at Time, r Receiver, a, b uint64) {
 	free := &s.lanes[to].free
 	var d *delivery
@@ -153,7 +186,8 @@ func (s *Sharded) schedule(to int, at Time, r Receiver, a, b uint64) {
 // NewSharded creates a partitioned engine with n fresh kernels. lookahead is
 // the conservative synchronization horizon: no cross-shard injection may be
 // timestamped earlier than sender-now + lookahead. A lookahead of zero (or
-// negative) selects the barrier-advance fallback.
+// negative) selects the barrier-advance fallback. An engine with more than
+// one shard holds worker goroutines from its first Run until Close.
 func NewSharded(n int, lookahead Time) *Sharded {
 	if n < 1 {
 		panic("sim: NewSharded needs at least one shard")
@@ -161,6 +195,7 @@ func NewSharded(n int, lookahead Time) *Sharded {
 	s := &Sharded{lookahead: lookahead, lanes: make([]lane, n)}
 	for i := 0; i < n; i++ {
 		s.shards = append(s.shards, NewKernel())
+		s.lanes[i].out = make([][]injection, n)
 	}
 	return s
 }
@@ -210,34 +245,23 @@ func (s *Sharded) Inject(from, to int, at Time, r Receiver, a, b uint64) {
 		panic(fmt.Sprintf("sim: Inject at t=%v is in the sender's past (now %v)", at, now))
 	}
 	l := &s.lanes[from]
-	l.outbox = append(l.outbox, injection{at: at, from: from, seq: l.seq, to: to, r: r, a: a, b: b})
+	l.out[to] = append(l.out[to], injection{at: at, from: from, seq: l.seq, r: r, a: a, b: b})
 	l.seq++
 }
 
-// minNext returns the earliest pending event time across all shards.
-func (s *Sharded) minNext() (Time, bool) {
-	var t Time
-	ok := false
-	for _, k := range s.shards {
-		if at, has := k.nextAt(); has && (!ok || at < t) {
-			t, ok = at, true
-		}
-	}
-	return t, ok
-}
-
-// flush delivers all buffered injections in deterministic order:
-// (timestamp, sender shard, sender issue order). Called only between
-// windows, when no shard is dispatching. The merge slice is reused, and
-// both it and the outboxes drop their receivers once scheduled, so spare
+// merge schedules the injections sent to shard j during the window, in
+// (timestamp, sender shard, sender issue order), and publishes the shard's
+// next event time. It runs on shard j's thread in the merge phase. The
+// scratch and the outboxes drop their receivers once scheduled, so spare
 // capacity keeps no receiver alive.
-func (s *Sharded) flush() {
-	batch := s.batch[:0]
+func (s *Sharded) merge(j int) {
+	l := &s.lanes[j]
+	batch := l.batch[:0]
 	for i := range s.lanes {
-		l := &s.lanes[i]
-		batch = append(batch, l.outbox...)
-		clear(l.outbox)
-		l.outbox = l.outbox[:0]
+		o := s.lanes[i].out[j]
+		batch = append(batch, o...)
+		clear(o)
+		s.lanes[i].out[j] = o[:0]
 	}
 	slices.SortFunc(batch, func(x, y injection) int {
 		if c := cmp.Compare(x.at, y.at); c != 0 {
@@ -249,91 +273,201 @@ func (s *Sharded) flush() {
 		return cmp.Compare(x.seq, y.seq)
 	})
 	for _, inj := range batch {
-		s.schedule(inj.to, inj.at, inj.r, inj.a, inj.b)
+		s.schedule(j, inj.at, inj.r, inj.a, inj.b)
 	}
 	clear(batch)
-	s.batch = batch[:0]
+	l.batch = batch[:0]
+	l.next, l.pending = s.shards[j].nextAt()
 }
 
-// runConcurrently runs one window on every active shard, each on its own
-// goroutine. A shard's panic (see Kernel.Run) is re-raised on the calling
-// goroutine once every shard has finished the window, so it surfaces from
-// Sharded.Run instead of killing the program.
-func runConcurrently(active []*Kernel, horizon Time) {
-	var wg sync.WaitGroup
-	failed := make([]any, len(active))
-	for i, k := range active {
-		wg.Add(1)
-		go func(i int, k *Kernel) {
-			defer wg.Done()
-			defer func() { failed[i] = recover() }()
-			k.runWindow(horizon)
-		}(i, k)
-	}
-	wg.Wait()
-	for _, r := range failed {
-		if r != nil {
-			panic(r)
+// runShard runs shard i's window up to the current horizon. A panic (see
+// Kernel.Run), or a runtime.Goexit, is recorded in the lane for the
+// coordinator to re-raise once every shard has finished the window, so it
+// surfaces from Run instead of killing the program.
+func (s *Sharded) runShard(i int) {
+	done := false
+	defer func() {
+		if !done {
+			r := recover()
+			if r == nil {
+				r = fmt.Sprintf("sim: shard %d's window called runtime.Goexit", i)
+			}
+			s.lanes[i].failed = r
+		}
+	}()
+	s.shards[i].runWindow(s.horizon)
+	done = true
+}
+
+// spins is how many times a barrier polls before each yield.
+const spins = 64
+
+// release starts the next phase on every worker.
+func (s *Sharded) release() {
+	s.waiting = true
+	s.phase.Add(1)
+}
+
+// await returns once every worker has finished the released phase.
+func (s *Sharded) await() {
+	want := int64(len(s.shards) - 1)
+	for i := 1; s.arrived.Load()+s.lost.Load() < want; i++ {
+		if i%spins == 0 {
+			runtime.Gosched()
 		}
 	}
+	s.arrived.Store(0)
+	s.waiting = false
+}
+
+// park ends the window loop on every worker: each goes back to wait for
+// the next Run or for Close. It returns once every worker has left the
+// loop, so the next Run may reset the protocol.
+func (s *Sharded) park() {
+	if s.waiting {
+		s.await()
+	}
+	for i := range s.lanes {
+		s.lanes[i].failed = nil
+	}
+	s.stop = true
+	s.release()
+	s.await()
+	s.serving = false
+}
+
+// work is shard i's resident worker: it takes part in the windows of each
+// Run, a run phase and then a merge phase per window, until Close closes
+// its wake channel. seen counts the releases it has waited for. A
+// runtime.Goexit in its window ends the worker; it counts itself lost on
+// the way out, so the coordinator re-raises the failure runShard recorded
+// instead of waiting for the worker forever.
+func (s *Sharded) work(i int) {
+	defer s.workers.Done()
+	exited := false
+	defer func() {
+		if !exited {
+			s.lost.Add(1)
+		}
+	}()
+	var seen uint64
+	for range s.lanes[i].wake {
+		for merging := false; ; merging = !merging {
+			seen++
+			for n := 1; s.phase.Load() < seen; n++ {
+				if n%spins == 0 {
+					runtime.Gosched()
+				}
+			}
+			if s.stop {
+				s.arrived.Add(1)
+				break
+			}
+			if merging {
+				s.merge(i)
+			} else {
+				s.runShard(i)
+			}
+			s.arrived.Add(1)
+		}
+	}
+	exited = true
+}
+
+// minNext returns the earliest pending event time across all shards, as
+// their merges published it.
+func (s *Sharded) minNext() (Time, bool) {
+	var t Time
+	ok := false
+	for i := range s.lanes {
+		if l := &s.lanes[i]; l.pending && (!ok || l.next < t) {
+			t, ok = l.next, true
+		}
+	}
+	return t, ok
 }
 
 // Close tears down every shard once Run has returned (see Kernel.Close).
 // All shards unwind before any pending event or buffered injection is
 // dropped, so deferred calls that inject across shards are discarded too.
-// Scheduled deliveries go with their kernels' events, and the outboxes
-// and delivery free lists are released.
+// Scheduled deliveries go with their kernels' events, the outboxes and
+// delivery free lists are released, and the workers exit.
 func (s *Sharded) Close() {
 	for _, k := range s.shards {
 		k.unwindAll()
 	}
 	for i, k := range s.shards {
 		k.dropEvents()
-		s.lanes[i].outbox, s.lanes[i].free = nil, nil
+		l := &s.lanes[i]
+		l.out, l.free, l.batch = nil, nil, nil
+		if l.wake != nil {
+			close(l.wake)
+			l.wake = nil
+		}
 	}
+	s.workers.Wait()
 }
 
-// Run executes the window loop until every shard drains. It returns a merged *DeadlockError if processes remain blocked
-// engine-wide with no pending events anywhere (including a process on one
-// shard waiting forever for an injection that no other shard will send).
+// Run executes the window loop until every shard drains. It returns a
+// merged *DeadlockError if processes remain blocked engine-wide with no
+// pending events anywhere (including a process on one shard waiting
+// forever for an injection that no other shard will send). A panic in a
+// shard's window is re-raised here once every shard has finished the
+// window, and no merge follows it.
 func (s *Sharded) Run() error {
 	if s.running {
 		return fmt.Errorf("sim: sharded engine already running")
 	}
+	if s.lost.Load() > 0 {
+		return fmt.Errorf("sim: a shard's worker ended in runtime.Goexit; the engine can only be closed")
+	}
 	s.running = true
-	defer func() { s.running = false }()
+	defer func() {
+		if s.serving {
+			s.park() // a Goexit on this goroutine: stop the workers first
+		}
+		s.running = false
+	}()
 
+	// Between Runs this goroutine owns every shard: seed the published
+	// next times from the kernels, then start the workers.
+	for i, k := range s.shards {
+		s.lanes[i].next, s.lanes[i].pending = k.nextAt()
+	}
+	s.stop, s.serving = false, true
+	for i := 1; i < len(s.lanes); i++ {
+		l := &s.lanes[i]
+		if l.wake == nil {
+			l.wake = make(chan struct{})
+			s.workers.Add(1)
+			go s.work(i)
+		}
+		l.wake <- struct{}{}
+	}
 	for {
 		t, ok := s.minNext()
 		if !ok {
 			break
 		}
-		horizon := t + s.lookahead
+		s.horizon = t + s.lookahead
 		if s.lookahead <= 0 {
-			horizon = t + 1 // barrier-advance fallback: one-tick windows
+			s.horizon = t + 1 // barrier-advance fallback: one-tick windows
 		}
-		// Collect shards with work below the horizon; idle shards (empty
-		// queue, possibly procs parked awaiting injections) cost nothing.
-		active := s.active[:0]
-		for _, k := range s.shards {
-			if at, has := k.nextAt(); has && at < horizon {
-				active = append(active, k)
+		s.release()
+		s.runShard(0)
+		s.await()
+		for i := range s.lanes {
+			if r := s.lanes[i].failed; r != nil {
+				s.park()
+				panic(r)
 			}
 		}
-		s.active = active
-		switch len(active) {
-		case 0:
-			// Cannot happen: minNext found t < horizon on some shard.
-			panic("sim: window with no active shard")
-		case 1:
-			// Single busy shard (no other has an event below the horizon):
-			// run it on the coordinator goroutine, no hand-off.
-			active[0].runWindow(horizon)
-		default:
-			runConcurrently(active, horizon)
-		}
-		s.flush()
+		s.release()
+		s.merge(0)
+		s.await()
 	}
+	s.park()
+
 	alive := 0
 	for _, k := range s.shards {
 		alive += k.alive

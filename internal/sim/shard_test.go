@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ func (f receiverFunc) Deliver(a, b uint64) { f(a, b) }
 func ringWorld(t *testing.T, nodes, shards int, hop Time) (sum uint64, virt Time) {
 	t.Helper()
 	s := NewSharded(shards, hop)
+	defer s.Close()
 	mail := make([]*Chan[uint64], nodes)
 	recv := make([]Receiver, nodes)
 	shardOf := func(node int) int { return node * shards / nodes }
@@ -67,7 +69,7 @@ func ringWorld(t *testing.T, nodes, shards int, hop Time) (sum uint64, virt Time
 		})
 	}
 	if err := s.Run(); err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
+		t.Errorf("shards=%d: %v", shards, err) // Errorf: TestShardedBarrierYields runs it off the test goroutine
 	}
 	return got, last
 }
@@ -84,6 +86,126 @@ func TestShardedRingDeterministic(t *testing.T) {
 		if sum != baseSum || virt != baseVirt {
 			t.Errorf("shards=%d: (sum,virt) = (%d,%v), serial = (%d,%v)",
 				shards, sum, virt, baseSum, baseVirt)
+		}
+	}
+}
+
+// TestShardedBarrierYields runs the 4-shard ring on one OS thread, ten
+// times. A shard that waits at a window barrier must hand the thread to
+// the shards it waits for. One that only spins gets the thread back from
+// the runtime's preemption after milliseconds per barrier, which takes
+// these runs well past the watchdog; yielding, they take milliseconds.
+func TestShardedBarrierYields(t *testing.T) {
+	const nodes, runs = 8, 10
+	const hop = 2500 * time.Nanosecond
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	baseSum, baseVirt := ringWorld(t, nodes, 1, hop)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range runs {
+			if sum, virt := ringWorld(t, nodes, 4, hop); sum != baseSum || virt != baseVirt {
+				t.Errorf("GOMAXPROCS 1, shards=4: (sum,virt) = (%d,%v), serial = (%d,%v)",
+					sum, virt, baseSum, baseVirt)
+				return
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%d runs of the 4-shard ring at GOMAXPROCS 1 took over 10 s: a barrier spins without yielding", runs)
+	}
+}
+
+// TestShardedWorkersExitInClose checks that an engine's resident workers
+// are gone after Close, whether it ran to completion, ended in a
+// deadlock, or never ran at all.
+func TestShardedWorkersExitInClose(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(s *Sharded)
+		run   bool
+		want  error
+	}{
+		{"completed", func(s *Sharded) {
+			for i := 0; i < s.Shards(); i++ {
+				s.Kernel(i).Spawn("work", func(p *Proc) { p.Sleep(3 * time.Microsecond) })
+			}
+		}, true, nil},
+		{"deadlock", func(s *Sharded) {
+			ev := NewEvent(s.Kernel(2))
+			s.Kernel(2).Spawn("waiter", func(p *Proc) { ev.Wait(p) })
+			s.Kernel(0).Spawn("work", func(p *Proc) { p.Sleep(5 * time.Microsecond) })
+		}, true, &DeadlockError{}},
+		{"never-ran", func(s *Sharded) {
+			s.Kernel(1).Spawn("work", func(p *Proc) { p.Sleep(time.Microsecond) })
+		}, false, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			s := NewSharded(3, time.Microsecond)
+			c.build(s)
+			if c.run {
+				err := s.Run()
+				if (err == nil) != (c.want == nil) || err != nil && reflect.TypeOf(err) != reflect.TypeOf(c.want) {
+					t.Fatalf("Run = %v, want %T", err, c.want)
+				}
+				if c.want != nil {
+					// A second Run finds the workers parked, not lost.
+					if err := s.Run(); err == nil || reflect.TypeOf(err) != reflect.TypeOf(c.want) {
+						t.Fatalf("second Run = %v, want %T", err, c.want)
+					}
+				}
+			}
+			s.Close()
+			if n := settleGoroutines(base); n != base {
+				t.Fatalf("%d goroutines after Close, want %d as before NewSharded", n, base)
+			}
+		})
+	}
+}
+
+// A process that calls runtime.Goexit (what t.FailNow does) ends the
+// goroutine running its shard. On shard 0 that is the Run goroutine, which
+// must park the workers on its way out. On a worker's shard it ends the
+// worker: Run re-raises it as a panic rather than waiting for the worker
+// forever, and a later Run refuses to start. Either way Close leaves no
+// goroutine behind.
+func TestShardedGoexit(t *testing.T) {
+	for _, c := range []struct {
+		shard int
+		want  string
+	}{{0, "goexit"}, {1, "panic"}} {
+		base := runtime.NumGoroutine()
+		s := NewSharded(2, time.Microsecond)
+		s.Kernel(1-c.shard).Spawn("work", func(p *Proc) { p.Sleep(2 * time.Microsecond) })
+		s.Kernel(c.shard).Spawn("quitter", func(p *Proc) {
+			p.Sleep(time.Microsecond)
+			runtime.Goexit()
+		})
+		ended := make(chan string)
+		go func() {
+			how := "goexit"
+			defer func() {
+				if recover() != nil {
+					how = "panic"
+				}
+				ended <- how
+			}()
+			s.Run()
+			how = "returned"
+		}()
+		if how := <-ended; how != c.want {
+			t.Fatalf("Goexit on shard %d: Run ended by %s, want %s", c.shard, how, c.want)
+		}
+		if err := s.Run(); c.shard != 0 && err == nil {
+			t.Fatal("Run started again after losing a worker")
+		}
+		s.Close()
+		if n := settleGoroutines(base); n != base {
+			t.Fatalf("Goexit on shard %d: %d goroutines after Close, want %d", c.shard, n, base)
 		}
 	}
 }
@@ -165,6 +287,7 @@ func TestShardedDeliveryOrder(t *testing.T) {
 
 func TestShardedInjectLookaheadViolationPanics(t *testing.T) {
 	s := NewSharded(2, time.Microsecond)
+	defer s.Close()
 	s.Kernel(0).Spawn("bad", func(p *Proc) {
 		defer func() {
 			if recover() == nil {
@@ -180,6 +303,7 @@ func TestShardedInjectLookaheadViolationPanics(t *testing.T) {
 
 func TestShardedCrossShardDeadlock(t *testing.T) {
 	s := NewSharded(2, time.Microsecond)
+	defer s.Close()
 	ev := NewEvent(s.Kernel(1))
 	s.Kernel(1).Spawn("waiter", func(p *Proc) {
 		ev.Wait(p) // nobody ever fires this
